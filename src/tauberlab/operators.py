@@ -9,10 +9,16 @@ and this module builds its matrix truncation in the orthonormal exponential
 basis e_n(t) = L^{-1/2} exp(2 pi i n t / L), n = -N..N, by two independent
 routes.
 
-Kernel route: tensor Gauss-Legendre quadrature of the double integral.
-Uniform panels make the kernel argument t - tau depend only on the panel
-offset and the node pair, so G is evaluated once per unique difference and
-the matrix accumulates block-Toeplitz style.
+Kernel route: the kernel K is even, so the double integral over I^2
+collapses to one-dimensional moments on [0, L]. With alpha = 2 pi / L,
+
+    s_n = int_0^L K(x) sin(alpha n x) dx,
+    c_n = int_0^L 2 K(x) (1 - x/L) cos(alpha n x) dx,
+
+and M[m][n] = (-1)^{n-m} (s_m - s_n) / (pi (n - m)) for m != n,
+M[n][n] = c_n. The moments come from uniform Gauss-Legendre panels, one
+kernel evaluation per node. This stays a time-side computation, independent
+of the frequency route.
 
 Frequency route: by the Plancherel identity the matrix element is a single
 frequency integral against the windowed sine factors
@@ -27,8 +33,11 @@ fractions reduce everything to the shared one-dimensional integrals
     D(n) = int_0^inf mt [sinc^2 + sinc^2] dx                        (even)
 
 so a full order-N assembly costs 2(N+1) one-dimensional integrals over one
-shared grid. Removable singularities are evaluated stably through
-sin^2 x/(x - pi k) = sin(d) sinc(d/pi) with d = x - pi k.
+shared grid, and M is built from the moments -F/pi and D/pi by the same
+formula as on the kernel route. Since sin^2(x -+ pi k) = sin^2 x, one sine
+per node serves every k; near the removable singularities, |d| < 1 with
+d = x -+ pi k, the terms are evaluated stably as sin(d) sinc(d/pi) and
+sinc^2(d/pi).
 
 The grid aligns panels with the jumps of step-backed sources (up to a
 resolution cap, beyond which a declared between-jump mean replaces the
@@ -42,6 +51,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -73,6 +83,7 @@ _EPS0_X_PAD = 500.0  # undamped cutoff past the last lobe
 _SMOOTH_RESOLVE = 1024.0  # resolve jumps exactly below this x when a mean model exists
 _RAW_RESOLVE = 200_000.0  # ... and below this when none does
 _MAX_ORDER = 256
+_HEADER_SPLIT = re.compile(r", (?=(?:L|eps|N|source|route|A)=)")
 
 
 @dataclass(frozen=True)
@@ -155,9 +166,10 @@ class OperatorTruncation:
         if not text or not text[0].startswith("# tauberlab-matrix v1"):
             raise ContractError(f"not a tauberlab matrix file: {path}")
         meta = {}
-        for part in text[0].split(",")[1:]:
-            key, _, val = part.strip().partition("=")
-            meta[key.strip()] = val.strip()
+        # source labels such as sqrt_mix(a=1,b=1) hold commas of their own
+        for part in _HEADER_SPLIT.split(text[0])[1:]:
+            key, _, val = part.partition("=")
+            meta[key] = val.strip()
         rows = [line for line in text[1:] if not line.startswith("#")]
         entries = np.array([[float(v) for v in line.split(",")] for line in rows])
         return OperatorTruncation(
@@ -201,71 +213,58 @@ def assemble_kernel_route(
     N: int,
     tol: Optional[EvalTolerance] = None,
 ) -> OperatorTruncation:
-    """Matrix truncation by tensor Gauss-Legendre quadrature of the kernel.
+    """Matrix truncation from the 1-D kernel moments s_n, c_n (module docstring).
 
-    Uniform panels of width min(eps, 0.1, L/(3N)) resolve both the kernel
-    peak (scale eps) and the fastest basis oscillation (period L/N); the
-    kernel is evaluated once per unique node difference and the matrix is
-    accumulated over panel offsets (M_{-d} = M_d^H keeps half the work)."""
+    Uniform panels of width min(eps, 0.1, L/(3N)) with 16 Gauss-Legendre
+    nodes each resolve both the kernel peak (scale eps) and the fastest
+    basis oscillation (period L/N). `tol` is accepted but not used yet: the
+    panel width depends on eps, L and N alone."""
     if eps < 1e-3:
         raise DomainError("kernel route requires eps >= 1e-3")
     if not (0 <= N <= _MAX_ORDER):
         raise ContractError(f"order N must lie in [0, {_MAX_ORDER}]")
     L = I.length
     w_target = min(eps, 0.1, L / (3 * N) if N > 0 else math.inf)
-    P = int(math.ceil(L / w_target))
-    w = L / P
-    xi = 0.5 * w * (_GL_NODES + 1.0)  # node offsets within a panel
-    wts = 0.5 * w * _GL_WEIGHTS
-
-    # kernel blocks per panel offset: arg = d*w + xi_a - xi_b
-    pair = xi[:, None] - xi[None, :]
-    d_vals = np.arange(P, dtype=float) * w
-    args = (d_vals[:, None, None] + pair[None, :, :]).ravel()
-    kv = kernel(S, eps, args)
+    xs, ws = _gl_nodes_on(np.linspace(0.0, L, int(math.ceil(L / w_target)) + 1))
+    kv = np.asarray(kernel(S, eps, xs))
     if not np.all(np.isfinite(kv)):
-        bad = int(np.flatnonzero(~np.isfinite(np.asarray(kv)))[0])
-        d_bad, a_bad, b_bad = np.unravel_index(bad, (P, 16, 16))
-        raise PrecisionError(
-            f"kernel quadrature produced a non-finite value at panel offset "
-            f"{d_bad}, node pair ({a_bad},{b_bad})"
-        )
-    Kb = np.asarray(kv).reshape(P, 16, 16)
+        x_bad = float(xs[np.flatnonzero(~np.isfinite(kv))[0]])
+        raise PrecisionError(f"kernel quadrature produced a non-finite value at x = {x_bad!r}")
 
-    # basis-times-weights per panel: B[p, a, j] = w_a e_{n_j}(t_{p,a}) / sqrt(L)
-    idx = np.arange(-N, N + 1)
-    t_nodes = (-L / 2.0 + np.arange(P)[:, None] * w + xi[None, :]).reshape(P, 16)
-    phase = np.exp(2j * math.pi * np.multiply.outer(t_nodes, idx) / L) / math.sqrt(L)
-    B = phase * wts[None, :, None]
-
-    m_dim = 2 * N + 1
-    M = np.zeros((m_dim, m_dim), dtype=complex)
-    flat = B.reshape(P * 16, m_dim)
-    for d in range(P):
-        nq = P - d
-        KG = np.einsum("ab,qbm->qam", Kb[d], B[:nq])
-        contrib = flat[d * 16 :].reshape(nq * 16, m_dim).conj().T @ KG.reshape(
-            nq * 16, m_dim
-        )
-        M += contrib if d == 0 else contrib + contrib.conj().T
-
-    imag_max = float(np.max(np.abs(M.imag))) if m_dim else 0.0
-    if imag_max >= 1e-9:
-        i, j = np.unravel_index(int(np.argmax(np.abs(M.imag))), M.shape)
-        raise ContractError(
-            f"assembled entry ({i - N},{j - N}) has imaginary part {imag_max:.3e}"
-        )
-    ent = M.real.copy()
-    ent = 0.5 * (ent + ent.T)
+    s, c = np.zeros(N + 1), np.zeros(N + 1)
+    wk = ws * kv
+    wc = 2.0 * wk * (1.0 - xs / L)
+    alpha_n = (2.0 * math.pi / L) * np.arange(N + 1)
+    block = max(1, 2_000_000 // (N + 1))
+    for lo in range(0, xs.size, block):
+        ph = np.exp(1j * np.multiply.outer(alpha_n, xs[lo : lo + block]))
+        s += ph.imag @ wk[lo : lo + block]
+        c += ph.real @ wc[lo : lo + block]
     return OperatorTruncation(
         interval=I,
         epsilon=eps,
         order=N,
-        entries=ent,
+        entries=_matrix_from_moments(s, c),
         source=S.label,
         route="kernel_quadrature",
         A=0.0,
     )
+
+
+def _matrix_from_moments(odd: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """The order-N matrix from moments given for k = 0..N.
+
+    M[m][n] = (-1)^{n-m} (o_m - o_n) / (pi (n - m)) off the diagonal and
+    M[n][n] = diag[|n|], with o_k = sign(k) odd[|k|] (odd in k)."""
+    N = odd.size - 1
+    idx = np.arange(-N, N + 1)
+    o = np.sign(idx) * odd[np.abs(idx)]
+    signs = np.where(idx % 2 == 0, 1.0, -1.0)
+    diff_idx = idx[None, :] - idx[:, None]  # n - m
+    with np.errstate(divide="ignore", invalid="ignore"):
+        M = np.multiply.outer(signs, signs) * (o[:, None] - o[None, :]) / (math.pi * diff_idx)
+    np.fill_diagonal(M, diag[np.abs(idx)])
+    return 0.5 * (M + M.T)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +372,10 @@ def _gl_nodes_on(edges: np.ndarray):
 
 
 def _half_line_integrals(xs: np.ndarray, wv: np.ndarray, k_max: int, want_F: bool):
-    """F(k) (optional) and D(k) for k = 0..k_max over the weighted nodes."""
+    """F(k) (optional) and D(k) for k = 0..k_max over the weighted nodes.
+
+    sin^2(x -+ pi k) = sin^2 x, so one sine per node serves every k; the
+    removable singularities |x -+ pi k| < 1 go through sinc instead."""
     ks = math.pi * np.arange(k_max + 1)
     F = np.zeros(k_max + 1) if want_F else None
     D = np.zeros(k_max + 1)
@@ -381,18 +383,27 @@ def _half_line_integrals(xs: np.ndarray, wv: np.ndarray, k_max: int, want_F: boo
     for lo in range(0, xs.size, block):
         x = xs[lo : lo + block]
         wvb = wv[lo : lo + block]
-        dm = x[None, :] - ks[:, None]
-        dp = x[None, :] + ks[:, None]
-        sm = np.sinc(dm / math.pi)
-        sp = np.sinc(dp / math.pi)
-        D += (sm * sm + sp * sp) @ wvb
-        if want_F:
-            F += (np.sin(dm) * sm - np.sin(dp) * sp) @ wvb
+        s2w = np.sin(x) ** 2 * wvb
+        for sign in (1.0, -1.0):
+            d = x[None, :] - sign * ks[:, None]
+            near = np.abs(d) < 1.0
+            rows, cols = np.nonzero(near)
+            dn = d[rows, cols]
+            sn = np.sinc(dn / math.pi)
+            with np.errstate(divide="ignore"):  # a node may sit exactly on pi k
+                r = np.reciprocal(d, out=d)
+            r[near] = 0.0
+            if want_F:
+                F += sign * (
+                    r @ s2w + np.bincount(rows, np.sin(dn) * sn * wvb[cols], minlength=k_max + 1)
+                )
+            r *= r
+            D += r @ s2w + np.bincount(rows, sn * sn * wvb[cols], minlength=k_max + 1)
     return F, D
 
 
-def _tail_T(X: float, a: float) -> float:
-    """Closed form of int_X^inf sin^2 x/(x-a)^2 dx up to O((X-a)^{-3})."""
+def _tail_T(X: float, a: np.ndarray) -> np.ndarray:
+    """Closed form of int_X^inf sin^2 x/(x-a)^2 dx up to O((X-a)^{-3}), per a."""
     d = X - a
     return 1.0 / (2.0 * d) + math.sin(2.0 * X) / (4.0 * d * d) - math.cos(2.0 * X) / (
         4.0 * d**3
@@ -457,24 +468,13 @@ def assemble_frequency_route(
             F += np.where(
                 ks > 0, 0.5 * f_inf * np.log((X + math.pi * ks) / (X - math.pi * ks)), 0.0
             )
-        D += f_inf * np.array([_tail_T(X, math.pi * k) + _tail_T(X, -math.pi * k) for k in ks])
+        D += f_inf * (_tail_T(X, math.pi * ks) + _tail_T(X, -math.pi * ks))
 
-    idx = np.arange(-N, N + 1)
-    F_signed = np.sign(idx) * F[np.abs(idx)]
-    signs = np.where(idx % 2 == 0, 1.0, -1.0)
-    sign_mat = np.multiply.outer(signs, signs)
-    diff_idx = idx[None, :] - idx[:, None]  # n - m
-    with np.errstate(divide="ignore", invalid="ignore"):
-        M = sign_mat * (F_signed[None, :] - F_signed[:, None]) / (
-            math.pi**2 * diff_idx
-        )
-    np.fill_diagonal(M, D[np.abs(idx)] / math.pi)
-    M = 0.5 * (M + M.T)
     return OperatorTruncation(
         interval=I,
         epsilon=eps,
         order=N,
-        entries=M,
+        entries=_matrix_from_moments(-F / math.pi, D / math.pi),
         source=S.label,
         route="frequency_formula",
         A=0.0,
@@ -512,9 +512,8 @@ def diagonal_sequence(
     _, D = _half_line_integrals(xs, ws * vals, n_max, want_F=False)
     if eps == 0.0:
         f_inf = float(_source_values(S, L, eps, np.array([X]))[0]) - A
-        D += f_inf * np.array(
-            [_tail_T(X, math.pi * k) + _tail_T(X, -math.pi * k) for k in range(n_max + 1)]
-        )
+        ks = math.pi * np.arange(n_max + 1)
+        D += f_inf * (_tail_T(X, ks) + _tail_T(X, -ks))
         return D / math.pi
     return D / math.pi - A
 

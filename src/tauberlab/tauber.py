@@ -71,7 +71,7 @@ DIAG_THRESHOLD = 0.02
 RATIO_THRESHOLD = 0.05
 SPECTRAL_EPS = 0.05
 SPECTRAL_TOP = 20
-PNT_ORDER = 72  # N = 64 puts A* right on the bracket edge; 72 centers it
+PNT_ORDER = 72  # A* = 1.0972 here, 0.003 inside the 1.1 bound; it drifts down as N grows
 
 
 def _atomic_write(path: Path, data: str) -> None:

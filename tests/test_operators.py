@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from tauberlab import operators
 from tauberlab import transform as tr
 from tauberlab.arith import GrowthFunction
-from tauberlab.errors import ContractError, DomainError
+from tauberlab.errors import ContractError, DomainError, PrecisionError
 from tauberlab.operators import (
     IntervalSpec,
     OperatorTruncation,
@@ -106,6 +107,88 @@ def test_route_equivalence(factory, eps, N):
     Wf = assemble_frequency_route(S, L2PI, eps, N)
     assert np.max(np.abs(Wk.entries - Wf.entries)) < 1e-5
     assert Wk.route == "kernel_quadrature" and Wf.route == "frequency_formula"
+
+
+# ---------------------------------------------------------------------------
+# kernel route: the 1-D moment collapse against the 2-D double integral
+# ---------------------------------------------------------------------------
+
+
+def _panels(L, eps, N):
+    return math.ceil(L / min(eps, 0.1, L / (3 * N) if N > 0 else math.inf))
+
+
+def _tensor_oracle(S, L, eps, N):
+    """Brute-force tensor Gauss-Legendre quadrature of the double integral
+    M[m][n] = (1/L) int_I int_I K(t - tau) e^{-i a m t} e^{i a n tau}, a = 2 pi/L,
+    on the route's uniform panels. Kernel blocks per panel offset d >= 0;
+    negative offsets follow from K being even."""
+    P = _panels(L, eps, N)
+    h = L / P
+    x, w = np.polynomial.legendre.leggauss(16)
+    xi, wi = 0.5 * h * (x + 1.0), 0.5 * h * w
+    Kb = kernel(S, eps, np.arange(P)[:, None, None] * h + xi[None, :, None] - xi[None, None, :])
+    p = np.arange(P)
+    d = p[:, None] - p[None, :]
+    K = np.where((d >= 0)[:, :, None, None], Kb[np.abs(d)], Kb[np.abs(d)].transpose(0, 1, 3, 2))
+    K = K.transpose(0, 2, 1, 3).reshape(16 * P, 16 * P)
+    t = (-L / 2 + p[:, None] * h + xi[None, :]).ravel()
+    E = np.exp(2j * math.pi / L * np.outer(t, np.arange(-N, N + 1))) * np.tile(wi, P)[:, None]
+    return (E.conj().T @ K @ E).real / L
+
+
+@pytest.mark.parametrize("case", ["sqrt_mix", "integers", "weighted_primes"])
+def test_kernel_route_matches_tensor_oracle(case, small_table):
+    S, eps, N = {
+        "sqrt_mix": (tr.source_sqrt_mix(1.0, 1.0), 0.05, 4),
+        "integers": (tr.source_integers(), 0.1, 8),
+        "weighted_primes": (tr.source_primes_weighted(small_table), 0.1, 8),
+    }[case]
+    W = assemble_kernel_route(S, L2PI, eps, N)
+    assert np.max(np.abs(W.entries - _tensor_oracle(S, L2PI.length, eps, N))) <= 1e-12
+
+
+def test_kernel_route_evaluates_the_kernel_once_per_node(monkeypatch):
+    calls = []
+
+    def counting_kernel(S, eps, x):
+        calls.append(np.size(x))
+        return kernel(S, eps, x)
+
+    monkeypatch.setattr(operators, "kernel", counting_kernel)
+    for L, eps, N in ((L2PI.length, 0.05, 4), (8 * math.pi, 0.05, 72), (L2PI.length, 0.1, 0)):
+        calls.clear()
+        assemble_kernel_route(tr.source_identity(), IntervalSpec(L), eps, N)
+        assert calls == [16 * _panels(L, eps, N)]
+
+
+def test_kernel_route_rejects_a_non_finite_kernel():
+    S = GrowthFunction(
+        label="nan_transform",
+        fn=lambda x: np.asarray(x, dtype=float),
+        growth_constant=1.0,
+        laplace=lambda s: np.full(np.shape(s), np.nan, dtype=complex),
+    )
+    with pytest.raises(PrecisionError, match="x = "):
+        assemble_kernel_route(S, L2PI, 0.1, 2)
+
+
+def test_half_line_integrals_match_the_sinc_form():
+    """Reference: every term through sinc, as sin(x -+ pi k) sinc((x -+ pi k)/pi).
+    The nodes include x = 0 and x = 3 pi, which sit exactly on pi k."""
+    k_max = 6
+    xs = np.concatenate([[0.0, 3.0 * math.pi], np.linspace(1e-3, 40.0, 997)])
+    wv = np.exp(-0.1 * xs) * 0.04
+    ks = math.pi * np.arange(k_max + 1)
+    dm, dp = xs[None, :] - ks[:, None], xs[None, :] + ks[:, None]
+    sm, sp = np.sinc(dm / math.pi), np.sinc(dp / math.pi)
+    F_ref = (np.sin(dm) * sm - np.sin(dp) * sp) @ wv
+    D_ref = (sm * sm + sp * sp) @ wv
+    F, D = operators._half_line_integrals(xs, wv, k_max, want_F=True)
+    assert np.max(np.abs(F - F_ref)) < 1e-13
+    assert np.max(np.abs(D - D_ref)) < 1e-13
+    F0, D0 = operators._half_line_integrals(xs, wv, k_max, want_F=False)
+    assert F0 is None and np.array_equal(D0, D)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +345,19 @@ def test_csv_round_trip(tmp_path):
     assert R.order == W.order and R.epsilon == W.epsilon
     assert R.interval.length == W.interval.length
     assert W.csv_text() == W.csv_text()
+
+
+@pytest.mark.parametrize(
+    "factory", [lambda: tr.source_sqrt_mix(1.0, 1.0), tr.source_single_jump]
+)
+def test_csv_round_trip_keeps_multi_parameter_labels(factory, tmp_path):
+    """Labels such as sqrt_mix(a=1,b=1) carry commas; the header must keep them whole."""
+    W = split_identity(assemble_frequency_route(factory(), L2PI, 0.1, 2), 0.5)
+    path = tmp_path / "w.csv"
+    W.to_csv(path)
+    R = OperatorTruncation.from_csv(path)
+    assert (R.source, R.route, R.A) == (W.source, W.route, W.A)
+    assert "," in R.source and np.array_equal(R.entries, W.entries)
 
 
 def test_from_csv_rejects_foreign_files(tmp_path):
