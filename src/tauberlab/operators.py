@@ -37,7 +37,10 @@ shared grid, and M is built from the moments -F/pi and D/pi by the same
 formula as on the kernel route. Since sin^2(x -+ pi k) = sin^2 x, one sine
 per node serves every k; near the removable singularities, |d| < 1 with
 d = x -+ pi k, the terms are evaluated stably as sin(d) sinc(d/pi) and
-sinc^2(d/pi).
+sinc^2(d/pi). The nodes are sorted, so the near nodes of each k and sign
+form one index range found by binary search: the far terms come from one
+reciprocal block per sign with those ranges zeroed, the near terms from a
+short per-k sum over each range.
 
 The grid aligns panels with the jumps of step-backed sources (up to a
 resolution cap, beyond which a declared between-jump mean replaces the
@@ -299,38 +302,38 @@ def _grid_edges(S: GrowthFunction, L: float, N: int, X: float, panels: Optional[
     base_w = X / panels if panels else min(0.1, math.pi / L) * half
     fine_w = base_w / 4.0
 
-    def subdivide(a: float, b: float, out: list) -> None:
-        width = fine_w if a < lobe_end else min(base_w, 2.0)
-        k = max(1, int(math.ceil((b - a) / width)))
-        out.extend(np.linspace(a, b, k + 1)[1:].tolist())
-
-    edges = [0.0]
-    cursor = 0.0
+    cuts = [0.0]
     u_res = _resolve_u(S)
     a_end = min(half * u_res, X)
     if S.breakpoints_in is not None and a_end > 0.0:
         bps = np.asarray(S.breakpoints_in(1.0 - 1e-12, math.exp(a_end / half)))
         knots = half * np.log(bps[bps > 1.0].astype(float))
-        knots = knots[(knots > 1e-12) & (knots < a_end - 1e-12)]
-        for knot in knots:
-            subdivide(cursor, float(knot), edges)
-            cursor = float(knot)
-        subdivide(cursor, a_end, edges)
-        cursor = a_end
-    if cursor < lobe_end < X:
-        subdivide(cursor, lobe_end, edges)
-        cursor = lobe_end
-    if cursor < X:
-        # geometric growth out to the cutoff
-        grow = []
-        wcur = base_w
-        pos = cursor
-        while pos < X:
-            pos = min(pos + wcur, X)
-            grow.append(pos)
-            wcur = min(wcur * 1.15, 2.0)
-        edges.extend(grow)
-    return np.asarray(edges)
+        cuts.extend(knots[(knots > 1e-12) & (knots < a_end - 1e-12)].tolist())
+        cuts.append(a_end)
+    if cuts[-1] < lobe_end < X:
+        cuts.append(lobe_end)
+
+    # k equal panels on each segment [a, b] between cuts; the ends
+    # j (b - a)/k + a, j = 1..k, with the last set to b, are bit for bit
+    # np.linspace(a, b, k + 1)[1:]
+    cuts = np.asarray(cuts)
+    a, b = cuts[:-1], cuts[1:]
+    width = np.where(a < lobe_end, fine_w, min(base_w, 2.0))
+    k = np.maximum(1, np.ceil((b - a) / width).astype(np.int64))
+    seg = np.repeat(np.arange(k.size), k)
+    ends = np.cumsum(k)
+    inner = (np.arange(1, seg.size + 1) - np.repeat(ends - k, k)) * ((b - a) / k)[seg] + a[seg]
+    inner[ends - 1] = b
+
+    # geometric growth out to the cutoff
+    grow = []
+    pos = float(cuts[-1])
+    wcur = base_w
+    while pos < X:
+        pos = min(pos + wcur, X)
+        grow.append(pos)
+        wcur = min(wcur * 1.15, 2.0)
+    return np.concatenate([cuts[:1], inner, grow])
 
 
 def _source_values(S: GrowthFunction, L: float, eps: float, xs: np.ndarray) -> np.ndarray:
@@ -375,30 +378,39 @@ def _half_line_integrals(xs: np.ndarray, wv: np.ndarray, k_max: int, want_F: boo
     """F(k) (optional) and D(k) for k = 0..k_max over the weighted nodes.
 
     sin^2(x -+ pi k) = sin^2 x, so one sine per node serves every k; the
-    removable singularities |x -+ pi k| < 1 go through sinc instead."""
+    removable singularities |x -+ pi k| < 1 go through sinc instead. The
+    nodes are sorted first (a stable sort, which leaves the route grids as
+    they are), so the near nodes of each k and sign form one index range
+    [lo_k, hi_k): the far pass zeroes those ranges of the reciprocal block by
+    slicing, and the near pass loops over k on the contiguous slices."""
+    order = np.argsort(xs, kind="stable")
+    xs, wv = xs[order], wv[order]
     ks = math.pi * np.arange(k_max + 1)
     F = np.zeros(k_max + 1) if want_F else None
     D = np.zeros(k_max + 1)
+    s2w = np.sin(xs) ** 2 * wv
     block = max(1, 2_000_000 // (k_max + 1))
-    for lo in range(0, xs.size, block):
-        x = xs[lo : lo + block]
-        wvb = wv[lo : lo + block]
-        s2w = np.sin(x) ** 2 * wvb
-        for sign in (1.0, -1.0):
-            d = x[None, :] - sign * ks[:, None]
-            near = np.abs(d) < 1.0
-            rows, cols = np.nonzero(near)
-            dn = d[rows, cols]
-            sn = np.sinc(dn / math.pi)
+    for sign in (1.0, -1.0):
+        centres = sign * ks
+        lo = np.searchsorted(xs, centres - 1.0, side="right")
+        hi = np.searchsorted(xs, centres + 1.0, side="left")
+        for start in range(0, xs.size, block):
+            stop = min(start + block, xs.size)
+            r = np.subtract(xs[None, start:stop], centres[:, None])
             with np.errstate(divide="ignore"):  # a node may sit exactly on pi k
-                r = np.reciprocal(d, out=d)
-            r[near] = 0.0
+                np.reciprocal(r, out=r)
+            for k in np.flatnonzero((lo < stop) & (hi > start)):
+                r[k, max(lo[k] - start, 0) : hi[k] - start] = 0.0
             if want_F:
-                F += sign * (
-                    r @ s2w + np.bincount(rows, np.sin(dn) * sn * wvb[cols], minlength=k_max + 1)
-                )
+                F += sign * (r @ s2w[start:stop])
             r *= r
-            D += r @ s2w + np.bincount(rows, sn * sn * wvb[cols], minlength=k_max + 1)
+            D += r @ s2w[start:stop]
+        for k in np.flatnonzero(hi > lo):
+            dn = xs[lo[k] : hi[k]] - centres[k]
+            sn = np.sinc(dn / math.pi)
+            if want_F:
+                F[k] += sign * ((np.sin(dn) * sn) @ wv[lo[k] : hi[k]])
+            D[k] += (sn * sn) @ wv[lo[k] : hi[k]]
     return F, D
 
 
@@ -408,6 +420,33 @@ def _tail_T(X: float, a: np.ndarray) -> np.ndarray:
     return 1.0 / (2.0 * d) + math.sin(2.0 * X) / (4.0 * d * d) - math.cos(2.0 * X) / (
         4.0 * d**3
     )
+
+
+def _windowed_integrals(
+    S: GrowthFunction,
+    L: float,
+    eps: float,
+    N: int,
+    X: float,
+    panels: Optional[int],
+    shift: float,
+    want_F: bool,
+):
+    """F(k) (when want_F) and D(k), k = 0..N, of mt - shift on the route grid up to X.
+
+    At eps = 0 the part beyond X is added in closed form, with mt frozen at
+    its value at X: a log term for F and _tail_T for D."""
+    xs, ws = _gl_nodes_on(_grid_edges(S, L, N, X, panels))
+    vals = _source_values(S, L, eps, xs) - shift
+    F, D = _half_line_integrals(xs, ws * vals, N, want_F)
+    if eps == 0.0:
+        f_inf = float(_source_values(S, L, eps, np.array([X]))[0]) - shift
+        ks = math.pi * np.arange(N + 1)
+        if want_F:
+            with np.errstate(divide="ignore"):
+                F += np.where(ks > 0, 0.5 * f_inf * np.log((X + ks) / (X - ks)), 0.0)
+        D += f_inf * (_tail_T(X, ks) + _tail_T(X, -ks))
+    return F, D
 
 
 def assemble_frequency_route(
@@ -456,20 +495,7 @@ def assemble_frequency_route(
     else:
         X = math.pi * N + _EPS0_X_PAD
 
-    edges = _grid_edges(S, L, N, X, panels)
-    xs, ws = _gl_nodes_on(edges)
-    vals = _source_values(S, L, eps, xs)
-    F, D = _half_line_integrals(xs, ws * vals, N, want_F=True)
-
-    if eps == 0.0:
-        f_inf = float(_source_values(S, L, eps, np.array([X]))[0])
-        ks = np.arange(N + 1)
-        with np.errstate(divide="ignore"):
-            F += np.where(
-                ks > 0, 0.5 * f_inf * np.log((X + math.pi * ks) / (X - math.pi * ks)), 0.0
-            )
-        D += f_inf * (_tail_T(X, math.pi * ks) + _tail_T(X, -math.pi * ks))
-
+    F, D = _windowed_integrals(S, L, eps, N, X, panels, 0.0, want_F=True)
     return OperatorTruncation(
         interval=I,
         epsilon=eps,
@@ -504,18 +530,9 @@ def diagonal_sequence(
         X = _cutoff_damped(S.growth_constant, eps, L, n_max, target)
     else:
         X = math.pi * n_max + _EPS0_X_PAD
-    edges = _grid_edges(S, L, n_max, X, None)
-    xs, ws = _gl_nodes_on(edges)
-    vals = _source_values(S, L, eps, xs)
-    if eps == 0.0:
-        vals = vals - A
-    _, D = _half_line_integrals(xs, ws * vals, n_max, want_F=False)
-    if eps == 0.0:
-        f_inf = float(_source_values(S, L, eps, np.array([X]))[0]) - A
-        ks = math.pi * np.arange(n_max + 1)
-        D += f_inf * (_tail_T(X, ks) + _tail_T(X, -ks))
-        return D / math.pi
-    return D / math.pi - A
+    shift = A if eps == 0.0 else 0.0
+    _, D = _windowed_integrals(S, L, eps, n_max, X, None, shift, want_F=False)
+    return D / math.pi - (A - shift)
 
 
 # ---------------------------------------------------------------------------

@@ -326,16 +326,24 @@ def _prime_zeta_core(flat: np.ndarray, table, tol: EvalTolerance, want: str):
         return empty, empty
     abs_tol = tol.abs_tol
     sig_min = float(np.min(flat.real))
-    # truncation K: tail of sum_k (3/k) 2^{-k sigma} below abs_tol/2
-    K = 1
-    while True:
-        tail = 3.0 * 2.0 ** (-(K + 1) * sig_min) / ((K + 1) * (1.0 - 2.0 ** (-sig_min)))
-        if tail < abs_tol / 2.0 or K >= 512:
-            break
-        K += 1
-    mu = _mobius_upto(K)
     need_v = want in ("value", "both")
     need_d = want in ("deriv", "both")
+
+    def tail(k: int, deriv: bool) -> float:
+        """Bound on the terms j >= k: |log zeta(js)|/j <= (3/j) 2^{-j sigma}, and
+        |zeta'(js)/zeta(js)| <= 3 2^{-j sigma} with no 1/j (js >= 2)."""
+        return 3.0 * 2.0 ** (-k * sig_min) / ((1 if deriv else k) * (1.0 - 2.0 ** (-sig_min)))
+
+    def truncation(deriv: bool) -> int:
+        """The K whose dropped terms k > K sum below abs_tol/2."""
+        K = 1
+        while tail(K + 1, deriv) >= abs_tol / 2.0 and K < 512:
+            K += 1
+        return K
+
+    K_v = truncation(False)
+    K = truncation(True) if need_d else K_v
+    mu = _mobius_upto(K)
     val = np.zeros(flat.size, dtype=complex) if need_v else None
     der = np.zeros(flat.size, dtype=complex) if need_d else None
 
@@ -353,13 +361,13 @@ def _prime_zeta_core(flat: np.ndarray, table, tol: EvalTolerance, want: str):
     for k in range(2, K + 1):
         if mu[k] == 0:
             continue
-        if 3.0 * 2.0 ** (-k * sig_min) < per_term:
+        if (tail(k, True) if need_d else 3.0 * 2.0 ** (-k * sig_min)) < per_term:
             break
         inner = EvalTolerance(max(per_term, 1e-15), tol.max_terms)
         if need_d:
             zv, zd = _zeta_core(k * flat, inner, "both", tight=True)
             der += mu[k] * (zd / zv)
-            if need_v:
+            if need_v and k <= K_v:
                 val += (mu[k] / k) * np.log(zv)
         else:
             zv, _ = _zeta_core(k * flat, inner, "value", tight=True)

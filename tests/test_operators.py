@@ -175,20 +175,73 @@ def test_kernel_route_rejects_a_non_finite_kernel():
 
 def test_half_line_integrals_match_the_sinc_form():
     """Reference: every term through sinc, as sin(x -+ pi k) sinc((x -+ pi k)/pi).
-    The nodes include x = 0 and x = 3 pi, which sit exactly on pi k."""
+    The first node set is unsorted and includes x = 0 and x = 3 pi, which sit
+    exactly on pi k; the second is sorted, as the route grids are, and also
+    has nodes on pi k -+ 1, the ends of the near ranges."""
     k_max = 6
-    xs = np.concatenate([[0.0, 3.0 * math.pi], np.linspace(1e-3, 40.0, 997)])
-    wv = np.exp(-0.1 * xs) * 0.04
     ks = math.pi * np.arange(k_max + 1)
-    dm, dp = xs[None, :] - ks[:, None], xs[None, :] + ks[:, None]
-    sm, sp = np.sinc(dm / math.pi), np.sinc(dp / math.pi)
-    F_ref = (np.sin(dm) * sm - np.sin(dp) * sp) @ wv
-    D_ref = (sm * sm + sp * sp) @ wv
-    F, D = operators._half_line_integrals(xs, wv, k_max, want_F=True)
-    assert np.max(np.abs(F - F_ref)) < 1e-13
-    assert np.max(np.abs(D - D_ref)) < 1e-13
-    F0, D0 = operators._half_line_integrals(xs, wv, k_max, want_F=False)
-    assert F0 is None and np.array_equal(D0, D)
+    grid = np.linspace(1e-3, 40.0, 997)
+    for xs in (
+        np.concatenate([[0.0, 3.0 * math.pi], grid]),
+        np.sort(np.concatenate([grid, ks, ks + 1.0, ks[1:] - 1.0])),
+    ):
+        wv = np.exp(-0.1 * xs) * 0.04
+        dm, dp = xs[None, :] - ks[:, None], xs[None, :] + ks[:, None]
+        sm, sp = np.sinc(dm / math.pi), np.sinc(dp / math.pi)
+        F_ref = (np.sin(dm) * sm - np.sin(dp) * sp) @ wv
+        D_ref = (sm * sm + sp * sp) @ wv
+        F, D = operators._half_line_integrals(xs, wv, k_max, want_F=True)
+        assert np.max(np.abs(F - F_ref)) < 1e-13
+        assert np.max(np.abs(D - D_ref)) < 1e-13
+        F0, D0 = operators._half_line_integrals(xs, wv, k_max, want_F=False)
+        assert F0 is None and np.array_equal(D0, D)
+
+
+def _grid_edges_per_segment(S, L, N, X, panels):
+    """Reference: the grid built one np.linspace call per segment."""
+    half = L / 2.0
+    lobe_end = math.pi * (N + 3)
+    base_w = X / panels if panels else min(0.1, math.pi / L) * half
+    fine_w = base_w / 4.0
+
+    def subdivide(a, b, out):
+        width = fine_w if a < lobe_end else min(base_w, 2.0)
+        k = max(1, int(math.ceil((b - a) / width)))
+        out.extend(np.linspace(a, b, k + 1)[1:].tolist())
+
+    edges = [0.0]
+    cursor = 0.0
+    a_end = min(half * operators._resolve_u(S), X)
+    if S.breakpoints_in is not None and a_end > 0.0:
+        bps = np.asarray(S.breakpoints_in(1.0 - 1e-12, math.exp(a_end / half)))
+        knots = half * np.log(bps[bps > 1.0].astype(float))
+        for knot in knots[(knots > 1e-12) & (knots < a_end - 1e-12)]:
+            subdivide(cursor, float(knot), edges)
+            cursor = float(knot)
+        subdivide(cursor, a_end, edges)
+        cursor = a_end
+    if cursor < lobe_end < X:
+        subdivide(cursor, lobe_end, edges)
+        cursor = lobe_end
+    wcur = base_w
+    while cursor < X:
+        cursor = min(cursor + wcur, X)
+        edges.append(cursor)
+        wcur = min(wcur * 1.15, 2.0)
+    return np.asarray(edges)
+
+
+@pytest.mark.parametrize("case", ["integer_count", "weighted_primes"])
+def test_grid_edges_match_the_per_segment_linspace(case, small_table):
+    S, L, N, X = {
+        "integer_count": (tr.source_integers(), 2.0 * math.pi, 16, 300.0),
+        "weighted_primes": (
+            tr.source_primes_weighted(small_table), 8.0 * math.pi, 72, 72 * math.pi + 500.0
+        ),
+    }[case]
+    for panels in (None, 4000):
+        edges = operators._grid_edges(S, L, N, X, panels)
+        assert np.array_equal(edges, _grid_edges_per_segment(S, L, N, X, panels))
 
 
 # ---------------------------------------------------------------------------

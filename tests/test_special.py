@@ -171,3 +171,35 @@ def test_psi_prime_part_log_singularity(small_table):
     b = psi_prime_part(1.0 + 1e-3, small_table)
     assert (a - b).real == pytest.approx(0.0, abs=0.5)  # log-slow drift
     assert abs(a.imag) < 1e-12 and abs(b.imag) < 1e-12
+
+
+def _mobius(k):
+    """mu(k) by trial division."""
+    mu, p = 1, 2
+    while p * p <= k:
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if k > 1 else mu
+
+
+@pytest.mark.parametrize("sigma", [1.01, 1.03, 1.1, 1.3])
+def test_prime_zeta_deriv_against_mpmath(sigma):
+    """P'(s) = sum_k mu(k) zeta'(ks)/zeta(ks) at 30 digits, within the default
+    abs_tol 1e-10. The reference stops once 2^{-k sigma} < 1e-16; each dropped
+    term is below 3 * 2^{-k sigma}, so its tail is below 1e-15."""
+    mpmath = pytest.importorskip("mpmath")
+    for t in (0.0, 5.0, 20.0):
+        with mpmath.workdps(30):
+            z = mpmath.mpc(sigma, t)
+            ref = mpmath.mpf(0)
+            k = 1
+            while 2.0 ** (-k * sigma) >= 1e-16:
+                mu = _mobius(k)
+                if mu:
+                    ref += mu * mpmath.zeta(k * z, derivative=1) / mpmath.zeta(k * z)
+                k += 1
+        assert abs(prime_zeta_deriv(complex(sigma, t)) - complex(ref)) <= 1e-10, t
