@@ -202,8 +202,19 @@ class PrimeTable:
             return False
         return bool(self._bits[(n - 1) // 2])
 
+    def _keys(self, x) -> np.ndarray:
+        """floor(x) clipped to [0, limit] as int64 search keys.
+
+        For an integer p, p <= x exactly when p <= floor(x), so the counts
+        are those of the float keys; a float key would make searchsorted
+        cast the whole prime array to float64 on every call."""
+        arr = np.asarray(x, dtype=float)
+        if np.isnan(arr).any():
+            raise DomainError("prime table query must not be NaN")
+        return np.floor(np.clip(arr, 0.0, float(self.limit))).astype(np.int64)
+
     def count(self, x):
-        """Vectorized count of primes <= x (x scalar or array, any real)."""
+        """Vectorized count of primes <= x (x scalar or array, any real but NaN)."""
         arr = np.asarray(x, dtype=float)
         if arr.size and np.any(arr > self.limit):
             needed = int(math.ceil(float(np.max(arr))))
@@ -212,14 +223,12 @@ class PrimeTable:
                 f"rebuild with limit >= {needed}",
                 required=needed,
             )
-        out = np.searchsorted(self.primes, np.floor(arr), side="right")
+        out = np.searchsorted(self.primes, self._keys(arr), side="right")
         return int(out) if np.isscalar(x) or arr.ndim == 0 else out
 
     def primes_in(self, lo: float, hi: float) -> np.ndarray:
         """Primes p with lo < p <= hi (hi is clipped to the table limit)."""
-        hi = min(hi, float(self.limit))
-        i = np.searchsorted(self.primes, lo, side="right")
-        j = np.searchsorted(self.primes, hi, side="right")
+        i, j = np.searchsorted(self.primes, self._keys([lo, hi]), side="right")
         return self.primes[i:j]
 
     # -- cache ---------------------------------------------------------

@@ -12,7 +12,14 @@ correction terms; the truncation point starts at the standard
 N = max(10, ceil|t| + 10) and doubles until the rigorous remainder bound
 drops below the requested tolerance (PrecisionError past the term budget).
 The derivative uses the term-differentiated sum with a Cauchy-circle bound
-on the remainder.
+on the remainder. The power sums use that n^{-s} is completely
+multiplicative: one complex exp per prime n < N, then each composite as
+spf(n)^{-s} * (n/spf(n))^{-s} (spf the smallest prime factor), one
+vectorized gather-multiply per layer of equal Omega(n) (prime factors with
+multiplicity), so at most log2 N of them. The tail and Bernoulli terms
+all come from the one power N^{-s}. The smallest-prime-factor sieve behind
+this plan is cached per N and also supplies the Moebius function and the
+small primes used below.
 
 prime zeta uses the Moebius-log identity  sum_k mu(k)/k * log zeta(ks).
 For k >= 2 the principal logarithm is provably the analytic branch
@@ -22,6 +29,9 @@ where P0 is grown until the provable bound on |Im log| of the remaining
 product, namely log zeta(sigma) + sum_{p<=P0} log(1 - p^{-sigma}), falls
 under pi.  Near sigma = 1 (closer than ~1.0002) no feasible P0 certifies
 and the principal branch is used best-effort with a logged warning.
+When both P and P' are wanted (prime_zeta_pair), the log and zeta'/zeta
+at k = 1 share one zeta batch, truncated at the larger of the two N their
+tolerances need.
 
 Near s = 1, psi switches to its Taylor form from the Stieltjes expansion
 of zeta; the constants below were computed once by a float128
@@ -34,10 +44,11 @@ reflection F(conj s) = conj F(s).
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -155,45 +166,92 @@ def _choose_N(sig_min, sig_max, t_max, abs_tol, max_terms, deriv=False, tight=Fa
     return N
 
 
+class _FactorPlan(NamedTuple):
+    """mu[n] for n <= n_max, and layers[j] = (rows, spf, cof): the n <= n_max
+    with Omega(n) = j + 1 prime factors (with multiplicity) in increasing
+    order, their smallest prime factors and their cofactors n/spf(n). The
+    cofactors of layer j lie in layer j - 1, and layer 0 is the primes."""
+
+    mu: np.ndarray
+    layers: tuple
+
+    @property
+    def primes(self) -> np.ndarray:
+        return self.layers[0][0]
+
+
+@functools.lru_cache(maxsize=32)
+def _factor_plan(n_max: int) -> _FactorPlan:
+    """Moebius function and Omega layers of 0..n_max from one sieve of
+    smallest prime factors: mu(n) = 0 when spf(n) divides n/spf(n), else
+    mu(n) = -mu(n/spf(n))."""
+    n = np.arange(n_max + 1, dtype=np.int64)
+    spf = n.copy()  # stays n where no smaller prime marks it
+    for p in range(2, math.isqrt(n_max) + 1):
+        if spf[p] == p:
+            multiples = spf[p * p :: p]
+            multiples[multiples == n[p * p :: p]] = p
+    cof = np.ones_like(n)
+    cof[2:] = n[2:] // spf[2:]
+    mu = np.zeros_like(n)
+    mu[1] = 1
+    layers = []
+    rows = np.flatnonzero(spf == n)[2:]  # the primes
+    while rows.size:
+        p, c = spf[rows], cof[rows]
+        mu[rows] = np.where(c % p == 0, 0, -mu[c])
+        layers.append((rows, p, c))
+        in_layer = np.zeros(n_max + 1, dtype=bool)
+        in_layer[rows] = True
+        rows = np.flatnonzero(in_layer[cof])
+    return _FactorPlan(mu, tuple(layers))
+
+
 def _em_eval(s: np.ndarray, N: int, want: str):
     """Euler-Maclaurin evaluation of zeta (and/or its derivative) at fixed N.
 
     want is one of "value", "deriv", "both". Returns (value, deriv) with the
-    unrequested slot None. Chunks the (points x terms) power matrix to keep
-    the working set near 4M cells.
+    unrequested slot None. The (terms x points) power matrix is built by
+    complete multiplicativity: one complex exp per prime n < N, then one
+    gather-multiply n^{-s} = spf(n)^{-s} (n/spf(n))^{-s} per Omega layer of
+    composites. Points are chunked to keep the matrix near 4M cells.
     """
     npts = s.size
     need_v = want in ("value", "both")
     need_d = want in ("deriv", "both")
     val = np.zeros(npts, dtype=complex) if need_v else None
     der = np.zeros(npts, dtype=complex) if need_d else None
-    cells = 4_000_000
-    pblock = max(1, cells // max(N, 1))
-    ln_all = np.log(np.arange(1, N, dtype=float)) if N > 1 else np.empty(0)
+    plan = _factor_plan(N - 1)
+    ln_all = np.log(np.arange(1, N, dtype=float))
+    ln_p = ln_all[plan.primes - 1]
     lnN = math.log(N)
+    pblock = max(1, 4_000_000 // N)
     with np.errstate(under="ignore"):
         for lo in range(0, npts, pblock):
-            hi = min(lo + pblock, npts)
-            sb = s[lo:hi]
-            pw = np.exp(-np.multiply.outer(sb, ln_all))
+            sb = s[lo : lo + pblock]
+            pw = np.empty((N, sb.size), dtype=complex)  # row n is n^{-s}; row 0 unused
+            pw[1] = 1.0
+            pw[plan.primes] = np.exp(-np.multiply.outer(ln_p, sb))
+            for rows, p, c in plan.layers[1:]:
+                pw[rows] = pw[p] * pw[c]
             if need_v:
-                val[lo:hi] = pw.sum(axis=1)
+                val[lo : lo + pblock] = pw[1:].sum(axis=0)
             if need_d:
-                der[lo:hi] = -(pw * ln_all).sum(axis=1)
+                der[lo : lo + pblock] = -(ln_all @ pw[1:])
             del pw
-        # integral tail, half-term and Bernoulli corrections
-        one_m_s = 1.0 - s
-        NmS = np.exp(-s * lnN)  # N^{-s}
-        tailA = np.exp(one_m_s * lnN) / (s - 1.0)  # N^{1-s}/(s-1)
+        # integral tail, half-term and Bernoulli corrections, all from N^{-s}
+        NmS = np.exp(-s * lnN)
+        N1mS = N * NmS
+        tailA = N1mS / (s - 1.0)
         if need_v:
             val += tailA + 0.5 * NmS
         if need_d:
-            der += tailA * (-lnN) - np.exp(one_m_s * lnN) / (s - 1.0) ** 2
+            der += tailA * (-lnN) - N1mS / (s - 1.0) ** 2
             der += -lnN * 0.5 * NmS
         P = s.copy()  # running product s(s+1)...(s+2k-2)
         H = 1.0 / s  # running sum of reciprocals of those factors
         for k, c in enumerate(_BERN, start=1):
-            Npow = np.exp(-(s + (2 * k - 1)) * lnN)
+            Npow = NmS * float(N) ** -(2 * k - 1)  # N^{-s-(2k-1)}
             if need_v:
                 val += c * P * Npow
             if need_d:
@@ -206,21 +264,20 @@ def _em_eval(s: np.ndarray, N: int, want: str):
     return val, der
 
 
+def _batch_N(flat: np.ndarray, abs_tol: float, max_terms: int, deriv: bool, tight: bool = False) -> int:
+    """_choose_N over the sigma range and the largest |t| of a batch."""
+    sig = flat.real
+    t_max = float(np.max(np.abs(flat.imag)))
+    return _choose_N(
+        float(np.min(sig)), float(np.max(sig)), t_max, abs_tol, max_terms, deriv=deriv, tight=tight
+    )
+
+
 def _zeta_core(flat: np.ndarray, tol: EvalTolerance, want: str, tight: bool = False):
     if flat.size == 0:
         empty = np.empty(0, dtype=complex)
         return empty, empty
-    sig = flat.real
-    t_max = float(np.max(np.abs(flat.imag)))
-    N = _choose_N(
-        float(np.min(sig)),
-        float(np.max(sig)),
-        t_max,
-        tol.abs_tol,
-        tol.max_terms,
-        deriv=(want != "value"),
-        tight=tight,
-    )
+    N = _batch_N(flat, tol.abs_tol, tol.max_terms, want != "value", tight)
     return _em_eval(flat, N, want)
 
 
@@ -245,72 +302,37 @@ def zeta_deriv(s, tol: Optional[EvalTolerance] = None):
 # ---------------------------------------------------------------------------
 
 
-def _small_primes(limit: int) -> np.ndarray:
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, int(math.isqrt(limit)) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return np.flatnonzero(sieve)
-
-
-def _mobius_upto(K: int) -> np.ndarray:
-    """mu(0..K) by a smallest-prime-factor style sieve."""
-    mu = np.ones(K + 1, dtype=np.int64)
-    prime = np.ones(K + 1, dtype=bool)
-    prime[:2] = False
-    for p in range(2, K + 1):
-        if prime[p]:
-            prime[2 * p :: p] = False
-            mu[p::p] *= -1
-            sq = p * p
-            if sq <= K:
-                mu[sq::sq] = 0
-    mu[0] = 0
-    return mu
-
-
 def _real_zeta(sigma: float) -> float:
     v, _ = _zeta_core(np.array([complex(sigma)]), EvalTolerance(1e-9, 1_000_000), "value")
     return float(v[0].real)
 
 
-def _log_zeta_certified(flat: np.ndarray, table, tol: EvalTolerance) -> np.ndarray:
+def _log_zeta_certified(flat: np.ndarray, table, zval: np.ndarray, log_zeta_sig: float) -> np.ndarray:
     """log zeta(s) on the analytic branch that is real on (1, oo).
 
-    Peels Euler factors of primes <= P0, growing P0 until the remaining
-    product provably has |Im log| < pi so its principal log is the branch.
+    zval holds zeta at flat and log_zeta_sig is log zeta(min Re s). Peels
+    Euler factors of primes <= P0, growing P0 until the remaining product
+    provably has |Im log| < pi so its principal log is the branch.
     """
     sig_min = float(np.min(flat.real))
-    log_zeta_sig = math.log(_real_zeta(sig_min))
-    peel_caps = (1, 100, 10_000, 100_000)
-    chosen = None
-    for cap in peel_caps:
-        primes = _small_primes(cap) if cap > 1 else np.empty(0, dtype=np.int64)
-        bound = log_zeta_sig + float(np.sum(np.log1p(-np.power(primes.astype(float), -sig_min)))) if cap > 1 else log_zeta_sig
+    for cap in (1, 100, 10_000, 100_000):
+        primes = _factor_plan(cap).primes if cap > 1 else np.empty(0, dtype=np.int64)
+        bound = log_zeta_sig + float(np.sum(np.log1p(-np.power(primes.astype(float), -sig_min))))
         if bound < math.pi - 0.2:
-            chosen = (cap, primes)
             break
-    if chosen is None:
+    else:
         logger.warning(
             "sigma = %.6g is too close to 1 to certify the logarithm branch; "
             "using the principal branch best-effort",
             sig_min,
         )
-        chosen = (peel_caps[-1], _small_primes(peel_caps[-1]))
-    cap, primes = chosen
     if table is not None and getattr(table, "limit", 0) >= cap > 1:
         primes = table.primes_in(1, cap)
 
-    inv_zeta_bound = _real_zeta(sig_min) / _real_zeta(2.0 * sig_min)
-    inner = EvalTolerance(
-        max(min(tol.abs_tol / (3.0 * inv_zeta_bound), 1e-5), 1e-15), tol.max_terms
-    )
-    zval, _ = _zeta_core(flat, inner, "value")
     if primes.size == 0:
         return np.log(zval)
     factor_sum = np.zeros(flat.size, dtype=complex)
-    block = max(1, 4_000_000 // flat.size) if flat.size else primes.size
+    block = max(1, 4_000_000 // flat.size)
     lnp = np.log(primes.astype(float))
     with np.errstate(under="ignore"):
         for lo in range(0, primes.size, block):
@@ -343,27 +365,33 @@ def _prime_zeta_core(flat: np.ndarray, table, tol: EvalTolerance, want: str):
 
     K_v = truncation(False)
     K = truncation(True) if need_d else K_v
-    mu = _mobius_upto(K)
+    mu = _factor_plan(K).mu
     val = np.zeros(flat.size, dtype=complex) if need_v else None
     der = np.zeros(flat.size, dtype=complex) if need_d else None
 
-    # k = 1: branch-certified log and/or the logarithmic derivative
+    # k = 1: one zeta batch serves the branch-certified log and the
+    # logarithmic derivative, at the larger of the truncations they need
+    zeta_sig, zeta_2sig = _real_zeta(sig_min), _real_zeta(2.0 * sig_min)
+    N1 = []
     if need_v:
-        val += _log_zeta_certified(flat, table, tol)
+        inv_zeta_bound = zeta_sig / zeta_2sig
+        inner_v = max(min(abs_tol / (3.0 * inv_zeta_bound), 1e-5), 1e-15)
+        N1.append(_batch_N(flat, inner_v, tol.max_terms, deriv=False))
     if need_d:
-        zmag_low = _real_zeta(2.0 * sig_min) / _real_zeta(sig_min)
+        zmag_low = zeta_2sig / zeta_sig
         zd_mag = -_zeta_deriv_real(sig_min)
-        inner_abs = max(min(abs_tol * zmag_low / (3.0 * (1.0 + zd_mag / zmag_low)), 1e-5), 1e-15)
-        zv, zd = _zeta_core(flat, EvalTolerance(inner_abs, tol.max_terms), "both")
+        inner_d = max(min(abs_tol * zmag_low / (3.0 * (1.0 + zd_mag / zmag_low)), 1e-5), 1e-15)
+        N1.append(_batch_N(flat, inner_d, tol.max_terms, deriv=True))
+    zv, zd = _em_eval(flat, max(N1), "both" if need_d else "value")
+    if need_v:
+        val += _log_zeta_certified(flat, table, zv, math.log(zeta_sig))
+    if need_d:
         der += zd / zv
 
-    per_term = abs_tol / (8.0 * max(K, 1))
+    inner = EvalTolerance(max(abs_tol / (8.0 * K), 1e-15), tol.max_terms)
     for k in range(2, K + 1):
         if mu[k] == 0:
             continue
-        if (tail(k, True) if need_d else 3.0 * 2.0 ** (-k * sig_min)) < per_term:
-            break
-        inner = EvalTolerance(max(per_term, 1e-15), tol.max_terms)
         if need_d:
             zv, zd = _zeta_core(k * flat, inner, "both", tight=True)
             der += mu[k] * (zd / zv)

@@ -76,6 +76,31 @@ def test_count_primes_rejects_bad_arguments(small_table):
     assert ei.value.required >= 1e7
 
 
+def test_integer_keys_match_the_float_keys(small_table):
+    """count and primes_in search with int64 keys; the answers are those of
+    the float keys at 0, below 0, on primes, half-way off them and at the limit."""
+    primes = small_table.primes
+    p = primes[[0, 1, 2, 100, 1000, -1]].astype(float)
+    limit = float(small_table.limit)
+    keys = np.concatenate(([0.0, -0.5, -3.0, -np.inf, 1.0, limit, limit - 0.5], p, p - 0.5, p + 0.5))
+    assert np.array_equal(small_table.count(keys), np.searchsorted(primes, np.floor(keys), side="right"))
+    for x in keys:
+        assert small_table.count(x) == int(np.searchsorted(primes, np.floor(x), side="right"))
+    for lo in keys:
+        for hi in (0.0, -1.0, 30.5, 31.0, 7919.0, limit, np.inf):
+            assert np.array_equal(
+                small_table.primes_in(lo, hi), primes[(primes > lo) & (primes <= hi)]
+            ), (lo, hi)
+    with pytest.raises(DomainError):
+        small_table.count(float("nan"))
+    with pytest.raises(DomainError):
+        small_table.count(np.array([2.0, np.nan]))
+    with pytest.raises(DomainError):
+        small_table.primes_in(float("nan"), 100.0)
+    with pytest.raises(DomainError):
+        small_table.primes_in(1.0, float("nan"))
+
+
 def test_count_integers_is_floor_on_positives():
     xs = np.array([0.0, 0.5, 1.0, 1.999, 2.0, 1e6 + 0.25])
     assert np.array_equal(count_integers(xs), np.floor(xs))

@@ -231,15 +231,22 @@ def _grid_edges_per_segment(S, L, N, X, panels):
     return np.asarray(edges)
 
 
-@pytest.mark.parametrize("case", ["integer_count", "weighted_primes"])
+@pytest.mark.parametrize("case", ["integer_count", "weighted_primes", "damped"])
 def test_grid_edges_match_the_per_segment_linspace(case, small_table):
     S, L, N, X = {
         "integer_count": (tr.source_integers(), 2.0 * math.pi, 16, 300.0),
         "weighted_primes": (
             tr.source_primes_weighted(small_table), 8.0 * math.pi, 72, 72 * math.pi + 500.0
         ),
+        # the eps > 0 cutoff; 40 panels make the first tail width exceed the 2.0 cap
+        "damped": (
+            tr.source_sqrt_mix(2.0, 1.0),
+            8.0 * math.pi,
+            72,
+            operators._cutoff_damped(3.0, 0.05, 8.0 * math.pi, 72, 1e-11),
+        ),
     }[case]
-    for panels in (None, 4000):
+    for panels in (None, 4000) + ((40,) if case == "damped" else ()):
         edges = operators._grid_edges(S, L, N, X, panels)
         assert np.array_equal(edges, _grid_edges_per_segment(S, L, N, X, panels))
 

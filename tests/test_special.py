@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from tauberlab import special
 from tauberlab.errors import ContractError, DomainError
 from tauberlab.special import (
     EvalTolerance,
@@ -203,3 +204,55 @@ def test_prime_zeta_deriv_against_mpmath(sigma):
                     ref += mu * mpmath.zeta(k * z, derivative=1) / mpmath.zeta(k * z)
                 k += 1
         assert abs(prime_zeta_deriv(complex(sigma, t)) - complex(ref)) <= 1e-10, t
+
+
+def _em_direct(s, N):
+    """Euler-Maclaurin zeta and zeta' at truncation N, every power n^{-s}
+    from its own exp: the form the multiplicative build must reproduce."""
+    ln = np.log(np.arange(1, N, dtype=float))
+    pw = np.exp(-np.multiply.outer(s, ln))
+    lnN = math.log(N)
+    head = np.exp((1.0 - s) * lnN) / (s - 1.0)
+    val = pw.sum(axis=1) + head + 0.5 * np.exp(-s * lnN)
+    der = -(pw * ln).sum(axis=1) - lnN * head - head / (s - 1.0) - 0.5 * lnN * np.exp(-s * lnN)
+    P, H = s.copy(), 1.0 / s
+    bern = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
+    for k, c in enumerate(bern, start=1):
+        Npow = np.exp(-(s + (2 * k - 1)) * lnN)
+        val = val + c * P * Npow
+        der = der + c * Npow * (P * H - lnN * P)
+        f1, f2 = s + (2 * k - 1), s + 2 * k
+        P, H = P * f1 * f2, H + 1.0 / f1 + 1.0 / f2
+    return val, der
+
+
+@pytest.mark.parametrize("N, npts", [(10, 64), (72, 64), (288, 64), (4096, 64), (100_000, 1)])
+def test_em_eval_matches_the_direct_powers(N, npts, rng):
+    s = rng.uniform(1.05, 3.0, size=npts) + 1j * rng.uniform(-40.0, 40.0, size=npts)
+    val, der = special._em_eval(s, N, "both")
+    ref_v, ref_d = _em_direct(s, N)
+    assert np.max(np.abs(val - ref_v)) <= 1e-13 * np.max(np.abs(ref_v))
+    assert np.max(np.abs(der - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
+
+
+def test_prime_zeta_pair_runs_one_k1_zeta_batch(small_table, monkeypatch):
+    """The log branch and zeta'/zeta share the k = 1 Euler-Maclaurin batch."""
+    s = np.array([1.05 + 0.5j, 1.05 + 3.0j, 1.2 - 7.0j])
+    batches = []
+    em_eval = special._em_eval
+
+    def counted(pts, N, want):
+        batches.append(np.array(pts))
+        return em_eval(pts, N, want)
+
+    monkeypatch.setattr(special, "_em_eval", counted)
+    prime_zeta_pair(s, small_table)
+    assert sum(np.array_equal(pts, s) for pts in batches) == 1
+
+
+def test_factor_plan_against_trial_division():
+    plan = special._factor_plan(10_000)
+    assert [_mobius(k) for k in range(1, 10_001)] == plan.mu[1:].tolist()
+    assert plan.mu[0] == 0
+    primes = [n for n in range(2, 10_001) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert plan.primes.tolist() == primes
