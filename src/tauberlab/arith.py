@@ -214,16 +214,21 @@ class PrimeTable:
         return np.floor(np.clip(arr, 0.0, float(self.limit))).astype(np.int64)
 
     def count(self, x):
-        """Vectorized count of primes <= x (x scalar or array, any real but NaN)."""
+        """Vectorized count of primes <= x (x scalar or array, any real but
+        NaN and +inf)."""
         arr = np.asarray(x, dtype=float)
+        keys = self._keys(arr)
         if arr.size and np.any(arr > self.limit):
-            needed = int(math.ceil(float(np.max(arr))))
+            top = float(np.max(arr))
+            if top == math.inf:
+                raise DomainError("prime table count query must not be +inf")
+            needed = int(math.ceil(top))
             raise TableExhaustedError(
                 f"count query up to {needed} exceeds table limit {self.limit}; "
                 f"rebuild with limit >= {needed}",
                 required=needed,
             )
-        out = np.searchsorted(self.primes, self._keys(arr), side="right")
+        out = np.searchsorted(self.primes, keys, side="right")
         return int(out) if np.isscalar(x) or arr.ndim == 0 else out
 
     def primes_in(self, lo: float, hi: float) -> np.ndarray:

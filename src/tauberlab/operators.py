@@ -325,21 +325,14 @@ def _grid_edges(S: GrowthFunction, L: float, N: int, X: float, panels: Optional[
     inner = (np.arange(1, seg.size + 1) - np.repeat(ends - k, k)) * ((b - a) / k)[seg] + a[seg]
     inner[ends - 1] = b
 
-    # geometric growth out to the cutoff: widths base_w * 1.15^j, capped at
-    # 2.0 after the first, summed left to right until they pass X, which
-    # ends the grid. Both accumulates run in order, so the edges are bit for
-    # bit those of a step-by-step loop. After n_geo steps the widths are 2.0.
-    start = float(cuts[-1])
-    grow = np.empty(0)
-    if start < X:
-        n_geo = max(0, math.ceil(math.log(2.0 / base_w) / math.log(1.15))) + 1
-        steps = np.full(n_geo + math.ceil((X - start) / 2.0) + 1, 1.15)
-        steps[0] = base_w
-        with np.errstate(over="ignore"):
-            widths = np.multiply.accumulate(steps)
-        widths[1:] = np.minimum(widths[1:], 2.0)
-        pos = np.add.accumulate(np.concatenate(([start], widths)))[1:]
-        grow = np.append(pos[pos < X], X)
+    # geometric growth out to the cutoff
+    grow = []
+    pos = float(cuts[-1])
+    wcur = base_w
+    while pos < X:
+        pos = min(pos + wcur, X)
+        grow.append(pos)
+        wcur = min(wcur * 1.15, 2.0)
     return np.concatenate([cuts[:1], inner, grow])
 
 

@@ -18,8 +18,9 @@ spf(n)^{-s} * (n/spf(n))^{-s} (spf the smallest prime factor), one
 vectorized gather-multiply per layer of equal Omega(n) (prime factors with
 multiplicity), so at most log2 N of them. The tail and Bernoulli terms
 all come from the one power N^{-s}. The smallest-prime-factor sieve behind
-this plan is cached per N and also supplies the Moebius function and the
-small primes used below.
+this plan is cached per power of two, each N taking a prefix of the
+next one up, and also supplies the Moebius function and the small primes
+used below.
 
 prime zeta uses the Moebius-log identity  sum_k mu(k)/k * log zeta(ks).
 For k >= 2 the principal logarithm is provably the analytic branch
@@ -181,11 +182,11 @@ class _FactorPlan(NamedTuple):
 
 
 @functools.lru_cache(maxsize=32)
-def _factor_plan(n_max: int) -> _FactorPlan:
-    """Moebius function and Omega layers of 0..n_max from one sieve of
-    smallest prime factors: mu(n) = 0 when spf(n) divides n/spf(n), else
-    mu(n) = -mu(n/spf(n))."""
-    n = np.arange(n_max + 1, dtype=np.int64)
+def _sieve_plan(bits: int) -> _FactorPlan:
+    """The plan of 0..2^bits from one sieve of smallest prime factors:
+    mu(n) = 0 when spf(n) divides n/spf(n), else mu(n) = -mu(n/spf(n))."""
+    n_max = 1 << bits
+    n = np.arange(n_max + 1)
     spf = n.copy()  # stays n where no smaller prime marks it
     for p in range(2, math.isqrt(n_max) + 1):
         if spf[p] == p:
@@ -193,7 +194,7 @@ def _factor_plan(n_max: int) -> _FactorPlan:
             multiples[multiples == n[p * p :: p]] = p
     cof = np.ones_like(n)
     cof[2:] = n[2:] // spf[2:]
-    mu = np.zeros_like(n)
+    mu = np.zeros(n_max + 1, dtype=np.int8)
     mu[1] = 1
     layers = []
     rows = np.flatnonzero(spf == n)[2:]  # the primes
@@ -205,6 +206,23 @@ def _factor_plan(n_max: int) -> _FactorPlan:
         in_layer[rows] = True
         rows = np.flatnonzero(in_layer[cof])
     return _FactorPlan(mu, tuple(layers))
+
+
+@functools.lru_cache(maxsize=256)
+def _factor_plan(n_max: int) -> _FactorPlan:
+    """The plan of 0..n_max, cut from the cached plan of the next power of
+    two, so a sweep over many N builds only a few sieves; the cut holds
+    views, so caching it costs no copy. Each layer's rows increase, so the
+    rows <= n_max are a prefix, and their cofactors, being smaller, stay in
+    the cut layer below."""
+    full = _sieve_plan(max(int(n_max), 1).bit_length())
+    layers = []
+    for rows, p, c in full.layers:
+        j = int(np.searchsorted(rows, n_max, side="right"))
+        if j == 0:
+            break
+        layers.append((rows[:j], p[:j], c[:j]))
+    return _FactorPlan(full.mu[: n_max + 1], tuple(layers))
 
 
 def _em_eval(s: np.ndarray, N: int, want: str):
@@ -307,7 +325,7 @@ def _real_zeta(sigma: float) -> float:
     return float(v[0].real)
 
 
-def _log_zeta_certified(flat: np.ndarray, table, zval: np.ndarray, log_zeta_sig: float) -> np.ndarray:
+def _log_zeta_certified(flat: np.ndarray, zval: np.ndarray, log_zeta_sig: float) -> np.ndarray:
     """log zeta(s) on the analytic branch that is real on (1, oo).
 
     zval holds zeta at flat and log_zeta_sig is log zeta(min Re s). Peels
@@ -326,8 +344,6 @@ def _log_zeta_certified(flat: np.ndarray, table, zval: np.ndarray, log_zeta_sig:
             "using the principal branch best-effort",
             sig_min,
         )
-    if table is not None and getattr(table, "limit", 0) >= cap > 1:
-        primes = table.primes_in(1, cap)
 
     if primes.size == 0:
         return np.log(zval)
@@ -342,7 +358,7 @@ def _log_zeta_certified(flat: np.ndarray, table, zval: np.ndarray, log_zeta_sig:
     return np.log(peeled) - factor_sum
 
 
-def _prime_zeta_core(flat: np.ndarray, table, tol: EvalTolerance, want: str):
+def _prime_zeta_core(flat: np.ndarray, tol: EvalTolerance, want: str):
     if flat.size == 0:
         empty = np.empty(0, dtype=complex)
         return empty, empty
@@ -384,7 +400,7 @@ def _prime_zeta_core(flat: np.ndarray, table, tol: EvalTolerance, want: str):
         N1.append(_batch_N(flat, inner_d, tol.max_terms, deriv=True))
     zv, zd = _em_eval(flat, max(N1), "both" if need_d else "value")
     if need_v:
-        val += _log_zeta_certified(flat, table, zv, math.log(zeta_sig))
+        val += _log_zeta_certified(flat, zv, math.log(zeta_sig))
     if need_d:
         der += zd / zv
 
@@ -411,12 +427,13 @@ def _zeta_deriv_real(sigma: float) -> float:
 def prime_zeta(s, table=None, tol: Optional[EvalTolerance] = None):
     """Prime zeta P(s) = sum over primes of p^{-s}, Re(s) > 1.
 
-    Computed from log zeta via Moebius inversion; `table` only supplies the
-    small primes used for branch certification and may be None.
+    Computed from log zeta via Moebius inversion. The small primes peeled for
+    branch certification come from a cached sieve, so `table` is not read
+    and may be None.
     """
     tol = tol or DEFAULT_TOL
     flat, scalar, shape = _prep(s)
-    val, _ = _prime_zeta_core(flat, table, tol, "value")
+    val, _ = _prime_zeta_core(flat, tol, "value")
     return _restore(val, scalar, shape)
 
 
@@ -424,7 +441,7 @@ def prime_zeta_deriv(s, table=None, tol: Optional[EvalTolerance] = None):
     """P'(s) = sum_k mu(k) * zeta'(ks)/zeta(ks), Re(s) > 1."""
     tol = tol or DEFAULT_TOL
     flat, scalar, shape = _prep(s)
-    _, der = _prime_zeta_core(flat, table, tol, "deriv")
+    _, der = _prime_zeta_core(flat, tol, "deriv")
     return _restore(der, scalar, shape)
 
 
@@ -432,7 +449,7 @@ def prime_zeta_pair(s, table=None, tol: Optional[EvalTolerance] = None):
     """(P(s), P'(s)) sharing the zeta evaluations between the two sums."""
     tol = tol or DEFAULT_TOL
     flat, scalar, shape = _prep(s)
-    val, der = _prime_zeta_core(flat, table, tol, "both")
+    val, der = _prime_zeta_core(flat, tol, "both")
     return _restore(val, scalar, shape), _restore(der, scalar, shape)
 
 
@@ -467,6 +484,6 @@ def psi_prime_part(s, table=None, tol: Optional[EvalTolerance] = None):
     """psi_P(s) = P(s)/s + log(s-1), principal log (Re(s-1) > 0)."""
     tol = tol or DEFAULT_TOL
     flat, scalar, shape = _prep(s)
-    val, _ = _prime_zeta_core(flat, table, tol, "value")
+    val, _ = _prime_zeta_core(flat, tol, "value")
     out = val / flat + np.log(flat - 1.0)
     return _restore(out, scalar, shape)

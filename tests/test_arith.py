@@ -96,6 +96,11 @@ def test_integer_keys_match_the_float_keys(small_table):
     with pytest.raises(DomainError):
         small_table.count(np.array([2.0, np.nan]))
     with pytest.raises(DomainError):
+        small_table.count(np.array([np.nan, 1e20]))
+    for x in (np.inf, np.array([2.0, np.inf])):
+        with pytest.raises(DomainError):
+            small_table.count(x)
+    with pytest.raises(DomainError):
         small_table.primes_in(float("nan"), 100.0)
     with pytest.raises(DomainError):
         small_table.primes_in(1.0, float("nan"))

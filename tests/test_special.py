@@ -256,3 +256,10 @@ def test_factor_plan_against_trial_division():
     assert plan.mu[0] == 0
     primes = [n for n in range(2, 10_001) if all(n % d for d in range(2, math.isqrt(n) + 1))]
     assert plan.primes.tolist() == primes
+    # the plan is cut from the 2^14 sieve: its layers still cover 2..10^4
+    # once each, and every row is spf * cofactor with the cofactor one layer down
+    rows = np.concatenate([r for r, _, _ in plan.layers])
+    assert np.array_equal(np.sort(rows), np.arange(2, 10_001))
+    for j, (r, p, c) in enumerate(plan.layers):
+        assert np.array_equal(r, p * c)
+        assert np.isin(c, plan.layers[j - 1][0] if j else [1]).all()
