@@ -11,7 +11,8 @@ the normalized ratio
 whose limit behaviour the operator experiments probe.
 
 Primes come from a segmented, odd-only sieve of Eratosthenes with a small
-binary disk cache so the 1e8 table is built once per machine.
+binary disk cache of its odd bitset, so the 1e8 table is built once per
+machine.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "count_primes",
     "build_prime_table",
     "chebyshev_weighted",
-    "normalized_ratio",
     "default_cache_dir",
 ]
 
@@ -45,7 +45,7 @@ logger = logging.getLogger(__name__)
 
 CACHE_ENV_VAR = "TAUBERLAB_CACHE_DIR"
 _CACHE_MAGIC = b"PTBL"
-_CACHE_VERSION = 1
+_CACHE_FORMAT = 1
 _HARD_LIMIT = 2**32
 
 
@@ -124,10 +124,6 @@ class StepFunction:
         j = np.searchsorted(self.breakpoints, hi, side="right")
         return self.breakpoints[i:j]
 
-    def tight_growth_constant(self) -> float:
-        """Smallest C with S(x) <= C*x on x >= 1 (attained at a breakpoint)."""
-        return float(np.max(self.cumulative / self.breakpoints))
-
 
 # ---------------------------------------------------------------------------
 # prime sieve and table
@@ -170,37 +166,19 @@ def _sieve_odd_bits(limit: int) -> np.ndarray:
 
 
 class PrimeTable:
-    """All primes up to `limit`, held as a sorted array plus odd bitset.
+    """All primes up to `limit`, held as a sorted array.
 
-    Count queries use binary search on the materialized prime array, so
-    repeated ratio-table evaluation costs O(log n) per point.
+    Built from the odd bitset of the sieve, which it does not keep. Count
+    queries use binary search on the prime array, so repeated ratio-table
+    evaluation costs O(log n) per point.
     """
 
-    def __init__(self, limit: int, odd_bits: np.ndarray, path: Optional[Path] = None):
+    def __init__(self, limit: int, odd_bits: np.ndarray):
         self.limit = int(limit)
-        self._bits = odd_bits
-        self.path = path
         primes = 2 * np.flatnonzero(odd_bits).astype(np.int64) + 1
         if self.limit >= 2:
             primes = np.concatenate(([np.int64(2)], primes))
         self.primes = primes
-
-    def __len__(self) -> int:
-        return int(self.primes.size)
-
-    def is_prime(self, n: int) -> bool:
-        if n > self.limit:
-            raise TableExhaustedError(
-                f"membership query for {n} exceeds table limit {self.limit}",
-                required=int(n),
-            )
-        if n < 2:
-            return False
-        if n == 2:
-            return True
-        if n % 2 == 0:
-            return False
-        return bool(self._bits[(n - 1) // 2])
 
     def _keys(self, x) -> np.ndarray:
         """floor(x) clipped to [0, limit] as int64 search keys.
@@ -236,38 +214,44 @@ class PrimeTable:
         i, j = np.searchsorted(self.primes, self._keys([lo, hi]), side="right")
         return self.primes[i:j]
 
-    # -- cache ---------------------------------------------------------
 
-    def save(self, path: Path) -> None:
-        packed = np.packbits(self._bits, bitorder="little")
-        header = _CACHE_MAGIC + struct.pack("<IQ", _CACHE_VERSION, self.limit)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(header)
-                fh.write(packed.tobytes())
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        self.path = path
+# ---------------------------------------------------------------------------
+# atomic writes and the prime cache file
+# ---------------------------------------------------------------------------
 
-    @staticmethod
-    def load(path: Path) -> "PrimeTable":
-        raw = Path(path).read_bytes()
-        if len(raw) < 16 or raw[:4] != _CACHE_MAGIC:
-            raise ContractError(f"not a prime table cache: {path}")
-        version, limit = struct.unpack("<IQ", raw[4:16])
-        if version != _CACHE_VERSION:
-            raise ContractError(f"unsupported prime cache version {version}")
-        n_odd = (limit + 1) // 2
-        packed = np.frombuffer(raw, dtype=np.uint8, offset=16)
-        if packed.size != (n_odd + 7) // 8:
-            raise ContractError(f"truncated prime table cache: {path}")
-        bits = np.unpackbits(packed, bitorder="little")[:n_odd].astype(bool)
-        return PrimeTable(int(limit), bits, path=Path(path))
+
+def _atomic_write(path: Path, data) -> None:
+    """Write str or bytes to path through a temp file in the same directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def _save_bits(path: Path, limit: int, odd_bits: np.ndarray) -> None:
+    header = _CACHE_MAGIC + struct.pack("<IQ", _CACHE_FORMAT, limit)
+    _atomic_write(path, header + np.packbits(odd_bits, bitorder="little").tobytes())
+
+
+def _load_bits(path: Path):
+    """(limit, odd bitset) from a cache file; ContractError if it is not one."""
+    raw = path.read_bytes()
+    if len(raw) < 16 or raw[:4] != _CACHE_MAGIC:
+        raise ContractError(f"not a prime table cache: {path}")
+    version, limit = struct.unpack("<IQ", raw[4:16])
+    if version != _CACHE_FORMAT:
+        raise ContractError(f"unsupported prime cache version {version}")
+    n_odd = (limit + 1) // 2
+    packed = np.frombuffer(raw, dtype=np.uint8, offset=16)
+    if packed.size != (n_odd + 7) // 8:
+        raise ContractError(f"truncated prime table cache: {path}")
+    return int(limit), np.unpackbits(packed, bitorder="little")[:n_odd].astype(bool)
 
 
 def build_prime_table(limit: int, cache_dir: Optional[os.PathLike] = None) -> PrimeTable:
@@ -286,19 +270,18 @@ def build_prime_table(limit: int, cache_dir: Optional[os.PathLike] = None) -> Pr
     cache_path = cdir / f"primes_{limit}.ptbl"
     if cache_path.exists():
         try:
-            table = PrimeTable.load(cache_path)
-            if table.limit == limit:
-                return table
+            cached_limit, bits = _load_bits(cache_path)
+            if cached_limit == limit:
+                return PrimeTable(limit, bits)
             logger.warning("prime cache %s has wrong limit; rebuilding", cache_path)
         except ContractError as exc:
             logger.warning("corrupt prime cache (%s); rebuilding", exc)
     bits = _sieve_odd_bits(limit)
-    table = PrimeTable(limit, bits)
     try:
-        table.save(cache_path)
+        _save_bits(cache_path, limit, bits)
     except OSError as exc:
         logger.warning("could not write prime cache %s: %s", cache_path, exc)
-    return table
+    return PrimeTable(limit, bits)
 
 
 def count_primes(x, table: PrimeTable) -> int:
@@ -348,8 +331,6 @@ class GrowthFunction:
     - ``ratio_limit_A``: the declared limit A of g(u) when one exists
       (None for sources without a ratio limit); experiments that test the
       forward direction require it.
-    - ``step``: the backing StepFunction for pure jump sources, enabling
-      exact transform summation. When set, S is piecewise constant.
     - ``between_jumps``: shape of S(e^u) between declared breakpoints —
       "constant" (pure counting) or "linear_u" (count times u, as for the
       log-weighted prime count); exact integrators pick the matching
@@ -365,7 +346,6 @@ class GrowthFunction:
     smooth_from_u: float = math.inf
     u_cap: float = math.inf
     ratio_limit_A: Optional[float] = None
-    step: Optional[StepFunction] = None
     between_jumps: str = "constant"
 
     def __call__(self, x):
@@ -401,7 +381,6 @@ class GrowthFunction:
             raise DomainError("scale factor must be positive and finite")
         lap = None if self.laplace is None else (lambda s, _f=self.laplace: c * _f(s))
         gs = None if self.g_smooth is None else (lambda u, _g=self.g_smooth: c * _g(u))
-        stp = None if self.step is None else StepFunction(self.step.breakpoints, c * self.step.jumps)
         return GrowthFunction(
             label=f"{c:g}*{self.label}",
             fn=lambda x, _f=self.fn: c * _f(x),
@@ -412,11 +391,5 @@ class GrowthFunction:
             smooth_from_u=self.smooth_from_u,
             u_cap=self.u_cap,
             ratio_limit_A=None if self.ratio_limit_A is None else c * self.ratio_limit_A,
-            step=stp,
             between_jumps=self.between_jumps,
         )
-
-
-def normalized_ratio(S: GrowthFunction, u) -> float:
-    """g(u) = S(e^u)/e^u; raises beyond the evaluable range of S."""
-    return S.g(u)

@@ -21,9 +21,9 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
+from . import __version__
 from .errors import ConfigError, ContractError, TauberlabError
 
-_VERSION = "0.1.0"
 _CONFIG_KEYS = ("cache_dir", "prime_limit", "length", "order", "abs_tol", "max_terms", "format")
 
 
@@ -119,7 +119,7 @@ def _build_parser() -> _Parser:
     _shared_flags(shared, suppress=True)
     p = _Parser(prog="tauberlab", description="Numerical laboratory for ratio limits, transforms, and truncated convolution operators.")
     _shared_flags(p)
-    p.add_argument("--version", action="version", version=f"tauberlab {_VERSION}")
+    p.add_argument("--version", action="version", version=f"tauberlab {__version__}")
     sub = p.add_subparsers(dest="command", parser_class=_Parser)
 
     def leaf(parent, name, **kw):
@@ -222,8 +222,9 @@ def _emit_sequence(values, cfg: RunConfig, out: Optional[str], header: str) -> N
         lines = [header] + [f"{i},{v:.17g}" for i, v in enumerate(values)]
         text = "\n".join(lines) + "\n"
         if out:
-            from .tauber import _atomic_write
             from pathlib import Path
+
+            from .arith import _atomic_write
 
             _atomic_write(Path(out), text)
         else:
@@ -250,13 +251,13 @@ def _cmd_special(args, cfg: RunConfig) -> int:
     elif fn == "zetad":
         val = sp.zeta_deriv(s, tol)
     elif fn == "pzeta":
-        val = sp.prime_zeta(s, _table(cfg), tol)
+        val = sp.prime_zeta(s, tol)
     elif fn == "pzetad":
-        val = sp.prime_zeta_deriv(s, _table(cfg), tol)
+        val = sp.prime_zeta_deriv(s, tol)
     elif fn == "psi":
         val = sp.psi_entire(s, tol)
     else:
-        val = sp.psi_prime_part(s, _table(cfg), tol)
+        val = sp.psi_prime_part(s, tol)
     val = complex(val)
     _emit({"re": val.real, "im": val.imag, "est_error": tol.abs_tol})
     return 0
@@ -294,9 +295,9 @@ def _cmd_transform(args, cfg: RunConfig) -> int:
     if args.source == "integers":
         val = tr.transform_integers(s, tol)
     elif args.source == "primes":
-        val = tr.transform_primes(s, _table(cfg), tol)
+        val = tr.transform_primes(s, tol)
     elif args.source == "wprimes":
-        val = tr.transform_weighted_primes(s, _table(cfg), tol)
+        val = tr.transform_weighted_primes(s, tol)
     else:
         step = _load_step_file(args.file)
         val = tr.transform_step_sum(step, s, tol=tol)
@@ -338,7 +339,7 @@ def _cmd_operator(args, cfg: RunConfig) -> int:
 
 
 def _report_extra(cfg: RunConfig) -> dict:
-    return {"config": cfg.as_dict(), "version": _VERSION}
+    return {"config": cfg.as_dict(), "version": __version__}
 
 
 def _cmd_experiment(args, cfg: RunConfig) -> int:

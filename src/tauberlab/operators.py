@@ -53,19 +53,17 @@ allowed because bounded g keeps the windowed integrand integrable).
 from __future__ import annotations
 
 import math
-import os
 import re
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import GrowthFunction
+from .arith import GrowthFunction, _atomic_write
 from .errors import ContractError, DomainError, PrecisionError
 from .special import EvalTolerance
-from .transform import transform_quadrature
+from .transform import _STEP_RESOLVE_CAP, _gl_nodes_on, transform_quadrature
 
 __all__ = [
     "IntervalSpec",
@@ -80,11 +78,9 @@ __all__ = [
     "weak_limit_diagnostic",
 ]
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _LOBE_HALF_WIDTH = 3.0 * math.pi  # refine |x - pi n| below this
 _EPS0_X_PAD = 500.0  # undamped cutoff past the last lobe
 _SMOOTH_RESOLVE = 1024.0  # resolve jumps exactly below this x when a mean model exists
-_RAW_RESOLVE = 200_000.0  # ... and below this when none does
 _MAX_ORDER = 256
 _HEADER_SPLIT = re.compile(r", (?=(?:L|eps|N|source|route|A)=)")
 
@@ -129,14 +125,10 @@ class OperatorTruncation:
         return np.diag(self.entries)
 
     def symmetry_defect(self) -> float:
-        return float(np.max(np.abs(self.entries - self.entries.T)))
+        return _symmetry_defect(self.entries)
 
     def check_symmetric(self, tol: float = 1e-9) -> None:
-        defect = self.symmetry_defect()
-        if defect >= tol:
-            raise ContractError(
-                f"matrix is not symmetric: max |M - M^T| = {defect:.3e} >= {tol:.1e}"
-            )
+        _symmetry_defect(self.entries, tol)
 
     def csv_text(self) -> str:
         lines = [
@@ -150,18 +142,7 @@ class OperatorTruncation:
 
     def to_csv(self, path) -> None:
         """Write the matrix with its metadata header, atomically."""
-        path = Path(path)
-        data = self.csv_text()
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        _atomic_write(Path(path), self.csv_text())
 
     @staticmethod
     def from_csv(path) -> "OperatorTruncation":
@@ -184,6 +165,16 @@ class OperatorTruncation:
             route=meta.get("route", "?"),
             A=float(meta.get("A", 0.0)),
         )
+
+
+def _symmetry_defect(entries: np.ndarray, tol: float = math.inf) -> float:
+    """max |M - M^T| (0 when empty); ContractError when it reaches tol."""
+    defect = float(np.max(np.abs(entries - entries.T))) if entries.size else 0.0
+    if defect >= tol:
+        raise ContractError(
+            f"matrix is not symmetric: max |M - M^T| = {defect:.3e} >= {tol:.1e}"
+        )
+    return defect
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +270,7 @@ def _resolve_u(S: GrowthFunction) -> float:
     """u below which jumps are resolved exactly by panel alignment."""
     if S.breakpoints_in is None:
         return 0.0
-    cap = _SMOOTH_RESOLVE if S.g_smooth is not None else _RAW_RESOLVE
+    cap = _SMOOTH_RESOLVE if S.g_smooth is not None else _STEP_RESOLVE_CAP
     return min(math.log(cap), S.u_cap)
 
 
@@ -364,14 +355,6 @@ def _source_values(S: GrowthFunction, L: float, eps: float, xs: np.ndarray) -> n
     if eps > 0.0:
         return g * np.exp(-eps * u)
     return g
-
-
-def _gl_nodes_on(edges: np.ndarray):
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    xs = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    ws = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return xs, ws
 
 
 def _half_line_integrals(xs: np.ndarray, wv: np.ndarray, k_max: int, want_F: bool):
@@ -561,11 +544,7 @@ def spectrum(M) -> np.ndarray:
     ent = M.entries if isinstance(M, OperatorTruncation) else np.asarray(M, dtype=float)
     if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
         raise ContractError("spectrum needs a square matrix")
-    defect = float(np.max(np.abs(ent - ent.T))) if ent.size else 0.0
-    if defect >= 1e-9:
-        raise ContractError(
-            f"matrix is not symmetric: max |M - M^T| = {defect:.3e} >= 1e-09"
-        )
+    _symmetry_defect(ent, 1e-9)
     eig = np.linalg.eigvalsh(0.5 * (ent + ent.T))
     order = np.argsort(-np.abs(eig), kind="stable")
     return eig[order]

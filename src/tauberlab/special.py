@@ -424,12 +424,11 @@ def _zeta_deriv_real(sigma: float) -> float:
     return float(d[0].real)
 
 
-def prime_zeta(s, table=None, tol: Optional[EvalTolerance] = None):
+def prime_zeta(s, tol: Optional[EvalTolerance] = None):
     """Prime zeta P(s) = sum over primes of p^{-s}, Re(s) > 1.
 
-    Computed from log zeta via Moebius inversion. The small primes peeled for
-    branch certification come from a cached sieve, so `table` is not read
-    and may be None.
+    Computed from log zeta via Moebius inversion; the small primes peeled
+    for branch certification come from a cached sieve.
     """
     tol = tol or DEFAULT_TOL
     flat, scalar, shape = _prep(s)
@@ -437,7 +436,7 @@ def prime_zeta(s, table=None, tol: Optional[EvalTolerance] = None):
     return _restore(val, scalar, shape)
 
 
-def prime_zeta_deriv(s, table=None, tol: Optional[EvalTolerance] = None):
+def prime_zeta_deriv(s, tol: Optional[EvalTolerance] = None):
     """P'(s) = sum_k mu(k) * zeta'(ks)/zeta(ks), Re(s) > 1."""
     tol = tol or DEFAULT_TOL
     flat, scalar, shape = _prep(s)
@@ -445,7 +444,7 @@ def prime_zeta_deriv(s, table=None, tol: Optional[EvalTolerance] = None):
     return _restore(der, scalar, shape)
 
 
-def prime_zeta_pair(s, table=None, tol: Optional[EvalTolerance] = None):
+def prime_zeta_pair(s, tol: Optional[EvalTolerance] = None):
     """(P(s), P'(s)) sharing the zeta evaluations between the two sums."""
     tol = tol or DEFAULT_TOL
     flat, scalar, shape = _prep(s)
@@ -480,7 +479,7 @@ def psi_entire(s, tol: Optional[EvalTolerance] = None):
     return _restore(out, scalar, shape)
 
 
-def psi_prime_part(s, table=None, tol: Optional[EvalTolerance] = None):
+def psi_prime_part(s, tol: Optional[EvalTolerance] = None):
     """psi_P(s) = P(s)/s + log(s-1), principal log (Re(s-1) > 0)."""
     tol = tol or DEFAULT_TOL
     flat, scalar, shape = _prep(s)

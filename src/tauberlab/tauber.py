@@ -22,15 +22,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import GrowthFunction, PrimeTable
+from .arith import GrowthFunction, PrimeTable, _atomic_write
 from .errors import ContractError, DomainError, TableExhaustedError
 from .operators import (
     IntervalSpec,
@@ -74,19 +72,6 @@ SPECTRAL_TOP = 20
 PNT_ORDER = 72  # A* = 1.0972 here, 0.003 inside the 1.1 bound; it drifts down as N grows
 
 
-def _atomic_write(path: Path, data: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 @dataclass
 class ExperimentReport:
     """Self-contained record of one experiment; verdicts recomputable."""
@@ -106,9 +91,9 @@ class ExperimentReport:
     ratio_window: tuple  # (u_lo, u_hi) where the ratio verdict samples
     diag_threshold: float
     ratio_threshold: float
-    diag_decay: bool
-    ratio_limit: bool
-    consistent: bool
+    diag_decay: bool = False  # the verdicts; _set_verdicts derives them
+    ratio_limit: bool = False
+    consistent: bool = False
     u_max: float = 0.0
 
     def recompute_verdicts(self) -> dict:
@@ -213,6 +198,58 @@ def _spectral_tail(psi) -> np.ndarray:
     return np.abs(eig[:SPECTRAL_TOP])
 
 
+def _set_verdicts(report: ExperimentReport) -> None:
+    """Store the verdicts re-derived from the report's own arrays."""
+    v = report.recompute_verdicts()
+    report.diag_decay, report.ratio_limit = v["diag_decay"], v["ratio_limit"]
+    report.consistent = v["consistent"]
+
+
+def _experiment_report(
+    S: GrowthFunction,
+    L: float,
+    N: int,
+    u_max: float,
+    A: float,
+    A_method: str,
+    diag: np.ndarray,
+    eps_schedule: Sequence[float],
+    diag_threshold: float,
+    ratio_threshold: float,
+    eps_spectral: float,
+    spectral_route: str,
+) -> ExperimentReport:
+    """What both directions share once A and the diagonal of W - A Id are
+    known: the spectral tail of W - A Id at eps_spectral, the ratio table,
+    its window [0.8 u_max, u_max] and the verdicts."""
+    I = IntervalSpec(L)
+    if spectral_route == "kernel":
+        W = assemble_kernel_route(S, I, eps_spectral, N)
+    else:
+        W = assemble_frequency_route(S, I, eps_spectral, N)
+    grid = _ratio_grid(S, u_max)
+    report = ExperimentReport(
+        source=S.label,
+        length=L,
+        order=N,
+        eps_schedule=list(eps_schedule),
+        A_estimate=float(A),
+        A_method=A_method,
+        diagonal=diag,
+        band=_band(N),
+        spectral_tail=_spectral_tail(split_identity(W, A)),
+        eps_spectral=eps_spectral,
+        ratio_u=grid,
+        ratio_g=_ratio_table(S, grid),
+        ratio_window=(0.8 * u_max, u_max),
+        diag_threshold=diag_threshold,
+        ratio_threshold=ratio_threshold,
+        u_max=u_max,
+    )
+    _set_verdicts(report)
+    return report
+
+
 def forward_experiment(
     S: GrowthFunction,
     A: Optional[float],
@@ -240,40 +277,10 @@ def forward_experiment(
         raise ContractError(
             f"declared A = {A:g} inconsistent with data: g({u_max:g}) = {g_end:.4f}"
         )
-    I = IntervalSpec(L)
-    diag = diagonal_sequence(S, I, 0.0, A, N)
-    lo, hi = _band(N)
-    decay = bool(np.max(np.abs(diag[lo : hi + 1])) < diag_threshold)
-
-    W = assemble_frequency_route(S, I, eps_spectral, N)
-    tail = _spectral_tail(split_identity(W, A))
-
-    grid = _ratio_grid(S, u_max)
-    gvals = _ratio_table(S, grid)
-    window = (0.8 * u_max, u_max)
-    sel = (grid >= window[0]) & (grid <= window[1])
-    ratio_ok = bool(np.max(np.abs(gvals[sel] - A)) < ratio_threshold)
-
-    return ExperimentReport(
-        source=S.label,
-        length=L,
-        order=N,
-        eps_schedule=[0.0, eps_spectral],
-        A_estimate=float(A),
-        A_method="declared",
-        diagonal=diag,
-        band=(lo, hi),
-        spectral_tail=tail,
-        eps_spectral=eps_spectral,
-        ratio_u=grid,
-        ratio_g=gvals,
-        ratio_window=window,
-        diag_threshold=diag_threshold,
-        ratio_threshold=ratio_threshold,
-        diag_decay=decay,
-        ratio_limit=ratio_ok,
-        consistent=decay and ratio_ok,
-        u_max=u_max,
+    diag = diagonal_sequence(S, IntervalSpec(L), 0.0, A, N)
+    return _experiment_report(
+        S, L, N, u_max, A, "declared", diag, [0.0, eps_spectral],
+        diag_threshold, ratio_threshold, eps_spectral, "frequency",
     )
 
 
@@ -295,45 +302,12 @@ def converse_experiment(
     where the split is read off. consistent = diag_decay AND ratio_limit."""
     if u_max > S.u_cap:
         raise DomainError(f"u_max = {u_max:g} beyond evaluable range {S.u_cap:g}")
-    I = IntervalSpec(L)
-    diag_W = diagonal_sequence(S, I, 0.0, 0.0, N)
+    diag_W = diagonal_sequence(S, IntervalSpec(L), 0.0, 0.0, N)
     lo, hi = _band(N)
     a_star = _golden_minimax(diag_W, lo, hi, 2.0 * S.growth_constant)
-    diag = diag_W - a_star
-    decay = bool(np.max(np.abs(diag[lo : hi + 1])) < diag_threshold)
-
-    if spectral_route == "kernel":
-        W = assemble_kernel_route(S, I, eps_spectral, N)
-    else:
-        W = assemble_frequency_route(S, I, eps_spectral, N)
-    tail = _spectral_tail(split_identity(W, a_star))
-
-    grid = _ratio_grid(S, u_max)
-    gvals = _ratio_table(S, grid)
-    window = (0.8 * u_max, u_max)
-    sel = (grid >= window[0]) & (grid <= window[1])
-    ratio_ok = bool(np.max(np.abs(gvals[sel] - a_star)) < ratio_threshold)
-
-    return ExperimentReport(
-        source=S.label,
-        length=L,
-        order=N,
-        eps_schedule=list(eps_schedule),
-        A_estimate=float(a_star),
-        A_method="golden_section_minimax",
-        diagonal=diag,
-        band=(lo, hi),
-        spectral_tail=tail,
-        eps_spectral=eps_spectral,
-        ratio_u=grid,
-        ratio_g=gvals,
-        ratio_window=window,
-        diag_threshold=diag_threshold,
-        ratio_threshold=ratio_threshold,
-        diag_decay=decay,
-        ratio_limit=ratio_ok,
-        consistent=decay and ratio_ok,
-        u_max=u_max,
+    return _experiment_report(
+        S, L, N, u_max, a_star, "golden_section_minimax", diag_W - a_star, eps_schedule,
+        diag_threshold, ratio_threshold, eps_spectral, spectral_route,
     )
 
 
@@ -351,7 +325,6 @@ class WitnessWindow:
 def lower_bound_witness(
     S: GrowthFunction,
     A: float,
-    L: float,
     eps_threshold: float,
     u_max: float = 18.0,
     step: float = 0.01,
@@ -419,11 +392,7 @@ def pnt_pipeline(
     grid = np.unique(np.concatenate([report.ratio_u, np.asarray(decades)]))
     report.ratio_u = grid
     report.ratio_g = _ratio_table(S, grid)
-    sel = (grid >= report.ratio_window[0]) & (grid <= report.ratio_window[1])
-    report.ratio_limit = bool(
-        np.max(np.abs(report.ratio_g[sel] - report.A_estimate)) < report.ratio_threshold
-    )
-    report.consistent = report.diag_decay and report.ratio_limit
+    _set_verdicts(report)
     return report
 
 

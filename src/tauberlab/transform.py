@@ -24,14 +24,13 @@ experiment battery runs on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.special import exp1
 
 from .arith import GrowthFunction, StepFunction, chebyshev_weighted, count_integers
-from .errors import ContractError, DomainError, PrecisionError
+from .errors import DomainError, PrecisionError
 from .special import (
     DEFAULT_TOL,
     EvalTolerance,
@@ -43,8 +42,6 @@ from .special import (
 )
 
 __all__ = [
-    "TransformSpec",
-    "TRANSFORM_KINDS",
     "transform_integers",
     "transform_primes",
     "transform_weighted_primes",
@@ -78,22 +75,22 @@ def transform_integers(s, tol: Optional[EvalTolerance] = None):
     return _restore(val, scalar, shape)
 
 
-def transform_primes(s, table=None, tol: Optional[EvalTolerance] = None):
+def transform_primes(s, tol: Optional[EvalTolerance] = None):
     """G(s) = pzeta(s)/s, the transform of the prime count."""
     tol = tol or DEFAULT_TOL
     flat, scalar, shape = _prep(s)
-    val = prime_zeta(flat, table, tol) / flat
+    val = prime_zeta(flat, tol) / flat
     return _restore(val, scalar, shape)
 
 
-def transform_weighted_primes(s, table=None, tol: Optional[EvalTolerance] = None):
+def transform_weighted_primes(s, tol: Optional[EvalTolerance] = None):
     """G(s) for S(x) = pi_P(x) ln x: (pzeta(s) - s pzeta'(s)) / s^2.
 
     This is -d/ds of the prime transform, since multiplying the source by u
     differentiates the transform."""
     tol = tol or DEFAULT_TOL
     flat, scalar, shape = _prep(s)
-    pz, pzd = prime_zeta_pair(flat, table, tol)
+    pz, pzd = prime_zeta_pair(flat, tol)
     val = (pz - flat * pzd) / flat**2
     return _restore(val, scalar, shape)
 
@@ -172,14 +169,13 @@ def quadrature_tail_bound(S: GrowthFunction, s, U: float):
     return bound.reshape(shape)
 
 
-def _gl_panels(lo: float, hi: float, panels: int):
-    """Node/weight arrays for `panels` equal Gauss-Legendre panels on [lo, hi]."""
-    edges = np.linspace(lo, hi, panels + 1)
+def _gl_nodes_on(edges: np.ndarray):
+    """Node/weight arrays of 16-point Gauss-Legendre on each panel between edges."""
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    us = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    xs = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     ws = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    return us, ws
+    return xs, ws
 
 
 def transform_quadrature(
@@ -251,7 +247,7 @@ def transform_quadrature(
     if gl_lo < U:
         span = U - gl_lo
         n_panels = panels if panels is not None else max(1, int(math.ceil(span / 0.25)))
-        us, ws = _gl_panels(gl_lo, U, n_panels)
+        us, ws = _gl_nodes_on(np.linspace(gl_lo, U, n_panels + 1))
         fv = S.fn(np.exp(us)) * ws
         block = max(1, 4_000_000 // max(us.size, 1))
         with np.errstate(under="ignore"):
@@ -259,50 +255,6 @@ def transform_quadrature(
                 sb = flat[lo : lo + block]
                 out[lo : lo + block] += np.exp(-np.multiply.outer(sb, us)) @ fv
     return _restore(out, scalar, shape)
-
-
-# ---------------------------------------------------------------------------
-# dispatch record
-# ---------------------------------------------------------------------------
-
-TRANSFORM_KINDS = (
-    "closed_form_integers",
-    "closed_form_primes",
-    "closed_form_weighted_primes",
-    "step_sum",
-    "numeric_quadrature",
-)
-
-
-@dataclass(frozen=True)
-class TransformSpec:
-    """A source paired with the strategy used to evaluate its transform."""
-
-    source: GrowthFunction
-    kind: str
-    U: float = 18.0
-    panels: Optional[int] = None
-
-    def __post_init__(self):
-        if self.kind not in TRANSFORM_KINDS:
-            raise ContractError(
-                f"unknown transform kind '{self.kind}'; expected one of {TRANSFORM_KINDS}"
-            )
-        if self.kind == "step_sum" and self.source.step is None:
-            raise ContractError("step_sum requires a source backed by a StepFunction")
-
-    def evaluate(self, s, table=None, tol: Optional[EvalTolerance] = None):
-        if self.kind == "closed_form_integers":
-            return transform_integers(s, tol)
-        if self.kind == "closed_form_primes":
-            return transform_primes(s, table, tol)
-        if self.kind == "closed_form_weighted_primes":
-            return transform_weighted_primes(s, table, tol)
-        if self.kind == "step_sum":
-            return transform_step_sum(
-                self.source.step, s, self.source.growth_constant, tol
-            )
-        return transform_quadrature(self.source, s, self.U, self.panels, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +291,7 @@ def source_integers() -> GrowthFunction:
         label="integer_count",
         fn=count_integers,
         growth_constant=1.0,
-        laplace=lambda s: transform_integers(s),
+        laplace=transform_integers,
         breakpoints_in=bps,
         g_smooth=lambda u: 1.0 - 0.5 * np.exp(-np.asarray(u, dtype=float)),
         smooth_from_u=math.log(2.0),
@@ -353,7 +305,7 @@ def source_primes_weighted(table) -> GrowthFunction:
         label="weighted_primes",
         fn=lambda x: chebyshev_weighted(x, table),
         growth_constant=1.3,
-        laplace=lambda s: transform_weighted_primes(s, table),
+        laplace=transform_weighted_primes,
         breakpoints_in=lambda lo, hi: table.primes_in(lo, hi).astype(float),
         u_cap=math.log(table.limit),
         ratio_limit_A=1.0,
@@ -421,5 +373,4 @@ def source_single_jump(height: float = 3.0, location: float = math.e) -> GrowthF
         / np.asarray(s, dtype=complex),
         breakpoints_in=step.breakpoints_in,
         ratio_limit_A=0.0,
-        step=step,
     )

@@ -1,9 +1,8 @@
 """Shared fixtures: prime tables and the acceptance summary hook.
 
-The big (10^8) table lives in the regular cache directory (honoring
-TAUBERLAB_CACHE_DIR) so repeated test runs pay the sieve once; the small
-table goes to a per-session temp directory to keep cache-handling tests
-hermetic.
+Both tables are built in per-session temp directories, so the suite never
+reads or writes the user's cache; the big (10^8) table costs about 0.5 s
+to sieve once per session.
 """
 
 import numpy as np
@@ -34,9 +33,9 @@ def small_table(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def big_table():
-    # default cache dir on purpose: about 0.5 s to sieve cold, 0.2 s to load warm
-    return build_prime_table(100_000_000)
+def big_table(tmp_path_factory):
+    cache = tmp_path_factory.mktemp("ptbl_big")
+    return build_prime_table(100_000_000, cache_dir=cache)
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tauberlab import transform as tr
-from tauberlab.arith import build_prime_table, count_primes
+from tauberlab.arith import count_primes
 from tauberlab.operators import (
     IntervalSpec,
     assemble_frequency_route,
@@ -45,7 +45,7 @@ class _clock:
 
 # ---------------------------------------------------------------------------
 # artifact builders (criteria 3-7) — deliberately free of test state so
-# criterion 10 can re-run them cold
+# criterion 10 can re-run them cold; c7 takes the session's 10^8 table
 # ---------------------------------------------------------------------------
 
 
@@ -103,9 +103,8 @@ def _build_c6(outdir):
     return [p], rep
 
 
-def _build_c7(outdir):
+def _build_c7(outdir, table):
     outdir.mkdir(parents=True, exist_ok=True)
-    table = build_prime_table(100_000_000)
     rep = pnt_pipeline(table)
     p = outdir / "pnt.ratio.csv"
     rep.save_ratio_csv(p)
@@ -188,7 +187,7 @@ def test_c06_oscillating_counterexample(artifact_dir):
         assert (lo, hi) == (32, 64)
         assert rep.band_max() >= 0.05, f"floor not reached: {rep.band_max():.4f}"
         w = lower_bound_witness(
-            tr.source_log_oscillation(0.5), rep.A_estimate, L8PI, 0.25, u_max=18.0
+            tr.source_log_oscillation(0.5), rep.A_estimate, 0.25, u_max=18.0
         )
         assert w is not None, "no certified window at threshold 0.25"
         assert w.certified_min == pytest.approx(0.125)
@@ -203,9 +202,9 @@ def test_c06_oscillating_counterexample(artifact_dir):
 # ---------------------------------------------------------------------------
 
 
-def test_c07_prime_counting_pipeline(artifact_dir):
+def test_c07_prime_counting_pipeline(artifact_dir, big_table):
     with _clock() as c:
-        _, (rep, table) = _build_c7(artifact_dir / "c7")
+        _, (rep, table) = _build_c7(artifact_dir / "c7", big_table)
         # sieve oracle at the decades, then the ratio table against it
         oracle_counts = {4: 1229, 6: 78498, 7: 664579}
         for k, pk in oracle_counts.items():
@@ -258,8 +257,14 @@ def test_c09_weak_limit_schedule():
 # ---------------------------------------------------------------------------
 
 
-def test_c10_byte_identical_reruns(artifact_dir):
-    builders = {"c3": _build_c3, "c4": _build_c4, "c5": _build_c5, "c6": _build_c6, "c7": _build_c7}
+def test_c10_byte_identical_reruns(artifact_dir, big_table):
+    builders = {
+        "c3": _build_c3,
+        "c4": _build_c4,
+        "c5": _build_c5,
+        "c6": _build_c6,
+        "c7": lambda outdir: _build_c7(outdir, big_table),
+    }
     for name, build in builders.items():
         first = artifact_dir / name
         if not first.exists():  # criterion test deselected: build the baseline here

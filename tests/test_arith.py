@@ -13,7 +13,6 @@ from tauberlab.arith import (
     count_integers,
     count_primes,
     default_cache_dir,
-    normalized_ratio,
 )
 from tauberlab.errors import ContractError, DomainError, ResourceError, TableExhaustedError
 
@@ -224,7 +223,7 @@ def test_normalized_ratio_and_clipping(small_table):
     S = tr.source_primes_weighted(small_table)
     cap = S.u_cap
     assert math.isclose(cap, math.log(100_000), rel_tol=1e-12)
-    v = normalized_ratio(S, cap - 0.25)
+    v = S.g(cap - 0.25)
     assert 0.5 < v < 1.5
     with pytest.raises(TableExhaustedError):
         S.g(cap + 0.5)
@@ -250,4 +249,3 @@ def test_single_jump_is_a_bounded_step():
     assert S(math.e) == pytest.approx(3.0)
     assert S(1e9) == pytest.approx(3.0)
     assert S.ratio_limit_A == 0.0
-    assert S.step is not None and S.step.total() == pytest.approx(3.0)

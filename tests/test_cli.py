@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import tauberlab
 from tauberlab.cli import RunConfig, load_config, main
 from tauberlab.errors import ConfigError
 
@@ -90,6 +91,23 @@ def test_special_eval_zeta_at_two(capsys):
     assert doc["re"] == pytest.approx(1.6449340668, abs=1e-9)
     assert doc["im"] == 0.0
     assert doc["est_error"] <= 1e-9
+
+
+def test_prime_zeta_family_needs_no_sieve(capsys, monkeypatch):
+    """P, psi_P and the prime transforms are closed forms in zeta: no table."""
+    import tauberlab.arith
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the prime-zeta family must not build a prime table")
+
+    monkeypatch.setattr(tauberlab.arith, "build_prime_table", refuse)
+    code, out, _ = run_cli(capsys, "special", "eval", "--fn", "pzeta", "--sigma", "2")
+    assert code == 0
+    assert json.loads(out)["re"] == pytest.approx(0.45224742004106549851, abs=1e-10)
+    code, _, _ = run_cli(capsys, "special", "eval", "--fn", "psip", "--sigma", "1.5", "--t", "2")
+    assert code == 0
+    code, _, _ = run_cli(capsys, "transform", "eval", "--source", "wprimes", "--sigma", "1.5", "--t", "0.3")
+    assert code == 0
 
 
 def test_primes_count_100(capsys, tmp_path):
@@ -260,7 +278,7 @@ def test_experiment_report_files(capsys, tmp_path):
     assert summary["consistent"] is True
     doc = json.loads(rep.read_text())
     assert doc["schema"] == "tauberlab/1"
-    assert doc["version"]
+    assert doc["version"] == tauberlab.__version__
     assert doc["config"]["order"] == 8
     ratio = tmp_path / "fwd.ratio.csv"
     assert ratio.exists()
@@ -284,4 +302,4 @@ def test_version_flag():
         capture_output=True, text=True,
     )
     assert r.returncode == 0
-    assert r.stdout.strip().startswith("tauberlab ")
+    assert r.stdout.strip() == f"tauberlab {tauberlab.__version__}"

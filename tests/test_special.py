@@ -85,16 +85,9 @@ def test_domain_and_tolerance_contracts():
         EvalTolerance(max_terms=10)
 
 
-def test_reflection_symmetry(small_table, rng):
+def test_reflection_symmetry(rng):
     """F(conj s) = conj F(s) for every operation in the module."""
-    ops = [
-        zeta,
-        zeta_deriv,
-        lambda s: prime_zeta(s, small_table),
-        lambda s: prime_zeta_deriv(s, small_table),
-        psi_entire,
-        lambda s: psi_prime_part(s, small_table),
-    ]
+    ops = [zeta, zeta_deriv, prime_zeta, prime_zeta_deriv, psi_entire, psi_prime_part]
     sigma = rng.uniform(1.0 + 1e-6, 3.0, size=100)
     t = rng.uniform(-50.0, 50.0, size=100)
     for op in ops:
@@ -104,14 +97,14 @@ def test_reflection_symmetry(small_table, rng):
         assert np.max(np.abs(b - np.conj(a))) < 1e-9
 
 
-def test_derivatives_match_central_differences(small_table, rng):
+def test_derivatives_match_central_differences(rng):
     h = 1e-5
     pts = rng.uniform(1.2, 3.0, size=50) + 1j * rng.uniform(-20.0, 20.0, size=50)
     dz = zeta_deriv(pts)
     fd = (zeta(pts + h) - zeta(pts - h)) / (2 * h)
     assert np.max(np.abs(dz - fd)) < 1e-6
-    dp = prime_zeta_deriv(pts, small_table)
-    fdp = (prime_zeta(pts + h, small_table) - prime_zeta(pts - h, small_table)) / (2 * h)
+    dp = prime_zeta_deriv(pts)
+    fdp = (prime_zeta(pts + h) - prime_zeta(pts - h)) / (2 * h)
     assert np.max(np.abs(dp - fdp)) < 1e-6
 
 
@@ -121,21 +114,21 @@ def test_prime_zeta_against_direct_sum(small_table, rng):
     for _ in range(10):
         s = complex(rng.uniform(3.0, 5.0), rng.uniform(-10, 10))
         direct = np.sum(primes ** (-s))
-        assert abs(prime_zeta(s, small_table) - direct) < 1e-10
+        assert abs(prime_zeta(s) - direct) < 1e-10
     # lower sigma: the brute sum is only good to its own integral tail bound
     s = 2.5 + 1.0j
     tail = 100_000 ** (1 - 2.5) / (2.5 - 1)  # sum_{n > X} n^-sigma, crude
-    assert abs(prime_zeta(s, small_table) - np.sum(primes ** (-s))) < tail + 1e-10
+    assert abs(prime_zeta(s) - np.sum(primes ** (-s))) < tail + 1e-10
 
 
-def test_log_euler_product_identity(small_table, rng):
+def test_log_euler_product_identity(rng):
     """log zeta(s) = sum_k prime_zeta(k s)/k, the module-level version."""
     for _ in range(20):
         s = complex(rng.uniform(1.5, 3.0), rng.uniform(-10, 10))
         total = 0.0 + 0.0j
         k = 1
         while True:
-            term = prime_zeta(k * s, small_table) / k
+            term = prime_zeta(k * s) / k
             total += term
             k += 1
             if abs(term) < 1e-13 and k > 3:
@@ -143,11 +136,11 @@ def test_log_euler_product_identity(small_table, rng):
         assert abs(np.log(zeta(s)) - total) < 1e-8
 
 
-def test_prime_zeta_pair_consistent(small_table):
+def test_prime_zeta_pair_consistent():
     s = 1.8 + 2.2j
-    v, d = prime_zeta_pair(s, small_table)
-    assert v == pytest.approx(prime_zeta(s, small_table), abs=1e-12)
-    assert d == pytest.approx(prime_zeta_deriv(s, small_table), abs=1e-12)
+    v, d = prime_zeta_pair(s)
+    assert v == pytest.approx(prime_zeta(s), abs=1e-12)
+    assert d == pytest.approx(prime_zeta_deriv(s), abs=1e-12)
 
 
 def test_psi_cancellation_safety():
@@ -166,10 +159,10 @@ def test_psi_away_from_pole_is_plain_subtraction():
     assert psi_entire(s) == pytest.approx(expect, abs=1e-12)
 
 
-def test_psi_prime_part_log_singularity(small_table):
+def test_psi_prime_part_log_singularity():
     """psi_P(1+eps) drifts like log eps: it is NOT entire, just log-regular."""
-    a = psi_prime_part(1.0 + 1e-2, small_table)
-    b = psi_prime_part(1.0 + 1e-3, small_table)
+    a = psi_prime_part(1.0 + 1e-2)
+    b = psi_prime_part(1.0 + 1e-3)
     assert (a - b).real == pytest.approx(0.0, abs=0.5)  # log-slow drift
     assert abs(a.imag) < 1e-12 and abs(b.imag) < 1e-12
 
@@ -235,7 +228,7 @@ def test_em_eval_matches_the_direct_powers(N, npts, rng):
     assert np.max(np.abs(der - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
 
 
-def test_prime_zeta_pair_runs_one_k1_zeta_batch(small_table, monkeypatch):
+def test_prime_zeta_pair_runs_one_k1_zeta_batch(monkeypatch):
     """The log branch and zeta'/zeta share the k = 1 Euler-Maclaurin batch."""
     s = np.array([1.05 + 0.5j, 1.05 + 3.0j, 1.2 - 7.0j])
     batches = []
@@ -246,7 +239,7 @@ def test_prime_zeta_pair_runs_one_k1_zeta_batch(small_table, monkeypatch):
         return em_eval(pts, N, want)
 
     monkeypatch.setattr(special, "_em_eval", counted)
-    prime_zeta_pair(s, small_table)
+    prime_zeta_pair(s)
     assert sum(np.array_equal(pts, s) for pts in batches) == 1
 
 

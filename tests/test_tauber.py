@@ -10,7 +10,6 @@ from tauberlab import transform as tr
 from tauberlab.errors import ContractError, DomainError, TableExhaustedError
 from tauberlab.operators import IntervalSpec
 from tauberlab.tauber import (
-    DEFAULT_LENGTH,
     battery_members,
     converse_experiment,
     forward_experiment,
@@ -102,7 +101,7 @@ def test_psi_diagonal_scales_linearly(eps):
 
 def test_witness_soundness_on_the_oscillating_source():
     S = tr.source_log_oscillation(0.5)
-    w = lower_bound_witness(S, 1.0, DEFAULT_LENGTH, 0.25, u_max=18.0)
+    w = lower_bound_witness(S, 1.0, 0.25, u_max=18.0)
     assert w is not None
     assert w.h_at_start >= w.threshold
     assert w.certified_min == pytest.approx(0.125)
@@ -114,14 +113,14 @@ def test_witness_soundness_on_the_oscillating_source():
 
 
 def test_witness_absent_when_the_limit_holds():
-    assert lower_bound_witness(tr.source_identity(), 1.0, DEFAULT_LENGTH, 0.25) is None
+    assert lower_bound_witness(tr.source_identity(), 1.0, 0.25) is None
 
 
 def test_witness_guards():
     with pytest.raises(ContractError):
-        lower_bound_witness(tr.source_identity(), 1.0, DEFAULT_LENGTH, -0.1)
+        lower_bound_witness(tr.source_identity(), 1.0, -0.1)
     with pytest.raises(ContractError):
-        lower_bound_witness(tr.source_identity(), -1.0, DEFAULT_LENGTH, 0.25)
+        lower_bound_witness(tr.source_identity(), -1.0, 0.25)
 
 
 # ---------------------------------------------------------------------------

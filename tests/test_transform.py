@@ -7,10 +7,9 @@ import pytest
 
 from tauberlab import transform as tr
 from tauberlab.arith import StepFunction
-from tauberlab.errors import ContractError, DomainError, PrecisionError
+from tauberlab.errors import DomainError, PrecisionError
 from tauberlab.special import EvalTolerance, psi_entire
 from tauberlab.transform import (
-    TransformSpec,
     quadrature_tail_bound,
     step_sum_tail_bound,
     transform_integers,
@@ -102,13 +101,13 @@ def test_linearity_of_the_transform(rng):
         assert abs(q) < 1e-9
 
 
-def test_weighted_primes_is_minus_the_derivative(small_table):
+def test_weighted_primes_is_minus_the_derivative():
     """Multiplying the source by u differentiates the transform in -s."""
     h = 1e-5
     for s0 in (2.0 + 0.5j, 1.8 - 2.0j, 2.5 + 0j):
-        fd = -(transform_primes(s0 + h, small_table) - transform_primes(s0 - h, small_table)) / (2 * h)
+        fd = -(transform_primes(s0 + h) - transform_primes(s0 - h)) / (2 * h)
         # G_w = (pzeta - s pzeta')/s^2 = -d/ds [pzeta/s]
-        assert abs(transform_weighted_primes(s0, small_table) - fd) < 1e-6
+        assert abs(transform_weighted_primes(s0) - fd) < 1e-6
 
 
 def test_quadrature_guards(small_table):
@@ -120,16 +119,3 @@ def test_quadrature_guards(small_table):
     with pytest.raises(PrecisionError) as ei:
         transform_quadrature(tr.source_integers(), 1.05 + 0j, U=10.0, tol=EvalTolerance(abs_tol=1e-10))
     assert "increase U" in str(ei.value)
-
-
-def test_transform_spec_dispatch(small_table):
-    s = 2.0 + 1.0j
-    spec = TransformSpec(tr.source_integers(), "closed_form_integers")
-    assert spec.evaluate(s) == pytest.approx(transform_integers(s), abs=1e-14)
-    jump = tr.source_single_jump()
-    spec2 = TransformSpec(jump, "step_sum")
-    assert spec2.evaluate(s) == pytest.approx(jump.laplace(s), abs=1e-12)
-    with pytest.raises(ContractError):
-        TransformSpec(tr.source_identity(), "step_sum")  # no backing step function
-    with pytest.raises(ContractError):
-        TransformSpec(tr.source_identity(), "nonsense")
