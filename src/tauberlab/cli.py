@@ -324,7 +324,7 @@ def _cmd_operator(args, cfg: RunConfig) -> int:
         _emit_sequence(vals, cfg, args.out, f"# tauberlab-diag v1, L={cfg.length!r}, eps={args.eps!r}, N={N}, source={S.label}, A={args.A!r}")
         return 0
     if args.route == "kernel":
-        W = assemble_kernel_route(S, I, args.eps, N, tol=cfg.tolerance())
+        W = assemble_kernel_route(S, I, args.eps, N)
     else:
         W = assemble_frequency_route(S, I, args.eps, N, tol=cfg.tolerance())
     if cmd == "assemble":

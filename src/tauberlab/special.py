@@ -22,17 +22,36 @@ this plan is cached per power of two, each N taking a prefix of the
 next one up, and also supplies the Moebius function and the small primes
 used below.
 
-prime zeta uses the Moebius-log identity  sum_k mu(k)/k * log zeta(ks).
-For k >= 2 the principal logarithm is provably the analytic branch
-(|zeta(ks) - 1| < 3/4 there).  For k = 1 it is certified by peeling small
-Euler factors: log zeta = -sum_{p<=P0} log(1 - p^{-s}) + Log(zeta * prod),
-where P0 is grown until the provable bound on |Im log| of the remaining
-product, namely log zeta(sigma) + sum_{p<=P0} log(1 - p^{-sigma}), falls
-under pi.  Near sigma = 1 (closer than ~1.0002) no feasible P0 certifies
-and the principal branch is used best-effort with a logged warning.
-When both P and P' are wanted (prime_zeta_pair), the log and zeta'/zeta
-at k = 1 share one zeta batch, truncated at the larger of the two N their
-tolerances need.
+prime zeta peels the primes p <= M off the Moebius-log identity
+sum_k mu(k)/k * log zeta(ks) (H. Cohen, "High precision computation of
+Hardy-Littlewood constants", 1998). With zeta_{>M}(w) = zeta(w) *
+prod_{p<=M} (1 - p^{-w}), whose log is sum_{p>M} -log(1 - p^{-w}),
+
+    P(s)  = sum_{p<=M} p^{-s} + sum_{k<=K} mu(k)/k * log zeta_{>M}(ks),
+    P'(s) = -sum_{p<=M} ln p p^{-s}
+            + sum_{k<=K} mu(k) [zeta'/zeta(ks) + sum_{p<=M} ln p p^{-ks}/(1 - p^{-ks})].
+
+One block of p^{-s} serves every k: p^{-ks} = (p^{-s})^k. M is the
+smallest of 100, 10^4, 10^5 that certifies the k = 1 logarithm:
+|Im log zeta_{>M}(s)| <= log zeta_{>M}(sigma) = log zeta(sigma) +
+sum_{p<=M} log(1 - p^{-sigma}), and below pi the principal log of
+zeta_{>M}(s) is the branch that is real on (1, oo). Closer to 1 than
+sigma ~ 1.0027 not even M = 10^5 certifies, and the principal branch is
+used best-effort with a logged warning. For k >= 2 the same bound is below
+0.02, so the principal log is the branch. The tail: for Re w >= sigma_w,
+with a = M + 1 and x0 = a^{-sigma_w},
+
+    |log zeta_{>M}(w)|      <= x0 (1 + a/(sigma_w - 1)) / (1 - x0),
+    |(log zeta_{>M})'(w)|   <= x0 (ln a + a (ln a/(sigma_w - 1)
+                                             + 1/(sigma_w - 1)^2)) / (1 - x0),
+
+of order (M+1)^{1-k sigma} at w = ks, and each term at most (M+1)^{-sigma}
+times the one before. K is the smallest order whose dropped terms sum
+below abs_tol/2 (P and P' each get their own K). At sigma = 1.05 and abs_tol
+1e-10, M = 100 leaves k = 1, 2, 3, 5, where the unpeeled 2^{-k sigma} tails
+needed 22 Moebius terms. When both P and P' are wanted (prime_zeta_pair),
+the log and zeta'/zeta at each k share one zeta batch, at k = 1 truncated
+at the larger of the two N their tolerances need.
 
 Near s = 1, psi switches to its Taylor form from the Stieltjes expansion
 of zeta; the constants below were computed once by a float128
@@ -81,6 +100,9 @@ _BERN = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
 _B10_OVER_FACT = 5.0 / 66.0 / 3628800.0
 
 _PSI_SERIES_RADIUS = 1e-3
+
+# peel caps M for the prime-zeta Moebius sum, smallest first (_peel_cap)
+_PEEL_CAPS = (100, 10_000, 100_000)
 
 
 @dataclass(frozen=True)
@@ -325,37 +347,72 @@ def _real_zeta(sigma: float) -> float:
     return float(v[0].real)
 
 
-def _log_zeta_certified(flat: np.ndarray, zval: np.ndarray, log_zeta_sig: float) -> np.ndarray:
-    """log zeta(s) on the analytic branch that is real on (1, oo).
+def _peel_cap(sig_min: float, log_zeta_sig: float) -> int:
+    """The smallest M in _PEEL_CAPS whose peeled k = 1 logarithm is certified.
 
-    zval holds zeta at flat and log_zeta_sig is log zeta(min Re s). Peels
-    Euler factors of primes <= P0, growing P0 until the remaining product
-    provably has |Im log| < pi so its principal log is the branch.
-    """
-    sig_min = float(np.min(flat.real))
-    for cap in (1, 100, 10_000, 100_000):
-        primes = _factor_plan(cap).primes if cap > 1 else np.empty(0, dtype=np.int64)
-        bound = log_zeta_sig + float(np.sum(np.log1p(-np.power(primes.astype(float), -sig_min))))
-        if bound < math.pi - 0.2:
-            break
+    |Im log zeta_{>M}(s)| <= log zeta_{>M}(sigma) = log zeta(sigma) +
+    sum_{p<=M} log(1 - p^{-sigma}), and under pi the principal log of
+    zeta_{>M}(s) is the branch that is real on (1, oo)."""
+    for M in _PEEL_CAPS:
+        primes = _factor_plan(M).primes.astype(float)
+        if log_zeta_sig + float(np.sum(np.log1p(-np.power(primes, -sig_min)))) < math.pi - 0.2:
+            return M
+    logger.warning(
+        "sigma = %.6g is too close to 1 to certify the logarithm branch; "
+        "using the principal branch best-effort",
+        sig_min,
+    )
+    return _PEEL_CAPS[-1]
+
+
+def _peeled_tail_bound(M: int, sigma: float, deriv: bool) -> float:
+    """Bound on |log zeta_{>M}(w)| (or on |d/dw log zeta_{>M}(w)| when deriv)
+    for Re w >= sigma > 1, with a = M + 1 and x0 = a^{-sigma}:
+
+        sum_{p>M} -log(1 - p^{-sigma})      <= x0 (1 + a/(sigma-1)) / (1 - x0),
+        sum_{p>M} ln p p^{-sigma}/(1 - p^{-sigma})
+            <= a^{-sigma} (ln a + a (ln a/(sigma-1) + 1/(sigma-1)^2)) / (1 - x0),
+
+    each sum over p > M bounded by the sum over all n > M, that by its first
+    term plus the integral from a (t^{-sigma} and ln t t^{-sigma} decrease
+    there, as sigma ln a > 1), and -log(1-x) <= x/(1-x0) for x <= x0."""
+    a = M + 1.0
+    x0 = a ** -sigma
+    if deriv:
+        la = math.log(a)
+        head = x0 * (la + a * (la / (sigma - 1.0) + 1.0 / (sigma - 1.0) ** 2))
     else:
-        logger.warning(
-            "sigma = %.6g is too close to 1 to certify the logarithm branch; "
-            "using the principal branch best-effort",
-            sig_min,
-        )
+        head = x0 * (1.0 + a / (sigma - 1.0))
+    return head / (1.0 - x0)
 
-    if primes.size == 0:
-        return np.log(zval)
-    factor_sum = np.zeros(flat.size, dtype=complex)
-    block = max(1, 4_000_000 // flat.size)
-    lnp = np.log(primes.astype(float))
+
+def _peel(flat: np.ndarray, primes: np.ndarray, ks: list, need_d: bool):
+    """Sums over the peeled primes p <= M, from one block x = p^{-s} and its
+    powers x^k = p^{-ks}: sum_p x and sum_p ln p x, then per k in ks the
+    product prod_p (1 - x^k) and (need_d) sum_p ln p x^k/(1 - x^k)."""
+    npts = flat.size
+    head = np.zeros(npts, dtype=complex)
+    head_d = np.zeros(npts, dtype=complex)
+    prod = np.ones((len(ks), npts), dtype=complex)
+    dlog = np.zeros((len(ks), npts), dtype=complex) if need_d else None
+    lnp_all = np.log(primes.astype(float))
+    block = max(1, 4_000_000 // npts)
     with np.errstate(under="ignore"):
-        for lo in range(0, primes.size, block):
-            chunk = lnp[lo : lo + block]
-            factor_sum += np.log1p(-np.exp(-np.multiply.outer(flat, chunk))).sum(axis=1)
-        peeled = zval * np.exp(factor_sum)
-    return np.log(peeled) - factor_sum
+        for lo in range(0, lnp_all.size, block):
+            lnp = lnp_all[lo : lo + block]
+            x = np.exp(-np.multiply.outer(lnp, flat))
+            head += x.sum(axis=0)
+            head_d += lnp @ x
+            xk, k_at = x, 1
+            for i, k in enumerate(ks):
+                for _ in range(k - k_at):
+                    xk = xk * x
+                k_at = k
+                one_minus = 1.0 - xk
+                prod[i] *= one_minus.prod(axis=0)
+                if need_d:
+                    dlog[i] += lnp @ (xk / one_minus)
+    return head, head_d, prod, dlog
 
 
 def _prime_zeta_core(flat: np.ndarray, tol: EvalTolerance, want: str):
@@ -366,28 +423,34 @@ def _prime_zeta_core(flat: np.ndarray, tol: EvalTolerance, want: str):
     sig_min = float(np.min(flat.real))
     need_v = want in ("value", "both")
     need_d = want in ("deriv", "both")
-
-    def tail(k: int, deriv: bool) -> float:
-        """Bound on the terms j >= k: |log zeta(js)|/j <= (3/j) 2^{-j sigma}, and
-        |zeta'(js)/zeta(js)| <= 3 2^{-j sigma} with no 1/j (js >= 2)."""
-        return 3.0 * 2.0 ** (-k * sig_min) / ((1 if deriv else k) * (1.0 - 2.0 ** (-sig_min)))
+    zeta_sig, zeta_2sig = _real_zeta(sig_min), _real_zeta(2.0 * sig_min)
+    M = _peel_cap(sig_min, math.log(zeta_sig))
 
     def truncation(deriv: bool) -> int:
-        """The K whose dropped terms k > K sum below abs_tol/2."""
+        """The K whose dropped terms k > K sum below abs_tol/2: the k-th term
+        is below _peeled_tail_bound(M, k sigma)/k (no 1/k for zeta'/zeta),
+        and each term is at most (M+1)^{-sigma} times the one before, so the
+        dropped terms sum to at most the first over 1 - (M+1)^{-sigma}."""
+        geometric = 1.0 - (M + 1.0) ** -sig_min
         K = 1
-        while tail(K + 1, deriv) >= abs_tol / 2.0 and K < 512:
+        while (
+            _peeled_tail_bound(M, (K + 1) * sig_min, deriv) / ((1 if deriv else K + 1) * geometric)
+            >= abs_tol / 2.0
+            and K < 512
+        ):
             K += 1
         return K
 
     K_v = truncation(False)
     K = truncation(True) if need_d else K_v
     mu = _factor_plan(K).mu
-    val = np.zeros(flat.size, dtype=complex) if need_v else None
-    der = np.zeros(flat.size, dtype=complex) if need_d else None
+    ks = [k for k in range(1, K + 1) if mu[k] != 0]
+    head, head_d, prod, dlog = _peel(flat, _factor_plan(M).primes, ks, need_d)
+    val = head if need_v else None
+    der = -head_d if need_d else None
 
-    # k = 1: one zeta batch serves the branch-certified log and the
-    # logarithmic derivative, at the larger of the truncations they need
-    zeta_sig, zeta_2sig = _real_zeta(sig_min), _real_zeta(2.0 * sig_min)
+    # k = 1: one zeta batch serves the certified log and the logarithmic
+    # derivative, at the larger of the truncations they need
     N1 = []
     if need_v:
         inv_zeta_bound = zeta_sig / zeta_2sig
@@ -398,24 +461,18 @@ def _prime_zeta_core(flat: np.ndarray, tol: EvalTolerance, want: str):
         zd_mag = -_zeta_deriv_real(sig_min)
         inner_d = max(min(abs_tol * zmag_low / (3.0 * (1.0 + zd_mag / zmag_low)), 1e-5), 1e-15)
         N1.append(_batch_N(flat, inner_d, tol.max_terms, deriv=True))
-    zv, zd = _em_eval(flat, max(N1), "both" if need_d else "value")
-    if need_v:
-        val += _log_zeta_certified(flat, zv, math.log(zeta_sig))
-    if need_d:
-        der += zd / zv
-
     inner = EvalTolerance(max(abs_tol / (8.0 * K), 1e-15), tol.max_terms)
-    for k in range(2, K + 1):
-        if mu[k] == 0:
-            continue
-        if need_d:
-            zv, zd = _zeta_core(k * flat, inner, "both", tight=True)
-            der += mu[k] * (zd / zv)
-            if need_v and k <= K_v:
-                val += (mu[k] / k) * np.log(zv)
+    for i, k in enumerate(ks):
+        if k == 1:
+            zv, zd = _em_eval(flat, max(N1), "both" if need_d else "value")
         else:
-            zv, _ = _zeta_core(k * flat, inner, "value", tight=True)
-            val += (mu[k] / k) * np.log(zv)
+            zv, zd = _zeta_core(k * flat, inner, "both" if need_d else "value", tight=True)
+        # zeta_{>M}(ks) = zeta(ks) prod_{p<=M} (1 - p^{-ks}); its principal
+        # log is the analytic branch (certified at k = 1, |log| < 0.02 at k >= 2)
+        if need_v and k <= K_v:
+            val += (mu[k] / k) * np.log(zv * prod[i])
+        if need_d:
+            der += mu[k] * (zd / zv + dlog[i])
     return val, der
 
 
@@ -427,8 +484,8 @@ def _zeta_deriv_real(sigma: float) -> float:
 def prime_zeta(s, tol: Optional[EvalTolerance] = None):
     """Prime zeta P(s) = sum over primes of p^{-s}, Re(s) > 1.
 
-    Computed from log zeta via Moebius inversion; the small primes peeled
-    for branch certification come from a cached sieve.
+    Computed from the Moebius-log identity with the primes p <= M peeled
+    (module docstring); the peeled primes come from a cached sieve.
     """
     tol = tol or DEFAULT_TOL
     flat, scalar, shape = _prep(s)

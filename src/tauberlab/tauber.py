@@ -69,7 +69,9 @@ DIAG_THRESHOLD = 0.02
 RATIO_THRESHOLD = 0.05
 SPECTRAL_EPS = 0.05
 SPECTRAL_TOP = 20
-PNT_ORDER = 72  # A* = 1.0972 here, 0.003 inside the 1.1 bound; it drifts down as N grows
+# The order-n diagonal at eps = 0 reads g near u = 2 pi n / L, and a 1e8 table
+# freezes g past u = ln(1e8); at L = 8 pi, 72 sits under N_max = L ln(1e8)/(2 pi) = 73.7.
+PNT_ORDER = 72
 
 
 @dataclass

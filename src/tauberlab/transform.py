@@ -59,7 +59,7 @@ __all__ = [
 ]
 
 _STEP_RESOLVE_CAP = 200_000.0  # resolve jumps exactly up to this x
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_GL16 = np.polynomial.legendre.leggauss(16)
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +169,14 @@ def quadrature_tail_bound(S: GrowthFunction, s, U: float):
     return bound.reshape(shape)
 
 
-def _gl_nodes_on(edges: np.ndarray):
-    """Node/weight arrays of 16-point Gauss-Legendre on each panel between edges."""
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    xs = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    ws = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
+def _gl_nodes_on(lo: np.ndarray, hi: np.ndarray, rule=_GL16):
+    """Node/weight arrays of a Gauss-Legendre rule (nodes, weights on [-1, 1];
+    16 points unless given) on each panel [lo[i], hi[i]]."""
+    nodes, weights = rule
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    xs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    ws = (half[:, None] * weights[None, :]).ravel()
     return xs, ws
 
 
@@ -247,7 +249,8 @@ def transform_quadrature(
     if gl_lo < U:
         span = U - gl_lo
         n_panels = panels if panels is not None else max(1, int(math.ceil(span / 0.25)))
-        us, ws = _gl_nodes_on(np.linspace(gl_lo, U, n_panels + 1))
+        edges = np.linspace(gl_lo, U, n_panels + 1)
+        us, ws = _gl_nodes_on(edges[:-1], edges[1:])
         fv = S.fn(np.exp(us)) * ws
         block = max(1, 4_000_000 // max(us.size, 1))
         with np.errstate(under="ignore"):

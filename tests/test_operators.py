@@ -251,6 +251,43 @@ def test_grid_edges_match_the_per_segment_linspace(case, small_table):
         assert np.array_equal(edges, _grid_edges_per_segment(S, L, N, X, panels))
 
 
+def _all_16_node_rule(S, L, edges):
+    """Reference: 16 Gauss-Legendre nodes on every panel."""
+    return tr._gl_nodes_on(edges[:-1], edges[1:])
+
+
+def test_narrow_panel_rule_matches_the_16_node_oracle(small_table, monkeypatch):
+    """4 nodes on the narrow panels between resolved prime jumps against 16
+    on every panel: weighted primes, L = 8 pi, N = 72, the eps = 0 diagonals
+    and the eps = 0.05 frequency route."""
+    S = tr.source_primes_weighted(small_table)
+    I, N = IntervalSpec(8.0 * math.pi), 72
+    edges = operators._grid_edges(S, I.length, N, math.pi * N + operators._EPS0_X_PAD, None)
+    xs, _ = operators._route_nodes(S, I.length, edges)
+    assert xs.size < 8 * (edges.size - 1)  # most panels take the 4-point rule
+    diag = diagonal_sequence(S, I, 0.0, 1.0, N)
+    W = assemble_frequency_route(S, I, 0.05, N)
+    monkeypatch.setattr(operators, "_route_nodes", _all_16_node_rule)
+    assert np.max(np.abs(diag - diagonal_sequence(S, I, 0.0, 1.0, N))) <= 1e-13
+    assert np.max(np.abs(W.entries - assemble_frequency_route(S, I, 0.05, N).entries)) <= 1e-13
+
+
+def test_battery_grids_have_no_narrow_panel():
+    """The eps = 0 diagonal grid and the eps = 0.05 spectral-route grid of
+    every battery member keep 16 nodes on every panel, so run_battery does
+    not depend on the narrow-panel rule."""
+    from tauberlab.tauber import DEFAULT_LENGTH, DEFAULT_ORDER, SPECTRAL_EPS, battery_members
+
+    L, N = DEFAULT_LENGTH, DEFAULT_ORDER
+    for S, *_ in battery_members():
+        for X in (
+            math.pi * N + operators._EPS0_X_PAD,
+            operators._cutoff_damped(S.growth_constant, SPECTRAL_EPS, L, N, 1e-10),
+        ):
+            edges = operators._grid_edges(S, L, N, X, None)
+            assert np.min(np.diff(edges)) >= operators._NARROW_PANEL, S.label
+
+
 # ---------------------------------------------------------------------------
 # structural invariants
 # ---------------------------------------------------------------------------

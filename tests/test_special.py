@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from tauberlab import special
+from tauberlab import special, transform
 from tauberlab.errors import ContractError, DomainError
 from tauberlab.special import (
     EvalTolerance,
@@ -256,3 +256,65 @@ def test_factor_plan_against_trial_division():
     for j, (r, p, c) in enumerate(plan.layers):
         assert np.array_equal(r, p * c)
         assert np.isin(c, plan.layers[j - 1][0] if j else [1]).all()
+
+
+# sigma in [1.001, 1.5], |t| <= 40, one point per (sigma, t) stratum
+_ORACLE_POINTS = [
+    complex(1.001, 0.5),
+    complex(1.001, -37.0),
+    complex(1.01, 12.3),
+    complex(1.05, -25.0),
+    complex(1.1, 40.0),
+    complex(1.2, 3.3),
+    complex(1.35, -8.8),
+    complex(1.5, 31.4),
+]
+
+
+@pytest.mark.parametrize("s", _ORACLE_POINTS)
+def test_zeta_family_against_mpmath(s):
+    """zeta, zeta', P and P' (alone and from prime_zeta_pair) against 30-digit
+    mpmath at abs 1e-10. P' is sum_k mu(k) zeta'(ks)/zeta(ks), stopped once
+    2^{-k sigma} < 1e-16 (each dropped term is below 3 2^{-k sigma})."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        z = mpmath.mpc(s.real, s.imag)
+        ref_z = complex(mpmath.zeta(z))
+        ref_zd = complex(mpmath.zeta(z, derivative=1))
+        ref_p = complex(mpmath.primezeta(z))
+        ref_pd = mpmath.mpf(0)
+        k = 1
+        while 2.0 ** (-k * s.real) >= 1e-16:
+            if _mobius(k):
+                ref_pd += _mobius(k) * mpmath.zeta(k * z, derivative=1) / mpmath.zeta(k * z)
+            k += 1
+        ref_pd = complex(ref_pd)
+    p, pd = prime_zeta_pair(s)
+    assert abs(zeta(s) - ref_z) <= 1e-10
+    assert abs(zeta_deriv(s) - ref_zd) <= 1e-10
+    assert abs(prime_zeta(s) - ref_p) <= 1e-10
+    assert abs(p - ref_p) <= 1e-10
+    assert abs(pd - ref_pd) <= 1e-10
+
+
+def test_prime_zeta_pair_on_the_pnt_kernel_points_runs_few_zeta_batches(monkeypatch):
+    """With the primes p <= M peeled from the Moebius sum, P and P' on the
+    8,048 kernel-route points of the pnt run (sigma = 1.05, eps = 0.05,
+    L = 8 pi, N = 72) take at most six Euler-Maclaurin batches on the point
+    array: the k = 1 batch and a few squarefree k >= 2. Without the peel the
+    2^{-k sigma} tails need 22 Moebius terms."""
+    L = 8.0 * math.pi
+    edges = np.linspace(0.0, L, int(math.ceil(L / 0.05)) + 1)
+    xs, _ = transform._gl_nodes_on(edges[:-1], edges[1:])
+    s = 1.05 + 1j * xs
+    assert s.size == 8048
+    sizes = []
+    em_eval = special._em_eval
+
+    def counted(pts, N, want):
+        sizes.append(pts.size)
+        return em_eval(pts, N, want)
+
+    monkeypatch.setattr(special, "_em_eval", counted)
+    prime_zeta_pair(s)
+    assert 2 <= sizes.count(s.size) <= 6
