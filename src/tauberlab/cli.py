@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 from . import __version__
 from .errors import ConfigError, ContractError, TauberlabError
@@ -31,6 +31,7 @@ _CONFIG_KEYS = ("cache_dir", "prime_limit", "length", "order", "abs_tol", "max_t
 class RunConfig:
     """Tool-wide knobs; field names double as the config-file keys."""
 
+    explicit: ClassVar[frozenset] = frozenset()  # keys a file or flag set; not a field
     cache_dir: Optional[str] = None
     prime_limit: int = 100_000_000
     length: float = 8.0 * math.pi
@@ -89,6 +90,7 @@ def load_config(path: Optional[str]) -> RunConfig:
                 setattr(cfg, key, float(value))
             else:
                 setattr(cfg, key, value)
+            cfg.explicit |= {key}
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return cfg.validate()
@@ -174,16 +176,10 @@ _SOURCE_NAMES = ("linear", "integers", "wprimes", "sqrt_mix", "log_osc", "single
 
 
 def _overlay(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "cache_dir", None) is not None:
-        cfg.cache_dir = args.cache_dir
-    if getattr(args, "prime_limit", None) is not None:
-        cfg.prime_limit = args.prime_limit
-    if getattr(args, "format", None) is not None:
-        cfg.format = args.format
-    if getattr(args, "length", None) is not None:
-        cfg.length = args.length
-    if getattr(args, "order", None) is not None:
-        cfg.order = args.order
+    for key in ("cache_dir", "prime_limit", "format", "length", "order"):
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
+            cfg.explicit |= {key}
     return cfg.validate()
 
 
@@ -354,12 +350,11 @@ def _cmd_experiment(args, cfg: RunConfig) -> int:
         _emit({"all_equivalent": bat.all_equivalent, "equivalence": bat.equivalence})
         return 0
     if cmd == "pnt":
-        kwargs = {"L": cfg.length} if args.length is not None else {}
-        if args.order is not None:
-            kwargs["N"] = cfg.order
-        if u_max is not None:
-            kwargs["u_max"] = u_max
-        rep = tb.pnt_pipeline(_table(cfg), **kwargs)
+        N = cfg.order if "order" in cfg.explicit else tb.PNT_ORDER
+        rep = tb.pnt_pipeline(
+            _table(cfg), L=cfg.length, N=N,
+            **({"u_max": u_max} if u_max is not None else {}),
+        )
     elif cmd == "forward":
         S = _source(args.source, cfg)
         rep = tb.forward_experiment(

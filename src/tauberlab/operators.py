@@ -307,11 +307,11 @@ def _cutoff_damped(C: float, eps: float, L: float, N: int, target: float) -> flo
     return X
 
 
-def _grid_edges(S: GrowthFunction, L: float, N: int, X: float, panels: Optional[int]):
+def _grid_edges(S: GrowthFunction, L: float, N: int, X: float):
     """Panel edges on [0, X]: jump-aligned, lobe-refined, growing in the tail."""
     half = L / 2.0
     lobe_end = math.pi * (N + 3)
-    base_w = X / panels if panels else min(0.1, math.pi / L) * half
+    base_w = min(0.1, math.pi / L) * half  # at most pi/2, under the tail's width cap 2
     fine_w = base_w / 4.0
 
     cuts = [0.0]
@@ -330,7 +330,7 @@ def _grid_edges(S: GrowthFunction, L: float, N: int, X: float, panels: Optional[
     # np.linspace(a, b, k + 1)[1:]
     cuts = np.asarray(cuts)
     a, b = cuts[:-1], cuts[1:]
-    width = np.where(a < lobe_end, fine_w, min(base_w, 2.0))
+    width = np.where(a < lobe_end, fine_w, base_w)
     k = np.maximum(1, np.ceil((b - a) / width).astype(np.int64))
     seg = np.repeat(np.arange(k.size), k)
     ends = np.cumsum(k)
@@ -444,16 +444,24 @@ def _windowed_integrals(
     L: float,
     eps: float,
     N: int,
-    X: float,
-    panels: Optional[int],
+    tol: Optional[EvalTolerance],
     shift: float,
     want_F: bool,
 ):
-    """F(k) (when want_F) and D(k), k = 0..N, of mt - shift on the route grid up to X.
+    """F(k) (when want_F) and D(k), k = 0..N, of mt - shift on the route grid.
 
-    At eps = 0 the part beyond X is added in closed form, with mt frozen at
-    its value at X: a log term for F and _tail_T for D."""
-    xs, ws = _route_nodes(S, L, _grid_edges(S, L, N, X, panels))
+    The grid ends at the cutoff X. For eps > 0, X is where the damped tail
+    bound C e^{-2 eps X/L} / (pi (X - pi N)) meets a tenth of tol.abs_tol
+    (abs_tol 1e-9 without tol), C the growth constant (_cutoff_damped). At
+    eps = 0, X = pi N + _EPS0_X_PAD and the part beyond X is added in closed
+    form, with mt frozen at its value at X: a log term for F and _tail_T
+    for D."""
+    if eps > 0.0:
+        target = (tol.abs_tol if tol else 1e-9) * 0.1
+        X = _cutoff_damped(S.growth_constant, eps, L, N, target)
+    else:
+        X = math.pi * N + _EPS0_X_PAD
+    xs, ws = _route_nodes(S, L, _grid_edges(S, L, N, X))
     vals = _source_values(S, L, eps, xs) - shift
     F, D = _half_line_integrals(xs, ws * vals, N, want_F)
     if eps == 0.0:
@@ -471,48 +479,20 @@ def assemble_frequency_route(
     I: IntervalSpec,
     eps: float,
     N: int,
-    U: Optional[float] = None,
-    panels: Optional[int] = None,
     tol: Optional[EvalTolerance] = None,
 ) -> OperatorTruncation:
     """Matrix truncation from the frequency-side integrals F(k), D(n).
 
     eps = 0 is allowed here (bounded g keeps every entry absolutely
-    convergent through the Fejer window); the cutoff is then
-    pi N + 500 with integration-by-parts tail corrections. For eps > 0 the
-    cutoff comes from the exponential damping. Passing U overrides the
-    cutoff (x = U L/2) and raises PrecisionError if its tail bound exceeds
-    the tolerance."""
+    convergent through the Fejer window). _windowed_integrals sets the
+    cutoff: for eps > 0 from the exponential damping, at a tenth of
+    tol.abs_tol (of 1e-9 without tol); for eps = 0 at pi N + _EPS0_X_PAD,
+    with integration-by-parts tail corrections."""
     if eps < 0.0:
         raise DomainError("eps must be >= 0 on the frequency route")
     if not (0 <= N <= _MAX_ORDER):
         raise ContractError(f"order N must lie in [0, {_MAX_ORDER}]")
-    target = (tol.abs_tol if tol else 1e-9) * 0.1
-    L = I.length
-    C = S.growth_constant
-    if U is not None:
-        X = U * L / 2.0
-        if eps > 0.0:
-            est = C * math.exp(-eps * U) / (math.pi * max(X - math.pi * N, 1.0))
-        else:
-            est = C / (math.pi * max(X - math.pi * N, 1.0))
-        if tol is not None and est > tol.abs_tol:
-            X_need = (
-                _cutoff_damped(C, eps, L, N, tol.abs_tol * 0.1)
-                if eps > 0.0
-                else math.pi * N + _EPS0_X_PAD
-            )
-            raise PrecisionError(
-                f"frequency tail bound {est:.3g} beyond U = {U:g} exceeds "
-                f"{tol.abs_tol:.3g}; increase U to about {2.0 * X_need / L:.1f}",
-                achieved=est,
-            )
-    elif eps > 0.0:
-        X = _cutoff_damped(C, eps, L, N, target)
-    else:
-        X = math.pi * N + _EPS0_X_PAD
-
-    F, D = _windowed_integrals(S, L, eps, N, X, panels, 0.0, want_F=True)
+    F, D = _windowed_integrals(S, I.length, eps, N, tol, 0.0, want_F=True)
     return OperatorTruncation(
         interval=I,
         epsilon=eps,
@@ -536,19 +516,14 @@ def diagonal_sequence(
 
     At eps = 0 the integrand is h(u) = g(|u|) - A directly; at eps > 0 the
     damped g is integrated and A subtracted exactly (the Fejer window has
-    unit mass). Diagonals are even in n."""
+    unit mass). Diagonals are even in n. The grid and its cutoff are those
+    of assemble_frequency_route at order n_max."""
     if eps < 0.0:
         raise DomainError("eps must be >= 0")
     if n_max < 0:
         raise ContractError("n_max must be >= 0")
-    L = I.length
-    if eps > 0.0:
-        target = (tol.abs_tol if tol else 1e-9) * 0.1
-        X = _cutoff_damped(S.growth_constant, eps, L, n_max, target)
-    else:
-        X = math.pi * n_max + _EPS0_X_PAD
     shift = A if eps == 0.0 else 0.0
-    _, D = _windowed_integrals(S, L, eps, n_max, X, None, shift, want_F=False)
+    _, D = _windowed_integrals(S, I.length, eps, n_max, tol, shift, want_F=False)
     return D / math.pi - (A - shift)
 
 

@@ -160,11 +160,11 @@ def _band(N: int) -> tuple:
     return (N - N // 2, N)
 
 
-def _ratio_grid(S: GrowthFunction, u_max: float, points: int = 40) -> np.ndarray:
-    """Log-spaced e^u grid ending at u_max (clipped into evaluable range)."""
+def _ratio_grid(S: GrowthFunction, u_max: float) -> np.ndarray:
+    """40-point log-spaced e^u grid ending at u_max (clipped into evaluable range)."""
     top = min(u_max, S.u_cap)
     lo = min(math.log(1e3), 0.5 * top)
-    return np.linspace(lo, top, points)
+    return np.linspace(lo, top, 40)
 
 
 def _ratio_table(S: GrowthFunction, grid: np.ndarray) -> np.ndarray:
@@ -218,17 +218,16 @@ def _experiment_report(
     eps_schedule: Sequence[float],
     diag_threshold: float,
     ratio_threshold: float,
-    eps_spectral: float,
     spectral_route: str,
 ) -> ExperimentReport:
     """What both directions share once A and the diagonal of W - A Id are
-    known: the spectral tail of W - A Id at eps_spectral, the ratio table,
+    known: the spectral tail of W - A Id at SPECTRAL_EPS, the ratio table,
     its window [0.8 u_max, u_max] and the verdicts."""
     I = IntervalSpec(L)
     if spectral_route == "kernel":
-        W = assemble_kernel_route(S, I, eps_spectral, N)
+        W = assemble_kernel_route(S, I, SPECTRAL_EPS, N)
     else:
-        W = assemble_frequency_route(S, I, eps_spectral, N)
+        W = assemble_frequency_route(S, I, SPECTRAL_EPS, N)
     grid = _ratio_grid(S, u_max)
     report = ExperimentReport(
         source=S.label,
@@ -240,7 +239,7 @@ def _experiment_report(
         diagonal=diag,
         band=_band(N),
         spectral_tail=_spectral_tail(split_identity(W, A)),
-        eps_spectral=eps_spectral,
+        eps_spectral=SPECTRAL_EPS,
         ratio_u=grid,
         ratio_g=_ratio_table(S, grid),
         ratio_window=(0.8 * u_max, u_max),
@@ -258,14 +257,14 @@ def forward_experiment(
     L: float = DEFAULT_LENGTH,
     N: int = DEFAULT_ORDER,
     u_max: float = 18.0,
-    diag_threshold: float = DIAG_THRESHOLD,
-    ratio_threshold: float = RATIO_THRESHOLD,
-    eps_spectral: float = SPECTRAL_EPS,
 ) -> ExperimentReport:
     """Known-limit direction: declared A, test that Psi diagonals decay.
 
     Preconditions: A declared (or readable off the source) and roughly
-    consistent with the data, |g(u_max) - A| < 0.1."""
+    consistent with the data, |g(u_max) - A| < 0.1. The verdicts use
+    DIAG_THRESHOLD and RATIO_THRESHOLD, the spectral tail is taken at
+    SPECTRAL_EPS on the frequency route, and the report's eps schedule
+    records the two eps in use, [0, SPECTRAL_EPS]."""
     if A is None:
         A = S.ratio_limit_A
     if A is None:
@@ -281,8 +280,8 @@ def forward_experiment(
         )
     diag = diagonal_sequence(S, IntervalSpec(L), 0.0, A, N)
     return _experiment_report(
-        S, L, N, u_max, A, "declared", diag, [0.0, eps_spectral],
-        diag_threshold, ratio_threshold, eps_spectral, "frequency",
+        S, L, N, u_max, A, "declared", diag, [0.0, SPECTRAL_EPS],
+        DIAG_THRESHOLD, RATIO_THRESHOLD, "frequency",
     )
 
 
@@ -290,26 +289,26 @@ def converse_experiment(
     S: GrowthFunction,
     L: float = DEFAULT_LENGTH,
     N: int = DEFAULT_ORDER,
-    eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE,
     u_max: float = 18.0,
     diag_threshold: float = DIAG_THRESHOLD,
     ratio_threshold: float = RATIO_THRESHOLD,
-    eps_spectral: float = SPECTRAL_EPS,
     spectral_route: str = "frequency",
 ) -> ExperimentReport:
     """Estimate A from the diagonals, then test the ratio limit against it.
 
     A* minimizes the worst high-band |<(W - a Id) e_n, e_n>| over
     a in [0, 2C]; the diagonal is taken in the eps -> 0 limit, which is
-    where the split is read off. consistent = diag_decay AND ratio_limit."""
+    where the split is read off. consistent = diag_decay AND ratio_limit.
+    The spectral tail is taken at SPECTRAL_EPS on spectral_route, and the
+    report records DEFAULT_EPS_SCHEDULE as its eps schedule."""
     if u_max > S.u_cap:
         raise DomainError(f"u_max = {u_max:g} beyond evaluable range {S.u_cap:g}")
     diag_W = diagonal_sequence(S, IntervalSpec(L), 0.0, 0.0, N)
     lo, hi = _band(N)
     a_star = _golden_minimax(diag_W, lo, hi, 2.0 * S.growth_constant)
     return _experiment_report(
-        S, L, N, u_max, a_star, "golden_section_minimax", diag_W - a_star, eps_schedule,
-        diag_threshold, ratio_threshold, eps_spectral, spectral_route,
+        S, L, N, u_max, a_star, "golden_section_minimax", diag_W - a_star,
+        DEFAULT_EPS_SCHEDULE, diag_threshold, ratio_threshold, spectral_route,
     )
 
 
@@ -329,9 +328,8 @@ def lower_bound_witness(
     A: float,
     eps_threshold: float,
     u_max: float = 18.0,
-    step: float = 0.01,
 ) -> Optional[WitnessWindow]:
-    """First u with h(u) >= threshold, certified on a forward window.
+    """First u on the 0.01-step grid with h(u) >= threshold, certified on a forward window.
 
     Because S is non-decreasing, g(u + d) >= g(u) e^{-d}, hence
     h(u + d) >= (h(u) + A) e^{-d} - A; the window length is chosen so the
@@ -343,7 +341,7 @@ def lower_bound_witness(
         raise ContractError("A must be finite and non-negative")
     if u_max > S.u_cap:
         raise DomainError(f"u_max = {u_max:g} beyond evaluable range {S.u_cap:g}")
-    grid = np.arange(0.0, u_max, step)
+    grid = np.arange(0.0, u_max, 0.01)
     h = np.asarray(S.g(grid), dtype=float) - A
     hits = np.flatnonzero(h >= eps_threshold)
     if hits.size == 0:

@@ -184,16 +184,14 @@ def transform_quadrature(
     S: GrowthFunction,
     s,
     U: float = 18.0,
-    panels: Optional[int] = None,
     tol: Optional[EvalTolerance] = None,
 ):
     """Brute-force G(s) by integrating S(e^u) e^{-su} over [0, U].
 
     Sources that declare breakpoints are assumed piecewise constant between
     them; the region up to x = min(e^U, 2e5) is integrated exactly piece by
-    piece and Gauss-Legendre handles the rest. `panels` controls the
-    Gauss-Legendre subdivision (default: equal panels of width <= 0.25).
-    The dropped tail beyond U is NOT added to the result; its certified
+    piece, and 16-point Gauss-Legendre on equal panels of width at most
+    0.25 handles the rest. The dropped tail beyond U is NOT added to the result; its certified
     bound comes from quadrature_tail_bound and is checked against tol when
     one is passed."""
     flat, scalar, shape = _prep(s)
@@ -247,9 +245,7 @@ def transform_quadrature(
             gl_lo = u_res
 
     if gl_lo < U:
-        span = U - gl_lo
-        n_panels = panels if panels is not None else max(1, int(math.ceil(span / 0.25)))
-        edges = np.linspace(gl_lo, U, n_panels + 1)
+        edges = np.linspace(gl_lo, U, max(1, math.ceil((U - gl_lo) / 0.25)) + 1)
         us, ws = _gl_nodes_on(edges[:-1], edges[1:])
         fv = S.fn(np.exp(us)) * ws
         block = max(1, 4_000_000 // max(us.size, 1))

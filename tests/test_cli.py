@@ -127,6 +127,22 @@ def test_pnt_on_an_insufficient_cache(capsys, tmp_path):
     assert doc["code"] == "table-exhausted"
 
 
+def test_pnt_takes_length_and_order_from_the_config_file(capsys, tmp_path):
+    conf = tmp_path / "pnt.conf"
+    conf.write_text("length = 12.566370614359172\norder = 40\n")
+    report = tmp_path / "pnt.json"
+    code, _, _ = run_cli(
+        capsys,
+        "--cache-dir", str(tmp_path), "--prime-limit", "30000", "--config", str(conf),
+        "experiment", "pnt", "--umax", "10", "--report", str(report),
+    )
+    assert code == 0
+    doc = json.loads(report.read_text())
+    assert doc["report"]["length"] == 12.566370614359172
+    assert doc["report"]["order"] == 40
+    assert doc["config"]["order"] == 40
+
+
 # ---------------------------------------------------------------------------
 # exit-code taxonomy
 # ---------------------------------------------------------------------------

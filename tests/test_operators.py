@@ -21,7 +21,7 @@ from tauberlab.operators import (
     split_identity,
     weak_limit_diagnostic,
 )
-from tauberlab.special import psi_entire
+from tauberlab.special import EvalTolerance, psi_entire
 
 L2PI = IntervalSpec(2.0 * math.pi)
 
@@ -197,15 +197,15 @@ def test_half_line_integrals_match_the_sinc_form():
         assert F0 is None and np.array_equal(D0, D)
 
 
-def _grid_edges_per_segment(S, L, N, X, panels):
+def _grid_edges_per_segment(S, L, N, X):
     """Reference: the grid built one np.linspace call per segment."""
     half = L / 2.0
     lobe_end = math.pi * (N + 3)
-    base_w = X / panels if panels else min(0.1, math.pi / L) * half
+    base_w = min(0.1, math.pi / L) * half
     fine_w = base_w / 4.0
 
     def subdivide(a, b, out):
-        width = fine_w if a < lobe_end else min(base_w, 2.0)
+        width = fine_w if a < lobe_end else base_w
         k = max(1, int(math.ceil((b - a) / width)))
         out.extend(np.linspace(a, b, k + 1)[1:].tolist())
 
@@ -238,7 +238,7 @@ def test_grid_edges_match_the_per_segment_linspace(case, small_table):
         "weighted_primes": (
             tr.source_primes_weighted(small_table), 8.0 * math.pi, 72, 72 * math.pi + 500.0
         ),
-        # the eps > 0 cutoff; 40 panels make the first tail width exceed the 2.0 cap
+        # the eps > 0 cutoff
         "damped": (
             tr.source_sqrt_mix(2.0, 1.0),
             8.0 * math.pi,
@@ -246,9 +246,7 @@ def test_grid_edges_match_the_per_segment_linspace(case, small_table):
             operators._cutoff_damped(3.0, 0.05, 8.0 * math.pi, 72, 1e-11),
         ),
     }[case]
-    for panels in (None, 4000) + ((40,) if case == "damped" else ()):
-        edges = operators._grid_edges(S, L, N, X, panels)
-        assert np.array_equal(edges, _grid_edges_per_segment(S, L, N, X, panels))
+    assert np.array_equal(operators._grid_edges(S, L, N, X), _grid_edges_per_segment(S, L, N, X))
 
 
 def _all_16_node_rule(S, L, edges):
@@ -262,7 +260,7 @@ def test_narrow_panel_rule_matches_the_16_node_oracle(small_table, monkeypatch):
     and the eps = 0.05 frequency route."""
     S = tr.source_primes_weighted(small_table)
     I, N = IntervalSpec(8.0 * math.pi), 72
-    edges = operators._grid_edges(S, I.length, N, math.pi * N + operators._EPS0_X_PAD, None)
+    edges = operators._grid_edges(S, I.length, N, math.pi * N + operators._EPS0_X_PAD)
     xs, _ = operators._route_nodes(S, I.length, edges)
     assert xs.size < 8 * (edges.size - 1)  # most panels take the 4-point rule
     diag = diagonal_sequence(S, I, 0.0, 1.0, N)
@@ -284,7 +282,7 @@ def test_battery_grids_have_no_narrow_panel():
             math.pi * N + operators._EPS0_X_PAD,
             operators._cutoff_damped(S.growth_constant, SPECTRAL_EPS, L, N, 1e-10),
         ):
-            edges = operators._grid_edges(S, L, N, X, None)
+            edges = operators._grid_edges(S, L, N, X)
             assert np.min(np.diff(edges)) >= operators._NARROW_PANEL, S.label
 
 
@@ -334,10 +332,15 @@ def test_poisson_split_at_matrix_level():
 
 
 def test_diagonal_sequence_matches_assembly():
-    S = tr.source_integers()
-    ds = diagonal_sequence(S, L2PI, 0.1, 0.0, 8)
-    W = assemble_frequency_route(S, L2PI, 0.1, 8)
-    assert np.max(np.abs(ds - W.diagonal()[8:])) < 1e-9
+    """Both entry points read one grid with one cutoff, so the diagonals
+    agree exactly, with and without a tolerance."""
+    from tauberlab.tauber import battery_members
+
+    for S in [tr.source_integers()] + [m[0] for m in battery_members()]:
+        for tol in (None, EvalTolerance(1e-6)):
+            ds = diagonal_sequence(S, L2PI, 0.1, 0.0, 8, tol=tol)
+            W = assemble_frequency_route(S, L2PI, 0.1, 8, tol=tol)
+            assert np.array_equal(ds, W.diagonal()[8:]), (S.label, tol)
 
 
 def test_diagonal_limit_against_direct_quadrature():
