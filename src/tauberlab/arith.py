@@ -17,6 +17,7 @@ machine.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 import os
@@ -216,8 +217,22 @@ class PrimeTable:
 
 
 # ---------------------------------------------------------------------------
-# atomic writes and the prime cache file
+# report dicts, atomic writes and the prime cache file
 # ---------------------------------------------------------------------------
+
+
+def _fields_dict(report) -> dict:
+    """A dataclass report as JSON-ready values, one key per field: arrays
+    and tuples become lists, everything else is kept as it is."""
+    out = {}
+    for f in dataclasses.fields(report):
+        v = getattr(report, f.name)
+        if isinstance(v, np.ndarray):
+            v = v.tolist()
+        elif isinstance(v, (list, tuple)):
+            v = list(v)
+        out[f.name] = v
+    return out
 
 
 def _atomic_write(path: Path, data) -> None:

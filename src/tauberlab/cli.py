@@ -24,9 +24,6 @@ from typing import ClassVar, Optional
 from . import __version__
 from .errors import ConfigError, ContractError, TauberlabError
 
-_CONFIG_KEYS = ("cache_dir", "prime_limit", "length", "order", "abs_tol", "max_terms", "format")
-
-
 @dataclass
 class RunConfig:
     """Tool-wide knobs; field names double as the config-file keys."""
@@ -65,10 +62,14 @@ class RunConfig:
 
 
 def load_config(path: Optional[str]) -> RunConfig:
-    """Defaults overlaid by the flat key-value file (if given)."""
+    """Defaults overlaid by the flat key-value file (if given).
+
+    The keys are RunConfig's fields; each value is converted with the type of
+    the field's default, and a field whose default is None keeps the string."""
     cfg = RunConfig()
     if path is None:
         return cfg.validate()
+    defaults = cfg.as_dict()
     try:
         text = open(path).read()
     except OSError as exc:
@@ -81,19 +82,46 @@ def load_config(path: Optional[str]) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in defaults:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        default = defaults[key]
         try:
-            if key in ("prime_limit", "order", "max_terms"):
-                setattr(cfg, key, int(value))
-            elif key in ("length", "abs_tol"):
-                setattr(cfg, key, float(value))
-            else:
-                setattr(cfg, key, value)
+            setattr(cfg, key, value if default is None else type(default)(value))
             cfg.explicit |= {key}
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return cfg.validate()
+
+
+# `special eval --fn` name -> evaluator of tauberlab.special
+_SPECIAL_FNS = {
+    "zeta": "zeta",
+    "zetad": "zeta_deriv",
+    "pzeta": "prime_zeta",
+    "pzetad": "prime_zeta_deriv",
+    "psi": "psi_entire",
+    "psip": "psi_prime_part",
+}
+
+# `transform eval --source` name -> G(transform module, s, tol, args)
+_TRANSFORMS = {
+    "integers": lambda tr, s, tol, args: tr.transform_integers(s, tol),
+    "primes": lambda tr, s, tol, args: tr.transform_primes(s, tol),
+    "wprimes": lambda tr, s, tol, args: tr.transform_weighted_primes(s, tol),
+    "file": lambda tr, s, tol, args: tr.transform_step_sum(_load_step_file(args.file), s, tol=tol),
+}
+
+# catalog source name (operator and experiment --source) -> factory(transform module, cfg)
+_SOURCES = {
+    "linear": lambda tr, cfg: tr.source_identity(),
+    "integers": lambda tr, cfg: tr.source_integers(),
+    "wprimes": lambda tr, cfg: tr.source_primes_weighted(_table(cfg)),
+    "sqrt_mix": lambda tr, cfg: tr.source_sqrt_mix(1.0, 1.0),
+    "log_osc": lambda tr, cfg: tr.source_log_oscillation(0.5),
+    "single_jump": lambda tr, cfg: tr.source_single_jump(),
+    "slow": lambda tr, cfg: tr.source_slow_approach(),
+}
+_SOURCE_HELP = "one of: " + ", ".join(_SOURCES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,30 +145,35 @@ def _shared_flags(p: argparse.ArgumentParser, suppress: bool = False) -> None:
 
 
 def _build_parser() -> _Parser:
+    """The command tree; each leaf names its handler in args.run, which a
+    bare group or an empty command line leaves unset."""
     shared = argparse.ArgumentParser(add_help=False)
     _shared_flags(shared, suppress=True)
     p = _Parser(prog="tauberlab", description="Numerical laboratory for ratio limits, transforms, and truncated convolution operators.")
     _shared_flags(p)
     p.add_argument("--version", action="version", version=f"tauberlab {__version__}")
+    # the dest names the group in argparse's invalid-choice message
     sub = p.add_subparsers(dest="command", parser_class=_Parser)
 
-    def leaf(parent, name, **kw):
-        return parent.add_parser(name, parents=[shared], **kw)
+    def leaf(parent, name, run, **kw):
+        lp = parent.add_parser(name, parents=[shared], **kw)
+        lp.set_defaults(run=run)
+        return lp
 
-    sp = leaf(sub, "primes", help="prime counting against the cached table")
+    sp = leaf(sub, "primes", _cmd_primes, help="prime counting against the cached table")
     sp.add_argument("--count", type=float, required=True, metavar="X", help="count primes <= X")
 
     sp = sub.add_parser("special", help="zeta-family special functions")
     ssub = sp.add_subparsers(dest="special_command", parser_class=_Parser)
-    se = leaf(ssub, "eval", help="evaluate one function at s = sigma + it")
-    se.add_argument("--fn", required=True, choices=["zeta", "zetad", "pzeta", "pzetad", "psi", "psip"])
+    se = leaf(ssub, "eval", _cmd_special, help="evaluate one function at s = sigma + it")
+    se.add_argument("--fn", required=True, choices=list(_SPECIAL_FNS))
     se.add_argument("--sigma", type=float, required=True)
     se.add_argument("--t", type=float, default=0.0)
 
     sp = sub.add_parser("transform", help="Laplace-type transforms of counting functions")
     tsub = sp.add_subparsers(dest="transform_command", parser_class=_Parser)
-    te = leaf(tsub, "eval", help="evaluate a transform at s = sigma + it")
-    te.add_argument("--source", required=True, choices=["integers", "primes", "wprimes", "file"])
+    te = leaf(tsub, "eval", _cmd_transform, help="evaluate a transform at s = sigma + it")
+    te.add_argument("--source", required=True, choices=list(_TRANSFORMS))
     te.add_argument("--file", help="step function as CSV lines x_j,a_j (for --source file)")
     te.add_argument("--sigma", type=float, required=True)
     te.add_argument("--t", type=float, default=0.0)
@@ -148,8 +181,8 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("operator", help="assemble truncations, diagonals, spectra")
     osub = sp.add_subparsers(dest="operator_command", parser_class=_Parser)
     for name, hlp in (("assemble", "full matrix"), ("diag", "diagonal sequence"), ("spectrum", "eigenvalues")):
-        op = leaf(osub, name, help=hlp)
-        op.add_argument("--source", required=True, help="one of: " + ", ".join(_SOURCE_NAMES))
+        op = leaf(osub, name, _cmd_operator, help=hlp)
+        op.add_argument("--source", required=True, help=_SOURCE_HELP)
         op.add_argument("--length", type=float, help="interval length L")
         op.add_argument("--eps", type=float, required=True)
         op.add_argument("--order", type=int, help="truncation order N")
@@ -162,9 +195,9 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("experiment", help="theorem-level experiments")
     esub = sp.add_subparsers(dest="experiment_command", parser_class=_Parser)
     for name in ("forward", "converse", "pnt", "battery"):
-        ep = leaf(esub, name)
+        ep = leaf(esub, name, _cmd_experiment)
         if name in ("forward", "converse"):
-            ep.add_argument("--source", required=True, help="one of: " + ", ".join(_SOURCE_NAMES))
+            ep.add_argument("--source", required=True, help=_SOURCE_HELP)
         ep.add_argument("--length", type=float)
         ep.add_argument("--order", type=int)
         ep.add_argument("--umax", type=float)
@@ -172,11 +205,9 @@ def _build_parser() -> _Parser:
     return p
 
 
-_SOURCE_NAMES = ("linear", "integers", "wprimes", "sqrt_mix", "log_osc", "single_jump", "slow")
-
-
 def _overlay(cfg: RunConfig, args) -> RunConfig:
-    for key in ("cache_dir", "prime_limit", "format", "length", "order"):
+    """The RunConfig fields a command-line flag set, over cfg."""
+    for key in cfg.as_dict():
         if getattr(args, key, None) is not None:
             setattr(cfg, key, getattr(args, key))
             cfg.explicit |= {key}
@@ -190,23 +221,11 @@ def _table(cfg: RunConfig):
 
 
 def _source(name: str, cfg: RunConfig):
-    from . import transform as tr
+    from . import transform
 
-    if name == "linear":
-        return tr.source_identity()
-    if name == "integers":
-        return tr.source_integers()
-    if name == "wprimes":
-        return tr.source_primes_weighted(_table(cfg))
-    if name == "sqrt_mix":
-        return tr.source_sqrt_mix(1.0, 1.0)
-    if name == "log_osc":
-        return tr.source_log_oscillation(0.5)
-    if name == "single_jump":
-        return tr.source_single_jump()
-    if name == "slow":
-        return tr.source_slow_approach()
-    raise ContractError(f"unknown source {name!r}; expected one of: " + ", ".join(_SOURCE_NAMES))
+    if name not in _SOURCES:
+        raise ContractError(f"unknown source {name!r}; expected {_SOURCE_HELP}")
+    return _SOURCES[name](transform, cfg)
 
 
 def _emit(obj) -> None:
@@ -236,27 +255,17 @@ def _cmd_primes(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_special(args, cfg: RunConfig) -> int:
-    from . import special as sp
-
-    s = complex(args.sigma, args.t)
+def _emit_value(args, cfg: RunConfig, f) -> int:
     tol = cfg.tolerance()
-    fn = args.fn
-    if fn == "zeta":
-        val = sp.zeta(s, tol)
-    elif fn == "zetad":
-        val = sp.zeta_deriv(s, tol)
-    elif fn == "pzeta":
-        val = sp.prime_zeta(s, tol)
-    elif fn == "pzetad":
-        val = sp.prime_zeta_deriv(s, tol)
-    elif fn == "psi":
-        val = sp.psi_entire(s, tol)
-    else:
-        val = sp.psi_prime_part(s, tol)
-    val = complex(val)
+    val = complex(f(complex(args.sigma, args.t), tol))
     _emit({"re": val.real, "im": val.imag, "est_error": tol.abs_tol})
     return 0
+
+
+def _cmd_special(args, cfg: RunConfig) -> int:
+    from . import special
+
+    return _emit_value(args, cfg, getattr(special, _SPECIAL_FNS[args.fn]))
 
 
 def _load_step_file(path: str):
@@ -284,22 +293,9 @@ def _load_step_file(path: str):
 
 
 def _cmd_transform(args, cfg: RunConfig) -> int:
-    from . import transform as tr
+    from . import transform
 
-    s = complex(args.sigma, args.t)
-    tol = cfg.tolerance()
-    if args.source == "integers":
-        val = tr.transform_integers(s, tol)
-    elif args.source == "primes":
-        val = tr.transform_primes(s, tol)
-    elif args.source == "wprimes":
-        val = tr.transform_weighted_primes(s, tol)
-    else:
-        step = _load_step_file(args.file)
-        val = tr.transform_step_sum(step, s, tol=tol)
-    val = complex(val)
-    _emit({"re": val.real, "im": val.imag, "est_error": tol.abs_tol})
-    return 0
+    return _emit_value(args, cfg, lambda s, tol: _TRANSFORMS[args.source](transform, s, tol, args))
 
 
 def _cmd_operator(args, cfg: RunConfig) -> int:
@@ -342,7 +338,7 @@ def _cmd_experiment(args, cfg: RunConfig) -> int:
     from . import tauber as tb
 
     cmd = args.experiment_command
-    u_max = args.umax
+    kw = {} if args.umax is None else {"u_max": args.umax}
     if cmd == "battery":
         bat = tb.run_battery(L=cfg.length, N=cfg.order)
         if args.report:
@@ -351,22 +347,12 @@ def _cmd_experiment(args, cfg: RunConfig) -> int:
         return 0
     if cmd == "pnt":
         N = cfg.order if "order" in cfg.explicit else tb.PNT_ORDER
-        rep = tb.pnt_pipeline(
-            _table(cfg), L=cfg.length, N=N,
-            **({"u_max": u_max} if u_max is not None else {}),
-        )
+        rep = tb.pnt_pipeline(_table(cfg), L=cfg.length, N=N, **kw)
     elif cmd == "forward":
         S = _source(args.source, cfg)
-        rep = tb.forward_experiment(
-            S, S.ratio_limit_A, L=cfg.length, N=cfg.order,
-            **({"u_max": u_max} if u_max is not None else {}),
-        )
+        rep = tb.forward_experiment(S, S.ratio_limit_A, L=cfg.length, N=cfg.order, **kw)
     else:
-        S = _source(args.source, cfg)
-        rep = tb.converse_experiment(
-            S, L=cfg.length, N=cfg.order,
-            **({"u_max": u_max} if u_max is not None else {}),
-        )
+        rep = tb.converse_experiment(_source(args.source, cfg), L=cfg.length, N=cfg.order, **kw)
     if args.report:
         rep.save_json(args.report, extra=_report_extra(cfg))
         stem = args.report[:-5] if args.report.endswith(".json") else args.report
@@ -393,35 +379,11 @@ def main(argv=None) -> int:
             return 1
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.jobs)
-    if args.command is None:
+    if getattr(args, "run", None) is None:  # no command, or a bare group
         parser.print_usage(sys.stderr)
         return 64
     try:
-        cfg = _overlay(load_config(args.config), args)
-        if args.command == "primes":
-            return _cmd_primes(args, cfg)
-        if args.command == "special":
-            if args.special_command != "eval":
-                parser.print_usage(sys.stderr)
-                return 64
-            return _cmd_special(args, cfg)
-        if args.command == "transform":
-            if args.transform_command != "eval":
-                parser.print_usage(sys.stderr)
-                return 64
-            return _cmd_transform(args, cfg)
-        if args.command == "operator":
-            if args.operator_command is None:
-                parser.print_usage(sys.stderr)
-                return 64
-            return _cmd_operator(args, cfg)
-        if args.command == "experiment":
-            if args.experiment_command is None:
-                parser.print_usage(sys.stderr)
-                return 64
-            return _cmd_experiment(args, cfg)
-        parser.print_usage(sys.stderr)
-        return 64
+        return args.run(args, _overlay(load_config(args.config), args))
     except TauberlabError as exc:
         print(json.dumps({"code": exc.code, "message": str(exc)}), file=sys.stderr)
         return exc.exit_code

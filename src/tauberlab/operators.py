@@ -80,7 +80,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import GrowthFunction, _atomic_write
+from .arith import GrowthFunction, _atomic_write, _fields_dict
 from .errors import ContractError, DomainError, PrecisionError
 from .special import EvalTolerance
 from .transform import _STEP_RESOLVE_CAP, _gl_nodes_on, transform_quadrature
@@ -364,28 +364,14 @@ def _route_nodes(S: GrowthFunction, L: float, edges: np.ndarray):
 def _source_values(S: GrowthFunction, L: float, eps: float, xs: np.ndarray) -> np.ndarray:
     """mt(x) = g_eff(2x/L) e^{-2 eps x/L} on the grid nodes.
 
-    g_eff is the exact ratio up to the jump-resolution point, the declared
-    between-jump mean beyond it (when available), and frozen at u_cap past
-    the evaluable range."""
-    half = L / 2.0
-    u = xs / half
-    u_res = _resolve_u(S)
-    g = np.empty_like(u)
-    if S.breakpoints_in is None:
-        g = np.asarray(S.g_clipped(u), dtype=float)
-    else:
-        exact = u <= u_res
-        if np.any(exact):
-            g[exact] = S.g(u[exact])
-        rest = ~exact
-        if np.any(rest):
-            ur = u[rest]
-            if S.g_smooth is not None:
-                g[rest] = np.asarray(
-                    S.g_smooth(np.maximum(ur, S.smooth_from_u)), dtype=float
-                )
-            else:
-                g[rest] = np.asarray(S.g_clipped(ur), dtype=float)
+    g_eff is the ratio g, frozen at u_cap past the evaluable range, except
+    that a source declaring a between-jump mean takes that mean past the
+    jump-resolution point."""
+    u = xs / (L / 2.0)
+    g = np.asarray(S.g_clipped(u), dtype=float)
+    if S.g_smooth is not None:
+        rest = u > _resolve_u(S)
+        g[rest] = S.g_smooth(np.maximum(u[rest], S.smooth_from_u))
     if eps > 0.0:
         return g * np.exp(-eps * u)
     return g
@@ -573,16 +559,7 @@ class WeakLimitReport:
     final_diagonal: np.ndarray = field(repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "length": self.length,
-            "order": self.order,
-            "schedule": list(self.schedule),
-            "deltas": self.deltas.tolist(),
-            "ratios": self.ratios.tolist(),
-            "cauchy": bool(self.cauchy),
-            "final_diagonal": self.final_diagonal.tolist(),
-        }
+        return _fields_dict(self)
 
 
 def weak_limit_diagnostic(

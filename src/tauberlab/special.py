@@ -49,9 +49,11 @@ of order (M+1)^{1-k sigma} at w = ks, and each term at most (M+1)^{-sigma}
 times the one before. K is the smallest order whose dropped terms sum
 below abs_tol/2 (P and P' each get their own K). At sigma = 1.05 and abs_tol
 1e-10, M = 100 leaves k = 1, 2, 3, 5, where the unpeeled 2^{-k sigma} tails
-needed 22 Moebius terms. When both P and P' are wanted (prime_zeta_pair),
-the log and zeta'/zeta at each k share one zeta batch, at k = 1 truncated
-at the larger of the two N their tolerances need.
+needed 22 Moebius terms. The sum runs in two modes: P alone (prime_zeta,
+psi_prime_part), or P and P' together (prime_zeta_pair, whose P' is
+prime_zeta_deriv). In the second the log and zeta'/zeta at each k share one
+zeta batch; at k = 1 it is truncated where the zeta'/zeta tolerance needs,
+which also meets the tolerance of the log (_k1_tolerances).
 
 Near s = 1, psi switches to its Taylor form from the Stieltjes expansion
 of zeta; the constants below were computed once by a float128
@@ -160,17 +162,22 @@ def _remainder_bound(sig_pow: float, sig_prod: float, t: float, N: int) -> float
     return _B10_OVER_FACT * prod * last * N ** (-(sig_pow + 9.0))
 
 
-def _choose_N(sig_min, sig_max, t_max, abs_tol, max_terms, deriv=False, tight=False):
-    """Smallest truncation N = max(10, ceil|t|+10) * 2^j meeting the bound.
+def _choose_N(flat: np.ndarray, abs_tol, max_terms, deriv=False, tight=False):
+    """Smallest truncation N = max(10, ceil|t|+10) * 2^j whose remainder bound
+    meets abs_tol at every point of the batch: the bound is taken at the
+    smallest sigma (the N power), the largest sigma and the largest |t| (the
+    products). deriv=True bounds the derivative's remainder instead, through
+    the Cauchy circle of radius 1/2 around each s.
 
     tight=True starts the doubling search at N = 10 instead; used for the
     interior Moebius terms where sigma >= 2 makes tiny N sufficient even at
     large |t|, so the default |t|-proportional rule would waste terms.
     """
+    sig_min, sig_max = float(np.min(flat.real)), float(np.max(flat.real))
+    t_max = float(np.max(np.abs(flat.imag)))
 
     def bound(n):
         if deriv:
-            # Cauchy circle of radius 1/2 around each s
             return 2.0 * _remainder_bound(sig_min - 0.5, sig_max + 0.5, t_max + 0.5, n)
         return _remainder_bound(sig_min, sig_max, t_max, n)
 
@@ -304,20 +311,11 @@ def _em_eval(s: np.ndarray, N: int, want: str):
     return val, der
 
 
-def _batch_N(flat: np.ndarray, abs_tol: float, max_terms: int, deriv: bool, tight: bool = False) -> int:
-    """_choose_N over the sigma range and the largest |t| of a batch."""
-    sig = flat.real
-    t_max = float(np.max(np.abs(flat.imag)))
-    return _choose_N(
-        float(np.min(sig)), float(np.max(sig)), t_max, abs_tol, max_terms, deriv=deriv, tight=tight
-    )
-
-
 def _zeta_core(flat: np.ndarray, tol: EvalTolerance, want: str, tight: bool = False):
     if flat.size == 0:
         empty = np.empty(0, dtype=complex)
         return empty, empty
-    N = _batch_N(flat, tol.abs_tol, tol.max_terms, want != "value", tight)
+    N = _choose_N(flat, tol.abs_tol, tol.max_terms, want != "value", tight)
     return _em_eval(flat, N, want)
 
 
@@ -416,18 +414,33 @@ def _peel(flat: np.ndarray, primes: np.ndarray, ks: list, need_d: bool):
     return head, head_d, prod, dlog
 
 
-def _prime_zeta_core(flat: np.ndarray, tol: EvalTolerance, want: str):
+def _k1_tolerances(abs_tol: float, zeta_sig: float, zeta_2sig: float, zeta_d_sig: float) -> tuple:
+    """Inner tolerances (inner_v, inner_d) of the k = 1 zeta batch, for the
+    log zeta term of P and the zeta'/zeta term of P', each held to abs_tol/3.
+    On Re s = sigma, |zeta(s)| >= zeta(2 sigma)/zeta(sigma) and |zeta'(s)|
+    <= -zeta'(sigma), so an error d in zeta and in zeta' moves log zeta by
+    at most d zeta(sigma)/zeta(2 sigma), and zeta'/zeta, to first order, by
+    at most d (1 + |zeta'|/|zeta|)/|zeta|. Both lie in [1e-15, 1e-5], and
+    inner_d <= inner_v."""
+    inv_zeta_bound = zeta_sig / zeta_2sig
+    inner_v = max(min(abs_tol / (3.0 * inv_zeta_bound), 1e-5), 1e-15)
+    zmag_low = zeta_2sig / zeta_sig
+    zd_mag = -zeta_d_sig
+    inner_d = max(min(abs_tol * zmag_low / (3.0 * (1.0 + zd_mag / zmag_low)), 1e-5), 1e-15)
+    return inner_v, inner_d
+
+
+def _prime_zeta_core(flat: np.ndarray, tol: EvalTolerance, deriv: bool):
+    """(P, P') on a batch, P' None unless deriv (module docstring)."""
     if flat.size == 0:
         empty = np.empty(0, dtype=complex)
         return empty, empty
     abs_tol = tol.abs_tol
     sig_min = float(np.min(flat.real))
-    need_v = want in ("value", "both")
-    need_d = want in ("deriv", "both")
     zeta_sig, zeta_2sig, zeta_d_sig = _real_zeta_triple(sig_min)
     M = _peel_cap(sig_min, math.log(zeta_sig))
 
-    def truncation(deriv: bool) -> int:
+    def truncation(of_deriv: bool) -> int:
         """The K whose dropped terms k > K sum below abs_tol/2: the k-th term
         is below _peeled_tail_bound(M, k sigma)/k (no 1/k for zeta'/zeta),
         and each term is at most (M+1)^{-sigma} times the one before, so the
@@ -435,7 +448,7 @@ def _prime_zeta_core(flat: np.ndarray, tol: EvalTolerance, want: str):
         geometric = 1.0 - (M + 1.0) ** -sig_min
         K = 1
         while (
-            _peeled_tail_bound(M, (K + 1) * sig_min, deriv) / ((1 if deriv else K + 1) * geometric)
+            _peeled_tail_bound(M, (K + 1) * sig_min, of_deriv) / ((1 if of_deriv else K + 1) * geometric)
             >= abs_tol / 2.0
             and K < 512
         ):
@@ -443,36 +456,27 @@ def _prime_zeta_core(flat: np.ndarray, tol: EvalTolerance, want: str):
         return K
 
     K_v = truncation(False)
-    K = truncation(True) if need_d else K_v
+    K = truncation(True) if deriv else K_v
     mu = _factor_plan(K).mu
     ks = [k for k in range(1, K + 1) if mu[k] != 0]
-    head, head_d, prod, dlog = _peel(flat, _factor_plan(M).primes, ks, need_d)
-    val = head if need_v else None
-    der = -head_d if need_d else None
+    val, head_d, prod, dlog = _peel(flat, _factor_plan(M).primes, ks, deriv)
+    der = -head_d if deriv else None
+    want = "both" if deriv else "value"
 
-    # k = 1: one zeta batch serves the certified log and the logarithmic
-    # derivative, at the larger of the truncations they need
-    N1 = []
-    if need_v:
-        inv_zeta_bound = zeta_sig / zeta_2sig
-        inner_v = max(min(abs_tol / (3.0 * inv_zeta_bound), 1e-5), 1e-15)
-        N1.append(_batch_N(flat, inner_v, tol.max_terms, deriv=False))
-    if need_d:
-        zmag_low = zeta_2sig / zeta_sig
-        zd_mag = -zeta_d_sig
-        inner_d = max(min(abs_tol * zmag_low / (3.0 * (1.0 + zd_mag / zmag_low)), 1e-5), 1e-15)
-        N1.append(_batch_N(flat, inner_d, tol.max_terms, deriv=True))
+    # One k = 1 batch serves the log and zeta'/zeta at the zeta'/zeta
+    # tolerance: inner_d <= inner_v, the Cauchy-circle bound is at least the
+    # value bound at equal N, and both searches start at the same N, so the
+    # N that meets inner_d also meets inner_v.
+    inner_v, inner_d = _k1_tolerances(abs_tol, zeta_sig, zeta_2sig, zeta_d_sig)
+    tol_1 = EvalTolerance(inner_d if deriv else inner_v, tol.max_terms)
     inner = EvalTolerance(max(abs_tol / (8.0 * K), 1e-15), tol.max_terms)
     for i, k in enumerate(ks):
-        if k == 1:
-            zv, zd = _em_eval(flat, max(N1), "both" if need_d else "value")
-        else:
-            zv, zd = _zeta_core(k * flat, inner, "both" if need_d else "value", tight=True)
+        zv, zd = _zeta_core(k * flat, tol_1 if k == 1 else inner, want, tight=k > 1)
         # zeta_{>M}(ks) = zeta(ks) prod_{p<=M} (1 - p^{-ks}); its principal
         # log is the analytic branch (certified at k = 1, |log| < 0.02 at k >= 2)
-        if need_v and k <= K_v:
+        if k <= K_v:
             val += (mu[k] / k) * np.log(zv * prod[i])
-        if need_d:
+        if deriv:
             der += mu[k] * (zd / zv + dlog[i])
     return val, der
 
@@ -485,23 +489,21 @@ def prime_zeta(s, tol: Optional[EvalTolerance] = None):
     """
     tol = tol or DEFAULT_TOL
     flat, scalar, shape = _prep(s)
-    val, _ = _prime_zeta_core(flat, tol, "value")
+    val, _ = _prime_zeta_core(flat, tol, False)
     return _restore(val, scalar, shape)
 
 
 def prime_zeta_deriv(s, tol: Optional[EvalTolerance] = None):
-    """P'(s) = sum_k mu(k) * zeta'(ks)/zeta(ks), Re(s) > 1."""
-    tol = tol or DEFAULT_TOL
-    flat, scalar, shape = _prep(s)
-    _, der = _prime_zeta_core(flat, tol, "deriv")
-    return _restore(der, scalar, shape)
+    """P'(s) = sum_k mu(k) * zeta'(ks)/zeta(ks), Re(s) > 1; the P' of
+    prime_zeta_pair."""
+    return prime_zeta_pair(s, tol)[1]
 
 
 def prime_zeta_pair(s, tol: Optional[EvalTolerance] = None):
     """(P(s), P'(s)) sharing the zeta evaluations between the two sums."""
     tol = tol or DEFAULT_TOL
     flat, scalar, shape = _prep(s)
-    val, der = _prime_zeta_core(flat, tol, "both")
+    val, der = _prime_zeta_core(flat, tol, True)
     return _restore(val, scalar, shape), _restore(der, scalar, shape)
 
 
@@ -536,6 +538,6 @@ def psi_prime_part(s, tol: Optional[EvalTolerance] = None):
     """psi_P(s) = P(s)/s + log(s-1), principal log (Re(s-1) > 0)."""
     tol = tol or DEFAULT_TOL
     flat, scalar, shape = _prep(s)
-    val, _ = _prime_zeta_core(flat, tol, "value")
+    val, _ = _prime_zeta_core(flat, tol, False)
     out = val / flat + np.log(flat - 1.0)
     return _restore(out, scalar, shape)

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .arith import GrowthFunction, PrimeTable, _atomic_write
+from .arith import GrowthFunction, PrimeTable, _atomic_write, _fields_dict
 from .errors import ContractError, DomainError, TableExhaustedError
 from .operators import (
     IntervalSpec,
@@ -72,6 +72,8 @@ SPECTRAL_TOP = 20
 # The order-n diagonal at eps = 0 reads g near u = 2 pi n / L, and a 1e8 table
 # freezes g past u = ln(1e8); at L = 8 pi, 72 sits under N_max = L ln(1e8)/(2 pi) = 73.7.
 PNT_ORDER = 72
+# the ExperimentReport fields its JSON nests under "verdicts"
+_VERDICTS = ("diag_decay", "ratio_limit", "consistent")
 
 
 @dataclass
@@ -107,7 +109,7 @@ class ExperimentReport:
         sel = (self.ratio_u >= u_lo) & (self.ratio_u <= u_hi)
         dev = np.abs(self.ratio_g[sel] - self.A_estimate)
         ratio = bool(dev.size and float(dev.max()) < self.ratio_threshold)
-        return {"diag_decay": decay, "ratio_limit": ratio, "consistent": decay and ratio}
+        return dict(zip(_VERDICTS, (decay, ratio, decay and ratio)))
 
     def band_max(self) -> float:
         lo, hi = self.band
@@ -118,29 +120,9 @@ class ExperimentReport:
         return float(self.ratio_g[i])
 
     def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "length": self.length,
-            "order": self.order,
-            "eps_schedule": list(self.eps_schedule),
-            "A_estimate": self.A_estimate,
-            "A_method": self.A_method,
-            "diagonal": self.diagonal.tolist(),
-            "band": list(self.band),
-            "spectral_tail": self.spectral_tail.tolist(),
-            "eps_spectral": self.eps_spectral,
-            "ratio_u": self.ratio_u.tolist(),
-            "ratio_g": self.ratio_g.tolist(),
-            "ratio_window": list(self.ratio_window),
-            "diag_threshold": self.diag_threshold,
-            "ratio_threshold": self.ratio_threshold,
-            "u_max": self.u_max,
-            "verdicts": {
-                "diag_decay": self.diag_decay,
-                "ratio_limit": self.ratio_limit,
-                "consistent": self.consistent,
-            },
-        }
+        d = _fields_dict(self)
+        d["verdicts"] = {k: d.pop(k) for k in _VERDICTS}
+        return d
 
     def save_json(self, path, extra: Optional[dict] = None) -> None:
         doc = {"schema": "tauberlab/1", **(extra or {}), "report": self.to_dict()}
@@ -202,9 +184,8 @@ def _spectral_tail(psi) -> np.ndarray:
 
 def _set_verdicts(report: ExperimentReport) -> None:
     """Store the verdicts re-derived from the report's own arrays."""
-    v = report.recompute_verdicts()
-    report.diag_decay, report.ratio_limit = v["diag_decay"], v["ratio_limit"]
-    report.consistent = v["consistent"]
+    for k, v in report.recompute_verdicts().items():
+        setattr(report, k, v)
 
 
 def _experiment_report(

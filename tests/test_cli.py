@@ -1,5 +1,6 @@
 """Command-line behavior: dispatch, config precedence, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import tauberlab
+from tauberlab import cli
 from tauberlab.cli import RunConfig, load_config, main
 from tauberlab.errors import ConfigError
 
@@ -44,6 +46,26 @@ def test_config_file_overlay(tmp_path):
     assert cfg.length == 6.5
     assert cfg.format == "csv"
     assert cfg.order == 64  # untouched default
+
+
+def test_config_file_sets_every_key(tmp_path):
+    """Each RunConfig field is a config key, read with its default's type."""
+    expect = {
+        "cache_dir": str(tmp_path / "cache"),
+        "prime_limit": 5000,
+        "length": 6.5,
+        "order": 12,
+        "abs_tol": 1e-8,
+        "max_terms": 5000,
+        "format": "csv",
+    }
+    assert set(expect) == {f.name for f in dataclasses.fields(RunConfig)}
+    p = tmp_path / "all.conf"
+    p.write_text("".join(f"{k} = {v}\n" for k, v in expect.items()))
+    cfg = load_config(str(p))
+    assert cfg.as_dict() == expect
+    assert {k: type(v) for k, v in cfg.as_dict().items()} == {k: type(v) for k, v in expect.items()}
+    assert cfg.explicit == set(expect)
 
 
 @pytest.mark.parametrize(
@@ -310,6 +332,37 @@ def test_experiment_battery_summary(capsys, tmp_path):
     doc = json.loads(rep.read_text())
     assert doc["schema"] == "tauberlab/1"
     assert set(doc["battery"]["reports"]) == set(summary["equivalence"])
+
+
+@pytest.mark.parametrize("fn", list(cli._SPECIAL_FNS))
+def test_every_special_fn_evaluates(capsys, fn):
+    code, out, _ = run_cli(capsys, "special", "eval", "--fn", fn, "--sigma", "1.5", "--t", "2")
+    assert code == 0
+    doc = last_json(out)
+    assert math.isfinite(doc["re"]) and math.isfinite(doc["im"])
+
+
+@pytest.mark.parametrize("source", list(cli._TRANSFORMS))
+def test_every_transform_source_evaluates(capsys, tmp_path, source):
+    steps = tmp_path / "steps.csv"
+    steps.write_text("2,1\n3,1\n5,1\n")
+    code, out, _ = run_cli(
+        capsys, "transform", "eval", "--source", source, "--file", str(steps), "--sigma", "1.5", "--t", "2"
+    )
+    assert code == 0
+    doc = last_json(out)
+    assert math.isfinite(doc["re"]) and math.isfinite(doc["im"])
+
+
+@pytest.mark.parametrize("source", list(cli._SOURCES))
+def test_every_catalog_source_runs_diag(capsys, tmp_path, source):
+    code, out, _ = run_cli(
+        capsys, "--prime-limit", "30000", "--cache-dir", str(tmp_path),
+        "operator", "diag", "--source", source, "--eps", "0.1", "--order", "2",
+    )
+    assert code == 0
+    vals = json.loads(out)
+    assert len(vals) == 3 and all(math.isfinite(v) for v in vals)
 
 
 def test_version_flag():

@@ -1,5 +1,7 @@
 """Truncated convolution operators: both assembly routes against direct quadrature."""
 
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -409,6 +411,14 @@ def test_weak_limit_diagnostic_structure():
         weak_limit_diagnostic(tr.source_identity(), L2PI, 4, (0.1,))
     with pytest.raises(ContractError):
         weak_limit_diagnostic(tr.source_identity(), L2PI, 4, (0.1, 0.2))
+
+
+def test_weak_limit_report_dict_is_plain_json():
+    """One key per field, and no tuple or array left in."""
+    rep = weak_limit_diagnostic(tr.source_integers(), L2PI, 4, (0.4, 0.2, 0.1))
+    d = rep.to_dict()
+    assert json.loads(json.dumps(d)) == d
+    assert list(d) == [f.name for f in dataclasses.fields(rep)]
 
 
 # ---------------------------------------------------------------------------

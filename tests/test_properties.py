@@ -10,6 +10,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tauberlab import special
 from tauberlab.operators import IntervalSpec, assemble_frequency_route, assemble_kernel_route
 from tauberlab.special import prime_zeta_pair, zeta, zeta_deriv
 from tauberlab.tauber import battery_members
@@ -32,6 +33,21 @@ def test_schwarz_reflection(sigma, t):
     assert _reflected(zeta_deriv, s) < 1e-12
     assert _reflected(lambda z: prime_zeta_pair(z)[0], s) < 1e-12
     assert _reflected(lambda z: prime_zeta_pair(z)[1], s) < 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.floats(1.001, 3.0), st.floats(-200.0, 200.0)), min_size=1, max_size=3),
+    st.floats(-14.0, -4.0),
+)
+def test_k1_batch_at_the_derivative_tolerance_meets_the_value_tolerance(points, log_tol):
+    """prime_zeta_pair truncates its k = 1 zeta batch for zeta'/zeta alone;
+    that N must also meet the tolerance of the log zeta term."""
+    s = np.array([complex(sigma, t) for sigma, t in points])
+    inner_v, inner_d = special._k1_tolerances(10.0**log_tol, *special._real_zeta_triple(float(s.real.min())))
+    assert inner_d <= inner_v
+    max_terms = special.DEFAULT_TOL.max_terms
+    assert special._choose_N(s, inner_d, max_terms, deriv=True) >= special._choose_N(s, inner_v, max_terms)
 
 
 _MEMBERS = [m[0] for m in battery_members()]

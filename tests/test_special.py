@@ -297,6 +297,11 @@ def test_zeta_family_against_mpmath(s):
     assert abs(pd - ref_pd) <= 1e-10
 
 
+def test_prime_zeta_deriv_is_the_pair_derivative():
+    for s in [*_ORACLE_POINTS, np.array(_ORACLE_POINTS)]:
+        assert np.array_equal(prime_zeta_deriv(s), prime_zeta_pair(s)[1])
+
+
 def test_prime_zeta_pair_on_the_pnt_kernel_points_runs_few_zeta_batches(monkeypatch):
     """With the primes p <= M peeled from the Moebius sum, P and P' on the
     8,048 kernel-route points of the pnt run (sigma = 1.05, eps = 0.05,

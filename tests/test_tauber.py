@@ -1,5 +1,6 @@
 """Experiment layer: estimator sanity, witnesses, scaling, report plumbing."""
 
+import dataclasses
 import json
 import math
 
@@ -172,6 +173,15 @@ def test_report_json_and_csv_round_trip(tmp_path):
     assert u0 == pytest.approx(rep.ratio_u[0])
     assert g0 == pytest.approx(rep.ratio_g[0])
     assert len(lines) == 2 + len(rep.ratio_u)
+
+
+def test_report_dict_is_plain_json():
+    """One key per field, the verdicts nested, and no tuple or array left in."""
+    rep = converse_experiment(tr.source_sqrt_mix(1.0, 1.0), N=8, u_max=12.0)
+    d = rep.to_dict()
+    assert json.loads(json.dumps(d)) == d
+    fields = {f.name for f in dataclasses.fields(rep)}
+    assert set(d) | set(d["verdicts"]) == fields | {"verdicts"}
 
 
 def test_recompute_verdicts_tracks_thresholds():
