@@ -116,9 +116,6 @@ class StepFunction:
         vals = np.concatenate(([0.0], self.cumulative))[idx]
         return float(vals) if np.isscalar(x) or arr.ndim == 0 else vals
 
-    def total(self) -> float:
-        return float(self.cumulative[-1])
-
     def breakpoints_in(self, lo: float, hi: float) -> np.ndarray:
         """Breakpoints x_j with lo < x_j <= hi."""
         i = np.searchsorted(self.breakpoints, lo, side="right")
@@ -338,9 +335,9 @@ class GrowthFunction:
       one is known (vectorized in s).
     - ``breakpoints_in(lo, hi)``: jump abscissae of S in (lo, hi], so
       quadratures can split panels exactly at discontinuities.
-    - ``g_smooth(u)``: local between-jump average of g, valid for
-      u >= smooth_from_u; lets integrators swap the sawtooth for its mean
-      once individual jumps are too dense to resolve.
+    - ``g_smooth(u)``: local between-jump average of g; the frequency route
+      swaps the sawtooth for it past its jump-resolution point, where
+      individual jumps are too dense to resolve.
     - ``u_cap``: largest u at which g(u) is evaluable (ln of a prime table
       limit); integrators freeze g beyond it, direct evaluation raises.
     - ``ratio_limit_A``: the declared limit A of g(u) when one exists
@@ -358,7 +355,6 @@ class GrowthFunction:
     laplace: Optional[Callable] = None
     breakpoints_in: Optional[Callable] = None
     g_smooth: Optional[Callable] = None
-    smooth_from_u: float = math.inf
     u_cap: float = math.inf
     ratio_limit_A: Optional[float] = None
     between_jumps: str = "constant"
@@ -389,22 +385,3 @@ class GrowthFunction:
         clipped = np.minimum(arr, cap)
         out = self.g(clipped)
         return float(out) if np.isscalar(u) or arr.ndim == 0 else out
-
-    def scaled(self, c: float) -> "GrowthFunction":
-        """The growth function of c*S (c > 0)."""
-        if not (c > 0) or not math.isfinite(c):
-            raise DomainError("scale factor must be positive and finite")
-        lap = None if self.laplace is None else (lambda s, _f=self.laplace: c * _f(s))
-        gs = None if self.g_smooth is None else (lambda u, _g=self.g_smooth: c * _g(u))
-        return GrowthFunction(
-            label=f"{c:g}*{self.label}",
-            fn=lambda x, _f=self.fn: c * _f(x),
-            growth_constant=c * self.growth_constant,
-            laplace=lap,
-            breakpoints_in=self.breakpoints_in,
-            g_smooth=gs,
-            smooth_from_u=self.smooth_from_u,
-            u_cap=self.u_cap,
-            ratio_limit_A=None if self.ratio_limit_A is None else c * self.ratio_limit_A,
-            between_jumps=self.between_jumps,
-        )

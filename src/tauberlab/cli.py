@@ -34,7 +34,6 @@ class RunConfig:
     length: float = 8.0 * math.pi
     order: int = 64
     abs_tol: float = 1e-10
-    max_terms: int = 1_000_000
     format: str = "json"
 
     def validate(self) -> "RunConfig":
@@ -46,8 +45,6 @@ class RunConfig:
             raise ConfigError(f"order must be >= 0, got {self.order}")
         if not (0 < self.abs_tol <= 1e-4):
             raise ConfigError(f"abs_tol must lie in (0, 1e-4], got {self.abs_tol}")
-        if self.max_terms < 100:
-            raise ConfigError(f"max_terms must be >= 100, got {self.max_terms}")
         if self.format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         return self
@@ -55,7 +52,7 @@ class RunConfig:
     def tolerance(self):
         from .special import EvalTolerance
 
-        return EvalTolerance(abs_tol=self.abs_tol, max_terms=self.max_terms)
+        return EvalTolerance(abs_tol=self.abs_tol)
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -71,7 +68,8 @@ def load_config(path: Optional[str]) -> RunConfig:
         return cfg.validate()
     defaults = cfg.as_dict()
     try:
-        text = open(path).read()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -146,7 +144,8 @@ def _shared_flags(p: argparse.ArgumentParser, suppress: bool = False) -> None:
 
 def _build_parser() -> _Parser:
     """The command tree; each leaf names its handler in args.run, which a
-    bare group or an empty command line leaves unset."""
+    bare group or an empty command line leaves unset, and each group its
+    usage printer in args.usage."""
     shared = argparse.ArgumentParser(add_help=False)
     _shared_flags(shared, suppress=True)
     p = _Parser(prog="tauberlab", description="Numerical laboratory for ratio limits, transforms, and truncated convolution operators.")
@@ -154,6 +153,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"tauberlab {__version__}")
     # the dest names the group in argparse's invalid-choice message
     sub = p.add_subparsers(dest="command", parser_class=_Parser)
+
+    def group(name, help):
+        gp = sub.add_parser(name, help=help)
+        gp.set_defaults(usage=gp.print_usage)
+        return gp.add_subparsers(dest=f"{name}_command", parser_class=_Parser)
 
     def leaf(parent, name, run, **kw):
         lp = parent.add_parser(name, parents=[shared], **kw)
@@ -163,23 +167,20 @@ def _build_parser() -> _Parser:
     sp = leaf(sub, "primes", _cmd_primes, help="prime counting against the cached table")
     sp.add_argument("--count", type=float, required=True, metavar="X", help="count primes <= X")
 
-    sp = sub.add_parser("special", help="zeta-family special functions")
-    ssub = sp.add_subparsers(dest="special_command", parser_class=_Parser)
+    ssub = group("special", "zeta-family special functions")
     se = leaf(ssub, "eval", _cmd_special, help="evaluate one function at s = sigma + it")
     se.add_argument("--fn", required=True, choices=list(_SPECIAL_FNS))
     se.add_argument("--sigma", type=float, required=True)
     se.add_argument("--t", type=float, default=0.0)
 
-    sp = sub.add_parser("transform", help="Laplace-type transforms of counting functions")
-    tsub = sp.add_subparsers(dest="transform_command", parser_class=_Parser)
+    tsub = group("transform", "Laplace-type transforms of counting functions")
     te = leaf(tsub, "eval", _cmd_transform, help="evaluate a transform at s = sigma + it")
     te.add_argument("--source", required=True, choices=list(_TRANSFORMS))
     te.add_argument("--file", help="step function as CSV lines x_j,a_j (for --source file)")
     te.add_argument("--sigma", type=float, required=True)
     te.add_argument("--t", type=float, default=0.0)
 
-    sp = sub.add_parser("operator", help="assemble truncations, diagonals, spectra")
-    osub = sp.add_subparsers(dest="operator_command", parser_class=_Parser)
+    osub = group("operator", "assemble truncations, diagonals, spectra")
     for name, hlp in (("assemble", "full matrix"), ("diag", "diagonal sequence"), ("spectrum", "eigenvalues")):
         op = leaf(osub, name, _cmd_operator, help=hlp)
         op.add_argument("--source", required=True, help=_SOURCE_HELP)
@@ -192,8 +193,7 @@ def _build_parser() -> _Parser:
             op.add_argument("--A", type=float, default=0.0, help="identity multiple to subtract")
         op.add_argument("--out", help="write CSV here instead of stdout")
 
-    sp = sub.add_parser("experiment", help="theorem-level experiments")
-    esub = sp.add_subparsers(dest="experiment_command", parser_class=_Parser)
+    esub = group("experiment", "theorem-level experiments")
     for name in ("forward", "converse", "pnt", "battery"):
         ep = leaf(esub, name, _cmd_experiment)
         if name in ("forward", "converse"):
@@ -380,7 +380,7 @@ def main(argv=None) -> int:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.jobs)
     if getattr(args, "run", None) is None:  # no command, or a bare group
-        parser.print_usage(sys.stderr)
+        getattr(args, "usage", parser.print_usage)(sys.stderr)
         return 64
     try:
         return args.run(args, _overlay(load_config(args.config), args))

@@ -73,7 +73,6 @@ kernel has a near-pole at distance eps from the real axis.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -83,7 +82,7 @@ import numpy as np
 from .arith import GrowthFunction, _atomic_write, _fields_dict
 from .errors import ContractError, DomainError, PrecisionError
 from .special import EvalTolerance
-from .transform import _STEP_RESOLVE_CAP, _gl_nodes_on, transform_quadrature
+from .transform import _STEP_RESOLVE_CAP, _gl_nodes_on
 
 __all__ = [
     "IntervalSpec",
@@ -104,7 +103,6 @@ _SMOOTH_RESOLVE = 1024.0  # resolve jumps exactly below this x when a mean model
 _MAX_ORDER = 256
 _NARROW_PANEL = 0.05  # panels below this width get _GL4 (module docstring)
 _GL4 = np.polynomial.legendre.leggauss(4)
-_HEADER_SPLIT = re.compile(r", (?=(?:L|eps|N|source|route|A)=)")
 
 
 @dataclass(frozen=True)
@@ -116,10 +114,6 @@ class IntervalSpec:
     def __post_init__(self):
         if not (self.length > 0.0) or not math.isfinite(self.length):
             raise ContractError("interval length must be positive and finite")
-
-    @property
-    def half(self) -> float:
-        return self.length / 2.0
 
 
 @dataclass
@@ -138,19 +132,8 @@ class OperatorTruncation:
     route: str
     A: float = 0.0
 
-    def index_of(self, n: int) -> int:
-        if abs(n) > self.order:
-            raise DomainError(f"basis index {n} outside truncation order {self.order}")
-        return n + self.order
-
     def diagonal(self) -> np.ndarray:
         return np.diag(self.entries)
-
-    def symmetry_defect(self) -> float:
-        return _symmetry_defect(self.entries)
-
-    def check_symmetric(self, tol: float = 1e-9) -> None:
-        _symmetry_defect(self.entries, tol)
 
     def csv_text(self) -> str:
         lines = [
@@ -166,38 +149,6 @@ class OperatorTruncation:
         """Write the matrix with its metadata header, atomically."""
         _atomic_write(Path(path), self.csv_text())
 
-    @staticmethod
-    def from_csv(path) -> "OperatorTruncation":
-        text = Path(path).read_text().strip().splitlines()
-        if not text or not text[0].startswith("# tauberlab-matrix v1"):
-            raise ContractError(f"not a tauberlab matrix file: {path}")
-        meta = {}
-        # source labels such as sqrt_mix(a=1,b=1) hold commas of their own
-        for part in _HEADER_SPLIT.split(text[0])[1:]:
-            key, _, val = part.partition("=")
-            meta[key] = val.strip()
-        rows = [line for line in text[1:] if not line.startswith("#")]
-        entries = np.array([[float(v) for v in line.split(",")] for line in rows])
-        return OperatorTruncation(
-            interval=IntervalSpec(float(meta["L"])),
-            epsilon=float(meta["eps"]),
-            order=int(meta["N"]),
-            entries=entries,
-            source=meta.get("source", "?"),
-            route=meta.get("route", "?"),
-            A=float(meta.get("A", 0.0)),
-        )
-
-
-def _symmetry_defect(entries: np.ndarray, tol: float = math.inf) -> float:
-    """max |M - M^T| (0 when empty); ContractError when it reaches tol."""
-    defect = float(np.max(np.abs(entries - entries.T))) if entries.size else 0.0
-    if defect >= tol:
-        raise ContractError(
-            f"matrix is not symmetric: max |M - M^T| = {defect:.3e} >= {tol:.1e}"
-        )
-    return defect
-
 
 # ---------------------------------------------------------------------------
 # kernel route
@@ -207,18 +158,15 @@ def _symmetry_defect(entries: np.ndarray, tol: float = math.inf) -> float:
 def kernel(S: GrowthFunction, eps: float, x):
     """K_eps(x) = (1/pi) Re G(1 + eps + i x), the convolution kernel.
 
-    Uses the source's closed-form transform when declared, else the
-    quadrature fallback. Needs eps >= 1e-3: the kernel route never takes
-    the eps -> 0 limit pointwise."""
+    Needs the source's closed-form transform (every catalog source declares
+    one) and eps >= 1e-3: the kernel route never takes the eps -> 0 limit
+    pointwise."""
     if eps < 1e-3:
         raise DomainError("kernel evaluation requires eps >= 1e-3")
+    if S.laplace is None:
+        raise ContractError(f"source '{S.label}' declares no closed-form transform for the kernel")
     arr = np.asarray(x, dtype=float)
-    s = 1.0 + eps + 1j * arr
-    if S.laplace is not None:
-        G = S.laplace(s)
-    else:
-        G = transform_quadrature(S, s, U=min(18.0, S.u_cap))
-    out = np.real(G) / math.pi
+    out = np.real(S.laplace(1.0 + eps + 1j * arr)) / math.pi
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -371,7 +319,7 @@ def _source_values(S: GrowthFunction, L: float, eps: float, xs: np.ndarray) -> n
     g = np.asarray(S.g_clipped(u), dtype=float)
     if S.g_smooth is not None:
         rest = u > _resolve_u(S)
-        g[rest] = S.g_smooth(np.maximum(u[rest], S.smooth_from_u))
+        g[rest] = S.g_smooth(u[rest])
     if eps > 0.0:
         return g * np.exp(-eps * u)
     return g
@@ -539,7 +487,9 @@ def spectrum(M) -> np.ndarray:
     ent = M.entries if isinstance(M, OperatorTruncation) else np.asarray(M, dtype=float)
     if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
         raise ContractError("spectrum needs a square matrix")
-    _symmetry_defect(ent, 1e-9)
+    defect = float(np.max(np.abs(ent - ent.T))) if ent.size else 0.0
+    if defect >= 1e-9:
+        raise ContractError(f"matrix is not symmetric: max |M - M^T| = {defect:.3e} >= 1.0e-09")
     eig = np.linalg.eigvalsh(0.5 * (ent + ent.T))
     order = np.argsort(-np.abs(eig), kind="stable")
     return eig[order]

@@ -106,19 +106,19 @@ _PSI_SERIES_RADIUS = 1e-3
 # peel caps M for the prime-zeta Moebius sum, smallest first (_peel_cap)
 _PEEL_CAPS = (100, 10_000, 100_000)
 
+# hard budget of Euler-Maclaurin terms per evaluation (_choose_N)
+_MAX_TERMS = 1_000_000
+
 
 @dataclass(frozen=True)
 class EvalTolerance:
-    """Absolute-accuracy request plus a hard term budget."""
+    """Absolute-accuracy request; the term budget is fixed at _MAX_TERMS."""
 
     abs_tol: float = 1e-10
-    max_terms: int = 1_000_000
 
     def __post_init__(self):
         if not (0.0 < self.abs_tol <= 1e-4):
             raise ContractError("abs_tol must lie in (0, 1e-4]")
-        if self.max_terms < 100:
-            raise ContractError("max_terms must be >= 100")
 
 
 DEFAULT_TOL = EvalTolerance()
@@ -162,12 +162,13 @@ def _remainder_bound(sig_pow: float, sig_prod: float, t: float, N: int) -> float
     return _B10_OVER_FACT * prod * last * N ** (-(sig_pow + 9.0))
 
 
-def _choose_N(flat: np.ndarray, abs_tol, max_terms, deriv=False, tight=False):
+def _choose_N(flat: np.ndarray, abs_tol, deriv=False, tight=False):
     """Smallest truncation N = max(10, ceil|t|+10) * 2^j whose remainder bound
     meets abs_tol at every point of the batch: the bound is taken at the
     smallest sigma (the N power), the largest sigma and the largest |t| (the
     products). deriv=True bounds the derivative's remainder instead, through
-    the Cauchy circle of radius 1/2 around each s.
+    the Cauchy circle of radius 1/2 around each s. PrecisionError when even
+    _MAX_TERMS terms miss abs_tol.
 
     tight=True starts the doubling search at N = 10 instead; used for the
     interior Moebius terms where sigma >= 2 makes tiny N sufficient even at
@@ -181,15 +182,13 @@ def _choose_N(flat: np.ndarray, abs_tol, max_terms, deriv=False, tight=False):
             return 2.0 * _remainder_bound(sig_min - 0.5, sig_max + 0.5, t_max + 0.5, n)
         return _remainder_bound(sig_min, sig_max, t_max, n)
 
-    N = 10 if tight else max(10, int(math.ceil(t_max)) + 10)
-    if N > max_terms:
-        N = max_terms
-    while bound(N) > abs_tol and N < max_terms:
-        N = min(2 * N, max_terms)
+    N = min(10 if tight else max(10, int(math.ceil(t_max)) + 10), _MAX_TERMS)
+    while bound(N) > abs_tol and N < _MAX_TERMS:
+        N = min(2 * N, _MAX_TERMS)
     achieved = bound(N)
     if achieved > abs_tol:
         raise PrecisionError(
-            f"term budget {max_terms} cannot push the Euler-Maclaurin remainder "
+            f"term budget {_MAX_TERMS} cannot push the Euler-Maclaurin remainder "
             f"below {abs_tol:.3g} (achieved {achieved:.3g})",
             achieved=achieved,
         )
@@ -315,7 +314,7 @@ def _zeta_core(flat: np.ndarray, tol: EvalTolerance, want: str, tight: bool = Fa
     if flat.size == 0:
         empty = np.empty(0, dtype=complex)
         return empty, empty
-    N = _choose_N(flat, tol.abs_tol, tol.max_terms, want != "value", tight)
+    N = _choose_N(flat, tol.abs_tol, want != "value", tight)
     return _em_eval(flat, N, want)
 
 
@@ -468,8 +467,8 @@ def _prime_zeta_core(flat: np.ndarray, tol: EvalTolerance, deriv: bool):
     # value bound at equal N, and both searches start at the same N, so the
     # N that meets inner_d also meets inner_v.
     inner_v, inner_d = _k1_tolerances(abs_tol, zeta_sig, zeta_2sig, zeta_d_sig)
-    tol_1 = EvalTolerance(inner_d if deriv else inner_v, tol.max_terms)
-    inner = EvalTolerance(max(abs_tol / (8.0 * K), 1e-15), tol.max_terms)
+    tol_1 = EvalTolerance(inner_d if deriv else inner_v)
+    inner = EvalTolerance(max(abs_tol / (8.0 * K), 1e-15))
     for i, k in enumerate(ks):
         zv, zd = _zeta_core(k * flat, tol_1 if k == 1 else inner, want, tight=k > 1)
         # zeta_{>M}(ks) = zeta(ks) prod_{p<=M} (1 - p^{-ks}); its principal

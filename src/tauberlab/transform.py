@@ -11,7 +11,9 @@ are provided for the classical sources:
 and two general evaluators: an exact summation for pure step sources
 (the integrand is piecewise e^{-su}, so each piece integrates in closed
 form) and a composite 16-node Gauss-Legendre quadrature for arbitrary
-sources. For a source that declares breakpoints, the quadrature integrates
+sources. No pipeline path calls the quadrature (the kernel route needs a
+closed form); it is the independent oracle the tests check the closed
+forms against. For a source that declares breakpoints, it integrates
 the step region exactly up to x = 2e5 (or e^U if smaller) and applies
 Gauss-Legendre only beyond, where the remaining jumps are too small to
 spoil the panel error; tail bounds past the cutoff U are certified from
@@ -293,7 +295,6 @@ def source_integers() -> GrowthFunction:
         laplace=transform_integers,
         breakpoints_in=bps,
         g_smooth=lambda u: 1.0 - 0.5 * np.exp(-np.asarray(u, dtype=float)),
-        smooth_from_u=math.log(2.0),
         ratio_limit_A=1.0,
     )
 

@@ -233,8 +233,7 @@ def test_c08_positivity_symmetry_suite(small_table):
         I = IntervalSpec(L8PI)
         for S, _, _, _ in battery_members():
             W = assemble_frequency_route(S, I, 0.05, 64)
-            assert W.symmetry_defect() < 1e-9, S.label
-            W.check_symmetric()  # realness is enforced inside assembly at 1e-9
+            assert np.array_equal(W.entries, W.entries.T), S.label
             eig_min = float(np.linalg.eigvalsh(W.entries).min())
             assert eig_min >= -1e-8, f"{S.label}: min eigenvalue {eig_min:.3g}"
     assert c.elapsed < 120.0, f"{c.elapsed:.1f}s over the 2min budget"

@@ -168,7 +168,6 @@ def test_step_function_evaluation():
     S = StepFunction([1.0, 2.0, 4.0], [1.0, 2.0, 0.5])
     xs = np.array([0.5, 1.0, 1.5, 2.0, 3.9, 4.0, 100.0])
     assert np.allclose(S(xs), [0.0, 1.0, 1.0, 3.0, 3.0, 3.5, 3.5])
-    assert S.total() == 3.5
     assert list(S.breakpoints_in(1.0, 4.0)) == [2.0, 4.0]
 
 
@@ -229,18 +228,6 @@ def test_normalized_ratio_and_clipping(small_table):
         S.g(cap + 0.5)
     # clipped access freezes at the cap instead of raising
     assert S.g_clipped(cap + 0.5) == pytest.approx(S.g_clipped(cap), rel=1e-9)
-
-
-def test_scaled_source_scales_everything(small_table):
-    S = tr.source_integers()
-    T = S.scaled(2.5)
-    assert T.growth_constant == pytest.approx(2.5 * S.growth_constant)
-    assert T.ratio_limit_A == pytest.approx(2.5)
-    assert T(10.0) == pytest.approx(2.5 * S(10.0))
-    s = 1.7 + 0.3j
-    assert T.laplace(s) == pytest.approx(2.5 * S.laplace(s))
-    with pytest.raises(DomainError):
-        S.scaled(-1.0)
 
 
 def test_single_jump_is_a_bounded_step():

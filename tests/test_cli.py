@@ -56,7 +56,6 @@ def test_config_file_sets_every_key(tmp_path):
         "length": 6.5,
         "order": 12,
         "abs_tol": 1e-8,
-        "max_terms": 5000,
         "format": "csv",
     }
     assert set(expect) == {f.name for f in dataclasses.fields(RunConfig)}
@@ -97,8 +96,6 @@ def test_runconfig_validate_bounds():
         RunConfig(order=-1).validate()
     with pytest.raises(ConfigError):
         RunConfig(length=0.0).validate()
-    with pytest.raises(ConfigError):
-        RunConfig(max_terms=10).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +172,16 @@ def test_no_arguments_is_a_usage_error(capsys):
 
 
 def test_bare_group_is_a_usage_error(capsys):
-    assert run_cli(capsys, "operator")[0] == 64
+    code, _, err = run_cli(capsys, "operator")
+    assert code == 64
+    assert err.startswith("usage: tauberlab operator")
     assert run_cli(capsys, "special")[0] == 64
+
+
+def test_term_budget_exhaustion_exits_2(capsys):
+    code, _, err = run_cli(capsys, "special", "eval", "--fn", "zeta", "--sigma", "1.5", "--t", "2e6")
+    assert code == 2
+    assert last_json(err)["code"] == "precision"
 
 
 def test_unknown_choice_exits_64():

@@ -14,7 +14,6 @@ from tauberlab.arith import GrowthFunction
 from tauberlab.errors import ContractError, DomainError, PrecisionError
 from tauberlab.operators import (
     IntervalSpec,
-    OperatorTruncation,
     assemble_frequency_route,
     assemble_kernel_route,
     diagonal_sequence,
@@ -49,17 +48,10 @@ def test_kernel_needs_positive_eps():
         kernel(tr.source_identity(), 1e-4, 0.0)
 
 
-def test_kernel_quadrature_fallback_matches_closed_form():
-    """Strip the declared transform; the integrator must reproduce it.
-
-    The fallback integrates to u = 18 and drops the certified tail, so the
-    comparison runs at eps = 1 where that tail is ~3e-7."""
-    S = tr.source_identity()
-    import dataclasses
-
-    bare = dataclasses.replace(S, laplace=None)
-    xs = np.array([0.0, 1.0, 5.0])
-    assert np.max(np.abs(kernel(bare, 1.0, xs) - kernel(S, 1.0, xs))) < 1e-5
+def test_kernel_needs_a_closed_form_transform():
+    bare = dataclasses.replace(tr.source_identity(), laplace=None)
+    with pytest.raises(ContractError):
+        kernel(bare, 0.1, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +293,7 @@ def test_symmetry_realness_positivity():
     ]
     for W in cases:
         assert W.entries.dtype == np.float64
-        assert W.symmetry_defect() < 1e-9
-        W.check_symmetric()
+        assert np.array_equal(W.entries, W.entries.T)
         eigs = np.linalg.eigvalsh(W.entries)
         assert eigs.min() >= -1e-8, W.source
 
@@ -427,18 +418,10 @@ def test_weak_limit_report_dict_is_plain_json():
 
 
 def test_interval_spec_validation():
-    assert IntervalSpec(4.0).half == 2.0
     with pytest.raises(ContractError):
         IntervalSpec(0.0)
     with pytest.raises(ContractError):
         IntervalSpec(float("inf"))
-
-
-def test_truncation_indexing():
-    W = assemble_frequency_route(tr.source_identity(), L2PI, 0.1, 2)
-    assert W.index_of(-2) == 0 and W.index_of(0) == 2 and W.index_of(2) == 4
-    with pytest.raises(DomainError):
-        W.index_of(3)
 
 
 def test_order_cap_enforced():
@@ -447,31 +430,14 @@ def test_order_cap_enforced():
 
 
 def test_csv_round_trip(tmp_path):
-    W = assemble_frequency_route(tr.source_integers(), L2PI, 0.1, 3)
+    """The header keeps labels with commas whole; %.17g is lossless for float64."""
+    W = split_identity(assemble_frequency_route(tr.source_sqrt_mix(1.0, 1.0), L2PI, 0.1, 2), 0.5)
     path = tmp_path / "w.csv"
     W.to_csv(path)
-    R = OperatorTruncation.from_csv(path)
-    assert np.array_equal(R.entries, W.entries)  # %.17g is lossless for float64
-    assert R.order == W.order and R.epsilon == W.epsilon
-    assert R.interval.length == W.interval.length
-    assert W.csv_text() == W.csv_text()
-
-
-@pytest.mark.parametrize(
-    "factory", [lambda: tr.source_sqrt_mix(1.0, 1.0), tr.source_single_jump]
-)
-def test_csv_round_trip_keeps_multi_parameter_labels(factory, tmp_path):
-    """Labels such as sqrt_mix(a=1,b=1) carry commas; the header must keep them whole."""
-    W = split_identity(assemble_frequency_route(factory(), L2PI, 0.1, 2), 0.5)
-    path = tmp_path / "w.csv"
-    W.to_csv(path)
-    R = OperatorTruncation.from_csv(path)
-    assert (R.source, R.route, R.A) == (W.source, W.route, W.A)
-    assert "," in R.source and np.array_equal(R.entries, W.entries)
-
-
-def test_from_csv_rejects_foreign_files(tmp_path):
-    p = tmp_path / "junk.csv"
-    p.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ContractError):
-        OperatorTruncation.from_csv(p)
+    R = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    assert np.array_equal(R, W.entries)
+    header = path.read_text().splitlines()[0]
+    assert header == (
+        f"# tauberlab-matrix v1, L={L2PI.length!r}, eps=0.1, N=2, "
+        "source=sqrt_mix(a=1,b=1), route=frequency_formula, A=0.5"
+    )

@@ -7,7 +7,7 @@ import pytest
 import scipy.special
 
 from tauberlab import special, transform
-from tauberlab.errors import ContractError, DomainError
+from tauberlab.errors import ContractError, DomainError, PrecisionError
 from tauberlab.special import (
     EvalTolerance,
     prime_zeta,
@@ -81,8 +81,15 @@ def test_domain_and_tolerance_contracts():
         zeta(complex(float("nan"), 0.0))
     with pytest.raises(ContractError):
         EvalTolerance(abs_tol=0.0)
-    with pytest.raises(ContractError):
-        EvalTolerance(max_terms=10)
+
+
+def test_term_budget_exhaustion_is_a_precision_error():
+    """At |t| = 2e6 even the full term budget leaves the Euler-Maclaurin
+    remainder above the default tolerance."""
+    with pytest.raises(PrecisionError) as ei:
+        zeta(1.5 + 2e6j)
+    assert "term budget" in str(ei.value)
+    assert ei.value.achieved > special.DEFAULT_TOL.abs_tol
 
 
 def test_reflection_symmetry(rng):

@@ -61,7 +61,7 @@ def test_forward_respects_source_range(small_table):
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 3.0])
 def test_a_star_recovers_linear_slope(a):
-    S = tr.source_identity().scaled(a) if a != 1.0 else tr.source_identity()
+    S = tr.source_sqrt_mix(a, 0.0)  # a x, transform a/(s-1)
     rep = converse_experiment(S, N=16, u_max=14.0)
     assert rep.A_method == "golden_section_minimax"
     assert abs(rep.A_estimate - a) < 0.02
@@ -88,10 +88,9 @@ def test_converse_kernel_spectral_route():
 def test_psi_diagonal_scales_linearly(eps):
     """Linearity is exact for the integral; numerically each evaluation
     carries its own <= 1e-10 certified cutoff, hence the tolerance."""
-    S = tr.source_sqrt_mix(1.0, 1.0)
     c = 2.5
-    base = diagonal_sequence(S, I8, eps, 1.0, 8)
-    scaled = diagonal_sequence(S.scaled(c), I8, eps, c * 1.0, 8)
+    base = diagonal_sequence(tr.source_sqrt_mix(1.0, 1.0), I8, eps, 1.0, 8)
+    scaled = diagonal_sequence(tr.source_sqrt_mix(c, c), I8, eps, c * 1.0, 8)
     assert np.max(np.abs(scaled - c * base)) < 1e-9
 
 
