@@ -430,14 +430,29 @@ def test_order_cap_enforced():
 
 
 def test_csv_round_trip(tmp_path):
-    """The header keeps labels with commas whole; %.17g is lossless for float64."""
-    W = split_identity(assemble_frequency_route(tr.source_sqrt_mix(1.0, 1.0), L2PI, 0.1, 2), 0.5)
+    W = assemble_frequency_route(tr.source_integers(), L2PI, 0.1, 3)
     path = tmp_path / "w.csv"
     W.to_csv(path)
     R = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
-    assert np.array_equal(R, W.entries)
+    assert np.array_equal(R, W.entries)  # %.17g is lossless for float64
     header = path.read_text().splitlines()[0]
     assert header == (
-        f"# tauberlab-matrix v1, L={L2PI.length!r}, eps=0.1, N=2, "
-        "source=sqrt_mix(a=1,b=1), route=frequency_formula, A=0.5"
+        f"# tauberlab-matrix v1, L={L2PI.length!r}, eps=0.1, N=3, "
+        "source=integer_count, route=frequency_formula, A=0.0"
     )
+    assert W.csv_text() == W.csv_text()
+
+
+@pytest.mark.parametrize(
+    "factory", [lambda: tr.source_sqrt_mix(1.0, 1.0), tr.source_single_jump]
+)
+def test_csv_round_trip_keeps_multi_parameter_labels(factory, tmp_path):
+    """Labels such as sqrt_mix(a=1,b=1) carry commas; the header must keep them whole."""
+    W = split_identity(assemble_frequency_route(factory(), L2PI, 0.1, 2), 0.5)
+    path = tmp_path / "w.csv"
+    W.to_csv(path)
+    R = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
+    header = path.read_text().splitlines()[0]
+    assert "," in W.source
+    assert header.endswith(f", source={W.source}, route={W.route}, A={W.A!r}")
+    assert np.array_equal(R, W.entries)
