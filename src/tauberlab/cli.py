@@ -106,7 +106,7 @@ _TRANSFORMS = {
     "integers": lambda tr, s, tol, args: tr.transform_integers(s, tol),
     "primes": lambda tr, s, tol, args: tr.transform_primes(s, tol),
     "wprimes": lambda tr, s, tol, args: tr.transform_weighted_primes(s, tol),
-    "file": lambda tr, s, tol, args: tr.transform_step_sum(_load_step_file(args.file), s, tol=tol),
+    "file": lambda tr, s, tol, args: tr.transform_step_sum(_load_step_file(args.file), s),
 }
 
 # catalog source name (operator and experiment --source) -> factory(transform module, cfg)

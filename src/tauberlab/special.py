@@ -7,12 +7,13 @@ over primes") and its derivative, and the two pole-subtracted remainders
     psi(s)   = zeta(s)/s - 1/(s-1)          (entire through s = 1)
     psi_P(s) = pzeta(s)/s + log(s-1)        (analytic near s = 1)
 
-zeta is computed by Euler-Maclaurin summation with four Bernoulli
-correction terms; the truncation point starts at the standard
-N = max(10, ceil|t| + 10) and doubles until the rigorous remainder bound
-drops below the requested tolerance (PrecisionError past the term budget).
-The derivative uses the term-differentiated sum with a Cauchy-circle bound
-on the remainder. The power sums use that n^{-s} is completely
+zeta and zeta' come together from one Euler-Maclaurin summation with four
+Bernoulli correction terms, zeta' from the term-differentiated sum; the
+truncation point starts at the standard N = max(10, ceil|t| + 10) and
+doubles until the Cauchy-circle bound on the derivative's remainder drops
+below the requested tolerance (PrecisionError past the term budget). At
+equal N that bound is at least the value's, so both numbers of a batch are
+certified. The power sums use that n^{-s} is completely
 multiplicative: one complex exp per prime n < N, then each composite as
 spf(n)^{-s} * (n/spf(n))^{-s} (spf the smallest prime factor), one
 vectorized gather-multiply per layer of equal Omega(n) (prime factors with
@@ -41,19 +42,18 @@ used best-effort with a logged warning. For k >= 2 the same bound is below
 0.02, so the principal log is the branch. The tail: for Re w >= sigma_w,
 with a = M + 1 and x0 = a^{-sigma_w},
 
-    |log zeta_{>M}(w)|      <= x0 (1 + a/(sigma_w - 1)) / (1 - x0),
-    |(log zeta_{>M})'(w)|   <= x0 (ln a + a (ln a/(sigma_w - 1)
-                                             + 1/(sigma_w - 1)^2)) / (1 - x0),
+    |log zeta_{>M}(w)|, |(log zeta_{>M})'(w)|
+        <= x0 (ln a + a (ln a/(sigma_w - 1) + 1/(sigma_w - 1)^2)) / (1 - x0),
 
 of order (M+1)^{1-k sigma} at w = ks, and each term at most (M+1)^{-sigma}
 times the one before. K is the smallest order whose dropped terms sum
-below abs_tol/2 (P and P' each get their own K). At sigma = 1.05 and abs_tol
-1e-10, M = 100 leaves k = 1, 2, 3, 5, where the unpeeled 2^{-k sigma} tails
-needed 22 Moebius terms. The sum runs in two modes: P alone (prime_zeta,
-psi_prime_part), or P and P' together (prime_zeta_pair, whose P' is
-prime_zeta_deriv). In the second the log and zeta'/zeta at each k share one
-zeta batch; at k = 1 it is truncated where the zeta'/zeta tolerance needs,
-which also meets the tolerance of the log (_k1_tolerances).
+below abs_tol/2. At sigma = 1.05 and abs_tol 1e-10, M = 100 leaves
+k = 1, 2, 3, 5, where the unpeeled 2^{-k sigma} tails needed 22 Moebius
+terms. Every call computes P and P' together (prime_zeta, prime_zeta_deriv
+and psi_prime_part each take their part of prime_zeta_pair): the log and
+zeta'/zeta at each k share one zeta batch, and at k = 1 it is truncated
+where the zeta'/zeta tolerance needs, which also meets the tolerance of
+the log (_k1_tolerance).
 
 Near s = 1, psi switches to its Taylor form from the Stieltjes expansion
 of zeta; the constants below were computed once by a float128
@@ -162,13 +162,14 @@ def _remainder_bound(sig_pow: float, sig_prod: float, t: float, N: int) -> float
     return _B10_OVER_FACT * prod * last * N ** (-(sig_pow + 9.0))
 
 
-def _choose_N(flat: np.ndarray, abs_tol, deriv=False, tight=False):
-    """Smallest truncation N = max(10, ceil|t|+10) * 2^j whose remainder bound
-    meets abs_tol at every point of the batch: the bound is taken at the
-    smallest sigma (the N power), the largest sigma and the largest |t| (the
-    products). deriv=True bounds the derivative's remainder instead, through
-    the Cauchy circle of radius 1/2 around each s. PrecisionError when even
-    _MAX_TERMS terms miss abs_tol.
+def _choose_N(flat: np.ndarray, abs_tol, tight=False):
+    """Smallest truncation N = max(10, ceil|t|+10) * 2^j whose derivative
+    remainder bound meets abs_tol at every point of the batch. The bound goes
+    through the Cauchy circle of radius 1/2 around each s: twice the value
+    bound at the smallest sigma less 1/2 (the N power), the largest sigma
+    plus 1/2 and the largest |t| plus 1/2 (the products). At equal N that is
+    at least the value bound, so the N certifies zeta and zeta' alike.
+    PrecisionError when even _MAX_TERMS terms miss abs_tol.
 
     tight=True starts the doubling search at N = 10 instead; used for the
     interior Moebius terms where sigma >= 2 makes tiny N sufficient even at
@@ -178,9 +179,7 @@ def _choose_N(flat: np.ndarray, abs_tol, deriv=False, tight=False):
     t_max = float(np.max(np.abs(flat.imag)))
 
     def bound(n):
-        if deriv:
-            return 2.0 * _remainder_bound(sig_min - 0.5, sig_max + 0.5, t_max + 0.5, n)
-        return _remainder_bound(sig_min, sig_max, t_max, n)
+        return 2.0 * _remainder_bound(sig_min - 0.5, sig_max + 0.5, t_max + 0.5, n)
 
     N = min(10 if tight else max(10, int(math.ceil(t_max)) + 10), _MAX_TERMS)
     while bound(N) > abs_tol and N < _MAX_TERMS:
@@ -253,20 +252,17 @@ def _factor_plan(n_max: int) -> _FactorPlan:
     return _FactorPlan(full.mu[: n_max + 1], tuple(layers))
 
 
-def _em_eval(s: np.ndarray, N: int, want: str):
-    """Euler-Maclaurin evaluation of zeta (and/or its derivative) at fixed N.
+def _em_eval(s: np.ndarray, N: int):
+    """Euler-Maclaurin evaluation of (zeta, zeta') at fixed N.
 
-    want is one of "value", "deriv", "both". Returns (value, deriv) with the
-    unrequested slot None. The (terms x points) power matrix is built by
-    complete multiplicativity: one complex exp per prime n < N, then one
-    gather-multiply n^{-s} = spf(n)^{-s} (n/spf(n))^{-s} per Omega layer of
-    composites. Points are chunked to keep the matrix near 4M cells.
+    The (terms x points) power matrix is built by complete multiplicativity:
+    one complex exp per prime n < N, then one gather-multiply
+    n^{-s} = spf(n)^{-s} (n/spf(n))^{-s} per Omega layer of composites.
+    Points are chunked to keep the matrix near 4M cells.
     """
     npts = s.size
-    need_v = want in ("value", "both")
-    need_d = want in ("deriv", "both")
-    val = np.zeros(npts, dtype=complex) if need_v else None
-    der = np.zeros(npts, dtype=complex) if need_d else None
+    val = np.zeros(npts, dtype=complex)
+    der = np.zeros(npts, dtype=complex)
     plan = _factor_plan(N - 1)
     ln_all = np.log(np.arange(1, N, dtype=float))
     ln_p = ln_all[plan.primes - 1]
@@ -280,28 +276,22 @@ def _em_eval(s: np.ndarray, N: int, want: str):
             pw[plan.primes] = np.exp(-np.multiply.outer(ln_p, sb))
             for rows, p, c in plan.layers[1:]:
                 pw[rows] = pw[p] * pw[c]
-            if need_v:
-                val[lo : lo + pblock] = pw[1:].sum(axis=0)
-            if need_d:
-                der[lo : lo + pblock] = -(ln_all @ pw[1:])
+            val[lo : lo + pblock] = pw[1:].sum(axis=0)
+            der[lo : lo + pblock] = -(ln_all @ pw[1:])
             del pw
         # integral tail, half-term and Bernoulli corrections, all from N^{-s}
         NmS = np.exp(-s * lnN)
         N1mS = N * NmS
         tailA = N1mS / (s - 1.0)
-        if need_v:
-            val += tailA + 0.5 * NmS
-        if need_d:
-            der += tailA * (-lnN) - N1mS / (s - 1.0) ** 2
-            der += -lnN * 0.5 * NmS
+        val += tailA + 0.5 * NmS
+        der += tailA * (-lnN) - N1mS / (s - 1.0) ** 2
+        der += -lnN * 0.5 * NmS
         P = s.copy()  # running product s(s+1)...(s+2k-2)
         H = 1.0 / s  # running sum of reciprocals of those factors
         for k, c in enumerate(_BERN, start=1):
             Npow = NmS * float(N) ** -(2 * k - 1)  # N^{-s-(2k-1)}
-            if need_v:
-                val += c * P * Npow
-            if need_d:
-                der += c * Npow * (P * H - lnN * P)
+            val += c * P * Npow
+            der += c * Npow * (P * H - lnN * P)
             if k < len(_BERN):
                 f1 = s + (2 * k - 1)
                 f2 = s + (2 * k)
@@ -310,28 +300,27 @@ def _em_eval(s: np.ndarray, N: int, want: str):
     return val, der
 
 
-def _zeta_core(flat: np.ndarray, tol: EvalTolerance, want: str, tight: bool = False):
+def _zeta_core(flat: np.ndarray, tol: EvalTolerance, tight: bool = False):
+    """(zeta, zeta') on a batch, both to tol.abs_tol, from one summation at
+    the N of _choose_N."""
     if flat.size == 0:
         empty = np.empty(0, dtype=complex)
         return empty, empty
-    N = _choose_N(flat, tol.abs_tol, want != "value", tight)
-    return _em_eval(flat, N, want)
+    return _em_eval(flat, _choose_N(flat, tol.abs_tol, tight))
 
 
 def zeta(s, tol: Optional[EvalTolerance] = None):
     """Riemann zeta on Re(s) > 1, accurate to tol.abs_tol (absolute)."""
     tol = tol or DEFAULT_TOL
     flat, scalar, shape = _prep(s)
-    val, _ = _zeta_core(flat, tol, "value")
-    return _restore(val, scalar, shape)
+    return _restore(_zeta_core(flat, tol)[0], scalar, shape)
 
 
 def zeta_deriv(s, tol: Optional[EvalTolerance] = None):
     """zeta'(s) on Re(s) > 1 via the term-differentiated summation."""
     tol = tol or DEFAULT_TOL
     flat, scalar, shape = _prep(s)
-    _, der = _zeta_core(flat, tol, "deriv")
-    return _restore(der, scalar, shape)
+    return _restore(_zeta_core(flat, tol)[1], scalar, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +330,7 @@ def zeta_deriv(s, tol: Optional[EvalTolerance] = None):
 
 def _real_zeta_triple(sigma: float) -> tuple:
     """zeta(sigma), zeta(2 sigma) and zeta'(sigma), to 1e-9, from one batch."""
-    v, d = _zeta_core(np.array([sigma, 2.0 * sigma], dtype=complex), EvalTolerance(1e-9), "both")
+    v, d = _zeta_core(np.array([sigma, 2.0 * sigma], dtype=complex), EvalTolerance(1e-9))
     return float(v[0].real), float(v[1].real), float(d[0].real)
 
 
@@ -363,36 +352,34 @@ def _peel_cap(sig_min: float, log_zeta_sig: float) -> int:
     return _PEEL_CAPS[-1]
 
 
-def _peeled_tail_bound(M: int, sigma: float, deriv: bool) -> float:
-    """Bound on |log zeta_{>M}(w)| (or on |d/dw log zeta_{>M}(w)| when deriv)
-    for Re w >= sigma > 1, with a = M + 1 and x0 = a^{-sigma}:
+def _peeled_tail_bound(M: int, sigma: float) -> float:
+    """Bound on |d/dw log zeta_{>M}(w)| for Re w >= sigma > 1, with a = M + 1
+    and x0 = a^{-sigma}:
 
-        sum_{p>M} -log(1 - p^{-sigma})      <= x0 (1 + a/(sigma-1)) / (1 - x0),
         sum_{p>M} ln p p^{-sigma}/(1 - p^{-sigma})
-            <= a^{-sigma} (ln a + a (ln a/(sigma-1) + 1/(sigma-1)^2)) / (1 - x0),
+            <= x0 (ln a + a (ln a/(sigma-1) + 1/(sigma-1)^2)) / (1 - x0),
 
-    each sum over p > M bounded by the sum over all n > M, that by its first
-    term plus the integral from a (t^{-sigma} and ln t t^{-sigma} decrease
-    there, as sigma ln a > 1), and -log(1-x) <= x/(1-x0) for x <= x0."""
+    the sum over p > M bounded by the sum over all n > M, that by its first
+    term plus the integral from a (ln t t^{-sigma} decreases there, as
+    sigma ln a > 1), and 1/(1-x) <= 1/(1-x0) for x <= x0. The same argument
+    with t^{-sigma} and -log(1-x) <= x/(1-x0) gives |log zeta_{>M}(w)| <=
+    x0 (1 + a/(sigma-1)) / (1 - x0), which this bound exceeds term by term
+    because ln a > 1 for a = M + 1 >= 101; so it bounds both."""
     a = M + 1.0
     x0 = a ** -sigma
-    if deriv:
-        la = math.log(a)
-        head = x0 * (la + a * (la / (sigma - 1.0) + 1.0 / (sigma - 1.0) ** 2))
-    else:
-        head = x0 * (1.0 + a / (sigma - 1.0))
-    return head / (1.0 - x0)
+    la = math.log(a)
+    return x0 * (la + a * (la / (sigma - 1.0) + 1.0 / (sigma - 1.0) ** 2)) / (1.0 - x0)
 
 
-def _peel(flat: np.ndarray, primes: np.ndarray, ks: list, need_d: bool):
+def _peel(flat: np.ndarray, primes: np.ndarray, ks: list):
     """Sums over the peeled primes p <= M, from one block x = p^{-s} and its
     powers x^k = p^{-ks}: sum_p x and sum_p ln p x, then per k in ks the
-    product prod_p (1 - x^k) and (need_d) sum_p ln p x^k/(1 - x^k)."""
+    product prod_p (1 - x^k) and sum_p ln p x^k/(1 - x^k)."""
     npts = flat.size
     head = np.zeros(npts, dtype=complex)
     head_d = np.zeros(npts, dtype=complex)
     prod = np.ones((len(ks), npts), dtype=complex)
-    dlog = np.zeros((len(ks), npts), dtype=complex) if need_d else None
+    dlog = np.zeros((len(ks), npts), dtype=complex)
     lnp_all = np.log(primes.astype(float))
     block = max(1, 4_000_000 // npts)
     with np.errstate(under="ignore"):
@@ -408,29 +395,24 @@ def _peel(flat: np.ndarray, primes: np.ndarray, ks: list, need_d: bool):
                 k_at = k
                 one_minus = 1.0 - xk
                 prod[i] *= one_minus.prod(axis=0)
-                if need_d:
-                    dlog[i] += lnp @ (xk / one_minus)
+                dlog[i] += lnp @ (xk / one_minus)
     return head, head_d, prod, dlog
 
 
-def _k1_tolerances(abs_tol: float, zeta_sig: float, zeta_2sig: float, zeta_d_sig: float) -> tuple:
-    """Inner tolerances (inner_v, inner_d) of the k = 1 zeta batch, for the
-    log zeta term of P and the zeta'/zeta term of P', each held to abs_tol/3.
-    On Re s = sigma, |zeta(s)| >= zeta(2 sigma)/zeta(sigma) and |zeta'(s)|
-    <= -zeta'(sigma), so an error d in zeta and in zeta' moves log zeta by
-    at most d zeta(sigma)/zeta(2 sigma), and zeta'/zeta, to first order, by
-    at most d (1 + |zeta'|/|zeta|)/|zeta|. Both lie in [1e-15, 1e-5], and
-    inner_d <= inner_v."""
-    inv_zeta_bound = zeta_sig / zeta_2sig
-    inner_v = max(min(abs_tol / (3.0 * inv_zeta_bound), 1e-5), 1e-15)
+def _k1_tolerance(abs_tol: float, zeta_sig: float, zeta_2sig: float, zeta_d_sig: float) -> float:
+    """Inner tolerance of the k = 1 zeta batch, in [1e-15, 1e-5]. On
+    Re s = sigma, |zeta(s)| >= z = zeta(2 sigma)/zeta(sigma) and
+    |zeta'(s)| <= -zeta'(sigma), so an error d in zeta and in zeta' moves
+    zeta'/zeta, to first order, by at most d (1 + |zeta'|/z)/z, and log zeta
+    by at most d/z. The tolerance holds the first to abs_tol/3, and so the
+    second too."""
     zmag_low = zeta_2sig / zeta_sig
     zd_mag = -zeta_d_sig
-    inner_d = max(min(abs_tol * zmag_low / (3.0 * (1.0 + zd_mag / zmag_low)), 1e-5), 1e-15)
-    return inner_v, inner_d
+    return max(min(abs_tol * zmag_low / (3.0 * (1.0 + zd_mag / zmag_low)), 1e-5), 1e-15)
 
 
-def _prime_zeta_core(flat: np.ndarray, tol: EvalTolerance, deriv: bool):
-    """(P, P') on a batch, P' None unless deriv (module docstring)."""
+def _prime_zeta_core(flat: np.ndarray, tol: EvalTolerance):
+    """(P, P') on a batch (module docstring)."""
     if flat.size == 0:
         empty = np.empty(0, dtype=complex)
         return empty, empty
@@ -439,57 +421,38 @@ def _prime_zeta_core(flat: np.ndarray, tol: EvalTolerance, deriv: bool):
     zeta_sig, zeta_2sig, zeta_d_sig = _real_zeta_triple(sig_min)
     M = _peel_cap(sig_min, math.log(zeta_sig))
 
-    def truncation(of_deriv: bool) -> int:
-        """The K whose dropped terms k > K sum below abs_tol/2: the k-th term
-        is below _peeled_tail_bound(M, k sigma)/k (no 1/k for zeta'/zeta),
-        and each term is at most (M+1)^{-sigma} times the one before, so the
-        dropped terms sum to at most the first over 1 - (M+1)^{-sigma}."""
-        geometric = 1.0 - (M + 1.0) ** -sig_min
-        K = 1
-        while (
-            _peeled_tail_bound(M, (K + 1) * sig_min, of_deriv) / ((1 if of_deriv else K + 1) * geometric)
-            >= abs_tol / 2.0
-            and K < 512
-        ):
-            K += 1
-        return K
-
-    K_v = truncation(False)
-    K = truncation(True) if deriv else K_v
+    # K: the dropped terms k > K sum below abs_tol/2. The k-th term of either
+    # sum is below _peeled_tail_bound(M, k sigma), and each is at most
+    # (M+1)^{-sigma} times the one before, so the dropped terms sum to at
+    # most the first over 1 - (M+1)^{-sigma}.
+    geometric = 1.0 - (M + 1.0) ** -sig_min
+    K = 1
+    while _peeled_tail_bound(M, (K + 1) * sig_min) / geometric >= abs_tol / 2.0 and K < 512:
+        K += 1
     mu = _factor_plan(K).mu
     ks = [k for k in range(1, K + 1) if mu[k] != 0]
-    val, head_d, prod, dlog = _peel(flat, _factor_plan(M).primes, ks, deriv)
-    der = -head_d if deriv else None
-    want = "both" if deriv else "value"
+    val, head_d, prod, dlog = _peel(flat, _factor_plan(M).primes, ks)
+    der = -head_d
 
-    # One k = 1 batch serves the log and zeta'/zeta at the zeta'/zeta
-    # tolerance: inner_d <= inner_v, the Cauchy-circle bound is at least the
-    # value bound at equal N, and both searches start at the same N, so the
-    # N that meets inner_d also meets inner_v.
-    inner_v, inner_d = _k1_tolerances(abs_tol, zeta_sig, zeta_2sig, zeta_d_sig)
-    tol_1 = EvalTolerance(inner_d if deriv else inner_v)
+    tol_1 = EvalTolerance(_k1_tolerance(abs_tol, zeta_sig, zeta_2sig, zeta_d_sig))
     inner = EvalTolerance(max(abs_tol / (8.0 * K), 1e-15))
     for i, k in enumerate(ks):
-        zv, zd = _zeta_core(k * flat, tol_1 if k == 1 else inner, want, tight=k > 1)
+        zv, zd = _zeta_core(k * flat, tol_1 if k == 1 else inner, tight=k > 1)
         # zeta_{>M}(ks) = zeta(ks) prod_{p<=M} (1 - p^{-ks}); its principal
         # log is the analytic branch (certified at k = 1, |log| < 0.02 at k >= 2)
-        if k <= K_v:
-            val += (mu[k] / k) * np.log(zv * prod[i])
-        if deriv:
-            der += mu[k] * (zd / zv + dlog[i])
+        val += (mu[k] / k) * np.log(zv * prod[i])
+        der += mu[k] * (zd / zv + dlog[i])
     return val, der
 
 
 def prime_zeta(s, tol: Optional[EvalTolerance] = None):
-    """Prime zeta P(s) = sum over primes of p^{-s}, Re(s) > 1.
+    """Prime zeta P(s) = sum over primes of p^{-s}, Re(s) > 1; the P of
+    prime_zeta_pair.
 
     Computed from the Moebius-log identity with the primes p <= M peeled
     (module docstring); the peeled primes come from a cached sieve.
     """
-    tol = tol or DEFAULT_TOL
-    flat, scalar, shape = _prep(s)
-    val, _ = _prime_zeta_core(flat, tol, False)
-    return _restore(val, scalar, shape)
+    return prime_zeta_pair(s, tol)[0]
 
 
 def prime_zeta_deriv(s, tol: Optional[EvalTolerance] = None):
@@ -502,7 +465,7 @@ def prime_zeta_pair(s, tol: Optional[EvalTolerance] = None):
     """(P(s), P'(s)) sharing the zeta evaluations between the two sums."""
     tol = tol or DEFAULT_TOL
     flat, scalar, shape = _prep(s)
-    val, der = _prime_zeta_core(flat, tol, True)
+    val, der = _prime_zeta_core(flat, tol)
     return _restore(val, scalar, shape), _restore(der, scalar, shape)
 
 
@@ -528,8 +491,7 @@ def psi_entire(s, tol: Optional[EvalTolerance] = None):
         out[near] = series / (1.0 + wn)
     if np.any(~near):
         sf = flat[~near]
-        zv, _ = _zeta_core(sf, tol, "value")
-        out[~near] = zv / sf - 1.0 / (sf - 1.0)
+        out[~near] = _zeta_core(sf, tol)[0] / sf - 1.0 / (sf - 1.0)
     return _restore(out, scalar, shape)
 
 
@@ -537,6 +499,5 @@ def psi_prime_part(s, tol: Optional[EvalTolerance] = None):
     """psi_P(s) = P(s)/s + log(s-1), principal log (Re(s-1) > 0)."""
     tol = tol or DEFAULT_TOL
     flat, scalar, shape = _prep(s)
-    val, _ = _prime_zeta_core(flat, tol, False)
-    out = val / flat + np.log(flat - 1.0)
+    out = _prime_zeta_core(flat, tol)[0] / flat + np.log(flat - 1.0)
     return _restore(out, scalar, shape)

@@ -70,7 +70,8 @@ RATIO_THRESHOLD = 0.05
 SPECTRAL_EPS = 0.05
 SPECTRAL_TOP = 20
 # The order-n diagonal at eps = 0 reads g near u = 2 pi n / L, and a 1e8 table
-# freezes g past u = ln(1e8); at L = 8 pi, 72 sits under N_max = L ln(1e8)/(2 pi) = 73.7.
+# freezes g past u = ln(1e8); at L = 8 pi, 72 sits under N_max = L ln(1e8)/(2 pi) = 73.7,
+# the largest order _check_resolvable lets through.
 PNT_ORDER = 72
 # the ExperimentReport fields its JSON nests under "verdicts"
 _VERDICTS = ("diag_decay", "ratio_limit", "consistent")
@@ -188,6 +189,20 @@ def _set_verdicts(report: ExperimentReport) -> None:
         setattr(report, k, v)
 
 
+def _check_resolvable(S: GrowthFunction, L: float, N: int) -> None:
+    """DomainError when the order-N diagonal would read the frozen tail.
+
+    At eps = 0 the order-n diagonal reads g near u = 2 pi n / L, and past
+    u_cap the source holds g at g(u_cap), so an order above
+    N_max = L u_cap / (2 pi) reads that constant, not the source."""
+    n_max = L * S.u_cap / (2.0 * math.pi)
+    if N > n_max:
+        raise DomainError(
+            f"order N = {N} reads g past u_cap = {S.u_cap:g} of source '{S.label}'; "
+            f"at L = {L:g} the largest resolvable order is N_max = {n_max:.4g}"
+        )
+
+
 def _experiment_report(
     S: GrowthFunction,
     L: float,
@@ -242,7 +257,8 @@ def forward_experiment(
     """Known-limit direction: declared A, test that Psi diagonals decay.
 
     Preconditions: A declared (or readable off the source) and roughly
-    consistent with the data, |g(u_max) - A| < 0.1. The verdicts use
+    consistent with the data, |g(u_max) - A| < 0.1, and N resolvable on
+    the source (_check_resolvable). The verdicts use
     DIAG_THRESHOLD and RATIO_THRESHOLD, the spectral tail is taken at
     SPECTRAL_EPS on the frequency route, and the report's eps schedule
     records the two eps in use, [0, SPECTRAL_EPS]."""
@@ -254,6 +270,7 @@ def forward_experiment(
         )
     if u_max > S.u_cap:
         raise DomainError(f"u_max = {u_max:g} beyond evaluable range {S.u_cap:g}")
+    _check_resolvable(S, L, N)
     g_end = float(S.g(u_max))
     if abs(g_end - A) >= 0.1:
         raise ContractError(
@@ -279,11 +296,13 @@ def converse_experiment(
 
     A* minimizes the worst high-band |<(W - a Id) e_n, e_n>| over
     a in [0, 2C]; the diagonal is taken in the eps -> 0 limit, which is
-    where the split is read off. consistent = diag_decay AND ratio_limit.
+    where the split is read off, so N must be resolvable on the source
+    (_check_resolvable). consistent = diag_decay AND ratio_limit.
     The spectral tail is taken at SPECTRAL_EPS on spectral_route, and the
     report records DEFAULT_EPS_SCHEDULE as its eps schedule."""
     if u_max > S.u_cap:
         raise DomainError(f"u_max = {u_max:g} beyond evaluable range {S.u_cap:g}")
+    _check_resolvable(S, L, N)
     diag_W = diagonal_sequence(S, IntervalSpec(L), 0.0, 0.0, N)
     lo, hi = _band(N)
     a_star = _golden_minimax(diag_W, lo, hi, 2.0 * S.growth_constant)

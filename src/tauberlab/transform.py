@@ -16,8 +16,9 @@ closed form); it is the independent oracle the tests check the closed
 forms against. For a source that declares breakpoints, it integrates
 the step region exactly up to x = 2e5 (or e^U if smaller) and applies
 Gauss-Legendre only beyond, where the remaining jumps are too small to
-spoil the panel error; tail bounds past the cutoff U are certified from
-the linear growth constant and reported by separate bound functions.
+spoil the panel error; the tail past the cutoff U is certified from the
+linear growth constant by quadrature_tail_bound. The step sum is exact and
+has no tail.
 
 The module also carries the catalog of named growth-function instances the
 experiment battery runs on.
@@ -48,7 +49,6 @@ __all__ = [
     "transform_primes",
     "transform_weighted_primes",
     "transform_step_sum",
-    "step_sum_tail_bound",
     "transform_quadrature",
     "quadrature_tail_bound",
     "source_identity",
@@ -102,34 +102,11 @@ def transform_weighted_primes(s, tol: Optional[EvalTolerance] = None):
 # ---------------------------------------------------------------------------
 
 
-def transform_step_sum(
-    S: StepFunction,
-    s,
-    growth_constant: Optional[float] = None,
-    tol: Optional[EvalTolerance] = None,
-):
+def transform_step_sum(S: StepFunction, s):
     """Exact transform of a finite step function: sum of a_j x_j^{-s} / s.
 
-    The sum is the complete transform of S itself. When S stands in for an
-    infinite source truncated at its last breakpoint X, pass that source's
-    growth constant: the certified continuation tail
-    C X^{1-sigma} (1/|s| + 1/(sigma-1)) is then checked against tol (when
-    given) and a PrecisionError with the required X is raised if it cannot
-    be met."""
+    The sum is the complete transform of S itself, so it carries no tail."""
     flat, scalar, shape = _prep(s)
-    if tol is not None and growth_constant is not None:
-        bound = step_sum_tail_bound(S, flat, growth_constant)
-        worst = float(np.max(bound)) if np.ndim(bound) else float(bound)
-        if worst > tol.abs_tol:
-            sig_min = float(np.min(flat.real))
-            needed = (worst / tol.abs_tol) ** (1.0 / (sig_min - 1.0)) * float(
-                S.breakpoints[-1]
-            )
-            raise PrecisionError(
-                f"step-sum continuation tail {worst:.3g} exceeds {tol.abs_tol:.3g}; "
-                f"extend the step function to X >= {needed:.6g}",
-                achieved=worst,
-            )
     lnx = np.log(S.breakpoints)
     out = np.zeros(flat.size, dtype=complex)
     block = max(1, 4_000_000 // max(flat.size, 1))
@@ -140,18 +117,6 @@ def transform_step_sum(
             out += np.exp(-np.multiply.outer(flat, chunk)) @ amp
     out /= flat
     return _restore(out, scalar, shape)
-
-
-def step_sum_tail_bound(S: StepFunction, s, growth_constant: float):
-    """Certified bound on the dropped tail when S truncates a C-linear source.
-
-    From integration by parts of the tail integral:
-    |tail| <= C X^{1-sigma} (1/|s| + 1/(sigma-1)), X the last breakpoint."""
-    flat, scalar, shape = _prep(s)
-    X = float(S.breakpoints[-1])
-    sig = flat.real
-    bound = growth_constant * X ** (1.0 - sig) * (1.0 / np.abs(flat) + 1.0 / (sig - 1.0))
-    return _restore(bound.astype(complex), scalar, shape).real if scalar else bound
 
 
 # ---------------------------------------------------------------------------

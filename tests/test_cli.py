@@ -146,9 +146,22 @@ def test_pnt_on_an_insufficient_cache(capsys, tmp_path):
     assert doc["code"] == "table-exhausted"
 
 
+def test_converse_refuses_an_order_past_the_frozen_tail(capsys, tmp_path):
+    # at L = 8 pi a 1e5 table resolves orders up to N_max = 46.05; the default is 64
+    code, _, err = run_cli(
+        capsys,
+        "--cache-dir", str(tmp_path), "--prime-limit", "100000",
+        "experiment", "converse", "--source", "wprimes", "--umax", "11",
+    )
+    assert code == 1
+    doc = json.loads(err.strip())
+    assert doc["code"] == "domain" and "N_max = 46.05" in doc["message"]
+
+
 def test_pnt_takes_length_and_order_from_the_config_file(capsys, tmp_path):
     conf = tmp_path / "pnt.conf"
-    conf.write_text("length = 12.566370614359172\norder = 40\n")
+    # a 3e4 table resolves orders up to N_max = L ln(3e4)/(2 pi) = 20.6 at L = 4 pi
+    conf.write_text("length = 12.566370614359172\norder = 20\n")
     report = tmp_path / "pnt.json"
     code, _, _ = run_cli(
         capsys,
@@ -158,8 +171,8 @@ def test_pnt_takes_length_and_order_from_the_config_file(capsys, tmp_path):
     assert code == 0
     doc = json.loads(report.read_text())
     assert doc["report"]["length"] == 12.566370614359172
-    assert doc["report"]["order"] == 40
-    assert doc["config"]["order"] == 40
+    assert doc["report"]["order"] == 20
+    assert doc["config"]["order"] == 20
 
 
 # ---------------------------------------------------------------------------

@@ -39,14 +39,20 @@ def test_schwarz_reflection(sigma, t):
 @given(
     st.lists(st.tuples(st.floats(1.001, 3.0), st.floats(-200.0, 200.0)), min_size=1, max_size=3),
     st.floats(-14.0, -4.0),
+    st.sampled_from(special._PEEL_CAPS),
+    st.floats(1.0, 20.0, exclude_min=True),
 )
-def test_k1_batch_at_the_derivative_tolerance_meets_the_value_tolerance(points, log_tol):
-    """prime_zeta_pair truncates its k = 1 zeta batch for zeta'/zeta alone;
-    that N must also meet the tolerance of the log zeta term."""
-    s = np.array([complex(sigma, t) for sigma, t in points])
-    inner_v, inner_d = special._k1_tolerances(10.0**log_tol, *special._real_zeta_triple(float(s.real.min())))
-    assert inner_d <= inner_v
-    assert special._choose_N(s, inner_d, deriv=True) >= special._choose_N(s, inner_v)
+def test_derivative_bounds_also_certify_the_values(points, log_tol, M, sigma):
+    """Every batch is truncated for zeta' and every Moebius sum cut for
+    zeta'/zeta: the N must also meet the value's remainder bound, and the
+    zeta'/zeta tail bound must cover the log tail x0 (1 + a/(sigma-1))/(1 - x0)."""
+    s = np.array([complex(sig, t) for sig, t in points])
+    tol = 10.0**log_tol
+    N = special._choose_N(s, tol)
+    assert special._remainder_bound(s.real.min(), s.real.max(), np.abs(s.imag).max(), N) <= tol
+    a = M + 1.0
+    x0 = a**-sigma
+    assert special._peeled_tail_bound(M, sigma) >= x0 * (1.0 + a / (sigma - 1.0)) / (1.0 - x0)
 
 
 _MEMBERS = [m[0] for m in battery_members()]

@@ -229,7 +229,7 @@ def _em_direct(s, N):
 @pytest.mark.parametrize("N, npts", [(10, 64), (72, 64), (288, 64), (4096, 64), (100_000, 1)])
 def test_em_eval_matches_the_direct_powers(N, npts, rng):
     s = rng.uniform(1.05, 3.0, size=npts) + 1j * rng.uniform(-40.0, 40.0, size=npts)
-    val, der = special._em_eval(s, N, "both")
+    val, der = special._em_eval(s, N)
     ref_v, ref_d = _em_direct(s, N)
     assert np.max(np.abs(val - ref_v)) <= 1e-13 * np.max(np.abs(ref_v))
     assert np.max(np.abs(der - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
@@ -241,9 +241,9 @@ def test_prime_zeta_pair_runs_one_k1_zeta_batch(monkeypatch):
     batches = []
     em_eval = special._em_eval
 
-    def counted(pts, N, want):
+    def counted(pts, N):
         batches.append(np.array(pts))
-        return em_eval(pts, N, want)
+        return em_eval(pts, N)
 
     monkeypatch.setattr(special, "_em_eval", counted)
     prime_zeta_pair(s)
@@ -306,6 +306,7 @@ def test_zeta_family_against_mpmath(s):
 
 def test_prime_zeta_deriv_is_the_pair_derivative():
     for s in [*_ORACLE_POINTS, np.array(_ORACLE_POINTS)]:
+        assert np.array_equal(prime_zeta(s), prime_zeta_pair(s)[0])
         assert np.array_equal(prime_zeta_deriv(s), prime_zeta_pair(s)[1])
 
 
@@ -323,9 +324,9 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_runs_few_zeta_batches(monkeypa
     sizes = []
     em_eval = special._em_eval
 
-    def counted(pts, N, want):
+    def counted(pts, N):
         sizes.append(pts.size)
-        return em_eval(pts, N, want)
+        return em_eval(pts, N)
 
     monkeypatch.setattr(special, "_em_eval", counted)
     prime_zeta_pair(s)

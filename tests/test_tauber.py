@@ -54,6 +54,17 @@ def test_forward_respects_source_range(small_table):
         forward_experiment(S, 1.0, N=8, u_max=18.0)
 
 
+def test_orders_past_the_frozen_tail_are_refused(small_table):
+    """Past u_cap = ln 1e5 the table-backed g is frozen, so at L = 8 pi the
+    largest order that reads the source is N_max = 4 ln 1e5 = 46.05."""
+    S = tr.source_primes_weighted(small_table)
+    with pytest.raises(DomainError, match="N_max = 46.05"):
+        converse_experiment(S, N=47, u_max=11.0)
+    with pytest.raises(DomainError, match="N_max = 46.05"):
+        forward_experiment(S, 1.0, N=64, u_max=11.0)
+    assert converse_experiment(S, N=46, u_max=11.0).order == 46
+
+
 # ---------------------------------------------------------------------------
 # converse direction
 # ---------------------------------------------------------------------------
