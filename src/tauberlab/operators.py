@@ -16,9 +16,18 @@ collapses to one-dimensional moments on [0, L]. With alpha = 2 pi / L,
     c_n = int_0^L 2 K(x) (1 - x/L) cos(alpha n x) dx,
 
 and M[m][n] = (-1)^{n-m} (s_m - s_n) / (pi (n - m)) for m != n,
-M[n][n] = c_n. The moments come from uniform Gauss-Legendre panels, one
-kernel evaluation per node. This stays a time-side computation, independent
-of the frequency route.
+M[n][n] = c_n. The moments come from P uniform panels of half-width h with
+one shared 16-point Gauss-Legendre rule xi_i, so every node is
+x = m_j + h xi_i with midpoint m_j = (2j + 1) h: a special.OuterGrid, on
+which the kernel is evaluated once per node in one call. The phases factor
+the same way, e^{i alpha n x} = E[j, n] F[i, n] with E = e^{i alpha n m_j}
+(P x (N+1)) and F = e^{i alpha n h xi_i} (16 x (N+1)), so with the weighted
+kernel values wk (P x 16)
+
+    s_n + i (...) = sum_j E[j, n] (wk @ F)[j, n],
+
+and c_n likewise, from (P + 16)(N + 1) complex exps in place of 16 P (N+1).
+This stays a time-side computation, independent of the frequency route.
 
 Frequency route: by the Plancherel identity the matrix element is a single
 frequency integral against the windowed sine factors
@@ -47,7 +56,10 @@ resolution cap, beyond which a declared between-jump mean replaces the
 sawtooth when available), refines panels inside the Fejer main lobes
 |x - pi n| < 3 pi, and cuts off at X chosen from the damping (eps > 0) or
 at pi n_max + 500 with an integration-by-parts tail correction (eps = 0,
-allowed because bounded g keeps the windowed integrand integrable).
+allowed because bounded g keeps the windowed integrand integrable). At
+eps = 0 the order-n diagonal reads g near u = 2 pi n / L, so an order past
+N_max = L u_cap / (2 pi) would read the constant a table-backed source
+freezes g at past u_cap; such orders are refused (_check_resolvable).
 
 Each panel gets 16 Gauss-Legendre nodes, except the panels narrower than
 h0 = 0.05 that end inside the jump-resolved range, which get 4. Between
@@ -81,8 +93,8 @@ import numpy as np
 
 from .arith import GrowthFunction, _atomic_write, _fields_dict
 from .errors import ContractError, DomainError, PrecisionError
-from .special import EvalTolerance
-from .transform import _STEP_RESOLVE_CAP, _gl_nodes_on
+from .special import EvalTolerance, OuterGrid
+from .transform import _GL16, _STEP_RESOLVE_CAP, _gl_nodes_on
 
 __all__ = [
     "IntervalSpec",
@@ -160,14 +172,16 @@ def kernel(S: GrowthFunction, eps: float, x):
 
     Needs the source's closed-form transform (every catalog source declares
     one) and eps >= 1e-3: the kernel route never takes the eps -> 0 limit
-    pointwise."""
+    pointwise. x may be an OuterGrid, which reaches the transform as the
+    grid 1 + eps + i x, and the result has its (P, Q) shape."""
     if eps < 1e-3:
         raise DomainError("kernel evaluation requires eps >= 1e-3")
     if S.laplace is None:
         raise ContractError(f"source '{S.label}' declares no closed-form transform for the kernel")
-    arr = np.asarray(x, dtype=float)
-    out = np.real(S.laplace(1.0 + eps + 1j * arr)) / math.pi
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
+    if not isinstance(x, OuterGrid):
+        x = np.asarray(x, dtype=float)
+    out = np.real(S.laplace(1.0 + eps + 1j * x)) / math.pi
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def assemble_kernel_route(
@@ -178,31 +192,31 @@ def assemble_kernel_route(
 ) -> OperatorTruncation:
     """Matrix truncation from the 1-D kernel moments s_n, c_n (module docstring).
 
-    Uniform panels of width min(eps, 0.1, L/(3N)) with 16 Gauss-Legendre
-    nodes each resolve both the kernel peak (scale eps) and the fastest
-    basis oscillation (period L/N); the width depends on eps, L and N alone."""
+    P uniform panels of width at most min(eps, 0.1, L/(3N)) with 16
+    Gauss-Legendre nodes each resolve both the kernel peak (scale eps) and
+    the fastest basis oscillation (period L/N); the width depends on eps, L
+    and N alone."""
     if eps < 1e-3:
         raise DomainError("kernel route requires eps >= 1e-3")
     if not (0 <= N <= _MAX_ORDER):
         raise ContractError(f"order N must lie in [0, {_MAX_ORDER}]")
     L = I.length
-    w_target = min(eps, 0.1, L / (3 * N) if N > 0 else math.inf)
-    edges = np.linspace(0.0, L, int(math.ceil(L / w_target)) + 1)
-    xs, ws = _gl_nodes_on(edges[:-1], edges[1:])
-    kv = np.asarray(kernel(S, eps, xs))
+    P = int(math.ceil(L / min(eps, 0.1, L / (3 * N) if N > 0 else math.inf)))
+    h = L / (2 * P)  # panel half-width
+    xi, wi = _GL16
+    x = OuterGrid((2 * np.arange(P) + 1) * h, h * xi)
+    kv = np.asarray(kernel(S, eps, x))
     if not np.all(np.isfinite(kv)):
-        x_bad = float(xs[np.flatnonzero(~np.isfinite(kv))[0]])
+        x_bad = float(x.points[np.flatnonzero(~np.isfinite(kv))[0]])
         raise PrecisionError(f"kernel quadrature produced a non-finite value at x = {x_bad!r}")
 
-    s, c = np.zeros(N + 1), np.zeros(N + 1)
-    wk = ws * kv
-    wc = 2.0 * wk * (1.0 - xs / L)
+    wk = kv * (h * wi)
+    wc = 2.0 * wk * (1.0 - np.asarray(x) / L)
     alpha_n = (2.0 * math.pi / L) * np.arange(N + 1)
-    block = max(1, 2_000_000 // (N + 1))
-    for lo in range(0, xs.size, block):
-        ph = np.exp(1j * np.multiply.outer(alpha_n, xs[lo : lo + block]))
-        s += ph.imag @ wk[lo : lo + block]
-        c += ph.real @ wc[lo : lo + block]
+    E = np.exp(1j * np.multiply.outer(x.a, alpha_n))
+    F = np.exp(1j * np.multiply.outer(x.b, alpha_n))
+    s = np.sum(E * (wk @ F), axis=0).imag
+    c = np.sum(E * (wc @ F), axis=0).real
     return OperatorTruncation(
         interval=I,
         epsilon=eps,
@@ -285,15 +299,18 @@ def _grid_edges(S: GrowthFunction, L: float, N: int, X: float):
     inner = (np.arange(1, seg.size + 1) - np.repeat(ends - k, k)) * ((b - a) / k)[seg] + a[seg]
     inner[ends - 1] = b
 
-    # geometric growth out to the cutoff
-    grow = []
+    # geometric growth out to the cutoff: widths base_w 1.15^j capped at 2,
+    # ends the running sums from cuts[-1] below X, then X itself. Both
+    # accumulates run in order, so the ends are bit for bit those of the
+    # loop pos = min(pos + w, X), w = min(1.15 w, 2), while pos < X
     pos = float(cuts[-1])
-    wcur = base_w
-    while pos < X:
-        pos = min(pos + wcur, X)
-        grow.append(pos)
-        wcur = min(wcur * 1.15, 2.0)
-    return np.concatenate([cuts[:1], inner, grow])
+    if pos >= X:
+        return np.concatenate([cuts[:1], inner])
+    n_geo = int(math.log(2.0 / base_w) / math.log(1.15)) + 3  # the last is past the cap
+    w = np.full(n_geo + int((X - pos) / 2.0) + 1, 2.0)
+    w[:n_geo] = np.minimum(np.multiply.accumulate([base_w] + [1.15] * (n_geo - 1)), 2.0)
+    ends = np.add.accumulate(np.concatenate([[pos], w]))[1:]
+    return np.concatenate([cuts[:1], inner, ends[ends < X], [X]])
 
 
 def _route_nodes(S: GrowthFunction, L: float, edges: np.ndarray):
@@ -373,6 +390,18 @@ def _tail_T(X: float, a: np.ndarray) -> np.ndarray:
     )
 
 
+def _check_resolvable(S: GrowthFunction, L: float, N: int) -> None:
+    """DomainError when the eps = 0 order-N diagonal would read the frozen
+    tail: past u_cap the source holds g at g(u_cap), so an order above
+    N_max = L u_cap / (2 pi) reads that constant, not the source."""
+    n_max = L * S.u_cap / (2.0 * math.pi)
+    if N > n_max:
+        raise DomainError(
+            f"order N = {N} reads g past u_cap = {S.u_cap:g} of source '{S.label}'; "
+            f"at L = {L:g} the largest resolvable order is N_max = {n_max:.4g}"
+        )
+
+
 def _windowed_integrals(
     S: GrowthFunction,
     L: float,
@@ -387,13 +416,14 @@ def _windowed_integrals(
     The grid ends at the cutoff X. For eps > 0, X is where the damped tail
     bound C e^{-2 eps X/L} / (pi (X - pi N)) meets a tenth of tol.abs_tol
     (abs_tol 1e-9 without tol), C the growth constant (_cutoff_damped). At
-    eps = 0, X = pi N + _EPS0_X_PAD and the part beyond X is added in closed
-    form, with mt frozen at its value at X: a log term for F and _tail_T
-    for D."""
+    eps = 0, N must not pass N_max (_check_resolvable), X = pi N +
+    _EPS0_X_PAD and the part beyond X is added in closed form, with mt
+    frozen at its value at X: a log term for F and _tail_T for D."""
     if eps > 0.0:
         target = (tol.abs_tol if tol else 1e-9) * 0.1
         X = _cutoff_damped(S.growth_constant, eps, L, N, target)
     else:
+        _check_resolvable(S, L, N)
         X = math.pi * N + _EPS0_X_PAD
     xs, ws = _route_nodes(S, L, _grid_edges(S, L, N, X))
     vals = _source_values(S, L, eps, xs) - shift
@@ -451,7 +481,8 @@ def diagonal_sequence(
     At eps = 0 the integrand is h(u) = g(|u|) - A directly; at eps > 0 the
     damped g is integrated and A subtracted exactly (the Fejer window has
     unit mass). Diagonals are even in n. The grid and its cutoff are those
-    of assemble_frequency_route at order n_max."""
+    of assemble_frequency_route at order n_max; at eps = 0 an n_max past
+    the frozen tail of a table-backed source is a DomainError."""
     if eps < 0.0:
         raise DomainError("eps must be >= 0")
     if n_max < 0:

@@ -18,10 +18,21 @@ multiplicative: one complex exp per prime n < N, then each composite as
 spf(n)^{-s} * (n/spf(n))^{-s} (spf the smallest prime factor), one
 vectorized gather-multiply per layer of equal Omega(n) (prime factors with
 multiplicity), so at most log2 N of them. The tail and Bernoulli terms
-all come from the one power N^{-s}. The smallest-prime-factor sieve behind
-this plan is cached per power of two, each N taking a prefix of the
-next one up, and also supplies the Moebius function and the small primes
-used below.
+all come from the one power N^{-s}, taken per point. The
+smallest-prime-factor sieve behind this plan is cached per power of two,
+each N taking a prefix of the next one up, and also supplies the Moebius
+function and the small primes used below.
+
+Every batch is an outer sum: the P x Q points s = a_j + b_i of an
+OuterGrid, a plain array being the degenerate grid a = its points,
+b = [0]. Since n^{-s} = n^{-a_j} n^{-b_i}, the multiplicative plan builds
+the power matrices A of n^{-a} (P columns) and B of n^{-b} (Q columns),
+and one matrix product A^T [B | -ln n B] gives both power sums,
+sum n^{-s} and -sum ln n n^{-s}, at every point: (P + Q) N powers in
+place of P Q N. The quadrature nodes of the kernel route are such a grid
+(panel midpoints plus one scaled Gauss-Legendre rule), and the transforms
+hand it through unchanged. The truncation N still comes from the P Q
+points themselves, so the grid changes no N and no certificate.
 
 prime zeta peels the primes p <= M off the Moebius-log identity
 sum_k mu(k)/k * log zeta(ks) (H. Cohen, "High precision computation of
@@ -32,8 +43,8 @@ prod_{p<=M} (1 - p^{-w}), whose log is sum_{p>M} -log(1 - p^{-w}),
     P'(s) = -sum_{p<=M} ln p p^{-s}
             + sum_{k<=K} mu(k) [zeta'/zeta(ks) + sum_{p<=M} ln p p^{-ks}/(1 - p^{-ks})].
 
-One block of p^{-s} serves every k: p^{-ks} = (p^{-s})^k. M is the
-smallest of 100, 10^4, 10^5 that certifies the k = 1 logarithm:
+One block of p^{-s} = p^{-a} p^{-b} serves every k: p^{-ks} = (p^{-s})^k.
+M is the smallest of 100, 10^4, 10^5 that certifies the k = 1 logarithm:
 |Im log zeta_{>M}(s)| <= log zeta_{>M}(sigma) = log zeta(sigma) +
 sum_{p<=M} log(1 - p^{-sigma}), and below pi the principal log of
 zeta_{>M}(s) is the branch that is real on (1, oo). Closer to 1 than
@@ -60,8 +71,9 @@ of zeta; the constants below were computed once by a float128
 Euler-Maclaurin limit at N = 10^7 (sum of log^n k / k minus
 log^{n+1} N/(n+1), with tail corrections), not copied from memory.
 
-All evaluators accept a complex scalar or ndarray and respect the Schwarz
-reflection F(conj s) = conj F(s).
+All evaluators accept a complex scalar, an ndarray or an OuterGrid (whose
+result has the grid's (P, Q) shape) and respect the Schwarz reflection
+F(conj s) = conj F(s).
 """
 
 from __future__ import annotations
@@ -77,6 +89,7 @@ import numpy as np
 from .errors import ContractError, DomainError, PrecisionError
 
 __all__ = [
+    "OuterGrid",
     "EvalTolerance",
     "DEFAULT_TOL",
     "zeta",
@@ -124,17 +137,59 @@ class EvalTolerance:
 DEFAULT_TOL = EvalTolerance()
 
 
+class OuterGrid:
+    """The P x Q points a[j] + b[i] of an outer sum, row j holding a[j] + b.
+
+    np.asarray gives the (P, Q) points, so a closed form written for arrays
+    takes a grid unchanged, while the zeta family builds its powers from a
+    and b (module docstring). Adding a scalar shifts a; multiplying by one
+    scales a and b. `points` holds the P Q points, row by row."""
+
+    __array_ufunc__ = None  # numpy defers scalar arithmetic to the methods below
+
+    def __init__(self, a, b=(0.0,)):
+        self.a = np.ravel(a)
+        self.b = np.ravel(b)
+        self.points = np.add.outer(self.a, self.b).ravel()
+
+    @property
+    def shape(self) -> tuple:
+        return (self.a.size, self.b.size)
+
+    @property
+    def size(self) -> int:
+        return self.points.size
+
+    def __array__(self, dtype=None, copy=None):
+        return self.points.reshape(self.shape).astype(dtype or self.points.dtype)
+
+    def __add__(self, c):
+        return OuterGrid(self.a + c, self.b)
+
+    def __mul__(self, c):
+        return OuterGrid(self.a * c, self.b * c)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+
 def _prep(s):
-    """Coerce to a 1-d complex array; enforce the sigma > 1 domain."""
-    arr = np.asarray(s, dtype=complex)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel()
+    """The points of s as a complex OuterGrid (an array as the degenerate
+    grid of its flattened points), whether s is a scalar, and the shape to
+    restore; enforces the finite, sigma > 1 domain."""
+    if isinstance(s, OuterGrid):
+        grid = OuterGrid(s.a.astype(complex), s.b.astype(complex))
+        scalar, shape = False, s.shape
+    else:
+        arr = np.asarray(s, dtype=complex)
+        grid, scalar, shape = OuterGrid(arr), arr.ndim == 0, arr.shape
+    flat = grid.points
     if flat.size:
         if not (np.all(np.isfinite(flat.real)) and np.all(np.isfinite(flat.imag))):
             raise DomainError("s must be finite")
         if np.any(flat.real <= 1.0):
             raise DomainError("evaluation requires Re(s) > 1")
-    return flat, scalar, arr.shape
+    return grid, scalar, shape
 
 
 def _restore(vals, scalar, shape):
@@ -252,34 +307,42 @@ def _factor_plan(n_max: int) -> _FactorPlan:
     return _FactorPlan(full.mu[: n_max + 1], tuple(layers))
 
 
-def _em_eval(s: np.ndarray, N: int):
-    """Euler-Maclaurin evaluation of (zeta, zeta') at fixed N.
+def _em_eval(grid: OuterGrid, N: int):
+    """Euler-Maclaurin evaluation of (zeta, zeta') at fixed N on a grid.
 
-    The (terms x points) power matrix is built by complete multiplicativity:
-    one complex exp per prime n < N, then one gather-multiply
-    n^{-s} = spf(n)^{-s} (n/spf(n))^{-s} per Omega layer of composites.
-    Points are chunked to keep the matrix near 4M cells.
+    The power matrices of n^{-a} and n^{-b} are built by complete
+    multiplicativity: one complex exp per prime n < N, then one
+    gather-multiply n^{-z} = spf(n)^{-z} (n/spf(n))^{-z} per Omega layer of
+    composites. One product A^T [B | -ln n B] gives both power sums; a is
+    chunked to keep A near 4M cells. The tail and Bernoulli terms are
+    taken per point.
     """
-    npts = s.size
-    val = np.zeros(npts, dtype=complex)
-    der = np.zeros(npts, dtype=complex)
     plan = _factor_plan(N - 1)
     ln_all = np.log(np.arange(1, N, dtype=float))
     ln_p = ln_all[plan.primes - 1]
     lnN = math.log(N)
+
+    def powers(z):
+        """Row n - 1 is n^{-z}, n = 1..N-1."""
+        pw = np.empty((N, z.size), dtype=complex)  # row 0 unused
+        pw[1] = 1.0
+        pw[plan.primes] = np.exp(-np.multiply.outer(ln_p, z))
+        for rows, p, c in plan.layers[1:]:
+            pw[rows] = pw[p] * pw[c]
+        return pw[1:]
+
+    a, nb = grid.a, grid.b.size
+    sums = np.empty((a.size, 2 * nb), dtype=complex)
     pblock = max(1, 4_000_000 // N)
     with np.errstate(under="ignore"):
-        for lo in range(0, npts, pblock):
-            sb = s[lo : lo + pblock]
-            pw = np.empty((N, sb.size), dtype=complex)  # row n is n^{-s}; row 0 unused
-            pw[1] = 1.0
-            pw[plan.primes] = np.exp(-np.multiply.outer(ln_p, sb))
-            for rows, p, c in plan.layers[1:]:
-                pw[rows] = pw[p] * pw[c]
-            val[lo : lo + pblock] = pw[1:].sum(axis=0)
-            der[lo : lo + pblock] = -(ln_all @ pw[1:])
-            del pw
+        B = powers(grid.b)
+        B = np.concatenate([B, -ln_all[:, None] * B], axis=1)
+        for lo in range(0, a.size, pblock):
+            sums[lo : lo + pblock] = powers(a[lo : lo + pblock]).T @ B
+        val = sums[:, :nb].ravel()
+        der = sums[:, nb:].ravel()
         # integral tail, half-term and Bernoulli corrections, all from N^{-s}
+        s = grid.points
         NmS = np.exp(-s * lnN)
         N1mS = N * NmS
         tailA = N1mS / (s - 1.0)
@@ -300,27 +363,27 @@ def _em_eval(s: np.ndarray, N: int):
     return val, der
 
 
-def _zeta_core(flat: np.ndarray, tol: EvalTolerance, tight: bool = False):
+def _zeta_core(s: OuterGrid, tol: EvalTolerance, tight: bool = False):
     """(zeta, zeta') on a batch, both to tol.abs_tol, from one summation at
-    the N of _choose_N."""
-    if flat.size == 0:
+    the N that _choose_N picks for its points."""
+    if s.size == 0:
         empty = np.empty(0, dtype=complex)
         return empty, empty
-    return _em_eval(flat, _choose_N(flat, tol.abs_tol, tight))
+    return _em_eval(s, _choose_N(s.points, tol.abs_tol, tight))
 
 
 def zeta(s, tol: Optional[EvalTolerance] = None):
     """Riemann zeta on Re(s) > 1, accurate to tol.abs_tol (absolute)."""
     tol = tol or DEFAULT_TOL
-    flat, scalar, shape = _prep(s)
-    return _restore(_zeta_core(flat, tol)[0], scalar, shape)
+    grid, scalar, shape = _prep(s)
+    return _restore(_zeta_core(grid, tol)[0], scalar, shape)
 
 
 def zeta_deriv(s, tol: Optional[EvalTolerance] = None):
     """zeta'(s) on Re(s) > 1 via the term-differentiated summation."""
     tol = tol or DEFAULT_TOL
-    flat, scalar, shape = _prep(s)
-    return _restore(_zeta_core(flat, tol)[1], scalar, shape)
+    grid, scalar, shape = _prep(s)
+    return _restore(_zeta_core(grid, tol)[1], scalar, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +393,7 @@ def zeta_deriv(s, tol: Optional[EvalTolerance] = None):
 
 def _real_zeta_triple(sigma: float) -> tuple:
     """zeta(sigma), zeta(2 sigma) and zeta'(sigma), to 1e-9, from one batch."""
-    v, d = _zeta_core(np.array([sigma, 2.0 * sigma], dtype=complex), EvalTolerance(1e-9))
+    v, d = _zeta_core(OuterGrid(np.array([sigma, 2.0 * sigma], dtype=complex)), EvalTolerance(1e-9))
     return float(v[0].real), float(v[1].real), float(d[0].real)
 
 
@@ -371,11 +434,12 @@ def _peeled_tail_bound(M: int, sigma: float) -> float:
     return x0 * (la + a * (la / (sigma - 1.0) + 1.0 / (sigma - 1.0) ** 2)) / (1.0 - x0)
 
 
-def _peel(flat: np.ndarray, primes: np.ndarray, ks: list):
-    """Sums over the peeled primes p <= M, from one block x = p^{-s} and its
-    powers x^k = p^{-ks}: sum_p x and sum_p ln p x, then per k in ks the
-    product prod_p (1 - x^k) and sum_p ln p x^k/(1 - x^k)."""
-    npts = flat.size
+def _peel(s: OuterGrid, primes: np.ndarray, ks: list):
+    """Sums over the peeled primes p <= M, from one block x = p^{-s}, formed
+    as p^{-a} p^{-b}, and its powers x^k = p^{-ks}: sum_p x and
+    sum_p ln p x, then per k in ks the product prod_p (1 - x^k) and
+    sum_p ln p x^k/(1 - x^k)."""
+    npts = s.size
     head = np.zeros(npts, dtype=complex)
     head_d = np.zeros(npts, dtype=complex)
     prod = np.ones((len(ks), npts), dtype=complex)
@@ -385,7 +449,9 @@ def _peel(flat: np.ndarray, primes: np.ndarray, ks: list):
     with np.errstate(under="ignore"):
         for lo in range(0, lnp_all.size, block):
             lnp = lnp_all[lo : lo + block]
-            x = np.exp(-np.multiply.outer(lnp, flat))
+            xa = np.exp(-np.multiply.outer(lnp, s.a))
+            xb = np.exp(-np.multiply.outer(lnp, s.b))
+            x = (xa[:, :, None] * xb[:, None, :]).reshape(lnp.size, npts)
             head += x.sum(axis=0)
             head_d += lnp @ x
             xk, k_at = x, 1
@@ -411,13 +477,13 @@ def _k1_tolerance(abs_tol: float, zeta_sig: float, zeta_2sig: float, zeta_d_sig:
     return max(min(abs_tol * zmag_low / (3.0 * (1.0 + zd_mag / zmag_low)), 1e-5), 1e-15)
 
 
-def _prime_zeta_core(flat: np.ndarray, tol: EvalTolerance):
+def _prime_zeta_core(s: OuterGrid, tol: EvalTolerance):
     """(P, P') on a batch (module docstring)."""
-    if flat.size == 0:
+    if s.size == 0:
         empty = np.empty(0, dtype=complex)
         return empty, empty
     abs_tol = tol.abs_tol
-    sig_min = float(np.min(flat.real))
+    sig_min = float(np.min(s.points.real))
     zeta_sig, zeta_2sig, zeta_d_sig = _real_zeta_triple(sig_min)
     M = _peel_cap(sig_min, math.log(zeta_sig))
 
@@ -431,13 +497,13 @@ def _prime_zeta_core(flat: np.ndarray, tol: EvalTolerance):
         K += 1
     mu = _factor_plan(K).mu
     ks = [k for k in range(1, K + 1) if mu[k] != 0]
-    val, head_d, prod, dlog = _peel(flat, _factor_plan(M).primes, ks)
+    val, head_d, prod, dlog = _peel(s, _factor_plan(M).primes, ks)
     der = -head_d
 
     tol_1 = EvalTolerance(_k1_tolerance(abs_tol, zeta_sig, zeta_2sig, zeta_d_sig))
     inner = EvalTolerance(max(abs_tol / (8.0 * K), 1e-15))
     for i, k in enumerate(ks):
-        zv, zd = _zeta_core(k * flat, tol_1 if k == 1 else inner, tight=k > 1)
+        zv, zd = _zeta_core(k * s, tol_1 if k == 1 else inner, tight=k > 1)
         # zeta_{>M}(ks) = zeta(ks) prod_{p<=M} (1 - p^{-ks}); its principal
         # log is the analytic branch (certified at k = 1, |log| < 0.02 at k >= 2)
         val += (mu[k] / k) * np.log(zv * prod[i])
@@ -464,8 +530,8 @@ def prime_zeta_deriv(s, tol: Optional[EvalTolerance] = None):
 def prime_zeta_pair(s, tol: Optional[EvalTolerance] = None):
     """(P(s), P'(s)) sharing the zeta evaluations between the two sums."""
     tol = tol or DEFAULT_TOL
-    flat, scalar, shape = _prep(s)
-    val, der = _prime_zeta_core(flat, tol)
+    grid, scalar, shape = _prep(s)
+    val, der = _prime_zeta_core(grid, tol)
     return _restore(val, scalar, shape), _restore(der, scalar, shape)
 
 
@@ -481,7 +547,8 @@ def psi_entire(s, tol: Optional[EvalTolerance] = None):
     psi(s) = (gamma_0 - 1 - gamma_1 w + gamma_2 w^2/2 - gamma_3 w^3/6)/(1+w)
     with w = s-1, avoiding the ~|s-1|^{-1} cancellation."""
     tol = tol or DEFAULT_TOL
-    flat, scalar, shape = _prep(s)
+    grid, scalar, shape = _prep(s)
+    flat = grid.points
     out = np.empty(flat.size, dtype=complex)
     w = flat - 1.0
     near = np.abs(w) < _PSI_SERIES_RADIUS
@@ -489,15 +556,17 @@ def psi_entire(s, tol: Optional[EvalTolerance] = None):
         wn = w[near]
         series = GAMMA_0 - 1.0 - GAMMA_1 * wn + (GAMMA_2 / 2.0) * wn**2 - (GAMMA_3 / 6.0) * wn**3
         out[near] = series / (1.0 + wn)
-    if np.any(~near):
-        sf = flat[~near]
-        out[~near] = _zeta_core(sf, tol)[0] / sf - 1.0 / (sf - 1.0)
+    if not np.all(near):
+        far = OuterGrid(flat[~near]) if np.any(near) else grid
+        sf = far.points
+        out[~near] = _zeta_core(far, tol)[0] / sf - 1.0 / (sf - 1.0)
     return _restore(out, scalar, shape)
 
 
 def psi_prime_part(s, tol: Optional[EvalTolerance] = None):
     """psi_P(s) = P(s)/s + log(s-1), principal log (Re(s-1) > 0)."""
     tol = tol or DEFAULT_TOL
-    flat, scalar, shape = _prep(s)
-    out = _prime_zeta_core(flat, tol)[0] / flat + np.log(flat - 1.0)
+    grid, scalar, shape = _prep(s)
+    flat = grid.points
+    out = _prime_zeta_core(grid, tol)[0] / flat + np.log(flat - 1.0)
     return _restore(out, scalar, shape)

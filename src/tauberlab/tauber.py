@@ -71,7 +71,7 @@ SPECTRAL_EPS = 0.05
 SPECTRAL_TOP = 20
 # The order-n diagonal at eps = 0 reads g near u = 2 pi n / L, and a 1e8 table
 # freezes g past u = ln(1e8); at L = 8 pi, 72 sits under N_max = L ln(1e8)/(2 pi) = 73.7,
-# the largest order _check_resolvable lets through.
+# the largest order diagonal_sequence lets through at eps = 0.
 PNT_ORDER = 72
 # the ExperimentReport fields its JSON nests under "verdicts"
 _VERDICTS = ("diag_decay", "ratio_limit", "consistent")
@@ -189,20 +189,6 @@ def _set_verdicts(report: ExperimentReport) -> None:
         setattr(report, k, v)
 
 
-def _check_resolvable(S: GrowthFunction, L: float, N: int) -> None:
-    """DomainError when the order-N diagonal would read the frozen tail.
-
-    At eps = 0 the order-n diagonal reads g near u = 2 pi n / L, and past
-    u_cap the source holds g at g(u_cap), so an order above
-    N_max = L u_cap / (2 pi) reads that constant, not the source."""
-    n_max = L * S.u_cap / (2.0 * math.pi)
-    if N > n_max:
-        raise DomainError(
-            f"order N = {N} reads g past u_cap = {S.u_cap:g} of source '{S.label}'; "
-            f"at L = {L:g} the largest resolvable order is N_max = {n_max:.4g}"
-        )
-
-
 def _experiment_report(
     S: GrowthFunction,
     L: float,
@@ -258,10 +244,10 @@ def forward_experiment(
 
     Preconditions: A declared (or readable off the source) and roughly
     consistent with the data, |g(u_max) - A| < 0.1, and N resolvable on
-    the source (_check_resolvable). The verdicts use
-    DIAG_THRESHOLD and RATIO_THRESHOLD, the spectral tail is taken at
-    SPECTRAL_EPS on the frequency route, and the report's eps schedule
-    records the two eps in use, [0, SPECTRAL_EPS]."""
+    the source (diagonal_sequence refuses orders past the frozen tail). The
+    verdicts use DIAG_THRESHOLD and RATIO_THRESHOLD, the spectral tail is
+    taken at SPECTRAL_EPS on the frequency route, and the report's eps
+    schedule records the two eps in use, [0, SPECTRAL_EPS]."""
     if A is None:
         A = S.ratio_limit_A
     if A is None:
@@ -270,13 +256,12 @@ def forward_experiment(
         )
     if u_max > S.u_cap:
         raise DomainError(f"u_max = {u_max:g} beyond evaluable range {S.u_cap:g}")
-    _check_resolvable(S, L, N)
+    diag = diagonal_sequence(S, IntervalSpec(L), 0.0, A, N)
     g_end = float(S.g(u_max))
     if abs(g_end - A) >= 0.1:
         raise ContractError(
             f"declared A = {A:g} inconsistent with data: g({u_max:g}) = {g_end:.4f}"
         )
-    diag = diagonal_sequence(S, IntervalSpec(L), 0.0, A, N)
     return _experiment_report(
         S, L, N, u_max, A, "declared", diag, [0.0, SPECTRAL_EPS],
         DIAG_THRESHOLD, RATIO_THRESHOLD, "frequency",
@@ -297,12 +282,12 @@ def converse_experiment(
     A* minimizes the worst high-band |<(W - a Id) e_n, e_n>| over
     a in [0, 2C]; the diagonal is taken in the eps -> 0 limit, which is
     where the split is read off, so N must be resolvable on the source
-    (_check_resolvable). consistent = diag_decay AND ratio_limit.
+    (diagonal_sequence refuses orders past the frozen tail).
+    consistent = diag_decay AND ratio_limit.
     The spectral tail is taken at SPECTRAL_EPS on spectral_route, and the
     report records DEFAULT_EPS_SCHEDULE as its eps schedule."""
     if u_max > S.u_cap:
         raise DomainError(f"u_max = {u_max:g} beyond evaluable range {S.u_cap:g}")
-    _check_resolvable(S, L, N)
     diag_W = diagonal_sequence(S, IntervalSpec(L), 0.0, 0.0, N)
     lo, hi = _band(N)
     a_star = _golden_minimax(diag_W, lo, hi, 2.0 * S.growth_constant)

@@ -8,12 +8,16 @@ are provided for the classical sources:
     weighted primes     G(s) = (pzeta(s) - s pzeta'(s))/s^2
                              = -d/ds [pzeta(s)/s]          (S = pi_P ln)
 
-and two general evaluators: an exact summation for pure step sources
-(the integrand is piecewise e^{-su}, so each piece integrates in closed
-form) and a composite 16-node Gauss-Legendre quadrature for arbitrary
-sources. No pipeline path calls the quadrature (the kernel route needs a
-closed form); it is the independent oracle the tests check the closed
-forms against. For a source that declares breakpoints, it integrates
+The closed forms take an OuterGrid of points as well as an array and hand
+it whole to the zeta family, which builds its powers from the grid's two
+factors (special module docstring).
+
+There are two general evaluators: an exact summation for pure step
+sources (the integrand is piecewise e^{-su}, so each piece integrates in
+closed form) and a composite 16-node Gauss-Legendre quadrature for
+arbitrary sources. No pipeline path calls the quadrature (the kernel route
+needs a closed form); it is the independent oracle the tests check the
+closed forms against. For a source that declares breakpoints, it integrates
 the step region exactly up to x = 2e5 (or e^U if smaller) and applies
 Gauss-Legendre only beyond, where the remaining jumps are too small to
 spoil the panel error; the tail past the cutoff U is certified from the
@@ -72,16 +76,16 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 def transform_integers(s, tol: Optional[EvalTolerance] = None):
     """G(s) = zeta(s)/s, the transform of the integer count."""
     tol = tol or DEFAULT_TOL
-    flat, scalar, shape = _prep(s)
-    val = zeta(flat, tol) / flat
+    grid, scalar, shape = _prep(s)
+    val = np.ravel(zeta(grid, tol)) / grid.points
     return _restore(val, scalar, shape)
 
 
 def transform_primes(s, tol: Optional[EvalTolerance] = None):
     """G(s) = pzeta(s)/s, the transform of the prime count."""
     tol = tol or DEFAULT_TOL
-    flat, scalar, shape = _prep(s)
-    val = prime_zeta(flat, tol) / flat
+    grid, scalar, shape = _prep(s)
+    val = np.ravel(prime_zeta(grid, tol)) / grid.points
     return _restore(val, scalar, shape)
 
 
@@ -91,9 +95,10 @@ def transform_weighted_primes(s, tol: Optional[EvalTolerance] = None):
     This is -d/ds of the prime transform, since multiplying the source by u
     differentiates the transform."""
     tol = tol or DEFAULT_TOL
-    flat, scalar, shape = _prep(s)
-    pz, pzd = prime_zeta_pair(flat, tol)
-    val = (pz - flat * pzd) / flat**2
+    grid, scalar, shape = _prep(s)
+    flat = grid.points
+    pz, pzd = prime_zeta_pair(grid, tol)
+    val = (np.ravel(pz) - flat * np.ravel(pzd)) / flat**2
     return _restore(val, scalar, shape)
 
 
@@ -106,7 +111,8 @@ def transform_step_sum(S: StepFunction, s):
     """Exact transform of a finite step function: sum of a_j x_j^{-s} / s.
 
     The sum is the complete transform of S itself, so it carries no tail."""
-    flat, scalar, shape = _prep(s)
+    grid, scalar, shape = _prep(s)
+    flat = grid.points
     lnx = np.log(S.breakpoints)
     out = np.zeros(flat.size, dtype=complex)
     block = max(1, 4_000_000 // max(flat.size, 1))
@@ -128,7 +134,8 @@ def quadrature_tail_bound(S: GrowthFunction, s, U: float):
     """Certified bound on the integral dropped beyond u = U.
 
     S(e^u) <= C e^u gives tail <= C e^{-(sigma-1)U} (U + 1/(sigma-1))."""
-    flat, scalar, shape = _prep(s)
+    grid, scalar, shape = _prep(s)
+    flat = grid.points
     a = flat.real - 1.0
     bound = S.growth_constant * np.exp(-a * U) * (U + 1.0 / a)
     if scalar:
@@ -161,7 +168,8 @@ def transform_quadrature(
     0.25 handles the rest. The dropped tail beyond U is NOT added to the result; its certified
     bound comes from quadrature_tail_bound and is checked against tol when
     one is passed."""
-    flat, scalar, shape = _prep(s)
+    grid, scalar, shape = _prep(s)
+    flat = grid.points
     if not (U > 0) or not math.isfinite(U):
         raise DomainError("quadrature cutoff U must be positive and finite")
     if U > S.u_cap + 1e-12:

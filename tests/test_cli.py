@@ -158,6 +158,18 @@ def test_converse_refuses_an_order_past_the_frozen_tail(capsys, tmp_path):
     assert doc["code"] == "domain" and "N_max = 46.05" in doc["message"]
 
 
+def test_operator_diag_refuses_an_order_past_the_frozen_tail(capsys, tmp_path):
+    # the eps = 0 diagonals past N_max = 46.05 would read the frozen g(ln 1e5)
+    code, out, err = run_cli(
+        capsys,
+        "--cache-dir", str(tmp_path), "--prime-limit", "100000",
+        "operator", "diag", "--source", "wprimes", "--eps", "0", "--order", "64", "--A", "1",
+    )
+    assert code == 1 and out == ""
+    doc = json.loads(err.strip())
+    assert doc["code"] == "domain" and "N_max = 46.05" in doc["message"]
+
+
 def test_pnt_takes_length_and_order_from_the_config_file(capsys, tmp_path):
     conf = tmp_path / "pnt.conf"
     # a 3e4 table resolves orders up to N_max = L ln(3e4)/(2 pi) = 20.6 at L = 4 pi

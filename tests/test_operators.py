@@ -243,6 +243,25 @@ def test_grid_edges_match_the_per_segment_linspace(case, small_table):
     assert np.array_equal(operators._grid_edges(S, L, N, X), _grid_edges_per_segment(S, L, N, X))
 
 
+def test_grid_edges_match_the_loop_on_the_battery_and_pnt_grids(big_table):
+    """Every battery member at its eps = 0 and eps = 0.05 cutoffs, and the
+    pnt diagonal grid (weighted primes on the 1e8 table, L = 8 pi, N = 72),
+    edge for edge against the per-segment reference and its tail loop."""
+    from tauberlab import tauber
+
+    L, N = tauber.DEFAULT_LENGTH, tauber.DEFAULT_ORDER
+    cases = [(tr.source_primes_weighted(big_table), 8.0 * math.pi, tauber.PNT_ORDER, 0.0)]
+    for S, *_ in tauber.battery_members():
+        cases += [(S, L, N, 0.0), (S, L, N, tauber.SPECTRAL_EPS)]
+    for S, L, N, eps in cases:
+        if eps > 0.0:
+            X = operators._cutoff_damped(S.growth_constant, eps, L, N, 1e-10)
+        else:
+            X = math.pi * N + operators._EPS0_X_PAD
+        edges = operators._grid_edges(S, L, N, X)
+        assert np.array_equal(edges, _grid_edges_per_segment(S, L, N, X)), (S.label, eps)
+
+
 def _all_16_node_rule(S, L, edges):
     """Reference: 16 Gauss-Legendre nodes on every panel."""
     return tr._gl_nodes_on(edges[:-1], edges[1:])
@@ -250,17 +269,18 @@ def _all_16_node_rule(S, L, edges):
 
 def test_narrow_panel_rule_matches_the_16_node_oracle(small_table, monkeypatch):
     """4 nodes on the narrow panels between resolved prime jumps against 16
-    on every panel: weighted primes, L = 8 pi, N = 72, the eps = 0 diagonals
-    and the eps = 0.05 frequency route."""
+    on every panel: weighted primes, L = 8 pi, the eps = 0 diagonals to
+    N_max = 46.05 of the 1e5 table and the eps = 0.05 frequency route at
+    N = 72."""
     S = tr.source_primes_weighted(small_table)
-    I, N = IntervalSpec(8.0 * math.pi), 72
+    I, N, N_diag = IntervalSpec(8.0 * math.pi), 72, 46
     edges = operators._grid_edges(S, I.length, N, math.pi * N + operators._EPS0_X_PAD)
     xs, _ = operators._route_nodes(S, I.length, edges)
     assert xs.size < 8 * (edges.size - 1)  # most panels take the 4-point rule
-    diag = diagonal_sequence(S, I, 0.0, 1.0, N)
+    diag = diagonal_sequence(S, I, 0.0, 1.0, N_diag)
     W = assemble_frequency_route(S, I, 0.05, N)
     monkeypatch.setattr(operators, "_route_nodes", _all_16_node_rule)
-    assert np.max(np.abs(diag - diagonal_sequence(S, I, 0.0, 1.0, N))) <= 1e-13
+    assert np.max(np.abs(diag - diagonal_sequence(S, I, 0.0, 1.0, N_diag))) <= 1e-13
     assert np.max(np.abs(W.entries - assemble_frequency_route(S, I, 0.05, N).entries)) <= 1e-13
 
 

@@ -1,5 +1,6 @@
-"""Property tests: Schwarz reflection of the zeta family, and symmetry and
-positive semi-definiteness of W on both routes across the battery."""
+"""Property tests: Schwarz reflection of the zeta family, its outer-grid
+path against plain point arrays, and symmetry and positive
+semi-definiteness of W on both routes across the battery."""
 
 import math
 
@@ -10,9 +11,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tauberlab import special
+from tauberlab import special, transform
 from tauberlab.operators import IntervalSpec, assemble_frequency_route, assemble_kernel_route
-from tauberlab.special import prime_zeta_pair, zeta, zeta_deriv
+from tauberlab.special import OuterGrid, prime_zeta_pair, zeta, zeta_deriv
 from tauberlab.tauber import battery_members
 
 sigmas = st.floats(1.01, 3.0)
@@ -53,6 +54,34 @@ def test_derivative_bounds_also_certify_the_values(points, log_tol, M, sigma):
     a = M + 1.0
     x0 = a**-sigma
     assert special._peeled_tail_bound(M, sigma) >= x0 * (1.0 + a / (sigma - 1.0)) / (1.0 - x0)
+
+
+_GRID_FUNCTIONS = {
+    "zeta": zeta,
+    "zeta_deriv": zeta_deriv,
+    "prime_zeta": lambda s: prime_zeta_pair(s)[0],
+    "prime_zeta_deriv": lambda s: prime_zeta_pair(s)[1],
+    "psi_entire": special.psi_entire,
+    "transform_integers": transform.transform_integers,
+    "transform_weighted_primes": transform.transform_weighted_primes,
+}
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(st.floats(1.02, 2.5), st.floats(-38.0, 38.0)), min_size=1, max_size=5),
+    st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(-2.0, 2.0)), min_size=1, max_size=4),
+)
+def test_outer_grid_matches_its_points(a, b):
+    """On s = a_j + b_i (sigma in [1.02, 3], |t| <= 40) the grid path, which
+    forms n^{-s} as n^{-a} n^{-b}, agrees with the same functions on the
+    (P, Q) point array to 1e-13."""
+    grid = OuterGrid([complex(*z) for z in a], [complex(*z) for z in b])
+    pts = np.asarray(grid)
+    for name, f in _GRID_FUNCTIONS.items():
+        on_grid = f(grid)
+        assert on_grid.shape == pts.shape
+        assert np.max(np.abs(on_grid - f(pts))) <= 1e-13, name
 
 
 _MEMBERS = [m[0] for m in battery_members()]

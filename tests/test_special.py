@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 import scipy.special
 
-from tauberlab import special, transform
+from tauberlab import special
 from tauberlab.errors import ContractError, DomainError, PrecisionError
 from tauberlab.special import (
     EvalTolerance,
+    OuterGrid,
     prime_zeta,
     prime_zeta_deriv,
     prime_zeta_pair,
@@ -229,8 +230,20 @@ def _em_direct(s, N):
 @pytest.mark.parametrize("N, npts", [(10, 64), (72, 64), (288, 64), (4096, 64), (100_000, 1)])
 def test_em_eval_matches_the_direct_powers(N, npts, rng):
     s = rng.uniform(1.05, 3.0, size=npts) + 1j * rng.uniform(-40.0, 40.0, size=npts)
-    val, der = special._em_eval(s, N)
+    val, der = special._em_eval(OuterGrid(s), N)
     ref_v, ref_d = _em_direct(s, N)
+    assert np.max(np.abs(val - ref_v)) <= 1e-13 * np.max(np.abs(ref_v))
+    assert np.max(np.abs(der - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
+
+
+@pytest.mark.parametrize("N, P, Q", [(10, 64, 16), (288, 64, 16), (4096, 1000, 2)])
+def test_em_eval_on_an_outer_grid_matches_the_direct_powers(N, P, Q, rng):
+    """The product of the n^{-a} and n^{-b} power matrices against a per-term
+    exp at every point a_j + b_i; at N = 4096 a runs in two chunks."""
+    a = rng.uniform(1.05, 3.0, size=P) + 1j * rng.uniform(-30.0, 30.0, size=P)
+    b = 1j * rng.uniform(-2.0, 2.0, size=Q)
+    val, der = special._em_eval(OuterGrid(a, b), N)
+    ref_v, ref_d = _em_direct(np.add.outer(a, b).ravel(), N)
     assert np.max(np.abs(val - ref_v)) <= 1e-13 * np.max(np.abs(ref_v))
     assert np.max(np.abs(der - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
 
@@ -241,9 +254,9 @@ def test_prime_zeta_pair_runs_one_k1_zeta_batch(monkeypatch):
     batches = []
     em_eval = special._em_eval
 
-    def counted(pts, N):
-        batches.append(np.array(pts))
-        return em_eval(pts, N)
+    def counted(grid, N):
+        batches.append(grid.points)
+        return em_eval(grid, N)
 
     monkeypatch.setattr(special, "_em_eval", counted)
     prime_zeta_pair(s)
@@ -304,6 +317,19 @@ def test_zeta_family_against_mpmath(s):
     assert abs(pd - ref_pd) <= 1e-10
 
 
+def test_zeta_and_prime_zeta_on_an_outer_grid_against_mpmath():
+    """One 3 x 4 grid s = a_j + b_i against 30-digit mpmath at abs 1e-10."""
+    mpmath = pytest.importorskip("mpmath")
+    grid = OuterGrid([1.03 + 2.0j, 1.2 - 15.0j, 1.6 + 30.0j], [0.0, 0.01 + 0.3j, 0.02 - 0.7j, 0.5j])
+    z, (p, _) = zeta(grid), prime_zeta_pair(grid)
+    assert z.shape == p.shape == (3, 4)
+    with mpmath.workdps(30):
+        for (j, i), s in np.ndenumerate(np.asarray(grid)):
+            w = mpmath.mpc(s.real, s.imag)
+            assert abs(z[j, i] - complex(mpmath.zeta(w))) <= 1e-10
+            assert abs(p[j, i] - complex(mpmath.primezeta(w))) <= 1e-10
+
+
 def test_prime_zeta_deriv_is_the_pair_derivative():
     for s in [*_ORACLE_POINTS, np.array(_ORACLE_POINTS)]:
         assert np.array_equal(prime_zeta(s), prime_zeta_pair(s)[0])
@@ -313,20 +339,22 @@ def test_prime_zeta_deriv_is_the_pair_derivative():
 def test_prime_zeta_pair_on_the_pnt_kernel_points_runs_few_zeta_batches(monkeypatch):
     """With the primes p <= M peeled from the Moebius sum, P and P' on the
     8,048 kernel-route points of the pnt run (sigma = 1.05, eps = 0.05,
-    L = 8 pi, N = 72) take at most six Euler-Maclaurin batches on the point
-    array: the k = 1 batch and a few squarefree k >= 2. Without the peel the
-    2^{-k sigma} tails need 22 Moebius terms."""
+    L = 8 pi, N = 72: 503 panel midpoints plus 16 Gauss-Legendre offsets)
+    take at most six Euler-Maclaurin batches on the point grid: the k = 1
+    batch and a few squarefree k >= 2. Without the peel the 2^{-k sigma}
+    tails need 22 Moebius terms."""
     L = 8.0 * math.pi
-    edges = np.linspace(0.0, L, int(math.ceil(L / 0.05)) + 1)
-    xs, _ = transform._gl_nodes_on(edges[:-1], edges[1:])
-    s = 1.05 + 1j * xs
+    P = int(math.ceil(L / 0.05))
+    h = L / (2 * P)
+    xi = np.polynomial.legendre.leggauss(16)[0]
+    s = 1.05 + 1j * OuterGrid((2 * np.arange(P) + 1) * h, h * xi)
     assert s.size == 8048
     sizes = []
     em_eval = special._em_eval
 
-    def counted(pts, N):
-        sizes.append(pts.size)
-        return em_eval(pts, N)
+    def counted(grid, N):
+        sizes.append(grid.size)
+        return em_eval(grid, N)
 
     monkeypatch.setattr(special, "_em_eval", counted)
     prime_zeta_pair(s)
