@@ -57,9 +57,10 @@ sawtooth when available), refines panels inside the Fejer main lobes
 |x - pi n| < 3 pi, and cuts off at X chosen from the damping (eps > 0) or
 at pi n_max + 500 with an integration-by-parts tail correction (eps = 0,
 allowed because bounded g keeps the windowed integrand integrable). At
-eps = 0 the order-n diagonal reads g near u = 2 pi n / L, so an order past
-N_max = L u_cap / (2 pi) would read the constant a table-backed source
-freezes g at past u_cap; such orders are refused (_check_resolvable).
+every eps the order-n entries read g near u = 2 pi n / L (the Fejer lobe
+at x = pi n), so an order past N_max = L u_cap / (2 pi) would read the
+constant a table-backed source freezes g at past u_cap; such orders are
+refused (_check_resolvable) before the cutoff is chosen.
 
 Each panel gets 16 Gauss-Legendre nodes, except the panels narrower than
 h0 = 0.05 that end inside the jump-resolved range, which get 4. Between
@@ -391,8 +392,8 @@ def _tail_T(X: float, a: np.ndarray) -> np.ndarray:
 
 
 def _check_resolvable(S: GrowthFunction, L: float, N: int) -> None:
-    """DomainError when the eps = 0 order-N diagonal would read the frozen
-    tail: past u_cap the source holds g at g(u_cap), so an order above
+    """DomainError when the order-N entries would read the frozen tail, at
+    any eps: past u_cap the source holds g at g(u_cap), so an order above
     N_max = L u_cap / (2 pi) reads that constant, not the source."""
     n_max = L * S.u_cap / (2.0 * math.pi)
     if N > n_max:
@@ -413,17 +414,18 @@ def _windowed_integrals(
 ):
     """F(k) (when want_F) and D(k), k = 0..N, of mt - shift on the route grid.
 
-    The grid ends at the cutoff X. For eps > 0, X is where the damped tail
-    bound C e^{-2 eps X/L} / (pi (X - pi N)) meets a tenth of tol.abs_tol
+    N must not pass N_max at any eps (_check_resolvable). The grid ends at
+    the cutoff X. For eps > 0, X is where the damped tail bound
+    C e^{-2 eps X/L} / (pi (X - pi N)) meets a tenth of tol.abs_tol
     (abs_tol 1e-9 without tol), C the growth constant (_cutoff_damped). At
-    eps = 0, N must not pass N_max (_check_resolvable), X = pi N +
-    _EPS0_X_PAD and the part beyond X is added in closed form, with mt
-    frozen at its value at X: a log term for F and _tail_T for D."""
+    eps = 0, X = pi N + _EPS0_X_PAD and the part beyond X is added in
+    closed form, with mt frozen at its value at X: a log term for F and
+    _tail_T for D."""
+    _check_resolvable(S, L, N)
     if eps > 0.0:
         target = (tol.abs_tol if tol else 1e-9) * 0.1
         X = _cutoff_damped(S.growth_constant, eps, L, N, target)
     else:
-        _check_resolvable(S, L, N)
         X = math.pi * N + _EPS0_X_PAD
     xs, ws = _route_nodes(S, L, _grid_edges(S, L, N, X))
     vals = _source_values(S, L, eps, xs) - shift
@@ -481,7 +483,7 @@ def diagonal_sequence(
     At eps = 0 the integrand is h(u) = g(|u|) - A directly; at eps > 0 the
     damped g is integrated and A subtracted exactly (the Fejer window has
     unit mass). Diagonals are even in n. The grid and its cutoff are those
-    of assemble_frequency_route at order n_max; at eps = 0 an n_max past
+    of assemble_frequency_route at order n_max; at any eps an n_max past
     the frozen tail of a table-backed source is a DomainError."""
     if eps < 0.0:
         raise DomainError("eps must be >= 0")

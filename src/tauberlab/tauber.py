@@ -13,9 +13,11 @@ thresholds and report everything needed to recompute their verdicts.
 
 Diagonals are evaluated at eps = 0 (the windowed integral of a bounded h
 converges without damping); the eps schedule only matters for weak-limit
-diagnostics. A* is estimated exactly the way the underlying argument
-works: from the high-|n| diagonal band, by minimizing the worst
-|<(W - a Id) e_n, e_n>| over a in [0, 2C] with golden-section search.
+diagnostics. The spectral tail of Psi is taken at eps = SPECTRAL_EPS on the
+kernel route, from the closed-form transform, for every source. A* is
+estimated exactly the way the underlying argument works: from the high-|n|
+diagonal band, by minimizing the worst |<(W - a Id) e_n, e_n>| over a in
+[0, 2C] with golden-section search.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .arith import GrowthFunction, PrimeTable, _atomic_write, _fields_dict
 from .errors import ContractError, DomainError, TableExhaustedError
 from .operators import (
     IntervalSpec,
-    assemble_frequency_route,
+    assemble_frequency_route,  # not called here; perfbench/workloads.py wraps this name
     assemble_kernel_route,
     diagonal_sequence,
     spectrum,
@@ -200,16 +202,11 @@ def _experiment_report(
     eps_schedule: Sequence[float],
     diag_threshold: float,
     ratio_threshold: float,
-    spectral_route: str,
 ) -> ExperimentReport:
     """What both directions share once A and the diagonal of W - A Id are
-    known: the spectral tail of W - A Id at SPECTRAL_EPS, the ratio table,
-    its window [0.8 u_max, u_max] and the verdicts."""
-    I = IntervalSpec(L)
-    if spectral_route == "kernel":
-        W = assemble_kernel_route(S, I, SPECTRAL_EPS, N)
-    else:
-        W = assemble_frequency_route(S, I, SPECTRAL_EPS, N)
+    known: the spectral tail of W - A Id at SPECTRAL_EPS (W from the kernel
+    route), the ratio table, its window [0.8 u_max, u_max] and the verdicts."""
+    W = assemble_kernel_route(S, IntervalSpec(L), SPECTRAL_EPS, N)
     grid = _ratio_grid(S, u_max)
     report = ExperimentReport(
         source=S.label,
@@ -246,7 +243,7 @@ def forward_experiment(
     consistent with the data, |g(u_max) - A| < 0.1, and N resolvable on
     the source (diagonal_sequence refuses orders past the frozen tail). The
     verdicts use DIAG_THRESHOLD and RATIO_THRESHOLD, the spectral tail is
-    taken at SPECTRAL_EPS on the frequency route, and the report's eps
+    taken at SPECTRAL_EPS on the kernel route, and the report's eps
     schedule records the two eps in use, [0, SPECTRAL_EPS]."""
     if A is None:
         A = S.ratio_limit_A
@@ -264,7 +261,7 @@ def forward_experiment(
         )
     return _experiment_report(
         S, L, N, u_max, A, "declared", diag, [0.0, SPECTRAL_EPS],
-        DIAG_THRESHOLD, RATIO_THRESHOLD, "frequency",
+        DIAG_THRESHOLD, RATIO_THRESHOLD,
     )
 
 
@@ -275,7 +272,6 @@ def converse_experiment(
     u_max: float = 18.0,
     diag_threshold: float = DIAG_THRESHOLD,
     ratio_threshold: float = RATIO_THRESHOLD,
-    spectral_route: str = "frequency",
 ) -> ExperimentReport:
     """Estimate A from the diagonals, then test the ratio limit against it.
 
@@ -284,7 +280,7 @@ def converse_experiment(
     where the split is read off, so N must be resolvable on the source
     (diagonal_sequence refuses orders past the frozen tail).
     consistent = diag_decay AND ratio_limit.
-    The spectral tail is taken at SPECTRAL_EPS on spectral_route, and the
+    The spectral tail is taken at SPECTRAL_EPS on the kernel route, and the
     report records DEFAULT_EPS_SCHEDULE as its eps schedule."""
     if u_max > S.u_cap:
         raise DomainError(f"u_max = {u_max:g} beyond evaluable range {S.u_cap:g}")
@@ -293,7 +289,7 @@ def converse_experiment(
     a_star = _golden_minimax(diag_W, lo, hi, 2.0 * S.growth_constant)
     return _experiment_report(
         S, L, N, u_max, a_star, "golden_section_minimax", diag_W - a_star,
-        DEFAULT_EPS_SCHEDULE, diag_threshold, ratio_threshold, spectral_route,
+        DEFAULT_EPS_SCHEDULE, diag_threshold, ratio_threshold,
     )
 
 
@@ -365,13 +361,7 @@ def pnt_pipeline(
             required=int(math.exp(u_max)) + 1,
         )
     S = source_primes_weighted(table)
-    report = converse_experiment(
-        S,
-        L=L,
-        N=N,
-        u_max=u_max,
-        spectral_route="kernel",
-    )
+    report = converse_experiment(S, L=L, N=N, u_max=u_max)
     # enrich the ratio grid with the decade marks the corollary quotes
     decades = [math.log(10.0**k) for k in range(3, 26) if 10.0**k <= table.limit]
     grid = np.unique(np.concatenate([report.ratio_u, np.asarray(decades)]))

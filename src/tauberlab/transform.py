@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import exp1
 
 from .arith import GrowthFunction, StepFunction, chebyshev_weighted, count_integers
-from .errors import DomainError, PrecisionError
+from .errors import DomainError
 from .special import (
     DEFAULT_TOL,
     EvalTolerance,
@@ -158,16 +158,14 @@ def transform_quadrature(
     S: GrowthFunction,
     s,
     U: float = 18.0,
-    tol: Optional[EvalTolerance] = None,
 ):
     """Brute-force G(s) by integrating S(e^u) e^{-su} over [0, U].
 
     Sources that declare breakpoints are assumed piecewise constant between
     them; the region up to x = min(e^U, 2e5) is integrated exactly piece by
     piece, and 16-point Gauss-Legendre on equal panels of width at most
-    0.25 handles the rest. The dropped tail beyond U is NOT added to the result; its certified
-    bound comes from quadrature_tail_bound and is checked against tol when
-    one is passed."""
+    0.25 handles the rest. The dropped tail beyond U is NOT added to the
+    result; its certified bound comes from quadrature_tail_bound."""
     grid, scalar, shape = _prep(s)
     flat = grid.points
     if not (U > 0) or not math.isfinite(U):
@@ -177,16 +175,6 @@ def transform_quadrature(
             f"U = {U:g} exceeds the evaluable range of source '{S.label}' "
             f"(u_cap = {S.u_cap:g})"
         )
-    if tol is not None and flat.size:
-        worst = float(np.max(quadrature_tail_bound(S, flat, U)))
-        if worst > tol.abs_tol:
-            a = float(np.min(flat.real)) - 1.0
-            suggested = U + math.log(worst / tol.abs_tol) / a
-            raise PrecisionError(
-                f"tail bound {worst:.3g} beyond U = {U:g} exceeds {tol.abs_tol:.3g}; "
-                f"increase U to about {suggested:.1f}",
-                achieved=worst,
-            )
     out = np.zeros(flat.size, dtype=complex)
     gl_lo = 0.0
 

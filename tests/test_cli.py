@@ -3,8 +3,10 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv):
+    """`python -m tauberlab.cli` in a child process that imports the same
+    package as this test, installed or not."""
+    src = str(Path(tauberlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "tauberlab.cli", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def last_json(text):
@@ -159,15 +172,17 @@ def test_converse_refuses_an_order_past_the_frozen_tail(capsys, tmp_path):
 
 
 def test_operator_diag_refuses_an_order_past_the_frozen_tail(capsys, tmp_path):
-    # the eps = 0 diagonals past N_max = 46.05 would read the frozen g(ln 1e5)
-    code, out, err = run_cli(
-        capsys,
-        "--cache-dir", str(tmp_path), "--prime-limit", "100000",
-        "operator", "diag", "--source", "wprimes", "--eps", "0", "--order", "64", "--A", "1",
-    )
-    assert code == 1 and out == ""
-    doc = json.loads(err.strip())
-    assert doc["code"] == "domain" and "N_max = 46.05" in doc["message"]
+    # the diagonals past N_max = 46.05 would read the frozen g(ln 1e5), with
+    # or without damping
+    for eps in ("0", "0.05"):
+        code, out, err = run_cli(
+            capsys,
+            "--cache-dir", str(tmp_path), "--prime-limit", "100000",
+            "operator", "diag", "--source", "wprimes", "--eps", eps, "--order", "64", "--A", "1",
+        )
+        assert code == 1 and out == "", eps
+        doc = json.loads(err.strip())
+        assert doc["code"] == "domain" and "N_max = 46.05" in doc["message"], eps
 
 
 def test_pnt_takes_length_and_order_from_the_config_file(capsys, tmp_path):
@@ -210,19 +225,13 @@ def test_term_budget_exhaustion_exits_2(capsys):
 
 
 def test_unknown_choice_exits_64():
-    r = subprocess.run(
-        [sys.executable, "-m", "tauberlab.cli", "frobnicate"],
-        capture_output=True, text=True,
-    )
+    r = run_module("frobnicate")
     assert r.returncode == 64
     assert "usage:" in r.stderr
 
 
 def test_missing_required_flag_exits_64():
-    r = subprocess.run(
-        [sys.executable, "-m", "tauberlab.cli", "special", "eval", "--fn", "zeta"],
-        capture_output=True, text=True,
-    )
+    r = run_module("special", "eval", "--fn", "zeta")
     assert r.returncode == 64
 
 
@@ -396,9 +405,6 @@ def test_every_catalog_source_runs_diag(capsys, tmp_path, source):
 
 
 def test_version_flag():
-    r = subprocess.run(
-        [sys.executable, "-m", "tauberlab.cli", "--version"],
-        capture_output=True, text=True,
-    )
+    r = run_module("--version")
     assert r.returncode == 0
     assert r.stdout.strip() == f"tauberlab {tauberlab.__version__}"

@@ -269,25 +269,26 @@ def _all_16_node_rule(S, L, edges):
 
 def test_narrow_panel_rule_matches_the_16_node_oracle(small_table, monkeypatch):
     """4 nodes on the narrow panels between resolved prime jumps against 16
-    on every panel: weighted primes, L = 8 pi, the eps = 0 diagonals to
-    N_max = 46.05 of the 1e5 table and the eps = 0.05 frequency route at
-    N = 72."""
+    on every panel: weighted primes, L = 8 pi, the eps = 0 diagonals and the
+    eps = 0.05 frequency route, both at N = 46 under N_max = 46.05 of the
+    1e5 table."""
     S = tr.source_primes_weighted(small_table)
-    I, N, N_diag = IntervalSpec(8.0 * math.pi), 72, 46
+    I, N = IntervalSpec(8.0 * math.pi), 46
     edges = operators._grid_edges(S, I.length, N, math.pi * N + operators._EPS0_X_PAD)
     xs, _ = operators._route_nodes(S, I.length, edges)
     assert xs.size < 8 * (edges.size - 1)  # most panels take the 4-point rule
-    diag = diagonal_sequence(S, I, 0.0, 1.0, N_diag)
+    diag = diagonal_sequence(S, I, 0.0, 1.0, N)
     W = assemble_frequency_route(S, I, 0.05, N)
     monkeypatch.setattr(operators, "_route_nodes", _all_16_node_rule)
-    assert np.max(np.abs(diag - diagonal_sequence(S, I, 0.0, 1.0, N_diag))) <= 1e-13
+    assert np.max(np.abs(diag - diagonal_sequence(S, I, 0.0, 1.0, N))) <= 1e-13
     assert np.max(np.abs(W.entries - assemble_frequency_route(S, I, 0.05, N).entries)) <= 1e-13
 
 
 def test_battery_grids_have_no_narrow_panel():
-    """The eps = 0 diagonal grid and the eps = 0.05 spectral-route grid of
-    every battery member keep 16 nodes on every panel, so run_battery does
-    not depend on the narrow-panel rule."""
+    """The eps = 0 diagonal grid (run_battery) and the eps = 0.05
+    frequency-route grid (operator assemble at SPECTRAL_EPS) of every
+    battery member keep 16 nodes on every panel, so neither depends on the
+    narrow-panel rule."""
     from tauberlab.tauber import DEFAULT_LENGTH, DEFAULT_ORDER, SPECTRAL_EPS, battery_members
 
     L, N = DEFAULT_LENGTH, DEFAULT_ORDER

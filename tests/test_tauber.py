@@ -9,8 +9,10 @@ import pytest
 
 from tauberlab import transform as tr
 from tauberlab.errors import ContractError, DomainError, TableExhaustedError
-from tauberlab.operators import IntervalSpec
+from tauberlab.operators import IntervalSpec, assemble_kernel_route, spectrum, split_identity
 from tauberlab.tauber import (
+    SPECTRAL_EPS,
+    SPECTRAL_TOP,
     battery_members,
     converse_experiment,
     forward_experiment,
@@ -84,10 +86,21 @@ def test_converse_flags_the_oscillating_source():
     assert not rep.consistent
 
 
-def test_converse_kernel_spectral_route():
-    rep = converse_experiment(tr.source_identity(), N=4, u_max=10.0, spectral_route="kernel")
-    assert rep.spectral_tail.shape[0] <= 20
-    assert np.all(np.abs(rep.spectral_tail[:-1]) >= np.abs(rep.spectral_tail[1:]))
+def test_spectral_tail_comes_from_the_kernel_route(small_table):
+    """Converse and forward runs report the top |eigenvalues| of W - A Id
+    with W from the kernel route at SPECTRAL_EPS. On weighted primes the
+    frequency route, which reads the frozen table tail, moves this tail by
+    about 1e-3; at N = 4 there are 9 eigenvalues, fewer than SPECTRAL_TOP."""
+    Sw, Si = tr.source_primes_weighted(small_table), tr.source_identity()
+    runs = [
+        (Sw, 40, converse_experiment(Sw, N=40, u_max=11.0)),
+        (Sw, 40, forward_experiment(Sw, 1.1, N=40, u_max=11.0)),
+        (Si, 4, converse_experiment(Si, N=4, u_max=10.0)),
+    ]
+    for S, N, rep in runs:
+        W = assemble_kernel_route(S, I8, SPECTRAL_EPS, N)
+        want = np.abs(spectrum(split_identity(W, rep.A_estimate))[:SPECTRAL_TOP])
+        assert np.array_equal(rep.spectral_tail, want), (S.label, rep.A_method)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ import pytest
 
 from tauberlab import transform as tr
 from tauberlab.arith import StepFunction
-from tauberlab.errors import DomainError, PrecisionError
-from tauberlab.special import EvalTolerance, psi_entire
+from tauberlab.errors import DomainError
+from tauberlab.special import psi_entire
 from tauberlab.transform import (
     quadrature_tail_bound,
     transform_integers,
@@ -111,6 +111,3 @@ def test_quadrature_guards(small_table):
         transform_quadrature(S, 2.0 + 0j, U=S.u_cap + 1.0)
     with pytest.raises(DomainError):
         transform_quadrature(S, 2.0 + 0j, U=-1.0)
-    with pytest.raises(PrecisionError) as ei:
-        transform_quadrature(tr.source_integers(), 1.05 + 0j, U=10.0, tol=EvalTolerance(abs_tol=1e-10))
-    assert "increase U" in str(ei.value)
