@@ -91,6 +91,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.special import lambertw
 
 from .arith import GrowthFunction, _atomic_write, _fields_dict
 from .errors import ContractError, DomainError, PrecisionError
@@ -199,8 +200,7 @@ def assemble_kernel_route(
     and N alone."""
     if eps < 1e-3:
         raise DomainError("kernel route requires eps >= 1e-3")
-    if not (0 <= N <= _MAX_ORDER):
-        raise ContractError(f"order N must lie in [0, {_MAX_ORDER}]")
+    _check_order(N)
     L = I.length
     P = int(math.ceil(L / min(eps, 0.1, L / (3 * N) if N > 0 else math.inf)))
     h = L / (2 * P)  # panel half-width
@@ -242,7 +242,7 @@ def _matrix_from_moments(odd: np.ndarray, diag: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         M = np.multiply.outer(signs, signs) * (o[:, None] - o[None, :]) / (math.pi * diff_idx)
     np.fill_diagonal(M, diag[np.abs(idx)])
-    return 0.5 * (M + M.T)
+    return M  # M[n][m] negates both o_m - o_n and n - m, exact in IEEE: M is symmetric
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +259,16 @@ def _resolve_u(S: GrowthFunction) -> float:
 
 
 def _cutoff_damped(C: float, eps: float, L: float, N: int, target: float) -> float:
-    """Fixed point of e^{-2 eps X / L} C / (pi (X - pi N)) = target."""
+    """X = pi N + max(3 _LOBE_HALF_WIDTH, y), y > 0 the root of
+    C e^{-r y} / (pi y) = target with r = 2 eps / L, y = X - pi N.
+
+    The factor e^{-r y} = e^{-2 eps (X - pi N)/L} exceeds the damping
+    e^{-2 eps X/L} of the tail past X, so the bound is conservative. The
+    root is closed-form: r y e^{r y} = r C / (pi target), so
+    r y = W0(r C / (pi target)), W0 the principal Lambert W branch."""
     rate = 2.0 * eps / L
-    X = math.pi * N + 50.0
-    for _ in range(40):
-        X = math.pi * N + max(
-            3.0 * _LOBE_HALF_WIDTH,
-            math.log(max(C, 1e-300) / (target * math.pi * (X - math.pi * N))) / rate,
-        )
-    return X
+    y = lambertw(rate * max(C, 1e-300) / (math.pi * target)).real / rate
+    return math.pi * N + max(3.0 * _LOBE_HALF_WIDTH, y)
 
 
 def _grid_edges(S: GrowthFunction, L: float, N: int, X: float):
@@ -391,6 +392,11 @@ def _tail_T(X: float, a: np.ndarray) -> np.ndarray:
     )
 
 
+def _check_order(N: int) -> None:
+    if not (0 <= N <= _MAX_ORDER):
+        raise ContractError(f"order N must lie in [0, {_MAX_ORDER}]")
+
+
 def _check_resolvable(S: GrowthFunction, L: float, N: int) -> None:
     """DomainError when the order-N entries would read the frozen tail, at
     any eps: past u_cap the source holds g at g(u_cap), so an order above
@@ -414,13 +420,14 @@ def _windowed_integrals(
 ):
     """F(k) (when want_F) and D(k), k = 0..N, of mt - shift on the route grid.
 
-    N must not pass N_max at any eps (_check_resolvable). The grid ends at
-    the cutoff X. For eps > 0, X is where the damped tail bound
-    C e^{-2 eps X/L} / (pi (X - pi N)) meets a tenth of tol.abs_tol
-    (abs_tol 1e-9 without tol), C the growth constant (_cutoff_damped). At
-    eps = 0, X = pi N + _EPS0_X_PAD and the part beyond X is added in
-    closed form, with mt frozen at its value at X: a log term for F and
-    _tail_T for D."""
+    N must lie in [0, _MAX_ORDER] and not pass N_max at any eps
+    (_check_resolvable). The grid ends at the cutoff X. For eps > 0, X is
+    where the damped tail bound C e^{-2 eps (X - pi N)/L} / (pi (X - pi N))
+    meets a tenth of tol.abs_tol (abs_tol 1e-9 without tol), C the growth
+    constant (_cutoff_damped). At eps = 0, X = pi N + _EPS0_X_PAD and the
+    part beyond X is added in closed form, with mt frozen at its value at
+    X: a log term for F and _tail_T for D."""
+    _check_order(N)
     _check_resolvable(S, L, N)
     if eps > 0.0:
         target = (tol.abs_tol if tol else 1e-9) * 0.1
@@ -456,8 +463,6 @@ def assemble_frequency_route(
     with integration-by-parts tail corrections."""
     if eps < 0.0:
         raise DomainError("eps must be >= 0 on the frequency route")
-    if not (0 <= N <= _MAX_ORDER):
-        raise ContractError(f"order N must lie in [0, {_MAX_ORDER}]")
     F, D = _windowed_integrals(S, I.length, eps, N, tol, 0.0, want_F=True)
     return OperatorTruncation(
         interval=I,
@@ -483,12 +488,11 @@ def diagonal_sequence(
     At eps = 0 the integrand is h(u) = g(|u|) - A directly; at eps > 0 the
     damped g is integrated and A subtracted exactly (the Fejer window has
     unit mass). Diagonals are even in n. The grid and its cutoff are those
-    of assemble_frequency_route at order n_max; at any eps an n_max past
-    the frozen tail of a table-backed source is a DomainError."""
+    of assemble_frequency_route at order n_max, and so is the order cap
+    [0, _MAX_ORDER] (ContractError); at any eps an n_max past the frozen
+    tail of a table-backed source is a DomainError."""
     if eps < 0.0:
         raise DomainError("eps must be >= 0")
-    if n_max < 0:
-        raise ContractError("n_max must be >= 0")
     shift = A if eps == 0.0 else 0.0
     _, D = _windowed_integrals(S, I.length, eps, n_max, tol, shift, want_F=False)
     return D / math.pi - (A - shift)

@@ -12,12 +12,14 @@ breaks both at once. Experiments run on finite truncations with explicit
 thresholds and report everything needed to recompute their verdicts.
 
 Diagonals are evaluated at eps = 0 (the windowed integral of a bounded h
-converges without damping); the eps schedule only matters for weak-limit
-diagnostics. The spectral tail of Psi is taken at eps = SPECTRAL_EPS on the
-kernel route, from the closed-form transform, for every source. A* is
+converges without damping). The spectral tail of Psi is taken at
+eps = SPECTRAL_EPS on the kernel route, from the closed-form transform, for
+every source; the reports record these two eps as their eps schedule. A* is
 estimated exactly the way the underlying argument works: from the high-|n|
-diagonal band, by minimizing the worst |<(W - a Id) e_n, e_n>| over a in
-[0, 2C] with golden-section search.
+diagonal band, as the a in [0, 2C] that minimizes the worst
+|<(W - a Id) e_n, e_n>|. That worst case is max(max b - a, a - min b) over
+the band values b, V-shaped in a, so its minimizer is the band midrange
+(max b + min b)/2 clipped into [0, 2C].
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -55,7 +57,6 @@ __all__ = [
     "BatteryReport",
     "DEFAULT_LENGTH",
     "DEFAULT_ORDER",
-    "DEFAULT_EPS_SCHEDULE",
     "forward_experiment",
     "converse_experiment",
     "lower_bound_witness",
@@ -66,7 +67,6 @@ __all__ = [
 
 DEFAULT_LENGTH = 8.0 * math.pi
 DEFAULT_ORDER = 64
-DEFAULT_EPS_SCHEDULE = (0.4, 0.2, 0.1, 0.05)
 DIAG_THRESHOLD = 0.02
 RATIO_THRESHOLD = 0.05
 SPECTRAL_EPS = 0.05
@@ -88,7 +88,7 @@ class ExperimentReport:
     order: int
     eps_schedule: list
     A_estimate: float
-    A_method: str  # "declared" or "golden_section_minimax"
+    A_method: str  # "declared", or "minimax": the clipped band midrange
     diagonal: np.ndarray  # <Psi e_n, e_n> for n = 0..order (even in n)
     band: tuple  # (lo, hi) of |n| used for the decay verdict
     spectral_tail: np.ndarray  # top |eigenvalues| of Psi at eps_spectral
@@ -145,39 +145,26 @@ def _band(N: int) -> tuple:
     return (N - N // 2, N)
 
 
-def _ratio_grid(S: GrowthFunction, u_max: float) -> np.ndarray:
-    """40-point log-spaced e^u grid ending at u_max (clipped into evaluable range)."""
-    top = min(u_max, S.u_cap)
-    lo = min(math.log(1e3), 0.5 * top)
-    return np.linspace(lo, top, 40)
+def _check_u_max(S: GrowthFunction, u_max: float) -> None:
+    if u_max > S.u_cap:
+        raise DomainError(f"u_max = {u_max:g} beyond evaluable range {S.u_cap:g}")
+
+
+def _ratio_grid(u_max: float) -> np.ndarray:
+    """40-point log-spaced e^u grid ending at u_max (within range: callers
+    run _check_u_max first)."""
+    return np.linspace(min(math.log(1e3), 0.5 * u_max), u_max, 40)
 
 
 def _ratio_table(S: GrowthFunction, grid: np.ndarray) -> np.ndarray:
     return np.asarray(S.g_clipped(grid), dtype=float)
 
 
-def _golden_minimax(diag_W: np.ndarray, lo: int, hi: int, hi_a: float) -> float:
-    """argmin over a in [0, hi_a] of max_{band} |diag_W(n) - a|."""
+def _minimax_a(diag_W: np.ndarray, lo: int, hi: int, hi_a: float) -> float:
+    """argmin over a in [0, hi_a] of max_{band} |diag_W(n) - a|: the band
+    midrange, clipped (module docstring)."""
     band = diag_W[lo : hi + 1]
-
-    def phi(a: float) -> float:
-        return float(np.max(np.abs(band - a)))
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = 0.0, hi_a
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = phi(c), phi(d)
-    for _ in range(90):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = phi(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = phi(d)
-    return 0.5 * (a + b)
+    return min(max(0.5 * (float(band.max()) + float(band.min())), 0.0), hi_a)
 
 
 def _spectral_tail(psi) -> np.ndarray:
@@ -199,20 +186,20 @@ def _experiment_report(
     A: float,
     A_method: str,
     diag: np.ndarray,
-    eps_schedule: Sequence[float],
     diag_threshold: float,
     ratio_threshold: float,
 ) -> ExperimentReport:
     """What both directions share once A and the diagonal of W - A Id are
     known: the spectral tail of W - A Id at SPECTRAL_EPS (W from the kernel
-    route), the ratio table, its window [0.8 u_max, u_max] and the verdicts."""
+    route), the ratio table, its window [0.8 u_max, u_max], the eps schedule
+    actually used, [0, SPECTRAL_EPS], and the verdicts."""
     W = assemble_kernel_route(S, IntervalSpec(L), SPECTRAL_EPS, N)
-    grid = _ratio_grid(S, u_max)
+    grid = _ratio_grid(u_max)
     report = ExperimentReport(
         source=S.label,
         length=L,
         order=N,
-        eps_schedule=list(eps_schedule),
+        eps_schedule=[0.0, SPECTRAL_EPS],
         A_estimate=float(A),
         A_method=A_method,
         diagonal=diag,
@@ -251,8 +238,7 @@ def forward_experiment(
         raise ContractError(
             f"source {S.label!r} declares no ratio limit; forward_experiment needs A"
         )
-    if u_max > S.u_cap:
-        raise DomainError(f"u_max = {u_max:g} beyond evaluable range {S.u_cap:g}")
+    _check_u_max(S, u_max)
     diag = diagonal_sequence(S, IntervalSpec(L), 0.0, A, N)
     g_end = float(S.g(u_max))
     if abs(g_end - A) >= 0.1:
@@ -260,8 +246,7 @@ def forward_experiment(
             f"declared A = {A:g} inconsistent with data: g({u_max:g}) = {g_end:.4f}"
         )
     return _experiment_report(
-        S, L, N, u_max, A, "declared", diag, [0.0, SPECTRAL_EPS],
-        DIAG_THRESHOLD, RATIO_THRESHOLD,
+        S, L, N, u_max, A, "declared", diag, DIAG_THRESHOLD, RATIO_THRESHOLD
     )
 
 
@@ -276,20 +261,19 @@ def converse_experiment(
     """Estimate A from the diagonals, then test the ratio limit against it.
 
     A* minimizes the worst high-band |<(W - a Id) e_n, e_n>| over
-    a in [0, 2C]; the diagonal is taken in the eps -> 0 limit, which is
-    where the split is read off, so N must be resolvable on the source
-    (diagonal_sequence refuses orders past the frozen tail).
+    a in [0, 2C]: it is the clipped band midrange. The diagonal is taken in
+    the eps -> 0 limit, which is where the split is read off, so N must be
+    resolvable on the source (diagonal_sequence refuses orders past the
+    frozen tail).
     consistent = diag_decay AND ratio_limit.
     The spectral tail is taken at SPECTRAL_EPS on the kernel route, and the
-    report records DEFAULT_EPS_SCHEDULE as its eps schedule."""
-    if u_max > S.u_cap:
-        raise DomainError(f"u_max = {u_max:g} beyond evaluable range {S.u_cap:g}")
+    report's eps schedule records the two eps in use, [0, SPECTRAL_EPS]."""
+    _check_u_max(S, u_max)
     diag_W = diagonal_sequence(S, IntervalSpec(L), 0.0, 0.0, N)
     lo, hi = _band(N)
-    a_star = _golden_minimax(diag_W, lo, hi, 2.0 * S.growth_constant)
+    a_star = _minimax_a(diag_W, lo, hi, 2.0 * S.growth_constant)
     return _experiment_report(
-        S, L, N, u_max, a_star, "golden_section_minimax", diag_W - a_star,
-        DEFAULT_EPS_SCHEDULE, diag_threshold, ratio_threshold,
+        S, L, N, u_max, a_star, "minimax", diag_W - a_star, diag_threshold, ratio_threshold
     )
 
 
@@ -320,8 +304,7 @@ def lower_bound_witness(
         raise ContractError("threshold must be positive and finite")
     if not math.isfinite(A) or A < 0.0:
         raise ContractError("A must be finite and non-negative")
-    if u_max > S.u_cap:
-        raise DomainError(f"u_max = {u_max:g} beyond evaluable range {S.u_cap:g}")
+    _check_u_max(S, u_max)
     grid = np.arange(0.0, u_max, 0.01)
     h = np.asarray(S.g(grid), dtype=float) - A
     hits = np.flatnonzero(h >= eps_threshold)

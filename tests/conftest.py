@@ -33,9 +33,14 @@ def small_table(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def big_table(tmp_path_factory):
-    cache = tmp_path_factory.mktemp("ptbl_big")
-    return build_prime_table(100_000_000, cache_dir=cache)
+def big_table_cache(tmp_path_factory):
+    """The cache directory that holds the session's 10^8 table."""
+    return tmp_path_factory.mktemp("ptbl_big")
+
+
+@pytest.fixture(scope="session")
+def big_table(big_table_cache):
+    return build_prime_table(100_000_000, cache_dir=big_table_cache)
 
 
 @pytest.fixture

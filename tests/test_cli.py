@@ -185,6 +185,15 @@ def test_operator_diag_refuses_an_order_past_the_frozen_tail(capsys, tmp_path):
         assert doc["code"] == "domain" and "N_max = 46.05" in doc["message"], eps
 
 
+def test_operator_diag_refuses_an_order_past_the_cap(capsys):
+    # the cap of both assembly routes, N <= 256, holds for the diagonals too
+    code, out, err = run_cli(
+        capsys, "operator", "diag", "--source", "linear", "--eps", "0", "--order", "257", "--A", "1",
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err.strip())["code"] == "contract"
+
+
 def test_pnt_takes_length_and_order_from_the_config_file(capsys, tmp_path):
     conf = tmp_path / "pnt.conf"
     # a 3e4 table resolves orders up to N_max = L ln(3e4)/(2 pi) = 20.6 at L = 4 pi

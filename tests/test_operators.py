@@ -446,8 +446,15 @@ def test_interval_spec_validation():
 
 
 def test_order_cap_enforced():
+    """Both routes and the diagonals refuse N past _MAX_ORDER = 256, at any eps."""
+    S = tr.source_identity()
     with pytest.raises(ContractError):
-        assemble_frequency_route(tr.source_identity(), L2PI, 0.1, 257)
+        assemble_frequency_route(S, L2PI, 0.1, 257)
+    with pytest.raises(ContractError):
+        assemble_kernel_route(S, L2PI, 0.1, 257)
+    for eps in (0.0, 0.1):
+        with pytest.raises(ContractError, match=r"\[0, 256\]"):
+            diagonal_sequence(S, L2PI, eps, 1.0, 257)
 
 
 def test_csv_round_trip(tmp_path):

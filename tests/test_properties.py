@@ -1,6 +1,7 @@
 """Property tests: Schwarz reflection of the zeta family, its outer-grid
-path against plain point arrays, and symmetry and positive
-semi-definiteness of W on both routes across the battery."""
+path against plain point arrays, symmetry and positive semi-definiteness
+of W on both routes across the battery, and the closed forms for A* and
+the damped cutoff."""
 
 import math
 
@@ -11,7 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tauberlab import special, transform
+from tauberlab import operators, special, tauber, transform
 from tauberlab.operators import IntervalSpec, assemble_frequency_route, assemble_kernel_route
 from tauberlab.special import OuterGrid, prime_zeta_pair, zeta, zeta_deriv
 from tauberlab.tauber import battery_members
@@ -103,3 +104,77 @@ def test_W_is_symmetric_positive_semidefinite(member, L, eps, N, route):
     W = assemble(S, I, eps, N)
     assert np.array_equal(W.entries, W.entries.T)
     assert np.linalg.eigvalsh(W.entries).min() >= -1e-8, (S.label, eps, N, route)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.floats(-2.0, 8.0), min_size=1, max_size=40),
+    st.integers(0, 39),
+    st.floats(0.5, 6.0),
+)
+def test_a_star_is_the_clipped_band_midrange(diag, lo, hi_a):
+    """The worst band deviation max(max b - a, a - min b) is V-shaped in a,
+    so A* is the band midrange clipped into [0, hi_a], and no a on a
+    1,001-point grid of [0, hi_a] has a smaller worst deviation."""
+    diag = np.asarray(diag)
+    lo = min(lo, diag.size - 1)
+    band = diag[lo:]
+    a_star = tauber._minimax_a(diag, lo, diag.size - 1, hi_a)
+    assert a_star == min(max(0.5 * (band.max() + band.min()), 0.0), hi_a)
+    grid = np.linspace(0.0, hi_a, 1001)
+    worst_on_grid = np.max(np.abs(band[None, :] - grid[:, None]), axis=1)
+    assert np.max(np.abs(band - a_star)) <= worst_on_grid.min()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.floats(0.5, 4.0),
+    st.floats(1e-3, 0.4),
+    st.floats(2.0 * math.pi, 16.0 * math.pi),
+    st.integers(0, 256),
+    st.floats(-12.0, -2.0),
+)
+def test_damped_cutoff_solves_its_equation(C, eps, L, N, log_target):
+    """y = X - pi N solves C e^{-r y} / (pi y) = target, r = 2 eps / L, to
+    relative 1e-12 past the lobe floor 3 _LOBE_HALF_WIDTH; where the floor
+    binds, the bound there already meets the target. Targets up to 1e-2
+    reach W0(r C / (pi target)) < 1, where a fixed-point iteration on the
+    same equation stalls at the floor with the bound above the target."""
+    target = 10.0**log_target
+    X = operators._cutoff_damped(C, eps, L, N, target)
+    y = X - math.pi * N
+    ratio = C * math.exp(-2.0 * eps / L * y) / (math.pi * y) / target
+    if X > math.pi * N + 3.0 * operators._LOBE_HALF_WIDTH:
+        assert abs(ratio - 1.0) <= 1e-12
+    else:
+        assert ratio <= 1.0
+
+
+def _cutoff_by_fixed_point(C, eps, L, N, target):
+    """The damped cutoff as 40 fixed-point steps from X = pi N + 50."""
+    rate = 2.0 * eps / L
+    X = math.pi * N + 50.0
+    for _ in range(40):
+        X = math.pi * N + max(
+            3.0 * operators._LOBE_HALF_WIDTH,
+            math.log(max(C, 1e-300) / (target * math.pi * (X - math.pi * N))) / rate,
+        )
+    return X
+
+
+def test_damped_cutoff_matches_the_fixed_point_iteration():
+    """The Lambert-W cutoff against the fixed-point iteration it replaced, to
+    4 ulp, where that iteration converges (W0 > 1 in every case here); at
+    eps = 0.4, L = 2 pi, target 1e-3 both sit on the lobe floor."""
+    for C in (1.0, 1.3, 2.0, 3.0 / math.e):
+        for eps in (0.4, 0.2, 0.1, 0.05, 0.01, 1e-3):
+            for L in (2.0 * math.pi, 8.0 * math.pi, 16.0 * math.pi):
+                for target in (1e-7, 1e-10, 1e-11):
+                    for N in (0, 72):
+                        want = _cutoff_by_fixed_point(C, eps, L, N, target)
+                        got = operators._cutoff_damped(C, eps, L, N, target)
+                        assert abs(got - want) <= 4 * np.spacing(want), (C, eps, L, target, N)
+    for C in (1.0, 1.3):
+        floor = math.pi * 72 + 3.0 * operators._LOBE_HALF_WIDTH
+        got = operators._cutoff_damped(C, 0.4, 2.0 * math.pi, 72, 1e-3)
+        assert got == floor == _cutoff_by_fixed_point(C, 0.4, 2.0 * math.pi, 72, 1e-3)

@@ -76,7 +76,7 @@ def test_orders_past_the_frozen_tail_are_refused(small_table):
 def test_a_star_recovers_linear_slope(a):
     S = tr.source_sqrt_mix(a, 0.0)  # a x, transform a/(s-1)
     rep = converse_experiment(S, N=16, u_max=14.0)
-    assert rep.A_method == "golden_section_minimax"
+    assert rep.A_method == "minimax"
     assert abs(rep.A_estimate - a) < 0.02
 
 
@@ -90,7 +90,9 @@ def test_spectral_tail_comes_from_the_kernel_route(small_table):
     """Converse and forward runs report the top |eigenvalues| of W - A Id
     with W from the kernel route at SPECTRAL_EPS. On weighted primes the
     frequency route, which reads the frozen table tail, moves this tail by
-    about 1e-3; at N = 4 there are 9 eigenvalues, fewer than SPECTRAL_TOP."""
+    about 1e-3; at N = 4 there are 9 eigenvalues, fewer than SPECTRAL_TOP.
+    The eps schedule each report records is the two eps that ran: 0 for
+    the diagonals, SPECTRAL_EPS for the tail."""
     Sw, Si = tr.source_primes_weighted(small_table), tr.source_identity()
     runs = [
         (Sw, 40, converse_experiment(Sw, N=40, u_max=11.0)),
@@ -101,6 +103,7 @@ def test_spectral_tail_comes_from_the_kernel_route(small_table):
         W = assemble_kernel_route(S, I8, SPECTRAL_EPS, N)
         want = np.abs(spectrum(split_identity(W, rep.A_estimate))[:SPECTRAL_TOP])
         assert np.array_equal(rep.spectral_tail, want), (S.label, rep.A_method)
+        assert rep.eps_schedule == [0.0, SPECTRAL_EPS]
 
 
 # ---------------------------------------------------------------------------
