@@ -44,12 +44,38 @@ fractions reduce everything to the shared one-dimensional integrals
 so a full order-N assembly costs 2(N+1) one-dimensional integrals over one
 shared grid, and M is built from the moments -F/pi and D/pi by the same
 formula as on the kernel route. Since sin^2(x -+ pi k) = sin^2 x, one sine
-per node serves every k; near the removable singularities, |d| < 1 with
-d = x -+ pi k, the terms are evaluated stably as sin(d) sinc(d/pi) and
-sinc^2(d/pi). The nodes are sorted, so the near nodes of each k and sign
-form one index range found by binary search: the far terms come from one
-reciprocal block per sign with those ranges zeroed, the near terms from a
-short per-k sum over each range.
+per node serves every k: on the grid both integrals sum s2w, the
+quadrature weight times sin^2 x mt, against 1/(x - c) (F) and
+1/(x - c)^2 (D) at the 2(N+1) centres c = +-pi k. Near the removable
+singularities, |d| < 1 with d = x - c, the terms are evaluated stably as
+sin(d) sinc(d/pi) and sinc^2(d/pi).
+
+Far and near: the sorted nodes fall into bins of width w = 1 on the x
+axis (_FAR_BIN). For each centre, its own bin and the 3 bins on either
+side (_NEAR_BINS) are near, and their nodes are summed one by one. Every
+other bin is far. A far bin with more than 16 nodes (_PROXIES; on the
+pnt grid, the 236 bins below x = 236, where the panels resolve the prime
+jumps and the Fejer lobes) enters through 16 first-kind Chebyshev
+proxies weighted by the anterpolation of its nodes, as in the one-level
+black-box fast multipole method (W. Fong and E. Darve, J. Comput. Phys.
+228 (2009) 8712-8725): the proxies sum s2w against the degree-15
+interpolant p of the kernel f on the bin in place of f. Sparse bins keep
+their nodes. The far terms then come from one reciprocal block over the
+far sources, with each centre's near bins zeroed; near and far split on
+the same bin numbers, so each node counts once. On the pnt grid
+(N = 72) the 86,924 nodes give 7,722 far sources, and the block has 1.1M
+entries in place of 12.7M.
+
+Bound: map a far bin onto [-1, 1]. Its centre lies at least
+(_NEAR_BINS + 1/2) w = 7 half-widths from c, so f is analytic inside the
+Bernstein ellipse E_rho with rho < 7 + sqrt 48 = 13.9. Take the ellipse
+with real semi-axis 6, r = 6 + sqrt 35 = 11.9: its points lie at least
+one half-width w/2 from c, so |f| <= M = 2/w for F and 4/w^2 for D, and
+||f - p|| <= 4 M r^{-15} / (r - 1) (Trefethen, Approximation Theory and
+Approximation Practice, Thm 8.2, n = 15; the first-kind interpolant
+aliases the same Chebyshev tail). That is 5.3e-17 for F and 1.1e-16 for
+D per unit of sum |s2w| over the bin, and it falls like r^{-15} for the
+bins farther out, whose r grows with their distance from c.
 
 The grid aligns panels with the jumps of step-backed sources (up to a
 resolution cap, beyond which a declared between-jump mean replaces the
@@ -60,7 +86,11 @@ allowed because bounded g keeps the windowed integrand integrable). At
 every eps the order-n entries read g near u = 2 pi n / L (the Fejer lobe
 at x = pi n), so an order past N_max = L u_cap / (2 pi) would read the
 constant a table-backed source freezes g at past u_cap; such orders are
-refused (_check_resolvable) before the cutoff is chosen.
+refused (_check_resolvable) before the cutoff is chosen. Past the lobes the
+panels are at most 2 wide with 16 nodes each, so a grid holds about 8X
+nodes; a cutoff whose estimate passes _MAX_GRID_NODES (small eps: X grows
+like (L / 2 eps) ln(1/target)) is refused with a ResourceError before any
+grid is built.
 
 Each panel gets 16 Gauss-Legendre nodes, except the panels narrower than
 h0 = 0.05 that end inside the jump-resolved range, which get 4. Between
@@ -94,7 +124,7 @@ import numpy as np
 from scipy.special import lambertw
 
 from .arith import GrowthFunction, _atomic_write, _fields_dict
-from .errors import ContractError, DomainError, PrecisionError
+from .errors import ContractError, DomainError, PrecisionError, ResourceError
 from .special import EvalTolerance, OuterGrid
 from .transform import _GL16, _STEP_RESOLVE_CAP, _gl_nodes_on
 
@@ -115,8 +145,18 @@ _LOBE_HALF_WIDTH = 3.0 * math.pi  # refine |x - pi n| below this
 _EPS0_X_PAD = 500.0  # undamped cutoff past the last lobe
 _SMOOTH_RESOLVE = 1024.0  # resolve jumps exactly below this x when a mean model exists
 _MAX_ORDER = 256
+_MAX_GRID_NODES = 4_000_000  # frequency-route grids past this are refused (ResourceError)
 _NARROW_PANEL = 0.05  # panels below this width get _GL4 (module docstring)
 _GL4 = np.polynomial.legendre.leggauss(4)
+_FAR_BIN = 1.0  # bin width of the near/far split (module docstring)
+_NEAR_BINS = 3  # bins on each side of a centre's bin summed node by node
+_PROXIES = 16  # a bin with more nodes than this is replaced by as many proxies
+_THETA = math.pi * (1.0 - (np.arange(_PROXIES) + 0.5) / _PROXIES)
+_CHEB = np.cos(_THETA)  # first-kind Chebyshev points on [-1, 1], ascending
+# mu_m -> w_j: (2 - [m = 0]) T_m(p_j) / _PROXIES, T_m(p_j) = cos(m theta_j)
+_ANTERP = np.cos(np.outer(np.arange(_PROXIES), _THETA)) * np.where(
+    np.arange(_PROXIES) == 0, 1.0, 2.0
+)[:, None] / _PROXIES
 
 
 @dataclass(frozen=True)
@@ -344,44 +384,98 @@ def _source_values(S: GrowthFunction, L: float, eps: float, xs: np.ndarray) -> n
     return g
 
 
+def _far_sources(xs: np.ndarray, bins: np.ndarray, s2w: np.ndarray):
+    """The far sources of the sorted nodes xs: positions, weights and bins.
+
+    A bin holding more than _PROXIES nodes becomes its _PROXIES first-kind
+    Chebyshev points p_j with weights w_j = sum_i s2w_i l_j(t_i), l_j the
+    Lagrange basis of the p_j and t_i the bin's nodes mapped onto [-1, 1],
+    so that sum_j w_j f(p_j) = sum_i s2w_i p(t_i) for the interpolant p of
+    f at the p_j. The w_j come from the Chebyshev moments
+    mu_m = sum_i s2w_i T_m(t_i) through _ANTERP. Sparse bins keep their
+    nodes. The sources come out in bin order."""
+    starts = np.flatnonzero(np.diff(bins, prepend=-np.inf))
+    counts = np.diff(starts, append=xs.size)
+    crowded = counts > _PROXIES
+    raw = np.repeat(~crowded, counts)
+    cb, cn = bins[starts[crowded]], counts[crowded]
+    t = 2.0 * (xs[~raw] / _FAR_BIN - np.repeat(cb, cn)) - 1.0
+    seg = np.cumsum(cn) - cn
+    mu = np.empty((_PROXIES, cb.size))
+    prev, cur = s2w[~raw], t * s2w[~raw]  # s2w T_0, s2w T_1
+    mu[0], mu[1] = np.add.reduceat(prev, seg), np.add.reduceat(cur, seg)
+    t2 = t + t
+    for m in range(2, _PROXIES):  # s2w T_m = 2 t s2w T_{m-1} - s2w T_{m-2}
+        prev, cur = cur, t2 * cur - prev
+        mu[m] = np.add.reduceat(cur, seg)
+    pw = mu.T @ _ANTERP
+    sb = np.concatenate([np.repeat(cb, _PROXIES), bins[raw]])
+    order = np.argsort(sb, kind="stable")
+    sx = np.concatenate([((cb[:, None] + 0.5 * (_CHEB + 1.0)) * _FAR_BIN).ravel(), xs[raw]])
+    sw = np.concatenate([pw.ravel(), s2w[raw]])
+    return sx[order], sw[order], sb[order]
+
+
 def _half_line_integrals(xs: np.ndarray, wv: np.ndarray, k_max: int, want_F: bool):
     """F(k) (optional) and D(k) for k = 0..k_max over the weighted nodes.
 
-    sin^2(x -+ pi k) = sin^2 x, so one sine per node serves every k; the
-    removable singularities |x -+ pi k| < 1 go through sinc instead. The
-    nodes are sorted first (a stable sort, which leaves the route grids as
-    they are), so the near nodes of each k and sign form one index range
-    [lo_k, hi_k): the far pass zeroes those ranges of the reciprocal block by
-    slicing, and the near pass loops over k on the contiguous slices."""
+    The nodes are sorted first (a stable sort, which leaves the route grids
+    as they are) and split into near and far bins (module docstring). The
+    far pass zeroes each centre's near bins, a contiguous range of the
+    bin-ordered far sources, in the reciprocal block by slicing; the near
+    pass gathers each centre's near nodes, one contiguous range of the
+    sorted nodes, and sums every range at once with np.add.reduceat."""
     order = np.argsort(xs, kind="stable")
     xs, wv = xs[order], wv[order]
     ks = math.pi * np.arange(k_max + 1)
-    F = np.zeros(k_max + 1) if want_F else None
-    D = np.zeros(k_max + 1)
+    centres = np.concatenate([ks, -ks])
     s2w = np.sin(xs) ** 2 * wv
-    block = max(1, 2_000_000 // (k_max + 1))
-    for sign in (1.0, -1.0):
-        centres = sign * ks
-        lo = np.searchsorted(xs, centres - 1.0, side="right")
-        hi = np.searchsorted(xs, centres + 1.0, side="left")
-        for start in range(0, xs.size, block):
-            stop = min(start + block, xs.size)
-            r = np.subtract(xs[None, start:stop], centres[:, None])
-            with np.errstate(divide="ignore"):  # a node may sit exactly on pi k
-                np.reciprocal(r, out=r)
-            for k in np.flatnonzero((lo < stop) & (hi > start)):
-                r[k, max(lo[k] - start, 0) : hi[k] - start] = 0.0
-            if want_F:
-                F += sign * (r @ s2w[start:stop])
-            r *= r
-            D += r @ s2w[start:stop]
-        for k in np.flatnonzero(hi > lo):
-            dn = xs[lo[k] : hi[k]] - centres[k]
-            sn = np.sinc(dn / math.pi)
-            if want_F:
-                F[k] += sign * ((np.sin(dn) * sn) @ wv[lo[k] : hi[k]])
-            D[k] += (sn * sn) @ wv[lo[k] : hi[k]]
-    return F, D
+    bins = np.floor(xs / _FAR_BIN)
+    near_lo = np.floor(centres / _FAR_BIN) - _NEAR_BINS
+    near_hi = near_lo + 2 * _NEAR_BINS
+
+    sx, sw, sb = _far_sources(xs, bins, s2w)
+    lo = np.searchsorted(sb, near_lo, side="left")
+    hi = np.searchsorted(sb, near_hi, side="right")
+    F = np.zeros(centres.size)
+    D = np.zeros(centres.size)
+    block = max(1, 1_000_000 // centres.size)
+    for start in range(0, sx.size, block):
+        stop = min(start + block, sx.size)
+        r = np.subtract(sx[None, start:stop], centres[:, None])
+        with np.errstate(divide="ignore"):  # a near source may sit on pi k; zeroed below
+            np.reciprocal(r, out=r)
+        for c in np.flatnonzero((lo < stop) & (hi > start)):
+            r[c, max(lo[c] - start, 0) : hi[c] - start] = 0.0
+        if want_F:
+            F += r @ sw[start:stop]
+        r *= r
+        D += r @ sw[start:stop]
+
+    a = np.searchsorted(bins, near_lo, side="left")
+    lens = np.searchsorted(bins, near_hi, side="right") - a
+    offs = np.cumsum(lens) - lens
+    idx = np.arange(lens.sum()) + np.repeat(a - offs, lens)
+    d = xs[idx] - np.repeat(centres, lens)
+    mid = np.flatnonzero(np.abs(d) < 1.0)
+    dm = d[mid]
+    sm = np.sin(dm)
+    sn = np.divide(sm, dm, out=np.ones_like(dm), where=dm != 0.0)  # sinc(dm / pi)
+    wm = wv[idx[mid]]
+    with np.errstate(divide="ignore"):  # a node may sit on pi k; zeroed next
+        r = 1.0 / d
+    r[mid] = 0.0
+    term = s2w[idx] * r
+    seg = lens > 0
+    if want_F:
+        f = term.copy()
+        f[mid] = sm * sn * wm
+        F[seg] += np.add.reduceat(f, offs[seg])
+    term *= r
+    term[mid] = sn * sn * wm
+    D[seg] += np.add.reduceat(term, offs[seg])
+    K = k_max + 1
+    return (F[:K] - F[K:] if want_F else None), D[:K] + D[K:]
 
 
 def _tail_T(X: float, a: np.ndarray) -> np.ndarray:
@@ -426,7 +520,9 @@ def _windowed_integrals(
     meets a tenth of tol.abs_tol (abs_tol 1e-9 without tol), C the growth
     constant (_cutoff_damped). At eps = 0, X = pi N + _EPS0_X_PAD and the
     part beyond X is added in closed form, with mt frozen at its value at
-    X: a log term for F and _tail_T for D."""
+    X: a log term for F and _tail_T for D. A cutoff whose grid would hold
+    more than _MAX_GRID_NODES nodes (about 8X) is a ResourceError, raised
+    before the grid is built."""
     _check_order(N)
     _check_resolvable(S, L, N)
     if eps > 0.0:
@@ -434,6 +530,12 @@ def _windowed_integrals(
         X = _cutoff_damped(S.growth_constant, eps, L, N, target)
     else:
         X = math.pi * N + _EPS0_X_PAD
+    nodes = 8.0 * X  # past the lobes the panels are at most 2 wide, 16 nodes each
+    if nodes > _MAX_GRID_NODES:
+        raise ResourceError(
+            f"eps = {eps:g} puts the frequency-route cutoff at X = {X:.4g}, about "
+            f"{nodes:.3g} grid nodes, past the cap of {_MAX_GRID_NODES:,} nodes"
+        )
     xs, ws = _route_nodes(S, L, _grid_edges(S, L, N, X))
     vals = _source_values(S, L, eps, xs) - shift
     F, D = _half_line_integrals(xs, ws * vals, N, want_F)

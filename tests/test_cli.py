@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import tauberlab
-from tauberlab import cli
+from tauberlab import cli, operators
 from tauberlab.cli import RunConfig, load_config, main
 from tauberlab.errors import ConfigError
 
@@ -192,6 +192,24 @@ def test_operator_diag_refuses_an_order_past_the_cap(capsys):
     )
     assert code == 1 and out == ""
     assert json.loads(err.strip())["code"] == "contract"
+
+
+def test_operator_refuses_a_frequency_grid_past_the_node_cap(capsys, monkeypatch):
+    # at eps = 1e-7 the damped cutoff sits near X = 5.9e8, some 4.7e9 nodes;
+    # the refusal comes before any grid is built
+    def no_grid(*args):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(operators, "_grid_edges", no_grid)
+    for cmd, *extra in (("diag", "--A", "1"), ("assemble",)):
+        code, out, err = run_cli(
+            capsys, "operator", cmd, "--source", "sqrt_mix", "--eps", "1e-7", "--order", "64", *extra,
+        )
+        assert code == 2 and out == "", cmd
+        doc = json.loads(err.strip())
+        assert doc["code"] == "resource", cmd
+        assert "eps = 1e-07" in doc["message"] and "X = 5.886e+08" in doc["message"], cmd
+        assert "4,000,000 nodes" in doc["message"], cmd
 
 
 def test_pnt_takes_length_and_order_from_the_config_file(capsys, tmp_path):

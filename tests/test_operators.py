@@ -191,6 +191,126 @@ def test_half_line_integrals_match_the_sinc_form():
         assert F0 is None and np.array_equal(D0, D)
 
 
+def dense_half_line_integrals(xs, wv, k_max):
+    """Reference: every node against every centre +-pi k, one reciprocal
+    block per sign with the near ranges |x -+ pi k| < 1 zeroed and summed
+    in the sinc form. Also returns sum |term| per k for F and D, the scale
+    of the rounding in either sum."""
+    order = np.argsort(xs, kind="stable")
+    xs, wv = xs[order], wv[order]
+    ks = math.pi * np.arange(k_max + 1)
+    F, D, SF, SD = (np.zeros(k_max + 1) for _ in range(4))
+    s2w = np.sin(xs) ** 2 * wv
+    for sign in (1.0, -1.0):
+        centres = sign * ks
+        lo = np.searchsorted(xs, centres - 1.0, side="right")
+        hi = np.searchsorted(xs, centres + 1.0, side="left")
+        r = np.subtract(xs[None, :], centres[:, None])
+        with np.errstate(divide="ignore"):
+            np.reciprocal(r, out=r)
+        for k in range(k_max + 1):
+            r[k, lo[k] : hi[k]] = 0.0
+        F += sign * (r @ s2w)
+        SF += np.abs(r) @ np.abs(s2w)
+        r *= r
+        D += r @ s2w
+        SD += r @ np.abs(s2w)
+        for k in np.flatnonzero(hi > lo):
+            dn = xs[lo[k] : hi[k]] - centres[k]
+            sn = np.sinc(dn / math.pi)
+            F[k] += sign * ((np.sin(dn) * sn) @ wv[lo[k] : hi[k]])
+            SF[k] += np.abs(np.sin(dn) * sn) @ np.abs(wv[lo[k] : hi[k]])
+            D[k] += (sn * sn) @ wv[lo[k] : hi[k]]
+            SD[k] += (sn * sn) @ np.abs(wv[lo[k] : hi[k]])
+    return F, D, SF, SD
+
+
+def proxy_bound(xs, wv, k_max):
+    """The interpolation bound of the operators module docstring, per k,
+    for F and D: each far bin holding more than _PROXIES nodes adds
+    4 M r^{-15} / (r - 1) times sum |s2w| over its nodes, with
+    r = a + sqrt(a^2 - 1), a one less than the distance of the bin's centre
+    from the centre c in half-widths, and M = 2/w (F) or 4/w^2 (D)."""
+    w = operators._FAR_BIN
+    bins, inv, counts = np.unique(np.floor(xs / w), return_inverse=True, return_counts=True)
+    crowded = counts > operators._PROXIES
+    mass = np.bincount(inv, np.abs(np.sin(xs) ** 2 * wv))[crowded]
+    g = np.zeros(k_max + 1)
+    for sign in (1.0, -1.0):
+        c = sign * math.pi * np.arange(k_max + 1)
+        near = np.abs(bins[crowded][None, :] - np.floor(c / w)[:, None]) <= operators._NEAR_BINS
+        delta = np.abs((bins[crowded] + 0.5)[None, :] * w - c[:, None]) / (w / 2.0)
+        a = np.where(near, 8.0, delta) - 1.0  # far bins have delta >= 7
+        r = a + np.sqrt(a * a - 1.0)
+        g += np.where(near, 0.0, 4.0 * r**-15 / (r - 1.0) * mass).sum(axis=1)
+    return 2.0 / w * g, 4.0 / w**2 * g
+
+
+def assert_proxy_sums_match_the_dense_sums(xs, wv, k_max):
+    """Both outputs of _half_line_integrals within the interpolation bound
+    plus 64 roundings of sum |term| (the two sums round differently), and
+    within 1e-13; want_F = False gives the same D and no F."""
+    F_ref, D_ref, SF, SD = dense_half_line_integrals(xs, wv, k_max)
+    bF, bD = proxy_bound(xs, wv, k_max)
+    u = 2.0**-53
+    F, D = operators._half_line_integrals(xs, wv, k_max, want_F=True)
+    assert np.all(np.abs(F - F_ref) <= bF + 64.0 * u * SF)
+    assert np.all(np.abs(D - D_ref) <= bD + 64.0 * u * SD)
+    assert np.max(np.abs(F - F_ref)) <= 1e-13 and np.max(np.abs(D - D_ref)) <= 1e-13
+    F0, D0 = operators._half_line_integrals(xs, wv, k_max, want_F=False)
+    assert F0 is None and np.array_equal(D0, D)
+
+
+def _route_grids(monkeypatch, run):
+    """The (xs, wv, k_max) of every _half_line_integrals call that run() makes."""
+    grids = []
+    original = operators._half_line_integrals
+
+    def recording(xs, wv, k_max, want_F):
+        grids.append((xs, wv, k_max))
+        return original(xs, wv, k_max, want_F)
+
+    monkeypatch.setattr(operators, "_half_line_integrals", recording)
+    run()
+    monkeypatch.setattr(operators, "_half_line_integrals", original)
+    return grids
+
+
+def test_proxy_sums_match_the_dense_sums_on_the_route_grids(big_table, monkeypatch):
+    """The pnt diagonal grid (weighted primes on the 1e8 table, L = 8 pi,
+    N = 72, eps = 0), the eps = 0 diagonal grid of every battery member at
+    N = 64, and one eps = 0.05 frequency-route grid, against the dense
+    reference."""
+    from tauberlab import tauber
+
+    L = tauber.DEFAULT_LENGTH
+    pnt = tr.source_primes_weighted(big_table)
+
+    def run():
+        diagonal_sequence(pnt, IntervalSpec(L), 0.0, 1.0, tauber.PNT_ORDER)
+        for S, *_ in tauber.battery_members():
+            diagonal_sequence(S, IntervalSpec(L), 0.0, 1.0, tauber.DEFAULT_ORDER)
+        assemble_frequency_route(tr.source_sqrt_mix(1.0, 1.0), IntervalSpec(L), 0.05, 32)
+
+    grids = _route_grids(monkeypatch, run)
+    assert len(grids) == 8
+    for xs, wv, k_max in grids:
+        assert_proxy_sums_match_the_dense_sums(xs, wv, k_max)
+
+
+def test_pnt_grid_compresses_to_under_10000_far_sources(big_table, monkeypatch):
+    """The 86,924 nodes of the pnt diagonal grid become fewer than 10,000
+    far sources (7,722: 16 proxies for each of the 236 crowded bins below
+    x = 236 and the raw nodes of the sparse bins past it)."""
+    from tauberlab import tauber
+
+    S, I = tr.source_primes_weighted(big_table), IntervalSpec(tauber.DEFAULT_LENGTH)
+    ((xs, _, _),) = _route_grids(monkeypatch, lambda: diagonal_sequence(S, I, 0.0, 1.0, tauber.PNT_ORDER))
+    xs = np.sort(xs)
+    sx, _, _ = operators._far_sources(xs, np.floor(xs / operators._FAR_BIN), np.sin(xs) ** 2)
+    assert xs.size > 80_000 and sx.size < 10_000
+
+
 def _grid_edges_per_segment(S, L, N, X):
     """Reference: the grid built one np.linspace call per segment."""
     half = L / 2.0

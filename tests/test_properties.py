@@ -1,7 +1,7 @@
 """Property tests: Schwarz reflection of the zeta family, its outer-grid
 path against plain point arrays, symmetry and positive semi-definiteness
-of W on both routes across the battery, and the closed forms for A* and
-the damped cutoff."""
+of W on both routes across the battery, the closed forms for A* and the
+damped cutoff, and the near/far proxy split of the windowed integrals."""
 
 import math
 
@@ -178,3 +178,42 @@ def test_damped_cutoff_matches_the_fixed_point_iteration():
         floor = math.pi * 72 + 3.0 * operators._LOBE_HALF_WIDTH
         got = operators._cutoff_damped(C, 0.4, 2.0 * math.pi, 72, 1e-3)
         assert got == floor == _cutoff_by_fixed_point(C, 0.4, 2.0 * math.pi, 72, 1e-3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 12),
+    st.lists(
+        st.tuples(st.integers(0, 50), st.integers(1, 48)),
+        min_size=1,
+        max_size=12,
+        unique_by=lambda bin_count: bin_count[0],
+    ),
+    st.integers(0, 2**32 - 1),
+)
+def test_proxy_split_matches_the_dense_sum(k_max, bins, seed):
+    """Unsorted node sets of crowded (more than 16 nodes) and sparse unit
+    bins, plus nodes exactly on bin edges, on pi k, on pi k +- 1 and on the
+    edges of each centre's near range, with weights of both signs:
+    _half_line_integrals against the dense reference within the
+    interpolation bound (test_operators)."""
+    from test_operators import assert_proxy_sums_match_the_dense_sums
+
+    rng = np.random.default_rng(seed)
+    j, n = (np.array(v) for v in zip(*bins))
+    ks = math.pi * np.arange(k_max + 1)
+    home = np.floor(ks)  # the bin of pi k
+    xs = np.concatenate(
+        [
+            np.repeat(j, n) + rng.random(n.sum()),  # n nodes inside bin j
+            j.astype(float),
+            ks,
+            ks + 1.0,
+            np.abs(ks - 1.0),
+            np.maximum(home - 3.0, 0.0),
+            home + 4.0,
+        ]
+    )
+    rng.shuffle(xs)
+    wv = rng.normal(scale=0.05, size=xs.size)
+    assert_proxy_sums_match_the_dense_sums(xs, wv, k_max)
