@@ -49,11 +49,6 @@ class RunConfig:
             raise ConfigError(f"format must be json or csv, got {self.format!r}")
         return self
 
-    def tolerance(self):
-        from .special import EvalTolerance
-
-        return EvalTolerance(abs_tol=self.abs_tol)
-
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
 
@@ -120,6 +115,12 @@ _SOURCES = {
     "slow": lambda tr, cfg: tr.source_slow_approach(),
 }
 _SOURCE_HELP = "one of: " + ", ".join(_SOURCES)
+
+# `operator assemble|spectrum --route` name -> assembly function of tauberlab.operators
+_ROUTES = {
+    "kernel": "assemble_kernel_route",
+    "frequency": "assemble_frequency_route",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,7 +189,7 @@ def _build_parser() -> _Parser:
         op.add_argument("--eps", type=float, required=True)
         op.add_argument("--order", type=int, help="truncation order N")
         if name != "diag":
-            op.add_argument("--route", choices=["kernel", "frequency"], default="frequency")
+            op.add_argument("--route", choices=list(_ROUTES), default="frequency")
         else:
             op.add_argument("--A", type=float, default=0.0, help="identity multiple to subtract")
         op.add_argument("--out", help="write CSV here instead of stdout")
@@ -256,7 +257,9 @@ def _cmd_primes(args, cfg: RunConfig) -> int:
 
 
 def _emit_value(args, cfg: RunConfig, f) -> int:
-    tol = cfg.tolerance()
+    from .special import EvalTolerance
+
+    tol = EvalTolerance(cfg.abs_tol)
     val = complex(f(complex(args.sigma, args.t), tol))
     _emit({"re": val.real, "im": val.imag, "est_error": tol.abs_tol})
     return 0
@@ -299,33 +302,24 @@ def _cmd_transform(args, cfg: RunConfig) -> int:
 
 
 def _cmd_operator(args, cfg: RunConfig) -> int:
-    from .operators import (
-        IntervalSpec,
-        assemble_frequency_route,
-        assemble_kernel_route,
-        diagonal_sequence,
-        spectrum,
-    )
+    from . import operators
 
     S = _source(args.source, cfg)
-    I = IntervalSpec(cfg.length)
+    I = operators.IntervalSpec(cfg.length)
     N = cfg.order
     cmd = args.operator_command
     if cmd == "diag":
-        vals = diagonal_sequence(S, I, args.eps, args.A, N, tol=cfg.tolerance())
+        vals = operators.diagonal_sequence(S, I, args.eps, args.A, N)
         _emit_sequence(vals, cfg, args.out, f"# tauberlab-diag v1, L={cfg.length!r}, eps={args.eps!r}, N={N}, source={S.label}, A={args.A!r}")
         return 0
-    if args.route == "kernel":
-        W = assemble_kernel_route(S, I, args.eps, N)
-    else:
-        W = assemble_frequency_route(S, I, args.eps, N, tol=cfg.tolerance())
+    W = getattr(operators, _ROUTES[args.route])(S, I, args.eps, N)
     if cmd == "assemble":
         if args.out:
             W.to_csv(args.out)
         else:
             sys.stdout.write(W.csv_text())
         return 0
-    vals = spectrum(W)
+    vals = operators.spectrum(W)
     _emit_sequence(vals, cfg, args.out, f"# tauberlab-spectrum v1, L={cfg.length!r}, eps={args.eps!r}, N={N}, source={S.label}, route={W.route}")
     return 0
 
@@ -346,8 +340,9 @@ def _cmd_experiment(args, cfg: RunConfig) -> int:
         _emit({"all_equivalent": bat.all_equivalent, "equivalence": bat.equivalence})
         return 0
     if cmd == "pnt":
-        N = cfg.order if "order" in cfg.explicit else tb.PNT_ORDER
-        rep = tb.pnt_pipeline(_table(cfg), L=cfg.length, N=N, **kw)
+        if "order" not in cfg.explicit:  # the report's config records the order that runs
+            cfg.order = tb.PNT_ORDER
+        rep = tb.pnt_pipeline(_table(cfg), L=cfg.length, N=cfg.order, **kw)
     elif cmd == "forward":
         S = _source(args.source, cfg)
         rep = tb.forward_experiment(S, S.ratio_limit_A, L=cfg.length, N=cfg.order, **kw)

@@ -80,9 +80,12 @@ bins farther out, whose r grows with their distance from c.
 The grid aligns panels with the jumps of step-backed sources (up to a
 resolution cap, beyond which a declared between-jump mean replaces the
 sawtooth when available), refines panels inside the Fejer main lobes
-|x - pi n| < 3 pi, and cuts off at X chosen from the damping (eps > 0) or
-at pi n_max + 500 with an integration-by-parts tail correction (eps = 0,
-allowed because bounded g keeps the windowed integrand integrable). At
+|x - pi n| < 3 pi, and cuts off at X chosen from the damping (eps > 0:
+where the damped tail bound meets the fixed target _CUTOFF_TARGET =
+1e-9 * 0.1, which rounds to 1.0000000000000002e-10) or at pi n_max + 500
+with an integration-by-parts tail correction (eps = 0, allowed because
+bounded g keeps the windowed integrand integrable). The route takes no
+tolerance: the grid depends on S, L, eps and N alone. At
 every eps the order-n entries read g near u = 2 pi n / L (the Fejer lobe
 at x = pi n), so an order past N_max = L u_cap / (2 pi) would read the
 constant a table-backed source freezes g at past u_cap; such orders are
@@ -118,14 +121,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import lambertw
 
 from .arith import GrowthFunction, _atomic_write, _fields_dict
 from .errors import ContractError, DomainError, PrecisionError, ResourceError
-from .special import EvalTolerance, OuterGrid
+from .special import OuterGrid
 from .transform import _GL16, _STEP_RESOLVE_CAP, _gl_nodes_on
 
 __all__ = [
@@ -143,6 +146,9 @@ __all__ = [
 
 _LOBE_HALF_WIDTH = 3.0 * math.pi  # refine |x - pi n| below this
 _EPS0_X_PAD = 500.0  # undamped cutoff past the last lobe
+# damped tail bound at the eps > 0 cutoff; 1e-9 * 0.1 rounds to 1.0000000000000002e-10,
+# not to 1e-10, and the route's grids and outputs are those of this value
+_CUTOFF_TARGET = 1e-9 * 0.1
 _SMOOTH_RESOLVE = 1024.0  # resolve jumps exactly below this x when a mean model exists
 _MAX_ORDER = 256
 _MAX_GRID_NODES = 4_000_000  # frequency-route grids past this are refused (ResourceError)
@@ -508,26 +514,27 @@ def _windowed_integrals(
     L: float,
     eps: float,
     N: int,
-    tol: Optional[EvalTolerance],
     shift: float,
     want_F: bool,
 ):
     """F(k) (when want_F) and D(k), k = 0..N, of mt - shift on the route grid.
 
-    N must lie in [0, _MAX_ORDER] and not pass N_max at any eps
+    Every precondition of the frequency route is checked here: eps >= 0
+    (DomainError), N in [0, _MAX_ORDER] and not past N_max at any eps
     (_check_resolvable). The grid ends at the cutoff X. For eps > 0, X is
     where the damped tail bound C e^{-2 eps (X - pi N)/L} / (pi (X - pi N))
-    meets a tenth of tol.abs_tol (abs_tol 1e-9 without tol), C the growth
-    constant (_cutoff_damped). At eps = 0, X = pi N + _EPS0_X_PAD and the
+    meets _CUTOFF_TARGET = 1.0000000000000002e-10, C the growth constant
+    (_cutoff_damped). At eps = 0, X = pi N + _EPS0_X_PAD and the
     part beyond X is added in closed form, with mt frozen at its value at
     X: a log term for F and _tail_T for D. A cutoff whose grid would hold
     more than _MAX_GRID_NODES nodes (about 8X) is a ResourceError, raised
     before the grid is built."""
+    if eps < 0.0:
+        raise DomainError("eps must be >= 0 on the frequency route")
     _check_order(N)
     _check_resolvable(S, L, N)
     if eps > 0.0:
-        target = (tol.abs_tol if tol else 1e-9) * 0.1
-        X = _cutoff_damped(S.growth_constant, eps, L, N, target)
+        X = _cutoff_damped(S.growth_constant, eps, L, N, _CUTOFF_TARGET)
     else:
         X = math.pi * N + _EPS0_X_PAD
     nodes = 8.0 * X  # past the lobes the panels are at most 2 wide, 16 nodes each
@@ -554,18 +561,15 @@ def assemble_frequency_route(
     I: IntervalSpec,
     eps: float,
     N: int,
-    tol: Optional[EvalTolerance] = None,
 ) -> OperatorTruncation:
     """Matrix truncation from the frequency-side integrals F(k), D(n).
 
     eps = 0 is allowed here (bounded g keeps every entry absolutely
     convergent through the Fejer window). _windowed_integrals sets the
-    cutoff: for eps > 0 from the exponential damping, at a tenth of
-    tol.abs_tol (of 1e-9 without tol); for eps = 0 at pi N + _EPS0_X_PAD,
-    with integration-by-parts tail corrections."""
-    if eps < 0.0:
-        raise DomainError("eps must be >= 0 on the frequency route")
-    F, D = _windowed_integrals(S, I.length, eps, N, tol, 0.0, want_F=True)
+    cutoff: for eps > 0 where the damped tail bound meets the fixed
+    _CUTOFF_TARGET = 1.0000000000000002e-10; for eps = 0 at
+    pi N + _EPS0_X_PAD, with integration-by-parts tail corrections."""
+    F, D = _windowed_integrals(S, I.length, eps, N, 0.0, want_F=True)
     return OperatorTruncation(
         interval=I,
         epsilon=eps,
@@ -583,7 +587,6 @@ def diagonal_sequence(
     eps: float,
     A: float,
     n_max: int,
-    tol: Optional[EvalTolerance] = None,
 ) -> np.ndarray:
     """<Psi e_n, e_n> for n = 0..n_max, Psi = W - A Id, by the 1-D integral.
 
@@ -591,12 +594,10 @@ def diagonal_sequence(
     damped g is integrated and A subtracted exactly (the Fejer window has
     unit mass). Diagonals are even in n. The grid and its cutoff are those
     of assemble_frequency_route at order n_max, and so is the order cap
-    [0, _MAX_ORDER] (ContractError); at any eps an n_max past the frozen
-    tail of a table-backed source is a DomainError."""
-    if eps < 0.0:
-        raise DomainError("eps must be >= 0")
+    [0, _MAX_ORDER] (ContractError). An eps < 0, and at any eps an n_max
+    past the frozen tail of a table-backed source, are DomainErrors."""
     shift = A if eps == 0.0 else 0.0
-    _, D = _windowed_integrals(S, I.length, eps, n_max, tol, shift, want_F=False)
+    _, D = _windowed_integrals(S, I.length, eps, n_max, shift, want_F=False)
     return D / math.pi - (A - shift)
 
 

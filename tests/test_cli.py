@@ -13,6 +13,7 @@ import pytest
 
 import tauberlab
 from tauberlab import cli, operators
+from tauberlab import transform as tr
 from tauberlab.cli import RunConfig, load_config, main
 from tauberlab.errors import ConfigError
 
@@ -195,7 +196,7 @@ def test_operator_diag_refuses_an_order_past_the_cap(capsys):
 
 
 def test_operator_refuses_a_frequency_grid_past_the_node_cap(capsys, monkeypatch):
-    # at eps = 1e-7 the damped cutoff sits near X = 5.9e8, some 4.7e9 nodes;
+    # at eps = 1e-7 the damped cutoff sits near X = 3.6e8, some 2.9e9 nodes;
     # the refusal comes before any grid is built
     def no_grid(*args):
         raise AssertionError("grid built")
@@ -208,7 +209,7 @@ def test_operator_refuses_a_frequency_grid_past_the_node_cap(capsys, monkeypatch
         assert code == 2 and out == "", cmd
         doc = json.loads(err.strip())
         assert doc["code"] == "resource", cmd
-        assert "eps = 1e-07" in doc["message"] and "X = 5.886e+08" in doc["message"], cmd
+        assert "eps = 1e-07" in doc["message"] and "X = 3.607e+08" in doc["message"], cmd
         assert "4,000,000 nodes" in doc["message"], cmd
 
 
@@ -227,6 +228,21 @@ def test_pnt_takes_length_and_order_from_the_config_file(capsys, tmp_path):
     assert doc["report"]["length"] == 12.566370614359172
     assert doc["report"]["order"] == 20
     assert doc["config"]["order"] == 20
+
+
+def test_pnt_report_records_the_order_it_ran_at(capsys, tmp_path):
+    # with no order set, pnt runs at PNT_ORDER = 72; a 3e4 table resolves
+    # orders up to N_max = L ln(3e4)/(2 pi) = 82.5 at L = 16 pi
+    report = tmp_path / "pnt.json"
+    code, _, _ = run_cli(
+        capsys,
+        "--cache-dir", str(tmp_path), "--prime-limit", "30000",
+        "experiment", "pnt", "--length", repr(16 * math.pi), "--umax", "10", "--report", str(report),
+    )
+    assert code == 0
+    doc = json.loads(report.read_text())
+    assert doc["report"]["order"] == 72
+    assert doc["config"]["order"] == doc["report"]["order"]
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +293,17 @@ def test_contract_errors_exit_1(capsys):
 def test_bad_jobs_value(capsys):
     code, _, err = run_cli(capsys, "--jobs", "0", "primes", "--count", "10")
     assert code == 1
+
+
+def test_jobs_caps_every_thread_pool(capsys, monkeypatch, tmp_path):
+    threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in threads:  # monkeypatch restores each after the test
+        monkeypatch.setenv(var, "7")
+    code, out, _ = run_cli(
+        capsys, "--jobs", "2", "--prime-limit", "1000", "--cache-dir", str(tmp_path), "primes", "--count", "100",
+    )
+    assert code == 0 and out.strip() == "25"
+    assert [os.environ[var] for var in threads] == ["2", "2", "2"]
 
 
 def test_config_errors_exit_1(capsys, tmp_path):
@@ -343,6 +370,33 @@ def test_operator_assemble_stdout_and_file_agree(capsys, tmp_path):
     code2, _, _ = run_cli(capsys, *args, "--out", str(out_path))
     assert code2 == 0
     assert out == out_path.read_text()
+
+
+def test_operator_cli_prints_what_the_library_computes(capsys):
+    # the frequency route and the diagonals take no tolerance, so the CLI's
+    # abs_tol cannot move their cutoff
+    code, out, _ = run_cli(capsys, "operator", "assemble", "--source", "integers",
+                           "--length", repr(2 * math.pi), "--eps", "0.1", "--order", "8")
+    assert code == 0
+    W = operators.assemble_frequency_route(tr.source_integers(), operators.IntervalSpec(2 * math.pi), 0.1, 8)
+    assert out == W.csv_text()
+    code, out, _ = run_cli(capsys, "operator", "diag", "--source", "sqrt_mix",
+                           "--eps", "0.05", "--order", "16", "--A", "1")
+    assert code == 0
+    diag = operators.diagonal_sequence(tr.source_sqrt_mix(1.0, 1.0), operators.IntervalSpec(8 * math.pi), 0.05, 1.0, 16)
+    assert json.loads(out) == diag.tolist()
+
+
+def test_operator_kernel_route_through_the_cli(capsys):
+    args = ["--source", "integers", "--length", repr(2 * math.pi), "--eps", "0.1", "--order", "4",
+            "--route", "kernel"]
+    code, out, _ = run_cli(capsys, "operator", "assemble", *args)
+    assert code == 0
+    W = operators.assemble_kernel_route(tr.source_integers(), operators.IntervalSpec(2 * math.pi), 0.1, 4)
+    assert out == W.csv_text()
+    code, out, _ = run_cli(capsys, "--format", "csv", "operator", "spectrum", *args)
+    assert code == 0
+    assert out.splitlines()[0].endswith(", route=kernel_quadrature")
 
 
 def test_operator_csv_outputs_are_deterministic(capsys, tmp_path):

@@ -22,7 +22,7 @@ from tauberlab.operators import (
     split_identity,
     weak_limit_diagnostic,
 )
-from tauberlab.special import EvalTolerance, psi_entire
+from tauberlab.special import psi_entire
 
 L2PI = IntervalSpec(2.0 * math.pi)
 
@@ -43,9 +43,17 @@ def test_identity_kernel_is_the_poisson_kernel(rng):
     assert kernel(S, 0.1, 0.0) == pytest.approx(10.0 / math.pi, abs=1e-14)
 
 
-def test_kernel_needs_positive_eps():
+def test_kernel_needs_positive_eps(monkeypatch):
     with pytest.raises(DomainError):
         kernel(tr.source_identity(), 1e-4, 0.0)
+
+    # the route refuses eps < 1e-3 itself, before it lays out any panel
+    def no_panels(*args):
+        raise AssertionError("panels allocated")
+
+    monkeypatch.setattr(operators, "OuterGrid", no_panels)
+    with pytest.raises(DomainError, match="kernel route"):
+        assemble_kernel_route(tr.source_identity(), L2PI, 5e-4, 4)
 
 
 def test_kernel_needs_a_closed_form_transform():
@@ -467,14 +475,14 @@ def test_poisson_split_at_matrix_level():
 
 def test_diagonal_sequence_matches_assembly():
     """Both entry points read one grid with one cutoff, so the diagonals
-    agree exactly, with and without a tolerance."""
+    agree exactly, undamped and damped."""
     from tauberlab.tauber import battery_members
 
     for S in [tr.source_integers()] + [m[0] for m in battery_members()]:
-        for tol in (None, EvalTolerance(1e-6)):
-            ds = diagonal_sequence(S, L2PI, 0.1, 0.0, 8, tol=tol)
-            W = assemble_frequency_route(S, L2PI, 0.1, 8, tol=tol)
-            assert np.array_equal(ds, W.diagonal()[8:]), (S.label, tol)
+        for eps in (0.0, 0.1):
+            ds = diagonal_sequence(S, L2PI, eps, 0.0, 8)
+            W = assemble_frequency_route(S, L2PI, eps, 8)
+            assert np.array_equal(ds, W.diagonal()[8:]), (S.label, eps)
 
 
 def test_diagonal_limit_against_direct_quadrature():
@@ -499,6 +507,8 @@ def test_diagonal_sequence_guards():
     S = tr.source_identity()
     with pytest.raises(DomainError):
         diagonal_sequence(S, L2PI, -0.1, 0.0, 4)
+    with pytest.raises(DomainError):
+        assemble_frequency_route(S, L2PI, -0.1, 4)
     with pytest.raises(ContractError):
         diagonal_sequence(S, L2PI, 0.1, 0.0, -1)
 
