@@ -22,6 +22,7 @@ import logging
 import math
 import os
 import struct
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -38,7 +39,7 @@ __all__ = [
     "count_integers",
     "count_primes",
     "build_prime_table",
-    "chebyshev_weighted",
+    "weighted_prime_count",
     "default_cache_dir",
 ]
 
@@ -306,14 +307,14 @@ def count_primes(x, table: PrimeTable) -> int:
     return table.count(xf)
 
 
-def chebyshev_weighted(x, table: PrimeTable):
+def weighted_prime_count(x, table: PrimeTable):
     """Weighted prime count S(x) = pi_P(x) * ln(x); 0 below the first prime.
 
     Scalar or array x.
     """
     arr = np.asarray(x, dtype=float)
     if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0)):
-        raise DomainError("chebyshev_weighted requires finite x > 0")
+        raise DomainError("weighted_prime_count requires finite x > 0")
     counts = table.count(arr)
     out = np.where(arr >= 2, counts * np.log(np.maximum(arr, 1.0)), 0.0)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
@@ -328,25 +329,20 @@ def chebyshev_weighted(x, table: PrimeTable):
 class GrowthFunction:
     """A non-decreasing S on [0, inf) with certified linear growth bound.
 
-    Fields beyond the evaluator exist so the transform and operator layers
-    can pick the best strategy per source:
+    Each field states a fact about S; none is a hint to one integrator:
 
+    - ``label``: the name reports and errors give the source.
+    - ``fn``: the values S(x), vectorized in x.
+    - ``growth_constant``: C with S(x) <= C x on x >= 1.
     - ``laplace``: closed form of G(s) = integral of S(e^u) e^{-su} du when
       one is known (vectorized in s).
     - ``breakpoints_in(lo, hi)``: jump abscissae of S in (lo, hi], so
       quadratures can split panels exactly at discontinuities.
-    - ``g_smooth(u)``: local between-jump average of g; the frequency route
-      swaps the sawtooth for it past its jump-resolution point, where
-      individual jumps are too dense to resolve.
     - ``u_cap``: largest u at which g(u) is evaluable (ln of a prime table
       limit); integrators freeze g beyond it, direct evaluation raises.
     - ``ratio_limit_A``: the declared limit A of g(u) when one exists
       (None for sources without a ratio limit); experiments that test the
       forward direction require it.
-    - ``between_jumps``: shape of S(e^u) between declared breakpoints —
-      "constant" (pure counting) or "linear_u" (count times u, as for the
-      log-weighted prime count); exact integrators pick the matching
-      antiderivative.
     """
 
     label: str
@@ -354,10 +350,8 @@ class GrowthFunction:
     growth_constant: float
     laplace: Optional[Callable] = None
     breakpoints_in: Optional[Callable] = None
-    g_smooth: Optional[Callable] = None
     u_cap: float = math.inf
     ratio_limit_A: Optional[float] = None
-    between_jumps: str = "constant"
 
     def __call__(self, x):
         return self.fn(x)
@@ -368,10 +362,12 @@ class GrowthFunction:
         if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
             raise DomainError("normalized ratio needs finite u >= 0")
         if arr.size and np.any(arr > self.u_cap):
+            top = float(np.max(arr))
             raise TableExhaustedError(
                 f"g(u) for source '{self.label}' is only evaluable up to "
-                f"u = {self.u_cap:.6g}; got u = {float(np.max(arr)):.6g}",
-                required=int(math.ceil(math.exp(float(np.max(arr))))),
+                f"u = {self.u_cap:.6g}; got u = {top:.6g}",
+                # e^u past the largest float names no table
+                required=math.ceil(math.exp(top)) if top < math.log(sys.float_info.max) else None,
             )
         eu = np.exp(arr)
         out = self.fn(eu) / eu

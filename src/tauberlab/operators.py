@@ -77,9 +77,9 @@ aliases the same Chebyshev tail). That is 5.3e-17 for F and 1.1e-16 for
 D per unit of sum |s2w| over the bin, and it falls like r^{-15} for the
 bins farther out, whose r grows with their distance from c.
 
-The grid aligns panels with the jumps of step-backed sources (up to a
-resolution cap, beyond which a declared between-jump mean replaces the
-sawtooth when available), refines panels inside the Fejer main lobes
+The grid aligns panels with the jumps of step-backed sources up to the
+quadrature oracle's cap x = 2e5 (transform._resolved_u: the table edge if
+lower), refines panels inside the Fejer main lobes
 |x - pi n| < 3 pi, and cuts off at X chosen from the damping (eps > 0:
 where the damped tail bound meets the fixed target _CUTOFF_TARGET =
 1e-9 * 0.1, which rounds to 1.0000000000000002e-10) or at pi n_max + 500
@@ -111,7 +111,7 @@ panel, and it falls like h^11. The eps = 0 grid of the pnt run has 17,683
 such panels (median width 1.4e-3, all below x = 154) and G < 1.5, so the
 rule moves each integral by less than 1e-15, under the rounding of the
 16-point sums. Wider panels, and those past the resolved range, where
-mt may be a declared mean or a closed form with singularities of its
+mt may jump inside a panel or be a closed form with singularities of its
 own, keep 16 nodes. The kernel route keeps 16 nodes on every panel: its
 kernel has a near-pole at distance eps from the real axis.
 """
@@ -129,7 +129,7 @@ from scipy.special import lambertw
 from .arith import GrowthFunction, _atomic_write, _fields_dict
 from .errors import ContractError, DomainError, PrecisionError, ResourceError
 from .special import OuterGrid
-from .transform import _GL16, _STEP_RESOLVE_CAP, _gl_nodes_on
+from .transform import _GL16, _gl_nodes_on, _log_jumps, _resolved_u
 
 __all__ = [
     "IntervalSpec",
@@ -149,7 +149,6 @@ _EPS0_X_PAD = 500.0  # undamped cutoff past the last lobe
 # damped tail bound at the eps > 0 cutoff; 1e-9 * 0.1 rounds to 1.0000000000000002e-10,
 # not to 1e-10, and the route's grids and outputs are those of this value
 _CUTOFF_TARGET = 1e-9 * 0.1
-_SMOOTH_RESOLVE = 1024.0  # resolve jumps exactly below this x when a mean model exists
 _MAX_ORDER = 256
 _MAX_GRID_NODES = 4_000_000  # frequency-route grids past this are refused (ResourceError)
 _NARROW_PANEL = 0.05  # panels below this width get _GL4 (module docstring)
@@ -296,14 +295,6 @@ def _matrix_from_moments(odd: np.ndarray, diag: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_u(S: GrowthFunction) -> float:
-    """u below which jumps are resolved exactly by panel alignment."""
-    if S.breakpoints_in is None:
-        return 0.0
-    cap = _SMOOTH_RESOLVE if S.g_smooth is not None else _STEP_RESOLVE_CAP
-    return min(math.log(cap), S.u_cap)
-
-
 def _cutoff_damped(C: float, eps: float, L: float, N: int, target: float) -> float:
     """X = pi N + max(3 _LOBE_HALF_WIDTH, y), y > 0 the root of
     C e^{-r y} / (pi y) = target with r = 2 eps / L, y = X - pi N.
@@ -325,11 +316,9 @@ def _grid_edges(S: GrowthFunction, L: float, N: int, X: float):
     fine_w = base_w / 4.0
 
     cuts = [0.0]
-    u_res = _resolve_u(S)
-    a_end = min(half * u_res, X)
-    if S.breakpoints_in is not None and a_end > 0.0:
-        bps = np.asarray(S.breakpoints_in(1.0 - 1e-12, math.exp(a_end / half)))
-        knots = half * np.log(bps[bps > 1.0].astype(float))
+    a_end = min(half * _resolved_u(S), X)
+    if a_end > 0.0:
+        knots = half * _log_jumps(S, a_end / half)
         cuts.extend(knots[(knots > 1e-12) & (knots < a_end - 1e-12)].tolist())
         cuts.append(a_end)
     if cuts[-1] < lobe_end < X:
@@ -366,7 +355,7 @@ def _route_nodes(S: GrowthFunction, L: float, edges: np.ndarray):
     panels narrower than _NARROW_PANEL that end inside the jump-resolved
     range, where the integrand is entire (module docstring), 16 elsewhere."""
     lo, hi = edges[:-1], edges[1:]
-    narrow = (hi - lo < _NARROW_PANEL) & (hi <= (L / 2.0) * _resolve_u(S))
+    narrow = (hi - lo < _NARROW_PANEL) & (hi <= (L / 2.0) * _resolved_u(S))
     if not narrow.any():  # skips copying the node arrays
         return _gl_nodes_on(lo, hi)
     xs, ws = _gl_nodes_on(lo[~narrow], hi[~narrow])
@@ -375,16 +364,17 @@ def _route_nodes(S: GrowthFunction, L: float, edges: np.ndarray):
 
 
 def _source_values(S: GrowthFunction, L: float, eps: float, xs: np.ndarray) -> np.ndarray:
-    """mt(x) = g_eff(2x/L) e^{-2 eps x/L} on the grid nodes.
+    """mt(x) = g(2x/L) e^{-2 eps x/L} on the grid nodes, g frozen at u_cap
+    past the evaluable range.
 
-    g_eff is the ratio g, frozen at u_cap past the evaluable range, except
-    that a source declaring a between-jump mean takes that mean past the
-    jump-resolution point."""
+    A non-finite g (a closed form whose S(e^u) overflows past u ~ 709.8
+    gives inf/inf) is a PrecisionError naming the source and u."""
     u = xs / (L / 2.0)
-    g = np.asarray(S.g_clipped(u), dtype=float)
-    if S.g_smooth is not None:
-        rest = u > _resolve_u(S)
-        g[rest] = S.g_smooth(u[rest])
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = np.asarray(S.g_clipped(u), dtype=float)
+    if not np.all(np.isfinite(g)):
+        u_bad = float(np.min(u[~np.isfinite(g)]))
+        raise PrecisionError(f"g of source '{S.label}' is not finite at u = {u_bad!r}")
     if eps > 0.0:
         return g * np.exp(-eps * u)
     return g

@@ -18,7 +18,8 @@ closed form) and a composite 16-node Gauss-Legendre quadrature for
 arbitrary sources. No pipeline path calls the quadrature (the kernel route
 needs a closed form); it is the independent oracle the tests check the
 closed forms against. For a source that declares breakpoints, it integrates
-the step region exactly up to x = 2e5 (or e^U if smaller) and applies
+each piece between jumps exactly up to x = 2e5 (or e^U if smaller), S(e^u)
+read off the source as affine in u there, and applies
 Gauss-Legendre only beyond, where the remaining jumps are too small to
 spoil the panel error; the tail past the cutoff U is certified from the
 linear growth constant by quadrature_tail_bound. The step sum is exact and
@@ -36,7 +37,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import exp1
 
-from .arith import GrowthFunction, StepFunction, chebyshev_weighted, count_integers
+from .arith import GrowthFunction, StepFunction, count_integers, weighted_prime_count
 from .errors import DomainError
 from .special import (
     DEFAULT_TOL,
@@ -154,6 +155,22 @@ def _gl_nodes_on(lo: np.ndarray, hi: np.ndarray, rule=_GL16):
     return xs, ws
 
 
+def _resolved_u(S: GrowthFunction) -> float:
+    """Top of the range [0, u] on which the integrators resolve the jumps of
+    S one by one: ln _STEP_RESOLVE_CAP, or u_cap if smaller; 0 for a source
+    without breakpoints."""
+    if S.breakpoints_in is None:
+        return 0.0
+    return min(math.log(_STEP_RESOLVE_CAP), S.u_cap)
+
+
+def _log_jumps(S: GrowthFunction, u_hi: float) -> np.ndarray:
+    """ln x_j of the jumps 1 < x_j <= e^{u_hi} of S, ascending; u_hi is at
+    most _resolved_u(S)."""
+    bps = np.asarray(S.breakpoints_in(1.0 - 1e-12, math.exp(u_hi)), dtype=float)
+    return np.log(bps[bps > 1.0])
+
+
 def transform_quadrature(
     S: GrowthFunction,
     s,
@@ -161,11 +178,14 @@ def transform_quadrature(
 ):
     """Brute-force G(s) by integrating S(e^u) e^{-su} over [0, U].
 
-    Sources that declare breakpoints are assumed piecewise constant between
-    them; the region up to x = min(e^U, 2e5) is integrated exactly piece by
-    piece, and 16-point Gauss-Legendre on equal panels of width at most
-    0.25 handles the rest. The dropped tail beyond U is NOT added to the
-    result; its certified bound comes from quadrature_tail_bound."""
+    On the jump-resolved range, u up to min(U, _resolved_u(S)), the pieces
+    between consecutive jumps are integrated exactly, with S(e^u) = a + b u
+    read off S at the two interior points a third of the way in from each
+    end: that is exact for a constant piece (a counting function) and for a
+    piece linear in u (a count times ln x, as pi_P(x) ln x). 16-point
+    Gauss-Legendre on equal panels of width at most 0.25 handles the rest.
+    The dropped tail beyond U is NOT added to the result; its certified
+    bound comes from quadrature_tail_bound."""
     grid, scalar, shape = _prep(s)
     flat = grid.points
     if not (U > 0) or not math.isfinite(U):
@@ -176,39 +196,29 @@ def transform_quadrature(
             f"(u_cap = {S.u_cap:g})"
         )
     out = np.zeros(flat.size, dtype=complex)
-    gl_lo = 0.0
+    u_res = min(U, _resolved_u(S))
 
-    if S.breakpoints_in is not None:
-        x_cap = min(math.exp(U), _STEP_RESOLVE_CAP)
-        bps = np.asarray(S.breakpoints_in(1.0 - 1e-12, x_cap), dtype=float)
-        u_res = math.log(x_cap) if math.exp(U) > x_cap else U
-        if bps.size:
-            knots = np.concatenate(([0.0], np.log(bps[bps > 1.0]), [u_res]))
-            knots = np.unique(np.clip(knots, 0.0, u_res))
-            mids = 0.5 * (knots[:-1] + knots[1:])
-            if S.between_jumps == "linear_u":
-                # S(e^u) = c_i * u on each piece; antiderivative of
-                # u e^{-su} is -e^{-su}(su+1)/s^2
-                coeff = S.fn(np.exp(mids)) / mids
-            else:
-                coeff = S.fn(np.exp(mids))
-            block = max(1, 4_000_000 // max(flat.size, 1))
+    if u_res > 0.0:
+        knots = np.concatenate(([0.0], _log_jumps(S, u_res), [u_res]))
+        knots = np.unique(np.clip(knots, 0.0, u_res))
+        third = np.diff(knots) / 3.0
+        u1, u2 = knots[:-1] + third, knots[1:] - third
+        s1, s2 = S.fn(np.exp(u1)), S.fn(np.exp(u2))
+        slope = np.divide(s2 - s1, u2 - u1, out=np.zeros_like(s1), where=u2 > u1)
+        level = s1 - slope * u1
+        # antiderivatives of e^{-su} and u e^{-su}: -e^{-su}/s, -e^{-su}(su + 1)/s^2
+        block = max(1, 4_000_000 // max(flat.size, 1))
+        with np.errstate(under="ignore"):
+            for lo in range(0, level.size, block):
+                hi = min(lo + block, level.size)
+                su = np.multiply.outer(flat, knots[lo : hi + 1])
+                E = np.exp(-su)
+                Eu = E * (su + 1.0)
+                out += (E[:, :-1] - E[:, 1:]) @ level[lo:hi] / flat
+                out += (Eu[:, :-1] - Eu[:, 1:]) @ slope[lo:hi] / flat**2
 
-            def anti(u_knots):
-                E = np.exp(-np.multiply.outer(flat, u_knots))
-                if S.between_jumps == "linear_u":
-                    return E * (np.multiply.outer(flat, u_knots) + 1.0) / flat[:, None] ** 2
-                return E / flat[:, None]
-
-            with np.errstate(under="ignore"):
-                for lo in range(0, mids.size, block):
-                    hi = min(lo + block, mids.size)
-                    piece = anti(knots[lo:hi]) - anti(knots[lo + 1 : hi + 1])
-                    out += piece @ coeff[lo:hi]
-            gl_lo = u_res
-
-    if gl_lo < U:
-        edges = np.linspace(gl_lo, U, max(1, math.ceil((U - gl_lo) / 0.25)) + 1)
+    if u_res < U:
+        edges = np.linspace(u_res, U, max(1, math.ceil((U - u_res) / 0.25)) + 1)
         us, ws = _gl_nodes_on(edges[:-1], edges[1:])
         fv = S.fn(np.exp(us)) * ws
         block = max(1, 4_000_000 // max(us.size, 1))
@@ -255,7 +265,6 @@ def source_integers() -> GrowthFunction:
         growth_constant=1.0,
         laplace=transform_integers,
         breakpoints_in=bps,
-        g_smooth=lambda u: 1.0 - 0.5 * np.exp(-np.asarray(u, dtype=float)),
         ratio_limit_A=1.0,
     )
 
@@ -264,13 +273,12 @@ def source_primes_weighted(table) -> GrowthFunction:
     """S(x) = pi_P(x) ln x. The prime-number-theorem source; g -> 1 slowly."""
     return GrowthFunction(
         label="weighted_primes",
-        fn=lambda x: chebyshev_weighted(x, table),
+        fn=lambda x: weighted_prime_count(x, table),
         growth_constant=1.3,
         laplace=transform_weighted_primes,
         breakpoints_in=lambda lo, hi: table.primes_in(lo, hi).astype(float),
         u_cap=math.log(table.limit),
         ratio_limit_A=1.0,
-        between_jumps="linear_u",
     )
 
 

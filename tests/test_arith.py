@@ -9,10 +9,10 @@ from tauberlab import transform as tr
 from tauberlab.arith import (
     StepFunction,
     build_prime_table,
-    chebyshev_weighted,
     count_integers,
     count_primes,
     default_cache_dir,
+    weighted_prime_count,
 )
 from tauberlab.errors import ContractError, DomainError, ResourceError, TableExhaustedError
 
@@ -111,12 +111,12 @@ def test_count_integers_is_floor_on_positives():
     assert count_integers(3.0) == 3
 
 
-def test_chebyshev_weighted_matches_direct_count(small_table):
+def test_weighted_prime_count_matches_direct_count(small_table):
     primes = np.array(_trial_division_primes(5000), dtype=float)
     for x in (2, 10, 97.5, 4999):
         expect = float((primes <= x).sum()) * math.log(x)
-        assert math.isclose(chebyshev_weighted(x, small_table), expect, rel_tol=0, abs_tol=1e-9)
-    assert chebyshev_weighted(1.5, small_table) == 0.0
+        assert math.isclose(weighted_prime_count(x, small_table), expect, rel_tol=0, abs_tol=1e-9)
+    assert weighted_prime_count(1.5, small_table) == 0.0
 
 
 def test_primes_in_window(small_table):
@@ -228,6 +228,18 @@ def test_normalized_ratio_and_clipping(small_table):
         S.g(cap + 0.5)
     # clipped access freezes at the cap instead of raising
     assert S.g_clipped(cap + 0.5) == pytest.approx(S.g_clipped(cap), rel=1e-9)
+
+
+def test_ratio_past_the_largest_float_is_table_exhausted(small_table):
+    # e^800 is no float: the error names no table size, but it is still the
+    # table error, not an OverflowError
+    S = tr.source_primes_weighted(small_table)
+    with pytest.raises(TableExhaustedError) as ei:
+        S.g(800.0)
+    assert ei.value.required is None
+    with pytest.raises(TableExhaustedError) as ei:
+        S.g(12.0)
+    assert ei.value.required == math.ceil(math.exp(12.0))
 
 
 def test_single_jump_is_a_bounded_step():

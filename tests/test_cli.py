@@ -254,6 +254,19 @@ def test_no_arguments_is_a_usage_error(capsys):
     assert run_cli(capsys)[0] == 64
 
 
+def test_operator_refuses_a_non_finite_ratio(capsys):
+    # past u ~ 709.8 a closed form's S(e^u)/e^u is inf/inf: the damped cutoffs
+    # of both commands reach it, and the route stops rather than print NaN
+    for argv in (
+        ("diag", "--source", "sqrt_mix", "--eps", "1e-3", "--order", "8", "--A", "1"),
+        ("spectrum", "--source", "linear", "--eps", "0.01", "--order", "4"),
+    ):
+        code, out, err = run_cli(capsys, "operator", *argv)
+        assert code == 2 and out == "", argv
+        doc = json.loads(err.strip())
+        assert doc["code"] == "precision" and "is not finite at u = 709.7" in doc["message"], argv
+
+
 def test_bare_group_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys, "operator")
     assert code == 64

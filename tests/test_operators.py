@@ -111,6 +111,17 @@ def test_route_equivalence(factory, eps, N):
     assert Wk.route == "kernel_quadrature" and Wf.route == "frequency_formula"
 
 
+@pytest.mark.parametrize("L,eps,N", [(2.0 * math.pi, 0.1, 8), (8.0 * math.pi, 0.05, 32)])
+def test_integer_count_routes_agree_to_1e9(L, eps, N):
+    """The frequency route reads the integer count's sawtooth itself, jumps
+    resolved up to x = 2e5 and g read at the nodes past it, and meets the
+    kernel route's closed form zeta(s)/s."""
+    S, I = tr.source_integers(), IntervalSpec(L)
+    Wk = assemble_kernel_route(S, I, eps, N)
+    Wf = assemble_frequency_route(S, I, eps, N)
+    assert np.max(np.abs(Wk.entries - Wf.entries)) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # kernel route: the 1-D moment collapse against the 2-D double integral
 # ---------------------------------------------------------------------------
@@ -333,7 +344,7 @@ def _grid_edges_per_segment(S, L, N, X):
 
     edges = [0.0]
     cursor = 0.0
-    a_end = min(half * operators._resolve_u(S), X)
+    a_end = min(half * tr._resolved_u(S), X)
     if S.breakpoints_in is not None and a_end > 0.0:
         bps = np.asarray(S.breakpoints_in(1.0 - 1e-12, math.exp(a_end / half)))
         knots = half * np.log(bps[bps > 1.0].astype(float))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tauberlab import transform as tr
-from tauberlab.arith import StepFunction
+from tauberlab.arith import GrowthFunction, StepFunction
 from tauberlab.errors import DomainError
 from tauberlab.special import psi_entire
 from tauberlab.transform import (
@@ -111,3 +111,35 @@ def test_quadrature_guards(small_table):
         transform_quadrature(S, 2.0 + 0j, U=S.u_cap + 1.0)
     with pytest.raises(DomainError):
         transform_quadrature(S, 2.0 + 0j, U=-1.0)
+
+
+# jumps a_j at x_j, all below e^10, and the points s of the exactness tests
+_XJ = np.array([1.5, 2.0, 7.0, 40.0, 1000.0, 20000.0])
+_AJ = np.array([0.5, 1.0, 2.0, 0.25, 3.0, 1.0])
+_S_PTS = np.array([1.5 + 0.3j, 2.0 + 5.0j, 1.2 - 3.0j, 3.0 + 0.0j, 1.05 + 12.0j])
+
+
+def test_quadrature_is_exact_on_constant_pieces():
+    """A step source: the oracle on [0, 10] against the exact step sum minus
+    its part past U = 10, S_tot e^{-sU}/s."""
+    step = StepFunction(_XJ, _AJ)
+    S = GrowthFunction("steps", step, 1.0, breakpoints_in=step.breakpoints_in)
+    U, s = 10.0, _S_PTS
+    expect = transform_step_sum(step, s) - _AJ.sum() * np.exp(-s * U) / s
+    assert np.max(np.abs(transform_quadrature(S, s, U=U) - expect)) < 1e-12
+
+
+def test_quadrature_is_exact_on_pieces_linear_in_u():
+    """S(x) = step(x) ln x, linear in u = ln x between jumps: the oracle on
+    [0, 10] against sum a_j x_j^{-s} (s ln x_j + 1)/s^2 - S_tot e^{-sU} (sU + 1)/s^2,
+    the sum over j of the integrals of a_j u e^{-su} from ln x_j to U = 10."""
+    step = StepFunction(_XJ, _AJ)
+    S = GrowthFunction(
+        "steps_ln", lambda x: step(x) * np.log(np.maximum(x, 1.0)), 8.0,
+        breakpoints_in=step.breakpoints_in,
+    )
+    U, s = 10.0, _S_PTS
+    sl = np.multiply.outer(s, np.log(_XJ))
+    expect = (np.exp(-sl) * (sl + 1.0)) @ _AJ / s**2
+    expect -= _AJ.sum() * np.exp(-s * U) * (s * U + 1.0) / s**2
+    assert np.max(np.abs(transform_quadrature(S, s, U=U) - expect)) < 1e-12
