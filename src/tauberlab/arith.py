@@ -49,6 +49,9 @@ CACHE_ENV_VAR = "TAUBERLAB_CACHE_DIR"
 _CACHE_MAGIC = b"PTBL"
 _CACHE_FORMAT = 1
 _HARD_LIMIT = 2**32
+# count keys below this read a cumulative pi array (int32, 1 MB); it covers
+# the jump-resolved range x <= 2e5 where the operator grids put most nodes
+_PI_DIRECT = 2**18
 
 
 def default_cache_dir() -> Path:
@@ -168,8 +171,8 @@ class PrimeTable:
     """All primes up to `limit`, held as a sorted array.
 
     Built from the odd bitset of the sieve, which it does not keep. Count
-    queries use binary search on the prime array, so repeated ratio-table
-    evaluation costs O(log n) per point.
+    queries below _PI_DIRECT read pi(k) from a cumulative array built on
+    first use; larger ones binary-search the prime array, O(log n) per point.
     """
 
     def __init__(self, limit: int, odd_bits: np.ndarray):
@@ -178,6 +181,7 @@ class PrimeTable:
         if self.limit >= 2:
             primes = np.concatenate(([np.int64(2)], primes))
         self.primes = primes
+        self._pi_low = None  # pi(k) for 0 <= k < min(limit + 1, _PI_DIRECT)
 
     def _keys(self, x) -> np.ndarray:
         """floor(x) clipped to [0, limit] as int64 search keys.
@@ -205,7 +209,19 @@ class PrimeTable:
                 f"rebuild with limit >= {needed}",
                 required=needed,
             )
-        out = np.searchsorted(self.primes, keys, side="right")
+        # the counts of np.searchsorted(primes, keys, side="right"), bit for bit
+        if self._pi_low is None:
+            n = min(self.limit + 1, _PI_DIRECT)
+            marks = np.zeros(n, dtype=np.int32)
+            marks[self.primes[: np.searchsorted(self.primes, n)]] = 1
+            self._pi_low = np.cumsum(marks, dtype=np.int32)
+        pi = self._pi_low
+        k = keys.ravel()
+        out = pi[np.minimum(k, pi.size - 1)].astype(np.intp)
+        high = np.flatnonzero(k >= pi.size)
+        if high.size:
+            out[high] = np.searchsorted(self.primes, k[high], side="right")
+        out = out.reshape(keys.shape)
         return int(out) if np.isscalar(x) or arr.ndim == 0 else out
 
     def primes_in(self, lo: float, hi: float) -> np.ndarray:
@@ -357,7 +373,10 @@ class GrowthFunction:
         return self.fn(x)
 
     def g(self, u):
-        """Normalized ratio g(u) = S(e^u)/e^u for u >= 0."""
+        """Normalized ratio g(u) = S(e^u)/e^u for u >= 0.
+
+        NaN past u = ln(float max), where e^u is inf and S(e^u)/e^u no float:
+        fn never sees an infinite x."""
         arr = np.asarray(u, dtype=float)
         if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
             raise DomainError("normalized ratio needs finite u >= 0")
@@ -369,8 +388,10 @@ class GrowthFunction:
                 # e^u past the largest float names no table
                 required=math.ceil(math.exp(top)) if top < math.log(sys.float_info.max) else None,
             )
-        eu = np.exp(arr)
-        out = self.fn(eu) / eu
+        with np.errstate(over="ignore"):
+            eu = np.exp(arr)
+        over = np.isinf(eu)
+        out = np.where(over, np.nan, self.fn(np.where(over, 1.0, eu)) / eu)
         return float(out) if np.isscalar(u) or arr.ndim == 0 else out
 
     def g_clipped(self, u):

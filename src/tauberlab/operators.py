@@ -112,8 +112,27 @@ such panels (median width 1.4e-3, all below x = 154) and G < 1.5, so the
 rule moves each integral by less than 1e-15, under the rounding of the
 16-point sums. Wider panels, and those past the resolved range, where
 mt may jump inside a panel or be a closed form with singularities of its
-own, keep 16 nodes. The kernel route keeps 16 nodes on every panel: its
-kernel has a near-pole at distance eps from the real axis.
+own, keep 16 nodes.
+
+The kernel route keeps 16 nodes on every panel, and its panels are at
+most 2 eps wide. G is analytic on sigma > 1, so the kernel
+K(z) = (G(1 + eps + iz) + G(1 + eps - iz)) / (2 pi) is analytic on the
+strip |Im z| < eps for every source. A panel of half-width h = eps maps
+the strip onto |Im t| < 1, which holds every Bernstein ellipse E_rho with
+rho < 1 + sqrt 2. On the ellipse of semi-minor axis b < 1 both real parts
+1 + eps -+ Im z stay above 1 + (1 - b) eps, and since S >= 0 and
+S(x) <= C x, |G(sigma + it)| <= G(sigma) <= C / (sigma - 1); hence
+|K| <= M = C / (pi (1 - b) eps). The 16-point rule then errs on one panel
+by at most h (64/15) M rho^{-32} / (rho^2 - 1) (Thm 19.3 above), smallest
+near b = 0.96 (rho = 2.35): 1.1e-11 C per panel, times at most e^{pi/3}
+for the phases e^{i alpha n z} (h <= L/(6N), so alpha N h <= pi/3) and
+about 2 for the weight 2 (1 - z/L) of c_n. This uniform-M bound is loose.
+Measured against panels eps/2 wide, every matrix entry agrees to 1.0e-14,
+the rounding of the sums (integers, the six battery sources and weighted
+primes on a 1e7 table; eps = 0.05 and 0.01; L = 2 pi, N = 8 and
+L = 8 pi, N = 72). Panels 3 eps and 4 eps wide miss by up to 6.7e-10 and
+1.9e-9 wherever that width binds, so the limit lies between 2 eps and
+3 eps, as the strip predicts.
 """
 
 from __future__ import annotations
@@ -239,15 +258,19 @@ def assemble_kernel_route(
 ) -> OperatorTruncation:
     """Matrix truncation from the 1-D kernel moments s_n, c_n (module docstring).
 
-    P uniform panels of width at most min(eps, 0.1, L/(3N)) with 16
-    Gauss-Legendre nodes each resolve both the kernel peak (scale eps) and
-    the fastest basis oscillation (period L/N); the width depends on eps, L
-    and N alone."""
+    P uniform panels of width at most min(2 eps, 0.1, L/(3N)) with 16
+    Gauss-Legendre nodes each; the width depends on eps, L and N alone. At
+    half-width h <= eps the kernel's strip of analyticity |Im x| < eps
+    holds every Bernstein ellipse with rho < 1 + sqrt 2 of each panel, and
+    the rule errs by at most about 1e-10 C per panel, C the growth
+    constant; the measured error is 1.0e-14 per entry (module docstring).
+    L/(3N) keeps 3 panels in each period L/N of the fastest basis
+    oscillation."""
     if eps < 1e-3:
         raise DomainError("kernel route requires eps >= 1e-3")
     _check_order(N)
     L = I.length
-    P = int(math.ceil(L / min(eps, 0.1, L / (3 * N) if N > 0 else math.inf)))
+    P = int(math.ceil(L / min(2.0 * eps, 0.1, L / (3 * N) if N > 0 else math.inf)))
     h = L / (2 * P)  # panel half-width
     xi, wi = _GL16
     x = OuterGrid((2 * np.arange(P) + 1) * h, h * xi)
@@ -367,8 +390,8 @@ def _source_values(S: GrowthFunction, L: float, eps: float, xs: np.ndarray) -> n
     """mt(x) = g(2x/L) e^{-2 eps x/L} on the grid nodes, g frozen at u_cap
     past the evaluable range.
 
-    A non-finite g (a closed form whose S(e^u) overflows past u ~ 709.8
-    gives inf/inf) is a PrecisionError naming the source and u."""
+    A non-finite g (NaN past u = ln(float max) ~ 709.78, where e^u
+    overflows, for every source) is a PrecisionError naming the source and u."""
     u = xs / (L / 2.0)
     with np.errstate(over="ignore", invalid="ignore"):
         g = np.asarray(S.g_clipped(u), dtype=float)

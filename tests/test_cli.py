@@ -255,10 +255,12 @@ def test_no_arguments_is_a_usage_error(capsys):
 
 
 def test_operator_refuses_a_non_finite_ratio(capsys):
-    # past u ~ 709.8 a closed form's S(e^u)/e^u is inf/inf: the damped cutoffs
-    # of both commands reach it, and the route stops rather than print NaN
+    # past u ~ 709.8 e^u is inf and S(e^u)/e^u no float: the damped cutoffs of
+    # both commands reach it, and the route names the source and that u
+    # rather than print NaN or blame an x the user never gave
     for argv in (
         ("diag", "--source", "sqrt_mix", "--eps", "1e-3", "--order", "8", "--A", "1"),
+        ("diag", "--source", "integers", "--eps", "1e-3", "--order", "8", "--A", "1"),
         ("spectrum", "--source", "linear", "--eps", "0.01", "--order", "4"),
     ):
         code, out, err = run_cli(capsys, "operator", *argv)

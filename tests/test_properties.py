@@ -1,7 +1,8 @@
 """Property tests: Schwarz reflection of the zeta family, its outer-grid
 path against plain point arrays, symmetry and positive semi-definiteness
 of W on both routes across the battery, the closed forms for A* and the
-damped cutoff, and the near/far proxy split of the windowed integrals."""
+damped cutoff, the near/far proxy split of the windowed integrals, and the
+prime count's cumulative array against binary search."""
 
 import math
 
@@ -12,7 +13,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tauberlab import operators, special, tauber, transform
+from tauberlab import arith, operators, special, tauber, transform
 from tauberlab.operators import IntervalSpec, assemble_frequency_route, assemble_kernel_route
 from tauberlab.special import OuterGrid, prime_zeta_pair, zeta, zeta_deriv
 from tauberlab.tauber import battery_members
@@ -217,3 +218,30 @@ def test_proxy_split_matches_the_dense_sum(k_max, bins, seed):
     rng.shuffle(xs)
     wv = rng.normal(scale=0.05, size=xs.size)
     assert_proxy_sums_match_the_dense_sums(xs, wv, k_max)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["small", "big"]),
+    st.lists(
+        st.tuples(st.sampled_from(range(5)), st.floats(-300.0, 300.0)),
+        min_size=1,
+        max_size=32,
+    ),
+)
+def test_prime_count_matches_the_binary_search(small_table, big_table, which, points):
+    """PrimeTable.count reads keys below _PI_DIRECT from its cumulative
+    array and binary-searches the rest: both give np.searchsorted's counts,
+    around 0, 2^18, the first prime past 2^18, the last prime and the table
+    edge, for the 1e5 table (whose every key lies below 2^18) and the 1e8
+    table."""
+    table = small_table if which == "small" else big_table
+    primes = table.primes
+    past = primes[min(np.searchsorted(primes, arith._PI_DIRECT), primes.size - 1)]
+    anchor = [0, arith._PI_DIRECT, past, primes[-1], table.limit]
+    x = np.array([min(float(anchor[a]) + d, table.limit) for a, d in points])
+    keys = np.floor(np.maximum(x, 0.0)).astype(np.int64)
+    expect = np.searchsorted(table.primes, keys, side="right")
+    got = table.count(x)
+    assert got.dtype == expect.dtype and np.array_equal(got, expect)
+    assert table.count(x[0]) == int(expect[0])

@@ -338,17 +338,17 @@ def test_prime_zeta_deriv_is_the_pair_derivative():
 
 def test_prime_zeta_pair_on_the_pnt_kernel_points_runs_few_zeta_batches(monkeypatch):
     """With the primes p <= M peeled from the Moebius sum, P and P' on the
-    8,048 kernel-route points of the pnt run (sigma = 1.05, eps = 0.05,
-    L = 8 pi, N = 72: 503 panel midpoints plus 16 Gauss-Legendre offsets)
-    take at most six Euler-Maclaurin batches on the point grid: the k = 1
-    batch and a few squarefree k >= 2. Without the peel the 2^{-k sigma}
-    tails need 22 Moebius terms."""
-    L = 8.0 * math.pi
-    P = int(math.ceil(L / 0.05))
+    4,032 kernel-route points of the pnt run (sigma = 1.05, eps = 0.05,
+    L = 8 pi, N = 72: 252 panel midpoints, panels min(2 eps, 0.1, L/(3N))
+    wide, plus 16 Gauss-Legendre offsets) take at most six Euler-Maclaurin
+    batches on the point grid: the k = 1 batch and a few squarefree k >= 2.
+    Without the peel the 2^{-k sigma} tails need 22 Moebius terms."""
+    L, eps, N = 8.0 * math.pi, 0.05, 72
+    P = int(math.ceil(L / min(2 * eps, 0.1, L / (3 * N))))
     h = L / (2 * P)
     xi = np.polynomial.legendre.leggauss(16)[0]
     s = 1.05 + 1j * OuterGrid((2 * np.arange(P) + 1) * h, h * xi)
-    assert s.size == 8048
+    assert s.size == 4032
     sizes = []
     em_eval = special._em_eval
 
