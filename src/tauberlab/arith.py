@@ -196,14 +196,15 @@ class PrimeTable:
 
     def count(self, x):
         """Vectorized count of primes <= x (x scalar or array, any real but
-        NaN and +inf)."""
+        NaN and +inf). The table answers every x < limit + 1, since the
+        count only reads floor(x)."""
         arr = np.asarray(x, dtype=float)
         keys = self._keys(arr)
-        if arr.size and np.any(arr > self.limit):
+        if arr.size and np.any(arr >= self.limit + 1):
             top = float(np.max(arr))
             if top == math.inf:
                 raise DomainError("prime table count query must not be +inf")
-            needed = int(math.ceil(top))
+            needed = math.floor(top)
             raise TableExhaustedError(
                 f"count query up to {needed} exceeds table limit {self.limit}; "
                 f"rebuild with limit >= {needed}",

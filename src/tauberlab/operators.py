@@ -237,11 +237,10 @@ def kernel(S: GrowthFunction, eps: float, x):
     """K_eps(x) = (1/pi) Re G(1 + eps + i x), the convolution kernel.
 
     Needs the source's closed-form transform (every catalog source declares
-    one) and eps >= 1e-3: the kernel route never takes the eps -> 0 limit
-    pointwise. x may be an OuterGrid, which reaches the transform as the
-    grid 1 + eps + i x, and the result has its (P, Q) shape."""
-    if eps < 1e-3:
-        raise DomainError("kernel evaluation requires eps >= 1e-3")
+    one) and a finite eps >= 1e-3: the kernel route never takes the
+    eps -> 0 limit pointwise. x may be an OuterGrid, which reaches the
+    transform as the grid 1 + eps + i x, and the result has its (P, Q) shape."""
+    _check_eps(eps, "kernel")
     if S.laplace is None:
         raise ContractError(f"source '{S.label}' declares no closed-form transform for the kernel")
     if not isinstance(x, OuterGrid):
@@ -266,8 +265,7 @@ def assemble_kernel_route(
     constant; the measured error is 1.0e-14 per entry (module docstring).
     L/(3N) keeps 3 panels in each period L/N of the fastest basis
     oscillation."""
-    if eps < 1e-3:
-        raise DomainError("kernel route requires eps >= 1e-3")
+    _check_eps(eps, "kernel")
     _check_order(N)
     L = I.length
     P = int(math.ceil(L / min(2.0 * eps, 0.1, L / (3 * N) if N > 0 else math.inf)))
@@ -505,6 +503,19 @@ def _tail_T(X: float, a: np.ndarray) -> np.ndarray:
     )
 
 
+def _check_eps(eps: float, route: str) -> None:
+    """DomainError unless eps is finite and >= 0, and on the kernel route,
+    which never takes the eps -> 0 limit pointwise, >= 1e-3."""
+    floor = 1e-3 if route == "kernel" else 0.0
+    if not (math.isfinite(eps) and eps >= floor):
+        raise DomainError(f"the {route} route requires a finite eps >= {floor:g}; got eps = {eps!r}")
+
+
+def _check_A(A: float) -> None:
+    if not math.isfinite(A):
+        raise ContractError("A must be finite")
+
+
 def _check_order(N: int) -> None:
     if not (0 <= N <= _MAX_ORDER):
         raise ContractError(f"order N must lie in [0, {_MAX_ORDER}]")
@@ -532,8 +543,8 @@ def _windowed_integrals(
 ):
     """F(k) (when want_F) and D(k), k = 0..N, of mt - shift on the route grid.
 
-    Every precondition of the frequency route is checked here: eps >= 0
-    (DomainError), N in [0, _MAX_ORDER] and not past N_max at any eps
+    Every precondition of the frequency route is checked here: a finite
+    eps >= 0 (DomainError), N in [0, _MAX_ORDER] and not past N_max at any eps
     (_check_resolvable). The grid ends at the cutoff X. For eps > 0, X is
     where the damped tail bound C e^{-2 eps (X - pi N)/L} / (pi (X - pi N))
     meets _CUTOFF_TARGET = 1.0000000000000002e-10, C the growth constant
@@ -542,8 +553,7 @@ def _windowed_integrals(
     X: a log term for F and _tail_T for D. A cutoff whose grid would hold
     more than _MAX_GRID_NODES nodes (about 8X) is a ResourceError, raised
     before the grid is built."""
-    if eps < 0.0:
-        raise DomainError("eps must be >= 0 on the frequency route")
+    _check_eps(eps, "frequency")
     _check_order(N)
     _check_resolvable(S, L, N)
     if eps > 0.0:
@@ -607,8 +617,10 @@ def diagonal_sequence(
     damped g is integrated and A subtracted exactly (the Fejer window has
     unit mass). Diagonals are even in n. The grid and its cutoff are those
     of assemble_frequency_route at order n_max, and so is the order cap
-    [0, _MAX_ORDER] (ContractError). An eps < 0, and at any eps an n_max
-    past the frozen tail of a table-backed source, are DomainErrors."""
+    [0, _MAX_ORDER] (ContractError); a non-finite A is a ContractError too.
+    An eps that is not finite and >= 0, and at any eps an n_max past the
+    frozen tail of a table-backed source, are DomainErrors."""
+    _check_A(A)
     shift = A if eps == 0.0 else 0.0
     _, D = _windowed_integrals(S, I.length, eps, n_max, shift, want_F=False)
     return D / math.pi - (A - shift)
@@ -621,8 +633,7 @@ def diagonal_sequence(
 
 def split_identity(W: OperatorTruncation, A: float) -> OperatorTruncation:
     """Psi = W - A Id, recording A in the metadata."""
-    if not math.isfinite(A):
-        raise ContractError("A must be finite")
+    _check_A(A)
     ent = W.entries - A * np.eye(W.entries.shape[0])
     return OperatorTruncation(
         interval=W.interval,

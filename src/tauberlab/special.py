@@ -8,12 +8,12 @@ over primes") and its derivative, and the two pole-subtracted remainders
     psi_P(s) = pzeta(s)/s + log(s-1)        (analytic near s = 1)
 
 zeta and zeta' come together from one Euler-Maclaurin summation with four
-Bernoulli correction terms, zeta' from the term-differentiated sum; the
-truncation point starts at the standard N = max(10, ceil|t| + 10) and
-doubles until the Cauchy-circle bound on the derivative's remainder drops
-below the requested tolerance (PrecisionError past the term budget). At
-equal N that bound is at least the value's, so both numbers of a batch are
-certified. The power sums use that n^{-s} is completely
+Bernoulli correction terms, zeta' from the term-differentiated sum. The
+Cauchy-circle bound on the derivative's remainder is one power of the
+truncation point, c N^{-q}, so its smallest N >= 10 below the requested
+tolerance has a closed form (_choose_N; PrecisionError past the term
+budget). At equal N that bound is at least the value's, so both numbers
+of a batch are certified. The power sums use that n^{-s} is completely
 multiplicative: one complex exp per prime n < N, then each composite as
 spf(n)^{-s} * (n/spf(n))^{-s} (spf the smallest prime factor), one
 vectorized gather-multiply per layer of equal Omega(n) (prime factors with
@@ -217,18 +217,16 @@ def _remainder_bound(sig_pow: float, sig_prod: float, t: float, N: int) -> float
     return _B10_OVER_FACT * prod * last * N ** (-(sig_pow + 9.0))
 
 
-def _choose_N(flat: np.ndarray, abs_tol, tight=False):
-    """Smallest truncation N = max(10, ceil|t|+10) * 2^j whose derivative
-    remainder bound meets abs_tol at every point of the batch. The bound goes
-    through the Cauchy circle of radius 1/2 around each s: twice the value
-    bound at the smallest sigma less 1/2 (the N power), the largest sigma
-    plus 1/2 and the largest |t| plus 1/2 (the products). At equal N that is
-    at least the value bound, so the N certifies zeta and zeta' alike.
-    PrecisionError when even _MAX_TERMS terms miss abs_tol.
-
-    tight=True starts the doubling search at N = 10 instead; used for the
-    interior Moebius terms where sigma >= 2 makes tiny N sufficient even at
-    large |t|, so the default |t|-proportional rule would waste terms.
+def _choose_N(flat: np.ndarray, abs_tol: float) -> int:
+    """The smallest N >= 10 whose derivative remainder bound meets abs_tol at
+    every point of the batch. The bound goes through the Cauchy circle of
+    radius 1/2 around each s: twice the value bound at the smallest sigma
+    less 1/2 (the N power), the largest sigma plus 1/2 and the largest |t|
+    plus 1/2 (the products). At equal N that is at least the value bound, so
+    the N certifies zeta and zeta' alike. The bound is c N^{-q}, q = sigma_min
+    + 8.5 and c = bound(1), so N = max(10, ceil((c/abs_tol)^{1/q})), the root
+    taken in logarithms and moved one step where rounding misplaced it.
+    PrecisionError past _MAX_TERMS terms, or once c overflows (|t| ~ 1e31).
     """
     sig_min, sig_max = float(np.min(flat.real)), float(np.max(flat.real))
     t_max = float(np.max(np.abs(flat.imag)))
@@ -236,10 +234,14 @@ def _choose_N(flat: np.ndarray, abs_tol, tight=False):
     def bound(n):
         return 2.0 * _remainder_bound(sig_min - 0.5, sig_max + 0.5, t_max + 0.5, n)
 
-    N = min(10 if tight else max(10, int(math.ceil(t_max)) + 10), _MAX_TERMS)
-    while bound(N) > abs_tol and N < _MAX_TERMS:
-        N = min(2 * N, _MAX_TERMS)
-    achieved = bound(N)
+    c = bound(1)  # inf once |t| passes about 1e31, and so then is root
+    root = math.exp((math.log(c) - math.log(abs_tol)) / (sig_min + 8.5))
+    N = max(10, math.ceil(min(root, _MAX_TERMS)))
+    if bound(N) > abs_tol and N < _MAX_TERMS:
+        N += 1
+    elif N > 10 and bound(N - 1) <= abs_tol:
+        N -= 1
+    achieved = bound(N) if c < math.inf else c  # inf times an underflowed N^{-q} is NaN
     if achieved > abs_tol:
         raise PrecisionError(
             f"term budget {_MAX_TERMS} cannot push the Euler-Maclaurin remainder "
@@ -363,27 +365,25 @@ def _em_eval(grid: OuterGrid, N: int):
     return val, der
 
 
-def _zeta_core(s: OuterGrid, tol: EvalTolerance, tight: bool = False):
-    """(zeta, zeta') on a batch, both to tol.abs_tol, from one summation at
-    the N that _choose_N picks for its points."""
+def _zeta_core(s: OuterGrid, abs_tol: float):
+    """(zeta, zeta') on a batch, both to abs_tol, from one summation at the
+    N that _choose_N picks for its points."""
     if s.size == 0:
         empty = np.empty(0, dtype=complex)
         return empty, empty
-    return _em_eval(s, _choose_N(s.points, tol.abs_tol, tight))
+    return _em_eval(s, _choose_N(s.points, abs_tol))
 
 
 def zeta(s, tol: Optional[EvalTolerance] = None):
     """Riemann zeta on Re(s) > 1, accurate to tol.abs_tol (absolute)."""
-    tol = tol or DEFAULT_TOL
     grid, scalar, shape = _prep(s)
-    return _restore(_zeta_core(grid, tol)[0], scalar, shape)
+    return _restore(_zeta_core(grid, (tol or DEFAULT_TOL).abs_tol)[0], scalar, shape)
 
 
 def zeta_deriv(s, tol: Optional[EvalTolerance] = None):
     """zeta'(s) on Re(s) > 1 via the term-differentiated summation."""
-    tol = tol or DEFAULT_TOL
     grid, scalar, shape = _prep(s)
-    return _restore(_zeta_core(grid, tol)[1], scalar, shape)
+    return _restore(_zeta_core(grid, (tol or DEFAULT_TOL).abs_tol)[1], scalar, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +393,7 @@ def zeta_deriv(s, tol: Optional[EvalTolerance] = None):
 
 def _real_zeta_triple(sigma: float) -> tuple:
     """zeta(sigma), zeta(2 sigma) and zeta'(sigma), to 1e-9, from one batch."""
-    v, d = _zeta_core(OuterGrid(np.array([sigma, 2.0 * sigma], dtype=complex)), EvalTolerance(1e-9))
+    v, d = _zeta_core(OuterGrid(np.array([sigma, 2.0 * sigma], dtype=complex)), 1e-9)
     return float(v[0].real), float(v[1].real), float(d[0].real)
 
 
@@ -477,12 +477,11 @@ def _k1_tolerance(abs_tol: float, zeta_sig: float, zeta_2sig: float, zeta_d_sig:
     return max(min(abs_tol * zmag_low / (3.0 * (1.0 + zd_mag / zmag_low)), 1e-5), 1e-15)
 
 
-def _prime_zeta_core(s: OuterGrid, tol: EvalTolerance):
+def _prime_zeta_core(s: OuterGrid, abs_tol: float):
     """(P, P') on a batch (module docstring)."""
     if s.size == 0:
         empty = np.empty(0, dtype=complex)
         return empty, empty
-    abs_tol = tol.abs_tol
     sig_min = float(np.min(s.points.real))
     zeta_sig, zeta_2sig, zeta_d_sig = _real_zeta_triple(sig_min)
     M = _peel_cap(sig_min, math.log(zeta_sig))
@@ -500,10 +499,10 @@ def _prime_zeta_core(s: OuterGrid, tol: EvalTolerance):
     val, head_d, prod, dlog = _peel(s, _factor_plan(M).primes, ks)
     der = -head_d
 
-    tol_1 = EvalTolerance(_k1_tolerance(abs_tol, zeta_sig, zeta_2sig, zeta_d_sig))
-    inner = EvalTolerance(max(abs_tol / (8.0 * K), 1e-15))
+    tol_1 = _k1_tolerance(abs_tol, zeta_sig, zeta_2sig, zeta_d_sig)
+    inner = max(abs_tol / (8.0 * K), 1e-15)
     for i, k in enumerate(ks):
-        zv, zd = _zeta_core(k * s, tol_1 if k == 1 else inner, tight=k > 1)
+        zv, zd = _zeta_core(k * s, tol_1 if k == 1 else inner)
         # zeta_{>M}(ks) = zeta(ks) prod_{p<=M} (1 - p^{-ks}); its principal
         # log is the analytic branch (certified at k = 1, |log| < 0.02 at k >= 2)
         val += (mu[k] / k) * np.log(zv * prod[i])
@@ -529,9 +528,8 @@ def prime_zeta_deriv(s, tol: Optional[EvalTolerance] = None):
 
 def prime_zeta_pair(s, tol: Optional[EvalTolerance] = None):
     """(P(s), P'(s)) sharing the zeta evaluations between the two sums."""
-    tol = tol or DEFAULT_TOL
     grid, scalar, shape = _prep(s)
-    val, der = _prime_zeta_core(grid, tol)
+    val, der = _prime_zeta_core(grid, (tol or DEFAULT_TOL).abs_tol)
     return _restore(val, scalar, shape), _restore(der, scalar, shape)
 
 
@@ -546,7 +544,6 @@ def psi_entire(s, tol: Optional[EvalTolerance] = None):
     Inside |s-1| < 1e-3 the subtraction is replaced by the Stieltjes series
     psi(s) = (gamma_0 - 1 - gamma_1 w + gamma_2 w^2/2 - gamma_3 w^3/6)/(1+w)
     with w = s-1, avoiding the ~|s-1|^{-1} cancellation."""
-    tol = tol or DEFAULT_TOL
     grid, scalar, shape = _prep(s)
     flat = grid.points
     out = np.empty(flat.size, dtype=complex)
@@ -559,14 +556,13 @@ def psi_entire(s, tol: Optional[EvalTolerance] = None):
     if not np.all(near):
         far = OuterGrid(flat[~near]) if np.any(near) else grid
         sf = far.points
-        out[~near] = _zeta_core(far, tol)[0] / sf - 1.0 / (sf - 1.0)
+        out[~near] = _zeta_core(far, (tol or DEFAULT_TOL).abs_tol)[0] / sf - 1.0 / (sf - 1.0)
     return _restore(out, scalar, shape)
 
 
 def psi_prime_part(s, tol: Optional[EvalTolerance] = None):
     """psi_P(s) = P(s)/s + log(s-1), principal log (Re(s-1) > 0)."""
-    tol = tol or DEFAULT_TOL
     grid, scalar, shape = _prep(s)
     flat = grid.points
-    out = _prime_zeta_core(grid, tol)[0] / flat + np.log(flat - 1.0)
+    out = _prime_zeta_core(grid, (tol or DEFAULT_TOL).abs_tol)[0] / flat + np.log(flat - 1.0)
     return _restore(out, scalar, shape)

@@ -40,7 +40,6 @@ from scipy.special import exp1
 from .arith import GrowthFunction, StepFunction, count_integers, weighted_prime_count
 from .errors import DomainError
 from .special import (
-    DEFAULT_TOL,
     EvalTolerance,
     _prep,
     _restore,
@@ -76,7 +75,6 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 
 def transform_integers(s, tol: Optional[EvalTolerance] = None):
     """G(s) = zeta(s)/s, the transform of the integer count."""
-    tol = tol or DEFAULT_TOL
     grid, scalar, shape = _prep(s)
     val = np.ravel(zeta(grid, tol)) / grid.points
     return _restore(val, scalar, shape)
@@ -84,7 +82,6 @@ def transform_integers(s, tol: Optional[EvalTolerance] = None):
 
 def transform_primes(s, tol: Optional[EvalTolerance] = None):
     """G(s) = pzeta(s)/s, the transform of the prime count."""
-    tol = tol or DEFAULT_TOL
     grid, scalar, shape = _prep(s)
     val = np.ravel(prime_zeta(grid, tol)) / grid.points
     return _restore(val, scalar, shape)
@@ -95,7 +92,6 @@ def transform_weighted_primes(s, tol: Optional[EvalTolerance] = None):
 
     This is -d/ds of the prime transform, since multiplying the source by u
     differentiates the transform."""
-    tol = tol or DEFAULT_TOL
     grid, scalar, shape = _prep(s)
     flat = grid.points
     pz, pzd = prime_zeta_pair(grid, tol)

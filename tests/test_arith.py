@@ -242,6 +242,20 @@ def test_ratio_past_the_largest_float_is_table_exhausted(small_table):
     assert ei.value.required == math.ceil(math.exp(12.0))
 
 
+def test_a_table_answers_every_x_below_its_limit_plus_one(small_table, big_table):
+    """count reads only floor(x), so g at u_cap = ln limit, where exp rounds
+    just above the limit, is the table's value there; floor(x) past the
+    limit is what the table lacks, and the error names it."""
+    for table in (small_table, big_table):
+        S = tr.source_primes_weighted(table)
+        assert math.exp(S.u_cap) > table.limit
+        assert S.g(S.u_cap) == pytest.approx(table.count(table.limit) * S.u_cap / table.limit, rel=1e-12)
+        assert table.count(table.limit + 0.5) == table.count(table.limit)
+        with pytest.raises(TableExhaustedError) as ei:
+            table.count(table.limit + 1.0)
+        assert ei.value.required == table.limit + 1
+
+
 def test_single_jump_is_a_bounded_step():
     S = tr.source_single_jump(height=3.0, location=math.e)
     assert S(1.0) == 0.0

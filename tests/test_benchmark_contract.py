@@ -1,6 +1,9 @@
-"""The package names the benchmark patches: `perfbench/run.py --trace 1`
-wraps every (obj, attr) that `workloads.instrumentation` lists, so a
-deletion that removes one of them breaks the traced run."""
+"""The package as the benchmark uses it: `perfbench/run.py --trace 1` wraps
+every (obj, attr) that `workloads.instrumentation` lists, so a deletion
+that removes one of them breaks the traced run; and every op the run
+times is checked by its workload's own `check`, so an output that fails
+it is a failed op there. One unit of `battery`, and of `pnt` on the
+session's 10^8 table, runs through those checks here."""
 
 from pathlib import Path
 
@@ -11,12 +14,33 @@ pytest.importorskip("mpmath")  # perfbench/workloads.py imports it
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_every_instrumented_name_exists(small_table, monkeypatch):
+@pytest.fixture
+def perfbench(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spans
     import workloads
 
+    return spans, workloads
+
+
+def test_every_instrumented_name_exists(small_table, perfbench):
+    spans, workloads = perfbench
     targets = workloads.instrumentation(spans.Tracer(), small_table)
     assert targets
     for obj, attr, _ in targets:
         assert hasattr(obj, attr), (obj, attr)
+
+
+@pytest.mark.parametrize("name", ["battery", "pnt"])
+def test_one_unit_passes_its_workload_check(name, request, tmp_path, perfbench):
+    _, workloads = perfbench
+    workload = workloads.WORKLOADS[name](0, tmp_path)
+    if workload.table_limit:
+        # the session's table in place of prepare(), which sieves into a cache
+        workload.table = request.getfixturevalue("big_table")
+        assert workload.table.limit == workload.table_limit
+    else:
+        workload.prepare(workloads.plain_call)
+    for op, check in workload.ops(workloads.plain_call):
+        passed, err_ratio = check(op())
+        assert passed and err_ratio <= 1.0, (name, err_ratio)

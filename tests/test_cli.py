@@ -282,6 +282,47 @@ def test_term_budget_exhaustion_exits_2(capsys):
     assert last_json(err)["code"] == "precision"
 
 
+def test_overflowing_remainder_bound_exits_2(capsys):
+    # at |t| = 1e300 the constant of the Euler-Maclaurin bound overflows: a
+    # precision error that names the inf, not an OverflowError
+    code, out, err = run_cli(capsys, "special", "eval", "--fn", "zeta", "--sigma", "2", "--t", "1e300")
+    assert code == 2 and out == ""
+    doc = last_json(err)
+    assert doc["code"] == "precision" and "achieved inf" in doc["message"]
+
+
+def test_operator_refuses_a_non_finite_eps(capsys):
+    # NaN fails every comparison: the frequency route took the eps = 0 cutoff
+    # without its tail correction and printed numbers, the kernel route
+    # failed on int(nan); inf printed [-1, ...] or a zero matrix
+    for eps in ("nan", "inf"):
+        for argv in (
+            ("diag", "--source", "sqrt_mix", "--eps", eps, "--order", "4", "--A", "1"),
+            ("assemble", "--source", "sqrt_mix", "--eps", eps, "--order", "1"),
+            ("spectrum", "--source", "sqrt_mix", "--eps", eps, "--order", "1"),
+            ("spectrum", "--source", "sqrt_mix", "--eps", eps, "--order", "1", "--route", "kernel"),
+        ):
+            code, out, err = run_cli(capsys, "operator", *argv)
+            assert code == 1 and out == "", argv
+            doc = json.loads(err.strip())
+            assert doc["code"] == "domain" and "finite eps" in doc["message"], argv
+
+
+def test_operator_diag_refuses_a_non_finite_A(capsys, monkeypatch):
+    # split_identity's check, run before any grid is built
+    def no_grid(*args):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(operators, "_grid_edges", no_grid)
+    for A in ("nan", "inf"):
+        code, out, err = run_cli(
+            capsys, "operator", "diag", "--source", "sqrt_mix", "--eps", "0", "--order", "4", "--A", A,
+        )
+        assert code == 1 and out == "", A
+        doc = json.loads(err.strip())
+        assert doc["code"] == "contract" and doc["message"] == "A must be finite", A
+
+
 def test_unknown_choice_exits_64():
     r = run_module("frobnicate")
     assert r.returncode == 64

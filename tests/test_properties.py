@@ -1,8 +1,9 @@
-"""Property tests: Schwarz reflection of the zeta family, its outer-grid
-path against plain point arrays, symmetry and positive semi-definiteness
-of W on both routes across the battery, the closed forms for A* and the
-damped cutoff, the near/far proxy split of the windowed integrals, and the
-prime count's cumulative array against binary search."""
+"""Property tests: Schwarz reflection of the zeta family, the closed-form
+Euler-Maclaurin truncation, the outer-grid path against plain point
+arrays, symmetry and positive semi-definiteness of W on both routes across
+the battery, the closed forms for A* and the damped cutoff, the near/far
+proxy split of the windowed integrals, and the prime count's cumulative
+array against binary search."""
 
 import math
 
@@ -56,6 +57,43 @@ def test_derivative_bounds_also_certify_the_values(points, log_tol, M, sigma):
     a = M + 1.0
     x0 = a**-sigma
     assert special._peeled_tail_bound(M, sigma) >= x0 * (1.0 + a / (sigma - 1.0)) / (1.0 - x0)
+
+
+def _doubling_N(bound, start, tol):
+    """The search the closed form replaced: N = start * 2^j, capped at the
+    term budget, until bound(N) meets tol."""
+    N = min(start, special._MAX_TERMS)
+    while bound(N) > tol and N < special._MAX_TERMS:
+        N = min(2 * N, special._MAX_TERMS)
+    return N
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.floats(1.0, 20.0, exclude_min=True), st.floats(-1e4, 1e4)),
+        min_size=1,
+        max_size=3,
+    ),
+    st.floats(-15.0, -4.0),
+)
+def test_choose_N_is_the_smallest_certified_truncation(points, log_tol):
+    """_choose_N is the smallest N >= 10 whose Cauchy-circle bound meets
+    abs_tol, so it is no larger than what the doubling search gave from
+    either of its starts: max(10, ceil|t| + 10), and 10 for the Moebius
+    k >= 2 batches."""
+    s = np.array([complex(sig, t) for sig, t in points])
+    tol = 10.0**log_tol
+    sig_min, sig_max, t_max = s.real.min(), s.real.max(), np.abs(s.imag).max()
+
+    def bound(n):
+        return 2.0 * special._remainder_bound(sig_min - 0.5, sig_max + 0.5, t_max + 0.5, n)
+
+    N = special._choose_N(s, tol)
+    assert bound(N) <= tol
+    assert N == 10 or bound(N - 1) > tol
+    assert N <= _doubling_N(bound, max(10, math.ceil(t_max) + 10), tol)
+    assert N <= _doubling_N(bound, 10, tol)
 
 
 _GRID_FUNCTIONS = {

@@ -342,20 +342,43 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_runs_few_zeta_batches(monkeypa
     L = 8 pi, N = 72: 252 panel midpoints, panels min(2 eps, 0.1, L/(3N))
     wide, plus 16 Gauss-Legendre offsets) take at most six Euler-Maclaurin
     batches on the point grid: the k = 1 batch and a few squarefree k >= 2.
-    Without the peel the 2^{-k sigma} tails need 22 Moebius terms."""
+    Without the peel the 2^{-k sigma} tails need 22 Moebius terms. The
+    k = 1, 2, 3, 5 batches stop at the smallest certified N, 154, 83, 78
+    and 57; the doubling search from max(10, ceil|t| + 10) for k = 1, and
+    from 10 for k >= 2, took 288, 160, 80 and 80."""
     L, eps, N = 8.0 * math.pi, 0.05, 72
     P = int(math.ceil(L / min(2 * eps, 0.1, L / (3 * N))))
     h = L / (2 * P)
     xi = np.polynomial.legendre.leggauss(16)[0]
     s = 1.05 + 1j * OuterGrid((2 * np.arange(P) + 1) * h, h * xi)
     assert s.size == 4032
-    sizes = []
+    batches = []
     em_eval = special._em_eval
 
     def counted(grid, N):
-        sizes.append(grid.size)
+        batches.append((grid.size, N))
         return em_eval(grid, N)
 
     monkeypatch.setattr(special, "_em_eval", counted)
     prime_zeta_pair(s)
-    assert 2 <= sizes.count(s.size) <= 6
+    on_grid = [N for size, N in batches if size == s.size]
+    assert 2 <= len(on_grid) <= 6
+    assert on_grid == [154, 83, 78, 57]
+
+
+@pytest.mark.parametrize("abs_tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("s", [complex(5.25, 2000.0), complex(10.0, 126.0)])
+def test_zeta_below_the_height_against_mpmath(s, abs_tol):
+    """Where the smallest certified N lies below |t| (323 at 5.25 + 2000i,
+    17 at 10 + 126i, abs_tol 1e-10), zeta and zeta' still meet abs_tol
+    against 30-digit mpmath. At abs_tol 1e-14 and |t| >= 500 the rounding
+    of the float sums alone misses zeta' by 2-6x, whatever N, so abs_tol
+    stays >= 1e-12 here."""
+    mpmath = pytest.importorskip("mpmath")
+    assert special._choose_N(np.array([s]), abs_tol) < abs(s.imag)
+    with mpmath.workdps(30):
+        z = mpmath.mpc(s.real, s.imag)
+        ref_z, ref_zd = complex(mpmath.zeta(z)), complex(mpmath.zeta(z, derivative=1))
+    tol = EvalTolerance(abs_tol)
+    assert abs(zeta(s, tol) - ref_z) <= abs_tol
+    assert abs(zeta_deriv(s, tol) - ref_zd) <= abs_tol
