@@ -353,8 +353,11 @@ class GrowthFunction:
     - ``growth_constant``: C with S(x) <= C x on x >= 1.
     - ``laplace``: closed form of G(s) = integral of S(e^u) e^{-su} du when
       one is known (vectorized in s).
-    - ``breakpoints_in(lo, hi)``: jump abscissae of S in (lo, hi], so
-      quadratures can split panels exactly at discontinuities.
+    - ``breakpoints_in(lo, hi)``: jump abscissae of S in (lo, hi]. A
+      source that declares them is affine in u = ln x between consecutive
+      ones (a count, or a count times ln x), so the integrators read
+      S(e^u) = a + b u off two samples per gap and integrate each gap
+      exactly.
     - ``u_cap``: largest u at which g(u) is evaluable (ln of a prime table
       limit); integrators freeze g beyond it, direct evaluation raises.
     - ``ratio_limit_A``: the declared limit A of g(u) when one exists

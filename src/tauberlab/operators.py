@@ -54,17 +54,16 @@ Far and near: the sorted nodes fall into bins of width w = 1 on the x
 axis (_FAR_BIN). For each centre, its own bin and the 3 bins on either
 side (_NEAR_BINS) are near, and their nodes are summed one by one. Every
 other bin is far. A far bin with more than 16 nodes (_PROXIES; on the
-pnt grid, the 236 bins below x = 236, where the panels resolve the prime
-jumps and the Fejer lobes) enters through 16 first-kind Chebyshev
-proxies weighted by the anterpolation of its nodes, as in the one-level
-black-box fast multipole method (W. Fong and E. Darve, J. Comput. Phys.
-228 (2009) 8712-8725): the proxies sum s2w against the degree-15
-interpolant p of the kernel f on the bin in place of f. Sparse bins keep
-their nodes. The far terms then come from one reciprocal block over the
-far sources, with each centre's near bins zeroed; near and far split on
-the same bin numbers, so each node counts once. On the pnt grid
-(N = 72) the 86,924 nodes give 7,722 far sources, and the block has 1.1M
-entries in place of 12.7M.
+pnt grid, all 236 bins below the cutoff x = 235.6) enters through 16
+first-kind Chebyshev proxies weighted by the anterpolation of its nodes,
+as in the one-level black-box fast multipole method (W. Fong and
+E. Darve, J. Comput. Phys. 228 (2009) 8712-8725): the proxies sum s2w
+against the degree-15 interpolant p of the kernel f on the bin in place
+of f. Sparse bins keep their nodes. The far terms then come from one
+reciprocal block over the far sources, with each centre's near bins
+zeroed; near and far split on the same bin numbers, so each node counts
+once. On the pnt grid (N = 72) the 12,016 nodes give 3,776 far sources,
+and the block has 0.55M entries in place of 1.75M.
 
 Bound: map a far bin onto [-1, 1]. Its centre lies at least
 (_NEAR_BINS + 1/2) w = 7 half-widths from c, so f is analytic inside the
@@ -77,42 +76,65 @@ aliases the same Chebyshev tail). That is 5.3e-17 for F and 1.1e-16 for
 D per unit of sum |s2w| over the bin, and it falls like r^{-15} for the
 bins farther out, whose r grows with their distance from c.
 
-The grid aligns panels with the jumps of step-backed sources up to the
-quadrature oracle's cap x = 2e5 (transform._resolved_u: the table edge if
-lower), refines panels inside the Fejer main lobes
-|x - pi n| < 3 pi, and cuts off at X chosen from the damping (eps > 0:
+The grid lays panels fine_w = base_w / 4 wide (at most pi/8; pi/10 at
+L = 8 pi) on the jump-resolved range x <= a_end = (L/2) _resolved_u
+(x = 2e5, or the table edge if lower) and in the Fejer main lobes
+|x - pi n| < 3 pi, then panels growing to width 2, each with 16
+Gauss-Legendre nodes. It cuts off at X chosen from the damping (eps > 0:
 where the damped tail bound meets the fixed target _CUTOFF_TARGET =
-1e-9 * 0.1, which rounds to 1.0000000000000002e-10) or at pi n_max + 500
-with an integration-by-parts tail correction (eps = 0, allowed because
-bounded g keeps the windowed integrand integrable). The route takes no
-tolerance: the grid depends on S, L, eps and N alone. At
-every eps the order-n entries read g near u = 2 pi n / L (the Fejer lobe
-at x = pi n), so an order past N_max = L u_cap / (2 pi) would read the
-constant a table-backed source freezes g at past u_cap; such orders are
-refused (_check_resolvable) before the cutoff is chosen. Past the lobes the
+1e-9 * 0.1, which rounds to 1.0000000000000002e-10) or, at eps = 0,
+where mt turns constant: past x_cap = (L/2) u_cap a table-backed source
+is frozen at g(u_cap), so X = max(x_cap, pi (n_max + 3)) (235.6 on the
+pnt grid), and a source without a cap is taken as frozen past
+pi n_max + 500 (_cutoff). The constant tail past X is added in closed
+form (_frozen_tail), exactly; bounded g keeps the windowed integrand
+integrable. Freezing is exact for a table-backed source and for one whose
+g is constant to rounding past X (integers, identity, sqrt_mix,
+single_jump), and not otherwise: moving X to pi n_max + 2000 moves the
+L = 8 pi, n_max = 64 diagonals of slow_approach (g - 1 ~ 1/u) by 3.7e-6
+and those of log_oscillation by 1.2e-4. The route takes no tolerance:
+the grid depends on S, L, eps and N alone. At every eps the order-n
+entries read g near u = 2 pi n / L (the Fejer lobe at x = pi n), so an
+order past N_max = L u_cap / (2 pi) would read the constant a
+table-backed source freezes g at past u_cap; such orders are refused
+(_check_resolvable) before the cutoff is chosen. Past the lobes the
 panels are at most 2 wide with 16 nodes each, so a grid holds about 8X
 nodes; a cutoff whose estimate passes _MAX_GRID_NODES (small eps: X grows
 like (L / 2 eps) ln(1/target)) is refused with a ResourceError before any
 grid is built.
 
-Each panel gets 16 Gauss-Legendre nodes, except the panels narrower than
-h0 = 0.05 that end inside the jump-resolved range, which get 4. Between
-two resolved jumps the integrand mt(x) sin^2 x / (x -+ pi k)^j (j = 1 for
-F, 2 for D) is entire: S is analytic between its jumps, and
-sin x / (x - pi k) is entire. Map a panel of width h onto [-1, 1] and take
-the Bernstein ellipse with rho - 1/rho = 4/h: in x it has semi-minor axis
-1, and there |sin z| <= cosh 1 and |sin z / (z - pi k)| <= cosh 1 (sinh 1
-inside |z - pi k| < 1), so the trigonometric factor stays below
-cosh^2 1 < 2.4. The n-point rule then errs by at most
-(h/2) (64/15) 2.4 G rho^{-2n} / (rho^2 - 1) (Trefethen, Approximation
-Theory and Approximation Practice, Thm 19.3), G the maximum of |mt| on
-the ellipse. At h = h0 (rho = 80) and n = 4 that is below 2.4e-20 G per
-panel, and it falls like h^11. The eps = 0 grid of the pnt run has 17,683
-such panels (median width 1.4e-3, all below x = 154) and G < 1.5, so the
-rule moves each integral by less than 1e-15, under the rounding of the
-16-point sums. Wider panels, and those past the resolved range, where
-mt may jump inside a panel or be a closed form with singularities of its
-own, keep 16 nodes.
+On the jump-resolved range the nodes do not sample mt: S jumps inside the
+panels. Between two jumps S(e^u) = a + b u (GrowthFunction), so mt times
+the kernel is (a + b u) phi with the smooth factor
+phi = e^{-(1+eps) u} sin^2 x / (x -+ pi k)^j (j = 1 for F, 2 for D), and
+product integration (K. E. Atkinson, The Numerical Solution of Integral
+Equations of the Second Kind, 1997, ch. 4) replaces phi and u phi by their
+interpolants p at the panel's 16 nodes and integrates the step data a and
+b against them exactly (_step_values). It errs by int a (phi - p[phi]) +
+int b (u phi - p[u phi]) per panel. sin z / (z - pi k) is entire and
+|sin w / w| <= cosh(Im w), so on |Im z| <= 1 both trigonometric factors
+stay below cosh^2 1 < 2.39. Map a panel of width h onto [-1, 1] and take
+the Bernstein ellipse E_rho with rho - 1/rho = 4/h, whose semi-minor axis
+is 1 in x: rho = 12.81 at h = pi/10 and 10.28 at h = pi/8. Chebyshev
+truncation errs by at most 2 M rho^{-15} / (rho - 1) at degree 15
+(Trefethen, Approximation Theory and Approximation Practice, Thm 8.2),
+and interpolation at the 16 Gauss-Legendre nodes by at most 1 + Lambda
+times that, Lambda = 6.911 their Lebesgue constant. So a panel errs by at
+most C h (max |a| Ge + max |b| Gu), Ge and Gu the maxima of
+|e^{-(1+eps) u}| and |u e^{-(1+eps) u}| on the ellipse, and
+C = 2 (1 + Lambda) cosh^2(1) rho^{-15} / (rho - 1): 7.8e-17 at h = pi/10
+and 2.7e-15 at h = pi/8. The ellipse reaches less than 1 past the panel
+ends, so Ge <= e^{(1+eps)(2/L - u_lo)}, u_lo at the panel's left end; on
+the pnt grid (b = pi(x) <= 1.26 x / ln x, a = 0) the 489 resolved panels
+add up to 1.6e-14 per integral. Measured against 16 nodes on every
+panel between two jumps, the entries agree to 1.6e-15, the rounding of
+the sums.
+
+Past a_end the jumps are not resolved: the 16-node panels sample a
+staircase there. On the pnt grid the primes between 2e5 and 1e8 set a
+floor. Halving every panel past a_end = 153.4 moves the eps = 0
+diagonals by 9.0e-6, and quartering them by a further 2.0e-6, so those
+diagonals hold to about 1e-5, not to the 1e-14 of the rule above.
 
 The kernel route keeps 16 nodes on every panel, and its panels are at
 most 2 eps wide. G is analytic on sigma > 1, so the kernel
@@ -123,10 +145,11 @@ rho < 1 + sqrt 2. On the ellipse of semi-minor axis b < 1 both real parts
 1 + eps -+ Im z stay above 1 + (1 - b) eps, and since S >= 0 and
 S(x) <= C x, |G(sigma + it)| <= G(sigma) <= C / (sigma - 1); hence
 |K| <= M = C / (pi (1 - b) eps). The 16-point rule then errs on one panel
-by at most h (64/15) M rho^{-32} / (rho^2 - 1) (Thm 19.3 above), smallest
-near b = 0.96 (rho = 2.35): 1.1e-11 C per panel, times at most e^{pi/3}
-for the phases e^{i alpha n z} (h <= L/(6N), so alpha N h <= pi/3) and
-about 2 for the weight 2 (1 - z/L) of c_n. This uniform-M bound is loose.
+by at most h (64/15) M rho^{-32} / (rho^2 - 1) (Trefethen, Thm 19.3),
+smallest near b = 0.96 (rho = 2.35): 1.1e-11 C per panel, times at most
+e^{pi/3} for the phases e^{i alpha n z} (h <= L/(6N), so
+alpha N h <= pi/3) and about 2 for the weight 2 (1 - z/L) of c_n. This
+uniform-M bound is loose.
 Measured against panels eps/2 wide, every matrix entry agrees to 1.0e-14,
 the rounding of the sums (integers, the six battery sources and weighted
 primes on a 1e7 table; eps = 0.05 and 0.01; L = 2 pi, N = 8 and
@@ -143,12 +166,12 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import lambertw
+from scipy.special import lambertw, sici
 
 from .arith import GrowthFunction, _atomic_write, _fields_dict
 from .errors import ContractError, DomainError, PrecisionError, ResourceError
 from .special import OuterGrid
-from .transform import _GL16, _gl_nodes_on, _log_jumps, _resolved_u
+from .transform import _GL16, _affine_pieces, _gl_nodes_on, _resolved_u
 
 __all__ = [
     "IntervalSpec",
@@ -170,8 +193,6 @@ _EPS0_X_PAD = 500.0  # undamped cutoff past the last lobe
 _CUTOFF_TARGET = 1e-9 * 0.1
 _MAX_ORDER = 256
 _MAX_GRID_NODES = 4_000_000  # frequency-route grids past this are refused (ResourceError)
-_NARROW_PANEL = 0.05  # panels below this width get _GL4 (module docstring)
-_GL4 = np.polynomial.legendre.leggauss(4)
 _FAR_BIN = 1.0  # bin width of the near/far split (module docstring)
 _NEAR_BINS = 3  # bins on each side of a centre's bin summed node by node
 _PROXIES = 16  # a bin with more nodes than this is replaced by as many proxies
@@ -181,6 +202,22 @@ _CHEB = np.cos(_THETA)  # first-kind Chebyshev points on [-1, 1], ascending
 _ANTERP = np.cos(np.outer(np.arange(_PROXIES), _THETA)) * np.where(
     np.arange(_PROXIES) == 0, 1.0, 2.0
 )[:, None] / _PROXIES
+
+
+def _lagrange_integrals() -> np.ndarray:
+    """The (17, 16) matrix Lam with Lambda_i(t) = int_{-1}^t l_i =
+    sum_n Lam[n, i] T_n(t), l_i the Lagrange basis of the 16 Gauss-Legendre
+    nodes x_i. The Legendre coefficients (m + 1/2) w_i P_m(x_i) of l_i,
+    which the rule integrates exactly, are integrated and then interpolated
+    at 17 Chebyshev points, so that each jump takes the two-term recurrence
+    of the T_n."""
+    leg, cheb = np.polynomial.legendre, np.polynomial.chebyshev
+    coef = leg.legvander(_GL16[0], 15).T * (np.arange(16)[:, None] + 0.5) * _GL16[1]
+    pts = cheb.chebpts1(17)
+    return cheb.chebfit(pts, leg.legval(pts, leg.legint(coef, lbnd=-1)).T, 16)
+
+
+_LAMBDA = _lagrange_integrals()
 
 
 @dataclass(frozen=True)
@@ -329,8 +366,22 @@ def _cutoff_damped(C: float, eps: float, L: float, N: int, target: float) -> flo
     return math.pi * N + max(3.0 * _LOBE_HALF_WIDTH, y)
 
 
+def _cutoff(S: GrowthFunction, eps: float, L: float, N: int) -> float:
+    """The grid's end X. For eps > 0, where the damped tail bound meets
+    _CUTOFF_TARGET (_cutoff_damped). At eps = 0, where mt is constant from
+    there on: g_clipped freezes a table-backed source past x_cap =
+    (L/2) u_cap, so X = max(x_cap, pi (N + 3)), past the last lobe; a
+    source without a cap is taken as frozen past pi N + _EPS0_X_PAD, which
+    also caps X."""
+    if eps > 0.0:
+        return _cutoff_damped(S.growth_constant, eps, L, N, _CUTOFF_TARGET)
+    x_cap = (L / 2.0) * S.u_cap
+    return min(math.pi * N + _EPS0_X_PAD, max(x_cap, math.pi * (N + 3)))
+
+
 def _grid_edges(S: GrowthFunction, L: float, N: int, X: float):
-    """Panel edges on [0, X]: jump-aligned, lobe-refined, growing in the tail."""
+    """Panel edges on [0, X]: fine panels on the jump-resolved range and in
+    the lobes, growing in the tail."""
     half = L / 2.0
     lobe_end = math.pi * (N + 3)
     base_w = min(0.1, math.pi / L) * half  # at most pi/2, under the tail's width cap 2
@@ -339,49 +390,65 @@ def _grid_edges(S: GrowthFunction, L: float, N: int, X: float):
     cuts = [0.0]
     a_end = min(half * _resolved_u(S), X)
     if a_end > 0.0:
-        knots = half * _log_jumps(S, a_end / half)
-        cuts.extend(knots[(knots > 1e-12) & (knots < a_end - 1e-12)].tolist())
         cuts.append(a_end)
-    if cuts[-1] < lobe_end < X:
+    if cuts[-1] < lobe_end <= X:
         cuts.append(lobe_end)
-
-    # k equal panels on each segment [a, b] between cuts; the ends
-    # j (b - a)/k + a, j = 1..k, with the last set to b, are bit for bit
-    # np.linspace(a, b, k + 1)[1:]
-    cuts = np.asarray(cuts)
-    a, b = cuts[:-1], cuts[1:]
-    width = np.where(a < lobe_end, fine_w, base_w)
-    k = np.maximum(1, np.ceil((b - a) / width).astype(np.int64))
-    seg = np.repeat(np.arange(k.size), k)
-    ends = np.cumsum(k)
-    inner = (np.arange(1, seg.size + 1) - np.repeat(ends - k, k)) * ((b - a) / k)[seg] + a[seg]
-    inner[ends - 1] = b
+    edges = [np.zeros(1)]
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        edges.append(np.linspace(a, b, max(1, math.ceil((b - a) / fine_w)) + 1)[1:])
 
     # geometric growth out to the cutoff: widths base_w 1.15^j capped at 2,
     # ends the running sums from cuts[-1] below X, then X itself. Both
     # accumulates run in order, so the ends are bit for bit those of the
     # loop pos = min(pos + w, X), w = min(1.15 w, 2), while pos < X
-    pos = float(cuts[-1])
-    if pos >= X:
-        return np.concatenate([cuts[:1], inner])
-    n_geo = int(math.log(2.0 / base_w) / math.log(1.15)) + 3  # the last is past the cap
-    w = np.full(n_geo + int((X - pos) / 2.0) + 1, 2.0)
-    w[:n_geo] = np.minimum(np.multiply.accumulate([base_w] + [1.15] * (n_geo - 1)), 2.0)
-    ends = np.add.accumulate(np.concatenate([[pos], w]))[1:]
-    return np.concatenate([cuts[:1], inner, ends[ends < X], [X]])
+    pos = cuts[-1]
+    if pos < X:
+        n_geo = int(math.log(2.0 / base_w) / math.log(1.15)) + 3  # the last is past the cap
+        w = np.full(n_geo + int((X - pos) / 2.0) + 1, 2.0)
+        w[:n_geo] = np.minimum(np.multiply.accumulate([base_w] + [1.15] * (n_geo - 1)), 2.0)
+        ends = np.add.accumulate(np.concatenate([[pos], w]))[1:]
+        edges += [ends[ends < X], [X]]
+    return np.concatenate(edges)
 
 
-def _route_nodes(S: GrowthFunction, L: float, edges: np.ndarray):
-    """Gauss-Legendre nodes and weights on the route panels: 4 points on the
-    panels narrower than _NARROW_PANEL that end inside the jump-resolved
-    range, where the integrand is entire (module docstring), 16 elsewhere."""
-    lo, hi = edges[:-1], edges[1:]
-    narrow = (hi - lo < _NARROW_PANEL) & (hi <= (L / 2.0) * _resolved_u(S))
-    if not narrow.any():  # skips copying the node arrays
-        return _gl_nodes_on(lo, hi)
-    xs, ws = _gl_nodes_on(lo[~narrow], hi[~narrow])
-    x4, w4 = _gl_nodes_on(lo[narrow], hi[narrow], _GL4)
-    return np.concatenate([xs, x4]), np.concatenate([ws, w4])
+def _step_values(S: GrowthFunction, L: float, eps: float, edges: np.ndarray, xs: np.ndarray):
+    """The weight times mt at the nodes xs, 16 on each panel of the
+    jump-resolved range [0, edges[-1]], by product integration (module
+    docstring).
+
+    With S(e^u) = a + b u on each gap between jumps (_affine_pieces), node
+    i of a panel of half-width h takes e^{-(1+eps) u_i} (A_i + u_i B_i),
+    A_i = int a l_i dx over the panel, l_i its Lagrange basis. Summation by
+    parts gives A_i = h (a_end w_i - sum_j da_j Lambda_i(t_j)): a_end the
+    level on the gap that ends the panel, da_j the jumps in level at the
+    panel's jumps t_j in [-1, 1). B_i likewise from the slopes."""
+    half = L / 2.0
+    knots, level, slope = _affine_pieces(S, edges[-1] / half)
+    xj = half * knots[1:-1]
+    # the jumps of panel k are xj[bounds[k]:bounds[k+1]], and it ends on gap
+    # bounds[k+1]; a jump rounded onto edges[-1] stays out, as its gap does
+    bounds = np.searchsorted(xj, edges)
+    J, hw = bounds[-1], 0.5 * np.diff(edges)
+    p = np.repeat(np.arange(hw.size), np.diff(bounds))
+    t = (xj[:J] - edges[p]) / hw[p] - 1.0
+    # Y[n] = (da_j, db_j) T_n(t_j) by T_{n+1} = 2 t T_n - T_{n-1}, summed per panel
+    degrees = _LAMBDA.shape[0]
+    Y = np.empty((degrees, 2, J))
+    np.subtract(level[1 : J + 1], level[:J], out=Y[0, 0])
+    np.subtract(slope[1 : J + 1], slope[:J], out=Y[0, 1])
+    np.multiply(Y[0], t, out=Y[1])
+    t2 = t + t
+    for n in range(1, degrees - 1):
+        np.multiply(Y[n], t2, out=Y[n + 1])
+        Y[n + 1] -= Y[n - 1]
+    full = np.flatnonzero(bounds[1:] > bounds[:-1])
+    Q = np.zeros((degrees, 2, hw.size))
+    Q[:, :, full] = np.add.reduceat(Y, bounds[full], axis=2)
+    end = bounds[1:]
+    A = hw[:, None] * (level[end, None] * _GL16[1] - Q[:, 0].T @ _LAMBDA)
+    B = hw[:, None] * (slope[end, None] * _GL16[1] - Q[:, 1].T @ _LAMBDA)
+    u = xs / half
+    return np.exp(-(1.0 + eps) * u) * (A + u.reshape(A.shape) * B).ravel()
 
 
 def _source_values(S: GrowthFunction, L: float, eps: float, xs: np.ndarray) -> np.ndarray:
@@ -495,12 +562,21 @@ def _half_line_integrals(xs: np.ndarray, wv: np.ndarray, k_max: int, want_F: boo
     return (F[:K] - F[K:] if want_F else None), D[:K] + D[K:]
 
 
-def _tail_T(X: float, a: np.ndarray) -> np.ndarray:
-    """Closed form of int_X^inf sin^2 x/(x-a)^2 dx up to O((X-a)^{-3}), per a."""
-    d = X - a
-    return 1.0 / (2.0 * d) + math.sin(2.0 * X) / (4.0 * d * d) - math.cos(2.0 * X) / (
-        4.0 * d**3
-    )
+def _frozen_tail(X: float, ks: np.ndarray):
+    """F and D of the constant 1 on [X, inf) at the centres ks = pi k:
+
+        int_X^inf sin^2 x / (x - c)^2 dx = sin^2 z / z + pi/2 - Si(2z),
+        int_X^inf sin^2 x (1/(x - pi k) - 1/(x + pi k)) dx
+            = ln(z+ / z-)/2 - (Ci(2z+) - Ci(2z-))/2,
+
+    with z = X - c, z-+ = X -+ pi k (Abramowitz-Stegun 5.2), since
+    sin^2(x - c) = sin^2 x; D sums the first over c = +-pi k."""
+    zm, zp = X - ks, X + ks
+    si_m, ci_m = sici(2.0 * zm)
+    si_p, ci_p = sici(2.0 * zp)
+    F = 0.5 * (np.log(zp / zm) - (ci_p - ci_m))
+    D = np.sin(zm) ** 2 / zm + np.sin(zp) ** 2 / zp + math.pi - si_m - si_p
+    return F, D
 
 
 def _check_eps(eps: float, route: str) -> None:
@@ -548,34 +624,37 @@ def _windowed_integrals(
     (_check_resolvable). The grid ends at the cutoff X. For eps > 0, X is
     where the damped tail bound C e^{-2 eps (X - pi N)/L} / (pi (X - pi N))
     meets _CUTOFF_TARGET = 1.0000000000000002e-10, C the growth constant
-    (_cutoff_damped). At eps = 0, X = pi N + _EPS0_X_PAD and the
-    part beyond X is added in closed form, with mt frozen at its value at
-    X: a log term for F and _tail_T for D. A cutoff whose grid would hold
-    more than _MAX_GRID_NODES nodes (about 8X) is a ResourceError, raised
-    before the grid is built."""
+    (_cutoff_damped). At eps = 0, X is where mt turns constant (_cutoff),
+    and the part beyond X is added in closed form with mt frozen at its
+    value at X (_frozen_tail). The panels on the jump-resolved range take
+    product-integration weights (_step_values), the rest mt read at the
+    nodes. A cutoff whose grid would hold more than _MAX_GRID_NODES nodes
+    (about 8X) is a ResourceError, raised before the grid is built."""
     _check_eps(eps, "frequency")
     _check_order(N)
     _check_resolvable(S, L, N)
-    if eps > 0.0:
-        X = _cutoff_damped(S.growth_constant, eps, L, N, _CUTOFF_TARGET)
-    else:
-        X = math.pi * N + _EPS0_X_PAD
+    X = _cutoff(S, eps, L, N)
     nodes = 8.0 * X  # past the lobes the panels are at most 2 wide, 16 nodes each
     if nodes > _MAX_GRID_NODES:
         raise ResourceError(
             f"eps = {eps:g} puts the frequency-route cutoff at X = {X:.4g}, about "
             f"{nodes:.3g} grid nodes, past the cap of {_MAX_GRID_NODES:,} nodes"
         )
-    xs, ws = _route_nodes(S, L, _grid_edges(S, L, N, X))
-    vals = _source_values(S, L, eps, xs) - shift
-    F, D = _half_line_integrals(xs, ws * vals, N, want_F)
+    edges = _grid_edges(S, L, N, X)
+    xs, ws = _gl_nodes_on(edges[:-1], edges[1:])
+    n_res = int(np.searchsorted(edges, min((L / 2.0) * _resolved_u(S), X)))  # resolved panels
+    m = _GL16[0].size * n_res
+    wv = np.empty_like(xs)
+    wv[m:] = ws[m:] * (_source_values(S, L, eps, xs[m:]) - shift)
+    if n_res:
+        wv[:m] = _step_values(S, L, eps, edges[: n_res + 1], xs[:m]) - shift * ws[:m]
+    F, D = _half_line_integrals(xs, wv, N, want_F)
     if eps == 0.0:
         f_inf = float(_source_values(S, L, eps, np.array([X]))[0]) - shift
-        ks = math.pi * np.arange(N + 1)
+        F_tail, D_tail = _frozen_tail(X, math.pi * np.arange(N + 1))
         if want_F:
-            with np.errstate(divide="ignore"):
-                F += np.where(ks > 0, 0.5 * f_inf * np.log((X + ks) / (X - ks)), 0.0)
-        D += f_inf * (_tail_T(X, ks) + _tail_T(X, -ks))
+            F += f_inf * F_tail
+        D += f_inf * D_tail
     return F, D
 
 
@@ -590,8 +669,8 @@ def assemble_frequency_route(
     eps = 0 is allowed here (bounded g keeps every entry absolutely
     convergent through the Fejer window). _windowed_integrals sets the
     cutoff: for eps > 0 where the damped tail bound meets the fixed
-    _CUTOFF_TARGET = 1.0000000000000002e-10; for eps = 0 at
-    pi N + _EPS0_X_PAD, with integration-by-parts tail corrections."""
+    _CUTOFF_TARGET = 1.0000000000000002e-10; for eps = 0 where mt turns
+    constant, with the constant tail integrated in closed form."""
     F, D = _windowed_integrals(S, I.length, eps, N, 0.0, want_F=True)
     return OperatorTruncation(
         interval=I,

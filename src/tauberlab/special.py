@@ -119,6 +119,9 @@ _PSI_SERIES_RADIUS = 1e-3
 # peel caps M for the prime-zeta Moebius sum, smallest first (_peel_cap)
 _PEEL_CAPS = (100, 10_000, 100_000)
 
+# cells (primes x points) per block of _peel: 16,384 complex values, 256 KB
+_PEEL_CELLS = 16_384
+
 # hard budget of Euler-Maclaurin terms per evaluation (_choose_N)
 _MAX_TERMS = 1_000_000
 
@@ -439,7 +442,7 @@ def _peel(s: OuterGrid, primes: np.ndarray, ks: list):
     as p^{-a} p^{-b}, and its powers x^k = p^{-ks}: sum_p x and
     sum_p ln p x, then per k in ks the product prod_p (1 - x^k) and
     sum_p ln p x^k/(1 - x^k)."""
-    npts = s.size
+    npts, Q = s.size, s.b.size
     head = np.zeros(npts, dtype=complex)
     head_d = np.zeros(npts, dtype=complex)
     prod = np.ones((len(ks), npts), dtype=complex)
@@ -449,19 +452,24 @@ def _peel(s: OuterGrid, primes: np.ndarray, ks: list):
     with np.errstate(under="ignore"):
         for lo in range(0, lnp_all.size, block):
             lnp = lnp_all[lo : lo + block]
-            xa = np.exp(-np.multiply.outer(lnp, s.a))
             xb = np.exp(-np.multiply.outer(lnp, s.b))
-            x = (xa[:, :, None] * xb[:, None, :]).reshape(lnp.size, npts)
-            head += x.sum(axis=0)
-            head_d += lnp @ x
-            xk, k_at = x, 1
-            for i, k in enumerate(ks):
-                for _ in range(k - k_at):
-                    xk = xk * x
-                k_at = k
-                one_minus = 1.0 - xk
-                prod[i] *= one_minus.prod(axis=0)
-                dlog[i] += lnp @ (xk / one_minus)
+            # rows of the grid in blocks of about _PEEL_CELLS cells, whose
+            # arrays stay in cache through the passes over x and its powers
+            rows = max(1, _PEEL_CELLS // (lnp.size * Q))
+            for r0 in range(0, s.a.size, rows):
+                c = slice(r0 * Q, (r0 + rows) * Q)
+                xa = np.exp(-np.multiply.outer(lnp, s.a[r0 : r0 + rows]))
+                x = (xa[:, :, None] * xb[:, None, :]).reshape(lnp.size, -1)
+                head[c] += x.sum(axis=0)
+                head_d[c] += lnp @ x
+                xk, k_at = x, 1
+                for i, k in enumerate(ks):
+                    for _ in range(k - k_at):
+                        xk = xk * x
+                    k_at = k
+                    one_minus = 1.0 - xk
+                    prod[i, c] *= one_minus.prod(axis=0)
+                    dlog[i, c] += lnp @ (xk / one_minus)
     return head, head_d, prod, dlog
 
 

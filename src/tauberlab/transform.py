@@ -38,7 +38,7 @@ import numpy as np
 from scipy.special import exp1
 
 from .arith import GrowthFunction, StepFunction, count_integers, weighted_prime_count
-from .errors import DomainError
+from .errors import DomainError, PrecisionError
 from .special import (
     EvalTolerance,
     _prep,
@@ -140,10 +140,10 @@ def quadrature_tail_bound(S: GrowthFunction, s, U: float):
     return bound.reshape(shape)
 
 
-def _gl_nodes_on(lo: np.ndarray, hi: np.ndarray, rule=_GL16):
-    """Node/weight arrays of a Gauss-Legendre rule (nodes, weights on [-1, 1];
-    16 points unless given) on each panel [lo[i], hi[i]]."""
-    nodes, weights = rule
+def _gl_nodes_on(lo: np.ndarray, hi: np.ndarray):
+    """Node/weight arrays of the 16-point Gauss-Legendre rule on each panel
+    [lo[i], hi[i]]."""
+    nodes, weights = _GL16
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
     xs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
@@ -160,11 +160,26 @@ def _resolved_u(S: GrowthFunction) -> float:
     return min(math.log(_STEP_RESOLVE_CAP), S.u_cap)
 
 
-def _log_jumps(S: GrowthFunction, u_hi: float) -> np.ndarray:
-    """ln x_j of the jumps 1 < x_j <= e^{u_hi} of S, ascending; u_hi is at
-    most _resolved_u(S)."""
-    bps = np.asarray(S.breakpoints_in(1.0 - 1e-12, math.exp(u_hi)), dtype=float)
-    return np.log(bps[bps > 1.0])
+def _affine_pieces(S: GrowthFunction, u_hi: float):
+    """The jumps of S on (0, u_hi] as knots 0 = u_0 < u_1 < ... < u_m = u_hi
+    in u = ln x (u_hi at most _resolved_u(S)), and per gap [u_j, u_{j+1}]
+    the level and slope with S(e^u) = level + slope u there, read off S at
+    the two interior points a third of the way in from each end.
+
+    That is exact for a source that is affine in u between its breakpoints
+    (GrowthFunction). A non-finite sample is a PrecisionError naming the
+    source and u."""
+    lnx = np.log(np.asarray(S.breakpoints_in(1.0, math.exp(u_hi)), dtype=float))
+    knots = np.concatenate(([0.0], lnx[lnx < u_hi], [u_hi]))
+    third = np.diff(knots) / 3.0
+    u12 = np.concatenate([knots[:-1] + third, knots[1:] - third])
+    s12 = np.asarray(S.fn(np.exp(u12)), dtype=float)
+    if not np.all(np.isfinite(s12)):
+        u_bad = float(np.min(u12[~np.isfinite(s12)]))
+        raise PrecisionError(f"S of source '{S.label}' is not finite at u = {u_bad!r}")
+    (u1, u2), (s1, s2) = np.split(u12, 2), np.split(s12, 2)
+    slope = np.divide(s2 - s1, u2 - u1, out=np.zeros_like(s1), where=u2 > u1)
+    return knots, s1 - slope * u1, slope
 
 
 def transform_quadrature(
@@ -176,10 +191,10 @@ def transform_quadrature(
 
     On the jump-resolved range, u up to min(U, _resolved_u(S)), the pieces
     between consecutive jumps are integrated exactly, with S(e^u) = a + b u
-    read off S at the two interior points a third of the way in from each
-    end: that is exact for a constant piece (a counting function) and for a
-    piece linear in u (a count times ln x, as pi_P(x) ln x). 16-point
-    Gauss-Legendre on equal panels of width at most 0.25 handles the rest.
+    read off S by _affine_pieces: that is exact for a constant piece (a
+    counting function) and for a piece linear in u (a count times ln x, as
+    pi_P(x) ln x). 16-point Gauss-Legendre on equal panels of width at most
+    0.25 handles the rest.
     The dropped tail beyond U is NOT added to the result; its certified
     bound comes from quadrature_tail_bound."""
     grid, scalar, shape = _prep(s)
@@ -195,13 +210,7 @@ def transform_quadrature(
     u_res = min(U, _resolved_u(S))
 
     if u_res > 0.0:
-        knots = np.concatenate(([0.0], _log_jumps(S, u_res), [u_res]))
-        knots = np.unique(np.clip(knots, 0.0, u_res))
-        third = np.diff(knots) / 3.0
-        u1, u2 = knots[:-1] + third, knots[1:] - third
-        s1, s2 = S.fn(np.exp(u1)), S.fn(np.exp(u2))
-        slope = np.divide(s2 - s1, u2 - u1, out=np.zeros_like(s1), where=u2 > u1)
-        level = s1 - slope * u1
+        knots, level, slope = _affine_pieces(S, u_res)
         # antiderivatives of e^{-su} and u e^{-su}: -e^{-su}/s, -e^{-su}(su + 1)/s^2
         block = max(1, 4_000_000 // max(flat.size, 1))
         with np.errstate(under="ignore"):

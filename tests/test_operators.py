@@ -357,44 +357,34 @@ def test_proxy_sums_match_the_dense_sums_on_the_route_grids(big_table, monkeypat
 
 
 def test_pnt_grid_compresses_to_under_10000_far_sources(big_table, monkeypatch):
-    """The 86,924 nodes of the pnt diagonal grid become fewer than 10,000
-    far sources (7,722: 16 proxies for each of the 236 crowded bins below
-    x = 236 and the raw nodes of the sparse bins past it)."""
+    """The pnt diagonal grid holds 12,016 nodes: 489 panels on the
+    jump-resolved range x <= 153.4 and 262 in the lobes up to the cutoff
+    X = pi (N + 3) = 235.6, 16 nodes each. They become 3,776 far sources:
+    16 proxies for each of the 236 bins below x = 236."""
     from tauberlab import tauber
 
     S, I = tr.source_primes_weighted(big_table), IntervalSpec(tauber.DEFAULT_LENGTH)
     ((xs, _, _),) = _route_grids(monkeypatch, lambda: diagonal_sequence(S, I, 0.0, 1.0, tauber.PNT_ORDER))
     xs = np.sort(xs)
     sx, _, _ = operators._far_sources(xs, np.floor(xs / operators._FAR_BIN), np.sin(xs) ** 2)
-    assert xs.size > 80_000 and sx.size < 10_000
+    assert (xs.size, sx.size) == (12_016, 3_776)
 
 
 def _grid_edges_per_segment(S, L, N, X):
-    """Reference: the grid built one np.linspace call per segment."""
+    """Reference: the grid built one np.linspace call per segment, fine
+    panels on [0, a_end] and on [a_end, pi (N + 3)], then the tail loop."""
     half = L / 2.0
     lobe_end = math.pi * (N + 3)
     base_w = min(0.1, math.pi / L) * half
     fine_w = base_w / 4.0
 
-    def subdivide(a, b, out):
-        width = fine_w if a < lobe_end else base_w
-        k = max(1, int(math.ceil((b - a) / width)))
-        out.extend(np.linspace(a, b, k + 1)[1:].tolist())
-
     edges = [0.0]
     cursor = 0.0
-    a_end = min(half * tr._resolved_u(S), X)
-    if S.breakpoints_in is not None and a_end > 0.0:
-        bps = np.asarray(S.breakpoints_in(1.0 - 1e-12, math.exp(a_end / half)))
-        knots = half * np.log(bps[bps > 1.0].astype(float))
-        for knot in knots[(knots > 1e-12) & (knots < a_end - 1e-12)]:
-            subdivide(cursor, float(knot), edges)
-            cursor = float(knot)
-        subdivide(cursor, a_end, edges)
-        cursor = a_end
-    if cursor < lobe_end < X:
-        subdivide(cursor, lobe_end, edges)
-        cursor = lobe_end
+    for b in (min(half * tr._resolved_u(S), X), lobe_end):
+        if cursor < b <= X:
+            k = max(1, int(math.ceil((b - cursor) / fine_w)))
+            edges.extend(np.linspace(cursor, b, k + 1)[1:].tolist())
+            cursor = b
     wcur = base_w
     while cursor < X:
         cursor = min(cursor + wcur, X)
@@ -432,51 +422,89 @@ def test_grid_edges_match_the_loop_on_the_battery_and_pnt_grids(big_table):
     for S, *_ in tauber.battery_members():
         cases += [(S, L, N, 0.0), (S, L, N, tauber.SPECTRAL_EPS)]
     for S, L, N, eps in cases:
-        if eps > 0.0:
-            X = operators._cutoff_damped(S.growth_constant, eps, L, N, 1e-10)
-        else:
-            X = math.pi * N + operators._EPS0_X_PAD
+        X = operators._cutoff(S, eps, L, N)
         edges = operators._grid_edges(S, L, N, X)
         assert np.array_equal(edges, _grid_edges_per_segment(S, L, N, X)), (S.label, eps)
 
 
-def _all_16_node_rule(S, L, edges):
-    """Reference: 16 Gauss-Legendre nodes on every panel."""
-    return tr._gl_nodes_on(edges[:-1], edges[1:])
+def _jump_aligned_moments(S, L, eps, N, shift):
+    """Reference: F and D on the grid that cuts a panel at every resolved
+    jump, 16 Gauss-Legendre nodes on each panel and mt read at the nodes,
+    with the route's cutoff and frozen tail. Past the resolved range the
+    panels are the route's own."""
+    half = L / 2.0
+    X = operators._cutoff(S, eps, L, N)
+    edges = operators._grid_edges(S, L, N, X)
+    a_end = min(half * tr._resolved_u(S), X)
+    if a_end > 0.0:
+        bps = np.asarray(S.breakpoints_in(1.0, math.exp(a_end / half)), dtype=float)
+        knots = half * np.log(bps)
+        fine = np.concatenate([edges[edges <= a_end], knots[knots < a_end]])
+        edges = np.concatenate([np.unique(fine), edges[edges > a_end]])
+    xs, ws = tr._gl_nodes_on(edges[:-1], edges[1:])
+    u = xs / half
+    vals = S.g_clipped(u) * np.exp(-eps * u) - shift
+    F, D = operators._half_line_integrals(xs, ws * vals, N, want_F=True)
+    if eps == 0.0:
+        f_inf = S.g_clipped(X / half) - shift
+        F_tail, D_tail = operators._frozen_tail(X, math.pi * np.arange(N + 1))
+        F, D = F + f_inf * F_tail, D + f_inf * D_tail
+    return F, D
 
 
-def test_narrow_panel_rule_matches_the_16_node_oracle(small_table, monkeypatch):
-    """4 nodes on the narrow panels between resolved prime jumps against 16
-    on every panel: weighted primes, L = 8 pi, the eps = 0 diagonals and the
-    eps = 0.05 frequency route, both at N = 46 under N_max = 46.05 of the
-    1e5 table."""
-    S = tr.source_primes_weighted(small_table)
-    I, N = IntervalSpec(8.0 * math.pi), 46
-    edges = operators._grid_edges(S, I.length, N, math.pi * N + operators._EPS0_X_PAD)
-    xs, _ = operators._route_nodes(S, I.length, edges)
-    assert xs.size < 8 * (edges.size - 1)  # most panels take the 4-point rule
+@pytest.mark.parametrize("case", ["wprimes_1e5", "pnt", "integer_count", "single_jump"])
+def test_step_weights_match_the_jump_aligned_oracle(case, small_table, big_table):
+    """Product integration over the resolved jumps against 16 nodes on
+    every panel between two jumps: the eps = 0 diagonals and the eps = 0
+    and eps = 0.05 frequency routes, every entry within 1e-13."""
+    S, L, N = {
+        "wprimes_1e5": (tr.source_primes_weighted(small_table), 8.0 * math.pi, 46),
+        "pnt": (tr.source_primes_weighted(big_table), 8.0 * math.pi, 72),
+        "integer_count": (tr.source_integers(), 2.0 * math.pi, 16),
+        "single_jump": (tr.source_single_jump(), 8.0 * math.pi, 64),
+    }[case]
+    I = IntervalSpec(L)
+    _, D = _jump_aligned_moments(S, L, 0.0, N, 1.0)
+    assert np.max(np.abs(diagonal_sequence(S, I, 0.0, 1.0, N) - D / math.pi)) <= 1e-13
+    for eps in (0.0, 0.05):
+        F, D = _jump_aligned_moments(S, L, eps, N, 0.0)
+        ref = operators._matrix_from_moments(-F / math.pi, D / math.pi)
+        assert np.max(np.abs(assemble_frequency_route(S, I, eps, N).entries - ref)) <= 1e-13, eps
+
+
+def test_the_frozen_tail_is_exact(monkeypatch):
+    """The eps = 0 route integrates the tail past X in closed form, so moving
+    X out by 1,500 changes the integer-count matrix by rounding only."""
+    W = assemble_frequency_route(tr.source_integers(), L2PI, 0.0, 8).entries
+    monkeypatch.setattr(operators, "_EPS0_X_PAD", 2000.0)
+    assert np.max(np.abs(assemble_frequency_route(tr.source_integers(), L2PI, 0.0, 8).entries - W)) <= 1e-13
+
+
+def test_the_pnt_diagonals_end_where_the_source_freezes(big_table, monkeypatch):
+    """At eps = 0 the pnt grid ends at X = pi (N + 3) = 235.6, past
+    x_cap = 231.5 where the 1e8 table freezes g; a grid out to the
+    uncapped X = pi N + 500 gives the same diagonals."""
+    from tauberlab import tauber
+
+    S, I, N = tr.source_primes_weighted(big_table), IntervalSpec(tauber.DEFAULT_LENGTH), tauber.PNT_ORDER
+    assert operators._cutoff(S, 0.0, I.length, N) == math.pi * (N + 3)
     diag = diagonal_sequence(S, I, 0.0, 1.0, N)
-    W = assemble_frequency_route(S, I, 0.05, N)
-    monkeypatch.setattr(operators, "_route_nodes", _all_16_node_rule)
-    assert np.max(np.abs(diag - diagonal_sequence(S, I, 0.0, 1.0, N))) <= 1e-13
-    assert np.max(np.abs(W.entries - assemble_frequency_route(S, I, 0.05, N).entries)) <= 1e-13
+    monkeypatch.setattr(operators, "_cutoff", lambda S, eps, L, N: math.pi * N + operators._EPS0_X_PAD)
+    assert np.max(np.abs(diagonal_sequence(S, I, 0.0, 1.0, N) - diag)) <= 1e-13
 
 
-def test_battery_grids_have_no_narrow_panel():
-    """The eps = 0 diagonal grid (run_battery) and the eps = 0.05
-    frequency-route grid (operator assemble at SPECTRAL_EPS) of every
-    battery member keep 16 nodes on every panel, so neither depends on the
-    narrow-panel rule."""
-    from tauberlab.tauber import DEFAULT_LENGTH, DEFAULT_ORDER, SPECTRAL_EPS, battery_members
-
-    L, N = DEFAULT_LENGTH, DEFAULT_ORDER
-    for S, *_ in battery_members():
-        for X in (
-            math.pi * N + operators._EPS0_X_PAD,
-            operators._cutoff_damped(S.growth_constant, SPECTRAL_EPS, L, N, 1e-10),
-        ):
-            edges = operators._grid_edges(S, L, N, X)
-            assert np.min(np.diff(edges)) >= operators._NARROW_PANEL, S.label
+def test_a_non_finite_gap_sample_is_a_precision_error():
+    """The samples that read S on each gap between resolved jumps are
+    checked like the node values: S is NaN on 50 < x < 60 only, inside the
+    resolved range x <= 2e5."""
+    S = GrowthFunction(
+        label="nan_steps",
+        fn=lambda x: np.where((np.asarray(x) > 50.0) & (np.asarray(x) < 60.0), np.nan, np.floor(x)),
+        growth_constant=1.0,
+        breakpoints_in=tr.source_integers().breakpoints_in,
+    )
+    with pytest.raises(PrecisionError, match="nan_steps.*u = 3.9"):
+        assemble_frequency_route(S, L2PI, 0.0, 4)
 
 
 # ---------------------------------------------------------------------------

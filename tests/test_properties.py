@@ -2,8 +2,9 @@
 Euler-Maclaurin truncation, the outer-grid path against plain point
 arrays, symmetry and positive semi-definiteness of W on both routes across
 the battery, the closed forms for A* and the damped cutoff, the near/far
-proxy split of the windowed integrals, and the prime count's cumulative
-array against binary search."""
+proxy split of the windowed integrals, the prime count's cumulative
+array against binary search, and the affine-in-u pieces of the sources
+that declare breakpoints."""
 
 import math
 
@@ -283,3 +284,30 @@ def test_prime_count_matches_the_binary_search(small_table, big_table, which, po
     got = table.count(x)
     assert got.dtype == expect.dtype and np.array_equal(got, expect)
     assert table.count(x[0]) == int(expect[0])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["integer_count", "weighted_primes", "single_jump"]),
+    st.integers(0, 10**6),
+    st.lists(st.floats(0.01, 0.99), min_size=3, max_size=3, unique=True),
+)
+def test_a_source_with_breakpoints_is_affine_in_u_between_them(small_table, which, gap, fracs):
+    """A source that declares breakpoints_in is affine in u between them
+    (the GrowthFunction contract the product-integration weights rely on):
+    S(e^u) at three points of a random gap below u = ln 1e5 lies on one
+    line, and on the line that transform._affine_pieces reads off that gap."""
+    S = {
+        "integer_count": transform.source_integers(),
+        "weighted_primes": transform.source_primes_weighted(small_table),
+        "single_jump": transform.source_single_jump(),
+    }[which]
+    knots, level, slope = transform._affine_pieces(S, math.log(1e5))
+    j = gap % level.size
+    lo, hi = knots[j], knots[j + 1]
+    u = lo + (hi - lo) * np.sort(fracs)
+    v = S.fn(np.exp(u))
+    scale = 1e-13 * max(1.0, float(np.max(np.abs(v))))
+    chord = v[0] + (v[2] - v[0]) * (u[1] - u[0]) / (u[2] - u[0])
+    assert abs(v[1] - chord) <= scale
+    assert np.max(np.abs(level[j] + slope[j] * u - v)) <= scale
