@@ -87,7 +87,9 @@ where mt turns constant: past x_cap = (L/2) u_cap a table-backed source
 is frozen at g(u_cap), so X = max(x_cap, pi (n_max + 3)) (235.6 on the
 pnt grid), and a source without a cap is taken as frozen past
 pi n_max + 500 (_cutoff). The constant tail past X is added in closed
-form (_frozen_tail), exactly; bounded g keeps the windowed integrand
+form (_frozen_tail), exactly: its sine and cosine integrals are read off
+E1(ix) = -Ci(x) + i (Si(x) - pi/2), with e^w E1(w) from the continued
+fraction of special.exp_e1; bounded g keeps the windowed integrand
 integrable. Freezing is exact for a table-backed source and for one whose
 g is constant to rounding past X (integers, identity, sqrt_mix,
 single_jump), and not otherwise: moving X to pi n_max + 2000 moves the
@@ -166,11 +168,10 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import lambertw, sici
 
 from .arith import GrowthFunction, _atomic_write, _fields_dict
 from .errors import ContractError, DomainError, PrecisionError, ResourceError
-from .special import OuterGrid
+from .special import OuterGrid, exp_e1, lambert_w0
 from .transform import _GL16, _affine_pieces, _gl_nodes_on, _resolved_u
 
 __all__ = [
@@ -360,9 +361,11 @@ def _cutoff_damped(C: float, eps: float, L: float, N: int, target: float) -> flo
     The factor e^{-r y} = e^{-2 eps (X - pi N)/L} exceeds the damping
     e^{-2 eps X/L} of the tail past X, so the bound is conservative. The
     root is closed-form: r y e^{r y} = r C / (pi target), so
-    r y = W0(r C / (pi target)), W0 the principal Lambert W branch."""
+    r y = W0(r C / (pi target)), W0 the principal Lambert W branch on the
+    positive reals, which special.lambert_w0 solves by Halley's iteration
+    on w e^w = x."""
     rate = 2.0 * eps / L
-    y = lambertw(rate * max(C, 1e-300) / (math.pi * target)).real / rate
+    y = lambert_w0(rate * max(C, 1e-300) / (math.pi * target)) / rate
     return math.pi * N + max(3.0 * _LOBE_HALF_WIDTH, y)
 
 
@@ -570,13 +573,17 @@ def _frozen_tail(X: float, ks: np.ndarray):
             = ln(z+ / z-)/2 - (Ci(2z+) - Ci(2z-))/2,
 
     with z = X - c, z-+ = X -+ pi k (Abramowitz-Stegun 5.2), since
-    sin^2(x - c) = sin^2 x; D sums the first over c = +-pi k."""
-    zm, zp = X - ks, X + ks
-    si_m, ci_m = sici(2.0 * zm)
-    si_p, ci_p = sici(2.0 * zp)
-    F = 0.5 * (np.log(zp / zm) - (ci_p - ci_m))
-    D = np.sin(zm) ** 2 / zm + np.sin(zp) ** 2 / zp + math.pi - si_m - si_p
-    return F, D
+    sin^2(x - c) = sin^2 x; D sums the first over c = +-pi k. Si and Ci come
+    from E1(ix) = -Ci(x) + i (Si(x) - pi/2), x > 0 (Abramowitz-Stegun
+    5.2.23), as e^{-ix} times special.exp_e1(ix), one call over both centre
+    sets: |2 z-+| >= 6 pi, since X >= pi (k + 3), so every argument takes
+    the continued fraction, at depth 17 or less."""
+    K = ks.size
+    z = np.concatenate([X - ks, X + ks])
+    e1 = np.exp(-2j * z) * exp_e1(2j * z)  # E1(2z i)
+    F = 0.5 * (np.log(z[K:] / z[:K]) + e1.real[K:] - e1.real[:K])
+    d = np.sin(z) ** 2 / z - e1.imag  # pi/2 - Si(2z) = -Im E1(2z i)
+    return F, d[:K] + d[K:]
 
 
 def _check_eps(eps: float, route: str) -> None:

@@ -26,7 +26,10 @@ linear growth constant by quadrature_tail_bound. The step sum is exact and
 has no tail.
 
 The module also carries the catalog of named growth-function instances the
-experiment battery runs on.
+experiment battery runs on. The synthetic ones have elementary transforms
+but one: slow_approach's carries e^w E1(w), w = s - 1, which
+special.exp_e1 takes from the power series of E1 for |w| <= 2 and from
+its continued fraction beyond.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ import math
 from typing import Optional
 
 import numpy as np
-from scipy.special import exp1
 
 from .arith import GrowthFunction, StepFunction, count_integers, weighted_prime_count
 from .errors import DomainError, PrecisionError
@@ -43,6 +45,7 @@ from .special import (
     EvalTolerance,
     _prep,
     _restore,
+    exp_e1,
     prime_zeta,
     prime_zeta_pair,
     zeta,
@@ -321,14 +324,15 @@ def source_log_oscillation(amplitude: float = 0.5) -> GrowthFunction:
 def source_slow_approach() -> GrowthFunction:
     """S(x) = x + x/(1 + ln x): g -> 1 at a logarithmic crawl.
 
-    Stresses every threshold: the ratio is still 1.05 at u = 19."""
+    Stresses every threshold: the ratio is still 1.05 at u = 19. The
+    transform is 1/(s-1) + e^w E1(w), w = s - 1, from special.exp_e1: the
+    power series of E1 for |w| <= 2, the continued fraction beyond."""
     return GrowthFunction(
         label="slow_approach",
         fn=lambda x: _support_mask(x, lambda v: v + v / (1.0 + np.log(v))),
         growth_constant=2.0,
         laplace=lambda s: 1.0 / (np.asarray(s, dtype=complex) - 1.0)
-        + np.exp(np.asarray(s, dtype=complex) - 1.0)
-        * exp1(np.asarray(s, dtype=complex) - 1.0),
+        + exp_e1(np.asarray(s, dtype=complex) - 1.0),
         ratio_limit_A=1.0,
     )
 

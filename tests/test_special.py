@@ -382,3 +382,123 @@ def test_zeta_below_the_height_against_mpmath(s, abs_tol):
     tol = EvalTolerance(abs_tol)
     assert abs(zeta(s, tol) - ref_z) <= abs_tol
     assert abs(zeta_deriv(s, tol) - ref_zd) <= abs_tol
+
+
+# ---------------------------------------------------------------------------
+# exponential integral and Lambert W
+# ---------------------------------------------------------------------------
+
+_E1_ANGLES = np.linspace(-math.pi / 2, math.pi / 2, 41)
+# the eps = 0 frozen tail at X = pi (N + 3) (the pnt grid, N = 72), at the
+# uncapped X = pi N + 500, and at X = 11 pi with k up to 8: 2 (X -+ pi k)
+_TAIL_X = [(math.pi * 75, 73), (math.pi * 72 + 500.0, 73), (math.pi * 11, 9)]
+
+# region: (points, bound on the relative error against 30-digit mpmath). The
+# bounds are about twice the worst error measured on each set, batch or alone:
+# 5.0e-16, 2.8e-16, 5.4e-15, 2.1e-16, 8.0e-16 and 2.8e-16.
+_E1_REGIONS = {
+    "battery_nodes": (0.05 + 1j * np.linspace(0.0, 8.0 * math.pi, 161), 1e-15),
+    "near_imaginary_axis": (
+        1e-6 + 1j * np.concatenate([-np.geomspace(1e-3, 100.0, 40), np.geomspace(1e-3, 100.0, 40)]),
+        6e-16,
+    ),
+    "seam_inside": ((2.0 - np.geomspace(1e-12, 1e-2, 41)) * np.exp(1j * _E1_ANGLES), 1e-14),
+    "seam_outside": ((2.0 + np.geomspace(1e-12, 1e-2, 41)) * np.exp(1j * _E1_ANGLES), 5e-16),
+    "positive_real_axis": (np.geomspace(1e-6, 60.0, 81) + 0j, 1.6e-15),
+    "frozen_tail": (
+        np.concatenate([2j * (X + sign * math.pi * np.arange(n)) for X, n in _TAIL_X for sign in (-1, 1)]),
+        6e-16,
+    ),
+}
+
+
+@pytest.mark.parametrize("region", list(_E1_REGIONS))
+def test_exp_e1_against_mpmath(region):
+    """e^w E1(w) against 30-digit mpmath, relative, on each region as one
+    batch and one point at a time: the continued fraction takes its depth
+    from the batch's smallest |w|, so a point alone runs at its own depth."""
+    mpmath = pytest.importorskip("mpmath")
+    w, bound = _E1_REGIONS[region]
+    with mpmath.workdps(30):
+        ref = np.array([complex(mpmath.exp(mpmath.mpc(z)) * mpmath.e1(mpmath.mpc(z))) for z in w])
+    batch = special.exp_e1(w)
+    assert batch.shape == w.shape
+    assert np.max(np.abs(batch - ref) / np.abs(ref)) <= bound
+    alone = np.array([special.exp_e1(z) for z in w])
+    assert np.max(np.abs(alone - ref) / np.abs(ref)) <= bound
+
+
+def test_exp_e1_keeps_the_shape_and_refuses_the_left_half_plane():
+    w = np.array([[0.5 + 1j, 3.0 - 4.0j], [1e-3j, 20.0 + 0j]])
+    assert special.exp_e1(w).shape == (2, 2)
+    assert np.array_equal(special.exp_e1(w).ravel(), special.exp_e1(w.ravel()))
+    assert np.ndim(special.exp_e1(2.5 + 1j)) == 0
+    with pytest.raises(DomainError):
+        special.exp_e1(np.array([1.0 + 0j, -1e-9 + 1j]))
+
+
+def test_sine_and_cosine_integrals_from_exp_e1_against_scipy():
+    """E1(ix) = -Ci(x) + i (Si(x) - pi/2) on x in [1e-3, 1e4] against
+    scipy.special.sici, absolute 1e-15 (Ci near its log singularity,
+    relative); and the frozen tail against the sici form of the same
+    integrals at the pnt X = 75 pi."""
+    x = np.geomspace(1e-3, 1e4, 400)
+    e1 = np.exp(-1j * x) * special.exp_e1(1j * x)
+    si, ci = scipy.special.sici(x)
+    assert np.max(np.abs(math.pi / 2 + e1.imag - si)) <= 1e-15
+    assert np.max(np.abs(-e1.real - ci) / np.maximum(1.0, np.abs(ci))) <= 1e-15
+
+    from tauberlab import operators
+
+    X, ks = math.pi * 75, math.pi * np.arange(73)
+    zm, zp = X - ks, X + ks
+    si_m, ci_m = scipy.special.sici(2.0 * zm)
+    si_p, ci_p = scipy.special.sici(2.0 * zp)
+    F_ref = 0.5 * (np.log(zp / zm) - (ci_p - ci_m))
+    D_ref = np.sin(zm) ** 2 / zm + np.sin(zp) ** 2 / zp + math.pi - si_m - si_p
+    F, D = operators._frozen_tail(X, ks)
+    assert np.max(np.abs(F - F_ref)) <= 1e-15
+    assert np.max(np.abs(D - D_ref)) <= 1e-15
+
+
+def test_lambert_w0_against_scipy():
+    """W0 on [1e-3, 1e300] against scipy.special.lambertw, within 2 ulp."""
+    for x in np.geomspace(1e-3, 1e300, 600):
+        ref = scipy.special.lambertw(x).real
+        assert abs(special.lambert_w0(float(x)) - ref) <= 2 * np.spacing(ref), x
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            special.lambert_w0(bad)
+
+
+def test_the_package_runs_without_scipy():
+    """A fresh interpreter imports tauberlab.tauber and tauberlab.cli, builds
+    the slow_approach kernel route at eps = 0.05 (e^w E1) and its eps = 0
+    diagonals (the frozen tail), and has loaded no scipy module; no file of
+    the package imports scipy."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tauberlab
+
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import tauberlab.tauber, tauberlab.cli\n"
+        "from tauberlab import transform\n"
+        "from tauberlab.operators import IntervalSpec, assemble_kernel_route, diagonal_sequence\n"
+        "S, I = transform.source_slow_approach(), IntervalSpec(8.0 * 3.141592653589793)\n"
+        "assemble_kernel_route(S, I, 0.05, 8)\n"
+        "diagonal_sequence(S, I, 0.0, 1.0, 8)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    package = Path(tauberlab.__file__).resolve().parent
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(package.parent)],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[]"
+    for path in package.glob("*.py"):
+        text = path.read_text()
+        assert "import scipy" not in text and "from scipy" not in text, path.name
