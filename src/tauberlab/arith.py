@@ -120,11 +120,10 @@ class StepFunction:
         vals = np.concatenate(([0.0], self.cumulative))[idx]
         return float(vals) if np.isscalar(x) or arr.ndim == 0 else vals
 
-    def breakpoints_in(self, lo: float, hi: float) -> np.ndarray:
-        """Breakpoints x_j with lo < x_j <= hi."""
-        i = np.searchsorted(self.breakpoints, lo, side="right")
+    def jumps_upto(self, hi: float):
+        """(x_j, a_j, 0) for the breakpoints x_j <= hi (GrowthFunction)."""
         j = np.searchsorted(self.breakpoints, hi, side="right")
-        return self.breakpoints[i:j]
+        return self.breakpoints[:j], self.jumps[:j], np.zeros(j)
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +352,11 @@ class GrowthFunction:
     - ``growth_constant``: C with S(x) <= C x on x >= 1.
     - ``laplace``: closed form of G(s) = integral of S(e^u) e^{-su} du when
       one is known (vectorized in s).
-    - ``breakpoints_in(lo, hi)``: jump abscissae of S in (lo, hi]. A
-      source that declares them is affine in u = ln x between consecutive
-      ones (a count, or a count times ln x), so the integrators read
-      S(e^u) = a + b u off two samples per gap and integrate each gap
-      exactly.
+    - ``jumps_upto(hi)``: the jumps of a pure jump source as arrays
+      (x_j, da_j, db_j) over every 0 < x_j <= hi, with
+      S(x) = sum over x_j <= x of (da_j + db_j ln x) on [1, hi]: S(e^u) is
+      a + b u between consecutive jumps (a count, or a count times ln x),
+      and the integrators integrate each such piece exactly.
     - ``u_cap``: largest u at which g(u) is evaluable (ln of a prime table
       limit); integrators freeze g beyond it, direct evaluation raises.
     - ``ratio_limit_A``: the declared limit A of g(u) when one exists
@@ -369,7 +368,7 @@ class GrowthFunction:
     fn: Callable
     growth_constant: float
     laplace: Optional[Callable] = None
-    breakpoints_in: Optional[Callable] = None
+    jumps_upto: Optional[Callable] = None
     u_cap: float = math.inf
     ratio_limit_A: Optional[float] = None
 

@@ -106,7 +106,9 @@ like (L / 2 eps) ln(1/target)) is refused with a ResourceError before any
 grid is built.
 
 On the jump-resolved range the nodes do not sample mt: S jumps inside the
-panels. Between two jumps S(e^u) = a + b u (GrowthFunction), so mt times
+panels. Between two jumps S(e^u) = a + b u, and the source declares the
+change (da, db) of a and b at each jump (GrowthFunction.jumps_upto),
+which a cumulative sum turns into a and b; S is never read there. mt times
 the kernel is (a + b u) phi with the smooth factor
 phi = e^{-(1+eps) u} sin^2 x / (x -+ pi k)^j (j = 1 for F, 2 for D), and
 product integration (K. E. Atkinson, The Numerical Solution of Integral
@@ -172,7 +174,6 @@ import numpy as np
 from .arith import GrowthFunction, _atomic_write, _fields_dict
 from .errors import ContractError, DomainError, PrecisionError, ResourceError
 from .special import OuterGrid, exp_e1, lambert_w0
-from .transform import _GL16, _affine_pieces, _gl_nodes_on, _resolved_u
 
 __all__ = [
     "IntervalSpec",
@@ -187,6 +188,8 @@ __all__ = [
     "weak_limit_diagnostic",
 ]
 
+_GL16 = np.polynomial.legendre.leggauss(16)
+_STEP_RESOLVE_CAP = 200_000.0  # resolve jumps exactly up to this x
 _LOBE_HALF_WIDTH = 3.0 * math.pi  # refine |x - pi n| below this
 _EPS0_X_PAD = 500.0  # undamped cutoff past the last lobe
 # damped tail bound at the eps > 0 cutoff; 1e-9 * 0.1 rounds to 1.0000000000000002e-10,
@@ -219,6 +222,26 @@ def _lagrange_integrals() -> np.ndarray:
 
 
 _LAMBDA = _lagrange_integrals()
+
+
+def _gl_nodes_on(lo: np.ndarray, hi: np.ndarray):
+    """Node/weight arrays of the 16-point Gauss-Legendre rule on each panel
+    [lo[i], hi[i]]."""
+    nodes, weights = _GL16
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    xs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    ws = (half[:, None] * weights[None, :]).ravel()
+    return xs, ws
+
+
+def _resolved_u(S: GrowthFunction) -> float:
+    """Top of the range [0, u] on which the frequency route resolves the
+    jumps of S one by one: ln _STEP_RESOLVE_CAP, or u_cap if smaller; 0 for
+    a source that declares no jumps."""
+    if S.jumps_upto is None:
+        return 0.0
+    return min(math.log(_STEP_RESOLVE_CAP), S.u_cap)
 
 
 @dataclass(frozen=True)
@@ -419,17 +442,19 @@ def _step_values(S: GrowthFunction, L: float, eps: float, edges: np.ndarray, xs:
     jump-resolved range [0, edges[-1]], by product integration (module
     docstring).
 
-    With S(e^u) = a + b u on each gap between jumps (_affine_pieces), node
-    i of a panel of half-width h takes e^{-(1+eps) u_i} (A_i + u_i B_i),
-    A_i = int a l_i dx over the panel, l_i its Lagrange basis. Summation by
-    parts gives A_i = h (a_end w_i - sum_j da_j Lambda_i(t_j)): a_end the
-    level on the gap that ends the panel, da_j the jumps in level at the
-    panel's jumps t_j in [-1, 1). B_i likewise from the slopes."""
+    S(e^u) = a + b u between the jumps S declares (GrowthFunction), which
+    change a and b by da_j and db_j. Node i of a panel of half-width h takes
+    e^{-(1+eps) u_i} (A_i + u_i B_i), A_i = int a l_i dx over the panel, l_i
+    its Lagrange basis. Summation by parts gives
+    A_i = h (a_end w_i - sum_j da_j Lambda_i(t_j)): a_end the level at the
+    panel's end, the sum of da over the jumps before it, and t_j in [-1, 1)
+    the panel's jumps; a jump at x <= 1 sits at t = -1 of the first panel.
+    B_i likewise from the db_j."""
     half = L / 2.0
-    knots, level, slope = _affine_pieces(S, edges[-1] / half)
-    xj = half * knots[1:-1]
-    # the jumps of panel k are xj[bounds[k]:bounds[k+1]], and it ends on gap
-    # bounds[k+1]; a jump rounded onto edges[-1] stays out, as its gap does
+    x, da, db = S.jumps_upto(math.exp(edges[-1] / half))
+    xj = half * np.log(np.maximum(x, 1.0))
+    # the jumps of panel k are xj[bounds[k]:bounds[k+1]]; a jump rounded
+    # onto edges[-1] stays out
     bounds = np.searchsorted(xj, edges)
     J, hw = bounds[-1], 0.5 * np.diff(edges)
     p = np.repeat(np.arange(hw.size), np.diff(bounds))
@@ -437,8 +462,7 @@ def _step_values(S: GrowthFunction, L: float, eps: float, edges: np.ndarray, xs:
     # Y[n] = (da_j, db_j) T_n(t_j) by T_{n+1} = 2 t T_n - T_{n-1}, summed per panel
     degrees = _LAMBDA.shape[0]
     Y = np.empty((degrees, 2, J))
-    np.subtract(level[1 : J + 1], level[:J], out=Y[0, 0])
-    np.subtract(slope[1 : J + 1], slope[:J], out=Y[0, 1])
+    Y[0, 0], Y[0, 1] = da[:J], db[:J]
     np.multiply(Y[0], t, out=Y[1])
     t2 = t + t
     for n in range(1, degrees - 1):
@@ -447,9 +471,11 @@ def _step_values(S: GrowthFunction, L: float, eps: float, edges: np.ndarray, xs:
     full = np.flatnonzero(bounds[1:] > bounds[:-1])
     Q = np.zeros((degrees, 2, hw.size))
     Q[:, :, full] = np.add.reduceat(Y, bounds[full], axis=2)
-    end = bounds[1:]
-    A = hw[:, None] * (level[end, None] * _GL16[1] - Q[:, 0].T @ _LAMBDA)
-    B = hw[:, None] * (slope[end, None] * _GL16[1] - Q[:, 1].T @ _LAMBDA)
+    level = np.zeros((2, J + 1))
+    np.cumsum(Y[0], axis=1, out=level[:, 1:])
+    a_end, b_end = level[:, bounds[1:], None]
+    A = hw[:, None] * (a_end * _GL16[1] - Q[:, 0].T @ _LAMBDA)
+    B = hw[:, None] * (b_end * _GL16[1] - Q[:, 1].T @ _LAMBDA)
     u = xs / half
     return np.exp(-(1.0 + eps) * u) * (A + u.reshape(A.shape) * B).ravel()
 

@@ -82,10 +82,12 @@ the operators' frozen tail, E1(ix) = -Ci(x) + i (Si(x) - pi/2)
 (Abramowitz-Stegun 5.2.23). It sums the power series of E1 for |w| <= 2
 and evaluates the continued fraction
 e^w E1(w) = 1/(w + 1 - 1^2/(w + 3 - 2^2/(w + 5 - ...))) backward beyond,
-to a depth set by the batch's smallest |w|. Against 30-digit mpmath it
-errs by at most 7e-15 relative at the |w| = 2 seam and 3e-16 at
-|w| >= 6 pi. lambert_w0 gives W0(x), x > 0, by Halley's iteration, for
-the damped cutoff of the operators' frequency route.
+to a depth set by the batch's smallest |w|; the fraction also takes
+1.5 < |w| <= 2 with |arg w| < 1.2, where the series cancels. Against
+30-digit mpmath it errs by at most 2.3e-15 relative where the series
+runs (the worst near |w| = 1.5) and 3.2e-16 where the fraction runs.
+lambert_w0 gives W0(x), x > 0, by Halley's iteration, for the damped
+cutoff of the operators' frequency route.
 """
 
 from __future__ import annotations
@@ -143,6 +145,10 @@ _MAX_TERMS = 1_000_000
 # (-1)^{k+1}/(k k!) for k = 25 down to 1 (at w = 2 the k = 25 term is
 # 1.8e-18 of E1(2)), and the largest continued-fraction depth
 _E1_SERIES_RADIUS = 2.0
+# |w| in (1.5, 2] with |arg w| < 1.2 takes the continued fraction: the
+# series cancels there, the fraction at depth 100 does not
+_E1_SEAM_RADIUS = 1.5
+_E1_SEAM_ARG = 1.2
 _E1_SERIES = tuple((-1.0) ** (k + 1) / (k * math.factorial(k)) for k in range(25, 0, -1))
 _E1_CF_DEPTH_CAP = 100
 
@@ -610,11 +616,14 @@ def exp_e1(w):
 
     |w| <= 2 (_E1_SERIES_RADIUS) takes the power series
     E1(w) = -gamma - ln w - sum_{k>=1} (-w)^k / (k k!), Horner over
-    the 25 terms of _E1_SERIES, times e^w. Farther out the continued fraction
+    the 25 terms of _E1_SERIES, times e^w, except where |w| > 1.5 and
+    |arg w| < 1.2 (_E1_SEAM_RADIUS, _E1_SEAM_ARG): the series loses digits
+    to cancellation there. Those points and every |w| > 2 take the
+    continued fraction
 
-        e^w E1(w) = 1/(w + 1 - 1^2/(w + 3 - 2^2/(w + 5 - ...)))
+        e^w E1(w) = 1/(w + 1 - 1^2/(w + 3 - 2^2/(w + 5 - ...))),
 
-    is evaluated backward from one depth for the batch, set by its smallest
+    evaluated backward from one depth for the batch, set by its smallest
     |w| r: min(_E1_CF_DEPTH_CAP, 6 + ceil(200/r)). It converges slowest on
     the imaginary axis, where 30-digit mpmath puts the depth that reaches
     3e-16 relative near 3 + 180/r (92 at r = 2, 11 at r = 6 pi). A
@@ -624,7 +633,8 @@ def exp_e1(w):
         raise DomainError("exp_e1 requires Re(w) >= 0")
     flat = w.ravel()
     r = np.abs(flat)
-    near = r <= _E1_SERIES_RADIUS
+    seam = (r > _E1_SEAM_RADIUS) & (np.abs(np.angle(flat)) < _E1_SEAM_ARG)
+    near = (r <= _E1_SERIES_RADIUS) & ~seam
     if near.all():
         out = _e1_series(flat)
     elif not near.any():

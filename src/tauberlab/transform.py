@@ -12,18 +12,12 @@ The closed forms take an OuterGrid of points as well as an array and hand
 it whole to the zeta family, which builds its powers from the grid's two
 factors (special module docstring).
 
-There are two general evaluators: an exact summation for pure step
-sources (the integrand is piecewise e^{-su}, so each piece integrates in
-closed form) and a composite 16-node Gauss-Legendre quadrature for
-arbitrary sources. No pipeline path calls the quadrature (the kernel route
-needs a closed form); it is the independent oracle the tests check the
-closed forms against. For a source that declares breakpoints, it integrates
-each piece between jumps exactly up to x = 2e5 (or e^U if smaller), S(e^u)
-read off the source as affine in u there, and applies
-Gauss-Legendre only beyond, where the remaining jumps are too small to
-spoil the panel error; the tail past the cutoff U is certified from the
-linear growth constant by quadrature_tail_bound. The step sum is exact and
-has no tail.
+transform_step_sum is the exact transform of a pure step source: the
+integrand is piecewise e^{-su}, so each piece integrates in closed form,
+and the sum has no tail. The sources that jump declare their jumps
+(GrowthFunction.jumps_upto), which the operators' frequency route
+integrates piece by piece; the catalog's closed forms are checked in the
+tests against a brute-force quadrature of S itself.
 
 The module also carries the catalog of named growth-function instances the
 experiment battery runs on. The synthetic ones have elementary transforms
@@ -40,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import GrowthFunction, StepFunction, count_integers, weighted_prime_count
-from .errors import DomainError, PrecisionError
+from .errors import DomainError
 from .special import (
     EvalTolerance,
     _prep,
@@ -56,8 +50,6 @@ __all__ = [
     "transform_primes",
     "transform_weighted_primes",
     "transform_step_sum",
-    "transform_quadrature",
-    "quadrature_tail_bound",
     "source_identity",
     "source_integers",
     "source_primes_weighted",
@@ -66,10 +58,6 @@ __all__ = [
     "source_slow_approach",
     "source_single_jump",
 ]
-
-_STEP_RESOLVE_CAP = 200_000.0  # resolve jumps exactly up to this x
-_GL16 = np.polynomial.legendre.leggauss(16)
-
 
 # ---------------------------------------------------------------------------
 # closed forms
@@ -126,118 +114,6 @@ def transform_step_sum(S: StepFunction, s):
 
 
 # ---------------------------------------------------------------------------
-# quadrature
-# ---------------------------------------------------------------------------
-
-
-def quadrature_tail_bound(S: GrowthFunction, s, U: float):
-    """Certified bound on the integral dropped beyond u = U.
-
-    S(e^u) <= C e^u gives tail <= C e^{-(sigma-1)U} (U + 1/(sigma-1))."""
-    grid, scalar, shape = _prep(s)
-    flat = grid.points
-    a = flat.real - 1.0
-    bound = S.growth_constant * np.exp(-a * U) * (U + 1.0 / a)
-    if scalar:
-        return float(bound[0])
-    return bound.reshape(shape)
-
-
-def _gl_nodes_on(lo: np.ndarray, hi: np.ndarray):
-    """Node/weight arrays of the 16-point Gauss-Legendre rule on each panel
-    [lo[i], hi[i]]."""
-    nodes, weights = _GL16
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    xs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
-    ws = (half[:, None] * weights[None, :]).ravel()
-    return xs, ws
-
-
-def _resolved_u(S: GrowthFunction) -> float:
-    """Top of the range [0, u] on which the integrators resolve the jumps of
-    S one by one: ln _STEP_RESOLVE_CAP, or u_cap if smaller; 0 for a source
-    without breakpoints."""
-    if S.breakpoints_in is None:
-        return 0.0
-    return min(math.log(_STEP_RESOLVE_CAP), S.u_cap)
-
-
-def _affine_pieces(S: GrowthFunction, u_hi: float):
-    """The jumps of S on (0, u_hi] as knots 0 = u_0 < u_1 < ... < u_m = u_hi
-    in u = ln x (u_hi at most _resolved_u(S)), and per gap [u_j, u_{j+1}]
-    the level and slope with S(e^u) = level + slope u there, read off S at
-    the two interior points a third of the way in from each end.
-
-    That is exact for a source that is affine in u between its breakpoints
-    (GrowthFunction). A non-finite sample is a PrecisionError naming the
-    source and u."""
-    lnx = np.log(np.asarray(S.breakpoints_in(1.0, math.exp(u_hi)), dtype=float))
-    knots = np.concatenate(([0.0], lnx[lnx < u_hi], [u_hi]))
-    third = np.diff(knots) / 3.0
-    u12 = np.concatenate([knots[:-1] + third, knots[1:] - third])
-    s12 = np.asarray(S.fn(np.exp(u12)), dtype=float)
-    if not np.all(np.isfinite(s12)):
-        u_bad = float(np.min(u12[~np.isfinite(s12)]))
-        raise PrecisionError(f"S of source '{S.label}' is not finite at u = {u_bad!r}")
-    (u1, u2), (s1, s2) = np.split(u12, 2), np.split(s12, 2)
-    slope = np.divide(s2 - s1, u2 - u1, out=np.zeros_like(s1), where=u2 > u1)
-    return knots, s1 - slope * u1, slope
-
-
-def transform_quadrature(
-    S: GrowthFunction,
-    s,
-    U: float = 18.0,
-):
-    """Brute-force G(s) by integrating S(e^u) e^{-su} over [0, U].
-
-    On the jump-resolved range, u up to min(U, _resolved_u(S)), the pieces
-    between consecutive jumps are integrated exactly, with S(e^u) = a + b u
-    read off S by _affine_pieces: that is exact for a constant piece (a
-    counting function) and for a piece linear in u (a count times ln x, as
-    pi_P(x) ln x). 16-point Gauss-Legendre on equal panels of width at most
-    0.25 handles the rest.
-    The dropped tail beyond U is NOT added to the result; its certified
-    bound comes from quadrature_tail_bound."""
-    grid, scalar, shape = _prep(s)
-    flat = grid.points
-    if not (U > 0) or not math.isfinite(U):
-        raise DomainError("quadrature cutoff U must be positive and finite")
-    if U > S.u_cap + 1e-12:
-        raise DomainError(
-            f"U = {U:g} exceeds the evaluable range of source '{S.label}' "
-            f"(u_cap = {S.u_cap:g})"
-        )
-    out = np.zeros(flat.size, dtype=complex)
-    u_res = min(U, _resolved_u(S))
-
-    if u_res > 0.0:
-        knots, level, slope = _affine_pieces(S, u_res)
-        # antiderivatives of e^{-su} and u e^{-su}: -e^{-su}/s, -e^{-su}(su + 1)/s^2
-        block = max(1, 4_000_000 // max(flat.size, 1))
-        with np.errstate(under="ignore"):
-            for lo in range(0, level.size, block):
-                hi = min(lo + block, level.size)
-                su = np.multiply.outer(flat, knots[lo : hi + 1])
-                E = np.exp(-su)
-                Eu = E * (su + 1.0)
-                out += (E[:, :-1] - E[:, 1:]) @ level[lo:hi] / flat
-                out += (Eu[:, :-1] - Eu[:, 1:]) @ slope[lo:hi] / flat**2
-
-    if u_res < U:
-        edges = np.linspace(u_res, U, max(1, math.ceil((U - u_res) / 0.25)) + 1)
-        us, ws = _gl_nodes_on(edges[:-1], edges[1:])
-        fv = S.fn(np.exp(us)) * ws
-        block = max(1, 4_000_000 // max(us.size, 1))
-        with np.errstate(under="ignore"):
-            for lo in range(0, flat.size, block):
-                sb = flat[lo : lo + block]
-                out[lo : lo + block] += np.exp(-np.multiply.outer(sb, us)) @ fv
-    return _restore(out, scalar, shape)
-
-
-# ---------------------------------------------------------------------------
 # source catalog
 # ---------------------------------------------------------------------------
 
@@ -263,28 +139,35 @@ def source_identity() -> GrowthFunction:
 def source_integers() -> GrowthFunction:
     """S = integer count (floor). Jumps at every integer; g -> 1."""
 
-    def bps(lo, hi):
-        first = max(1, math.floor(lo) + 1)
-        return np.arange(first, math.floor(hi) + 1, dtype=float)
+    def jumps_upto(hi):
+        x = np.arange(1.0, math.floor(hi) + 1.0)
+        return x, np.ones_like(x), np.zeros_like(x)
 
     return GrowthFunction(
         label="integer_count",
         fn=count_integers,
         growth_constant=1.0,
         laplace=transform_integers,
-        breakpoints_in=bps,
+        jumps_upto=jumps_upto,
         ratio_limit_A=1.0,
     )
 
 
 def source_primes_weighted(table) -> GrowthFunction:
-    """S(x) = pi_P(x) ln x. The prime-number-theorem source; g -> 1 slowly."""
+    """S(x) = pi_P(x) ln x. The prime-number-theorem source; g -> 1 slowly.
+
+    Each prime p adds 1 to the slope of S(e^u) = pi_P u: da = 0, db = 1."""
+
+    def jumps_upto(hi):
+        p = table.primes_in(0.0, hi).astype(float)
+        return p, np.zeros_like(p), np.ones_like(p)
+
     return GrowthFunction(
         label="weighted_primes",
         fn=lambda x: weighted_prime_count(x, table),
         growth_constant=1.3,
         laplace=transform_weighted_primes,
-        breakpoints_in=lambda lo, hi: table.primes_in(lo, hi).astype(float),
+        jumps_upto=jumps_upto,
         u_cap=math.log(table.limit),
         ratio_limit_A=1.0,
     )
@@ -349,6 +232,6 @@ def source_single_jump(height: float = 3.0, location: float = math.e) -> GrowthF
         laplace=lambda s: height
         * np.exp(-np.asarray(s, dtype=complex) * math.log(location))
         / np.asarray(s, dtype=complex),
-        breakpoints_in=step.breakpoints_in,
+        jumps_upto=step.jumps_upto,
         ratio_limit_A=0.0,
     )

@@ -168,7 +168,8 @@ def test_step_function_evaluation():
     S = StepFunction([1.0, 2.0, 4.0], [1.0, 2.0, 0.5])
     xs = np.array([0.5, 1.0, 1.5, 2.0, 3.9, 4.0, 100.0])
     assert np.allclose(S(xs), [0.0, 1.0, 1.0, 3.0, 3.0, 3.5, 3.5])
-    assert list(S.breakpoints_in(1.0, 4.0)) == [2.0, 4.0]
+    x, da, db = S.jumps_upto(3.9)
+    assert (list(x), list(da), list(db)) == ([1.0, 2.0], [1.0, 2.0], [0.0, 0.0])
 
 
 def test_step_function_contract_errors():

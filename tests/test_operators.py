@@ -380,7 +380,7 @@ def _grid_edges_per_segment(S, L, N, X):
 
     edges = [0.0]
     cursor = 0.0
-    for b in (min(half * tr._resolved_u(S), X), lobe_end):
+    for b in (min(half * operators._resolved_u(S), X), lobe_end):
         if cursor < b <= X:
             k = max(1, int(math.ceil((b - cursor) / fine_w)))
             edges.extend(np.linspace(cursor, b, k + 1)[1:].tolist())
@@ -435,13 +435,12 @@ def _jump_aligned_moments(S, L, eps, N, shift):
     half = L / 2.0
     X = operators._cutoff(S, eps, L, N)
     edges = operators._grid_edges(S, L, N, X)
-    a_end = min(half * tr._resolved_u(S), X)
+    a_end = min(half * operators._resolved_u(S), X)
     if a_end > 0.0:
-        bps = np.asarray(S.breakpoints_in(1.0, math.exp(a_end / half)), dtype=float)
-        knots = half * np.log(bps)
+        knots = half * np.log(S.jumps_upto(math.exp(a_end / half))[0])
         fine = np.concatenate([edges[edges <= a_end], knots[knots < a_end]])
         edges = np.concatenate([np.unique(fine), edges[edges > a_end]])
-    xs, ws = tr._gl_nodes_on(edges[:-1], edges[1:])
+    xs, ws = operators._gl_nodes_on(edges[:-1], edges[1:])
     u = xs / half
     vals = S.g_clipped(u) * np.exp(-eps * u) - shift
     F, D = operators._half_line_integrals(xs, ws * vals, N, want_F=True)
@@ -472,6 +471,24 @@ def test_step_weights_match_the_jump_aligned_oracle(case, small_table, big_table
         assert np.max(np.abs(assemble_frequency_route(S, I, eps, N).entries - ref)) <= 1e-13, eps
 
 
+def test_the_resolved_range_never_reads_the_prime_table(big_table, monkeypatch):
+    """The pnt source declares its jumps, so the frequency route reads the
+    table only past a_end = 153.4: the eps = 0 diagonals at N = 72 read the
+    4,192 nodes there plus the frozen value at X, and the eps = 0.05 route
+    reads its 32,240 nodes past a_end."""
+    from tauberlab import tauber
+
+    reads = []
+    count = big_table.count
+    monkeypatch.setattr(big_table, "count", lambda x: reads.append(np.size(x)) or count(x))
+    S, I, N = tr.source_primes_weighted(big_table), IntervalSpec(tauber.DEFAULT_LENGTH), tauber.PNT_ORDER
+    diagonal_sequence(S, I, 0.0, 1.0, N)
+    assert sum(reads) == 4_193
+    reads.clear()
+    assemble_frequency_route(S, I, 0.05, N)
+    assert sum(reads) == 32_240
+
+
 def test_the_frozen_tail_is_exact(monkeypatch):
     """The eps = 0 route integrates the tail past X in closed form, so moving
     X out by 1,500 changes the integer-count matrix by rounding only."""
@@ -491,20 +508,6 @@ def test_the_pnt_diagonals_end_where_the_source_freezes(big_table, monkeypatch):
     diag = diagonal_sequence(S, I, 0.0, 1.0, N)
     monkeypatch.setattr(operators, "_cutoff", lambda S, eps, L, N: math.pi * N + operators._EPS0_X_PAD)
     assert np.max(np.abs(diagonal_sequence(S, I, 0.0, 1.0, N) - diag)) <= 1e-13
-
-
-def test_a_non_finite_gap_sample_is_a_precision_error():
-    """The samples that read S on each gap between resolved jumps are
-    checked like the node values: S is NaN on 50 < x < 60 only, inside the
-    resolved range x <= 2e5."""
-    S = GrowthFunction(
-        label="nan_steps",
-        fn=lambda x: np.where((np.asarray(x) > 50.0) & (np.asarray(x) < 60.0), np.nan, np.floor(x)),
-        growth_constant=1.0,
-        breakpoints_in=tr.source_integers().breakpoints_in,
-    )
-    with pytest.raises(PrecisionError, match="nan_steps.*u = 3.9"):
-        assemble_frequency_route(S, L2PI, 0.0, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@ Euler-Maclaurin truncation, the outer-grid path against plain point
 arrays, symmetry and positive semi-definiteness of W on both routes across
 the battery, the closed forms for A* and the damped cutoff, the near/far
 proxy split of the windowed integrals, the prime count's cumulative
-array against binary search, and the affine-in-u pieces of the sources
-that declare breakpoints."""
+array against binary search, and the declared jumps of the step sources
+against their values."""
 
 import math
 
@@ -19,6 +19,7 @@ from tauberlab import arith, operators, special, tauber, transform
 from tauberlab.operators import IntervalSpec, assemble_frequency_route, assemble_kernel_route
 from tauberlab.special import OuterGrid, prime_zeta_pair, zeta, zeta_deriv
 from tauberlab.tauber import battery_members
+from test_transform import steps_times_log
 
 sigmas = st.floats(1.01, 3.0)
 ts = st.floats(-50.0, 50.0)
@@ -286,28 +287,43 @@ def test_prime_count_matches_the_binary_search(small_table, big_table, which, po
     assert table.count(x[0]) == int(expect[0])
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@st.composite
+def _step_functions(draw):
+    """A StepFunction with 1 to 40 jumps in [1, 1e5], the first possibly at 1."""
+    xs = draw(st.lists(st.floats(1.0, 1e5), min_size=1, max_size=40, unique=True))
+    if draw(st.booleans()):
+        xs[0] = 1.0
+    xs = np.unique(xs)
+    jumps = draw(st.lists(st.floats(1e-3, 1e3), min_size=xs.size, max_size=xs.size))
+    return arith.StepFunction(xs, np.array(jumps))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(
-    st.sampled_from(["integer_count", "weighted_primes", "single_jump"]),
-    st.integers(0, 10**6),
-    st.lists(st.floats(0.01, 0.99), min_size=3, max_size=3, unique=True),
+    st.sampled_from(["integer_count", "weighted_primes", "single_jump", "single_jump_at_1",
+                     "step_function", "steps_ln"]),
+    _step_functions(),
+    st.lists(st.floats(1.0, 1e5), min_size=1, max_size=20),
 )
-def test_a_source_with_breakpoints_is_affine_in_u_between_them(small_table, which, gap, fracs):
-    """A source that declares breakpoints_in is affine in u between them
-    (the GrowthFunction contract the product-integration weights rely on):
-    S(e^u) at three points of a random gap below u = ln 1e5 lies on one
-    line, and on the line that transform._affine_pieces reads off that gap."""
+def test_declared_jumps_reproduce_the_source(small_table, which, step, xs):
+    """The GrowthFunction contract the product-integration weights rely on:
+    S(x) = sum over x_j <= x of (da_j + db_j ln x) on [1, hi] for the jumps
+    (x_j, da_j, db_j) = jumps_upto(hi), at random x in [1, 1e5], to 1e-13
+    relative."""
     S = {
-        "integer_count": transform.source_integers(),
-        "weighted_primes": transform.source_primes_weighted(small_table),
-        "single_jump": transform.source_single_jump(),
-    }[which]
-    knots, level, slope = transform._affine_pieces(S, math.log(1e5))
-    j = gap % level.size
-    lo, hi = knots[j], knots[j + 1]
-    u = lo + (hi - lo) * np.sort(fracs)
-    v = S.fn(np.exp(u))
-    scale = 1e-13 * max(1.0, float(np.max(np.abs(v))))
-    chord = v[0] + (v[2] - v[0]) * (u[1] - u[0]) / (u[2] - u[0])
-    assert abs(v[1] - chord) <= scale
-    assert np.max(np.abs(level[j] + slope[j] * u - v)) <= scale
+        "integer_count": transform.source_integers,
+        "weighted_primes": lambda: transform.source_primes_weighted(small_table),
+        "single_jump": transform.source_single_jump,
+        "single_jump_at_1": lambda: transform.source_single_jump(2.0, 1.0),
+        "step_function": lambda: arith.GrowthFunction(
+            "steps", step, 1.0, jumps_upto=step.jumps_upto
+        ),
+        "steps_ln": steps_times_log,
+    }[which]()
+    x = np.array(xs + [1.0, 1e5])
+    xj, da, db = S.jumps_upto(1e5)
+    assert np.all((xj > 0.0) & (xj <= 1e5)) and da.shape == db.shape == xj.shape
+    below = xj[None, :] <= x[:, None]
+    declared = below @ da + (below @ db) * np.log(x)
+    v = S.fn(x)
+    assert np.all(np.abs(declared - v) <= 1e-13 * np.maximum(1.0, np.abs(v)))

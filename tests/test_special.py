@@ -395,16 +395,22 @@ _TAIL_X = [(math.pi * 75, 73), (math.pi * 72 + 500.0, 73), (math.pi * 11, 9)]
 
 # region: (points, bound on the relative error against 30-digit mpmath). The
 # bounds are about twice the worst error measured on each set, batch or alone:
-# 5.0e-16, 2.8e-16, 5.4e-15, 2.1e-16, 8.0e-16 and 2.8e-16.
+# 5.0e-16, 2.8e-16, 9.0e-16, 2.1e-16, 3.2e-16, 2.5e-16 and 2.8e-16.
+# seam_off_axis holds points of 1.5 < |w| <= 2, |arg w| < 1.2, which the
+# continued fraction takes.
 _E1_REGIONS = {
     "battery_nodes": (0.05 + 1j * np.linspace(0.0, 8.0 * math.pi, 161), 1e-15),
     "near_imaginary_axis": (
         1e-6 + 1j * np.concatenate([-np.geomspace(1e-3, 100.0, 40), np.geomspace(1e-3, 100.0, 40)]),
         6e-16,
     ),
-    "seam_inside": ((2.0 - np.geomspace(1e-12, 1e-2, 41)) * np.exp(1j * _E1_ANGLES), 1e-14),
+    "seam_inside": ((2.0 - np.geomspace(1e-12, 1e-2, 41)) * np.exp(1j * _E1_ANGLES), 2e-15),
     "seam_outside": ((2.0 + np.geomspace(1e-12, 1e-2, 41)) * np.exp(1j * _E1_ANGLES), 5e-16),
-    "positive_real_axis": (np.geomspace(1e-6, 60.0, 81) + 0j, 1.6e-15),
+    "seam_off_axis": (
+        np.outer(np.linspace(1.5, 2.0, 21)[1:], np.exp(1j * np.linspace(-1.1, 1.1, 12))).ravel(),
+        7e-16,
+    ),
+    "positive_real_axis": (np.geomspace(1e-6, 60.0, 81) + 0j, 5e-16),
     "frozen_tail": (
         np.concatenate([2j * (X + sign * math.pi * np.arange(n)) for X, n in _TAIL_X for sign in (-1, 1)]),
         6e-16,
