@@ -1,12 +1,15 @@
 """Counting layer: sieve vs trial division, step functions, growth ratios."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tauberlab import arith
 from tauberlab import transform as tr
 from tauberlab.arith import (
+    PrimeTable,
     StepFunction,
     build_prime_table,
     count_integers,
@@ -29,6 +32,16 @@ def _trial_division_primes(limit):
         else:
             out.append(n)
     return out
+
+
+def _dense_sieve(limit):
+    """Primality of every integer 0..limit, marked from p*p by each p."""
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return is_prime
 
 
 def _registered_sources(table):
@@ -54,6 +67,49 @@ def test_sieve_matches_trial_division(small_table):
     counts = np.searchsorted(oracle, np.arange(1, 10_001), side="right")
     for x in range(1, 10_001):
         assert count_primes(x, small_table) == counts[x - 1]
+
+
+def _sieve_limits():
+    seg = arith._SIEVE_SEGMENT
+    # limits whose odd slots end one below, on and one above a segment
+    # boundary (2 seg - 1 fills whole segments), after one and three segments
+    edges = [2 * k * seg + d for k in (1, 3) for d in (-3, -2, -1, 0, 1, 2)]
+    # a last segment of 100 slots, shorter than the largest base prime
+    # (2,503 at the 2^20 segment)
+    short_tail = 2 * (3 * seg + 100) - 1
+    assert np.flatnonzero(_dense_sieve(math.isqrt(short_tail)))[-1] > 100
+    return list(range(2, 3001)) + edges + [short_tail]
+
+
+def test_sieve_matches_a_dense_sieve():
+    for limit in _sieve_limits():
+        bits = arith._sieve_odd_bits(limit)
+        assert bits.dtype == bool
+        assert np.array_equal(bits, _dense_sieve(limit)[1::2]), limit
+
+
+def test_table_leaves_the_bitset_unchanged():
+    for limit in (2, 3, 1000, 2 * arith._SIEVE_SEGMENT + 1):
+        bits = arith._sieve_odd_bits(limit)
+        before = bits.copy()
+        table = PrimeTable(limit, bits)
+        assert np.array_equal(bits, before)
+        assert table.primes.dtype == np.int64
+        assert np.array_equal(table.primes, np.flatnonzero(_dense_sieve(limit)))
+
+
+def test_table_is_built_in_one_allocation():
+    """The prime array is the only large allocation: the peak traced while
+    building the 1e7 table is at most 1.1 times its size."""
+    bits = arith._sieve_odd_bits(10**7)
+    tracemalloc.start()
+    try:
+        table = PrimeTable(10**7, bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.primes.size == 664_579
+    assert peak <= 1.1 * table.primes.nbytes
 
 
 def test_prime_count_landmarks(small_table):

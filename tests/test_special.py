@@ -395,9 +395,10 @@ _TAIL_X = [(math.pi * 75, 73), (math.pi * 72 + 500.0, 73), (math.pi * 11, 9)]
 
 # region: (points, bound on the relative error against 30-digit mpmath). The
 # bounds are about twice the worst error measured on each set, batch or alone:
-# 5.0e-16, 2.8e-16, 9.0e-16, 2.1e-16, 3.2e-16, 2.5e-16 and 2.8e-16.
-# seam_off_axis holds points of 1.5 < |w| <= 2, |arg w| < 1.2, which the
-# continued fraction takes.
+# 5.0e-16, 2.8e-16, 9.0e-16, 2.1e-16, 3.2e-16, 3.7e-16, 2.5e-16 and 2.8e-16.
+# seam_off_axis and seam_off_axis_inner hold points of 1.5 < |w| <= 2 and
+# 1.25 < |w| <= 1.5 with |arg w| < 1.2, which the continued fraction takes;
+# the power series erred by up to 3.2e-15 on the inner set.
 _E1_REGIONS = {
     "battery_nodes": (0.05 + 1j * np.linspace(0.0, 8.0 * math.pi, 161), 1e-15),
     "near_imaginary_axis": (
@@ -410,6 +411,10 @@ _E1_REGIONS = {
         np.outer(np.linspace(1.5, 2.0, 21)[1:], np.exp(1j * np.linspace(-1.1, 1.1, 12))).ravel(),
         7e-16,
     ),
+    "seam_off_axis_inner": (
+        np.outer(np.linspace(1.25, 1.5, 21)[1:], np.exp(1j * np.linspace(-1.1, 1.1, 12))).ravel(),
+        8e-16,
+    ),
     "positive_real_axis": (np.geomspace(1e-6, 60.0, 81) + 0j, 5e-16),
     "frozen_tail": (
         np.concatenate([2j * (X + sign * math.pi * np.arange(n)) for X, n in _TAIL_X for sign in (-1, 1)]),
@@ -421,8 +426,8 @@ _E1_REGIONS = {
 @pytest.mark.parametrize("region", list(_E1_REGIONS))
 def test_exp_e1_against_mpmath(region):
     """e^w E1(w) against 30-digit mpmath, relative, on each region as one
-    batch and one point at a time: the continued fraction takes its depth
-    from the batch's smallest |w|, so a point alone runs at its own depth."""
+    batch and one point at a time (each point takes the continued-fraction
+    depth its own |w| needs either way; the series may round differently)."""
     mpmath = pytest.importorskip("mpmath")
     w, bound = _E1_REGIONS[region]
     with mpmath.workdps(30):
@@ -432,6 +437,16 @@ def test_exp_e1_against_mpmath(region):
     assert np.max(np.abs(batch - ref) / np.abs(ref)) <= bound
     alone = np.array([special.exp_e1(z) for z in w])
     assert np.max(np.abs(alone - ref) / np.abs(ref)) <= bound
+
+
+def test_exp_e1_fraction_runs_each_point_at_its_own_depth():
+    """Where the continued fraction runs, a batch gives each point exactly
+    its value alone: the depth follows the point's own |w|, not the batch's
+    smallest, which would run the frozen-tail arguments at the depth of
+    |w| = 2."""
+    w = np.concatenate([_E1_REGIONS[name][0] for name in ("battery_nodes", "frozen_tail")])
+    w = w[np.abs(w) > 2.0]
+    assert np.array_equal(special.exp_e1(w), np.array([special.exp_e1(z) for z in w]))
 
 
 def test_exp_e1_keeps_the_shape_and_refuses_the_left_half_plane():
