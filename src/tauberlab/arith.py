@@ -53,9 +53,6 @@ CACHE_ENV_VAR = "TAUBERLAB_CACHE_DIR"
 _CACHE_MAGIC = b"PTBL"
 _CACHE_FORMAT = 1
 _HARD_LIMIT = 2**32
-# count keys below this read a cumulative pi array (int32, 1 MB); it covers
-# the jump-resolved range x <= 2e5 where the operator grids put most nodes
-_PI_DIRECT = 2**18
 # odd slots per sieve segment: 1 MB of bools, half of a 2 MB L2
 _SIEVE_SEGMENT = 2**20
 # the primes of the sieve's wheel: their multiples repeat every
@@ -188,9 +185,8 @@ class PrimeTable:
     """All primes up to `limit`, held as a sorted array.
 
     Built from the odd bitset of the sieve in one allocation, the prime
-    array itself; the bitset is left as it was and not kept. Count queries
-    below _PI_DIRECT read pi(k) from a cumulative array built on
-    first use; larger ones binary-search the prime array, O(log n) per point.
+    array itself; the bitset is left as it was and not kept. A count query
+    binary-searches the prime array, O(log n) per point.
     """
 
     def __init__(self, limit: int, odd_bits: np.ndarray):
@@ -210,7 +206,6 @@ class PrimeTable:
             primes += 1
             primes[0] = 2
             self.primes = primes
-        self._pi_low = None  # pi(k) for 0 <= k < min(limit + 1, _PI_DIRECT)
 
     def _keys(self, x) -> np.ndarray:
         """floor(x) clipped to [0, limit] as int64 search keys.
@@ -239,19 +234,7 @@ class PrimeTable:
                 f"rebuild with limit >= {needed}",
                 required=needed,
             )
-        # the counts of np.searchsorted(primes, keys, side="right"), bit for bit
-        if self._pi_low is None:
-            n = min(self.limit + 1, _PI_DIRECT)
-            marks = np.zeros(n, dtype=np.int32)
-            marks[self.primes[: np.searchsorted(self.primes, n)]] = 1
-            self._pi_low = np.cumsum(marks, dtype=np.int32)
-        pi = self._pi_low
-        k = keys.ravel()
-        out = pi[np.minimum(k, pi.size - 1)].astype(np.intp)
-        high = np.flatnonzero(k >= pi.size)
-        if high.size:
-            out[high] = np.searchsorted(self.primes, k[high], side="right")
-        out = out.reshape(keys.shape)
+        out = np.searchsorted(self.primes, keys, side="right")
         return int(out) if np.isscalar(x) or arr.ndim == 0 else out
 
     def primes_in(self, lo: float, hi: float) -> np.ndarray:

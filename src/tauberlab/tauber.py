@@ -73,10 +73,18 @@ SPECTRAL_EPS = 0.05
 SPECTRAL_TOP = 20
 # The order-n diagonal at eps = 0 reads g near u = 2 pi n / L, and a 1e8 table
 # freezes g past u = ln(1e8); at L = 8 pi, 72 sits under N_max = L ln(1e8)/(2 pi) = 73.7,
-# the largest order diagonal_sequence lets through at eps = 0.
+# past which diagonal_sequence refuses an order.
 PNT_ORDER = 72
+# u = ln 10^k, 3 <= k <= 25: the decade marks of a table-backed ratio table
+_DECADE_MARKS = tuple(math.log(10.0**k) for k in range(3, 26))
 # the ExperimentReport fields its JSON nests under "verdicts"
 _VERDICTS = ("diag_decay", "ratio_limit", "consistent")
+
+
+def _save_doc(path, key: str, body: dict, extra: Optional[dict]) -> None:
+    """Write {"schema": "tauberlab/1", **extra, key: body} as sorted JSON."""
+    doc = {"schema": "tauberlab/1", **(extra or {}), key: body}
+    _atomic_write(Path(path), json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass
@@ -98,7 +106,7 @@ class ExperimentReport:
     ratio_window: tuple  # (u_lo, u_hi) where the ratio verdict samples
     diag_threshold: float
     ratio_threshold: float
-    diag_decay: bool = False  # the verdicts; _set_verdicts derives them
+    diag_decay: bool = False  # the verdicts, derived by recompute_verdicts
     ratio_limit: bool = False
     consistent: bool = False
     u_max: float = 0.0
@@ -128,8 +136,7 @@ class ExperimentReport:
         return d
 
     def save_json(self, path, extra: Optional[dict] = None) -> None:
-        doc = {"schema": "tauberlab/1", **(extra or {}), "report": self.to_dict()}
-        _atomic_write(Path(path), json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _save_doc(path, "report", self.to_dict(), extra)
 
     def save_ratio_csv(self, path) -> None:
         lines = [
@@ -150,14 +157,14 @@ def _check_u_max(S: GrowthFunction, u_max: float) -> None:
         raise DomainError(f"u_max = {u_max:g} beyond evaluable range {S.u_cap:g}")
 
 
-def _ratio_grid(u_max: float) -> np.ndarray:
+def _ratio_grid(S: GrowthFunction, u_max: float) -> np.ndarray:
     """40-point log-spaced e^u grid ending at u_max (within range: callers
-    run _check_u_max first)."""
-    return np.linspace(min(math.log(1e3), 0.5 * u_max), u_max, 40)
-
-
-def _ratio_table(S: GrowthFunction, grid: np.ndarray) -> np.ndarray:
-    return np.asarray(S.g_clipped(grid), dtype=float)
+    run _check_u_max first). A table-backed source (finite u_cap) adds the
+    decade marks its table reaches."""
+    grid = np.linspace(min(math.log(1e3), 0.5 * u_max), u_max, 40)
+    if not math.isfinite(S.u_cap):
+        return grid
+    return np.unique(np.concatenate([grid, [u for u in _DECADE_MARKS if u <= S.u_cap]]))
 
 
 def _minimax_a(diag_W: np.ndarray, lo: int, hi: int, hi_a: float) -> float:
@@ -170,12 +177,6 @@ def _minimax_a(diag_W: np.ndarray, lo: int, hi: int, hi_a: float) -> float:
 def _spectral_tail(psi) -> np.ndarray:
     eig = spectrum(psi)
     return np.abs(eig[:SPECTRAL_TOP])
-
-
-def _set_verdicts(report: ExperimentReport) -> None:
-    """Store the verdicts re-derived from the report's own arrays."""
-    for k, v in report.recompute_verdicts().items():
-        setattr(report, k, v)
 
 
 def _experiment_report(
@@ -194,7 +195,7 @@ def _experiment_report(
     route), the ratio table, its window [0.8 u_max, u_max], the eps schedule
     actually used, [0, SPECTRAL_EPS], and the verdicts."""
     W = assemble_kernel_route(S, IntervalSpec(L), SPECTRAL_EPS, N)
-    grid = _ratio_grid(u_max)
+    grid = _ratio_grid(S, u_max)
     report = ExperimentReport(
         source=S.label,
         length=L,
@@ -207,13 +208,14 @@ def _experiment_report(
         spectral_tail=_spectral_tail(split_identity(W, A)),
         eps_spectral=SPECTRAL_EPS,
         ratio_u=grid,
-        ratio_g=_ratio_table(S, grid),
+        ratio_g=np.asarray(S.g_clipped(grid), dtype=float),
         ratio_window=(0.8 * u_max, u_max),
         diag_threshold=diag_threshold,
         ratio_threshold=ratio_threshold,
         u_max=u_max,
     )
-    _set_verdicts(report)
+    for k, v in report.recompute_verdicts().items():
+        setattr(report, k, v)
     return report
 
 
@@ -331,27 +333,19 @@ def pnt_pipeline(
 ) -> ExperimentReport:
     """The prime-counting corollary at desk scale.
 
-    Runs the converse machinery on S(x) = pi_P(x) ln x: sieve-backed
+    The converse experiment on S(x) = pi_P(x) ln x: sieve-backed
     diagonals at eps = 0 give A*, the closed-form transform drives the
-    spectral-tail assembly, and the ratio table g(u) = u pi_P(e^u)/e^u is
-    emitted on a log grid that includes the decade marks. The true limit
-    A = 1 is out of reach here; the deliverable is the decreasing trend
-    and an A* near 1."""
+    spectral-tail assembly, and the ratio table g(u) = u pi_P(e^u)/e^u
+    carries the decade marks the table reaches. The true limit A = 1 is
+    out of reach here; the deliverable is the decreasing trend and an A*
+    near 1."""
     if table.limit < math.exp(u_max):
         raise TableExhaustedError(
             f"pnt pipeline needs primes to e^{u_max:g} ~ {math.exp(u_max):.3g}, "
             f"table holds {table.limit}",
             required=int(math.exp(u_max)) + 1,
         )
-    S = source_primes_weighted(table)
-    report = converse_experiment(S, L=L, N=N, u_max=u_max)
-    # enrich the ratio grid with the decade marks the corollary quotes
-    decades = [math.log(10.0**k) for k in range(3, 26) if 10.0**k <= table.limit]
-    grid = np.unique(np.concatenate([report.ratio_u, np.asarray(decades)]))
-    report.ratio_u = grid
-    report.ratio_g = _ratio_table(S, grid)
-    _set_verdicts(report)
-    return report
+    return converse_experiment(source_primes_weighted(table), L=L, N=N, u_max=u_max)
 
 
 def battery_members() -> list:
@@ -386,8 +380,7 @@ class BatteryReport:
         }
 
     def save_json(self, path, extra: Optional[dict] = None) -> None:
-        doc = {"schema": "tauberlab/1", **(extra or {}), "battery": self.to_dict()}
-        _atomic_write(Path(path), json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _save_doc(path, "battery", self.to_dict(), extra)
 
 
 def run_battery(L: float = DEFAULT_LENGTH, N: int = DEFAULT_ORDER) -> BatteryReport:

@@ -2,10 +2,11 @@
 Euler-Maclaurin truncation, the outer-grid path against plain point
 arrays, symmetry and positive semi-definiteness of W on both routes across
 the battery, the closed forms for A* and the damped cutoff, the near/far
-proxy split of the windowed integrals, the prime count's cumulative
-array against binary search, and the declared jumps of the step sources
+proxy split of the windowed integrals, the prime count against a dense
+sieve, and the declared jumps of the step sources
 against their values."""
 
+import functools
 import math
 
 import numpy as np
@@ -260,6 +261,40 @@ def test_proxy_split_matches_the_dense_sum(k_max, bins, seed):
     assert_proxy_sums_match_the_dense_sums(xs, wv, k_max)
 
 
+# pi(10^5) and pi(10^8), from the classical tables: the counts at the edges
+# of the two session tables
+PI_AT_LIMIT = {10**5: 9592, 10**8: 5761455}
+
+
+def _is_prime(lo, hi):
+    """Is-prime flags of the integers lo..hi (0 <= lo <= hi), by a plain
+    dense sieve of Eratosthenes over that range alone."""
+    flags = np.ones(hi - lo + 1, dtype=bool)
+    flags[: max(0, 2 - lo)] = False
+    for p in range(2, math.isqrt(hi) + 1):
+        start = max(p * p, -(-lo // p) * p)
+        flags[start - lo :: p] = False
+    return flags
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_pi(limit):
+    """pi(k) on [0, min(limit, 2^19)] and on [limit - 1000, limit], from
+    dense sieves and pi(limit), never from a table's prime array."""
+    low = np.cumsum(_is_prime(0, min(limit, 2**19)))
+    flags = _is_prime(limit - 1000, limit)
+    # pi(k) = pi(limit) minus the primes in (k, limit]
+    return low, PI_AT_LIMIT[limit] - (np.cumsum(flags[::-1])[::-1] - flags)
+
+
+def _pi_oracle(keys, limit):
+    low, high = _dense_pi(limit)
+    in_low = keys < low.size
+    assert np.all(in_low | (keys >= limit - 1000))
+    return np.where(in_low, low[np.minimum(keys, low.size - 1)],
+                    high[np.maximum(keys - (limit - 1000), 0)])
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     st.sampled_from(["small", "big"]),
@@ -269,21 +304,20 @@ def test_proxy_split_matches_the_dense_sum(k_max, bins, seed):
         max_size=32,
     ),
 )
-def test_prime_count_matches_the_binary_search(small_table, big_table, which, points):
-    """PrimeTable.count reads keys below _PI_DIRECT from its cumulative
-    array and binary-searches the rest: both give np.searchsorted's counts,
-    around 0, 2^18, the first prime past 2^18, the last prime and the table
-    edge, for the 1e5 table (whose every key lies below 2^18) and the 1e8
-    table."""
+def test_prime_count_matches_a_dense_sieve(small_table, big_table, which, points):
+    """PrimeTable.count gives pi(floor(x)) as intp around 0, 2^18, the first
+    prime past 2^18, the last prime and the table edge, for the 1e5 table
+    (whose every key lies below 2^18) and the 1e8 table: the oracle is
+    the cumulative sum of a dense sieve, tied at the top to pi(limit)."""
     table = small_table if which == "small" else big_table
     primes = table.primes
-    past = primes[min(np.searchsorted(primes, arith._PI_DIRECT), primes.size - 1)]
-    anchor = [0, arith._PI_DIRECT, past, primes[-1], table.limit]
+    past = primes[min(np.searchsorted(primes, 2**18), primes.size - 1)]
+    anchor = [0, 2**18, past, primes[-1], table.limit]
     x = np.array([min(float(anchor[a]) + d, table.limit) for a, d in points])
     keys = np.floor(np.maximum(x, 0.0)).astype(np.int64)
-    expect = np.searchsorted(table.primes, keys, side="right")
+    expect = _pi_oracle(keys, table.limit)
     got = table.count(x)
-    assert got.dtype == expect.dtype and np.array_equal(got, expect)
+    assert got.dtype == np.intp and np.array_equal(got, expect)
     assert table.count(x[0]) == int(expect[0])
 
 

@@ -11,6 +11,7 @@ from tauberlab import transform as tr
 from tauberlab.errors import ContractError, DomainError, TableExhaustedError
 from tauberlab.operators import IntervalSpec, assemble_kernel_route, spectrum, split_identity
 from tauberlab.tauber import (
+    PNT_ORDER,
     SPECTRAL_EPS,
     SPECTRAL_TOP,
     battery_members,
@@ -224,8 +225,36 @@ def test_ratio_at_reads_the_grid():
 
 
 # ---------------------------------------------------------------------------
-# prime pipeline guard (the full run is an acceptance criterion)
+# the prime pipeline: its guard, and the one experiment path it takes (the
+# full run is an acceptance criterion)
 # ---------------------------------------------------------------------------
+
+DECADE_MARKS = [math.log(10.0**k) for k in range(3, 26)]
+
+
+def test_pnt_is_the_converse_experiment_on_the_table_source(big_table):
+    """pnt_pipeline adds nothing to the converse run on pi(x) ln x: the
+    decade marks ln 1e3 .. ln 1e8 come with the table-backed source, and
+    ln 1e3 already opens the 40-point grid."""
+    pnt = pnt_pipeline(big_table)
+    conv = converse_experiment(tr.source_primes_weighted(big_table), N=PNT_ORDER)
+    assert pnt.to_dict() == conv.to_dict()
+    assert conv.ratio_u.size == 45
+    assert [u for u in DECADE_MARKS if u in conv.ratio_u] == DECADE_MARKS[:6]
+
+
+def test_a_table_backed_ratio_grid_holds_the_marks_its_table_reaches(small_table):
+    rep = converse_experiment(tr.source_primes_weighted(small_table), N=8, u_max=11.0)
+    assert [u for u in DECADE_MARKS if u in rep.ratio_u] == DECADE_MARKS[:3]
+    assert rep.ratio_u.size == 43 and np.all(np.diff(rep.ratio_u) > 0)
+
+
+def test_closed_form_sources_keep_the_plain_ratio_grid():
+    """An infinite u_cap names no table, so no battery member gets marks."""
+    for S, u_max, _, _ in battery_members():
+        rep = converse_experiment(S, N=4, u_max=u_max)
+        want = np.linspace(min(math.log(1e3), 0.5 * u_max), u_max, 40)
+        assert np.array_equal(rep.ratio_u, want), S.label
 
 
 def test_pnt_pipeline_demands_enough_primes(small_table):
