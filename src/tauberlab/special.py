@@ -30,10 +30,17 @@ b = [0]. Since n^{-s} = n^{-a_j} n^{-b_i}, the multiplicative plan builds
 the power matrices A of n^{-a} (P columns) and B of n^{-b} (Q columns),
 and one matrix product A^T [B | -ln n B] gives both power sums,
 sum n^{-s} and -sum ln n n^{-s}, at every point: (P + Q) N powers in
-place of P Q N. The quadrature nodes of the kernel route are such a grid
-(panel midpoints plus one scaled Gauss-Legendre rule), and the transforms
-hand it through unchanged. The truncation N still comes from the P Q
-points themselves, so the grid changes no N and no certificate.
+place of P Q N, and N^{-s} per point likewise from N^{-a} and N^{-b}.
+The quadrature nodes of the kernel route are such a grid (panel
+midpoints plus one scaled Gauss-Legendre rule), and the transforms hand
+it through unchanged. The truncation N still comes from the P Q points
+themselves, so the grid changes no N and no certificate. One
+prime_zeta_pair call builds A and B once, at the largest N its Moebius
+orders k need (below), and gives the order-k batch the elementwise k-th
+powers of their first N_k - 1 rows: n^{-ka} = (n^{-a})^k, and k s is the
+grid (k a, k b). The logs of prime zeta and of psi_P are taken in
+real arithmetic, log|w| + i atan2(Im w, Re w) (_log): the principal
+branch at a tenth of the cost of numpy's complex log.
 
 prime zeta peels the primes p <= M off the Moebius-log identity
 sum_k mu(k)/k * log zeta(ks) (H. Cohen, "High precision computation of
@@ -139,6 +146,10 @@ _PEEL_CAPS = (100, 10_000, 100_000)
 
 # cells (primes x points) per block of _peel: 16,384 complex values, 256 KB
 _PEEL_CELLS = 16_384
+
+# cells of one power-matrix build (_em_eval, _prime_zeta_core) or prime
+# block of _peel: about 4M complex values, 64 MB
+_POWER_CELLS = 4_000_000
 
 # hard budget of Euler-Maclaurin terms per evaluation (_choose_N)
 _MAX_TERMS = 1_000_000
@@ -345,43 +356,47 @@ def _factor_plan(n_max: int) -> _FactorPlan:
     return _FactorPlan(full.mu[: n_max + 1], tuple(layers))
 
 
-def _em_eval(grid: OuterGrid, N: int):
+def _powers(z: np.ndarray, N: int) -> np.ndarray:
+    """The (N - 1) x z.size matrix whose row n - 1 is n^{-z}, n = 1..N-1, by
+    complete multiplicativity: one complex exp per prime n < N, then one
+    gather-multiply n^{-z} = spf(n)^{-z} (n/spf(n))^{-z} per Omega layer of
+    composites."""
+    plan = _factor_plan(N - 1)
+    pw = np.empty((N, z.size), dtype=complex)  # row 0 unused
+    pw[1] = 1.0
+    pw[plan.primes] = np.exp(-np.multiply.outer(np.log(plan.primes.astype(float)), z))
+    for rows, p, c in plan.layers[1:]:
+        pw[rows] = pw[p] * pw[c]
+    return pw[1:]
+
+
+def _em_eval(grid: OuterGrid, N: int, powers=None):
     """Euler-Maclaurin evaluation of (zeta, zeta') at fixed N on a grid.
 
-    The power matrices of n^{-a} and n^{-b} are built by complete
-    multiplicativity: one complex exp per prime n < N, then one
-    gather-multiply n^{-z} = spf(n)^{-z} (n/spf(n))^{-z} per Omega layer of
-    composites. One product A^T [B | -ln n B] gives both power sums; a is
-    chunked to keep A near 4M cells. The tail and Bernoulli terms are
-    taken per point.
+    One product A^T [B | -ln n B] of the power matrices A of n^{-a} and B
+    of n^{-b} (_powers) gives both power sums. They are built here, a in
+    chunks of about _POWER_CELLS cells, unless `powers` hands in the pair
+    (A, B), N - 1 rows each: prime_zeta_pair gives each Moebius order the
+    k-th powers of one build. The tail and Bernoulli terms are taken per
+    point, from N^{-s} = N^{-a} N^{-b}, P + Q exps.
     """
-    plan = _factor_plan(N - 1)
     ln_all = np.log(np.arange(1, N, dtype=float))
-    ln_p = ln_all[plan.primes - 1]
     lnN = math.log(N)
-
-    def powers(z):
-        """Row n - 1 is n^{-z}, n = 1..N-1."""
-        pw = np.empty((N, z.size), dtype=complex)  # row 0 unused
-        pw[1] = 1.0
-        pw[plan.primes] = np.exp(-np.multiply.outer(ln_p, z))
-        for rows, p, c in plan.layers[1:]:
-            pw[rows] = pw[p] * pw[c]
-        return pw[1:]
-
-    a, nb = grid.a, grid.b.size
-    sums = np.empty((a.size, 2 * nb), dtype=complex)
-    pblock = max(1, 4_000_000 // N)
+    a, b = grid.a, grid.b
     with np.errstate(under="ignore"):
-        B = powers(grid.b)
+        if powers is None:
+            pblock = max(1, _POWER_CELLS // N)
+            A = (_powers(a[lo : lo + pblock], N) for lo in range(0, a.size, pblock))
+            B = _powers(b, N)
+        else:
+            A, B = (powers[0],), powers[1]
         B = np.concatenate([B, -ln_all[:, None] * B], axis=1)
-        for lo in range(0, a.size, pblock):
-            sums[lo : lo + pblock] = powers(a[lo : lo + pblock]).T @ B
-        val = sums[:, :nb].ravel()
-        der = sums[:, nb:].ravel()
+        sums = np.concatenate([block.T @ B for block in A])
+        val = sums[:, : b.size].ravel()
+        der = sums[:, b.size :].ravel()
         # integral tail, half-term and Bernoulli corrections, all from N^{-s}
         s = grid.points
-        NmS = np.exp(-s * lnN)
+        NmS = np.multiply.outer(np.exp(-a * lnN), np.exp(-b * lnN)).ravel()
         N1mS = N * NmS
         tailA = N1mS / (s - 1.0)
         val += tailA + 0.5 * NmS
@@ -481,7 +496,7 @@ def _peel(s: OuterGrid, primes: np.ndarray, ks: list):
     prod = np.ones((len(ks), npts), dtype=complex)
     dlog = np.zeros((len(ks), npts), dtype=complex)
     lnp_all = np.log(primes.astype(float))
-    block = max(1, 4_000_000 // npts)
+    block = max(1, _POWER_CELLS // npts)
     with np.errstate(under="ignore"):
         for lo in range(0, lnp_all.size, block):
             lnp = lnp_all[lo : lo + block]
@@ -495,11 +510,7 @@ def _peel(s: OuterGrid, primes: np.ndarray, ks: list):
                 x = (xa[:, :, None] * xb[:, None, :]).reshape(lnp.size, -1)
                 head[c] += x.sum(axis=0)
                 head_d[c] += lnp @ x
-                xk, k_at = x, 1
-                for i, k in enumerate(ks):
-                    for _ in range(k - k_at):
-                        xk = xk * x
-                    k_at = k
+                for i, xk in enumerate(_kth_powers(x, ks, [lnp.size] * len(ks))):
                     one_minus = 1.0 - xk
                     prod[i, c] *= one_minus.prod(axis=0)
                     dlog[i, c] += lnp @ (xk / one_minus)
@@ -542,13 +553,46 @@ def _prime_zeta_core(s: OuterGrid, abs_tol: float):
 
     tol_1 = _k1_tolerance(abs_tol, zeta_sig, zeta_2sig, zeta_d_sig)
     inner = max(abs_tol / (8.0 * K), 1e-15)
-    for i, k in enumerate(ks):
-        zv, zd = _zeta_core(k * s, tol_1 if k == 1 else inner)
-        # zeta_{>M}(ks) = zeta(ks) prod_{p<=M} (1 - p^{-ks}); its principal
-        # log is the analytic branch (certified at k = 1, |log| < 0.02 at k >= 2)
-        val += (mu[k] / k) * np.log(zv * prod[i])
-        der += mu[k] * (zd / zv + dlog[i])
+    Ns = [_choose_N((k * s).points, tol_1 if k == 1 else inner) for k in ks]
+    # one build of n^{-a} and n^{-b} at the largest N serves every order,
+    # n^{-ka} = (n^{-a})^k; a in blocks of about _POWER_CELLS cells
+    Q, n_max, rows = s.b.size, max(Ns), [N - 1 for N in Ns]
+    block = max(1, _POWER_CELLS // n_max)
+    with np.errstate(under="ignore"):
+        Bk = list(_kth_powers(_powers(s.b, n_max), ks, rows))
+        for r0 in range(0, s.a.size, block):
+            a, c = s.a[r0 : r0 + block], slice(r0 * Q, (r0 + block) * Q)
+            Ak = _kth_powers(_powers(a, n_max), ks, rows)
+            for i, (k, N, A, B) in enumerate(zip(ks, Ns, Ak, Bk)):
+                zv, zd = _em_eval(OuterGrid(k * a, k * s.b), N, powers=(A, B))
+                # zeta_{>M}(ks) = zeta(ks) prod_{p<=M} (1 - p^{-ks}); its principal
+                # log is the analytic branch (certified at k = 1, |log| < 0.02 at k >= 2)
+                val[c] += (mu[k] / k) * _log(zv * prod[i, c])
+                der[c] += mu[k] * (zd / zv + dlog[i, c])
     return val, der
+
+
+def _kth_powers(x: np.ndarray, ks: list, rows: list):
+    """Yield x[:r] ** k for each (k, r) of (ks, rows), ks rising from 1, by
+    repeated products over the rows that the orders still to come need."""
+    xk, k_at = x, 1
+    for i, (k, r) in enumerate(zip(ks, rows)):
+        need = max(rows[i:])
+        for _ in range(k - k_at):
+            xk = xk[:need] * x[:need]
+        k_at = k
+        yield xk[:r]
+
+
+def _log(w: np.ndarray) -> np.ndarray:
+    """The principal log of complex w in real arithmetic, log|w| +
+    i atan2(Im w, Re w): np.log's branch, cut on the negative real axis with
+    the sign of a zero imaginary part choosing the side, at about a tenth of
+    np.log's cost on complex arrays."""
+    out = np.empty(w.shape, dtype=complex)
+    out.real = np.log(np.abs(w))
+    out.imag = np.arctan2(w.imag, w.real)
+    return out
 
 
 def prime_zeta(s, tol: Optional[EvalTolerance] = None):
@@ -605,7 +649,7 @@ def psi_prime_part(s, tol: Optional[EvalTolerance] = None):
     """psi_P(s) = P(s)/s + log(s-1), principal log (Re(s-1) > 0)."""
     grid, scalar, shape = _prep(s)
     flat = grid.points
-    out = _prime_zeta_core(grid, (tol or DEFAULT_TOL).abs_tol)[0] / flat + np.log(flat - 1.0)
+    out = _prime_zeta_core(grid, (tol or DEFAULT_TOL).abs_tol)[0] / flat + _log(flat - 1.0)
     return _restore(out, scalar, shape)
 
 

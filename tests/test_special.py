@@ -248,15 +248,105 @@ def test_em_eval_on_an_outer_grid_matches_the_direct_powers(N, P, Q, rng):
     assert np.max(np.abs(der - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_em_eval_on_kth_power_matrices_matches_the_direct_powers(k, rng):
+    """The k >= 2 batches of prime_zeta_pair: the elementwise k-th powers of
+    n^{-a} and n^{-b}, built once at a larger N and cut to N - 1 rows, are
+    the power matrices of the grid k s = (k a, k b)."""
+    N, N_build = 83, 154
+    a = rng.uniform(1.05, 3.0, size=40) + 1j * rng.uniform(-30.0, 30.0, size=40)
+    b = 1j * rng.uniform(-2.0, 2.0, size=8)
+    A = special._powers(a, N_build)[: N - 1] ** k
+    B = special._powers(b, N_build)[: N - 1] ** k
+    val, der = special._em_eval(OuterGrid(k * a, k * b), N, powers=(A, B))
+    ref_v, ref_d = _em_direct(k * np.add.outer(a, b).ravel(), N)
+    assert np.max(np.abs(val - ref_v)) <= 1e-13 * np.max(np.abs(ref_v))
+    assert np.max(np.abs(der - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
+
+
+def test_real_arithmetic_log_is_numpys_principal_log(rng):
+    edge = np.array([-1.0, -2.5, -1e-300, -1e300])
+    unit = np.exp(1j * rng.uniform(-np.pi, np.pi, size=64))
+    rand = rng.normal(size=10_000) + 1j * rng.normal(size=10_000)
+    w = np.concatenate(
+        [
+            edge + 0.0j,  # the negative real axis, +0.0 imaginary part
+            np.array([complex(x, -0.0) for x in edge]),  # and -0.0
+            unit * (1.0 + 1e-12),
+            unit * (1.0 - 1e-12),
+            unit * 1e-300,
+            unit * 1e300,
+            1j * np.array([1e-300, 0.5, 1.0, 7.0, 1e300]),  # the imaginary axis
+            -1j * np.array([1e-300, 0.5, 1.0, 7.0, 1e300]),
+            rand * np.exp(rng.uniform(-30.0, 30.0, size=rand.size)),
+        ]
+    )
+    ref = np.log(w)
+    got = special._log(w)
+    assert np.all(np.abs(got - ref) <= 4.5e-16 * np.maximum(1.0, np.abs(ref)))
+    # the cut: the sign of a zero imaginary part picks the side, as in np.log
+    assert np.array_equal(np.signbit(got.imag), np.signbit(ref.imag))
+
+
+def _pnt_kernel_points():
+    """The 4,032 kernel-route points 1 + eps + i x of the pnt run (eps = 0.05,
+    L = 8 pi, N = 72): 252 panel midpoints times 16 Gauss-Legendre offsets."""
+    L, eps, N = 8.0 * math.pi, 0.05, 72
+    P = int(math.ceil(L / min(2 * eps, 0.1, L / (3 * N))))
+    h = L / (2 * P)
+    xi = np.polynomial.legendre.leggauss(16)[0]
+    return 1.05 + 1j * OuterGrid((2 * np.arange(P) + 1) * h, h * xi)
+
+
+def test_prime_zeta_pair_on_the_pnt_kernel_points_builds_its_powers_once(monkeypatch):
+    """Every Moebius order of one prime_zeta_pair call takes its power
+    matrices from one build of n^{-a} and one of n^{-b}, at the largest N
+    (154); the other two builds are the 2-point real zeta batch that sets
+    the peel cap. The batch Ns stay 154, 83, 78 and 57."""
+    s = _pnt_kernel_points()
+    builds, batches = [], []
+    powers, em_eval = special._powers, special._em_eval
+
+    def counted_powers(z, N):
+        builds.append((z.copy(), N))
+        return powers(z, N)
+
+    def counted_em_eval(grid, N, powers=None):
+        batches.append((grid.size, N))
+        return em_eval(grid, N, powers=powers)
+
+    monkeypatch.setattr(special, "_powers", counted_powers)
+    monkeypatch.setattr(special, "_em_eval", counted_em_eval)
+    prime_zeta_pair(s)
+    assert sum(np.array_equal(z, s.a) for z, _ in builds) == 1
+    assert sum(np.array_equal(z, s.b) for z, _ in builds) == 1
+    assert len(builds) == 4
+    assert [N for z, N in builds if z.size > 2] == [154, 154]
+    assert [N for size, N in batches if size == s.size] == [154, 83, 78, 57]
+
+
+def test_prime_zeta_pair_in_power_blocks_matches_one_block(monkeypatch, rng):
+    """Past _POWER_CELLS cells the grid's a runs in blocks, each with its
+    own build; the values match the one-block call up to the rounding of
+    the power sums (|zeta| ~ 20 here), whose summation order the block
+    shape may change."""
+    a = rng.uniform(1.05, 2.0, size=30) + 1j * rng.uniform(-30.0, 30.0, size=30)
+    grid = OuterGrid(a, 1j * rng.uniform(-0.5, 0.5, size=4))
+    whole = prime_zeta_pair(grid)
+    monkeypatch.setattr(special, "_POWER_CELLS", 1000)  # blocks of 1000 // N rows
+    for got, ref in zip(prime_zeta_pair(grid), whole):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_prime_zeta_pair_runs_one_k1_zeta_batch(monkeypatch):
     """The log branch and zeta'/zeta share the k = 1 Euler-Maclaurin batch."""
     s = np.array([1.05 + 0.5j, 1.05 + 3.0j, 1.2 - 7.0j])
     batches = []
     em_eval = special._em_eval
 
-    def counted(grid, N):
+    def counted(grid, N, powers=None):
         batches.append(grid.points)
-        return em_eval(grid, N)
+        return em_eval(grid, N, powers=powers)
 
     monkeypatch.setattr(special, "_em_eval", counted)
     prime_zeta_pair(s)
@@ -355,9 +445,9 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_runs_few_zeta_batches(monkeypa
     batches = []
     em_eval = special._em_eval
 
-    def counted(grid, N):
+    def counted(grid, N, powers=None):
         batches.append((grid.size, N))
-        return em_eval(grid, N)
+        return em_eval(grid, N, powers=powers)
 
     monkeypatch.setattr(special, "_em_eval", counted)
     prime_zeta_pair(s)
