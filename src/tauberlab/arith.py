@@ -1,14 +1,13 @@
 """Counting functions and their normalized growth ratios.
 
-The objects here are the raw material for everything downstream: integer
-and prime counting, weighted prime counting S(x) = pi_P(x) * ln(x),
-user-supplied step functions, and the `GrowthFunction` wrapper that ties a
-non-decreasing S to its growth constant C (S(x) <= C*x on x >= 1) and to
-the normalized ratio
+The objects here are the raw material for everything downstream: prime
+counting, user-supplied step functions, and the `GrowthFunction` wrapper
+that ties a non-decreasing S to its growth constant C (S(x) <= C*x on
+x >= 1) and states it by its normalized ratio in the log variable,
 
     g(u) = S(e^u) / e^u,   u >= 0,
 
-whose limit behaviour the operator experiments probe.
+whose limit behaviour the operator experiments probe; S(x) = x g(ln x).
 
 Primes come from a segmented, odd-only sieve of Eratosthenes with a small
 binary disk cache of its odd bitset, so the 1e8 table is built once per
@@ -40,10 +39,8 @@ __all__ = [
     "StepFunction",
     "PrimeTable",
     "GrowthFunction",
-    "count_integers",
     "count_primes",
     "build_prime_table",
-    "weighted_prime_count",
     "default_cache_dir",
 ]
 
@@ -66,24 +63,6 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "tauberlab"
-
-
-# ---------------------------------------------------------------------------
-# counting functions
-# ---------------------------------------------------------------------------
-
-
-def count_integers(x):
-    """Number of positive integers <= x, i.e. floor(x) for x >= 0.
-
-    Returns the mathematical floor as a float; ties at integer x include x.
-    Accepts scalars or arrays.
-    """
-    arr = np.asarray(x, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
-        raise DomainError("count_integers requires finite x >= 0")
-    out = np.floor(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -336,19 +315,6 @@ def count_primes(x, table: PrimeTable) -> int:
     return table.count(xf)
 
 
-def weighted_prime_count(x, table: PrimeTable):
-    """Weighted prime count S(x) = pi_P(x) * ln(x); 0 below the first prime.
-
-    Scalar or array x.
-    """
-    arr = np.asarray(x, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr <= 0)):
-        raise DomainError("weighted_prime_count requires finite x > 0")
-    counts = table.count(arr)
-    out = np.where(arr >= 2, counts * np.log(np.maximum(arr, 1.0)), 0.0)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # growth functions
 # ---------------------------------------------------------------------------
@@ -361,7 +327,8 @@ class GrowthFunction:
     Each field states a fact about S; none is a hint to one integrator:
 
     - ``label``: the name reports and errors give the source.
-    - ``fn``: the values S(x), vectorized in x.
+    - ``fn``: the values g(u) = S(e^u) e^{-u}, vectorized in u >= 0 and
+      stated in u, so that no e^u past the largest float is formed.
     - ``growth_constant``: C with S(x) <= C x on x >= 1.
     - ``laplace``: closed form of G(s) = integral of S(e^u) e^{-su} du when
       one is known (vectorized in s).
@@ -385,14 +352,8 @@ class GrowthFunction:
     u_cap: float = math.inf
     ratio_limit_A: Optional[float] = None
 
-    def __call__(self, x):
-        return self.fn(x)
-
     def g(self, u):
-        """Normalized ratio g(u) = S(e^u)/e^u for u >= 0.
-
-        NaN past u = ln(float max), where e^u is inf and S(e^u)/e^u no float:
-        fn never sees an infinite x."""
+        """Normalized ratio g(u) = S(e^u)/e^u for u >= 0."""
         arr = np.asarray(u, dtype=float)
         if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0)):
             raise DomainError("normalized ratio needs finite u >= 0")
@@ -404,10 +365,7 @@ class GrowthFunction:
                 # e^u past the largest float names no table
                 required=math.ceil(math.exp(top)) if top < math.log(sys.float_info.max) else None,
             )
-        with np.errstate(over="ignore"):
-            eu = np.exp(arr)
-        over = np.isinf(eu)
-        out = np.where(over, np.nan, self.fn(np.where(over, 1.0, eu)) / eu)
+        out = self.fn(arr)
         return float(out) if np.isscalar(u) or arr.ndim == 0 else out
 
     def g_clipped(self, u):

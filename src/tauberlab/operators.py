@@ -495,11 +495,9 @@ def _source_values(S: GrowthFunction, L: float, eps: float, xs: np.ndarray) -> n
     """mt(x) = g(2x/L) e^{-2 eps x/L} on the grid nodes, g frozen at u_cap
     past the evaluable range.
 
-    A non-finite g (NaN past u = ln(float max) ~ 709.78, where e^u
-    overflows, for every source) is a PrecisionError naming the source and u."""
+    A non-finite g is a PrecisionError naming the source and u."""
     u = xs / (L / 2.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = np.asarray(S.g_clipped(u), dtype=float)
+    g = np.asarray(S.g_clipped(u), dtype=float)
     if not np.all(np.isfinite(g)):
         u_bad = float(np.min(u[~np.isfinite(g)]))
         raise PrecisionError(f"g of source '{S.label}' is not finite at u = {u_bad!r}")

@@ -17,7 +17,7 @@ integrand is piecewise e^{-su}, so each piece integrates in closed form,
 and the sum has no tail. The sources that jump declare their jumps
 (GrowthFunction.jumps_upto), which the operators' frequency route
 integrates piece by piece; the catalog's closed forms are checked in the
-tests against a brute-force quadrature of S itself.
+tests against a brute-force quadrature of the source's own g.
 
 The module also carries the catalog of named growth-function instances the
 experiment battery runs on. The synthetic ones have elementary transforms
@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import GrowthFunction, StepFunction, count_integers, weighted_prime_count
+from .arith import GrowthFunction, StepFunction
 from .errors import DomainError
 from .special import (
     EvalTolerance,
@@ -118,18 +118,11 @@ def transform_step_sum(S: StepFunction, s):
 # ---------------------------------------------------------------------------
 
 
-def _support_mask(x, expr):
-    xs = np.asarray(x, dtype=float)
-    safe = np.maximum(xs, 1.0)
-    out = np.where(xs >= 1.0, expr(safe), 0.0)
-    return float(out) if np.isscalar(x) or out.ndim == 0 else out
-
-
 def source_identity() -> GrowthFunction:
     """S(x) = x: the cleanest ratio limit, g == 1, transform 1/(s-1)."""
     return GrowthFunction(
         label="identity",
-        fn=lambda x: _support_mask(x, lambda v: v),
+        fn=np.ones_like,
         growth_constant=1.0,
         laplace=lambda s: 1.0 / (np.asarray(s, dtype=complex) - 1.0),
         ratio_limit_A=1.0,
@@ -139,13 +132,19 @@ def source_identity() -> GrowthFunction:
 def source_integers() -> GrowthFunction:
     """S = integer count (floor). Jumps at every integer; g -> 1."""
 
+    def fn(u):
+        # every float past 2^52 = e^36.04 is an integer, so g is exactly 1
+        # there and e^u need not be formed past u = 40
+        e = np.exp(np.minimum(u, 40.0))
+        return np.floor(e) / e
+
     def jumps_upto(hi):
         x = np.arange(1.0, math.floor(hi) + 1.0)
         return x, np.ones_like(x), np.zeros_like(x)
 
     return GrowthFunction(
         label="integer_count",
-        fn=count_integers,
+        fn=fn,
         growth_constant=1.0,
         laplace=transform_integers,
         jumps_upto=jumps_upto,
@@ -158,13 +157,17 @@ def source_primes_weighted(table) -> GrowthFunction:
 
     Each prime p adds 1 to the slope of S(e^u) = pi_P u: da = 0, db = 1."""
 
+    def fn(u):
+        e = np.exp(u)
+        return table.count(e) * np.log(e) / e
+
     def jumps_upto(hi):
         p = table.primes_in(0.0, hi).astype(float)
         return p, np.zeros_like(p), np.ones_like(p)
 
     return GrowthFunction(
         label="weighted_primes",
-        fn=lambda x: weighted_prime_count(x, table),
+        fn=fn,
         growth_constant=1.3,
         laplace=transform_weighted_primes,
         jumps_upto=jumps_upto,
@@ -179,7 +182,7 @@ def source_sqrt_mix(a: float = 1.0, b: float = 1.0) -> GrowthFunction:
         raise DomainError("sqrt mix needs a, b >= 0, not both zero")
     return GrowthFunction(
         label=f"sqrt_mix(a={a:g},b={b:g})",
-        fn=lambda x: _support_mask(x, lambda v: a * v + b * np.sqrt(v)),
+        fn=lambda u: a + b * np.exp(-0.5 * u),
         growth_constant=a + b,
         laplace=lambda s: a / (np.asarray(s, dtype=complex) - 1.0)
         + b / (np.asarray(s, dtype=complex) - 0.5),
@@ -196,7 +199,7 @@ def source_log_oscillation(amplitude: float = 0.5) -> GrowthFunction:
         raise DomainError("amplitude must lie in (0, 0.7] to keep S non-decreasing")
     return GrowthFunction(
         label=f"log_oscillation(amp={amplitude:g})",
-        fn=lambda x: _support_mask(x, lambda v: v * (1.0 + amplitude * np.sin(np.log(v)))),
+        fn=lambda u: 1.0 + amplitude * np.sin(u),
         growth_constant=1.0 + amplitude,
         laplace=lambda s: 1.0 / (np.asarray(s, dtype=complex) - 1.0)
         + amplitude / ((np.asarray(s, dtype=complex) - 1.0) ** 2 + 1.0),
@@ -212,7 +215,7 @@ def source_slow_approach() -> GrowthFunction:
     power series of E1 for |w| <= 2, the continued fraction beyond."""
     return GrowthFunction(
         label="slow_approach",
-        fn=lambda x: _support_mask(x, lambda v: v + v / (1.0 + np.log(v))),
+        fn=lambda u: 1.0 + 1.0 / (1.0 + u),
         growth_constant=2.0,
         laplace=lambda s: 1.0 / (np.asarray(s, dtype=complex) - 1.0)
         + exp_e1(np.asarray(s, dtype=complex) - 1.0),
@@ -225,12 +228,13 @@ def source_single_jump(height: float = 3.0, location: float = math.e) -> GrowthF
     if not (height > 0 and location >= 1.0):
         raise DomainError("jump needs height > 0 and location >= 1")
     step = StepFunction(np.array([location]), np.array([height]))
+    u0 = math.log(location)
     return GrowthFunction(
         label=f"single_jump(h={height:g},x0={location:g})",
-        fn=step,
+        fn=lambda u: np.where(u >= u0, height * np.exp(-u), 0.0),
         growth_constant=height / location,
         laplace=lambda s: height
-        * np.exp(-np.asarray(s, dtype=complex) * math.log(location))
+        * np.exp(-np.asarray(s, dtype=complex) * u0)
         / np.asarray(s, dtype=complex),
         jumps_upto=step.jumps_upto,
         ratio_limit_A=0.0,

@@ -12,10 +12,8 @@ from tauberlab.arith import (
     PrimeTable,
     StepFunction,
     build_prime_table,
-    count_integers,
     count_primes,
     default_cache_dir,
-    weighted_prime_count,
 )
 from tauberlab.errors import ContractError, DomainError, ResourceError, TableExhaustedError
 
@@ -161,18 +159,17 @@ def test_integer_keys_match_the_float_keys(small_table):
         small_table.primes_in(1.0, float("nan"))
 
 
-def test_count_integers_is_floor_on_positives():
-    xs = np.array([0.0, 0.5, 1.0, 1.999, 2.0, 1e6 + 0.25])
-    assert np.array_equal(count_integers(xs), np.floor(xs))
-    assert count_integers(3.0) == 3
-
-
 def test_weighted_prime_count_matches_direct_count(small_table):
+    """e^u g(u) of the weighted primes is pi_P(x) ln x at the float x = e^u
+    that g reads, which for u = ln p can round below the prime p."""
+    S = tr.source_primes_weighted(small_table)
     primes = np.array(_trial_division_primes(5000), dtype=float)
     for x in (2, 10, 97.5, 4999):
-        expect = float((primes <= x).sum()) * math.log(x)
-        assert math.isclose(weighted_prime_count(x, small_table), expect, rel_tol=0, abs_tol=1e-9)
-    assert weighted_prime_count(1.5, small_table) == 0.0
+        u = math.log(x)
+        e = math.exp(u)
+        expect = float((primes <= e).sum()) * math.log(e)
+        assert math.isclose(e * S.g(u), expect, rel_tol=0, abs_tol=1e-9)
+    assert S.g(math.log(1.5)) == 0.0
 
 
 def test_primes_in_window(small_table):
@@ -248,13 +245,14 @@ def test_step_function_contract_errors():
 
 def test_every_source_is_monotone(small_table, rng):
     for S in _registered_sources(small_table):
+        # S(x) = e^u g(u) at u = ln x, for x in [1, e^13]; S = 0 below 1
         hi = math.exp(min(S.u_cap, 13.0))
-        a = rng.uniform(0.0, hi, size=1000)
-        b = rng.uniform(0.0, hi, size=1000)
-        x, y = np.minimum(a, b), np.maximum(a, b)
-        sx, sy = np.asarray(S(x), dtype=float), np.asarray(S(y), dtype=float)
-        bad = np.nonzero(sx > sy + 1e-12)[0]
-        assert bad.size == 0, f"{S.label}: S not monotone at x={x[bad[:3]]}, y={y[bad[:3]]}"
+        a = np.log(rng.uniform(1.0, hi, size=1000))
+        b = np.log(rng.uniform(1.0, hi, size=1000))
+        u, v = np.minimum(a, b), np.maximum(a, b)
+        su, sv = np.exp(u) * S.g(u), np.exp(v) * S.g(v)
+        bad = np.nonzero(su > sv + 1e-12)[0]
+        assert bad.size == 0, f"{S.label}: e^u g not monotone at u={u[bad[:3]]}, v={v[bad[:3]]}"
 
 
 def test_growth_bound_holds_on_samples(small_table, rng):
@@ -315,7 +313,7 @@ def test_a_table_answers_every_x_below_its_limit_plus_one(small_table, big_table
 
 def test_single_jump_is_a_bounded_step():
     S = tr.source_single_jump(height=3.0, location=math.e)
-    assert S(1.0) == 0.0
-    assert S(math.e) == pytest.approx(3.0)
-    assert S(1e9) == pytest.approx(3.0)
+    assert S.g(0.0) == 0.0
+    for u in (1.0, math.log(1e9)):
+        assert math.exp(u) * S.g(u) == pytest.approx(3.0)
     assert S.ratio_limit_A == 0.0

@@ -112,12 +112,28 @@ def test_route_equivalence(factory, eps, N):
     assert Wk.route == "kernel_quadrature" and Wf.route == "frequency_formula"
 
 
-@pytest.mark.parametrize("L,eps,N", [(2.0 * math.pi, 0.1, 8), (8.0 * math.pi, 0.05, 32)])
-def test_integer_count_routes_agree_to_1e9(L, eps, N):
+_CLOSED_FORM_SOURCES = {
+    "integers": tr.source_integers,
+    "identity": tr.source_identity,
+    "sqrt_mix": lambda: tr.source_sqrt_mix(1.0, 1.0),
+    "log_oscillation": lambda: tr.source_log_oscillation(0.5),
+    "single_jump": tr.source_single_jump,
+    "slow_approach": tr.source_slow_approach,
+}
+
+
+@pytest.mark.parametrize(
+    "name,L,eps,N",
+    [("integers", 2.0 * math.pi, 0.1, 8), ("integers", 8.0 * math.pi, 0.05, 32)]
+    + [(name, 8.0 * math.pi, eps, 32) for name in _CLOSED_FORM_SOURCES for eps in (0.01, 0.005)],
+)
+def test_integer_count_routes_agree_to_1e9(name, L, eps, N):
     """The frequency route reads the integer count's sawtooth itself, jumps
     resolved up to x = 2e5 and g read at the nodes past it, and meets the
-    kernel route's closed form zeta(s)/s."""
-    S, I = tr.source_integers(), IntervalSpec(L)
+    kernel route's closed form zeta(s)/s. At eps = 0.01 and 0.005 the
+    damped cutoff puts nodes past u = ln(float max) ~ 709.8, and every
+    closed-form catalog source meets its kernel route there too."""
+    S, I = _CLOSED_FORM_SOURCES[name](), IntervalSpec(L)
     Wk = assemble_kernel_route(S, I, eps, N)
     Wf = assemble_frequency_route(S, I, eps, N)
     assert np.max(np.abs(Wk.entries - Wf.entries)) <= 1e-9
@@ -217,12 +233,29 @@ def test_kernel_route_evaluates_the_kernel_once_per_node(monkeypatch):
 def test_kernel_route_rejects_a_non_finite_kernel():
     S = GrowthFunction(
         label="nan_transform",
-        fn=lambda x: np.asarray(x, dtype=float),
+        fn=np.ones_like,
         growth_constant=1.0,
         laplace=lambda s: np.full(np.shape(s), np.nan, dtype=complex),
     )
     with pytest.raises(PrecisionError, match="x = "):
         assemble_kernel_route(S, L2PI, 0.1, 2)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_frequency_route_rejects_a_non_finite_g(bad):
+    """A g that is inf or NaN past u = 800, which the damped cutoff at
+    eps = 0.01 reaches, is refused with the source and the u named."""
+    S = GrowthFunction(
+        label="bad_past_800",
+        fn=lambda u: np.where(u < 800.0, 1.0, bad),
+        growth_constant=1.0,
+    )
+    I = IntervalSpec(8 * math.pi)
+    match = r"'bad_past_800' is not finite at u = 80\d\."
+    with pytest.raises(PrecisionError, match=match):
+        assemble_frequency_route(S, I, 0.01, 8)
+    with pytest.raises(PrecisionError, match=match):
+        diagonal_sequence(S, I, 0.01, 1.0, 8)
 
 
 def test_half_line_integrals_match_the_sinc_form():
@@ -538,7 +571,7 @@ def test_poisson_split_at_matrix_level():
     entire remainder alone, entry by entry."""
     psi_src = GrowthFunction(
         label="entire_remainder",
-        fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        fn=np.zeros_like,
         growth_constant=1.0,
         laplace=lambda s: psi_entire(s),
     )
@@ -634,6 +667,16 @@ def test_weak_limit_diagnostic_structure():
         weak_limit_diagnostic(tr.source_identity(), L2PI, 4, (0.1,))
     with pytest.raises(ContractError):
         weak_limit_diagnostic(tr.source_identity(), L2PI, 4, (0.1, 0.2))
+
+
+def test_weak_limit_diagnostic_reaches_small_eps():
+    """The schedule halves eps down to 0.00625, where the frequency route's
+    cutoff reads g out to u = 1893, and each step moves W by less."""
+    rep = weak_limit_diagnostic(
+        tr.source_integers(), IntervalSpec(8 * math.pi), 16, (0.05, 0.025, 0.0125, 0.00625)
+    )
+    assert len(rep.deltas) == 3
+    assert np.all(np.isfinite(rep.deltas)) and np.all(np.diff(rep.deltas) < 0), rep.deltas
 
 
 def test_weak_limit_report_dict_is_plain_json():

@@ -20,7 +20,7 @@ from tauberlab import arith, operators, special, tauber, transform
 from tauberlab.operators import IntervalSpec, assemble_frequency_route, assemble_kernel_route
 from tauberlab.special import OuterGrid, prime_zeta_pair, zeta, zeta_deriv
 from tauberlab.tauber import battery_members
-from test_transform import steps_times_log
+from test_transform import ratio_of, steps_times_log
 
 sigmas = st.floats(1.01, 3.0)
 ts = st.floats(-50.0, 50.0)
@@ -350,14 +350,15 @@ def test_declared_jumps_reproduce_the_source(small_table, which, step, xs):
         "single_jump": transform.source_single_jump,
         "single_jump_at_1": lambda: transform.source_single_jump(2.0, 1.0),
         "step_function": lambda: arith.GrowthFunction(
-            "steps", step, 1.0, jumps_upto=step.jumps_upto
+            "steps", ratio_of(step), 1.0, jumps_upto=step.jumps_upto
         ),
         "steps_ln": steps_times_log,
     }[which]()
-    x = np.array(xs + [1.0, 1e5])
+    u = np.log(np.array(xs + [1.0, 1e5]))
+    x = np.exp(u)
     xj, da, db = S.jumps_upto(1e5)
     assert np.all((xj > 0.0) & (xj <= 1e5)) and da.shape == db.shape == xj.shape
     below = xj[None, :] <= x[:, None]
     declared = below @ da + (below @ db) * np.log(x)
-    v = S.fn(x)
+    v = x * S.g(u)
     assert np.all(np.abs(declared - v) <= 1e-13 * np.maximum(1.0, np.abs(v)))

@@ -1,8 +1,9 @@
 """Transforms: closed forms vs quadrature vs exact step sums, with certified tails.
 
 The quadrature is the brute-force oracle of these tests: it integrates
-S(e^u) e^{-su} with S read off the source itself, so it checks each closed
-form independently of the source's transform and of its declared jumps."""
+S(e^u) e^{-su} with S(e^u) = e^u g(u) read off the source itself, so it
+checks each closed form independently of the source's transform and of its
+declared jumps."""
 
 import math
 
@@ -35,14 +36,14 @@ def quadrature_tail_bound(S: GrowthFunction, s, U: float):
 def _sampled_pieces(S: GrowthFunction, u_hi: float):
     """The jumps of S on (0, u_hi) as knots 0 = u_0 < u_1 < ... < u_m = u_hi
     in u = ln x, and per gap [u_j, u_{j+1}] the level and slope with
-    S(e^u) = level + slope u there, read off S at the two interior points a
-    third of the way in from each end. Only the abscissae come from
-    jumps_upto; the declared da and db are not used."""
+    S(e^u) = level + slope u there, read off e^u g(u) at the two interior
+    points a third of the way in from each end. Only the abscissae come
+    from jumps_upto; the declared da and db are not used."""
     lnx = np.log(S.jumps_upto(math.exp(u_hi))[0])
     knots = np.concatenate(([0.0], lnx[(lnx > 0.0) & (lnx < u_hi)], [u_hi]))
     third = np.diff(knots) / 3.0
     u1, u2 = knots[:-1] + third, knots[1:] - third
-    s1, s2 = S.fn(np.exp(u1)), S.fn(np.exp(u2))
+    s1, s2 = np.exp(u1) * S.g(u1), np.exp(u2) * S.g(u2)
     slope = (s2 - s1) / (u2 - u1)
     return knots, s1 - slope * u1, slope
 
@@ -52,9 +53,9 @@ def transform_quadrature(S: GrowthFunction, s, U: float = 18.0):
 
     On the jump-resolved range, u up to min(U, _resolved_u(S)), the pieces
     between consecutive jumps are integrated exactly, with S(e^u) = a + b u
-    read off S by _sampled_pieces: that is exact for a constant piece (a
-    counting function) and for a piece linear in u (a count times ln x, as
-    pi_P(x) ln x). 16-point Gauss-Legendre on equal panels of width at most
+    read off the source by _sampled_pieces: that is exact for a constant
+    piece (a counting function) and for a piece linear in u (a count times
+    ln x, as pi_P(x) ln x). 16-point Gauss-Legendre on equal panels of width at most
     0.25 handles the rest.
     The dropped tail beyond U is NOT added to the result; its certified
     bound comes from quadrature_tail_bound."""
@@ -81,7 +82,7 @@ def transform_quadrature(S: GrowthFunction, s, U: float = 18.0):
         edges = np.linspace(u_res, U, max(1, math.ceil((U - u_res) / 0.25)) + 1)
         us, ws = _gl_nodes_on(edges[:-1], edges[1:])
         with np.errstate(under="ignore"):
-            out += np.exp(-np.multiply.outer(flat, us)) @ (S.fn(np.exp(us)) * ws)
+            out += np.exp(-np.multiply.outer(flat, us)) @ (np.exp(us) * S.g(us) * ws)
     return _restore(out, scalar, shape)
 
 
@@ -184,6 +185,16 @@ _XJ = np.array([1.5, 2.0, 7.0, 40.0, 1000.0, 20000.0])
 _AJ = np.array([0.5, 1.0, 2.0, 0.25, 3.0, 1.0])
 
 
+def ratio_of(S):
+    """g(u) = S(e^u)/e^u of a source S stated in x."""
+
+    def g(u):
+        x = np.exp(u)
+        return S(x) / x
+
+    return g
+
+
 def steps_times_log() -> GrowthFunction:
     """S(x) = step(x) ln x for the step a_j at x_j: linear in u = ln x
     between jumps, each adding a_j to the slope (da = 0, db = a_j)."""
@@ -193,9 +204,7 @@ def steps_times_log() -> GrowthFunction:
         x, a, zero = step.jumps_upto(hi)
         return x, zero, a
 
-    return GrowthFunction(
-        "steps_ln", lambda x: step(x) * np.log(np.maximum(x, 1.0)), 8.0, jumps_upto=jumps_upto
-    )
+    return GrowthFunction("steps_ln", ratio_of(lambda x: step(x) * np.log(x)), 8.0, jumps_upto=jumps_upto)
 
 _S_PTS = np.array([1.5 + 0.3j, 2.0 + 5.0j, 1.2 - 3.0j, 3.0 + 0.0j, 1.05 + 12.0j])
 
@@ -204,7 +213,7 @@ def test_quadrature_is_exact_on_constant_pieces():
     """A step source: the oracle on [0, 10] against the exact step sum minus
     its part past U = 10, S_tot e^{-sU}/s."""
     step = StepFunction(_XJ, _AJ)
-    S = GrowthFunction("steps", step, 1.0, jumps_upto=step.jumps_upto)
+    S = GrowthFunction("steps", ratio_of(step), 1.0, jumps_upto=step.jumps_upto)
     U, s = 10.0, _S_PTS
     expect = transform_step_sum(step, s) - _AJ.sum() * np.exp(-s * U) / s
     assert np.max(np.abs(transform_quadrature(S, s, U=U) - expect)) < 1e-12
