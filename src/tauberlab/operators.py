@@ -64,7 +64,13 @@ of f. Sparse bins keep their nodes. The far terms then come from one
 reciprocal block over the far sources, with each centre's near bins
 zeroed; near and far split on the same bin numbers, so each node counts
 once. On the pnt grid (N = 72) the 12,016 nodes give 3,776 far sources,
-and the block has 0.55M entries in place of 1.75M.
+and the block has 0.55M entries in place of 1.75M. One block serves a
+batch of sources on one grid: the weights are an (n, m) matrix, one
+column per source, so the sort, the proxies' Chebyshev recurrence, the
+near-pass index arrays, the reciprocal block and the frozen tail are built
+once, and the far sums are one product of the block with the m columns.
+The battery's six sources share their eps = 0 grid at N = 64: 14,688
+nodes, 7,319 far sources and one 130 x 7,319 block.
 
 Bound: map a far bin onto [-1, 1]. Its centre lies at least
 (_NEAR_BINS + 1/2) w = 7 half-widths from c, so f is analytic inside the
@@ -78,12 +84,13 @@ D per unit of sum |s2w| over the bin, and it falls like r^{-15} for the
 bins farther out, whose r grows with their distance from c.
 
 The grid lays panels fine_w = base_w / 4 wide (at most pi/8; pi/10 at
-L = 8 pi) on the jump-resolved range x <= a_end = (L/2) _resolved_u
-(x = 2e5, or the table edge if lower) and in the Fejer main lobes
-|x - pi n| < 3 pi, then panels growing to width 2, each with 16
-Gauss-Legendre nodes. It cuts off at X chosen from the damping (eps > 0:
-where the damped tail bound meets the fixed target _CUTOFF_TARGET =
-1e-9 * 0.1, which rounds to 1.0000000000000002e-10) or, at eps = 0,
+L = 8 pi) on the resolved range x <= a_end = (L/2) _resolved_u(u_cap)
+(x = 2e5, or the table edge if lower), for every source whether or not it
+declares jumps, and in the Fejer main lobes |x - pi n| < 3 pi, then
+panels growing to width 2, each with 16 Gauss-Legendre nodes. It cuts
+off at X chosen from the damping (eps > 0: where the damped tail bound
+meets the fixed target _CUTOFF_TARGET = 1e-9 * 0.1, which rounds to
+1.0000000000000002e-10) or, at eps = 0,
 where mt turns constant: past x_cap = (L/2) u_cap a table-backed source
 is frozen at g(u_cap), so X = max(x_cap, pi (n_max + 3)) (235.6 on the
 pnt grid), and a source without a cap is taken as frozen past
@@ -96,22 +103,24 @@ g is constant to rounding past X (integers, identity, sqrt_mix,
 single_jump), and not otherwise: moving X to pi n_max + 2000 moves the
 L = 8 pi, n_max = 64 diagonals of slow_approach (g - 1 ~ 1/u) by 3.7e-6
 and those of log_oscillation by 1.2e-4. The route takes no tolerance:
-the grid depends on S, L, eps and N alone. At every eps the order-n
-entries read g near u = 2 pi n / L (the Fejer lobe at x = pi n), so an
-order past N_max = L u_cap / (2 pi) would read the constant a
-table-backed source freezes g at past u_cap; such orders are refused
-(_check_resolvable) before the cutoff is chosen. Past the lobes the
+the grid depends on L, N, the cutoff X and u_cap alone (_grid_edges), so
+on S only through X and u_cap, and sources that agree on those share it.
+At every eps the order-n entries read g near u = 2 pi n / L (the Fejer
+lobe at x = pi n), so an order past N_max = L u_cap / (2 pi) would read
+the constant a table-backed source freezes g at past u_cap; such orders
+are refused (_check_resolvable) before the cutoff is chosen. Past the lobes the
 panels are at most 2 wide with 16 nodes each, so a grid holds about 8X
 nodes; a cutoff whose estimate passes _MAX_GRID_NODES (small eps: X grows
 like (L / 2 eps) ln(1/target)) is refused with a ResourceError before any
 grid is built.
 
-On the jump-resolved range the nodes do not sample mt: S jumps inside the
-panels. Between two jumps S(e^u) = a + b u, and the source declares the
-change (da, db) of a and b at each jump (GrowthFunction.jumps_upto),
-which a cumulative sum turns into a and b; S is never read there. mt times
-the kernel is (a + b u) phi with the smooth factor
-phi = e^{-(1+eps) u} sin^2 x / (x -+ pi k)^j (j = 1 for F, 2 for D), and
+On the resolved range the nodes of a source that declares jumps do not
+sample mt: S jumps inside the panels. Between two jumps S(e^u) = a + b u,
+and the source declares the change (da, db) of a and b at each jump
+(GrowthFunction.jumps_upto), which a cumulative sum turns into a and b;
+S is never read there. mt times the kernel is (a + b u) phi with the
+smooth factor phi = e^{-(1+eps) u} sin^2 x / (x -+ pi k)^j (j = 1 for F,
+2 for D), and
 product integration (K. E. Atkinson, The Numerical Solution of Integral
 Equations of the Second Kind, 1997, ch. 4) replaces phi and u phi by their
 interpolants p at the panel's 16 nodes and integrates the step data a and
@@ -182,8 +191,10 @@ __all__ = [
     "WeakLimitReport",
     "kernel",
     "assemble_kernel_route",
+    "assemble_kernel_routes",
     "assemble_frequency_route",
     "diagonal_sequence",
+    "diagonal_sequences",
     "split_identity",
     "spectrum",
     "weak_limit_diagnostic",
@@ -201,6 +212,13 @@ _MAX_GRID_NODES = 4_000_000  # frequency-route grids past this are refused (Reso
 _FAR_BIN = 1.0  # bin width of the near/far split (module docstring)
 _NEAR_BINS = 3  # bins on each side of a centre's bin summed node by node
 _PROXIES = 16  # a bin with more nodes than this is replaced by as many proxies
+# entries of one far-field reciprocal block, whatever the batch width m: the
+# battery's 130 x 7,319 block fits in one. Do not shrink it: at 500,000 the
+# block comes in two chunks, which glibc maps afresh on every op (its heap
+# stays at 8 MB), and a warm battery op took about 2,100 minor faults and
+# 4-6 ms of system time against about 30 and 0.2 ms (resource.getrusage).
+# The chunks also change the order, and so the rounding, of the far sums.
+_BLOCK_ENTRIES = 1_000_000
 _THETA = math.pi * (1.0 - (np.arange(_PROXIES) + 0.5) / _PROXIES)
 _CHEB = np.cos(_THETA)  # first-kind Chebyshev points on [-1, 1], ascending
 # mu_m -> w_j: (2 - [m = 0]) T_m(p_j) / _PROXIES, T_m(p_j) = cos(m theta_j)
@@ -236,13 +254,12 @@ def _gl_nodes_on(lo: np.ndarray, hi: np.ndarray):
     return xs, ws
 
 
-def _resolved_u(S: GrowthFunction) -> float:
-    """Top of the range [0, u] on which the frequency route resolves the
-    jumps of S one by one: ln _STEP_RESOLVE_CAP, or u_cap if smaller; 0 for
-    a source that declares no jumps."""
-    if S.jumps_upto is None:
-        return 0.0
-    return min(math.log(_STEP_RESOLVE_CAP), S.u_cap)
+def _resolved_u(u_cap: float) -> float:
+    """Top of the resolved range [0, u] that the frequency-route grid lays
+    in fine panels for every source: ln _STEP_RESOLVE_CAP, or u_cap if
+    smaller. A source that declares jumps has them resolved there one by
+    one (_step_values); any other source is read at the nodes."""
+    return min(math.log(_STEP_RESOLVE_CAP), u_cap)
 
 
 @dataclass(frozen=True)
@@ -311,22 +328,24 @@ def kernel(S: GrowthFunction, eps: float, x):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def assemble_kernel_route(
-    S: GrowthFunction,
+def assemble_kernel_routes(
+    sources: Sequence[GrowthFunction],
     I: IntervalSpec,
     eps: float,
     N: int,
-) -> OperatorTruncation:
-    """Matrix truncation from the 1-D kernel moments s_n, c_n (module docstring).
+) -> list:
+    """Matrix truncations from the 1-D kernel moments s_n, c_n (module
+    docstring), one per source, on one grid and one set of phases.
 
     P uniform panels of width at most min(2 eps, 0.1, L/(3N)) with 16
-    Gauss-Legendre nodes each; the width depends on eps, L and N alone. At
-    half-width h <= eps the kernel's strip of analyticity |Im x| < eps
-    holds every Bernstein ellipse with rho < 1 + sqrt 2 of each panel, and
-    the rule errs by at most about 1e-10 C per panel, C the growth
-    constant; the measured error is 1.0e-14 per entry (module docstring).
-    L/(3N) keeps 3 panels in each period L/N of the fastest basis
-    oscillation."""
+    Gauss-Legendre nodes each; the width depends on eps, L and N alone, so
+    the grid and the phase matrices E and F are built once and every
+    source's kernel is contracted against them. At half-width h <= eps the
+    kernel's strip of analyticity |Im x| < eps holds every Bernstein ellipse
+    with rho < 1 + sqrt 2 of each panel, and the rule errs by at most about
+    1e-10 C per panel, C the growth constant; the measured error is 1.0e-14
+    per entry (module docstring). L/(3N) keeps 3 panels in each period L/N
+    of the fastest basis oscillation."""
     _check_eps(eps, "kernel")
     _check_order(N)
     L = I.length
@@ -334,27 +353,43 @@ def assemble_kernel_route(
     h = L / (2 * P)  # panel half-width
     xi, wi = _GL16
     x = OuterGrid((2 * np.arange(P) + 1) * h, h * xi)
-    kv = np.asarray(kernel(S, eps, x))
-    if not np.all(np.isfinite(kv)):
-        x_bad = float(x.points[np.flatnonzero(~np.isfinite(kv))[0]])
-        raise PrecisionError(f"kernel quadrature produced a non-finite value at x = {x_bad!r}")
-
-    wk = kv * (h * wi)
-    wc = 2.0 * wk * (1.0 - np.asarray(x) / L)
     alpha_n = (2.0 * math.pi / L) * np.arange(N + 1)
     E = _unit_phases(np.multiply.outer(x.a, alpha_n))
     F = _unit_phases(np.multiply.outer(x.b, alpha_n))
-    s = np.sum(E * (wk @ F), axis=0).imag
-    c = np.sum(E * (wc @ F), axis=0).real
-    return OperatorTruncation(
-        interval=I,
-        epsilon=eps,
-        order=N,
-        entries=_matrix_from_moments(s, c),
-        source=S.label,
-        route="kernel_quadrature",
-        A=0.0,
-    )
+    taper = 1.0 - np.asarray(x) / L
+    out = []
+    for S in sources:
+        kv = np.asarray(kernel(S, eps, x))
+        if not np.all(np.isfinite(kv)):
+            x_bad = float(x.points[np.flatnonzero(~np.isfinite(kv))[0]])
+            raise PrecisionError(f"kernel quadrature produced a non-finite value at x = {x_bad!r}")
+        wk = kv * (h * wi)
+        wc = 2.0 * wk * taper
+        s = np.sum(E * (wk @ F), axis=0).imag
+        c = np.sum(E * (wc @ F), axis=0).real
+        out.append(
+            OperatorTruncation(
+                interval=I,
+                epsilon=eps,
+                order=N,
+                entries=_matrix_from_moments(s, c),
+                source=S.label,
+                route="kernel_quadrature",
+                A=0.0,
+            )
+        )
+    return out
+
+
+def assemble_kernel_route(
+    S: GrowthFunction,
+    I: IntervalSpec,
+    eps: float,
+    N: int,
+) -> OperatorTruncation:
+    """Matrix truncation from the 1-D kernel moments s_n, c_n:
+    assemble_kernel_routes on the one source S."""
+    return assemble_kernel_routes([S], I, eps, N)[0]
 
 
 def _unit_phases(theta: np.ndarray) -> np.ndarray:
@@ -416,16 +451,18 @@ def _cutoff(S: GrowthFunction, eps: float, L: float, N: int) -> float:
     return min(math.pi * N + _EPS0_X_PAD, max(x_cap, math.pi * (N + 3)))
 
 
-def _grid_edges(S: GrowthFunction, L: float, N: int, X: float):
-    """Panel edges on [0, X]: fine panels on the jump-resolved range and in
-    the lobes, growing in the tail."""
+def _grid_edges(L: float, N: int, X: float, u_cap: float):
+    """Panel edges on [0, X]: fine panels on the resolved range, cut at
+    a_end = (L/2) _resolved_u(u_cap), and in the lobes, growing in the tail.
+    A function of L, N, X and u_cap alone, so sources that agree on those
+    share the grid."""
     half = L / 2.0
     lobe_end = math.pi * (N + 3)
     base_w = min(0.1, math.pi / L) * half  # at most pi/2, under the tail's width cap 2
     fine_w = base_w / 4.0
 
     cuts = [0.0]
-    a_end = min(half * _resolved_u(S), X)
+    a_end = min(half * _resolved_u(u_cap), X)
     if a_end > 0.0:
         cuts.append(a_end)
     if cuts[-1] < lobe_end <= X:
@@ -509,11 +546,12 @@ def _source_values(S: GrowthFunction, L: float, eps: float, xs: np.ndarray) -> n
 def _far_sources(xs: np.ndarray, bins: np.ndarray, s2w: np.ndarray):
     """The far sources of the sorted nodes xs: positions, weights and bins.
 
-    A bin holding more than _PROXIES nodes becomes its _PROXIES first-kind
-    Chebyshev points p_j with weights w_j = sum_i s2w_i l_j(t_i), l_j the
-    Lagrange basis of the p_j and t_i the bin's nodes mapped onto [-1, 1],
-    so that sum_j w_j f(p_j) = sum_i s2w_i p(t_i) for the interpolant p of
-    f at the p_j. The w_j come from the Chebyshev moments
+    s2w holds one column of weights per source, (n, m), and so do the far
+    weights. A bin holding more than _PROXIES nodes becomes its _PROXIES
+    first-kind Chebyshev points p_j with weights w_j = sum_i s2w_i l_j(t_i),
+    l_j the Lagrange basis of the p_j and t_i the bin's nodes mapped onto
+    [-1, 1], so that sum_j w_j f(p_j) = sum_i s2w_i p(t_i) for the
+    interpolant p of f at the p_j. The w_j come from the Chebyshev moments
     mu_m = sum_i s2w_i T_m(t_i) through _ANTERP. Sparse bins keep their
     nodes. The sources come out in bin order."""
     starts = np.flatnonzero(np.diff(bins, prepend=-np.inf))
@@ -521,37 +559,52 @@ def _far_sources(xs: np.ndarray, bins: np.ndarray, s2w: np.ndarray):
     crowded = counts > _PROXIES
     raw = np.repeat(~crowded, counts)
     cb, cn = bins[starts[crowded]], counts[crowded]
-    t = 2.0 * (xs[~raw] / _FAR_BIN - np.repeat(cb, cn)) - 1.0
+    t = 2.0 * (xs[~raw, None] / _FAR_BIN - np.repeat(cb, cn)[:, None]) - 1.0
     seg = np.cumsum(cn) - cn
-    mu = np.empty((_PROXIES, cb.size))
-    prev, cur = s2w[~raw], t * s2w[~raw]  # s2w T_0, s2w T_1
+    mu = np.empty((_PROXIES, cb.size, s2w.shape[1]))
+    prev = s2w[~raw]
+    cur = t * prev  # s2w T_0, s2w T_1
     mu[0], mu[1] = np.add.reduceat(prev, seg), np.add.reduceat(cur, seg)
     t2 = t + t
+    spare = np.empty_like(cur)  # three buffers turn round the recurrence
     for m in range(2, _PROXIES):  # s2w T_m = 2 t s2w T_{m-1} - s2w T_{m-2}
-        prev, cur = cur, t2 * cur - prev
+        np.multiply(t2, cur, out=spare)
+        spare -= prev
+        prev, cur, spare = cur, spare, prev
         mu[m] = np.add.reduceat(cur, seg)
-    pw = mu.T @ _ANTERP
+    # freed before the outputs are built, which then fill their room on the
+    # heap, not the top that the caller's reciprocal block goes to next
+    del t, t2, prev, cur, spare
+    # pw[(bin, source), j] = sum_m mu[m, bin, source] _ANTERP[m, j], then
+    # one row per (bin, j) proxy
+    cols = s2w.shape[1]
+    pw = mu.reshape(_PROXIES, -1).T @ _ANTERP
+    pw = pw.reshape(cb.size, cols, _PROXIES).transpose(0, 2, 1).reshape(-1, cols)
     sb = np.concatenate([np.repeat(cb, _PROXIES), bins[raw]])
     order = np.argsort(sb, kind="stable")
     sx = np.concatenate([((cb[:, None] + 0.5 * (_CHEB + 1.0)) * _FAR_BIN).ravel(), xs[raw]])
-    sw = np.concatenate([pw.ravel(), s2w[raw]])
+    sw = np.concatenate([pw, s2w[raw]])
     return sx[order], sw[order], sb[order]
 
 
 def _half_line_integrals(xs: np.ndarray, wv: np.ndarray, k_max: int, want_F: bool):
     """F(k) (optional) and D(k) for k = 0..k_max over the weighted nodes.
 
-    The nodes are sorted first (a stable sort, which leaves the route grids
-    as they are) and split into near and far bins (module docstring). The
-    far pass zeroes each centre's near bins, a contiguous range of the
-    bin-ordered far sources, in the reciprocal block by slicing; the near
-    pass gathers each centre's near nodes, one contiguous range of the
+    wv holds one column of weights per source, (n, m), and F and D one
+    column per source, (k_max + 1, m): everything but the weights is built
+    once per batch. Unsorted nodes are sorted first (a stable sort; the
+    route grids come sorted) and split into near and far bins (module
+    docstring). The far pass zeroes each centre's near bins, a contiguous
+    range of the bin-ordered far sources, in the reciprocal block by
+    slicing, and sums the block against the m columns in one product; the
+    near pass gathers each centre's near nodes, one contiguous range of the
     sorted nodes, and sums every range at once with np.add.reduceat."""
-    order = np.argsort(xs, kind="stable")
-    xs, wv = xs[order], wv[order]
+    if np.any(xs[1:] < xs[:-1]):  # a sorted grid keeps its arrays, uncopied
+        order = np.argsort(xs, kind="stable")
+        xs, wv = xs[order], wv[order]
     ks = math.pi * np.arange(k_max + 1)
     centres = np.concatenate([ks, -ks])
-    s2w = np.sin(xs) ** 2 * wv
+    s2w = np.sin(xs)[:, None] ** 2 * wv
     bins = np.floor(xs / _FAR_BIN)
     near_lo = np.floor(centres / _FAR_BIN) - _NEAR_BINS
     near_hi = near_lo + 2 * _NEAR_BINS
@@ -559,9 +612,9 @@ def _half_line_integrals(xs: np.ndarray, wv: np.ndarray, k_max: int, want_F: boo
     sx, sw, sb = _far_sources(xs, bins, s2w)
     lo = np.searchsorted(sb, near_lo, side="left")
     hi = np.searchsorted(sb, near_hi, side="right")
-    F = np.zeros(centres.size)
-    D = np.zeros(centres.size)
-    block = max(1, 1_000_000 // centres.size)
+    F = np.zeros((centres.size, wv.shape[1]))
+    D = np.zeros_like(F)
+    block = max(1, _BLOCK_ENTRIES // centres.size)
     for start in range(0, sx.size, block):
         stop = min(start + block, sx.size)
         r = np.subtract(sx[None, start:stop], centres[:, None])
@@ -587,14 +640,15 @@ def _half_line_integrals(xs: np.ndarray, wv: np.ndarray, k_max: int, want_F: boo
     with np.errstate(divide="ignore"):  # a node may sit on pi k; zeroed next
         r = 1.0 / d
     r[mid] = 0.0
+    r = r[:, None]
     term = s2w[idx] * r
     seg = lens > 0
     if want_F:
         f = term.copy()
-        f[mid] = sm * sn * wm
+        f[mid] = (sm * sn)[:, None] * wm
         F[seg] += np.add.reduceat(f, offs[seg])
     term *= r
-    term[mid] = sn * sn * wm
+    term[mid] = (sn * sn)[:, None] * wm
     D[seg] += np.add.reduceat(term, offs[seg])
     K = k_max + 1
     return (F[:K] - F[K:] if want_F else None), D[:K] + D[K:]
@@ -652,51 +706,62 @@ def _check_resolvable(S: GrowthFunction, L: float, N: int) -> None:
 
 
 def _windowed_integrals(
-    S: GrowthFunction,
+    sources: Sequence[GrowthFunction],
     L: float,
     eps: float,
     N: int,
-    shift: float,
+    shifts: np.ndarray,
     want_F: bool,
 ):
-    """F(k) (when want_F) and D(k), k = 0..N, of mt - shift on the route grid.
+    """F(k) (when want_F) and D(k), k = 0..N, of mt - shift on the route
+    grid, one column per source: (N + 1, m) arrays for m sources and their
+    m shifts.
 
     Every precondition of the frequency route is checked here: a finite
-    eps >= 0 (DomainError), N in [0, _MAX_ORDER] and not past N_max at any eps
-    (_check_resolvable). The grid ends at the cutoff X. For eps > 0, X is
-    where the damped tail bound C e^{-2 eps (X - pi N)/L} / (pi (X - pi N))
-    meets _CUTOFF_TARGET = 1.0000000000000002e-10, C the growth constant
-    (_cutoff_damped). At eps = 0, X is where mt turns constant (_cutoff),
-    and the part beyond X is added in closed form with mt frozen at its
-    value at X (_frozen_tail). The panels on the jump-resolved range take
-    product-integration weights (_step_values), the rest mt read at the
-    nodes. A cutoff whose grid would hold more than _MAX_GRID_NODES nodes
-    (about 8X) is a ResourceError, raised before the grid is built."""
+    eps >= 0 (DomainError), N in [0, _MAX_ORDER] and not past N_max of any
+    source at any eps (_check_resolvable). The grid ends at the cutoff X.
+    For eps > 0, X is where the damped tail bound
+    C e^{-2 eps (X - pi N)/L} / (pi (X - pi N)) meets _CUTOFF_TARGET =
+    1.0000000000000002e-10, C the growth constant (_cutoff_damped). At
+    eps = 0, X is where mt turns constant (_cutoff), and the part beyond X
+    is added in closed form with mt frozen at its value at X (_frozen_tail).
+    The sources share one grid, so they must agree on X and on u_cap
+    (ContractError); the battery's do at eps = 0. The panels on the
+    resolved range take product-integration weights (_step_values) for a
+    source that declares jumps, the rest mt read at the nodes. A cutoff
+    whose grid would hold more than _MAX_GRID_NODES nodes (about 8X) is a
+    ResourceError, raised before the grid is built."""
     _check_eps(eps, "frequency")
     _check_order(N)
-    _check_resolvable(S, L, N)
-    X = _cutoff(S, eps, L, N)
+    for S in sources:
+        _check_resolvable(S, L, N)
+    X, u_cap = _cutoff(sources[0], eps, L, N), sources[0].u_cap
+    if any(_cutoff(S, eps, L, N) != X or S.u_cap != u_cap for S in sources[1:]):
+        raise ContractError(
+            "sources batched on the frequency route must share its grid: the same cutoff X and u_cap"
+        )
     nodes = 8.0 * X  # past the lobes the panels are at most 2 wide, 16 nodes each
     if nodes > _MAX_GRID_NODES:
         raise ResourceError(
             f"eps = {eps:g} puts the frequency-route cutoff at X = {X:.4g}, about "
             f"{nodes:.3g} grid nodes, past the cap of {_MAX_GRID_NODES:,} nodes"
         )
-    edges = _grid_edges(S, L, N, X)
+    edges = _grid_edges(L, N, X, u_cap)
     xs, ws = _gl_nodes_on(edges[:-1], edges[1:])
-    n_res = int(np.searchsorted(edges, min((L / 2.0) * _resolved_u(S), X)))  # resolved panels
-    m = _GL16[0].size * n_res
-    wv = np.empty_like(xs)
-    wv[m:] = ws[m:] * (_source_values(S, L, eps, xs[m:]) - shift)
-    if n_res:
-        wv[:m] = _step_values(S, L, eps, edges[: n_res + 1], xs[:m]) - shift * ws[:m]
+    n_res = int(np.searchsorted(edges, min((L / 2.0) * _resolved_u(u_cap), X)))  # resolved panels
+    wv = np.empty((xs.size, len(sources)))
+    for j, (S, shift) in enumerate(zip(sources, shifts)):
+        m = _GL16[0].size * n_res if S.jumps_upto is not None else 0  # nodes on resolved jumps
+        wv[m:, j] = ws[m:] * (_source_values(S, L, eps, xs[m:]) - shift)
+        if m:
+            wv[:m, j] = _step_values(S, L, eps, edges[: n_res + 1], xs[:m]) - shift * ws[:m]
     F, D = _half_line_integrals(xs, wv, N, want_F)
     if eps == 0.0:
-        f_inf = float(_source_values(S, L, eps, np.array([X]))[0]) - shift
+        f_inf = np.array([_source_values(S, L, eps, np.array([X]))[0] for S in sources]) - shifts
         F_tail, D_tail = _frozen_tail(X, math.pi * np.arange(N + 1))
         if want_F:
-            F += f_inf * F_tail
-        D += f_inf * D_tail
+            F += f_inf * F_tail[:, None]
+        D += f_inf * D_tail[:, None]
     return F, D
 
 
@@ -713,16 +778,45 @@ def assemble_frequency_route(
     cutoff: for eps > 0 where the damped tail bound meets the fixed
     _CUTOFF_TARGET = 1.0000000000000002e-10; for eps = 0 where mt turns
     constant, with the constant tail integrated in closed form."""
-    F, D = _windowed_integrals(S, I.length, eps, N, 0.0, want_F=True)
+    F, D = _windowed_integrals([S], I.length, eps, N, np.zeros(1), want_F=True)
     return OperatorTruncation(
         interval=I,
         epsilon=eps,
         order=N,
-        entries=_matrix_from_moments(-F / math.pi, D / math.pi),
+        entries=_matrix_from_moments(-F[:, 0] / math.pi, D[:, 0] / math.pi),
         source=S.label,
         route="frequency_formula",
         A=0.0,
     )
+
+
+def diagonal_sequences(
+    sources: Sequence[GrowthFunction],
+    I: IntervalSpec,
+    eps: float,
+    A: Sequence[float],
+    n_max: int,
+) -> np.ndarray:
+    """<Psi e_n, e_n> for n = 0..n_max, Psi = W - A Id, by the 1-D integral,
+    for m sources on one shared grid: row j of the (m, n_max + 1) result
+    is the diagonal of sources[j] at A[j].
+
+    At eps = 0 the integrand is h(u) = g(|u|) - A directly; at eps > 0 the
+    damped g is integrated and A subtracted exactly (the Fejer window has
+    unit mass). Diagonals are even in n. The grid and its cutoff are those
+    of assemble_frequency_route at order n_max, and so is the order cap
+    [0, _MAX_ORDER] (ContractError); a non-finite A, an A per source
+    missing, and sources that do not share the grid are ContractErrors too.
+    An eps that is not finite and >= 0, and at any eps an n_max past the
+    frozen tail of a table-backed source, are DomainErrors."""
+    A = np.asarray(A, dtype=float)
+    if A.shape != (len(sources),):
+        raise ContractError("diagonal_sequences needs one A per source")
+    for a in A:
+        _check_A(a)
+    shifts = A if eps == 0.0 else np.zeros_like(A)
+    _, D = _windowed_integrals(sources, I.length, eps, n_max, shifts, want_F=False)
+    return (D / math.pi - (A - shifts)).T
 
 
 def diagonal_sequence(
@@ -732,19 +826,9 @@ def diagonal_sequence(
     A: float,
     n_max: int,
 ) -> np.ndarray:
-    """<Psi e_n, e_n> for n = 0..n_max, Psi = W - A Id, by the 1-D integral.
-
-    At eps = 0 the integrand is h(u) = g(|u|) - A directly; at eps > 0 the
-    damped g is integrated and A subtracted exactly (the Fejer window has
-    unit mass). Diagonals are even in n. The grid and its cutoff are those
-    of assemble_frequency_route at order n_max, and so is the order cap
-    [0, _MAX_ORDER] (ContractError); a non-finite A is a ContractError too.
-    An eps that is not finite and >= 0, and at any eps an n_max past the
-    frozen tail of a table-backed source, are DomainErrors."""
-    _check_A(A)
-    shift = A if eps == 0.0 else 0.0
-    _, D = _windowed_integrals(S, I.length, eps, n_max, shift, want_F=False)
-    return D / math.pi - (A - shift)
+    """<Psi e_n, e_n> for n = 0..n_max: diagonal_sequences on the one
+    source S, whose checks and errors it shares."""
+    return diagonal_sequences([S], I, eps, [A], n_max)[0]
 
 
 # ---------------------------------------------------------------------------

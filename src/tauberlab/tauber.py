@@ -38,7 +38,9 @@ from .operators import (
     IntervalSpec,
     assemble_frequency_route,  # not called here; perfbench/workloads.py wraps this name
     assemble_kernel_route,
+    assemble_kernel_routes,
     diagonal_sequence,
+    diagonal_sequences,
     spectrum,
     split_identity,
 )
@@ -187,14 +189,14 @@ def _experiment_report(
     A: float,
     A_method: str,
     diag: np.ndarray,
+    W,
     diag_threshold: float,
     ratio_threshold: float,
 ) -> ExperimentReport:
-    """What both directions share once A and the diagonal of W - A Id are
-    known: the spectral tail of W - A Id at SPECTRAL_EPS (W from the kernel
-    route), the ratio table, its window [0.8 u_max, u_max], the eps schedule
-    actually used, [0, SPECTRAL_EPS], and the verdicts."""
-    W = assemble_kernel_route(S, IntervalSpec(L), SPECTRAL_EPS, N)
+    """What both directions share once A, the diagonal of W - A Id and W
+    itself (the kernel route at SPECTRAL_EPS) are known: the spectral tail
+    of W - A Id, the ratio table, its window [0.8 u_max, u_max], the eps
+    schedule actually used, [0, SPECTRAL_EPS], and the verdicts."""
     grid = _ratio_grid(S, u_max)
     report = ExperimentReport(
         source=S.label,
@@ -247,8 +249,9 @@ def forward_experiment(
         raise ContractError(
             f"declared A = {A:g} inconsistent with data: g({u_max:g}) = {g_end:.4f}"
         )
+    W = assemble_kernel_route(S, IntervalSpec(L), SPECTRAL_EPS, N)
     return _experiment_report(
-        S, L, N, u_max, A, "declared", diag, DIAG_THRESHOLD, RATIO_THRESHOLD
+        S, L, N, u_max, A, "declared", diag, W, DIAG_THRESHOLD, RATIO_THRESHOLD
     )
 
 
@@ -271,12 +274,26 @@ def converse_experiment(
     The spectral tail is taken at SPECTRAL_EPS on the kernel route, and the
     report's eps schedule records the two eps in use, [0, SPECTRAL_EPS]."""
     _check_u_max(S, u_max)
-    diag_W = diagonal_sequence(S, IntervalSpec(L), 0.0, 0.0, N)
+    I = IntervalSpec(L)
+    diag_W = diagonal_sequence(S, I, 0.0, 0.0, N)
+    W = assemble_kernel_route(S, I, SPECTRAL_EPS, N)
+    member = (S, u_max, diag_threshold, ratio_threshold)
+    return _converse_reports([member], L, N, [diag_W], [W])[0]
+
+
+def _converse_reports(members, L: float, N: int, diag_W, W) -> list:
+    """The converse reports of members (S, u_max, diag_threshold,
+    ratio_threshold), given each one's eps = 0 diagonal of W (diag_W) and
+    its kernel-route W at SPECTRAL_EPS: A* is the clipped band midrange of
+    the diagonal, and the rest is _experiment_report's."""
     lo, hi = _band(N)
-    a_star = _minimax_a(diag_W, lo, hi, 2.0 * S.growth_constant)
-    return _experiment_report(
-        S, L, N, u_max, a_star, "minimax", diag_W - a_star, diag_threshold, ratio_threshold
-    )
+    reports = []
+    for (S, u_max, d_thr, r_thr), dW, WS in zip(members, diag_W, W):
+        a_star = _minimax_a(dW, lo, hi, 2.0 * S.growth_constant)
+        reports.append(
+            _experiment_report(S, L, N, u_max, a_star, "minimax", dW - a_star, WS, d_thr, r_thr)
+        )
+    return reports
 
 
 @dataclass(frozen=True)
@@ -385,17 +402,25 @@ class BatteryReport:
 
 def run_battery(L: float = DEFAULT_LENGTH, N: int = DEFAULT_ORDER) -> BatteryReport:
     """Converse experiment across the battery; both verdicts must agree
-    (both true for genuine limits, both false for the oscillator)."""
-    reports = {}
-    equivalence = {}
-    for S, u_max, d_thr, r_thr in battery_members():
-        rep = converse_experiment(
-            S, L=L, N=N, u_max=u_max, diag_threshold=d_thr, ratio_threshold=r_thr
-        )
-        reports[S.label] = rep
-        equivalence[S.label] = rep.diag_decay == rep.ratio_limit
+    (both true for genuine limits, both false for the oscillator).
+
+    The members run as one batch: the closed-form sources share the
+    frequency-route grid at eps = 0 (one diagonal_sequences call) and the
+    kernel-route grid and phases at SPECTRAL_EPS (one assemble_kernel_routes
+    call). Each report is converse_experiment's on its member up to the
+    rounding of the batched sums: the verdicts and A_method are the same,
+    and the diagonal and spectral tail agree to about 1e-15."""
+    members = battery_members()
+    for S, u_max, *_ in members:
+        _check_u_max(S, u_max)
+    sources = [S for S, *_ in members]
+    I = IntervalSpec(L)
+    diag_W = diagonal_sequences(sources, I, 0.0, np.zeros(len(sources)), N)
+    W = assemble_kernel_routes(sources, I, SPECTRAL_EPS, N)
+    reports = _converse_reports(members, L, N, diag_W, W)
+    equivalence = {rep.source: rep.diag_decay == rep.ratio_limit for rep in reports}
     return BatteryReport(
-        reports=reports,
+        reports={rep.source: rep for rep in reports},
         equivalence=equivalence,
         all_equivalent=all(equivalence.values()),
     )

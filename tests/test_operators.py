@@ -17,6 +17,7 @@ from tauberlab.operators import (
     assemble_frequency_route,
     assemble_kernel_route,
     diagonal_sequence,
+    diagonal_sequences,
     kernel,
     spectrum,
     split_identity,
@@ -275,10 +276,10 @@ def test_half_line_integrals_match_the_sinc_form():
         sm, sp = np.sinc(dm / math.pi), np.sinc(dp / math.pi)
         F_ref = (np.sin(dm) * sm - np.sin(dp) * sp) @ wv
         D_ref = (sm * sm + sp * sp) @ wv
-        F, D = operators._half_line_integrals(xs, wv, k_max, want_F=True)
-        assert np.max(np.abs(F - F_ref)) < 1e-13
-        assert np.max(np.abs(D - D_ref)) < 1e-13
-        F0, D0 = operators._half_line_integrals(xs, wv, k_max, want_F=False)
+        F, D = operators._half_line_integrals(xs, wv[:, None], k_max, want_F=True)
+        assert np.max(np.abs(F[:, 0] - F_ref)) < 1e-13
+        assert np.max(np.abs(D[:, 0] - D_ref)) < 1e-13
+        F0, D0 = operators._half_line_integrals(xs, wv[:, None], k_max, want_F=False)
         assert F0 is None and np.array_equal(D0, D)
 
 
@@ -338,16 +339,23 @@ def proxy_bound(xs, wv, k_max):
 
 
 def assert_proxy_sums_match_the_dense_sums(xs, wv, k_max):
-    """Both outputs of _half_line_integrals within the interpolation bound
-    plus 64 roundings of sum |term| (the two sums round differently), and
-    within 1e-13; want_F = False gives the same D and no F."""
-    F_ref, D_ref, SF, SD = dense_half_line_integrals(xs, wv, k_max)
-    bF, bD = proxy_bound(xs, wv, k_max)
+    """Both outputs of _half_line_integrals on the (n, m) weights wv,
+    column by column, within the interpolation bound plus 64 roundings of
+    sum |term| (the two sums round differently), and within 1e-13, both of
+    the dense reference and of the column's own single-column call;
+    want_F = False gives the same D and no F."""
     u = 2.0**-53
     F, D = operators._half_line_integrals(xs, wv, k_max, want_F=True)
-    assert np.all(np.abs(F - F_ref) <= bF + 64.0 * u * SF)
-    assert np.all(np.abs(D - D_ref) <= bD + 64.0 * u * SD)
-    assert np.max(np.abs(F - F_ref)) <= 1e-13 and np.max(np.abs(D - D_ref)) <= 1e-13
+    for j in range(wv.shape[1]):
+        F_ref, D_ref, SF, SD = dense_half_line_integrals(xs, wv[:, j], k_max)
+        bF, bD = proxy_bound(xs, wv[:, j], k_max)
+        F1, D1 = operators._half_line_integrals(xs, wv[:, [j]], k_max, want_F=True)
+        for got in ((F[:, j], D[:, j]), (F1[:, 0], D1[:, 0])):
+            assert np.all(np.abs(got[0] - F_ref) <= bF + 64.0 * u * SF), j
+            assert np.all(np.abs(got[1] - D_ref) <= bD + 64.0 * u * SD), j
+            assert np.max(np.abs(got[0] - F_ref)) <= 1e-13 and np.max(np.abs(got[1] - D_ref)) <= 1e-13
+        assert np.all(np.abs(F[:, j] - F1[:, 0]) <= bF + 64.0 * u * SF), j
+        assert np.all(np.abs(D[:, j] - D1[:, 0]) <= bD + 64.0 * u * SD), j
     F0, D0 = operators._half_line_integrals(xs, wv, k_max, want_F=False)
     assert F0 is None and np.array_equal(D0, D)
 
@@ -370,21 +378,23 @@ def _route_grids(monkeypatch, run):
 def test_proxy_sums_match_the_dense_sums_on_the_route_grids(big_table, monkeypatch):
     """The pnt diagonal grid (weighted primes on the 1e8 table, L = 8 pi,
     N = 72, eps = 0), the eps = 0 diagonal grid of every battery member at
-    N = 64, and one eps = 0.05 frequency-route grid, against the dense
-    reference."""
+    N = 64, alone and as the one six-column batch that run_battery sums,
+    and one eps = 0.05 frequency-route grid, against the dense reference."""
     from tauberlab import tauber
 
     L = tauber.DEFAULT_LENGTH
     pnt = tr.source_primes_weighted(big_table)
+    battery = [S for S, *_ in tauber.battery_members()]
 
     def run():
         diagonal_sequence(pnt, IntervalSpec(L), 0.0, 1.0, tauber.PNT_ORDER)
-        for S, *_ in tauber.battery_members():
+        for S in battery:
             diagonal_sequence(S, IntervalSpec(L), 0.0, 1.0, tauber.DEFAULT_ORDER)
+        diagonal_sequences(battery, IntervalSpec(L), 0.0, np.ones(6), tauber.DEFAULT_ORDER)
         assemble_frequency_route(tr.source_sqrt_mix(1.0, 1.0), IntervalSpec(L), 0.05, 32)
 
     grids = _route_grids(monkeypatch, run)
-    assert len(grids) == 8
+    assert [wv.shape[1] for _, wv, _ in grids] == [1] * 7 + [6, 1]
     for xs, wv, k_max in grids:
         assert_proxy_sums_match_the_dense_sums(xs, wv, k_max)
 
@@ -399,13 +409,14 @@ def test_pnt_grid_compresses_to_under_10000_far_sources(big_table, monkeypatch):
     S, I = tr.source_primes_weighted(big_table), IntervalSpec(tauber.DEFAULT_LENGTH)
     ((xs, _, _),) = _route_grids(monkeypatch, lambda: diagonal_sequence(S, I, 0.0, 1.0, tauber.PNT_ORDER))
     xs = np.sort(xs)
-    sx, _, _ = operators._far_sources(xs, np.floor(xs / operators._FAR_BIN), np.sin(xs) ** 2)
+    sx, _, _ = operators._far_sources(xs, np.floor(xs / operators._FAR_BIN), np.sin(xs)[:, None] ** 2)
     assert (xs.size, sx.size) == (12_016, 3_776)
 
 
 def _grid_edges_per_segment(S, L, N, X):
     """Reference: the grid built one np.linspace call per segment, fine
-    panels on [0, a_end] and on [a_end, pi (N + 3)], then the tail loop."""
+    panels on [0, a_end] and on [a_end, pi (N + 3)], then the tail loop.
+    Every source takes the cut at a_end, whether or not it declares jumps."""
     half = L / 2.0
     lobe_end = math.pi * (N + 3)
     base_w = min(0.1, math.pi / L) * half
@@ -413,7 +424,7 @@ def _grid_edges_per_segment(S, L, N, X):
 
     edges = [0.0]
     cursor = 0.0
-    for b in (min(half * operators._resolved_u(S), X), lobe_end):
+    for b in (min(half * min(math.log(2e5), S.u_cap), X), lobe_end):
         if cursor < b <= X:
             k = max(1, int(math.ceil((b - cursor) / fine_w)))
             edges.extend(np.linspace(cursor, b, k + 1)[1:].tolist())
@@ -441,7 +452,7 @@ def test_grid_edges_match_the_per_segment_linspace(case, small_table):
             operators._cutoff_damped(3.0, 0.05, 8.0 * math.pi, 72, 1e-11),
         ),
     }[case]
-    assert np.array_equal(operators._grid_edges(S, L, N, X), _grid_edges_per_segment(S, L, N, X))
+    assert np.array_equal(operators._grid_edges(L, N, X, S.u_cap), _grid_edges_per_segment(S, L, N, X))
 
 
 def test_grid_edges_match_the_loop_on_the_battery_and_pnt_grids(big_table):
@@ -456,7 +467,7 @@ def test_grid_edges_match_the_loop_on_the_battery_and_pnt_grids(big_table):
         cases += [(S, L, N, 0.0), (S, L, N, tauber.SPECTRAL_EPS)]
     for S, L, N, eps in cases:
         X = operators._cutoff(S, eps, L, N)
-        edges = operators._grid_edges(S, L, N, X)
+        edges = operators._grid_edges(L, N, X, S.u_cap)
         assert np.array_equal(edges, _grid_edges_per_segment(S, L, N, X)), (S.label, eps)
 
 
@@ -467,8 +478,8 @@ def _jump_aligned_moments(S, L, eps, N, shift):
     panels are the route's own."""
     half = L / 2.0
     X = operators._cutoff(S, eps, L, N)
-    edges = operators._grid_edges(S, L, N, X)
-    a_end = min(half * operators._resolved_u(S), X)
+    edges = operators._grid_edges(L, N, X, S.u_cap)
+    a_end = min(half * operators._resolved_u(S.u_cap), X)
     if a_end > 0.0:
         knots = half * np.log(S.jumps_upto(math.exp(a_end / half))[0])
         fine = np.concatenate([edges[edges <= a_end], knots[knots < a_end]])
@@ -476,7 +487,8 @@ def _jump_aligned_moments(S, L, eps, N, shift):
     xs, ws = operators._gl_nodes_on(edges[:-1], edges[1:])
     u = xs / half
     vals = S.g_clipped(u) * np.exp(-eps * u) - shift
-    F, D = operators._half_line_integrals(xs, ws * vals, N, want_F=True)
+    F, D = operators._half_line_integrals(xs, (ws * vals)[:, None], N, want_F=True)
+    F, D = F[:, 0], D[:, 0]
     if eps == 0.0:
         f_inf = S.g_clipped(X / half) - shift
         F_tail, D_tail = operators._frozen_tail(X, math.pi * np.arange(N + 1))

@@ -176,6 +176,38 @@ def test_battery_equivalence_at_full_size():
         assert v["ratio_limit"] == rep.ratio_limit, label
 
 
+def test_the_battery_runs_as_one_batch(monkeypatch):
+    """One run_battery() sums one frequency-route grid, adds one frozen tail
+    and builds one pair of kernel-route phase matrices for all six members
+    (one converse experiment per member makes 6, 6 and 12)."""
+    from tauberlab import operators
+
+    calls = dict.fromkeys(("_half_line_integrals", "_frozen_tail", "_unit_phases"), 0)
+    for name in calls:
+
+        def counting(*args, _name=name, _original=getattr(operators, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(operators, name, counting)
+    run_battery()
+    assert calls == {"_half_line_integrals": 1, "_frozen_tail": 1, "_unit_phases": 2}
+
+
+def test_each_battery_report_is_its_converse_experiment():
+    """The batch changes no report beyond the rounding of its sums: each
+    member's diagonal and spectral tail within 1e-14 of converse_experiment
+    on that member alone, the same A_method and the same verdicts."""
+    bat = run_battery()
+    for S, u_max, d_thr, r_thr in battery_members():
+        want = converse_experiment(S, u_max=u_max, diag_threshold=d_thr, ratio_threshold=r_thr)
+        got = bat.reports[S.label]
+        assert got.A_method == want.A_method, S.label
+        assert got.to_dict()["verdicts"] == want.to_dict()["verdicts"], S.label
+        assert np.max(np.abs(got.diagonal - want.diagonal)) <= 1e-14, S.label
+        assert np.max(np.abs(got.spectral_tail - want.spectral_tail)) <= 1e-14, S.label
+
+
 # ---------------------------------------------------------------------------
 # reports on disk
 # ---------------------------------------------------------------------------

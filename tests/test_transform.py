@@ -51,8 +51,9 @@ def _sampled_pieces(S: GrowthFunction, u_hi: float):
 def transform_quadrature(S: GrowthFunction, s, U: float = 18.0):
     """Brute-force G(s) by integrating S(e^u) e^{-su} over [0, U].
 
-    On the jump-resolved range, u up to min(U, _resolved_u(S)), the pieces
-    between consecutive jumps are integrated exactly, with S(e^u) = a + b u
+    On the jump-resolved range of a source that declares jumps, u up to
+    min(U, _resolved_u(u_cap)), the pieces between consecutive jumps are
+    integrated exactly, with S(e^u) = a + b u
     read off the source by _sampled_pieces: that is exact for a constant
     piece (a counting function) and for a piece linear in u (a count times
     ln x, as pi_P(x) ln x). 16-point Gauss-Legendre on equal panels of width at most
@@ -66,7 +67,7 @@ def transform_quadrature(S: GrowthFunction, s, U: float = 18.0):
     if U > S.u_cap + 1e-12:
         raise DomainError(f"U = {U:g} exceeds u_cap = {S.u_cap:g} of source '{S.label}'")
     out = np.zeros(flat.size, dtype=complex)
-    u_res = min(U, _resolved_u(S))
+    u_res = min(U, _resolved_u(S.u_cap)) if S.jumps_upto is not None else 0.0
 
     if u_res > 0.0:
         knots, level, slope = _sampled_pieces(S, u_res)
