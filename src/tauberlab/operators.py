@@ -175,6 +175,7 @@ L = 8 pi, N = 72). Panels 3 eps and 4 eps wide miss by up to 6.7e-10 and
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -689,6 +690,12 @@ def _check_A(A: float) -> None:
 
 
 def _check_order(N: int) -> None:
+    """ContractError unless N is an integer (numpy integers included) in
+    [0, _MAX_ORDER]."""
+    try:
+        operator.index(N)
+    except TypeError:
+        raise ContractError(f"order N must be an integer, got {N!r}") from None
     if not (0 <= N <= _MAX_ORDER):
         raise ContractError(f"order N must lie in [0, {_MAX_ORDER}]")
 
@@ -852,10 +859,15 @@ def split_identity(W: OperatorTruncation, A: float) -> OperatorTruncation:
 
 
 def spectrum(M) -> np.ndarray:
-    """Eigenvalues of a symmetric truncation, sorted by |lambda| descending."""
+    """Eigenvalues of a symmetric truncation, sorted by |lambda| descending.
+    A non-square, non-finite or non-symmetric matrix is a ContractError."""
     ent = M.entries if isinstance(M, OperatorTruncation) else np.asarray(M, dtype=float)
     if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
         raise ContractError("spectrum needs a square matrix")
+    finite = np.isfinite(ent)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ContractError(f"matrix entry ({i}, {j}) is not finite: {float(ent[i, j])!r}")
     defect = float(np.max(np.abs(ent - ent.T))) if ent.size else 0.0
     if defect >= 1e-9:
         raise ContractError(f"matrix is not symmetric: max |M - M^T| = {defect:.3e} >= 1.0e-09")

@@ -20,6 +20,11 @@ diagonal band, as the a in [0, 2C] that minimizes the worst
 |<(W - a Id) e_n, e_n>|. That worst case is max(max b - a, a - min b) over
 the band values b, V-shaped in a, so its minimizer is the band midrange
 (max b + min b)/2 clipped into [0, 2C].
+
+Every driver reads S.g(u_max) before any operator work. That is the one
+range guard: a table-backed source refuses a u_max past its table with
+TableExhaustedError, and any source refuses a NaN or negative u_max with
+DomainError. Every driver ends in the one report builder, _reports.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import GrowthFunction, PrimeTable, _atomic_write, _fields_dict
-from .errors import ContractError, DomainError, TableExhaustedError
+from .errors import ContractError
 from .operators import (
     IntervalSpec,
     assemble_frequency_route,  # not called here; perfbench/workloads.py wraps this name
@@ -115,9 +120,7 @@ class ExperimentReport:
 
     def recompute_verdicts(self) -> dict:
         """Re-derive the verdicts from the stored arrays alone."""
-        lo, hi = self.band
-        band_vals = np.abs(self.diagonal[lo : hi + 1])
-        decay = bool(band_vals.size and float(band_vals.max()) < self.diag_threshold)
+        decay = self.band_max() < self.diag_threshold
         u_lo, u_hi = self.ratio_window
         sel = (self.ratio_u >= u_lo) & (self.ratio_u <= u_hi)
         dev = np.abs(self.ratio_g[sel] - self.A_estimate)
@@ -150,19 +153,10 @@ class ExperimentReport:
         _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
-def _band(N: int) -> tuple:
-    return (N - N // 2, N)
-
-
-def _check_u_max(S: GrowthFunction, u_max: float) -> None:
-    if u_max > S.u_cap:
-        raise DomainError(f"u_max = {u_max:g} beyond evaluable range {S.u_cap:g}")
-
-
 def _ratio_grid(S: GrowthFunction, u_max: float) -> np.ndarray:
-    """40-point log-spaced e^u grid ending at u_max (within range: callers
-    run _check_u_max first). A table-backed source (finite u_cap) adds the
-    decade marks its table reaches."""
+    """40-point log-spaced e^u grid ending at u_max (within range, by the
+    guard). A table-backed source (finite u_cap) adds the decade marks its
+    table reaches."""
     grid = np.linspace(min(math.log(1e3), 0.5 * u_max), u_max, 40)
     if not math.isfinite(S.u_cap):
         return grid
@@ -176,49 +170,46 @@ def _minimax_a(diag_W: np.ndarray, lo: int, hi: int, hi_a: float) -> float:
     return min(max(0.5 * (float(band.max()) + float(band.min())), 0.0), hi_a)
 
 
-def _spectral_tail(psi) -> np.ndarray:
-    eig = spectrum(psi)
-    return np.abs(eig[:SPECTRAL_TOP])
-
-
-def _experiment_report(
-    S: GrowthFunction,
-    L: float,
-    N: int,
-    u_max: float,
-    A: float,
-    A_method: str,
-    diag: np.ndarray,
-    W,
-    diag_threshold: float,
-    ratio_threshold: float,
-) -> ExperimentReport:
-    """What both directions share once A, the diagonal of W - A Id and W
-    itself (the kernel route at SPECTRAL_EPS) are known: the spectral tail
-    of W - A Id, the ratio table, its window [0.8 u_max, u_max], the eps
-    schedule actually used, [0, SPECTRAL_EPS], and the verdicts."""
-    grid = _ratio_grid(S, u_max)
-    report = ExperimentReport(
-        source=S.label,
-        length=L,
-        order=N,
-        eps_schedule=[0.0, SPECTRAL_EPS],
-        A_estimate=float(A),
-        A_method=A_method,
-        diagonal=diag,
-        band=_band(N),
-        spectral_tail=_spectral_tail(split_identity(W, A)),
-        eps_spectral=SPECTRAL_EPS,
-        ratio_u=grid,
-        ratio_g=np.asarray(S.g_clipped(grid), dtype=float),
-        ratio_window=(0.8 * u_max, u_max),
-        diag_threshold=diag_threshold,
-        ratio_threshold=ratio_threshold,
-        u_max=u_max,
-    )
-    for k, v in report.recompute_verdicts().items():
-        setattr(report, k, v)
-    return report
+def _reports(members, L: float, N: int, diag, W, A=None) -> list:
+    """The reports of members (S, u_max, diag_threshold, ratio_threshold),
+    given each one's eps = 0 diagonal and its kernel-route W at
+    SPECTRAL_EPS. With A the declared limits (forward), each diagonal is
+    already that of W - A Id; with A None (converse), A* is the clipped band
+    midrange of the diagonal of W, and it is subtracted here. Each report
+    carries the top |eigenvalues| of W - A Id, the ratio table, its window
+    [0.8 u_max, u_max], the eps schedule actually used, [0, SPECTRAL_EPS],
+    and the verdicts."""
+    lo, hi = N - N // 2, N
+    declared = [None] * len(members) if A is None else A
+    reports = []
+    for (S, u_max, d_thr, r_thr), d, WS, a in zip(members, diag, W, declared):
+        method = "declared" if a is not None else "minimax"
+        if a is None:
+            a = _minimax_a(d, lo, hi, 2.0 * S.growth_constant)
+            d = d - a
+        grid = _ratio_grid(S, u_max)
+        report = ExperimentReport(
+            source=S.label,
+            length=L,
+            order=N,
+            eps_schedule=[0.0, SPECTRAL_EPS],
+            A_estimate=float(a),
+            A_method=method,
+            diagonal=d,
+            band=(lo, hi),
+            spectral_tail=np.abs(spectrum(split_identity(WS, a))[:SPECTRAL_TOP]),
+            eps_spectral=SPECTRAL_EPS,
+            ratio_u=grid,
+            ratio_g=np.asarray(S.g_clipped(grid), dtype=float),
+            ratio_window=(0.8 * u_max, u_max),
+            diag_threshold=d_thr,
+            ratio_threshold=r_thr,
+            u_max=u_max,
+        )
+        for k, v in report.recompute_verdicts().items():
+            setattr(report, k, v)
+        reports.append(report)
+    return reports
 
 
 def forward_experiment(
@@ -230,9 +221,10 @@ def forward_experiment(
 ) -> ExperimentReport:
     """Known-limit direction: declared A, test that Psi diagonals decay.
 
-    Preconditions: A declared (or readable off the source) and roughly
-    consistent with the data, |g(u_max) - A| < 0.1, and N resolvable on
-    the source (diagonal_sequence refuses orders past the frozen tail). The
+    Preconditions: u_max in range (module docstring), A declared (or
+    readable off the source) and roughly consistent with the data,
+    |g(u_max) - A| < 0.1, and N resolvable on the source
+    (diagonal_sequence refuses orders past the frozen tail). The
     verdicts use DIAG_THRESHOLD and RATIO_THRESHOLD, the spectral tail is
     taken at SPECTRAL_EPS on the kernel route, and the report's eps
     schedule records the two eps in use, [0, SPECTRAL_EPS]."""
@@ -242,17 +234,15 @@ def forward_experiment(
         raise ContractError(
             f"source {S.label!r} declares no ratio limit; forward_experiment needs A"
         )
-    _check_u_max(S, u_max)
-    diag = diagonal_sequence(S, IntervalSpec(L), 0.0, A, N)
-    g_end = float(S.g(u_max))
+    g_end = S.g(u_max)
+    I = IntervalSpec(L)
+    diag = diagonal_sequence(S, I, 0.0, A, N)
     if abs(g_end - A) >= 0.1:
         raise ContractError(
             f"declared A = {A:g} inconsistent with data: g({u_max:g}) = {g_end:.4f}"
         )
-    W = assemble_kernel_route(S, IntervalSpec(L), SPECTRAL_EPS, N)
-    return _experiment_report(
-        S, L, N, u_max, A, "declared", diag, W, DIAG_THRESHOLD, RATIO_THRESHOLD
-    )
+    W = assemble_kernel_route(S, I, SPECTRAL_EPS, N)
+    return _reports([(S, u_max, DIAG_THRESHOLD, RATIO_THRESHOLD)], L, N, [diag], [W], [A])[0]
 
 
 def converse_experiment(
@@ -260,8 +250,6 @@ def converse_experiment(
     L: float = DEFAULT_LENGTH,
     N: int = DEFAULT_ORDER,
     u_max: float = 18.0,
-    diag_threshold: float = DIAG_THRESHOLD,
-    ratio_threshold: float = RATIO_THRESHOLD,
 ) -> ExperimentReport:
     """Estimate A from the diagonals, then test the ratio limit against it.
 
@@ -269,31 +257,16 @@ def converse_experiment(
     a in [0, 2C]: it is the clipped band midrange. The diagonal is taken in
     the eps -> 0 limit, which is where the split is read off, so N must be
     resolvable on the source (diagonal_sequence refuses orders past the
-    frozen tail).
-    consistent = diag_decay AND ratio_limit.
-    The spectral tail is taken at SPECTRAL_EPS on the kernel route, and the
-    report's eps schedule records the two eps in use, [0, SPECTRAL_EPS]."""
-    _check_u_max(S, u_max)
+    frozen tail), and u_max must be in range (module docstring).
+    consistent = diag_decay AND ratio_limit, at DIAG_THRESHOLD and
+    RATIO_THRESHOLD. The spectral tail is taken at SPECTRAL_EPS on the
+    kernel route, and the report's eps schedule records the two eps in
+    use, [0, SPECTRAL_EPS]."""
+    S.g(u_max)
     I = IntervalSpec(L)
     diag_W = diagonal_sequence(S, I, 0.0, 0.0, N)
     W = assemble_kernel_route(S, I, SPECTRAL_EPS, N)
-    member = (S, u_max, diag_threshold, ratio_threshold)
-    return _converse_reports([member], L, N, [diag_W], [W])[0]
-
-
-def _converse_reports(members, L: float, N: int, diag_W, W) -> list:
-    """The converse reports of members (S, u_max, diag_threshold,
-    ratio_threshold), given each one's eps = 0 diagonal of W (diag_W) and
-    its kernel-route W at SPECTRAL_EPS: A* is the clipped band midrange of
-    the diagonal, and the rest is _experiment_report's."""
-    lo, hi = _band(N)
-    reports = []
-    for (S, u_max, d_thr, r_thr), dW, WS in zip(members, diag_W, W):
-        a_star = _minimax_a(dW, lo, hi, 2.0 * S.growth_constant)
-        reports.append(
-            _experiment_report(S, L, N, u_max, a_star, "minimax", dW - a_star, WS, d_thr, r_thr)
-        )
-    return reports
+    return _reports([(S, u_max, DIAG_THRESHOLD, RATIO_THRESHOLD)], L, N, [diag_W], [W])[0]
 
 
 @dataclass(frozen=True)
@@ -323,7 +296,7 @@ def lower_bound_witness(
         raise ContractError("threshold must be positive and finite")
     if not math.isfinite(A) or A < 0.0:
         raise ContractError("A must be finite and non-negative")
-    _check_u_max(S, u_max)
+    S.g(u_max)
     grid = np.arange(0.0, u_max, 0.01)
     h = np.asarray(S.g(grid), dtype=float) - A
     hits = np.flatnonzero(h >= eps_threshold)
@@ -356,12 +329,6 @@ def pnt_pipeline(
     carries the decade marks the table reaches. The true limit A = 1 is
     out of reach here; the deliverable is the decreasing trend and an A*
     near 1."""
-    if table.limit < math.exp(u_max):
-        raise TableExhaustedError(
-            f"pnt pipeline needs primes to e^{u_max:g} ~ {math.exp(u_max):.3g}, "
-            f"table holds {table.limit}",
-            required=int(math.exp(u_max)) + 1,
-        )
     return converse_experiment(source_primes_weighted(table), L=L, N=N, u_max=u_max)
 
 
@@ -407,17 +374,18 @@ def run_battery(L: float = DEFAULT_LENGTH, N: int = DEFAULT_ORDER) -> BatteryRep
     The members run as one batch: the closed-form sources share the
     frequency-route grid at eps = 0 (one diagonal_sequences call) and the
     kernel-route grid and phases at SPECTRAL_EPS (one assemble_kernel_routes
-    call). Each report is converse_experiment's on its member up to the
-    rounding of the batched sums: the verdicts and A_method are the same,
-    and the diagonal and spectral tail agree to about 1e-15."""
+    call). Each report is converse_experiment's on its member, at the
+    member's own thresholds, up to the rounding of the batched sums: the
+    A_method is the same, and the diagonal and spectral tail agree to
+    about 1e-15."""
     members = battery_members()
     for S, u_max, *_ in members:
-        _check_u_max(S, u_max)
+        S.g(u_max)
     sources = [S for S, *_ in members]
     I = IntervalSpec(L)
     diag_W = diagonal_sequences(sources, I, 0.0, np.zeros(len(sources)), N)
     W = assemble_kernel_routes(sources, I, SPECTRAL_EPS, N)
-    reports = _converse_reports(members, L, N, diag_W, W)
+    reports = _reports(members, L, N, diag_W, W)
     equivalence = {rep.source: rep.diag_decay == rep.ratio_limit for rep in reports}
     return BatteryReport(
         reports={rep.source: rep for rep in reports},

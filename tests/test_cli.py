@@ -172,6 +172,17 @@ def test_converse_refuses_an_order_past_the_frozen_tail(capsys, tmp_path):
     assert doc["code"] == "domain" and "N_max = 46.05" in doc["message"]
 
 
+def test_converse_past_the_table_is_table_exhausted(capsys, tmp_path):
+    # ln 1e5 = 11.5 < 14: the range guard refuses before the N_max check
+    code, _, err = run_cli(
+        capsys,
+        "--cache-dir", str(tmp_path), "--prime-limit", "100000",
+        "experiment", "converse", "--source", "wprimes", "--umax", "14",
+    )
+    assert code == 2
+    assert json.loads(err.strip())["code"] == "table-exhausted"
+
+
 def test_operator_diag_refuses_an_order_past_the_frozen_tail(capsys, tmp_path):
     # the diagonals past N_max = 46.05 would read the frozen g(ln 1e5), with
     # or without damping

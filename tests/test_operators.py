@@ -668,6 +668,22 @@ def test_spectrum_rejects_asymmetric_input():
         spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "entries, where",
+    [
+        ([[math.nan, 0.0], [0.0, 1.0]], r"\(0, 0\) is not finite: nan"),
+        ([[0.0, math.nan], [math.nan, 1.0]], r"\(0, 1\) is not finite: nan"),
+        ([[1.0, 0.0], [0.0, math.inf]], r"\(1, 1\) is not finite: inf"),
+    ],
+    ids=["nan-diagonal", "nan-off-diagonal", "inf"],
+)
+def test_spectrum_rejects_a_non_finite_entry(entries, where):
+    """Checked before the symmetry test: a NaN compares as symmetric and an
+    inf makes M - M^T NaN, and eigvalsh of either returns no error."""
+    with pytest.raises(ContractError, match=where):
+        spectrum(np.array(entries))
+
+
 def test_weak_limit_diagnostic_structure():
     rep = weak_limit_diagnostic(tr.source_identity(), IntervalSpec(16 * math.pi), 4, (0.4, 0.2, 0.1))
     assert len(rep.deltas) == 2
@@ -721,6 +737,21 @@ def test_order_cap_enforced():
     for eps in (0.0, 0.1):
         with pytest.raises(ContractError, match=r"\[0, 256\]"):
             diagonal_sequence(S, L2PI, eps, 1.0, 257)
+
+
+def test_a_non_integer_order_is_refused():
+    """Every entry point refuses N = 3.5 up front (unchecked, the kernel
+    route labels a 9 x 9 matrix order 3.5 and the frequency route fails
+    with a TypeError deep inside); a numpy integer passes."""
+    S = tr.source_identity()
+    for run in (
+        lambda N: assemble_kernel_route(S, L2PI, 0.05, N).entries,
+        lambda N: assemble_frequency_route(S, L2PI, 0.05, N).entries,
+        lambda N: diagonal_sequence(S, L2PI, 0.0, 1.0, N),
+    ):
+        with pytest.raises(ContractError, match="must be an integer, got 3.5"):
+            run(3.5)
+        assert np.array_equal(run(np.int64(3)), run(3))
 
 
 def test_csv_round_trip(tmp_path):

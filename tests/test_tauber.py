@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from tauberlab import tauber
 from tauberlab import transform as tr
 from tauberlab.errors import ContractError, DomainError, TableExhaustedError
 from tauberlab.operators import IntervalSpec, assemble_kernel_route, spectrum, split_identity
@@ -53,8 +54,39 @@ def test_forward_rejects_inconsistent_declared_limit():
 
 def test_forward_respects_source_range(small_table):
     S = tr.source_primes_weighted(small_table)  # u_cap = ln 1e5 < 18
-    with pytest.raises(DomainError):
+    with pytest.raises(TableExhaustedError) as ei:
         forward_experiment(S, 1.0, N=8, u_max=18.0)
+    assert ei.value.required > small_table.limit
+
+
+# ---------------------------------------------------------------------------
+# the one range guard: every driver reads S.g(u_max) before operator work
+# ---------------------------------------------------------------------------
+
+_DRIVERS = {
+    "converse": lambda S, u_max: converse_experiment(S, N=8, u_max=u_max),
+    "forward": lambda S, u_max: forward_experiment(S, 1.0, N=8, u_max=u_max),
+    "witness": lambda S, u_max: lower_bound_witness(S, 1.0, 0.05, u_max=u_max),
+}
+
+
+@pytest.mark.parametrize("driver", ["converse", "witness"])  # forward: test above
+def test_a_u_max_past_the_table_is_table_exhausted_from_every_driver(driver, small_table):
+    with pytest.raises(TableExhaustedError) as ei:
+        _DRIVERS[driver](tr.source_primes_weighted(small_table), 18.0)
+    assert ei.value.required > small_table.limit
+
+
+@pytest.mark.parametrize("u_max", [math.nan, -1.0])
+@pytest.mark.parametrize("driver", sorted(_DRIVERS))
+def test_a_nan_or_negative_u_max_is_refused_before_operator_work(driver, u_max, monkeypatch):
+    def no_operator_work(*args):
+        raise AssertionError("operator work ran before the range guard")
+
+    for name in ("diagonal_sequence", "assemble_kernel_route"):
+        monkeypatch.setattr(tauber, name, no_operator_work)
+    with pytest.raises(DomainError):
+        _DRIVERS[driver](tr.source_identity(), u_max)
 
 
 def test_orders_past_the_frozen_tail_are_refused(small_table):
@@ -197,13 +229,16 @@ def test_the_battery_runs_as_one_batch(monkeypatch):
 def test_each_battery_report_is_its_converse_experiment():
     """The batch changes no report beyond the rounding of its sums: each
     member's diagonal and spectral tail within 1e-14 of converse_experiment
-    on that member alone, the same A_method and the same verdicts."""
+    on that member alone, the same A_method, and the same verdicts at the
+    member's own thresholds."""
     bat = run_battery()
     for S, u_max, d_thr, r_thr in battery_members():
-        want = converse_experiment(S, u_max=u_max, diag_threshold=d_thr, ratio_threshold=r_thr)
+        want = converse_experiment(S, u_max=u_max)
+        want.diag_threshold, want.ratio_threshold = d_thr, r_thr
         got = bat.reports[S.label]
+        assert (got.diag_threshold, got.ratio_threshold) == (d_thr, r_thr), S.label
         assert got.A_method == want.A_method, S.label
-        assert got.to_dict()["verdicts"] == want.to_dict()["verdicts"], S.label
+        assert got.to_dict()["verdicts"] == want.recompute_verdicts(), S.label
         assert np.max(np.abs(got.diagonal - want.diagonal)) <= 1e-14, S.label
         assert np.max(np.abs(got.spectral_tail - want.spectral_tail)) <= 1e-14, S.label
 
