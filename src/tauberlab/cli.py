@@ -201,7 +201,8 @@ def _build_parser() -> _Parser:
             ep.add_argument("--source", required=True, help=_SOURCE_HELP)
         ep.add_argument("--length", type=float)
         ep.add_argument("--order", type=int)
-        ep.add_argument("--umax", type=float)
+        if name != "battery":  # each battery member carries its own u_max
+            ep.add_argument("--umax", type=float)
         ep.add_argument("--report", help="write the full JSON report here (plus .ratio.csv companion)")
     return p
 
@@ -332,13 +333,13 @@ def _cmd_experiment(args, cfg: RunConfig) -> int:
     from . import tauber as tb
 
     cmd = args.experiment_command
-    kw = {} if args.umax is None else {"u_max": args.umax}
     if cmd == "battery":
         bat = tb.run_battery(L=cfg.length, N=cfg.order)
         if args.report:
             bat.save_json(args.report, extra=_report_extra(cfg))
         _emit({"all_equivalent": bat.all_equivalent, "equivalence": bat.equivalence})
         return 0
+    kw = {} if args.umax is None else {"u_max": args.umax}
     if cmd == "pnt":
         if "order" not in cfg.explicit:  # the report's config records the order that runs
             cfg.order = tb.PNT_ORDER

@@ -593,16 +593,14 @@ def _half_line_integrals(xs: np.ndarray, wv: np.ndarray, k_max: int, want_F: boo
 
     wv holds one column of weights per source, (n, m), and F and D one
     column per source, (k_max + 1, m): everything but the weights is built
-    once per batch. Unsorted nodes are sorted first (a stable sort; the
-    route grids come sorted) and split into near and far bins (module
-    docstring). The far pass zeroes each centre's near bins, a contiguous
-    range of the bin-ordered far sources, in the reciprocal block by
-    slicing, and sums the block against the m columns in one product; the
-    near pass gathers each centre's near nodes, one contiguous range of the
-    sorted nodes, and sums every range at once with np.add.reduceat."""
-    if np.any(xs[1:] < xs[:-1]):  # a sorted grid keeps its arrays, uncopied
-        order = np.argsort(xs, kind="stable")
-        xs, wv = xs[order], wv[order]
+    once per batch. The nodes must be sorted, as every route grid from
+    _grid_edges and _gl_nodes_on is; they are split into near and far bins
+    (module docstring). The far pass zeroes each centre's near bins, a
+    contiguous range of the bin-ordered far sources, in the reciprocal
+    block by slicing, and sums the block against the m columns in one
+    product; the near pass gathers each centre's near nodes, one contiguous
+    range of the sorted nodes, and sums every range at once with
+    np.add.reduceat."""
     ks = math.pi * np.arange(k_max + 1)
     centres = np.concatenate([ks, -ks])
     s2w = np.sin(xs)[:, None] ** 2 * wv

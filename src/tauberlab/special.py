@@ -34,13 +34,14 @@ place of P Q N, and N^{-s} per point likewise from N^{-a} and N^{-b}.
 The quadrature nodes of the kernel route are such a grid (panel
 midpoints plus one scaled Gauss-Legendre rule), and the transforms hand
 it through unchanged. The truncation N still comes from the P Q points
-themselves, so the grid changes no N and no certificate. One
-prime_zeta_pair call builds A and B once, at the largest N its Moebius
-orders k need (below), and gives the order-k batch the elementwise k-th
-powers of their first N_k - 1 rows: n^{-ka} = (n^{-a})^k, and k s is the
-grid (k a, k b). The logs of prime zeta and of psi_P are taken in
-real arithmetic, log|w| + i atan2(Im w, Re w) (_log): the principal
-branch at a tenth of the cost of numpy's complex log.
+themselves, so the grid changes no N and no certificate. Every batch
+builds A and B in _em_orders, once, at the largest N of its orders k
+(plain zeta is the one order k = 1, prime_zeta_pair takes its Moebius
+orders, below), and gives order k the elementwise k-th powers of their
+first N_k - 1 rows: n^{-ka} = (n^{-a})^k, and k s is the grid (k a, k b).
+The logs of prime zeta and of psi_P are taken in real arithmetic,
+log|w| + i atan2(Im w, Re w) (_log): the principal branch at a tenth of
+the cost of numpy's complex log.
 
 prime zeta peels the primes p <= M off the Moebius-log identity
 sum_k mu(k)/k * log zeta(ks) (H. Cohen, "High precision computation of
@@ -147,8 +148,8 @@ _PEEL_CAPS = (100, 10_000, 100_000)
 # cells (primes x points) per block of _peel: 16,384 complex values, 256 KB
 _PEEL_CELLS = 16_384
 
-# cells of one power-matrix build (_em_eval, _prime_zeta_core) or prime
-# block of _peel: about 4M complex values, 64 MB
+# cells of one power-matrix build (_em_orders, every Euler-Maclaurin batch),
+# block of _peel or of transform_step_sum: about 4M complex values, 64 MB
 _POWER_CELLS = 4_000_000
 
 # hard budget of Euler-Maclaurin terms per evaluation (_choose_N)
@@ -370,28 +371,18 @@ def _powers(z: np.ndarray, N: int) -> np.ndarray:
     return pw[1:]
 
 
-def _em_eval(grid: OuterGrid, N: int, powers=None):
-    """Euler-Maclaurin evaluation of (zeta, zeta') at fixed N on a grid.
-
-    One product A^T [B | -ln n B] of the power matrices A of n^{-a} and B
-    of n^{-b} (_powers) gives both power sums. They are built here, a in
-    chunks of about _POWER_CELLS cells, unless `powers` hands in the pair
-    (A, B), N - 1 rows each: prime_zeta_pair gives each Moebius order the
-    k-th powers of one build. The tail and Bernoulli terms are taken per
-    point, from N^{-s} = N^{-a} N^{-b}, P + Q exps.
+def _em_eval(grid: OuterGrid, N: int, A: np.ndarray, B: np.ndarray):
+    """Euler-Maclaurin evaluation of (zeta, zeta') at fixed N on a grid,
+    given the power matrices A of n^{-a} and B of n^{-b}, N - 1 rows each
+    (_em_orders builds them). One product A^T [B | -ln n B] gives both power
+    sums; the tail and Bernoulli terms are taken per point, from
+    N^{-s} = N^{-a} N^{-b}, P + Q exps.
     """
     ln_all = np.log(np.arange(1, N, dtype=float))
     lnN = math.log(N)
     a, b = grid.a, grid.b
     with np.errstate(under="ignore"):
-        if powers is None:
-            pblock = max(1, _POWER_CELLS // N)
-            A = (_powers(a[lo : lo + pblock], N) for lo in range(0, a.size, pblock))
-            B = _powers(b, N)
-        else:
-            A, B = (powers[0],), powers[1]
-        B = np.concatenate([B, -ln_all[:, None] * B], axis=1)
-        sums = np.concatenate([block.T @ B for block in A])
+        sums = A.T @ np.concatenate([B, -ln_all[:, None] * B], axis=1)
         val = sums[:, : b.size].ravel()
         der = sums[:, b.size :].ravel()
         # integral tail, half-term and Bernoulli corrections, all from N^{-s}
@@ -416,13 +407,34 @@ def _em_eval(grid: OuterGrid, N: int, powers=None):
     return val, der
 
 
+def _em_orders(s: OuterGrid, ks: list, Ns: list):
+    """zeta(ks) and zeta'(ks) on a batch for each order k of ks (rising
+    from 1), summed at the N of Ns: out[0, i] and out[1, i].
+
+    The one place the power matrices are built: n^{-a} and n^{-b} once, at
+    the largest N, and each order takes the elementwise k-th powers of
+    their first N_k - 1 rows (_kth_powers): n^{-ka} = (n^{-a})^k, and k s
+    is the grid (k a, k b). a runs in blocks of about _POWER_CELLS cells."""
+    Q, n_max, rows = s.b.size, max(Ns), [N - 1 for N in Ns]
+    out = np.empty((2, len(ks), s.size), dtype=complex)
+    block = max(1, _POWER_CELLS // n_max)
+    with np.errstate(under="ignore"):
+        Bk = list(_kth_powers(_powers(s.b, n_max), ks, rows))
+        for r0 in range(0, s.a.size, block):
+            a, c = s.a[r0 : r0 + block], slice(r0 * Q, (r0 + block) * Q)
+            Ak = _kth_powers(_powers(a, n_max), ks, rows)
+            for i, (k, N, A, B) in enumerate(zip(ks, Ns, Ak, Bk)):
+                out[:, i, c] = _em_eval(OuterGrid(k * a, k * s.b), N, A, B)
+    return out
+
+
 def _zeta_core(s: OuterGrid, abs_tol: float):
-    """(zeta, zeta') on a batch, both to abs_tol, from one summation at the
-    N that _choose_N picks for its points."""
+    """(zeta, zeta') on a batch, both to abs_tol: the one order k = 1 of
+    _em_orders, summed at the N that _choose_N picks for its points."""
     if s.size == 0:
         empty = np.empty(0, dtype=complex)
         return empty, empty
-    return _em_eval(s, _choose_N(s.points, abs_tol))
+    return _em_orders(s, [1], [_choose_N(s.points, abs_tol)])[:, 0]
 
 
 def zeta(s, tol: Optional[EvalTolerance] = None):
@@ -554,21 +566,12 @@ def _prime_zeta_core(s: OuterGrid, abs_tol: float):
     tol_1 = _k1_tolerance(abs_tol, zeta_sig, zeta_2sig, zeta_d_sig)
     inner = max(abs_tol / (8.0 * K), 1e-15)
     Ns = [_choose_N((k * s).points, tol_1 if k == 1 else inner) for k in ks]
-    # one build of n^{-a} and n^{-b} at the largest N serves every order,
-    # n^{-ka} = (n^{-a})^k; a in blocks of about _POWER_CELLS cells
-    Q, n_max, rows = s.b.size, max(Ns), [N - 1 for N in Ns]
-    block = max(1, _POWER_CELLS // n_max)
-    with np.errstate(under="ignore"):
-        Bk = list(_kth_powers(_powers(s.b, n_max), ks, rows))
-        for r0 in range(0, s.a.size, block):
-            a, c = s.a[r0 : r0 + block], slice(r0 * Q, (r0 + block) * Q)
-            Ak = _kth_powers(_powers(a, n_max), ks, rows)
-            for i, (k, N, A, B) in enumerate(zip(ks, Ns, Ak, Bk)):
-                zv, zd = _em_eval(OuterGrid(k * a, k * s.b), N, powers=(A, B))
-                # zeta_{>M}(ks) = zeta(ks) prod_{p<=M} (1 - p^{-ks}); its principal
-                # log is the analytic branch (certified at k = 1, |log| < 0.02 at k >= 2)
-                val[c] += (mu[k] / k) * _log(zv * prod[i, c])
-                der[c] += mu[k] * (zd / zv + dlog[i, c])
+    zvs, zds = _em_orders(s, ks, Ns)
+    for i, (k, zv, zd) in enumerate(zip(ks, zvs, zds)):
+        # zeta_{>M}(ks) = zeta(ks) prod_{p<=M} (1 - p^{-ks}); its principal
+        # log is the analytic branch (certified at k = 1, |log| < 0.02 at k >= 2)
+        val += (mu[k] / k) * _log(zv * prod[i])
+        der += mu[k] * (zd / zv + dlog[i])
     return val, der
 
 
@@ -628,20 +631,17 @@ def psi_entire(s, tol: Optional[EvalTolerance] = None):
 
     Inside |s-1| < 1e-3 the subtraction is replaced by the Stieltjes series
     psi(s) = (gamma_0 - 1 - gamma_1 w + gamma_2 w^2/2 - gamma_3 w^3/6)/(1+w)
-    with w = s-1, avoiding the ~|s-1|^{-1} cancellation."""
+    with w = s-1, avoiding the ~|s-1|^{-1} cancellation; zeta takes the
+    other points as one flat batch."""
     grid, scalar, shape = _prep(s)
     flat = grid.points
     out = np.empty(flat.size, dtype=complex)
     w = flat - 1.0
     near = np.abs(w) < _PSI_SERIES_RADIUS
-    if np.any(near):
-        wn = w[near]
-        series = GAMMA_0 - 1.0 - GAMMA_1 * wn + (GAMMA_2 / 2.0) * wn**2 - (GAMMA_3 / 6.0) * wn**3
-        out[near] = series / (1.0 + wn)
-    if not np.all(near):
-        far = OuterGrid(flat[~near]) if np.any(near) else grid
-        sf = far.points
-        out[~near] = _zeta_core(far, (tol or DEFAULT_TOL).abs_tol)[0] / sf - 1.0 / (sf - 1.0)
+    wn, sf = w[near], flat[~near]
+    series = GAMMA_0 - 1.0 - GAMMA_1 * wn + (GAMMA_2 / 2.0) * wn**2 - (GAMMA_3 / 6.0) * wn**3
+    out[near] = series / (1.0 + wn)
+    out[~near] = _zeta_core(OuterGrid(sf), (tol or DEFAULT_TOL).abs_tol)[0] / sf - 1.0 / (sf - 1.0)
     return _restore(out, scalar, shape)
 
 
@@ -682,23 +682,18 @@ def exp_e1(w):
     r = np.abs(flat)
     seam = (r > _E1_SEAM_RADIUS) & (np.abs(np.angle(flat)) < _E1_SEAM_ARG)
     near = (r <= _E1_SERIES_RADIUS) & ~seam
-    if near.all():
-        out = _e1_series(flat)
-    elif not near.any():
-        out = _e1_fraction(flat)
-    else:
-        out = np.empty_like(flat)
-        out[near] = _e1_series(flat[near])
-        out[~near] = _e1_fraction(flat[~near])
+    out = np.empty_like(flat)
+    out[near] = _e1_series(flat[near])
+    out[~near] = _e1_fraction(flat[~near])
     return out.reshape(w.shape)[()]
 
 
 def _e1_series(z: np.ndarray) -> np.ndarray:
-    """e^z E1(z) from the power series of E1 (exp_e1)."""
+    """e^z E1(z) from the power series of E1 (exp_e1); not in place, where
+    numpy rounds a one-point product apart from a batch's."""
     acc = np.zeros_like(z)
     for c in _E1_SERIES:
-        acc += c
-        acc *= z
+        acc = (acc + c) * z
     return np.exp(z) * (acc - GAMMA_0 - np.log(z))
 
 
@@ -713,9 +708,10 @@ def _e1_fraction(z: np.ndarray) -> np.ndarray:
     zs = z[order]
     ds = np.minimum(_E1_CF_DEPTH_CAP, 6 + np.ceil(200.0 / r[order])).astype(np.intp)
     f = zs + (2 * ds + 1)
+    depth = int(ds.max(initial=0))  # ds[0], or 0 for an empty batch
     # running[k - 1]: how many points have depth >= k
-    running = np.searchsorted(-ds, -np.arange(1, ds[0] + 1), side="right")
-    for k in range(int(ds[0]), 0, -1):
+    running = np.searchsorted(-ds, -np.arange(1, depth + 1), side="right")
+    for k in range(depth, 0, -1):
         fk = f[: running[k - 1]]
         np.divide(k * k, fk, out=fk)
         np.subtract(zs[: fk.size] + (2 * k - 1), fk, out=fk)

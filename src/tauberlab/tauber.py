@@ -41,6 +41,8 @@ from .arith import GrowthFunction, PrimeTable, _atomic_write, _fields_dict
 from .errors import ContractError
 from .operators import (
     IntervalSpec,
+    _check_order,
+    _check_resolvable,
     assemble_frequency_route,  # not called here; perfbench/workloads.py wraps this name
     assemble_kernel_route,
     assemble_kernel_routes,
@@ -223,8 +225,8 @@ def forward_experiment(
 
     Preconditions: u_max in range (module docstring), A declared (or
     readable off the source) and roughly consistent with the data,
-    |g(u_max) - A| < 0.1, and N resolvable on the source
-    (diagonal_sequence refuses orders past the frozen tail). The
+    |g(u_max) - A| < 0.1, and N resolvable on the source (orders past
+    the frozen tail are refused first, with the routes' own checks). The
     verdicts use DIAG_THRESHOLD and RATIO_THRESHOLD, the spectral tail is
     taken at SPECTRAL_EPS on the kernel route, and the report's eps
     schedule records the two eps in use, [0, SPECTRAL_EPS]."""
@@ -236,11 +238,13 @@ def forward_experiment(
         )
     g_end = S.g(u_max)
     I = IntervalSpec(L)
-    diag = diagonal_sequence(S, I, 0.0, A, N)
+    _check_order(N)  # an order the routes refuse wins over an inconsistent A
+    _check_resolvable(S, I.length, N)
     if abs(g_end - A) >= 0.1:
         raise ContractError(
             f"declared A = {A:g} inconsistent with data: g({u_max:g}) = {g_end:.4f}"
         )
+    diag = diagonal_sequence(S, I, 0.0, A, N)
     W = assemble_kernel_route(S, I, SPECTRAL_EPS, N)
     return _reports([(S, u_max, DIAG_THRESHOLD, RATIO_THRESHOLD)], L, N, [diag], [W], [A])[0]
 

@@ -36,6 +36,7 @@ import numpy as np
 from .arith import GrowthFunction, StepFunction
 from .errors import DomainError
 from .special import (
+    _POWER_CELLS,
     EvalTolerance,
     _prep,
     _restore,
@@ -103,7 +104,7 @@ def transform_step_sum(S: StepFunction, s):
     flat = grid.points
     lnx = np.log(S.breakpoints)
     out = np.zeros(flat.size, dtype=complex)
-    block = max(1, 4_000_000 // max(flat.size, 1))
+    block = max(1, _POWER_CELLS // max(flat.size, 1))
     with np.errstate(under="ignore"):
         for lo in range(0, lnx.size, block):
             chunk = lnx[lo : lo + block]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import tauberlab
-from tauberlab import cli, operators
+from tauberlab import cli, operators, tauber
 from tauberlab import transform as tr
 from tauberlab.cli import RunConfig, load_config, main
 from tauberlab.errors import ConfigError
@@ -285,6 +285,20 @@ def test_bare_group_is_a_usage_error(capsys):
     assert code == 64
     assert err.startswith("usage: tauberlab operator")
     assert run_cli(capsys, "special")[0] == 64
+
+
+def test_battery_takes_no_umax(capsys, monkeypatch):
+    # each battery member carries its own u_max; the flag was accepted and
+    # ignored, so `--umax nan` exited 0
+    def no_battery(*args, **kwargs):
+        raise AssertionError("battery ran")
+
+    monkeypatch.setattr(tauber, "run_battery", no_battery)
+    for umax in ("5", "nan"):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "battery", "--umax", umax])
+        assert exc.value.code == 64, umax
+        assert "unrecognized arguments: --umax" in capsys.readouterr().err, umax
 
 
 def test_term_budget_exhaustion_exits_2(capsys):

@@ -261,14 +261,14 @@ def test_frequency_route_rejects_a_non_finite_g(bad):
 
 def test_half_line_integrals_match_the_sinc_form():
     """Reference: every term through sinc, as sin(x -+ pi k) sinc((x -+ pi k)/pi).
-    The first node set is unsorted and includes x = 0 and x = 3 pi, which sit
-    exactly on pi k; the second is sorted, as the route grids are, and also
-    has nodes on pi k -+ 1, the ends of the near ranges."""
+    Both node sets are sorted, as the route grids are. The first includes
+    x = 0 and x = 3 pi, which sit exactly on pi k; the second also has nodes
+    on pi k -+ 1, the ends of the near ranges."""
     k_max = 6
     ks = math.pi * np.arange(k_max + 1)
     grid = np.linspace(1e-3, 40.0, 997)
     for xs in (
-        np.concatenate([[0.0, 3.0 * math.pi], grid]),
+        np.sort(np.concatenate([[0.0, 3.0 * math.pi], grid])),
         np.sort(np.concatenate([grid, ks, ks + 1.0, ks[1:] - 1.0])),
     ):
         wv = np.exp(-0.1 * xs) * 0.04

@@ -234,12 +234,13 @@ def test_damped_cutoff_matches_the_fixed_point_iteration():
     st.integers(0, 2**32 - 1),
 )
 def test_proxy_split_matches_the_dense_sum(k_max, bins, seed):
-    """Unsorted node sets of crowded (more than 16 nodes) and sparse unit
-    bins, plus nodes exactly on bin edges, on pi k, on pi k +- 1 and on the
-    edges of each centre's near range, with weights of both signs in two
-    columns, as two sources of one batch: _half_line_integrals against the
-    dense reference, and each column against its single-column call,
-    within the interpolation bound (test_operators)."""
+    """Node sets of crowded (more than 16 nodes) and sparse unit bins, plus
+    nodes exactly on bin edges, on pi k, on pi k +- 1 and on the edges of
+    each centre's near range, sorted as _half_line_integrals requires, with
+    weights of both signs in two columns, as two sources of one batch:
+    _half_line_integrals against the dense reference, and each column
+    against its single-column call, within the interpolation bound
+    (test_operators)."""
     from test_operators import assert_proxy_sums_match_the_dense_sums
 
     rng = np.random.default_rng(seed)
@@ -257,7 +258,7 @@ def test_proxy_split_matches_the_dense_sum(k_max, bins, seed):
             home + 4.0,
         ]
     )
-    rng.shuffle(xs)
+    xs.sort()
     wv = rng.normal(scale=0.05, size=xs.size)
     wv = np.column_stack([wv, rng.normal(scale=0.05, size=xs.size)])
     assert_proxy_sums_match_the_dense_sums(xs, wv, k_max)

@@ -167,6 +167,17 @@ def test_psi_away_from_pole_is_plain_subtraction():
     assert psi_entire(s) == pytest.approx(expect, abs=1e-12)
 
 
+@pytest.mark.parametrize("near_pole", [False, True])
+def test_psi_on_an_outer_grid_is_psi_on_its_points(near_pole, rng):
+    """psi_entire hands zeta the flat points of a grid as of an array, so the
+    two agree bit for bit, with or without points in the series disc."""
+    a = rng.uniform(1.02, 2.5, size=6) + 1j * rng.uniform(-30.0, 30.0, size=6)
+    if near_pole:
+        a[0] = 1.0 + 2e-4
+    grid = OuterGrid(a, np.array([0.0, 1e-4j, -0.5j]))
+    assert np.array_equal(psi_entire(grid), psi_entire(np.asarray(grid)))
+
+
 def test_psi_prime_part_log_singularity():
     """psi_P(1+eps) drifts like log eps: it is NOT entire, just log-regular."""
     a = psi_prime_part(1.0 + 1e-2)
@@ -230,7 +241,8 @@ def _em_direct(s, N):
 @pytest.mark.parametrize("N, npts", [(10, 64), (72, 64), (288, 64), (4096, 64), (100_000, 1)])
 def test_em_eval_matches_the_direct_powers(N, npts, rng):
     s = rng.uniform(1.05, 3.0, size=npts) + 1j * rng.uniform(-40.0, 40.0, size=npts)
-    val, der = special._em_eval(OuterGrid(s), N)
+    grid = OuterGrid(s)
+    val, der = special._em_eval(grid, N, special._powers(grid.a, N), special._powers(grid.b, N))
     ref_v, ref_d = _em_direct(s, N)
     assert np.max(np.abs(val - ref_v)) <= 1e-13 * np.max(np.abs(ref_v))
     assert np.max(np.abs(der - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
@@ -239,10 +251,10 @@ def test_em_eval_matches_the_direct_powers(N, npts, rng):
 @pytest.mark.parametrize("N, P, Q", [(10, 64, 16), (288, 64, 16), (4096, 1000, 2)])
 def test_em_eval_on_an_outer_grid_matches_the_direct_powers(N, P, Q, rng):
     """The product of the n^{-a} and n^{-b} power matrices against a per-term
-    exp at every point a_j + b_i; at N = 4096 a runs in two chunks."""
+    exp at every point a_j + b_i."""
     a = rng.uniform(1.05, 3.0, size=P) + 1j * rng.uniform(-30.0, 30.0, size=P)
     b = 1j * rng.uniform(-2.0, 2.0, size=Q)
-    val, der = special._em_eval(OuterGrid(a, b), N)
+    val, der = special._em_eval(OuterGrid(a, b), N, special._powers(a, N), special._powers(b, N))
     ref_v, ref_d = _em_direct(np.add.outer(a, b).ravel(), N)
     assert np.max(np.abs(val - ref_v)) <= 1e-13 * np.max(np.abs(ref_v))
     assert np.max(np.abs(der - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
@@ -258,7 +270,7 @@ def test_em_eval_on_kth_power_matrices_matches_the_direct_powers(k, rng):
     b = 1j * rng.uniform(-2.0, 2.0, size=8)
     A = special._powers(a, N_build)[: N - 1] ** k
     B = special._powers(b, N_build)[: N - 1] ** k
-    val, der = special._em_eval(OuterGrid(k * a, k * b), N, powers=(A, B))
+    val, der = special._em_eval(OuterGrid(k * a, k * b), N, A, B)
     ref_v, ref_d = _em_direct(k * np.add.outer(a, b).ravel(), N)
     assert np.max(np.abs(val - ref_v)) <= 1e-13 * np.max(np.abs(ref_v))
     assert np.max(np.abs(der - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
@@ -311,9 +323,9 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_builds_its_powers_once(monkeyp
         builds.append((z.copy(), N))
         return powers(z, N)
 
-    def counted_em_eval(grid, N, powers=None):
+    def counted_em_eval(grid, N, A, B):
         batches.append((grid.size, N))
-        return em_eval(grid, N, powers=powers)
+        return em_eval(grid, N, A, B)
 
     monkeypatch.setattr(special, "_powers", counted_powers)
     monkeypatch.setattr(special, "_em_eval", counted_em_eval)
@@ -338,15 +350,38 @@ def test_prime_zeta_pair_in_power_blocks_matches_one_block(monkeypatch, rng):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def test_zeta_in_power_blocks_matches_one_block(monkeypatch, rng):
+    """zeta and zeta' take the one power build of the Moebius orders, a in
+    blocks past _POWER_CELLS cells; the values match the one-block call up
+    to the rounding of the power sums."""
+    a = rng.uniform(1.05, 2.0, size=30) + 1j * rng.uniform(-30.0, 30.0, size=30)
+    grid = OuterGrid(a, 1j * rng.uniform(-0.5, 0.5, size=4))
+    whole = zeta(grid), zeta_deriv(grid)
+    monkeypatch.setattr(special, "_POWER_CELLS", 1000)  # blocks of 1000 // N rows
+    blocks = []
+    em_eval = special._em_eval
+
+    def counted(grid, N, A, B):
+        blocks.append(grid.a.size)
+        return em_eval(grid, N, A, B)
+
+    monkeypatch.setattr(special, "_em_eval", counted)
+    for f, ref in zip((zeta, zeta_deriv), whole):
+        got = f(grid)
+        assert got.shape == (30, 4)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert len(blocks) > 2 and sum(blocks) == 2 * a.size  # several blocks per call
+
+
 def test_prime_zeta_pair_runs_one_k1_zeta_batch(monkeypatch):
     """The log branch and zeta'/zeta share the k = 1 Euler-Maclaurin batch."""
     s = np.array([1.05 + 0.5j, 1.05 + 3.0j, 1.2 - 7.0j])
     batches = []
     em_eval = special._em_eval
 
-    def counted(grid, N, powers=None):
+    def counted(grid, N, A, B):
         batches.append(grid.points)
-        return em_eval(grid, N, powers=powers)
+        return em_eval(grid, N, A, B)
 
     monkeypatch.setattr(special, "_em_eval", counted)
     prime_zeta_pair(s)
@@ -445,9 +480,9 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_runs_few_zeta_batches(monkeypa
     batches = []
     em_eval = special._em_eval
 
-    def counted(grid, N, powers=None):
+    def counted(grid, N, A, B):
         batches.append((grid.size, N))
-        return em_eval(grid, N, powers=powers)
+        return em_eval(grid, N, A, B)
 
     monkeypatch.setattr(special, "_em_eval", counted)
     prime_zeta_pair(s)
@@ -517,7 +552,7 @@ _E1_REGIONS = {
 def test_exp_e1_against_mpmath(region):
     """e^w E1(w) against 30-digit mpmath, relative, on each region as one
     batch and one point at a time (each point takes the continued-fraction
-    depth its own |w| needs either way; the series may round differently)."""
+    depth its own |w| needs either way)."""
     mpmath = pytest.importorskip("mpmath")
     w, bound = _E1_REGIONS[region]
     with mpmath.workdps(30):
@@ -537,6 +572,19 @@ def test_exp_e1_fraction_runs_each_point_at_its_own_depth():
     w = np.concatenate([_E1_REGIONS[name][0] for name in ("battery_nodes", "frozen_tail")])
     w = w[np.abs(w) > 2.0]
     assert np.array_equal(special.exp_e1(w), np.array([special.exp_e1(z) for z in w]))
+
+
+@pytest.mark.parametrize("kind", ["series", "fraction", "mixed", "empty"])
+def test_exp_e1_batch_equals_its_points(kind):
+    """One masked dispatch serves every batch: all-series, all-fraction,
+    mixed and empty batches give each point exactly its value alone."""
+    w = np.concatenate([region for region, _ in _E1_REGIONS.values()])
+    r = np.abs(w)
+    series = (r <= 2.0) & ~((r > 1.25) & (np.abs(np.angle(w)) < 1.2))
+    w = {"series": w[series], "fraction": w[~series], "mixed": w, "empty": w[:0]}[kind]
+    batch = special.exp_e1(w)
+    assert batch.shape == w.shape
+    assert np.array_equal(batch, np.array([special.exp_e1(z) for z in w], dtype=complex))
 
 
 def test_exp_e1_keeps_the_shape_and_refuses_the_left_half_plane():

@@ -100,6 +100,18 @@ def test_orders_past_the_frozen_tail_are_refused(small_table):
     assert converse_experiment(S, N=46, u_max=11.0).order == 46
 
 
+def test_forward_refuses_an_inconsistent_A_before_operator_work(monkeypatch):
+    # the identity source has g = 1, so a declared A = 5 is refused before the
+    # eps = 0 diagonal or the kernel route runs
+    def no_operator_work(*args):
+        raise AssertionError("operator work ran before the A check")
+
+    for name in ("diagonal_sequence", "assemble_kernel_route"):
+        monkeypatch.setattr(tauber, name, no_operator_work)
+    with pytest.raises(ContractError, match="inconsistent with data"):
+        forward_experiment(tr.source_identity(), 5.0, N=8)
+
+
 # ---------------------------------------------------------------------------
 # converse direction
 # ---------------------------------------------------------------------------
