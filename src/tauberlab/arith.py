@@ -14,8 +14,11 @@ binary disk cache of its odd bitset, so the 1e8 table is built once per
 machine. The segments are sized to the L2 cache (C. Bays and R. H. Hudson,
 BIT 17 (1977) 121-127) and start from a copy of a wheel pattern that has
 the multiples of 3, 5, 7, 11 and 13 struck out (P. Pritchard, Acta Inform.
-17 (1982) 477-485); a cold 1e8 table takes about 0.25 s on a 2-vCPU
-machine, and its load from the cache about 0.1 s.
+17 (1982) 477-485). The table is assembled one segment at a time, from
+the sieve or from the cache file, so a build holds the prime array and one
+segment's buffers (about 2 MB), never the whole bitset. On a 2-vCPU
+machine a cold 1e8 table takes about 0.2 s and peaks at 78 MB of RSS
+(44 MB of it the table), and its load from the cache about 0.1 s.
 """
 
 from __future__ import annotations
@@ -52,6 +55,9 @@ _CACHE_FORMAT = 1
 _HARD_LIMIT = 2**32
 # odd slots per sieve segment: 1 MB of bools, half of a 2 MB L2
 _SIEVE_SEGMENT = 2**20
+# odd slots per flatnonzero of the table scan: its index array stays
+# under 512 KB, a tenth of the 1e7 table
+_SCAN_CHUNK = 2**16
 # the primes of the sieve's wheel: their multiples repeat every
 # 3*5*7*11*13 = 15,015 odd slots
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
@@ -116,18 +122,19 @@ class StepFunction:
 # ---------------------------------------------------------------------------
 
 
-def _sieve_odd_bits(limit: int) -> np.ndarray:
-    """Boolean array b with b[i] meaning 2*i+1 is prime, for 2*i+1 <= limit.
+def _sieve_segments(limit: int):
+    """Yield (lo, view): the view's slot i means that 2*(lo+i)+1 is prime,
+    over every odd 2*(lo+i)+1 <= limit, in order.
 
     Segmented, odd-only sieve. Each segment of _SIEVE_SEGMENT odd slots
-    starts as a copy of the wheel pattern, which has the odd multiples of
-    3, 5, 7, 11 and 13 already struck out; the base primes from 17 up to
-    sqrt(limit) then mark the rest, each from its first odd multiple in
-    the segment (at least p*p). The wheel primes themselves are put back
-    at the end.
+    (the last one shorter) starts as a copy of the wheel pattern, which has
+    the odd multiples of 3, 5, 7, 11 and 13 already struck out; the base
+    primes from 17 up to sqrt(limit) then mark the rest, each from its
+    first odd multiple in the segment (at least p*p). The first segment
+    puts the wheel primes back and strikes out 1. Every view is the same
+    reused buffer, valid until the next segment is asked for.
     """
     n_odd = (limit + 1) // 2
-    bits = np.empty(n_odd, dtype=bool)
     seg = min(_SIEVE_SEGMENT, n_odd)
     period = math.prod(_WHEEL_PRIMES)
     # the wheel pattern from any phase: tile[off : off + seg] for off < period
@@ -145,46 +152,60 @@ def _sieve_odd_bits(limit: int) -> np.ndarray:
     base = 2 * np.flatnonzero(base).astype(np.int64) + 1
     base = base[base > _WHEEL_PRIMES[-1]]
     first = (base * base - 1) // 2  # slot of p*p
+    buf = np.empty(seg, dtype=bool)
     for lo in range(0, n_odd, seg):
-        view = bits[lo : lo + seg]
+        view = buf[: min(seg, n_odd - lo)]
         off = lo % period
         view[:] = tile[off : off + view.size]
         # each base prime's first odd multiple in the segment, at least p*p
         starts = np.where(first >= lo, first - lo, (first - lo) % base)
         for p, start in zip(base.tolist(), starts.tolist()):
             view[start::p] = False
-    bits[0] = False  # 1 is not prime
-    for p in _WHEEL_PRIMES:
-        if p <= limit:
-            bits[p // 2] = True
-    return bits
+        if lo == 0:
+            view[0] = False  # 1 is not prime
+            for p in _WHEEL_PRIMES:
+                if p <= limit:
+                    view[p // 2] = True
+        yield lo, view
+
+
+def _pi_bound(limit: int) -> int:
+    """An integer >= pi(limit), for limit >= 2: P. Dusart's (2010)
+    pi(x) <= x/ln x (1 + 1/ln x + 2.51/ln^2 x) from x = 355,991, within
+    0.05% of pi(x) from 1e7 on, and below that J. B. Rosser and L.
+    Schoenfeld's pi(x) < 1.25506 x/ln x (Illinois J. Math. 6 (1962),
+    Cor. 1). The + 1 covers the rounding."""
+    x = float(limit)
+    ln = math.log(x)
+    if limit >= 355_991:
+        return math.floor(x / ln * (1.0 + 1.0 / ln + 2.51 / ln**2)) + 1
+    return math.floor(1.25506 * x / ln) + 1
 
 
 class PrimeTable:
-    """All primes up to `limit`, held as a sorted array.
+    """All primes up to `limit` (>= 2), held as a sorted int64 array.
 
-    Built from the odd bitset of the sieve in one allocation, the prime
-    array itself; the bitset is left as it was and not kept. A count query
-    binary-searches the prime array, O(log n) per point.
+    Assembled from a stream of odd-bit segments (lo, view), as the sieve
+    or the cache reader yields them: the one allocation is the prime array
+    itself, sized by an upper bound on pi(limit) and trimmed in place at
+    the end. Each segment is scanned in _SCAN_CHUNK slices while it is
+    still in cache, and is left as it was. A count query binary-searches
+    the prime array, O(log n) per point.
     """
 
-    def __init__(self, limit: int, odd_bits: np.ndarray):
+    def __init__(self, limit: int, segments):
         self.limit = int(limit)
-        if self.limit < 2:
-            self.primes = np.empty(0, dtype=np.int64)
-        else:
-            # the slot of 1 stands for 2 during the scan, so the one array
-            # that flatnonzero allocates becomes the whole table in place
-            one = odd_bits[0]
-            odd_bits[0] = True
-            try:
-                primes = np.flatnonzero(odd_bits).astype(np.int64, copy=False)
-            finally:
-                odd_bits[0] = one
-            primes *= 2
-            primes += 1
-            primes[0] = 2
-            self.primes = primes
+        primes = np.empty(_pi_bound(self.limit), dtype=np.int64)
+        primes[0] = 2  # the odd slots stand for the odd numbers only
+        n = 1
+        for lo, view in segments:
+            for c in range(0, view.size, _SCAN_CHUNK):
+                idx = np.flatnonzero(view[c : c + _SCAN_CHUNK])
+                out = np.multiply(idx, 2, out=primes[n : n + idx.size])
+                out += 2 * (lo + c) + 1
+                n += idx.size
+        primes.resize(n, refcheck=False)
+        self.primes = primes
 
     def _keys(self, x) -> np.ndarray:
         """floor(x) clipped to [0, limit] as int64 search keys.
@@ -255,32 +276,73 @@ def _atomic_write(path: Path, data) -> None:
         raise
 
 
-def _save_bits(path: Path, limit: int, odd_bits: np.ndarray) -> None:
-    header = _CACHE_MAGIC + struct.pack("<IQ", _CACHE_FORMAT, limit)
-    _atomic_write(path, header + np.packbits(odd_bits, bitorder="little").tobytes())
+def _cache_segments(path: Path, limit: int):
+    """The odd-bit segments of limit's cache file, unpacked one at a time
+    (the sieve's segments, as _sieve_segments yields them). The header and
+    the file size are checked here, before any segment: ContractError if
+    the file is not limit's cache."""
+    fh = open(path, "rb")
+    try:
+        head = fh.read(16)
+        n_odd = (limit + 1) // 2
+        if len(head) < 16 or head[:4] != _CACHE_MAGIC:
+            raise ContractError(f"not a prime table cache: {path}")
+        version, cached = struct.unpack("<IQ", head[4:])
+        if version != _CACHE_FORMAT:
+            raise ContractError(f"unsupported prime cache version {version}")
+        if cached != limit:
+            raise ContractError(f"prime cache {path} holds limit {cached}, not {limit}")
+        if os.fstat(fh.fileno()).st_size != 16 + (n_odd + 7) // 8:
+            raise ContractError(f"prime table cache of the wrong size: {path}")
+    except BaseException:
+        fh.close()
+        raise
+    return _unpacked_segments(fh, n_odd)
 
 
-def _load_bits(path: Path):
-    """(limit, odd bitset) from a cache file; ContractError if it is not one."""
-    raw = path.read_bytes()
-    if len(raw) < 16 or raw[:4] != _CACHE_MAGIC:
-        raise ContractError(f"not a prime table cache: {path}")
-    version, limit = struct.unpack("<IQ", raw[4:16])
-    if version != _CACHE_FORMAT:
-        raise ContractError(f"unsupported prime cache version {version}")
-    n_odd = (limit + 1) // 2
-    packed = np.frombuffer(raw, dtype=np.uint8, offset=16)
-    if packed.size != (n_odd + 7) // 8:
-        raise ContractError(f"truncated prime table cache: {path}")
-    return int(limit), np.unpackbits(packed, bitorder="little")[:n_odd].view(bool)
+def _unpacked_segments(fh, n_odd: int):
+    # a segment is a whole number of bytes: _SIEVE_SEGMENT is a multiple
+    # of 8, and only the last segment is shorter
+    seg = min(_SIEVE_SEGMENT, n_odd)
+    with fh:
+        for lo in range(0, n_odd, seg):
+            n = min(seg, n_odd - lo)
+            packed = np.frombuffer(fh.read((n + 7) // 8), dtype=np.uint8)
+            yield lo, np.unpackbits(packed, count=n, bitorder="little").view(bool)
+
+
+def _teed_to_cache(segments, path: Path, limit: int):
+    """Yield the segments unchanged while packing each into a temp file
+    beside `path`, renamed onto it after the last one. A failed write is
+    a logged warning: the temp file is removed and the rest of the
+    segments still come."""
+    tmp = None
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(_CACHE_MAGIC + struct.pack("<IQ", _CACHE_FORMAT, limit))
+            for lo, view in segments:
+                yield lo, view
+                fh.write(np.packbits(view, bitorder="little"))
+        os.replace(tmp, path)
+        tmp = None
+    except OSError as exc:
+        logger.warning("could not write prime cache %s: %s", path, exc)
+        yield from segments
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def build_prime_table(limit: int, cache_dir: Optional[os.PathLike] = None) -> PrimeTable:
     """Sieve (or reload from cache) all primes up to `limit`.
 
     The cache file is `primes_<limit>.ptbl` under `cache_dir` (defaulting to
-    $TAUBERLAB_CACHE_DIR or ~/.cache/tauberlab). A corrupt cache is rebuilt
-    with a logged warning, never trusted.
+    $TAUBERLAB_CACHE_DIR or ~/.cache/tauberlab): a 16-byte header, then
+    the odd bitset packed little-endian. A sieve writes it segment by
+    segment as the table is assembled. A corrupt cache is rebuilt with a
+    logged warning, never trusted.
     """
     limit = int(limit)
     if limit < 2:
@@ -291,18 +353,10 @@ def build_prime_table(limit: int, cache_dir: Optional[os.PathLike] = None) -> Pr
     cache_path = cdir / f"primes_{limit}.ptbl"
     if cache_path.exists():
         try:
-            cached_limit, bits = _load_bits(cache_path)
-            if cached_limit == limit:
-                return PrimeTable(limit, bits)
-            logger.warning("prime cache %s has wrong limit; rebuilding", cache_path)
+            return PrimeTable(limit, _cache_segments(cache_path, limit))
         except ContractError as exc:
             logger.warning("corrupt prime cache (%s); rebuilding", exc)
-    bits = _sieve_odd_bits(limit)
-    try:
-        _save_bits(cache_path, limit, bits)
-    except OSError as exc:
-        logger.warning("could not write prime cache %s: %s", cache_path, exc)
-    return PrimeTable(limit, bits)
+    return PrimeTable(limit, _teed_to_cache(_sieve_segments(limit), cache_path, limit))
 
 
 def count_primes(x, table: PrimeTable) -> int:

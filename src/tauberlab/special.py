@@ -211,6 +211,13 @@ class OuterGrid:
     def __array__(self, dtype=None, copy=None):
         return self.points.reshape(self.shape).astype(dtype or self.points.dtype)
 
+    def rows(self, r0: int, r1: int) -> "OuterGrid":
+        """Rows r0 to r1 - 1 as a grid that shares this grid's points."""
+        out = OuterGrid.__new__(OuterGrid)
+        out.a, out.b = self.a[r0:r1], self.b
+        out.points = self.points[r0 * self.b.size : r1 * self.b.size]
+        return out
+
     def __add__(self, c):
         return OuterGrid(self.a + c, self.b)
 
@@ -414,17 +421,20 @@ def _em_orders(s: OuterGrid, ks: list, Ns: list):
     The one place the power matrices are built: n^{-a} and n^{-b} once, at
     the largest N, and each order takes the elementwise k-th powers of
     their first N_k - 1 rows (_kth_powers): n^{-ka} = (n^{-a})^k, and k s
-    is the grid (k a, k b). a runs in blocks of about _POWER_CELLS cells."""
+    is the grid (k a, k b), built once per order (k = 1 is s itself). a
+    runs in blocks of about _POWER_CELLS cells, each order's block a slice
+    of its grid."""
     Q, n_max, rows = s.b.size, max(Ns), [N - 1 for N in Ns]
     out = np.empty((2, len(ks), s.size), dtype=complex)
     block = max(1, _POWER_CELLS // n_max)
+    grids = [s if k == 1 else k * s for k in ks]
     with np.errstate(under="ignore"):
         Bk = list(_kth_powers(_powers(s.b, n_max), ks, rows))
         for r0 in range(0, s.a.size, block):
-            a, c = s.a[r0 : r0 + block], slice(r0 * Q, (r0 + block) * Q)
-            Ak = _kth_powers(_powers(a, n_max), ks, rows)
-            for i, (k, N, A, B) in enumerate(zip(ks, Ns, Ak, Bk)):
-                out[:, i, c] = _em_eval(OuterGrid(k * a, k * s.b), N, A, B)
+            r1 = r0 + block
+            Ak = _kth_powers(_powers(s.a[r0:r1], n_max), ks, rows)
+            for i, (g, N, A, B) in enumerate(zip(grids, Ns, Ak, Bk)):
+                out[:, i, r0 * Q : r1 * Q] = _em_eval(g.rows(r0, r1), N, A, B)
     return out
 
 

@@ -1,6 +1,8 @@
 """Counting layer: sieve vs trial division, step functions, growth ratios."""
 
 import math
+import os
+import struct
 import tracemalloc
 
 import numpy as np
@@ -79,35 +81,70 @@ def _sieve_limits():
     return list(range(2, 3001)) + edges + [short_tail]
 
 
+def _segment_copies(limit):
+    """The sieve's segment stream, each view copied out of the reused buffer."""
+    return [(lo, view.copy()) for lo, view in arith._sieve_segments(limit)]
+
+
 def test_sieve_matches_a_dense_sieve():
     for limit in _sieve_limits():
-        bits = arith._sieve_odd_bits(limit)
-        assert bits.dtype == bool
+        segments = _segment_copies(limit)
+        assert [lo for lo, _ in segments] == list(range(0, (limit + 1) // 2, arith._SIEVE_SEGMENT))
+        assert all(view.dtype == bool for _, view in segments)
+        bits = np.concatenate([view for _, view in segments])
         assert np.array_equal(bits, _dense_sieve(limit)[1::2]), limit
 
 
 def test_table_leaves_the_bitset_unchanged():
     for limit in (2, 3, 1000, 2 * arith._SIEVE_SEGMENT + 1):
-        bits = arith._sieve_odd_bits(limit)
-        before = bits.copy()
-        table = PrimeTable(limit, bits)
-        assert np.array_equal(bits, before)
+        segments = _segment_copies(limit)
+        before = [view.copy() for _, view in segments]
+        table = PrimeTable(limit, iter(segments))
+        assert all(np.array_equal(view, b) for (_, view), b in zip(segments, before))
         assert table.primes.dtype == np.int64
         assert np.array_equal(table.primes, np.flatnonzero(_dense_sieve(limit)))
 
 
 def test_table_is_built_in_one_allocation():
     """The prime array is the only large allocation: the peak traced while
-    building the 1e7 table is at most 1.1 times its size."""
-    bits = arith._sieve_odd_bits(10**7)
+    assembling the 1e7 table from its segments is at most 1.1 times its size."""
+    segments = _segment_copies(10**7)
     tracemalloc.start()
     try:
-        table = PrimeTable(10**7, bits)
+        table = PrimeTable(10**7, iter(segments))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert table.primes.size == 664_579
     assert peak <= 1.1 * table.primes.nbytes
+
+
+def test_pi_bound_holds_and_is_tight():
+    primes = np.flatnonzero(_dense_sieve(10**6))
+    # pi is largest against the rising bound at a prime: pi(p) = index + 1
+    assert all(arith._pi_bound(p) >= i + 1 for i, p in enumerate(primes.tolist()))
+    for x, pi in ((10**7, 664_579), (10**8, 5_761_455), (10**9, 50_847_534)):
+        assert pi <= arith._pi_bound(x) <= 1.0005 * pi
+
+
+def test_build_holds_the_table_and_one_segment(tmp_path):
+    """A cold and a warm build_prime_table(1e7) trace at most the prime array
+    (sized by the pi bound) plus one segment's buffers: the segment, the
+    wheel tile and one packed segment, with the index array of one scan
+    chunk and 64 KiB for the base primes and small objects."""
+    seg = arith._SIEVE_SEGMENT
+    buffers = seg + (seg + math.prod(arith._WHEEL_PRIMES)) + seg // 8
+    allowance = buffers + 8 * arith._SCAN_CHUNK + 2**16
+    for _ in ("cold", "warm"):
+        tracemalloc.start()
+        try:
+            table = build_prime_table(10**7, cache_dir=tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.primes.size == 664_579
+        assert peak <= 8 * arith._pi_bound(10**7) + allowance
+    assert [f.name for f in tmp_path.iterdir()] == ["primes_10000000.ptbl"]
 
 
 def test_prime_count_landmarks(small_table):
@@ -192,12 +229,75 @@ def test_table_cache_round_trip(tmp_path):
     assert count_primes(10_000, t2) == 1229
 
 
+def _cache_bytes(limit):
+    """The cache file of `limit`: the header, then the dense odd bitset packed."""
+    header = b"PTBL" + struct.pack("<IQ", 1, limit)
+    return header + np.packbits(_dense_sieve(limit)[1::2], bitorder="little").tobytes()
+
+
+def test_streamed_cache_is_the_packed_bitset(tmp_path):
+    for limit in _sieve_limits():
+        cold = build_prime_table(limit, cache_dir=tmp_path)
+        path = tmp_path / f"primes_{limit}.ptbl"
+        assert path.read_bytes() == _cache_bytes(limit), limit
+        warm = build_prime_table(limit, cache_dir=tmp_path)
+        assert np.array_equal(warm.primes, cold.primes), limit
+        path.unlink()
+    assert not list(tmp_path.iterdir())
+
+
 def test_corrupt_cache_is_rebuilt_not_trusted(tmp_path):
     build_prime_table(10_000, cache_dir=tmp_path)
     victim = next(tmp_path.glob("*.ptbl"))
-    victim.write_bytes(b"not a prime table")
-    t = build_prime_table(10_000, cache_dir=tmp_path)
+    good = victim.read_bytes()
+    for bad in (b"not a prime table", good[:-1], good + b"\0"):
+        victim.write_bytes(bad)
+        # refused when the reader opens the file, before any segment
+        with pytest.raises(ContractError):
+            arith._cache_segments(victim, 10_000)
+        t = build_prime_table(10_000, cache_dir=tmp_path)
+        assert count_primes(10_000, t) == 1229
+        assert victim.read_bytes() == good
+
+
+def test_cache_dir_that_is_a_file_only_warns(tmp_path, caplog):
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_bytes(b"")
+    with caplog.at_level("WARNING", logger="tauberlab.arith"):
+        t = build_prime_table(10_000, cache_dir=blocker)
     assert count_primes(10_000, t) == 1229
+    assert "could not write prime cache" in caplog.text
+    assert [f.name for f in tmp_path.iterdir()] == ["not-a-dir"]
+
+
+def test_cache_write_failing_mid_stream_only_warns(tmp_path, monkeypatch, caplog):
+    """A write that fails after the first segment leaves no temp file and
+    no cache, and the table is still whole."""
+    limit = 6 * arith._SIEVE_SEGMENT + 1  # three segments
+    fdopen = os.fdopen
+
+    class FailingFile:
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes > 2:  # the header and the first segment go through
+                raise OSError("disk full")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(arith.os, "fdopen", lambda fd, mode: FailingFile(fdopen(fd, mode)))
+    with caplog.at_level("WARNING", logger="tauberlab.arith"):
+        t = build_prime_table(limit, cache_dir=tmp_path)
+    assert "disk full" in caplog.text
+    assert np.array_equal(t.primes, np.flatnonzero(_dense_sieve(limit)))
+    assert not list(tmp_path.iterdir())
 
 
 def test_table_limit_validation(tmp_path):
