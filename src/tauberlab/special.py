@@ -693,8 +693,10 @@ def exp_e1(w):
     seam = (r > _E1_SEAM_RADIUS) & (np.abs(np.angle(flat)) < _E1_SEAM_ARG)
     near = (r <= _E1_SERIES_RADIUS) & ~seam
     out = np.empty_like(flat)
-    out[near] = _e1_series(flat[near])
-    out[~near] = _e1_fraction(flat[~near])
+    # an empty batch still costs each evaluator its fixed work
+    for mask, f in ((near, _e1_series), (~near, _e1_fraction)):
+        if mask.any():
+            out[mask] = f(flat[mask])
     return out.reshape(w.shape)[()]
 
 

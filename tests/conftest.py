@@ -1,7 +1,7 @@
 """Shared fixtures: prime tables and the acceptance summary hook.
 
 Both tables are built in per-session temp directories, so the suite never
-reads or writes the user's cache; the big (10^8) table costs about 0.2 s
+reads or writes the user's cache; the big (10^8) table costs about 0.15 s
 to sieve once per session.
 """
 

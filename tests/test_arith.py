@@ -95,46 +95,70 @@ def test_sieve_matches_a_dense_sieve():
         assert np.array_equal(bits, _dense_sieve(limit)[1::2]), limit
 
 
-def test_table_leaves_the_bitset_unchanged():
-    for limit in (2, 3, 1000, 2 * arith._SIEVE_SEGMENT + 1):
-        segments = _segment_copies(limit)
-        before = [view.copy() for _, view in segments]
-        table = PrimeTable(limit, iter(segments))
-        assert all(np.array_equal(view, b) for (_, view), b in zip(segments, before))
-        assert table.primes.dtype == np.int64
-        assert np.array_equal(table.primes, np.flatnonzero(_dense_sieve(limit)))
+def test_words_are_the_packed_odd_bitset():
+    """The table's words are the odd bitset packed little-endian, the
+    cache file's body, then zero bits up to one word past the last whole
+    word; the rank counts the primes below each word."""
+    for limit in (2, 3, 127, 128, 129, 255, 256, 1000, 2 * arith._SIEVE_SEGMENT + 1):
+        words = arith._sieved_words(limit)
+        assert words.dtype == np.dtype("<u8") and words.size == (limit + 1) // 2 // 64 + 1
+        odd = _dense_sieve(limit)[1::2]
+        body = np.packbits(odd, bitorder="little").tobytes()
+        assert words.tobytes() == body + bytes(words.nbytes - len(body)), limit
+        table = PrimeTable(limit, words)
+        assert table.rank.dtype == np.uint32
+        padded = np.concatenate((odd, np.zeros(64 * words.size - odd.size, dtype=bool)))
+        rank = np.concatenate(([0], np.cumsum(padded.reshape(-1, 64).sum(axis=1))[:-1]))
+        assert np.array_equal(table.rank, rank), limit
+
+
+def test_count_matches_a_dense_sieve_at_every_prime_and_its_neighbours(tmp_path):
+    table = build_prime_table(10**6, cache_dir=tmp_path)
+    is_prime = _dense_sieve(10**6)
+    primes = np.flatnonzero(is_prime)
+    keys = np.concatenate((primes - 1, primes, primes + 1))
+    assert np.array_equal(table.count(keys.astype(float)), np.cumsum(is_prime)[keys])
+
+
+def test_count_gives_pi_of_the_powers_of_ten(big_table):
+    pi = [0, 4, 25, 168, 1229, 9592, 78_498, 664_579, 5_761_455]  # pi(10^k), k = 0..8
+    assert big_table.count(10.0 ** np.arange(9)).tolist() == pi
+
+
+def test_primes_in_matches_a_dense_sieve_on_word_edges(small_table):
+    """Ranges that start and end inside a word, on a word boundary (odd
+    slot 64w is the number 128w + 1), and at 0, 1, 2 and the limit."""
+    limit = small_table.limit
+    primes = np.flatnonzero(_dense_sieve(limit))
+    edges = [0, 1, 2, 3, 127, 128, 129, 130, 1000, 128 * 500, 128 * 500 + 1, limit - 1, limit]
+    inner = [200.5, 555, 4321, 128 * 700 + 37]
+    for lo in edges + inner:
+        for hi in edges + inner:
+            got = small_table.primes_in(lo, hi)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, primes[(primes > lo) & (primes <= hi)]), (lo, hi)
 
 
 def test_table_is_built_in_one_allocation():
-    """The prime array is the only large allocation: the peak traced while
-    assembling the 1e7 table from its segments is at most 1.1 times its size."""
-    segments = _segment_copies(10**7)
+    """Over given words the rank is the only allocation: a popcount array
+    or a cast would trace a second one."""
+    words = arith._sieved_words(10**7)
     tracemalloc.start()
     try:
-        table = PrimeTable(10**7, iter(segments))
+        table = PrimeTable(10**7, words)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert table.primes.size == 664_579
-    assert peak <= 1.1 * table.primes.nbytes
-
-
-def test_pi_bound_holds_and_is_tight():
-    primes = np.flatnonzero(_dense_sieve(10**6))
-    # pi is largest against the rising bound at a prime: pi(p) = index + 1
-    assert all(arith._pi_bound(p) >= i + 1 for i, p in enumerate(primes.tolist()))
-    for x, pi in ((10**7, 664_579), (10**8, 5_761_455), (10**9, 50_847_534)):
-        assert pi <= arith._pi_bound(x) <= 1.0005 * pi
+    assert table.rank[-1] == 664_578  # 5e6 odd slots fill 78,125 words: all odd primes
+    assert peak <= table.rank.nbytes + 2**14  # numpy's ufunc buffers
 
 
 def test_build_holds_the_table_and_one_segment(tmp_path):
-    """A cold and a warm build_prime_table(1e7) trace at most the prime array
-    (sized by the pi bound) plus one segment's buffers: the segment, the
-    wheel tile and one packed segment, with the index array of one scan
-    chunk and 64 KiB for the base primes and small objects."""
+    """A cold and a warm build_prime_table(1e7) trace at most the words,
+    the rank and one segment's buffers: the segment, the wheel tile and
+    one packed segment, with 64 KiB for the base primes and small objects."""
     seg = arith._SIEVE_SEGMENT
     buffers = seg + (seg + math.prod(arith._WHEEL_PRIMES)) + seg // 8
-    allowance = buffers + 8 * arith._SCAN_CHUNK + 2**16
     for _ in ("cold", "warm"):
         tracemalloc.start()
         try:
@@ -142,8 +166,8 @@ def test_build_holds_the_table_and_one_segment(tmp_path):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert table.primes.size == 664_579
-        assert peak <= 8 * arith._pi_bound(10**7) + allowance
+        assert table.count(1e7) == 664_579
+        assert peak <= table.words.nbytes + table.rank.nbytes + buffers + 2**16
     assert [f.name for f in tmp_path.iterdir()] == ["primes_10000000.ptbl"]
 
 
@@ -167,9 +191,9 @@ def test_count_primes_rejects_bad_arguments(small_table):
 
 
 def test_integer_keys_match_the_float_keys(small_table):
-    """count and primes_in search with int64 keys; the answers are those of
-    the float keys at 0, below 0, on primes, half-way off them and at the limit."""
-    primes = small_table.primes
+    """count and primes_in read int64 keys; the answers are those of the
+    float keys at 0, below 0, on primes, half-way off them and at the limit."""
+    primes = np.flatnonzero(_dense_sieve(small_table.limit))
     p = primes[[0, 1, 2, 100, 1000, -1]].astype(float)
     limit = float(small_table.limit)
     keys = np.concatenate(([0.0, -0.5, -3.0, -np.inf, 1.0, limit, limit - 0.5], p, p - 0.5, p + 0.5))
@@ -229,19 +253,30 @@ def test_table_cache_round_trip(tmp_path):
     assert count_primes(10_000, t2) == 1229
 
 
-def _cache_bytes(limit):
-    """The cache file of `limit`: the header, then the dense odd bitset packed."""
-    header = b"PTBL" + struct.pack("<IQ", 1, limit)
-    return header + np.packbits(_dense_sieve(limit)[1::2], bitorder="little").tobytes()
+def _cache_bytes(is_prime):
+    """The cache file of the dense sieve `is_prime`: the header, then its
+    odd bitset packed."""
+    header = b"PTBL" + struct.pack("<IQ", 1, is_prime.size - 1)
+    return header + np.packbits(is_prime[1::2], bitorder="little").tobytes()
 
 
-def test_streamed_cache_is_the_packed_bitset(tmp_path):
+def test_cache_is_the_packed_bitset_and_counts_agree(tmp_path):
+    """At every sieve limit the cache file is the header and the packed odd
+    bitset, and the cold and the warm table count pi(x) at every x within
+    4096 of a segment's first number or of the limit."""
     for limit in _sieve_limits():
+        is_prime = _dense_sieve(limit)
         cold = build_prime_table(limit, cache_dir=tmp_path)
         path = tmp_path / f"primes_{limit}.ptbl"
-        assert path.read_bytes() == _cache_bytes(limit), limit
+        assert path.read_bytes() == _cache_bytes(is_prime), limit
         warm = build_prime_table(limit, cache_dir=tmp_path)
-        assert np.array_equal(warm.primes, cold.primes), limit
+        keys = np.arange(limit + 1)
+        if limit > 8192:
+            edges = [*range(0, limit + 1, 2 * arith._SIEVE_SEGMENT), limit]
+            keys = np.clip(np.add.outer(edges, np.arange(-4096, 4097)), 0, limit).ravel()
+        pi = np.cumsum(is_prime)[keys]
+        for table in (cold, warm):
+            assert np.array_equal(table.count(keys.astype(float)), pi), limit
         path.unlink()
     assert not list(tmp_path.iterdir())
 
@@ -252,9 +287,9 @@ def test_corrupt_cache_is_rebuilt_not_trusted(tmp_path):
     good = victim.read_bytes()
     for bad in (b"not a prime table", good[:-1], good + b"\0"):
         victim.write_bytes(bad)
-        # refused when the reader opens the file, before any segment
+        # refused on its header or size, before the bitset is read
         with pytest.raises(ContractError):
-            arith._cache_segments(victim, 10_000)
+            arith._cached_words(victim, 10_000)
         t = build_prime_table(10_000, cache_dir=tmp_path)
         assert count_primes(10_000, t) == 1229
         assert victim.read_bytes() == good
@@ -271,8 +306,8 @@ def test_cache_dir_that_is_a_file_only_warns(tmp_path, caplog):
 
 
 def test_cache_write_failing_mid_stream_only_warns(tmp_path, monkeypatch, caplog):
-    """A write that fails after the first segment leaves no temp file and
-    no cache, and the table is still whole."""
+    """A write that fails on the bitset, after the header went through,
+    leaves no temp file and no cache, and the table is still whole."""
     limit = 6 * arith._SIEVE_SEGMENT + 1  # three segments
     fdopen = os.fdopen
 
@@ -288,7 +323,7 @@ def test_cache_write_failing_mid_stream_only_warns(tmp_path, monkeypatch, caplog
 
         def write(self, data):
             self.writes += 1
-            if self.writes > 2:  # the header and the first segment go through
+            if self.writes > 1:  # the header goes through
                 raise OSError("disk full")
             return self.fh.write(data)
 
@@ -296,7 +331,7 @@ def test_cache_write_failing_mid_stream_only_warns(tmp_path, monkeypatch, caplog
     with caplog.at_level("WARNING", logger="tauberlab.arith"):
         t = build_prime_table(limit, cache_dir=tmp_path)
     assert "disk full" in caplog.text
-    assert np.array_equal(t.primes, np.flatnonzero(_dense_sieve(limit)))
+    assert np.array_equal(t.primes_in(0, limit), np.flatnonzero(_dense_sieve(limit)))
     assert not list(tmp_path.iterdir())
 
 

@@ -110,6 +110,41 @@ _GRID_FUNCTIONS = {
 }
 
 
+def _term_sums(s):
+    """Per function of _GRID_FUNCTIONS, a bound at the points s on the sum
+    of |term| * k over the terms that the powers n^{-ks} feed, k <= 6 (at
+    the default tolerance sigma >= 1.02 needs at most six Moebius orders).
+    With sigma = Re s, Z_k = zeta(k sigma) and D_k = -zeta'(k sigma):
+
+    - zeta sums n^{-s}, to Z_1, and zeta' sums ln n n^{-s}, to D_1; psi
+      and zeta(s)/s divide the first by |s|.
+    - P adds the peeled p^{-s}, to P(sigma), and for each order k, with
+      weight 1/k, the log of zeta(ks) prod_p (1 - p^{-ks}): a relative
+      change d of the order's powers moves log zeta(ks) by at most
+      d Z_k/|zeta(ks)| and the product's log by d (Z_k - 1).
+    - P' adds ln p p^{-s}, to -P'(sigma), and per order, with weight 1,
+      zeta'(ks)/zeta(ks), moved by d (D_k + Z_k |zeta'/zeta|(ks))/|zeta(ks)|,
+      and ln p x/(1 - x) at x = p^{-ks}, moved by d D_k/(1 - 2^{-k sigma})^2
+      <= 4 d D_k.
+    - (P - s P')/s^2 adds the two, the second times |s|, over |s|^2."""
+    sig, m = s.real, np.abs(s)
+    k = np.arange(1, 7).reshape(-1, *[1] * s.ndim)
+    Z, D = zeta(k * sig).real, -zeta_deriv(k * sig).real
+    z_ks, zd_ks = np.abs(zeta(k * s)), np.abs(zeta_deriv(k * s))
+    pz, pzd = (v.real for v in prime_zeta_pair(sig))
+    t_pz = pz + np.sum(Z / z_ks + Z - 1.0, axis=0)
+    t_pzd = -pzd + np.sum(k * ((D + Z * zd_ks / z_ks) / z_ks + 4.0 * D), axis=0)
+    return {
+        "zeta": Z[0],
+        "zeta_deriv": D[0],
+        "prime_zeta": t_pz,
+        "prime_zeta_deriv": t_pzd,
+        "psi_entire": Z[0] / m,
+        "transform_integers": Z[0] / m,
+        "transform_weighted_primes": (t_pz + m * t_pzd) / m**2,
+    }
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     st.lists(st.tuples(st.floats(1.02, 2.5), st.floats(-38.0, 38.0)), min_size=1, max_size=5),
@@ -118,13 +153,33 @@ _GRID_FUNCTIONS = {
 def test_outer_grid_matches_its_points(a, b):
     """On s = a_j + b_i (sigma in [1.02, 3], |t| <= 40) the grid path, which
     forms n^{-s} as n^{-a} n^{-b}, agrees with the same functions on the
-    (P, Q) point array to 1e-13."""
+    (P, Q) point array to within the rounding of the two orders, plus 1e-13.
+
+    The two paths share everything but the powers. The points form a prime
+    power as exp(-s ln p), the grid as exp(-a ln p) exp(-b ln p), from the
+    same ln p, and both form a composite by products of its Omega(n) <=
+    ln n/ln 2 prime factors' powers. Rounding the exponents' products moves
+    them by at most eps ln p (|s| + |a| + |b|) together; the three complex
+    exps (3 eps each) and the three products per factor (sqrt 5 eps each)
+    add at most 16 eps per factor, and the grid's last product a few eps.
+    So a power n^{-s} with n below the term budget _MAX_TERMS differs
+    between the paths by a relative
+
+        rho <= eps (ln _MAX_TERMS (2 (|a| + |b|) + 24) + 3),
+
+    its k-th power by k rho, and the function by at most rho times the sum
+    of |term| * k over what the powers feed (_term_sums), to first order."""
     grid = OuterGrid([complex(*z) for z in a], [complex(*z) for z in b])
     pts = np.asarray(grid)
+    absa = np.abs(grid.a)[:, None]
+    absb = np.abs(grid.b)[None, :]
+    eps = np.finfo(float).eps
+    rho = eps * (math.log(special._MAX_TERMS) * (2.0 * (absa + absb) + 24.0) + 3.0)
+    sums = _term_sums(pts)
     for name, f in _GRID_FUNCTIONS.items():
         on_grid = f(grid)
         assert on_grid.shape == pts.shape
-        assert np.max(np.abs(on_grid - f(pts))) <= 1e-13, name
+        assert np.all(np.abs(on_grid - f(pts)) <= rho * sums[name] + 1e-13), name
 
 
 _MEMBERS = [m[0] for m in battery_members()]
@@ -313,9 +368,9 @@ def test_prime_count_matches_a_dense_sieve(small_table, big_table, which, points
     (whose every key lies below 2^18) and the 1e8 table: the oracle is
     the cumulative sum of a dense sieve, tied at the top to pi(limit)."""
     table = small_table if which == "small" else big_table
-    primes = table.primes
-    past = primes[min(np.searchsorted(primes, 2**18), primes.size - 1)]
-    anchor = [0, 2**18, past, primes[-1], table.limit]
+    last = table.primes_in(table.limit - 1000, table.limit)[-1]
+    past = table.primes_in(2**18, 2**18 + 100)
+    anchor = [0, 2**18, past[0] if past.size else last, last, table.limit]
     x = np.array([min(float(anchor[a]) + d, table.limit) for a, d in points])
     keys = np.floor(np.maximum(x, 0.0)).astype(np.int64)
     expect = _pi_oracle(keys, table.limit)
