@@ -379,6 +379,9 @@ class GrowthFunction:
       and the integrators integrate each such piece exactly.
     - ``u_cap``: largest u at which g(u) is evaluable (ln of a prime table
       limit); integrators freeze g beyond it, direct evaluation raises.
+    - ``tail``: (u_t, terms) with g(u) = Re sum c e^{-lam u} over the
+      terms (c, lam) for u >= u_t, a term (c, lam, b) also divided by
+      u + b; Re lam >= 0, b > 0. A table-backed source states none.
     - ``ratio_limit_A``: the declared limit A of g(u) when one exists
       (None for sources without a ratio limit); experiments that test the
       forward direction require it.
@@ -391,6 +394,7 @@ class GrowthFunction:
     jumps_upto: Optional[Callable] = None
     u_cap: float = math.inf
     ratio_limit_A: Optional[float] = None
+    tail: Optional[tuple] = None
 
     def g(self, u):
         """Normalized ratio g(u) = S(e^u)/e^u for u >= 0."""
@@ -407,6 +411,13 @@ class GrowthFunction:
             )
         out = self.fn(arr)
         return float(out) if np.isscalar(u) or arr.ndim == 0 else out
+
+    def exact_tail(self) -> Optional[tuple]:
+        """The stated ``tail``, or for a table-backed source (finite u_cap)
+        g frozen at g(u_cap) from u_cap on; None when there is neither."""
+        if math.isfinite(self.u_cap):
+            return self.u_cap, ((float(self.g_clipped(self.u_cap)), 0.0),)
+        return self.tail
 
     def g_clipped(self, u):
         """g with the argument clipped to u_cap (frozen-tail convention)."""

@@ -55,7 +55,7 @@ Far and near: the sorted nodes fall into bins of width w = 1 on the x
 axis (_FAR_BIN). For each centre, its own bin and the 3 bins on either
 side (_NEAR_BINS) are near, and their nodes are summed one by one. Every
 other bin is far. A far bin with more than 16 nodes (_PROXIES; on the
-pnt grid, all 236 bins below the cutoff x = 235.6) enters through 16
+pnt grid, all 236 bins below its end X = 235.6) enters through 16
 first-kind Chebyshev proxies weighted by the anterpolation of its nodes,
 as in the one-level black-box fast multipole method (W. Fong and
 E. Darve, J. Comput. Phys. 228 (2009) 8712-8725): the proxies sum s2w
@@ -67,10 +67,10 @@ once. On the pnt grid (N = 72) the 12,016 nodes give 3,776 far sources,
 and the block has 0.55M entries in place of 1.75M. One block serves a
 batch of sources on one grid: the weights are an (n, m) matrix, one
 column per source, so the sort, the proxies' Chebyshev recurrence, the
-near-pass index arrays, the reciprocal block and the frozen tail are built
-once, and the far sums are one product of the block with the m columns.
-The battery's six sources share their eps = 0 grid at N = 64: 14,688
-nodes, 7,319 far sources and one 130 x 7,319 block.
+near-pass index arrays and the reciprocal block are built once, the tail
+takes one exp_e1 call, and the far sums are one product of the block with
+the m columns. The battery's six sources share their grid at N = 64, at
+every eps: 10,736 nodes, 3,376 far sources and one 130 x 3,376 block.
 
 Bound: map a far bin onto [-1, 1]. Its centre lies at least
 (_NEAR_BINS + 1/2) w = 7 half-widths from c, so f is analytic inside the
@@ -87,32 +87,21 @@ The grid lays panels fine_w = base_w / 4 wide (at most pi/8; pi/10 at
 L = 8 pi) on the resolved range x <= a_end = (L/2) _resolved_u(u_cap)
 (x = 2e5, or the table edge if lower), for every source whether or not it
 declares jumps, and in the Fejer main lobes |x - pi n| < 3 pi, then
-panels growing to width 2, each with 16 Gauss-Legendre nodes. It cuts
-off at X chosen from the damping (eps > 0: where the damped tail bound
-meets the fixed target _CUTOFF_TARGET = 1e-9 * 0.1, which rounds to
-1.0000000000000002e-10) or, at eps = 0,
-where mt turns constant: past x_cap = (L/2) u_cap a table-backed source
-is frozen at g(u_cap), so X = max(x_cap, pi (n_max + 3)) (235.6 on the
-pnt grid), and a source without a cap is taken as frozen past
-pi n_max + 500 (_cutoff). The constant tail past X is added in closed
-form (_frozen_tail), exactly: its sine and cosine integrals are read off
-E1(ix) = -Ci(x) + i (Si(x) - pi/2), with e^w E1(w) from the continued
-fraction of special.exp_e1; bounded g keeps the windowed integrand
-integrable. Freezing is exact for a table-backed source and for one whose
-g is constant to rounding past X (integers, identity, sqrt_mix,
-single_jump), and not otherwise: moving X to pi n_max + 2000 moves the
-L = 8 pi, n_max = 64 diagonals of slow_approach (g - 1 ~ 1/u) by 3.7e-6
-and those of log_oscillation by 1.2e-4. The route takes no tolerance:
-the grid depends on L, N, the cutoff X and u_cap alone (_grid_edges), so
-on S only through X and u_cap, and sources that agree on those share it.
-At every eps the order-n entries read g near u = 2 pi n / L (the Fejer
-lobe at x = pi n), so an order past N_max = L u_cap / (2 pi) would read
-the constant a table-backed source freezes g at past u_cap; such orders
-are refused (_check_resolvable) before the cutoff is chosen. Past the lobes the
-panels are at most 2 wide with 16 nodes each, so a grid holds about 8X
-nodes; a cutoff whose estimate passes _MAX_GRID_NODES (small eps: X grows
-like (L / 2 eps) ln(1/target)) is refused with a ResourceError before any
-grid is built.
+panels growing to width 2, each with 16 Gauss-Legendre nodes. It ends at
+X = max((L/2) u_t, pi (N + 3)) at every eps, past the last lobe and past
+u_t, from where each source states g as a short exponential sum
+(GrowthFunction.tail; a table-backed source's is g frozen at u_cap), and
+the part past X is added in closed form (_tail_integrals): moving X out
+by 300 changes no entry of any catalog source, or of weighted primes on a
+1e5 table, by more than 1e-15 (eps = 0, 0.001, 0.05; L = 2 pi, 8 pi,
+8 pi + 0.37). The route takes no tolerance: the grid depends on L, N, X
+and u_cap alone (_grid_edges). At every eps the order-n entries read g
+near u = 2 pi n / L (the Fejer lobe at x = pi n), so an order past
+N_max = L u_cap / (2 pi) would read the constant a table-backed source
+freezes g at past u_cap; such orders are refused (_check_resolvable). A
+grid of more than _MAX_GRID_NODES nodes (small L: the fine panels grow
+like 1/L; large L: X grows like L u_t), counted from its panel widths
+(_grid_plan), is a ResourceError raised before any array is built.
 
 On the resolved range the nodes of a source that declares jumps do not
 sample mt: S jumps inside the panels. Between two jumps S(e^u) = a + b u,
@@ -184,7 +173,7 @@ import numpy as np
 
 from .arith import GrowthFunction, _atomic_write, _fields_dict
 from .errors import ContractError, DomainError, PrecisionError, ResourceError
-from .special import OuterGrid, exp_e1, lambert_w0
+from .special import OuterGrid, exp_e1
 
 __all__ = [
     "IntervalSpec",
@@ -202,19 +191,15 @@ __all__ = [
 ]
 
 _GL16 = np.polynomial.legendre.leggauss(16)
+_GL8_T, _GL8_W = 0.5 * (np.array(np.polynomial.legendre.leggauss(8)) + [[1.0], [0.0]])  # on [0, 1]
 _STEP_RESOLVE_CAP = 200_000.0  # resolve jumps exactly up to this x
-_LOBE_HALF_WIDTH = 3.0 * math.pi  # refine |x - pi n| below this
-_EPS0_X_PAD = 500.0  # undamped cutoff past the last lobe
-# damped tail bound at the eps > 0 cutoff; 1e-9 * 0.1 rounds to 1.0000000000000002e-10,
-# not to 1e-10, and the route's grids and outputs are those of this value
-_CUTOFF_TARGET = 1e-9 * 0.1
 _MAX_ORDER = 256
-_MAX_GRID_NODES = 4_000_000  # frequency-route grids past this are refused (ResourceError)
+_MAX_GRID_NODES = 4_000_000  # route grids past this are refused (ResourceError)
 _FAR_BIN = 1.0  # bin width of the near/far split (module docstring)
 _NEAR_BINS = 3  # bins on each side of a centre's bin summed node by node
 _PROXIES = 16  # a bin with more nodes than this is replaced by as many proxies
 # entries of one far-field reciprocal block, whatever the batch width m: the
-# battery's 130 x 7,319 block fits in one. Do not shrink it: at 500,000 the
+# battery's 130 x 3,376 block fits in one. Do not shrink it: at 500,000 the
 # block comes in two chunks, which glibc maps afresh on every op (its heap
 # stays at 8 MB), and a warm battery op took about 2,100 minor faults and
 # 4-6 ms of system time against about 30 and 0.2 ms (resource.getrusage).
@@ -339,7 +324,8 @@ def assemble_kernel_routes(
     docstring), one per source, on one grid and one set of phases.
 
     P uniform panels of width at most min(2 eps, 0.1, L/(3N)) with 16
-    Gauss-Legendre nodes each; the width depends on eps, L and N alone, so
+    Gauss-Legendre nodes each, at most _MAX_GRID_NODES nodes in all
+    (ResourceError); the width depends on eps, L and N alone, so
     the grid and the phase matrices E and F are built once and every
     source's kernel is contracted against them. At half-width h <= eps the
     kernel's strip of analyticity |Im x| < eps holds every Bernstein ellipse
@@ -350,7 +336,9 @@ def assemble_kernel_routes(
     _check_eps(eps, "kernel")
     _check_order(N)
     L = I.length
-    P = int(math.ceil(L / min(2.0 * eps, 0.1, L / (3 * N) if N > 0 else math.inf)))
+    panels = L / min(2.0 * eps, 0.1, L / (3 * N) if N > 0 else math.inf)
+    _check_nodes(16.0 * math.ceil(min(panels, 1e300)), f"kernel-route grid at L = {L:g}, eps = {eps:g}")
+    P = int(math.ceil(panels))
     h = L / (2 * P)  # panel half-width
     xi, wi = _GL16
     x = OuterGrid((2 * np.arange(P) + 1) * h, h * xi)
@@ -424,61 +412,59 @@ def _matrix_from_moments(odd: np.ndarray, diag: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cutoff_damped(C: float, eps: float, L: float, N: int, target: float) -> float:
-    """X = pi N + max(3 _LOBE_HALF_WIDTH, y), y > 0 the root of
-    C e^{-r y} / (pi y) = target with r = 2 eps / L, y = X - pi N.
-
-    The factor e^{-r y} = e^{-2 eps (X - pi N)/L} exceeds the damping
-    e^{-2 eps X/L} of the tail past X, so the bound is conservative. The
-    root is closed-form: r y e^{r y} = r C / (pi target), so
-    r y = W0(r C / (pi target)), W0 the principal Lambert W branch on the
-    positive reals, which special.lambert_w0 solves by Halley's iteration
-    on w e^w = x."""
-    rate = 2.0 * eps / L
-    y = lambert_w0(rate * max(C, 1e-300) / (math.pi * target)) / rate
-    return math.pi * N + max(3.0 * _LOBE_HALF_WIDTH, y)
+def _cutoff(tails: Sequence[tuple], L: float, N: int) -> float:
+    """The grid end X of a batch with these tails (_tail_of): past the last
+    lobe, pi (N + 3), and past every x_t = (L/2) u_t."""
+    return max([math.pi * (N + 3)] + [(L / 2.0) * u_t for u_t, _ in tails])
 
 
-def _cutoff(S: GrowthFunction, eps: float, L: float, N: int) -> float:
-    """The grid's end X. For eps > 0, where the damped tail bound meets
-    _CUTOFF_TARGET (_cutoff_damped). At eps = 0, where mt is constant from
-    there on: g_clipped freezes a table-backed source past x_cap =
-    (L/2) u_cap, so X = max(x_cap, pi (N + 3)), past the last lobe; a
-    source without a cap is taken as frozen past pi N + _EPS0_X_PAD, which
-    also caps X."""
-    if eps > 0.0:
-        return _cutoff_damped(S.growth_constant, eps, L, N, _CUTOFF_TARGET)
-    x_cap = (L / 2.0) * S.u_cap
-    return min(math.pi * N + _EPS0_X_PAD, max(x_cap, math.pi * (N + 3)))
+def _tail_of(S: GrowthFunction) -> tuple:
+    """S.exact_tail(), checked: a ContractError names a source without one
+    or with u_t < 0, a Re lam < 0 or a b <= 0."""
+    tail = S.exact_tail()
+    if tail is None:
+        raise ContractError(f"source '{S.label}' states no tail of g, which the frequency route needs")
+    if not tail[0] >= 0.0 or any(complex(t[1]).real < 0 or not min(t[2:], default=1) > 0 for t in tail[1]):
+        raise ContractError(f"the tail of source '{S.label}' needs u_t >= 0, Re lam >= 0 and b > 0")
+    return tail
 
 
-def _grid_edges(L: float, N: int, X: float, u_cap: float):
-    """Panel edges on [0, X]: fine panels on the resolved range, cut at
-    a_end = (L/2) _resolved_u(u_cap), and in the lobes, growing in the tail.
-    A function of L, N, X and u_cap alone, so sources that agree on those
-    share the grid."""
+def _grid_plan(L: float, N: int, X: float, u_cap: float):
+    """(cuts, panels, base_w, n_geo, nodes) of the grid on [0, X]: panels[i]
+    fine panels between cuts i and i + 1 (a_end and the lobes' end), then
+    n_geo panels growing from base_w past the width cap 2, and 2-wide ones;
+    nodes counts 16 per panel without building any, exact on the fine
+    panels and a few panels over in the tail."""
     half = L / 2.0
-    lobe_end = math.pi * (N + 3)
     base_w = min(0.1, math.pi / L) * half  # at most pi/2, under the tail's width cap 2
-    fine_w = base_w / 4.0
-
     cuts = [0.0]
     a_end = min(half * _resolved_u(u_cap), X)
     if a_end > 0.0:
         cuts.append(a_end)
-    if cuts[-1] < lobe_end <= X:
-        cuts.append(lobe_end)
-    edges = [np.zeros(1)]
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        edges.append(np.linspace(a, b, max(1, math.ceil((b - a) / fine_w)) + 1)[1:])
+    if cuts[-1] < math.pi * (N + 3) <= X:
+        cuts.append(math.pi * (N + 3))
+    panels = [max(1.0, np.ceil((b - a) / (base_w / 4.0))) for a, b in zip(cuts, cuts[1:])]
+    n_geo = int(math.log(2.0 / base_w) / math.log(1.15)) + 3
+    return cuts, panels, base_w, n_geo, 16.0 * (sum(panels) + n_geo + (X - cuts[-1]) / 2.0 + 2.0)
 
-    # geometric growth out to the cutoff: widths base_w 1.15^j capped at 2,
-    # ends the running sums from cuts[-1] below X, then X itself. Both
-    # accumulates run in order, so the ends are bit for bit those of the
-    # loop pos = min(pos + w, X), w = min(1.15 w, 2), while pos < X
+
+def _check_nodes(nodes: float, what: str) -> None:
+    """ResourceError when a grid would hold more than _MAX_GRID_NODES nodes."""
+    if not nodes <= _MAX_GRID_NODES:
+        raise ResourceError(f"the {what} would hold {nodes:.3g} nodes, past the cap of {_MAX_GRID_NODES:,}")
+
+
+def _grid_edges(L: float, N: int, X: float, u_cap: float):
+    """Panel edges on [0, X] (_grid_plan): a function of L, N, X and u_cap
+    alone, so sources that agree on those share the grid."""
+    cuts, panels, base_w, n_geo, _ = _grid_plan(L, N, X, u_cap)
+    edges = [np.zeros(1)] + [np.linspace(a, b, int(k) + 1)[1:] for a, b, k in zip(cuts, cuts[1:], panels)]
+    # geometric growth out to X: widths base_w 1.15^j capped at 2 (the
+    # n_geo-th is past the cap), ends the running sums from cuts[-1] below
+    # X, then X itself. Both accumulates run in order, so the ends are bit
+    # for bit those of the loop pos = min(pos + w, X), w = min(1.15 w, 2)
     pos = cuts[-1]
     if pos < X:
-        n_geo = int(math.log(2.0 / base_w) / math.log(1.15)) + 3  # the last is past the cap
         w = np.full(n_geo + int((X - pos) / 2.0) + 1, 2.0)
         w[:n_geo] = np.minimum(np.multiply.accumulate([base_w] + [1.15] * (n_geo - 1)), 2.0)
         ends = np.add.accumulate(np.concatenate([[pos], w]))[1:]
@@ -539,9 +525,7 @@ def _source_values(S: GrowthFunction, L: float, eps: float, xs: np.ndarray) -> n
     if not np.all(np.isfinite(g)):
         u_bad = float(np.min(u[~np.isfinite(g)]))
         raise PrecisionError(f"g of source '{S.label}' is not finite at u = {u_bad!r}")
-    if eps > 0.0:
-        return g * np.exp(-eps * u)
-    return g
+    return g * np.exp(-eps * u) if eps > 0.0 else g
 
 
 def _far_sources(xs: np.ndarray, bins: np.ndarray, s2w: np.ndarray):
@@ -653,25 +637,62 @@ def _half_line_integrals(xs: np.ndarray, wv: np.ndarray, k_max: int, want_F: boo
     return (F[:K] - F[K:] if want_F else None), D[:K] + D[K:]
 
 
-def _frozen_tail(X: float, ks: np.ndarray):
-    """F and D of the constant 1 on [X, inf) at the centres ks = pi k:
+def _tail_integrals(X: float, N: int, terms: Sequence[tuple], m: int):
+    """F and D, (N + 1, m), of the integrand on [X, inf): column j takes
+    Re sum of coef e^{-gamma x} / (x + p) over its terms (j, coef, gamma, p)
+    (no factor for p = None); Re gamma >= 0, p > 0 and X > pi N.
 
-        int_X^inf sin^2 x / (x - c)^2 dx = sin^2 z / z + pi/2 - Si(2z),
-        int_X^inf sin^2 x (1/(x - pi k) - 1/(x + pi k)) dx
-            = ln(z+ / z-)/2 - (Ci(2z+) - Ci(2z-))/2,
+    With sin^2 x = 1/2 - (e^{2ix} + e^{-2ix})/4, J1 = int e^{-gamma x}
+    sin^2 x / (x - d) dx sums e^{-beta X} exp_e1(beta (X - d)) over
+    beta = gamma, gamma -+ 2i, and J2 and J3, over (x - d)^2 and (x - d)^3,
+    follow by parts. A beta = 0 piece only enters differences of J1, where
+    its ln is taken as -ln((X - d)/X). A pole term takes partial fractions
+    over -p and the centre c, or where |c + p| < 1 the divided differences
+    int_0^1 J2(d(t)) dt and int_0^1 2 t J3(d(t)) dt, d(t) = -p + t (c + p),
+    by 8-node Gauss-Legendre. One exp_e1 call serves every piece."""
+    K = N + 1
+    cs = np.concatenate([math.pi * np.arange(K), -math.pi * np.arange(K)])
+    # each term reads J at the centres, then a pole's -p and its 8 nodes per near centre
+    ds = [cs if p is None else np.r_[cs, -p, (np.outer(cs[np.abs(cs + p) < 1.0] + p, _GL8_T) - p).ravel()]
+          for *_, p in terms]
+    d, starts = np.concatenate([cs[:0], *ds]), np.cumsum([0] + [x.size for x in ds])
+    cen = np.arange(d.size) - np.repeat(starts[:-1], np.diff(starts)) < 2 * K
+    gam = np.repeat([complex(t[2]) for t in terms], np.diff(starts))
+    z = X - d
+    # E[0..2] = exp_e1 at beta = gamma, gamma - 2i, gamma + 2i; a real gamma
+    # mirrors the second from the third
+    w = np.stack([gam, gam - 2j, gam + 2j]) * z
+    zero = w == 0.0
+    mirror = np.zeros_like(zero)
+    mirror[1] = gam.imag == 0.0
+    E = np.empty_like(w)
+    E[~zero & ~mirror] = exp_e1(w[~zero & ~mirror])
+    E[1, mirror[1]] = E[2, mirror[1]].conj()
+    E[zero] = np.broadcast_to(-np.log1p(-d / X), w.shape)[zero]
+    # sin and e^{2ix} at x = X, read through z at a centre, where
+    # sin^2 (z -+ pi k) = sin^2 z
+    x0 = np.where(cen, z, X)
+    ph, s2, sn2, eX = np.exp(2j * x0), np.sin(x0) ** 2, np.sin(2.0 * x0), np.exp(-gam * X)
+    Qm, Qp = eX * ph * E[1], eX * ph.conj() * E[2]
+    J1 = 0.5 * eX * E[0] - 0.25 * (Qm + Qp)
+    S1 = (Qm - Qp) * -0.5j  # int e^{-gamma x} sin 2x / (x - d)
+    J2 = eX * s2 / z + S1 - gam * J1
+    J3 = 0.5 * (eX * s2 / z**2 + eX * sn2 / z + (Qm + Qp) - gam * S1 - gam * J2)
 
-    with z = X - c, z-+ = X -+ pi k (Abramowitz-Stegun 5.2), since
-    sin^2(x - c) = sin^2 x; D sums the first over c = +-pi k. Si and Ci come
-    from E1(ix) = -Ci(x) + i (Si(x) - pi/2), x > 0 (Abramowitz-Stegun
-    5.2.23), as e^{-ix} times special.exp_e1(ix), one call over both centre
-    sets: |2 z-+| >= 6 pi, since X >= pi (k + 3), so every argument takes
-    the continued fraction, at depth 17 or less."""
-    K = ks.size
-    z = np.concatenate([X - ks, X + ks])
-    e1 = np.exp(-2j * z) * exp_e1(2j * z)  # E1(2z i)
-    F = 0.5 * (np.log(z[K:] / z[:K]) + e1.real[K:] - e1.real[:K])
-    d = np.sin(z) ** 2 / z - e1.imag  # pi/2 - Si(2z) = -Im E1(2z i)
-    return F, d[:K] + d[K:]
+    F, D = np.zeros((K, m)), np.zeros((K, m))
+    for (j, coef, _, p), i in zip(terms, starts + 2 * K):
+        P1, P2 = J1[i - 2 * K : i], J2[i - 2 * K : i]
+        if p is not None:
+            q = cs + p
+            near = np.abs(q) < 1.0
+            jp, gl = J1[i], slice(i + 1, i + 1 + 8 * near.sum())
+            with np.errstate(divide="ignore", invalid="ignore"):
+                P1, P2 = (P1 - jp) / q, (jp - P1) / q**2 + P2 / q
+            P1[near] = J2[gl].reshape(-1, 8) @ _GL8_W
+            P2[near] = J3[gl].reshape(-1, 8) @ (2.0 * _GL8_T * _GL8_W)
+        F[:, j] += (coef * (P1[:K] - P1[K:])).real
+        D[:, j] += (coef * (P2[:K] + P2[K:])).real
+    return F, D
 
 
 def _check_eps(eps: float, route: str) -> None:
@@ -718,42 +739,33 @@ def _windowed_integrals(
     shifts: np.ndarray,
     want_F: bool,
 ):
-    """F(k) (when want_F) and D(k), k = 0..N, of mt - shift on the route
-    grid, one column per source: (N + 1, m) arrays for m sources and their
-    m shifts.
+    """F(k) (when want_F) and D(k), k = 0..N, of mt - shift, one column per
+    source: (N + 1, m) arrays for m sources and their m shifts.
 
     Every precondition of the frequency route is checked here: a finite
     eps >= 0 (DomainError), N in [0, _MAX_ORDER] and not past N_max of any
-    source at any eps (_check_resolvable). The grid ends at the cutoff X.
-    For eps > 0, X is where the damped tail bound
-    C e^{-2 eps (X - pi N)/L} / (pi (X - pi N)) meets _CUTOFF_TARGET =
-    1.0000000000000002e-10, C the growth constant (_cutoff_damped). At
-    eps = 0, X is where mt turns constant (_cutoff), and the part beyond X
-    is added in closed form with mt frozen at its value at X (_frozen_tail).
-    The sources share one grid, so they must agree on X and on u_cap
-    (ContractError); the battery's do at eps = 0. The panels on the
-    resolved range take product-integration weights (_step_values) for a
-    source that declares jumps, the rest mt read at the nodes. A cutoff
-    whose grid would hold more than _MAX_GRID_NODES nodes (about 8X) is a
-    ResourceError, raised before the grid is built."""
+    source (_check_resolvable), a tail for every source and one u_cap for
+    the batch (ContractError), and a grid of at most _MAX_GRID_NODES nodes
+    (ResourceError). The grid runs to the batch's _cutoff X, the same at
+    every eps, where _tail_integrals takes over. On the resolved range a
+    source that declares jumps takes product-integration weights
+    (_step_values); mt is read at the other nodes."""
     _check_eps(eps, "frequency")
     _check_order(N)
     for S in sources:
         _check_resolvable(S, L, N)
-    X, u_cap = _cutoff(sources[0], eps, L, N), sources[0].u_cap
-    if any(_cutoff(S, eps, L, N) != X or S.u_cap != u_cap for S in sources[1:]):
-        raise ContractError(
-            "sources batched on the frequency route must share its grid: the same cutoff X and u_cap"
-        )
-    nodes = 8.0 * X  # past the lobes the panels are at most 2 wide, 16 nodes each
-    if nodes > _MAX_GRID_NODES:
-        raise ResourceError(
-            f"eps = {eps:g} puts the frequency-route cutoff at X = {X:.4g}, about "
-            f"{nodes:.3g} grid nodes, past the cap of {_MAX_GRID_NODES:,} nodes"
-        )
+    if not sources:
+        return np.zeros((N + 1, 0)), np.zeros((N + 1, 0))
+    u_cap = sources[0].u_cap
+    if any(S.u_cap != u_cap for S in sources[1:]):
+        raise ContractError("sources batched on the frequency route must share its grid: the same u_cap")
+    tails = [_tail_of(S) for S in sources]
+    X = _cutoff(tails, L, N)
+    _check_nodes(_grid_plan(L, N, X, u_cap)[-1], f"frequency-route grid at L = {L:g}, N = {N} to X = {X:.4g}")
     edges = _grid_edges(L, N, X, u_cap)
     xs, ws = _gl_nodes_on(edges[:-1], edges[1:])
-    n_res = int(np.searchsorted(edges, min((L / 2.0) * _resolved_u(u_cap), X)))  # resolved panels
+    half = L / 2.0
+    n_res = int(np.searchsorted(edges, min(half * _resolved_u(u_cap), X)))  # resolved panels
     wv = np.empty((xs.size, len(sources)))
     for j, (S, shift) in enumerate(zip(sources, shifts)):
         m = _GL16[0].size * n_res if S.jumps_upto is not None else 0  # nodes on resolved jumps
@@ -761,13 +773,18 @@ def _windowed_integrals(
         if m:
             wv[:m, j] = _step_values(S, L, eps, edges[: n_res + 1], xs[:m]) - shift * ws[:m]
     F, D = _half_line_integrals(xs, wv, N, want_F)
-    if eps == 0.0:
-        f_inf = np.array([_source_values(S, L, eps, np.array([X]))[0] for S in sources]) - shifts
-        F_tail, D_tail = _frozen_tail(X, math.pi * np.arange(N + 1))
-        if want_F:
-            F += f_inf * F_tail[:, None]
-        D += f_inf * D_tail[:, None]
-    return F, D
+    # past X, mt - shift = Re sum c (L/2)^[b] e^{-gamma x} / (x + b L/2)^[b],
+    # gamma = 2 (lam + eps) / L; the undamped shift joins a term of equal gamma
+    terms = {}
+    for j, ((_, tail), shift) in enumerate(zip(tails, shifts)):
+        for c, lam, *b in [*tail, (-shift, -eps)]:
+            key = (j, complex(lam + eps) / half, b[0] * half if b else None)
+            terms[key] = terms.get(key, 0.0) + (c * half if b else c)
+    rows = [(j, c, g, p) for (j, g, p), c in terms.items() if c != 0.0]
+    F_t, D_t = _tail_integrals(X, N, rows, len(sources))
+    if want_F:
+        F += F_t
+    return F, D + D_t
 
 
 def assemble_frequency_route(
@@ -779,10 +796,8 @@ def assemble_frequency_route(
     """Matrix truncation from the frequency-side integrals F(k), D(n).
 
     eps = 0 is allowed here (bounded g keeps every entry absolutely
-    convergent through the Fejer window). _windowed_integrals sets the
-    cutoff: for eps > 0 where the damped tail bound meets the fixed
-    _CUTOFF_TARGET = 1.0000000000000002e-10; for eps = 0 where mt turns
-    constant, with the constant tail integrated in closed form."""
+    convergent through the Fejer window). _windowed_integrals lays the grid
+    to X and adds the source's exact tail past it, at every eps."""
     F, D = _windowed_integrals([S], I.length, eps, N, np.zeros(1), want_F=True)
     return OperatorTruncation(
         interval=I,
@@ -806,22 +821,18 @@ def diagonal_sequences(
     for m sources on one shared grid: row j of the (m, n_max + 1) result
     is the diagonal of sources[j] at A[j].
 
-    At eps = 0 the integrand is h(u) = g(|u|) - A directly; at eps > 0 the
-    damped g is integrated and A subtracted exactly (the Fejer window has
-    unit mass). Diagonals are even in n. The grid and its cutoff are those
-    of assemble_frequency_route at order n_max, and so is the order cap
-    [0, _MAX_ORDER] (ContractError); a non-finite A, an A per source
-    missing, and sources that do not share the grid are ContractErrors too.
-    An eps that is not finite and >= 0, and at any eps an n_max past the
-    frozen tail of a table-backed source, are DomainErrors."""
+    The integrand is h(u) = g(|u|) e^{-eps |u|} - A at every eps.
+    Diagonals are even in n. The grid, its end X and its
+    checks are those of assemble_frequency_route at order n_max
+    (_windowed_integrals); a non-finite A and an A per source missing are
+    ContractErrors too. No sources give a (0, n_max + 1) array."""
     A = np.asarray(A, dtype=float)
     if A.shape != (len(sources),):
         raise ContractError("diagonal_sequences needs one A per source")
     for a in A:
         _check_A(a)
-    shifts = A if eps == 0.0 else np.zeros_like(A)
-    _, D = _windowed_integrals(sources, I.length, eps, n_max, shifts, want_F=False)
-    return (D / math.pi - (A - shifts)).T
+    _, D = _windowed_integrals(sources, I.length, eps, n_max, A, want_F=False)
+    return (D / math.pi).T
 
 
 def diagonal_sequence(

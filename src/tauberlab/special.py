@@ -1,5 +1,5 @@
-"""Zeta-family evaluators on the half-plane Re(s) > 1, and the two other
-special functions the package needs.
+"""Zeta-family evaluators on the half-plane Re(s) > 1, and the one other
+special function the package needs.
 
 Everything the transform layer needs reduces to six functions: the Riemann
 zeta function and its derivative, the prime zeta function ("sum of p^{-s}
@@ -84,10 +84,10 @@ All evaluators accept a complex scalar, an ndarray or an OuterGrid (whose
 result has the grid's (P, Q) shape) and respect the Schwarz reflection
 F(conj s) = conj F(s).
 
-The other two: exp_e1 gives e^w E1(w) on Re w >= 0, w != 0, vectorized,
-for the slow_approach transform and for the sine and cosine integrals of
-the operators' frozen tail, E1(ix) = -Ci(x) + i (Si(x) - pi/2)
-(Abramowitz-Stegun 5.2.23). It sums the power series of E1 for |w| <= 2
+The other one: exp_e1 gives e^w E1(w) on Re w >= 0, w != 0, vectorized,
+for the slow_approach transform and for the operators' exact tail,
+int_X^inf e^{-w x} / (x - d) dx = e^{-w X} exp_e1(w (X - d)) (from
+Abramowitz-Stegun 5.1.1). It sums the power series of E1 for |w| <= 2
 and evaluates the continued fraction
 e^w E1(w) = 1/(w + 1 - 1^2/(w + 3 - 2^2/(w + 5 - ...))) backward beyond,
 each point to the depth its own |w| needs; the fraction also takes
@@ -96,8 +96,6 @@ each point to the depth its own |w| needs; the fraction also takes
 at most 1.5e-15 relative where the series runs (the worst near |w| = 2
 just past arg w = 1.2) and 1.1e-15 where the fraction runs (the worst
 near |w| = 1.25).
-lambert_w0 gives W0(x), x > 0, by Halley's iteration, for the damped
-cutoff of the operators' frequency route.
 """
 
 from __future__ import annotations
@@ -124,7 +122,6 @@ __all__ = [
     "psi_prime_part",
     "prime_zeta_pair",
     "exp_e1",
-    "lambert_w0",
 ]
 
 logger = logging.getLogger(__name__)
@@ -166,9 +163,6 @@ _E1_SEAM_RADIUS = 1.25
 _E1_SEAM_ARG = 1.2
 _E1_SERIES = tuple((-1.0) ** (k + 1) / (k * math.factorial(k)) for k in range(25, 0, -1))
 _E1_CF_DEPTH_CAP = 100
-
-# Halley steps of lambert_w0 at most; on (0, 1.7e308] it stops within four
-_W0_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -664,7 +658,7 @@ def psi_prime_part(s, tol: Optional[EvalTolerance] = None):
 
 
 # ---------------------------------------------------------------------------
-# exponential integral and Lambert W
+# exponential integral
 # ---------------------------------------------------------------------------
 
 
@@ -732,27 +726,3 @@ def _e1_fraction(z: np.ndarray) -> np.ndarray:
     out[order] = f
     return out
 
-
-def lambert_w0(x: float) -> float:
-    """W0(x) for x > 0, the root of w e^w = x, by Halley's iteration.
-
-    Divided by e^w, the residual is g = w - x e^{-w} and the Halley step
-    w <- w - g / (w + 1 - (w + 2) g / (2 w + 2)); x e^{-w} stays finite up
-    to the largest float since w >= 0. It starts from ln(1 + x) below e
-    and from L1 - L2 + L2/L1 (L1 = ln x, L2 = ln L1) above, and stops at a
-    step of at most 4 ulp of w."""
-    if not (x > 0.0 and math.isfinite(x)):
-        raise DomainError("lambert_w0 requires a finite x > 0")
-    if x <= math.e:
-        w = math.log1p(x)
-    else:
-        l1 = math.log(x)
-        l2 = math.log(l1)
-        w = l1 - l2 + l2 / l1
-    for _ in range(_W0_STEPS):
-        g = w - x * math.exp(-w)
-        step = g / (w + 1.0 - (w + 2.0) * g / (2.0 * w + 2.0))
-        w -= step
-        if abs(step) <= 4.0 * math.ulp(w):
-            break
-    return w

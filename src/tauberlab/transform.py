@@ -16,8 +16,10 @@ transform_step_sum is the exact transform of a pure step source: the
 integrand is piecewise e^{-su}, so each piece integrates in closed form,
 and the sum has no tail. The sources that jump declare their jumps
 (GrowthFunction.jumps_upto), which the operators' frequency route
-integrates piece by piece; the catalog's closed forms are checked in the
-tests against a brute-force quadrature of the source's own g.
+integrates piece by piece, and every catalog source states its tail, the
+exponential sum g is past some u_t (GrowthFunction.tail), which the route
+integrates in closed form. The closed forms are checked in the tests
+against a brute-force quadrature of the source's own g.
 
 The module also carries the catalog of named growth-function instances the
 experiment battery runs on. The synthetic ones have elementary transforms
@@ -127,6 +129,7 @@ def source_identity() -> GrowthFunction:
         growth_constant=1.0,
         laplace=lambda s: 1.0 / (np.asarray(s, dtype=complex) - 1.0),
         ratio_limit_A=1.0,
+        tail=(0.0, ((1.0, 0.0),)),
     )
 
 
@@ -135,7 +138,7 @@ def source_integers() -> GrowthFunction:
 
     def fn(u):
         # every float past 2^52 = e^36.04 is an integer, so g is exactly 1
-        # there and e^u need not be formed past u = 40
+        # there (the tail) and e^u need not be formed past u = 40
         e = np.exp(np.minimum(u, 40.0))
         return np.floor(e) / e
 
@@ -150,6 +153,7 @@ def source_integers() -> GrowthFunction:
         laplace=transform_integers,
         jumps_upto=jumps_upto,
         ratio_limit_A=1.0,
+        tail=(52.0 * math.log(2.0), ((1.0, 0.0),)),
     )
 
 
@@ -188,6 +192,7 @@ def source_sqrt_mix(a: float = 1.0, b: float = 1.0) -> GrowthFunction:
         laplace=lambda s: a / (np.asarray(s, dtype=complex) - 1.0)
         + b / (np.asarray(s, dtype=complex) - 0.5),
         ratio_limit_A=a,
+        tail=(0.0, ((a, 0.0), (b, 0.5))),
     )
 
 
@@ -205,6 +210,7 @@ def source_log_oscillation(amplitude: float = 0.5) -> GrowthFunction:
         laplace=lambda s: 1.0 / (np.asarray(s, dtype=complex) - 1.0)
         + amplitude / ((np.asarray(s, dtype=complex) - 1.0) ** 2 + 1.0),
         ratio_limit_A=None,
+        tail=(0.0, ((1.0, 0.0), (-1j * amplitude, -1j))),
     )
 
 
@@ -221,6 +227,7 @@ def source_slow_approach() -> GrowthFunction:
         laplace=lambda s: 1.0 / (np.asarray(s, dtype=complex) - 1.0)
         + exp_e1(np.asarray(s, dtype=complex) - 1.0),
         ratio_limit_A=1.0,
+        tail=(0.0, ((1.0, 0.0), (1.0, 0.0, 1.0))),
     )
 
 
@@ -239,4 +246,5 @@ def source_single_jump(height: float = 3.0, location: float = math.e) -> GrowthF
         / np.asarray(s, dtype=complex),
         jumps_upto=step.jumps_upto,
         ratio_limit_A=0.0,
+        tail=(u0, ((height, 1.0),)),
     )

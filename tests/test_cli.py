@@ -207,21 +207,33 @@ def test_operator_diag_refuses_an_order_past_the_cap(capsys):
 
 
 def test_operator_refuses_a_frequency_grid_past_the_node_cap(capsys, monkeypatch):
-    # at eps = 1e-7 the damped cutoff sits near X = 3.6e8, some 2.9e9 nodes;
-    # the refusal comes before any grid is built
+    # at L = 0.05 the fine panels are 6.25e-4 wide out to X = 67 pi: some
+    # 5.39e6 nodes; L = 1e-9 would ask for terabytes. The refusal comes
+    # before any grid is built, on both routes (the kernel route's at
+    # L = 1e6: 10^7 panels)
     def no_grid(*args):
         raise AssertionError("grid built")
 
-    monkeypatch.setattr(operators, "_grid_edges", no_grid)
-    for cmd, *extra in (("diag", "--A", "1"), ("assemble",)):
+    for name in ("_grid_edges", "_gl_nodes_on", "OuterGrid"):
+        monkeypatch.setattr(operators, name, no_grid)
+    for length, cmd, *extra in (
+        ("0.05", "diag", "--A", "1"),
+        ("0.05", "assemble"),
+        ("1e-9", "diag", "--A", "1"),
+        ("1e6", "assemble", "--route", "kernel"),
+    ):
         code, out, err = run_cli(
-            capsys, "operator", cmd, "--source", "sqrt_mix", "--eps", "1e-7", "--order", "64", *extra,
+            capsys, "operator", cmd, "--source", "linear", "--length", length, "--eps",
+            "0.05" if "kernel" in extra else "0", "--order", "64" if length == "0.05" else "2", *extra,
         )
-        assert code == 2 and out == "", cmd
+        assert code == 2 and out == "", (length, cmd)
         doc = json.loads(err.strip())
-        assert doc["code"] == "resource", cmd
-        assert "eps = 1e-07" in doc["message"] and "X = 3.607e+08" in doc["message"], cmd
-        assert "4,000,000 nodes" in doc["message"], cmd
+        assert doc["code"] == "resource", (length, cmd)
+        assert f"L = {float(length):g}" in doc["message"], (length, cmd)
+        assert "past the cap of 4,000,000" in doc["message"], (length, cmd)
+    code, _, err = run_cli(capsys, "operator", "diag", "--source", "linear", "--length", "0.05",
+                           "--eps", "0", "--order", "64", "--A", "1")
+    assert "5.39e+06 nodes" in json.loads(err.strip())["message"]
 
 
 def test_pnt_takes_length_and_order_from_the_config_file(capsys, tmp_path):
@@ -265,10 +277,9 @@ def test_no_arguments_is_a_usage_error(capsys):
     assert run_cli(capsys)[0] == 64
 
 
-def test_operator_reads_g_past_the_largest_float(capsys):
-    # the damped cutoffs of these commands put nodes past u = ln(float max)
-    # ~ 709.8, where e^u is no float; every source states g in u, so the
-    # values stay finite there
+def test_operator_runs_at_small_eps(capsys):
+    # every eps lays the eps = 0 grid and adds the exact tail past it, so a
+    # small eps costs what eps = 0 costs and every value stays finite
     for argv in (
         ("diag", "--source", "sqrt_mix", "--eps", "1e-3", "--order", "8", "--A", "1"),
         ("diag", "--source", "integers", "--eps", "1e-3", "--order", "8", "--A", "1"),
@@ -455,7 +466,7 @@ def test_operator_assemble_stdout_and_file_agree(capsys, tmp_path):
 
 def test_operator_cli_prints_what_the_library_computes(capsys):
     # the frequency route and the diagonals take no tolerance, so the CLI's
-    # abs_tol cannot move their cutoff
+    # abs_tol cannot move their grid
     code, out, _ = run_cli(capsys, "operator", "assemble", "--source", "integers",
                            "--length", repr(2 * math.pi), "--eps", "0.1", "--order", "8")
     assert code == 0

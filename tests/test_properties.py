@@ -1,7 +1,7 @@
 """Property tests: Schwarz reflection of the zeta family, the closed-form
 Euler-Maclaurin truncation, the outer-grid path against plain point
 arrays, symmetry and positive semi-definiteness of W on both routes across
-the battery, the closed forms for A* and the damped cutoff, the near/far
+the battery, the closed form for A*, the near/far
 proxy split of the windowed integrals, the prime count against a dense
 sieve, and the declared jumps of the step sources
 against their values."""
@@ -221,60 +221,6 @@ def test_a_star_is_the_clipped_band_midrange(diag, lo, hi_a):
     grid = np.linspace(0.0, hi_a, 1001)
     worst_on_grid = np.max(np.abs(band[None, :] - grid[:, None]), axis=1)
     assert np.max(np.abs(band - a_star)) <= worst_on_grid.min()
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(
-    st.floats(0.5, 4.0),
-    st.floats(1e-3, 0.4),
-    st.floats(2.0 * math.pi, 16.0 * math.pi),
-    st.integers(0, 256),
-    st.floats(-12.0, -2.0),
-)
-def test_damped_cutoff_solves_its_equation(C, eps, L, N, log_target):
-    """y = X - pi N solves C e^{-r y} / (pi y) = target, r = 2 eps / L, to
-    relative 1e-12 past the lobe floor 3 _LOBE_HALF_WIDTH; where the floor
-    binds, the bound there already meets the target. Targets up to 1e-2
-    reach W0(r C / (pi target)) < 1, where a fixed-point iteration on the
-    same equation stalls at the floor with the bound above the target."""
-    target = 10.0**log_target
-    X = operators._cutoff_damped(C, eps, L, N, target)
-    y = X - math.pi * N
-    ratio = C * math.exp(-2.0 * eps / L * y) / (math.pi * y) / target
-    if X > math.pi * N + 3.0 * operators._LOBE_HALF_WIDTH:
-        assert abs(ratio - 1.0) <= 1e-12
-    else:
-        assert ratio <= 1.0
-
-
-def _cutoff_by_fixed_point(C, eps, L, N, target):
-    """The damped cutoff as 40 fixed-point steps from X = pi N + 50."""
-    rate = 2.0 * eps / L
-    X = math.pi * N + 50.0
-    for _ in range(40):
-        X = math.pi * N + max(
-            3.0 * operators._LOBE_HALF_WIDTH,
-            math.log(max(C, 1e-300) / (target * math.pi * (X - math.pi * N))) / rate,
-        )
-    return X
-
-
-def test_damped_cutoff_matches_the_fixed_point_iteration():
-    """The Lambert-W cutoff against the fixed-point iteration it replaced, to
-    4 ulp, where that iteration converges (W0 > 1 in every case here); at
-    eps = 0.4, L = 2 pi, target 1e-3 both sit on the lobe floor."""
-    for C in (1.0, 1.3, 2.0, 3.0 / math.e):
-        for eps in (0.4, 0.2, 0.1, 0.05, 0.01, 1e-3):
-            for L in (2.0 * math.pi, 8.0 * math.pi, 16.0 * math.pi):
-                for target in (1e-7, 1e-10, 1e-11):
-                    for N in (0, 72):
-                        want = _cutoff_by_fixed_point(C, eps, L, N, target)
-                        got = operators._cutoff_damped(C, eps, L, N, target)
-                        assert abs(got - want) <= 4 * np.spacing(want), (C, eps, L, target, N)
-    for C in (1.0, 1.3):
-        floor = math.pi * 72 + 3.0 * operators._LOBE_HALF_WIDTH
-        got = operators._cutoff_damped(C, 0.4, 2.0 * math.pi, 72, 1e-3)
-        assert got == floor == _cutoff_by_fixed_point(C, 0.4, 2.0 * math.pi, 72, 1e-3)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

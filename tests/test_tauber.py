@@ -221,12 +221,12 @@ def test_battery_equivalence_at_full_size():
 
 
 def test_the_battery_runs_as_one_batch(monkeypatch):
-    """One run_battery() sums one frequency-route grid, adds one frozen tail
+    """One run_battery() sums one frequency-route grid, adds one exact tail
     and builds one pair of kernel-route phase matrices for all six members
     (one converse experiment per member makes 6, 6 and 12)."""
     from tauberlab import operators
 
-    calls = dict.fromkeys(("_half_line_integrals", "_frozen_tail", "_unit_phases"), 0)
+    calls = dict.fromkeys(("_half_line_integrals", "_tail_integrals", "_unit_phases"), 0)
     for name in calls:
 
         def counting(*args, _name=name, _original=getattr(operators, name)):
@@ -235,7 +235,7 @@ def test_the_battery_runs_as_one_batch(monkeypatch):
 
         monkeypatch.setattr(operators, name, counting)
     run_battery()
-    assert calls == {"_half_line_integrals": 1, "_frozen_tail": 1, "_unit_phases": 2}
+    assert calls == {"_half_line_integrals": 1, "_tail_integrals": 1, "_unit_phases": 2}
 
 
 def test_each_battery_report_is_its_converse_experiment():
