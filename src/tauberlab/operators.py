@@ -54,23 +54,23 @@ sin(d) sinc(d/pi) and sinc^2(d/pi).
 Far and near: the sorted nodes fall into bins of width w = 1 on the x
 axis (_FAR_BIN). For each centre, its own bin and the 3 bins on either
 side (_NEAR_BINS) are near, and their nodes are summed one by one. Every
-other bin is far. A far bin with more than 16 nodes (_PROXIES; on the
-pnt grid, all 236 bins below its end X = 235.6) enters through 16
-first-kind Chebyshev proxies weighted by the anterpolation of its nodes,
-as in the one-level black-box fast multipole method (W. Fong and
-E. Darve, J. Comput. Phys. 228 (2009) 8712-8725): the proxies sum s2w
-against the degree-15 interpolant p of the kernel f on the bin in place
-of f. Sparse bins keep their nodes. The far terms then come from one
+other bin is far, and each far bin (on the pnt grid, all 236 below its
+end X = 235.6) enters through 16 first-kind Chebyshev proxies (_PROXIES)
+weighted by the anterpolation of its nodes (_anterpolate, which also
+integrates the prime staircase below), as in the one-level black-box fast
+multipole method (W. Fong and E. Darve, J. Comput. Phys. 228 (2009)
+8712-8725): the proxies sum s2w against the degree-15 interpolant p of
+the kernel f on the bin in place of f. The far terms then come from one
 reciprocal block over the far sources, with each centre's near bins
 zeroed; near and far split on the same bin numbers, so each node counts
 once. On the pnt grid (N = 72) the 12,016 nodes give 3,776 far sources,
 and the block has 0.55M entries in place of 1.75M. One block serves a
 batch of sources on one grid: the weights are an (n, m) matrix, one
-column per source, so the sort, the proxies' Chebyshev recurrence, the
-near-pass index arrays and the reciprocal block are built once, the tail
-takes one exp_e1 call, and the far sums are one product of the block with
-the m columns. The battery's six sources share their grid at N = 64, at
-every eps: 10,736 nodes, 3,376 far sources and one 130 x 3,376 block.
+column per source, so the proxies' Chebyshev recurrence, the near-pass
+index arrays and the reciprocal block are built once, the tail takes one
+exp_e1 call, and the far sums are one product of the block with the m
+columns. The battery's six sources share their grid at N = 64, at every
+eps: 10,736 nodes, 3,376 far sources and one 130 x 3,376 block.
 
 Bound: map a far bin onto [-1, 1]. Its centre lies at least
 (_NEAR_BINS + 1/2) w = 7 half-widths from c, so f is analytic inside the
@@ -80,8 +80,9 @@ one half-width w/2 from c, so |f| <= M = 2/w for F and 4/w^2 for D, and
 ||f - p|| <= 4 M r^{-15} / (r - 1) (Trefethen, Approximation Theory and
 Approximation Practice, Thm 8.2, n = 15; the first-kind interpolant
 aliases the same Chebyshev tail). That is 5.3e-17 for F and 1.1e-16 for
-D per unit of sum |s2w| over the bin, and it falls like r^{-15} for the
-bins farther out, whose r grows with their distance from c.
+D per unit of sum |s2w| over the bin, whatever its node count, and it
+falls like r^{-15} for the bins farther out, whose r grows with their
+distance from c.
 
 The grid lays panels fine_w = base_w / 4 wide (at most pi/8; pi/10 at
 L = 8 pi) on the resolved range x <= a_end = (L/2) _resolved_u(u_cap)
@@ -197,7 +198,8 @@ _MAX_ORDER = 256
 _MAX_GRID_NODES = 4_000_000  # route grids past this are refused (ResourceError)
 _FAR_BIN = 1.0  # bin width of the near/far split (module docstring)
 _NEAR_BINS = 3  # bins on each side of a centre's bin summed node by node
-_PROXIES = 16  # a bin with more nodes than this is replaced by as many proxies
+_PROXIES = 16  # Chebyshev proxies that stand for each far bin
+_TAIL_RTOL = 1e-13  # relative gap a stated tail may leave to g (the catalog leaves 1.1e-16)
 # entries of one far-field reciprocal block, whatever the batch width m: the
 # battery's 130 x 3,376 block fits in one. Do not shrink it: at 500,000 the
 # block comes in two chunks, which glibc maps afresh on every op (its heap
@@ -419,13 +421,22 @@ def _cutoff(tails: Sequence[tuple], L: float, N: int) -> float:
 
 
 def _tail_of(S: GrowthFunction) -> tuple:
-    """S.exact_tail(), checked: a ContractError names a source without one
-    or with u_t < 0, a Re lam < 0 or a b <= 0."""
+    """S.exact_tail(), checked: a ContractError names a source without one,
+    with u_t < 0, a Re lam < 0 or a b <= 0, or whose stated tail leaves g by
+    more than _TAIL_RTOL |g| at u_t, u_t + 1 or u_t + 10. A table-backed
+    source's tail is g(u_cap) itself; a non-finite g is the grid's to refuse."""
     tail = S.exact_tail()
     if tail is None:
         raise ContractError(f"source '{S.label}' states no tail of g, which the frequency route needs")
-    if not tail[0] >= 0.0 or any(complex(t[1]).real < 0 or not min(t[2:], default=1) > 0 for t in tail[1]):
+    u_t, terms = tail
+    if not u_t >= 0.0 or any(complex(t[1]).real < 0 or not min(t[2:], default=1) > 0 for t in terms):
         raise ContractError(f"the tail of source '{S.label}' needs u_t >= 0, Re lam >= 0 and b > 0")
+    if math.isinf(S.u_cap):
+        u = u_t + np.array([0.0, 1.0, 10.0])
+        g = np.asarray(S.g_clipped(u), dtype=float)
+        stated = np.real(sum(c * np.exp(-lam * u) / (u + b[0] if b else 1.0) for c, lam, *b in terms))
+        if np.any(np.abs(stated - g) > _TAIL_RTOL * np.abs(g)):
+            raise ContractError(f"the tail of source '{S.label}' is not its g at u = {u}: {stated} against {g}")
     return tail
 
 
@@ -484,7 +495,7 @@ def _step_values(S: GrowthFunction, L: float, eps: float, edges: np.ndarray, xs:
     A_i = h (a_end w_i - sum_j da_j Lambda_i(t_j)): a_end the level at the
     panel's end, the sum of da over the jumps before it, and t_j in [-1, 1)
     the panel's jumps; a jump at x <= 1 sits at t = -1 of the first panel.
-    B_i likewise from the db_j."""
+    B_i likewise from the db_j: one _anterpolate pass against _LAMBDA."""
     half = L / 2.0
     x, da, db = S.jumps_upto(math.exp(edges[-1] / half))
     xj = half * np.log(np.maximum(x, 1.0))
@@ -494,23 +505,13 @@ def _step_values(S: GrowthFunction, L: float, eps: float, edges: np.ndarray, xs:
     J, hw = bounds[-1], 0.5 * np.diff(edges)
     p = np.repeat(np.arange(hw.size), np.diff(bounds))
     t = (xj[:J] - edges[p]) / hw[p] - 1.0
-    # Y[n] = (da_j, db_j) T_n(t_j) by T_{n+1} = 2 t T_n - T_{n-1}, summed per panel
-    degrees = _LAMBDA.shape[0]
-    Y = np.empty((degrees, 2, J))
-    Y[0, 0], Y[0, 1] = da[:J], db[:J]
-    np.multiply(Y[0], t, out=Y[1])
-    t2 = t + t
-    for n in range(1, degrees - 1):
-        np.multiply(Y[n], t2, out=Y[n + 1])
-        Y[n + 1] -= Y[n - 1]
-    full = np.flatnonzero(bounds[1:] > bounds[:-1])
-    Q = np.zeros((degrees, 2, hw.size))
-    Q[:, :, full] = np.add.reduceat(Y, bounds[full], axis=2)
+    w = np.stack([da[:J], db[:J]])
     level = np.zeros((2, J + 1))
-    np.cumsum(Y[0], axis=1, out=level[:, 1:])
-    a_end, b_end = level[:, bounds[1:], None]
-    A = hw[:, None] * (a_end * _GL16[1] - Q[:, 0].T @ _LAMBDA)
-    B = hw[:, None] * (b_end * _GL16[1] - Q[:, 1].T @ _LAMBDA)
+    np.cumsum(w, axis=1, out=level[:, 1:])
+    full = np.flatnonzero(bounds[1:] > bounds[:-1])
+    Q = np.zeros((2, hw.size, _LAMBDA.shape[1]))
+    Q[:, full] = _anterpolate(t, w, bounds[full], _LAMBDA)
+    A, B = hw[:, None] * (level[:, bounds[1:], None] * _GL16[1] - Q)
     u = xs / half
     return np.exp(-(1.0 + eps) * u) * (A + u.reshape(A.shape) * B).ravel()
 
@@ -528,48 +529,46 @@ def _source_values(S: GrowthFunction, L: float, eps: float, xs: np.ndarray) -> n
     return g * np.exp(-eps * u) if eps > 0.0 else g
 
 
+def _anterpolate(t: np.ndarray, w: np.ndarray, starts: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Per-segment sums sum_i w[:, i] f_j(t_i), (m, segments, k), of the
+    point masses w, (m, n) and C-contiguous, at t in [-1, 1]; segment s
+    runs from starts[s] to the next start, and f_j = sum_d basis[d, j] T_d.
+    The moments sum_i w_i T_d(t_i), one np.add.reduceat per degree, meet
+    basis in one product. w is one of the recurrence's three buffers: the
+    caller's array is overwritten."""
+    (degrees, k), m, segs = basis.shape, w.shape[0], starts.size
+    mu = np.empty((degrees, m, segs))
+    prev, cur = w, t * w  # w T_0, w T_1
+    mu[0], mu[1] = np.add.reduceat(prev, starts, axis=1), np.add.reduceat(cur, starts, axis=1)
+    t2 = t + t
+    spare = np.empty_like(cur)  # three buffers turn round the recurrence
+    for d in range(2, degrees):  # w T_d = 2 t w T_{d-1} - w T_{d-2}
+        np.multiply(t2, cur, out=spare)
+        spare -= prev
+        prev, cur, spare = cur, spare, prev
+        mu[d] = np.add.reduceat(cur, starts, axis=1)
+    # freed before the outputs are built, which then fill their room on the
+    # heap, not the top that the caller's reciprocal block goes to next
+    del t, w, t2, prev, cur, spare
+    return (mu.reshape(degrees, m * segs).T @ basis).reshape(m, segs, k)
+
+
 def _far_sources(xs: np.ndarray, bins: np.ndarray, s2w: np.ndarray):
     """The far sources of the sorted nodes xs: positions, weights and bins.
 
     s2w holds one column of weights per source, (n, m), and so do the far
-    weights. A bin holding more than _PROXIES nodes becomes its _PROXIES
-    first-kind Chebyshev points p_j with weights w_j = sum_i s2w_i l_j(t_i),
-    l_j the Lagrange basis of the p_j and t_i the bin's nodes mapped onto
-    [-1, 1], so that sum_j w_j f(p_j) = sum_i s2w_i p(t_i) for the
-    interpolant p of f at the p_j. The w_j come from the Chebyshev moments
-    mu_m = sum_i s2w_i T_m(t_i) through _ANTERP. Sparse bins keep their
-    nodes. The sources come out in bin order."""
+    weights. Every bin becomes its _PROXIES first-kind Chebyshev points p_j
+    with weights w_j = sum_i s2w_i l_j(t_i), l_j the Lagrange basis of the
+    p_j and t_i the bin's nodes mapped onto [-1, 1], so that
+    sum_j w_j f(p_j) = sum_i s2w_i p(t_i) for the interpolant p of f at the
+    p_j: _anterpolate against _ANTERP. The sources come out in bin order."""
     starts = np.flatnonzero(np.diff(bins, prepend=-np.inf))
-    counts = np.diff(starts, append=xs.size)
-    crowded = counts > _PROXIES
-    raw = np.repeat(~crowded, counts)
-    cb, cn = bins[starts[crowded]], counts[crowded]
-    t = 2.0 * (xs[~raw, None] / _FAR_BIN - np.repeat(cb, cn)[:, None]) - 1.0
-    seg = np.cumsum(cn) - cn
-    mu = np.empty((_PROXIES, cb.size, s2w.shape[1]))
-    prev = s2w[~raw]
-    cur = t * prev  # s2w T_0, s2w T_1
-    mu[0], mu[1] = np.add.reduceat(prev, seg), np.add.reduceat(cur, seg)
-    t2 = t + t
-    spare = np.empty_like(cur)  # three buffers turn round the recurrence
-    for m in range(2, _PROXIES):  # s2w T_m = 2 t s2w T_{m-1} - s2w T_{m-2}
-        np.multiply(t2, cur, out=spare)
-        spare -= prev
-        prev, cur, spare = cur, spare, prev
-        mu[m] = np.add.reduceat(cur, seg)
-    # freed before the outputs are built, which then fill their room on the
-    # heap, not the top that the caller's reciprocal block goes to next
-    del t, t2, prev, cur, spare
-    # pw[(bin, source), j] = sum_m mu[m, bin, source] _ANTERP[m, j], then
-    # one row per (bin, j) proxy
-    cols = s2w.shape[1]
-    pw = mu.reshape(_PROXIES, -1).T @ _ANTERP
-    pw = pw.reshape(cb.size, cols, _PROXIES).transpose(0, 2, 1).reshape(-1, cols)
-    sb = np.concatenate([np.repeat(cb, _PROXIES), bins[raw]])
-    order = np.argsort(sb, kind="stable")
-    sx = np.concatenate([((cb[:, None] + 0.5 * (_CHEB + 1.0)) * _FAR_BIN).ravel(), xs[raw]])
-    sw = np.concatenate([pw, s2w[raw]])
-    return sx[order], sw[order], sb[order]
+    cb, cols = bins[starts], s2w.shape[1]
+    # the recurrence's buffers are passed, not held here, so that
+    # _anterpolate frees them before it builds the weights
+    pw = _anterpolate(2.0 * (xs / _FAR_BIN - bins) - 1.0, s2w.T.copy(), starts, _ANTERP)
+    sx = ((cb[:, None] + 0.5 * (_CHEB + 1.0)) * _FAR_BIN).ravel()
+    return sx, pw.transpose(1, 2, 0).reshape(-1, cols), np.repeat(cb, _PROXIES)
 
 
 def _half_line_integrals(xs: np.ndarray, wv: np.ndarray, k_max: int, want_F: bool):

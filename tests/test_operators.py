@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -278,6 +279,20 @@ def test_frequency_route_refuses_a_source_without_a_tail():
             assemble_frequency_route(bad, I, 0.0, 4)
 
 
+def test_frequency_route_refuses_a_tail_that_is_not_g():
+    """sqrt_mix stating the tail 1 of the identity, where its g is
+    1 + e^{-u/2}: the route compares the tail with g at u_t, u_t + 1 and
+    u_t + 10 and names the source in a ContractError, alone or in a batch,
+    at eps = 0 and 0.05."""
+    wrong = dataclasses.replace(tr.source_sqrt_mix(1.0, 1.0), label="wrong_tail", tail=(0.0, ((1.0, 0.0),)))
+    I = IntervalSpec(8 * math.pi)
+    for eps in (0.0, 0.05):
+        with pytest.raises(ContractError, match="'wrong_tail' is not its g"):
+            assemble_frequency_route(wrong, I, eps, 4)
+        with pytest.raises(ContractError, match="'wrong_tail' is not its g"):
+            diagonal_sequences([tr.source_identity(), wrong], I, eps, [1.0, 1.0], 4)
+
+
 def test_half_line_integrals_match_the_sinc_form():
     """Reference: every term through sinc, as sin(x -+ pi k) sinc((x -+ pi k)/pi).
     Both node sets are sorted, as the route grids are. The first includes
@@ -338,19 +353,18 @@ def dense_half_line_integrals(xs, wv, k_max):
 
 def proxy_bound(xs, wv, k_max):
     """The interpolation bound of the operators module docstring, per k,
-    for F and D: each far bin holding more than _PROXIES nodes adds
+    for F and D: each far bin, however many nodes it holds, adds
     4 M r^{-15} / (r - 1) times sum |s2w| over its nodes, with
     r = a + sqrt(a^2 - 1), a one less than the distance of the bin's centre
     from the centre c in half-widths, and M = 2/w (F) or 4/w^2 (D)."""
     w = operators._FAR_BIN
-    bins, inv, counts = np.unique(np.floor(xs / w), return_inverse=True, return_counts=True)
-    crowded = counts > operators._PROXIES
-    mass = np.bincount(inv, np.abs(np.sin(xs) ** 2 * wv))[crowded]
+    bins, inv = np.unique(np.floor(xs / w), return_inverse=True)
+    mass = np.bincount(inv, np.abs(np.sin(xs) ** 2 * wv))
     g = np.zeros(k_max + 1)
     for sign in (1.0, -1.0):
         c = sign * math.pi * np.arange(k_max + 1)
-        near = np.abs(bins[crowded][None, :] - np.floor(c / w)[:, None]) <= operators._NEAR_BINS
-        delta = np.abs((bins[crowded] + 0.5)[None, :] * w - c[:, None]) / (w / 2.0)
+        near = np.abs(bins[None, :] - np.floor(c / w)[:, None]) <= operators._NEAR_BINS
+        delta = np.abs((bins + 0.5)[None, :] * w - c[:, None]) / (w / 2.0)
         a = np.where(near, 8.0, delta) - 1.0  # far bins have delta >= 7
         r = a + np.sqrt(a * a - 1.0)
         g += np.where(near, 0.0, 4.0 * r**-15 / (r - 1.0) * mass).sum(axis=1)
@@ -398,7 +412,9 @@ def test_proxy_sums_match_the_dense_sums_on_the_route_grids(big_table, monkeypat
     """The pnt diagonal grid (weighted primes on the 1e8 table, L = 8 pi,
     N = 72, eps = 0), the eps = 0 diagonal grid of every battery member at
     N = 64, alone and as the one six-column batch that run_battery sums,
-    and one eps = 0.05 frequency-route grid, against the dense reference."""
+    one eps = 0.05 frequency-route grid, and the integers' grid at
+    L = 8 pi, N = 16, whose bins past x = 160 hold 6 to 11 nodes, fewer
+    than their 16 proxies, against the dense reference."""
     from tauberlab import tauber
 
     L = tauber.DEFAULT_LENGTH
@@ -411,9 +427,12 @@ def test_proxy_sums_match_the_dense_sums_on_the_route_grids(big_table, monkeypat
             diagonal_sequence(S, IntervalSpec(L), 0.0, 1.0, tauber.DEFAULT_ORDER)
         diagonal_sequences(battery, IntervalSpec(L), 0.0, np.ones(6), tauber.DEFAULT_ORDER)
         assemble_frequency_route(tr.source_sqrt_mix(1.0, 1.0), IntervalSpec(L), 0.05, 32)
+        assemble_frequency_route(tr.source_integers(), IntervalSpec(8.0 * math.pi), 0.0, 16)
 
     grids = _route_grids(monkeypatch, run)
-    assert [wv.shape[1] for _, wv, _ in grids] == [1] * 7 + [6, 1]
+    assert [wv.shape[1] for _, wv, _ in grids] == [1] * 7 + [6, 1, 1]
+    xs = grids[-1][0]
+    assert np.unique(np.floor(xs[xs > 160.0] / operators._FAR_BIN), return_counts=True)[1].max() == 11
     for xs, wv, k_max in grids:
         assert_proxy_sums_match_the_dense_sums(xs, wv, k_max)
 
@@ -524,17 +543,24 @@ def _jump_aligned_moments(S, L, eps, N, shift):
     return F[:, 0] + F_tail, D[:, 0] + D_tail
 
 
-@pytest.mark.parametrize("case", ["wprimes_1e5", "pnt", "integer_count", "single_jump"])
-def test_step_weights_match_the_jump_aligned_oracle(case, small_table, big_table):
+@pytest.mark.parametrize("case", ["wprimes_1e5", "pnt", "integer_count", "single_jump", "no_jump"])
+def test_step_weights_match_the_jump_aligned_oracle(case, small_table, big_table, monkeypatch):
     """Product integration over the resolved jumps against 16 nodes on
     every panel between two jumps: the eps = 0 diagonals and the eps = 0
-    and eps = 0.05 frequency routes, every entry within 1e-13."""
+    and eps = 0.05 frequency routes, every entry within 1e-13. The
+    integers resolve their jumps up to 2e4 here, not 2e5, which keeps the
+    oracle at 0.3M nodes; the densest panel still holds about 500 jumps.
+    At L = 40 pi, N = 8 the single jump at x = e lands on the grid end X,
+    so the resolved range holds none."""
     S, L, N = {
         "wprimes_1e5": (tr.source_primes_weighted(small_table), 8.0 * math.pi, 46),
         "pnt": (tr.source_primes_weighted(big_table), 8.0 * math.pi, 72),
         "integer_count": (tr.source_integers(), 2.0 * math.pi, 16),
         "single_jump": (tr.source_single_jump(), 8.0 * math.pi, 64),
+        "no_jump": (tr.source_single_jump(), 40.0 * math.pi, 8),
     }[case]
+    if case == "integer_count":
+        monkeypatch.setattr(operators, "_STEP_RESOLVE_CAP", 2e4)
     I = IntervalSpec(L)
     _, D = _jump_aligned_moments(S, L, 0.0, N, 1.0)
     assert np.max(np.abs(diagonal_sequence(S, I, 0.0, 1.0, N) - D / math.pi)) <= 1e-13
@@ -542,6 +568,62 @@ def test_step_weights_match_the_jump_aligned_oracle(case, small_table, big_table
         F, D = _jump_aligned_moments(S, L, eps, N, 0.0)
         ref = operators._matrix_from_moments(-F / math.pi, D / math.pi)
         assert np.max(np.abs(assemble_frequency_route(S, I, eps, N).entries - ref)) <= 1e-13, eps
+
+
+@pytest.mark.parametrize("basis", ["_LAMBDA", "_ANTERP"])
+@pytest.mark.parametrize("m", [1, 6])
+def test_anterpolate_matches_the_direct_chebyshev_sums(basis, m, rng):
+    """_anterpolate against sum_i w_i chebval(t_i, basis[:, j]) per segment,
+    segments of 1 to 40 points with t in [-1, 1], its ends included. Each
+    |T_d(t)| <= 1, so the recurrence errs by at most 2 d^2 u |w_i| (an
+    error made at step k reaches step d times U_{d-k}, |U_n| <= n + 1), a
+    segment's sum of n terms by n u sum |w_i|, and the contraction with
+    the D coefficients by D u more; Clenshaw's chebval and the reference
+    sum err by as much again. No segments give an empty result."""
+    u = 2.0**-53
+    coef = getattr(operators, basis)
+    D, k = coef.shape
+    sizes = rng.integers(1, 41, size=12)
+    t = rng.uniform(-1.0, 1.0, sizes.sum())
+    t[[0, -1]] = -1.0, 1.0
+    w = rng.standard_normal((m, t.size))
+    starts = np.cumsum(sizes) - sizes
+    got = operators._anterpolate(t, w.copy(), starts, coef)
+    assert got.shape == (m, sizes.size, k)
+    basis_at_t = np.polynomial.chebyshev.chebval(t, coef).T  # (n, k)
+    for s, (a, n) in enumerate(zip(starts, sizes)):
+        ref = w[:, a : a + n] @ basis_at_t[a : a + n]
+        mass = np.abs(w[:, a : a + n]).sum(axis=1)[:, None] * np.abs(coef).sum(axis=0)[None, :]
+        assert np.all(np.abs(got[:, s] - ref) <= 2.0 * (2 * D**2 + n + D) * u * mass), s
+    empty = operators._anterpolate(np.empty(0), np.empty((2, 0)), np.empty(0, dtype=int), coef)
+    assert empty.shape == (2, 0, k)
+
+
+def test_step_values_hold_no_array_of_every_degree():
+    """On the integers' resolved range (L = 2 pi, J = 2e5 jumps up to
+    x = 2e5) _step_values peaks under 20 J doubles traced, below the 34 J
+    that an array of all 17 degrees of (da, db) would take alone (measured:
+    15.2 J). The whole route at eps = 0.1, N = 8 peaks under 30 MiB
+    (measured: 20.3 MiB; 66.3 MiB with such an array)."""
+    S, L, N = tr.source_integers(), 2.0 * math.pi, 8
+    X = _cutoff(S, L, N)
+    edges = operators._grid_edges(L, N, X, S.u_cap)
+    n_res = int(np.searchsorted(edges, L / 2.0 * operators._resolved_u(S.u_cap)))
+    xs, _ = operators._gl_nodes_on(edges[:n_res], edges[1 : n_res + 1])
+    J = S.jumps_upto(math.exp(edges[n_res] / (L / 2.0)))[0].size
+    assert J == 200_000
+    tracemalloc.start()
+    try:
+        operators._step_values(S, L, 0.1, edges[: n_res + 1], xs)
+        step_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assemble_frequency_route(S, IntervalSpec(L), 0.1, N)
+        route_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert step_peak <= 20 * 8 * J
+    assert route_peak <= 30 * 2**20
 
 
 def test_the_resolved_range_never_reads_the_prime_table(big_table, monkeypatch):
@@ -646,6 +728,7 @@ def test_the_tail_terms_are_g(name, small_table):
     tail = sum(c * np.exp(-lam * u) / (u + b[0] if b else 1.0) for c, lam, *b in terms).real
     g = S.g_clipped(u)
     assert np.max(np.abs(tail - g) / np.abs(g)) <= 1e-14
+    assert operators._tail_of(S) == (u_t, terms)  # the route's own check passes
 
 
 def test_the_grid_does_not_depend_on_eps(monkeypatch):
