@@ -422,8 +422,5 @@ class GrowthFunction:
     def g_clipped(self, u):
         """g with the argument clipped to u_cap (frozen-tail convention)."""
         arr = np.asarray(u, dtype=float)
-        # the 1e-9 margin keeps exp(u_cap) from rounding past the table edge
-        cap = self.u_cap - 1e-9 if math.isfinite(self.u_cap) else self.u_cap
-        clipped = np.minimum(arr, cap)
-        out = self.g(clipped)
+        out = self.g(np.minimum(arr, self.u_cap))
         return float(out) if np.isscalar(u) or arr.ndim == 0 else out

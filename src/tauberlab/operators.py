@@ -44,45 +44,47 @@ fractions reduce everything to the shared one-dimensional integrals
 
 so a full order-N assembly costs 2(N+1) one-dimensional integrals over one
 shared grid, and M is built from the moments -F/pi and D/pi by the same
-formula as on the kernel route. Since sin^2(x -+ pi k) = sin^2 x, one sine
-per node serves every k: on the grid both integrals sum s2w, the
-quadrature weight times sin^2 x mt, against 1/(x - c) (F) and
-1/(x - c)^2 (D) at the 2(N+1) centres c = +-pi k. Near the removable
-singularities, |d| < 1 with d = x - c, the terms are evaluated stably as
-sin(d) sinc(d/pi) and sinc^2(d/pi).
+formula as on the kernel route. On the grid both integrals sum wv, the
+quadrature weight times mt, against the kernels f(x) = sin^2 x / (x - c)
+(F) and sin^2 x / (x - c)^2 (D) at the 2(N+1) centres c = +-pi k. Both
+are entire, since sin^2 has a double zero at every centre, and since
+sin^2(x -+ pi k) = sin^2 x one sine per point serves every k. Within 1 of
+a centre, d = x - c, they are evaluated stably as sin(d) sinc(d/pi) and
+sinc^2(d/pi).
 
-Far and near: the sorted nodes fall into bins of width w = 1 on the x
-axis (_FAR_BIN). For each centre, its own bin and the 3 bins on either
-side (_NEAR_BINS) are near, and their nodes are summed one by one. Every
-other bin is far, and each far bin (on the pnt grid, all 236 below its
-end X = 235.6) enters through 16 first-kind Chebyshev proxies (_PROXIES)
-weighted by the anterpolation of its nodes (_anterpolate, which also
-integrates the prime staircase below), as in the one-level black-box fast
-multipole method (W. Fong and E. Darve, J. Comput. Phys. 228 (2009)
-8712-8725): the proxies sum s2w against the degree-15 interpolant p of
-the kernel f on the bin in place of f. The far terms then come from one
-reciprocal block over the far sources, with each centre's near bins
-zeroed; near and far split on the same bin numbers, so each node counts
-once. On the pnt grid (N = 72) the 12,016 nodes give 3,776 far sources,
-and the block has 0.55M entries in place of 1.75M. One block serves a
-batch of sources on one grid: the weights are an (n, m) matrix, one
-column per source, so the proxies' Chebyshev recurrence, the near-pass
-index arrays and the reciprocal block are built once, the tail takes one
-exp_e1 call, and the far sums are one product of the block with the m
-columns. The battery's six sources share their grid at N = 64, at every
-eps: 10,736 nodes, 3,376 far sources and one 130 x 3,376 block.
+Proxies: the sorted nodes fall into bins of width w = 1 on the x axis
+(_FAR_BIN), and every bin (on the pnt grid, all 236 below its end
+X = 235.6) enters through 16 first-kind Chebyshev proxies (_PROXIES)
+weighted by the anterpolation of its node weights (_anterpolate, which
+also integrates the prime staircase below), as in the one-level black-box
+fast multipole method (W. Fong and E. Darve, J. Comput. Phys. 228 (2009)
+8712-8725): the proxies sum wv against the degree-15 interpolant p of f
+on the bin in place of f. A centre meets the nodes only through the
+proxies: one reciprocal block over them, against the proxy weights times
+sin^2 at each proxy, gives every sum, with the proxies within 1 of the
+centre zeroed there and added in the stable forms (2,336 proxy-centre
+pairs on the pnt grid, 2,080 on the battery's). On the pnt grid (N = 72)
+the 12,016 nodes give 3,776 proxies, and the block has 0.55M entries in
+place of 1.75M. One block serves a batch of sources on one grid: the
+weights are an (n, m) matrix, one column per source, so the proxies'
+Chebyshev recurrence and the reciprocal block are built once, the tail
+takes one exp_e1 call, and the sums are one product of the block with the
+m columns. The battery's six sources share their grid at N = 64, at every
+eps: 10,736 nodes, 3,376 proxies and one 130 x 3,376 block.
 
-Bound: map a far bin onto [-1, 1]. Its centre lies at least
-(_NEAR_BINS + 1/2) w = 7 half-widths from c, so f is analytic inside the
-Bernstein ellipse E_rho with rho < 7 + sqrt 48 = 13.9. Take the ellipse
-with real semi-axis 6, r = 6 + sqrt 35 = 11.9: its points lie at least
-one half-width w/2 from c, so |f| <= M = 2/w for F and 4/w^2 for D, and
-||f - p|| <= 4 M r^{-15} / (r - 1) (Trefethen, Approximation Theory and
-Approximation Practice, Thm 8.2, n = 15; the first-kind interpolant
-aliases the same Chebyshev tail). That is 5.3e-17 for F and 1.1e-16 for
-D per unit of sum |s2w| over the bin, whatever its node count, and it
-falls like r^{-15} for the bins farther out, whose r grows with their
-distance from c.
+Bound: map a bin onto [-1, 1] and take the Bernstein ellipse E_rho. In x
+its semi-axes are a = w (rho + 1/rho) / 4 and b = w (rho - 1/rho) / 4, so
+|Im z| <= b on it, and there |sin z|^2 = sin^2 Re z + sinh^2 Im z
+<= cosh^2 b. Both kernels thus stay below cosh^2 b where |z - c| >= 1,
+and below sinh^2 1 < 1.39 where |z - c| < 1 (|sin v| <= sinh |v|). f is
+entire, so ||f - p|| <= 4 cosh^2(b) rho^{-15} / (rho - 1) for every rho
+(Trefethen, Approximation Theory and Approximation Practice, Thm 8.2,
+n = 15; the first-kind interpolant aliases the same Chebyshev tail),
+smallest at rho = 32: 7.5e-18 per unit of sum |wv| over the bin, for F
+and D, on every bin, whatever its node count and however near c. The
+bound falls for a bin whose centre lies delta > a + 1 from c: there
+|z - c| >= delta - a on the ellipse, and cosh^2 b / (delta - a)^j,
+j = 1 for F and 2 for D, bounds the kernel.
 
 The grid lays panels fine_w = base_w / 4 wide (at most pi/8; pi/10 at
 L = 8 pi) on the resolved range x <= a_end = (L/2) _resolved_u(u_cap)
@@ -196,16 +198,15 @@ _GL8_T, _GL8_W = 0.5 * (np.array(np.polynomial.legendre.leggauss(8)) + [[1.0], [
 _STEP_RESOLVE_CAP = 200_000.0  # resolve jumps exactly up to this x
 _MAX_ORDER = 256
 _MAX_GRID_NODES = 4_000_000  # route grids past this are refused (ResourceError)
-_FAR_BIN = 1.0  # bin width of the near/far split (module docstring)
-_NEAR_BINS = 3  # bins on each side of a centre's bin summed node by node
-_PROXIES = 16  # Chebyshev proxies that stand for each far bin
+_FAR_BIN = 1.0  # bin width of the proxies (module docstring)
+_PROXIES = 16  # Chebyshev proxies that stand for each bin
 _TAIL_RTOL = 1e-13  # relative gap a stated tail may leave to g (the catalog leaves 1.1e-16)
-# entries of one far-field reciprocal block, whatever the batch width m: the
+# entries of one reciprocal block over the proxies, whatever the batch width m: the
 # battery's 130 x 3,376 block fits in one. Do not shrink it: at 500,000 the
 # block comes in two chunks, which glibc maps afresh on every op (its heap
 # stays at 8 MB), and a warm battery op took about 2,100 minor faults and
 # 4-6 ms of system time against about 30 and 0.2 ms (resource.getrusage).
-# The chunks also change the order, and so the rounding, of the far sums.
+# The chunks also change the order, and so the rounding, of the sums.
 _BLOCK_ENTRIES = 1_000_000
 _THETA = math.pi * (1.0 - (np.arange(_PROXIES) + 0.5) / _PROXIES)
 _CHEB = np.cos(_THETA)  # first-kind Chebyshev points on [-1, 1], ascending
@@ -553,22 +554,22 @@ def _anterpolate(t: np.ndarray, w: np.ndarray, starts: np.ndarray, basis: np.nda
     return (mu.reshape(degrees, m * segs).T @ basis).reshape(m, segs, k)
 
 
-def _far_sources(xs: np.ndarray, bins: np.ndarray, s2w: np.ndarray):
-    """The far sources of the sorted nodes xs: positions, weights and bins.
+def _proxies(xs: np.ndarray, wv: np.ndarray):
+    """The proxies of the sorted nodes xs: positions, ascending, and weights.
 
-    s2w holds one column of weights per source, (n, m), and so do the far
+    wv holds one column of weights per source, (n, m), and so do the proxy
     weights. Every bin becomes its _PROXIES first-kind Chebyshev points p_j
-    with weights w_j = sum_i s2w_i l_j(t_i), l_j the Lagrange basis of the
+    with weights w_j = sum_i wv_i l_j(t_i), l_j the Lagrange basis of the
     p_j and t_i the bin's nodes mapped onto [-1, 1], so that
-    sum_j w_j f(p_j) = sum_i s2w_i p(t_i) for the interpolant p of f at the
-    p_j: _anterpolate against _ANTERP. The sources come out in bin order."""
+    sum_j w_j f(p_j) = sum_i wv_i p(t_i) for the interpolant p of f at the
+    p_j: _anterpolate against _ANTERP."""
+    bins = np.floor(xs / _FAR_BIN)
     starts = np.flatnonzero(np.diff(bins, prepend=-np.inf))
-    cb, cols = bins[starts], s2w.shape[1]
     # the recurrence's buffers are passed, not held here, so that
     # _anterpolate frees them before it builds the weights
-    pw = _anterpolate(2.0 * (xs / _FAR_BIN - bins) - 1.0, s2w.T.copy(), starts, _ANTERP)
-    sx = ((cb[:, None] + 0.5 * (_CHEB + 1.0)) * _FAR_BIN).ravel()
-    return sx, pw.transpose(1, 2, 0).reshape(-1, cols), np.repeat(cb, _PROXIES)
+    pw = _anterpolate(2.0 * (xs / _FAR_BIN - bins) - 1.0, wv.T.copy(), starts, _ANTERP)
+    sx = ((bins[starts, None] + 0.5 * (_CHEB + 1.0)) * _FAR_BIN).ravel()
+    return sx, pw.transpose(1, 2, 0).reshape(-1, wv.shape[1])
 
 
 def _half_line_integrals(xs: np.ndarray, wv: np.ndarray, k_max: int, want_F: bool):
@@ -577,30 +578,24 @@ def _half_line_integrals(xs: np.ndarray, wv: np.ndarray, k_max: int, want_F: boo
     wv holds one column of weights per source, (n, m), and F and D one
     column per source, (k_max + 1, m): everything but the weights is built
     once per batch. The nodes must be sorted, as every route grid from
-    _grid_edges and _gl_nodes_on is; they are split into near and far bins
-    (module docstring). The far pass zeroes each centre's near bins, a
-    contiguous range of the bin-ordered far sources, in the reciprocal
-    block by slicing, and sums the block against the m columns in one
-    product; the near pass gathers each centre's near nodes, one contiguous
-    range of the sorted nodes, and sums every range at once with
-    np.add.reduceat."""
+    _grid_edges and _gl_nodes_on is; they enter through their proxies
+    (module docstring). The proxies within 1 of a centre, one contiguous
+    range of the sorted proxies, are zeroed in the reciprocal block by
+    slicing and added in the stable forms; the block is summed against the
+    m columns in one product."""
     ks = math.pi * np.arange(k_max + 1)
     centres = np.concatenate([ks, -ks])
-    s2w = np.sin(xs)[:, None] ** 2 * wv
-    bins = np.floor(xs / _FAR_BIN)
-    near_lo = np.floor(centres / _FAR_BIN) - _NEAR_BINS
-    near_hi = near_lo + 2 * _NEAR_BINS
-
-    sx, sw, sb = _far_sources(xs, bins, s2w)
-    lo = np.searchsorted(sb, near_lo, side="left")
-    hi = np.searchsorted(sb, near_hi, side="right")
+    sx, pw = _proxies(xs, wv)
+    sw = np.sin(sx)[:, None] ** 2 * pw
+    lo = np.searchsorted(sx, centres - 1.0, side="right")
+    hi = np.searchsorted(sx, centres + 1.0, side="left")
     F = np.zeros((centres.size, wv.shape[1]))
     D = np.zeros_like(F)
     block = max(1, _BLOCK_ENTRIES // centres.size)
     for start in range(0, sx.size, block):
         stop = min(start + block, sx.size)
         r = np.subtract(sx[None, start:stop], centres[:, None])
-        with np.errstate(divide="ignore"):  # a near source may sit on pi k; zeroed below
+        with np.errstate(divide="ignore"):  # a proxy on pi k is zeroed below
             np.reciprocal(r, out=r)
         for c in np.flatnonzero((lo < stop) & (hi > start)):
             r[c, max(lo[c] - start, 0) : hi[c] - start] = 0.0
@@ -609,29 +604,16 @@ def _half_line_integrals(xs: np.ndarray, wv: np.ndarray, k_max: int, want_F: boo
         r *= r
         D += r @ sw[start:stop]
 
-    a = np.searchsorted(bins, near_lo, side="left")
-    lens = np.searchsorted(bins, near_hi, side="right") - a
-    offs = np.cumsum(lens) - lens
-    idx = np.arange(lens.sum()) + np.repeat(a - offs, lens)
-    d = xs[idx] - np.repeat(centres, lens)
-    mid = np.flatnonzero(np.abs(d) < 1.0)
-    dm = d[mid]
-    sm = np.sin(dm)
-    sn = np.divide(sm, dm, out=np.ones_like(dm), where=dm != 0.0)  # sinc(dm / pi)
-    wm = wv[idx[mid]]
-    with np.errstate(divide="ignore"):  # a node may sit on pi k; zeroed next
-        r = 1.0 / d
-    r[mid] = 0.0
-    r = r[:, None]
-    term = s2w[idx] * r
-    seg = lens > 0
+    # each centre's proxies within 1: sin^2 d / d and sin^2 d / d^2 as
+    # sin(d) sinc(d / pi) and sinc^2(d / pi), d = p - c
+    lens = hi - lo
+    near = np.repeat(np.arange(centres.size), lens)
+    idx = np.arange(near.size) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
+    d = sx[idx] - centres[near]
+    sn = np.sinc(d / math.pi)
     if want_F:
-        f = term.copy()
-        f[mid] = (sm * sn)[:, None] * wm
-        F[seg] += np.add.reduceat(f, offs[seg])
-    term *= r
-    term[mid] = (sn * sn)[:, None] * wm
-    D[seg] += np.add.reduceat(term, offs[seg])
+        np.add.at(F, near, (np.sin(d) * sn)[:, None] * pw[idx])
+    np.add.at(D, near, (sn * sn)[:, None] * pw[idx])
     K = k_max + 1
     return (F[:K] - F[K:] if want_F else None), D[:K] + D[K:]
 

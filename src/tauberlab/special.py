@@ -475,7 +475,7 @@ def _peel_cap(sig_min: float, log_zeta_sig: float) -> int:
         if log_zeta_sig + float(np.sum(np.log1p(-np.power(primes, -sig_min)))) < math.pi - 0.2:
             return M
     logger.warning(
-        "sigma = %.6g is too close to 1 to certify the logarithm branch; "
+        "sigma = %r is too close to 1 to certify the logarithm branch; "
         "using the principal branch best-effort",
         sig_min,
     )

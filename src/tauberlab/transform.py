@@ -160,10 +160,13 @@ def source_integers() -> GrowthFunction:
 def source_primes_weighted(table) -> GrowthFunction:
     """S(x) = pi_P(x) ln x. The prime-number-theorem source; g -> 1 slowly.
 
-    Each prime p adds 1 to the slope of S(e^u) = pi_P u: da = 0, db = 1."""
+    Each prime p adds 1 to the slope of S(e^u) = pi_P u: da = 0, db = 1.
+    From u_cap = ln(limit) on, g reads the table edge x = limit itself,
+    whatever e^{u_cap} rounds to, so a prime limit counts."""
+    limit, u_cap = float(table.limit), math.log(table.limit)
 
     def fn(u):
-        e = np.exp(u)
+        e = np.where(u >= u_cap, limit, np.exp(u))
         return table.count(e) * np.log(e) / e
 
     def jumps_upto(hi):
@@ -176,7 +179,7 @@ def source_primes_weighted(table) -> GrowthFunction:
         growth_constant=1.3,
         laplace=transform_weighted_primes,
         jumps_upto=jumps_upto,
-        u_cap=math.log(table.limit),
+        u_cap=u_cap,
         ratio_limit_A=1.0,
     )
 

@@ -420,6 +420,20 @@ def test_normalized_ratio_and_clipping(small_table):
     assert S.g_clipped(cap + 0.5) == pytest.approx(S.g_clipped(cap), rel=1e-9)
 
 
+@pytest.mark.parametrize("limit", [2, 3, 100_003, 999_983])
+def test_frozen_tail_reads_a_prime_table_edge(limit, tmp_path):
+    """A table whose limit is prime freezes g at the edge itself,
+    pi(limit) ln(limit) / limit, and g_clipped holds it past u_cap; a
+    margin below the edge, or e^{u_cap} rounding below it, would miss the
+    last prime (g = 0.0 and 0.3662 for limits 2 and 3, not 0.3466 and
+    0.7324)."""
+    table = build_prime_table(limit, cache_dir=tmp_path)
+    S = tr.source_primes_weighted(table)
+    edge = table.count(limit) * math.log(limit) / limit
+    assert S.exact_tail() == (math.log(limit), ((edge, 0.0),))
+    assert S.g_clipped(S.u_cap + 1.0) == S.g(S.u_cap) == edge
+
+
 def test_ratio_past_the_largest_float_is_table_exhausted(small_table):
     # e^800 is no float: the error names no table size, but it is still the
     # table error, not an OverflowError

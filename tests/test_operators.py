@@ -297,7 +297,7 @@ def test_half_line_integrals_match_the_sinc_form():
     """Reference: every term through sinc, as sin(x -+ pi k) sinc((x -+ pi k)/pi).
     Both node sets are sorted, as the route grids are. The first includes
     x = 0 and x = 3 pi, which sit exactly on pi k; the second also has nodes
-    on pi k -+ 1, the ends of the near ranges."""
+    on pi k -+ 1."""
     k_max = 6
     ks = math.pi * np.arange(k_max + 1)
     grid = np.linspace(1e-3, 40.0, 997)
@@ -353,22 +353,25 @@ def dense_half_line_integrals(xs, wv, k_max):
 
 def proxy_bound(xs, wv, k_max):
     """The interpolation bound of the operators module docstring, per k,
-    for F and D: each far bin, however many nodes it holds, adds
-    4 M r^{-15} / (r - 1) times sum |s2w| over its nodes, with
-    r = a + sqrt(a^2 - 1), a one less than the distance of the bin's centre
-    from the centre c in half-widths, and M = 2/w (F) or 4/w^2 (D)."""
-    w = operators._FAR_BIN
+    for F and D: each bin, however many nodes it holds, adds
+    4 M rho^{-15} / (rho - 1) times sum |wv| over its nodes, rho = 32. On
+    the bin's Bernstein ellipse, of semi-axes a = w (rho + 1/rho) / 4 and
+    b = w (rho - 1/rho) / 4, |sin z|^2 <= cosh^2 b, so
+    M = cosh^2 b / max(1, delta - a)^j, delta the distance of the bin's
+    centre from the centre c, j = 1 (F) or 2 (D); within 1 of c both
+    kernels stay below sinh^2 1 < cosh^2 b."""
+    w, rho = operators._FAR_BIN, 32.0
     bins, inv = np.unique(np.floor(xs / w), return_inverse=True)
-    mass = np.bincount(inv, np.abs(np.sin(xs) ** 2 * wv))
-    g = np.zeros(k_max + 1)
+    mass = np.bincount(inv, np.abs(wv))
+    a, b = w * (rho + 1.0 / rho) / 4.0, w * (rho - 1.0 / rho) / 4.0
+    unit = 4.0 * math.cosh(b) ** 2 * rho**-15 / (rho - 1.0)
+    bF, bD = np.zeros(k_max + 1), np.zeros(k_max + 1)
     for sign in (1.0, -1.0):
         c = sign * math.pi * np.arange(k_max + 1)
-        near = np.abs(bins[None, :] - np.floor(c / w)[:, None]) <= operators._NEAR_BINS
-        delta = np.abs((bins + 0.5)[None, :] * w - c[:, None]) / (w / 2.0)
-        a = np.where(near, 8.0, delta) - 1.0  # far bins have delta >= 7
-        r = a + np.sqrt(a * a - 1.0)
-        g += np.where(near, 0.0, 4.0 * r**-15 / (r - 1.0) * mass).sum(axis=1)
-    return 2.0 / w * g, 4.0 / w**2 * g
+        gap = np.maximum(1.0, np.abs((bins + 0.5)[None, :] * w - c[:, None]) - a)
+        bF += (mass / gap).sum(axis=1)
+        bD += (mass / gap**2).sum(axis=1)
+    return unit * bF, unit * bD
 
 
 def assert_proxy_sums_match_the_dense_sums(xs, wv, k_max):
@@ -412,9 +415,10 @@ def test_proxy_sums_match_the_dense_sums_on_the_route_grids(big_table, monkeypat
     """The pnt diagonal grid (weighted primes on the 1e8 table, L = 8 pi,
     N = 72, eps = 0), the eps = 0 diagonal grid of every battery member at
     N = 64, alone and as the one six-column batch that run_battery sums,
-    one eps = 0.05 frequency-route grid, and the integers' grid at
+    one eps = 0.05 frequency-route grid, and the integers' grids at
     L = 8 pi, N = 16, whose bins past x = 160 hold 6 to 11 nodes, fewer
-    than their 16 proxies, against the dense reference."""
+    than their 16 proxies, and at L = 40 pi, N = 8, whose 2-wide tail
+    panels run to X = 2,264, against the dense reference."""
     from tauberlab import tauber
 
     L = tauber.DEFAULT_LENGTH
@@ -428,10 +432,12 @@ def test_proxy_sums_match_the_dense_sums_on_the_route_grids(big_table, monkeypat
         diagonal_sequences(battery, IntervalSpec(L), 0.0, np.ones(6), tauber.DEFAULT_ORDER)
         assemble_frequency_route(tr.source_sqrt_mix(1.0, 1.0), IntervalSpec(L), 0.05, 32)
         assemble_frequency_route(tr.source_integers(), IntervalSpec(8.0 * math.pi), 0.0, 16)
+        assemble_frequency_route(tr.source_integers(), IntervalSpec(40.0 * math.pi), 0.0, 8)
 
     grids = _route_grids(monkeypatch, run)
-    assert [wv.shape[1] for _, wv, _ in grids] == [1] * 7 + [6, 1, 1]
-    xs = grids[-1][0]
+    assert [wv.shape[1] for _, wv, _ in grids] == [1] * 7 + [6, 1, 1, 1]
+    assert grids[-1][0].size == 43_248
+    xs = grids[-2][0]
     assert np.unique(np.floor(xs[xs > 160.0] / operators._FAR_BIN), return_counts=True)[1].max() == 11
     for xs, wv, k_max in grids:
         assert_proxy_sums_match_the_dense_sums(xs, wv, k_max)
@@ -440,15 +446,44 @@ def test_proxy_sums_match_the_dense_sums_on_the_route_grids(big_table, monkeypat
 def test_pnt_grid_compresses_to_under_10000_far_sources(big_table, monkeypatch):
     """The pnt diagonal grid holds 12,016 nodes: 489 panels on the
     jump-resolved range x <= 153.4 and 262 in the lobes up to the grid end
-    X = pi (N + 3) = 235.6, 16 nodes each. They become 3,776 far sources:
-    16 proxies for each of the 236 bins below x = 236."""
+    X = pi (N + 3) = 235.6, 16 nodes each. They become 3,776 proxies: 16
+    for each of the 236 bins below x = 236, sorted."""
     from tauberlab import tauber
 
     S, I = tr.source_primes_weighted(big_table), IntervalSpec(tauber.DEFAULT_LENGTH)
-    ((xs, _, _),) = _route_grids(monkeypatch, lambda: diagonal_sequence(S, I, 0.0, 1.0, tauber.PNT_ORDER))
-    xs = np.sort(xs)
-    sx, _, _ = operators._far_sources(xs, np.floor(xs / operators._FAR_BIN), np.sin(xs)[:, None] ** 2)
-    assert (xs.size, sx.size) == (12_016, 3_776)
+    ((xs, wv, _),) = _route_grids(monkeypatch, lambda: diagonal_sequence(S, I, 0.0, 1.0, tauber.PNT_ORDER))
+    sx, pw = operators._proxies(xs, wv)
+    assert (xs.size, sx.size, pw.shape) == (12_016, 3_776, (3_776, 1))
+    assert np.all(np.diff(sx) > 0.0)
+
+
+def test_half_line_integrals_hold_little_beside_the_reciprocal_block(big_table, monkeypatch):
+    """One _half_line_integrals call on the battery's six-column grid
+    (N = 64, 10,736 nodes, 3,376 proxies) and on the pnt diagonal grid
+    (N = 72, 12,016 nodes, 3,776 proxies) peaks within 1 MiB of its one
+    reciprocal block, 2 (N + 1) x proxies doubles (3.35 and 4.21 MiB),
+    traced. Measured: 4.04 and 4.45 MiB; a node-level near pass beside the
+    block took 5.19 and 5.37 MiB."""
+    from tauberlab import tauber
+
+    L = tauber.DEFAULT_LENGTH
+    battery = [S for S, *_ in tauber.battery_members()]
+    grids = _route_grids(
+        monkeypatch,
+        lambda: (
+            diagonal_sequences(battery, IntervalSpec(L), 0.0, np.ones(6), tauber.DEFAULT_ORDER),
+            diagonal_sequence(tr.source_primes_weighted(big_table), IntervalSpec(L), 0.0, 1.0, tauber.PNT_ORDER),
+        ),
+    )
+    for (xs, wv, k_max), n_proxies in zip(grids, (3_376, 3_776)):
+        block = 8 * 2 * (k_max + 1) * n_proxies
+        tracemalloc.start()
+        try:
+            operators._half_line_integrals(xs, wv, k_max, want_F=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= block + 2**20, (xs.size, peak)
 
 
 def _grid_edges_per_segment(S, L, N, X):

@@ -1,8 +1,8 @@
 """Property tests: Schwarz reflection of the zeta family, the closed-form
 Euler-Maclaurin truncation, the outer-grid path against plain point
 arrays, symmetry and positive semi-definiteness of W on both routes across
-the battery, the closed form for A*, the near/far
-proxy split of the windowed integrals, the prime count against a dense
+the battery, the closed form for A*, the Chebyshev
+proxies of the windowed integrals, the prime count against a dense
 sieve, and the declared jumps of the step sources
 against their values."""
 
@@ -237,10 +237,10 @@ def test_a_star_is_the_clipped_band_midrange(diag, lo, hi_a):
 def test_proxy_split_matches_the_dense_sum(k_max, bins, seed):
     """Node sets of crowded (more than 16 nodes) and sparse unit bins, plus
     nodes exactly on bin edges, on pi k, on pi k +- 1 and on the edges of
-    each centre's near range, sorted as _half_line_integrals requires, with
-    weights of both signs in two columns, as two sources of one batch:
-    _half_line_integrals against the dense reference, and each column
-    against its single-column call, within the interpolation bound
+    the bins 3 below and 4 above pi k's own, sorted as _half_line_integrals
+    requires, with weights of both signs in two columns, as two sources of
+    one batch: _half_line_integrals against the dense reference, and each
+    column against its single-column call, within the interpolation bound
     (test_operators)."""
     from test_operators import assert_proxy_sums_match_the_dense_sums
 

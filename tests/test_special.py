@@ -657,3 +657,12 @@ def test_the_package_runs_without_scipy():
     for path in package.glob("*.py"):
         text = path.read_text()
         assert "import scipy" not in text and "from scipy" not in text, path.name
+
+
+def test_uncertified_branch_warning_shows_sigma_in_full(caplog):
+    """sigma = 1.0000001 is past every peel cap: the warning names it to
+    the last digit, not rounded to 1, and keeps the word "certify" that
+    perfbench counts the warnings by."""
+    with caplog.at_level("WARNING", logger="tauberlab.special"):
+        special.prime_zeta(1.0000001)
+    assert "sigma = 1.0000001 is too close to 1 to certify" in caplog.text
