@@ -367,8 +367,9 @@ class GrowthFunction:
     Each field states a fact about S; none is a hint to one integrator:
 
     - ``label``: the name reports and errors give the source.
-    - ``fn``: the values g(u) = S(e^u) e^{-u}, vectorized in u >= 0 and
-      stated in u, so that no e^u past the largest float is formed.
+    - ``fn``: the values g(u) = S(e^u) e^{-u}, vectorized in u and
+      defined on every u >= 0, stated in u so that no e^u past the largest
+      float is formed. A table-backed source holds g(u_cap) past u_cap.
     - ``growth_constant``: C with S(x) <= C x on x >= 1.
     - ``laplace``: closed form of G(s) = integral of S(e^u) e^{-su} du when
       one is known (vectorized in s).
@@ -377,11 +378,13 @@ class GrowthFunction:
       S(x) = sum over x_j <= x of (da_j + db_j ln x) on [1, hi]: S(e^u) is
       a + b u between consecutive jumps (a count, or a count times ln x),
       and the integrators integrate each such piece exactly.
-    - ``u_cap``: largest u at which g(u) is evaluable (ln of a prime table
-      limit); integrators freeze g beyond it, direct evaluation raises.
-    - ``tail``: (u_t, terms) with g(u) = Re sum c e^{-lam u} over the
+    - ``u_cap``: largest u at which g(u) is the source's own (ln of a
+      prime table limit): ``g`` raises past it, while ``fn`` and ``tail``
+      hold g(u_cap) there.
+    - ``tail``: (u_t, terms) with fn(u) = Re sum c e^{-lam u} over the
       terms (c, lam) for u >= u_t, a term (c, lam, b) also divided by
-      u + b; Re lam >= 0, b > 0. A table-backed source states none.
+      u + b; Re lam >= 0, b > 0. A table-backed source states g(u_cap)
+      from u_t = u_cap on.
     - ``ratio_limit_A``: the declared limit A of g(u) when one exists
       (None for sources without a ratio limit); experiments that test the
       forward direction require it.
@@ -410,17 +413,4 @@ class GrowthFunction:
                 required=math.ceil(math.exp(top)) if top < math.log(sys.float_info.max) else None,
             )
         out = self.fn(arr)
-        return float(out) if np.isscalar(u) or arr.ndim == 0 else out
-
-    def exact_tail(self) -> Optional[tuple]:
-        """The stated ``tail``, or for a table-backed source (finite u_cap)
-        g frozen at g(u_cap) from u_cap on; None when there is neither."""
-        if math.isfinite(self.u_cap):
-            return self.u_cap, ((float(self.g_clipped(self.u_cap)), 0.0),)
-        return self.tail
-
-    def g_clipped(self, u):
-        """g with the argument clipped to u_cap (frozen-tail convention)."""
-        arr = np.asarray(u, dtype=float)
-        out = self.g(np.minimum(arr, self.u_cap))
         return float(out) if np.isscalar(u) or arr.ndim == 0 else out

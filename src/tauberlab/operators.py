@@ -70,7 +70,7 @@ weights are an (n, m) matrix, one column per source, so the proxies'
 Chebyshev recurrence and the reciprocal block are built once, the tail
 takes one exp_e1 call, and the sums are one product of the block with the
 m columns. The battery's six sources share their grid at N = 64, at every
-eps: 10,736 nodes, 3,376 proxies and one 130 x 3,376 block.
+eps: 10,720 nodes, 3,376 proxies and one 130 x 3,376 block.
 
 Bound: map a bin onto [-1, 1] and take the Bernstein ellipse E_rho. In x
 its semi-axes are a = w (rho + 1/rho) / 4 and b = w (rho - 1/rho) / 4, so
@@ -86,25 +86,37 @@ bound falls for a bin whose centre lies delta > a + 1 from c: there
 |z - c| >= delta - a on the ellipse, and cosh^2 b / (delta - a)^j,
 j = 1 for F and 2 for D, bounds the kernel.
 
-The grid lays panels fine_w = base_w / 4 wide (at most pi/8; pi/10 at
-L = 8 pi) on the resolved range x <= a_end = (L/2) _resolved_u(u_cap)
-(x = 2e5, or the table edge if lower), for every source whether or not it
-declares jumps, and in the Fejer main lobes |x - pi n| < 3 pi, then
-panels growing to width 2, each with 16 Gauss-Legendre nodes. It ends at
+The route reads a source through three fields alone: fn, jumps_upto and
+tail (GrowthFunction). Each source states g past some u_t as a short
+exponential sum (tail; a table-backed source states g(u_cap), the value
+its fn holds from u_cap on), and its jumps matter only below u_t. The
+grid lays panels fine_w = base_w / 4 wide (at most pi/8; pi/10 at
+L = 8 pi) on the resolved range x <= a_end = (L/2) min(ln 2e5, the
+batch's largest u_t), for every source whether or not it declares jumps,
+and in the Fejer main lobes |x - pi n| < 3 pi, then panels growing to
+width 2, each with 16 Gauss-Legendre nodes. It ends at
 X = max((L/2) u_t, pi (N + 3)) at every eps, past the last lobe and past
-u_t, from where each source states g as a short exponential sum
-(GrowthFunction.tail; a table-backed source's is g frozen at u_cap), and
-the part past X is added in closed form (_tail_integrals): moving X out
-by 300 changes no entry of any catalog source, or of weighted primes on a
-1e5 table, by more than 1e-15 (eps = 0, 0.001, 0.05; L = 2 pi, 8 pi,
-8 pi + 0.37). The route takes no tolerance: the grid depends on L, N, X
-and u_cap alone (_grid_edges). At every eps the order-n entries read g
-near u = 2 pi n / L (the Fejer lobe at x = pi n), so an order past
-N_max = L u_cap / (2 pi) would read the constant a table-backed source
-freezes g at past u_cap; such orders are refused (_check_resolvable). A
-grid of more than _MAX_GRID_NODES nodes (small L: the fine panels grow
-like 1/L; large L: X grows like L u_t), counted from its panel widths
-(_grid_plan), is a ResourceError raised before any array is built.
+every u_t, and the part past X is added in closed form from the stated
+tails (_tail_integrals): moving X out by 300 changes no entry of any
+catalog source, or of weighted primes on a 1e5 table, by more than 1e-15
+(eps = 0, 0.001, 0.05; L = 2 pi, 8 pi, 8 pi + 0.37). The route takes no
+tolerance: the grid depends on L, N, X and a_end alone (_grid_edges). At
+every eps the order-n entries read g near u = 2 pi n / L (the Fejer lobe
+at x = pi n), so an order past N_max = L u_cap / (2 pi) would read the
+constant a table-backed source holds past u_cap; such orders are refused
+(_check_resolvable). A grid of more than _MAX_GRID_NODES nodes (small L:
+the fine panels grow like 1/L; large L: X grows like L u_t), counted from
+its panel widths (_grid_plan), is a ResourceError raised before any array
+is built.
+
+The fine panels, fine_w = min(0.1, pi/L) L/8 wide at every eps, resolve
+the damping e^{-kappa x}, kappa = 2 eps/L, while kappa fine_w <= 16, that
+is eps min(0.1, pi/L) <= 64 (eps <= 640 for L <= 10 pi); a larger eps is
+a DomainError (_windowed_integrals). At that limit the identity,
+slow_approach and the integers agree with the kernel route to 3.6e-15
+relative (L = 2 pi, 8 pi, 40 pi; N = 8, 32); at twice it they differ by
+1e-11, and at eps = 1e6, L = 2 pi, entry (0, 0) came out 1.96e-61
+against L/(pi eps) = 2.0e-6 before the refusal.
 
 On the resolved range the nodes of a source that declares jumps do not
 sample mt: S jumps inside the panels. Between two jumps S(e^u) = a + b u,
@@ -241,14 +253,6 @@ def _gl_nodes_on(lo: np.ndarray, hi: np.ndarray):
     xs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
     ws = (half[:, None] * weights[None, :]).ravel()
     return xs, ws
-
-
-def _resolved_u(u_cap: float) -> float:
-    """Top of the resolved range [0, u] that the frequency-route grid lays
-    in fine panels for every source: ln _STEP_RESOLVE_CAP, or u_cap if
-    smaller. A source that declares jumps has them resolved there one by
-    one (_step_values); any other source is read at the nodes."""
-    return min(math.log(_STEP_RESOLVE_CAP), u_cap)
 
 
 @dataclass(frozen=True)
@@ -422,35 +426,33 @@ def _cutoff(tails: Sequence[tuple], L: float, N: int) -> float:
 
 
 def _tail_of(S: GrowthFunction) -> tuple:
-    """S.exact_tail(), checked: a ContractError names a source without one,
-    with u_t < 0, a Re lam < 0 or a b <= 0, or whose stated tail leaves g by
-    more than _TAIL_RTOL |g| at u_t, u_t + 1 or u_t + 10. A table-backed
-    source's tail is g(u_cap) itself; a non-finite g is the grid's to refuse."""
-    tail = S.exact_tail()
-    if tail is None:
+    """S.tail, checked: a ContractError names a source without one, with
+    u_t < 0, a Re lam < 0 or a b <= 0, or whose stated tail leaves S.fn by
+    more than _TAIL_RTOL |g| at u_t, u_t + 1 or u_t + 10. A non-finite g
+    is the grid's to refuse."""
+    if S.tail is None:
         raise ContractError(f"source '{S.label}' states no tail of g, which the frequency route needs")
-    u_t, terms = tail
+    u_t, terms = S.tail
     if not u_t >= 0.0 or any(complex(t[1]).real < 0 or not min(t[2:], default=1) > 0 for t in terms):
         raise ContractError(f"the tail of source '{S.label}' needs u_t >= 0, Re lam >= 0 and b > 0")
-    if math.isinf(S.u_cap):
-        u = u_t + np.array([0.0, 1.0, 10.0])
-        g = np.asarray(S.g_clipped(u), dtype=float)
-        stated = np.real(sum(c * np.exp(-lam * u) / (u + b[0] if b else 1.0) for c, lam, *b in terms))
-        if np.any(np.abs(stated - g) > _TAIL_RTOL * np.abs(g)):
-            raise ContractError(f"the tail of source '{S.label}' is not its g at u = {u}: {stated} against {g}")
-    return tail
+    u = u_t + np.array([0.0, 1.0, 10.0])
+    g = np.asarray(S.fn(u), dtype=float)
+    stated = np.real(sum(c * np.exp(-lam * u) / (u + b[0] if b else 1.0) for c, lam, *b in terms))
+    if np.any(np.abs(stated - g) > _TAIL_RTOL * np.abs(g)):
+        raise ContractError(f"the tail of source '{S.label}' is not its g at u = {u}: {stated} against {g}")
+    return S.tail
 
 
-def _grid_plan(L: float, N: int, X: float, u_cap: float):
-    """(cuts, panels, base_w, n_geo, nodes) of the grid on [0, X]: panels[i]
-    fine panels between cuts i and i + 1 (a_end and the lobes' end), then
-    n_geo panels growing from base_w past the width cap 2, and 2-wide ones;
-    nodes counts 16 per panel without building any, exact on the fine
-    panels and a few panels over in the tail."""
+def _grid_plan(L: float, N: int, X: float, a_end: float):
+    """(cuts, panels, base_w, n_geo, nodes) of the grid on [0, X], for the
+    resolved range [0, a_end], a_end <= X: panels[i] fine panels between
+    cuts i and i + 1 (a_end and the lobes' end), then n_geo panels growing
+    from base_w past the width cap 2, and 2-wide ones; nodes counts 16 per
+    panel without building any, exact on the fine panels and a few panels
+    over in the tail."""
     half = L / 2.0
     base_w = min(0.1, math.pi / L) * half  # at most pi/2, under the tail's width cap 2
     cuts = [0.0]
-    a_end = min(half * _resolved_u(u_cap), X)
     if a_end > 0.0:
         cuts.append(a_end)
     if cuts[-1] < math.pi * (N + 3) <= X:
@@ -466,10 +468,10 @@ def _check_nodes(nodes: float, what: str) -> None:
         raise ResourceError(f"the {what} would hold {nodes:.3g} nodes, past the cap of {_MAX_GRID_NODES:,}")
 
 
-def _grid_edges(L: float, N: int, X: float, u_cap: float):
-    """Panel edges on [0, X] (_grid_plan): a function of L, N, X and u_cap
+def _grid_edges(L: float, N: int, X: float, a_end: float):
+    """Panel edges on [0, X] (_grid_plan): a function of L, N, X and a_end
     alone, so sources that agree on those share the grid."""
-    cuts, panels, base_w, n_geo, _ = _grid_plan(L, N, X, u_cap)
+    cuts, panels, base_w, n_geo, _ = _grid_plan(L, N, X, a_end)
     edges = [np.zeros(1)] + [np.linspace(a, b, int(k) + 1)[1:] for a, b, k in zip(cuts, cuts[1:], panels)]
     # geometric growth out to X: widths base_w 1.15^j capped at 2 (the
     # n_geo-th is past the cap), ends the running sums from cuts[-1] below
@@ -518,12 +520,12 @@ def _step_values(S: GrowthFunction, L: float, eps: float, edges: np.ndarray, xs:
 
 
 def _source_values(S: GrowthFunction, L: float, eps: float, xs: np.ndarray) -> np.ndarray:
-    """mt(x) = g(2x/L) e^{-2 eps x/L} on the grid nodes, g frozen at u_cap
-    past the evaluable range.
+    """mt(x) = g(2x/L) e^{-2 eps x/L} on the grid nodes, read from S.fn,
+    which a table-backed source holds at g(u_cap) past u_cap.
 
     A non-finite g is a PrecisionError naming the source and u."""
     u = xs / (L / 2.0)
-    g = np.asarray(S.g_clipped(u), dtype=float)
+    g = np.asarray(S.fn(u), dtype=float)
     if not np.all(np.isfinite(g)):
         u_bad = float(np.min(u[~np.isfinite(g)]))
         raise PrecisionError(f"g of source '{S.label}' is not finite at u = {u_bad!r}")
@@ -702,8 +704,9 @@ def _check_order(N: int) -> None:
 
 def _check_resolvable(S: GrowthFunction, L: float, N: int) -> None:
     """DomainError when the order-N entries would read the frozen tail, at
-    any eps: past u_cap the source holds g at g(u_cap), so an order above
-    N_max = L u_cap / (2 pi) reads that constant, not the source."""
+    any eps: past u_cap a table-backed source holds g at g(u_cap), so an
+    order above N_max = L u_cap / (2 pi) reads that constant, not the
+    source."""
     n_max = L * S.u_cap / (2.0 * math.pi)
     if N > n_max:
         raise DomainError(
@@ -712,56 +715,53 @@ def _check_resolvable(S: GrowthFunction, L: float, N: int) -> None:
         )
 
 
-def _windowed_integrals(
-    sources: Sequence[GrowthFunction],
-    L: float,
-    eps: float,
-    N: int,
-    shifts: np.ndarray,
-    want_F: bool,
-):
-    """F(k) (when want_F) and D(k), k = 0..N, of mt - shift, one column per
-    source: (N + 1, m) arrays for m sources and their m shifts.
+def _windowed_integrals(sources: Sequence[GrowthFunction], L: float, eps: float, N: int, want_F: bool):
+    """F(k) (when want_F) and D(k), k = 0..N, of mt, one column per source:
+    (N + 1, m) arrays for m sources.
 
     Every precondition of the frequency route is checked here: a finite
-    eps >= 0 (DomainError), N in [0, _MAX_ORDER] and not past N_max of any
-    source (_check_resolvable), a tail for every source and one u_cap for
-    the batch (ContractError), and a grid of at most _MAX_GRID_NODES nodes
-    (ResourceError). The grid runs to the batch's _cutoff X, the same at
-    every eps, where _tail_integrals takes over. On the resolved range a
-    source that declares jumps takes product-integration weights
-    (_step_values); mt is read at the other nodes."""
+    eps >= 0 whose damping the fine panels resolve (DomainError; module
+    docstring), N in [0, _MAX_ORDER] and not past N_max of any source
+    (_check_resolvable), a tail for every source (ContractError), and a
+    grid of at most _MAX_GRID_NODES nodes (ResourceError). The grid runs to
+    the batch's _cutoff X, the same at every eps, where _tail_integrals
+    takes over. On the resolved range [0, a_end] a source that declares
+    jumps takes product-integration weights (_step_values); mt is read at
+    the other nodes."""
     _check_eps(eps, "frequency")
+    if eps * min(0.1, math.pi / L) > 64.0:
+        raise DomainError(
+            f"the frequency route resolves the damping at L = {L:g} only up to "
+            f"eps = {64.0 / min(0.1, math.pi / L):.6g}; got eps = {eps!r}"
+        )
     _check_order(N)
     for S in sources:
         _check_resolvable(S, L, N)
     if not sources:
         return np.zeros((N + 1, 0)), np.zeros((N + 1, 0))
-    u_cap = sources[0].u_cap
-    if any(S.u_cap != u_cap for S in sources[1:]):
-        raise ContractError("sources batched on the frequency route must share its grid: the same u_cap")
     tails = [_tail_of(S) for S in sources]
     X = _cutoff(tails, L, N)
-    _check_nodes(_grid_plan(L, N, X, u_cap)[-1], f"frequency-route grid at L = {L:g}, N = {N} to X = {X:.4g}")
-    edges = _grid_edges(L, N, X, u_cap)
-    xs, ws = _gl_nodes_on(edges[:-1], edges[1:])
     half = L / 2.0
-    n_res = int(np.searchsorted(edges, min(half * _resolved_u(u_cap), X)))  # resolved panels
+    # a source's jumps matter only below the u_t from which it states g in
+    # closed form, so the resolved range ends at (L/2) min(ln 2e5, max u_t) <= X
+    a_end = half * min(math.log(_STEP_RESOLVE_CAP), max(u_t for u_t, _ in tails))
+    _check_nodes(_grid_plan(L, N, X, a_end)[-1], f"frequency-route grid at L = {L:g}, N = {N} to X = {X:.4g}")
+    edges = _grid_edges(L, N, X, a_end)
+    xs, ws = _gl_nodes_on(edges[:-1], edges[1:])
+    n_res = int(np.searchsorted(edges, a_end))  # resolved panels
     wv = np.empty((xs.size, len(sources)))
-    for j, (S, shift) in enumerate(zip(sources, shifts)):
+    for j, S in enumerate(sources):
         m = _GL16[0].size * n_res if S.jumps_upto is not None else 0  # nodes on resolved jumps
-        wv[m:, j] = ws[m:] * (_source_values(S, L, eps, xs[m:]) - shift)
+        wv[m:, j] = ws[m:] * _source_values(S, L, eps, xs[m:])
         if m:
-            wv[:m, j] = _step_values(S, L, eps, edges[: n_res + 1], xs[:m]) - shift * ws[:m]
+            wv[:m, j] = _step_values(S, L, eps, edges[: n_res + 1], xs[:m])
     F, D = _half_line_integrals(xs, wv, N, want_F)
-    # past X, mt - shift = Re sum c (L/2)^[b] e^{-gamma x} / (x + b L/2)^[b],
-    # gamma = 2 (lam + eps) / L; the undamped shift joins a term of equal gamma
-    terms = {}
-    for j, ((_, tail), shift) in enumerate(zip(tails, shifts)):
-        for c, lam, *b in [*tail, (-shift, -eps)]:
-            key = (j, complex(lam + eps) / half, b[0] * half if b else None)
-            terms[key] = terms.get(key, 0.0) + (c * half if b else c)
-    rows = [(j, c, g, p) for (j, g, p), c in terms.items() if c != 0.0]
+    # past X, mt = Re sum c (L/2)^[b] e^{-gamma x} / (x + b L/2)^[b], gamma = 2 (lam + eps) / L
+    rows = [
+        (j, c * half if b else c, complex(lam + eps) / half, b[0] * half if b else None)
+        for j, (_, tail) in enumerate(tails)
+        for c, lam, *b in tail
+    ]
     F_t, D_t = _tail_integrals(X, N, rows, len(sources))
     if want_F:
         F += F_t
@@ -779,7 +779,7 @@ def assemble_frequency_route(
     eps = 0 is allowed here (bounded g keeps every entry absolutely
     convergent through the Fejer window). _windowed_integrals lays the grid
     to X and adds the source's exact tail past it, at every eps."""
-    F, D = _windowed_integrals([S], I.length, eps, N, np.zeros(1), want_F=True)
+    F, D = _windowed_integrals([S], I.length, eps, N, want_F=True)
     return OperatorTruncation(
         interval=I,
         epsilon=eps,
@@ -802,7 +802,7 @@ def diagonal_sequences(
     for m sources on one shared grid: row j of the (m, n_max + 1) result
     is the diagonal of sources[j] at A[j].
 
-    The integrand is h(u) = g(|u|) e^{-eps |u|} - A at every eps.
+    The diagonal of W is D/pi at every eps, and A Id takes A off it.
     Diagonals are even in n. The grid, its end X and its
     checks are those of assemble_frequency_route at order n_max
     (_windowed_integrals); a non-finite A and an A per source missing are
@@ -812,8 +812,8 @@ def diagonal_sequences(
         raise ContractError("diagonal_sequences needs one A per source")
     for a in A:
         _check_A(a)
-    _, D = _windowed_integrals(sources, I.length, eps, n_max, A, want_F=False)
-    return (D / math.pi).T
+    _, D = _windowed_integrals(sources, I.length, eps, n_max, want_F=False)
+    return (D / math.pi).T - A[:, None]
 
 
 def diagonal_sequence(

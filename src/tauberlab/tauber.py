@@ -202,7 +202,7 @@ def _reports(members, L: float, N: int, diag, W, A=None) -> list:
             spectral_tail=np.abs(spectrum(split_identity(WS, a))[:SPECTRAL_TOP]),
             eps_spectral=SPECTRAL_EPS,
             ratio_u=grid,
-            ratio_g=np.asarray(S.g_clipped(grid), dtype=float),
+            ratio_g=np.asarray(S.g(grid), dtype=float),
             ratio_window=(0.8 * u_max, u_max),
             diag_threshold=d_thr,
             ratio_threshold=r_thr,

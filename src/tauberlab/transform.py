@@ -17,7 +17,8 @@ integrand is piecewise e^{-su}, so each piece integrates in closed form,
 and the sum has no tail. The sources that jump declare their jumps
 (GrowthFunction.jumps_upto), which the operators' frequency route
 integrates piece by piece, and every catalog source states its tail, the
-exponential sum g is past some u_t (GrowthFunction.tail), which the route
+exponential sum g is past some u_t (GrowthFunction.tail; for weighted
+primes, the constant g(u_cap) at the table edge), which the route
 integrates in closed form. The closed forms are checked in the tests
 against a brute-force quadrature of the source's own g.
 
@@ -162,7 +163,8 @@ def source_primes_weighted(table) -> GrowthFunction:
 
     Each prime p adds 1 to the slope of S(e^u) = pi_P u: da = 0, db = 1.
     From u_cap = ln(limit) on, g reads the table edge x = limit itself,
-    whatever e^{u_cap} rounds to, so a prime limit counts."""
+    whatever e^{u_cap} rounds to, so a prime limit counts; the tail states
+    that value, fn's own, from u_cap on."""
     limit, u_cap = float(table.limit), math.log(table.limit)
 
     def fn(u):
@@ -181,6 +183,7 @@ def source_primes_weighted(table) -> GrowthFunction:
         jumps_upto=jumps_upto,
         u_cap=u_cap,
         ratio_limit_A=1.0,
+        tail=(u_cap, ((float(fn(np.array(u_cap))), 0.0),)),
     )
 
 

@@ -295,6 +295,24 @@ def test_corrupt_cache_is_rebuilt_not_trusted(tmp_path):
         assert victim.read_bytes() == good
 
 
+@pytest.mark.parametrize(
+    "version,limit,why",
+    [(2, 10_000, "unsupported prime cache version 2"), (1, 10_001, "holds limit 10001, not 10000")],
+)
+def test_a_cache_of_another_version_or_limit_is_rebuilt_with_a_warning(tmp_path, caplog, version, limit, why):
+    build_prime_table(10_000, cache_dir=tmp_path)
+    victim = next(tmp_path.glob("*.ptbl"))
+    good = victim.read_bytes()
+    victim.write_bytes(good[:4] + struct.pack("<IQ", version, limit) + good[16:])
+    with pytest.raises(ContractError, match=why):
+        arith._cached_words(victim, 10_000)
+    with caplog.at_level("WARNING", logger="tauberlab.arith"):
+        t = build_prime_table(10_000, cache_dir=tmp_path)
+    assert "corrupt prime cache" in caplog.text and why in caplog.text
+    assert count_primes(10_000, t) == 1229
+    assert victim.read_bytes() == good
+
+
 def test_cache_dir_that_is_a_file_only_warns(tmp_path, caplog):
     blocker = tmp_path / "not-a-dir"
     blocker.write_bytes(b"")
@@ -371,6 +389,11 @@ def test_step_function_contract_errors():
         StepFunction([2.0], [-1.0])  # negative jump
     with pytest.raises(ContractError):
         StepFunction([2.0, 3.0], [1.0])  # length mismatch
+    for bp, jp in (([2.0, np.nan], [1.0, 1.0]), ([2.0, np.inf], [1.0, 1.0]),
+                   ([2.0, 3.0], [1.0, np.nan]), ([2.0, 3.0], [np.inf, 1.0])):
+        with pytest.raises(ContractError, match="finite") as ei:
+            StepFunction(bp, jp)
+        assert ei.value.code == "contract"
 
 
 # ---------------------------------------------------------------------------
@@ -416,22 +439,22 @@ def test_normalized_ratio_and_clipping(small_table):
     assert 0.5 < v < 1.5
     with pytest.raises(TableExhaustedError):
         S.g(cap + 0.5)
-    # clipped access freezes at the cap instead of raising
-    assert S.g_clipped(cap + 0.5) == pytest.approx(S.g_clipped(cap), rel=1e-9)
+    # fn, defined on every u >= 0, holds g(u_cap) past the cap instead of raising
+    assert np.array_equal(S.fn(np.array([cap + 0.5, 40.0])), np.full(2, S.g(cap)))
 
 
 @pytest.mark.parametrize("limit", [2, 3, 100_003, 999_983])
 def test_frozen_tail_reads_a_prime_table_edge(limit, tmp_path):
     """A table whose limit is prime freezes g at the edge itself,
-    pi(limit) ln(limit) / limit, and g_clipped holds it past u_cap; a
-    margin below the edge, or e^{u_cap} rounding below it, would miss the
-    last prime (g = 0.0 and 0.3662 for limits 2 and 3, not 0.3466 and
-    0.7324)."""
+    pi(limit) ln(limit) / limit, fn holds it past u_cap and the stated
+    tail is that value, bit for bit; a margin below the edge, or e^{u_cap}
+    rounding below it, would miss the last prime (g = 0.0 and 0.3662 for
+    limits 2 and 3, not 0.3466 and 0.7324)."""
     table = build_prime_table(limit, cache_dir=tmp_path)
     S = tr.source_primes_weighted(table)
     edge = table.count(limit) * math.log(limit) / limit
-    assert S.exact_tail() == (math.log(limit), ((edge, 0.0),))
-    assert S.g_clipped(S.u_cap + 1.0) == S.g(S.u_cap) == edge
+    assert S.tail == (math.log(limit), ((edge, 0.0),))
+    assert S.fn(np.array([S.u_cap + 1.0]))[0] == S.g(S.u_cap) == edge
 
 
 def test_ratio_past_the_largest_float_is_table_exhausted(small_table):

@@ -453,6 +453,36 @@ def test_transform_eval_bad_file(capsys, tmp_path):
     assert ":2:" in json.loads(err.strip())["message"]
 
 
+def test_transform_eval_file_edge_cases(capsys, tmp_path):
+    """--source file without --file, a file whose blank and comment-only
+    lines are skipped, and a line whose jump is no number."""
+    code, out, err = run_cli(capsys, "transform", "eval", "--source", "file", "--sigma", "2")
+    assert code == 1 and out == ""
+    doc = json.loads(err.strip())
+    assert doc["code"] == "contract" and "needs --file" in doc["message"]
+
+    f = tmp_path / "steps.csv"
+    f.write_text("# primes\n\n2,1\n   \n3,1  # the second\n# done\n")
+    code, out, _ = run_cli(capsys, "transform", "eval", "--source", "file", "--file", str(f), "--sigma", "2")
+    assert code == 0
+    assert last_json(out)["re"] == pytest.approx((2.0**-2 + 3.0**-2) / 2.0, abs=1e-14)
+
+    f.write_text("2,1\n\n2,x\n")
+    code, out, err = run_cli(capsys, "transform", "eval", "--source", "file", "--file", str(f), "--sigma", "2")
+    assert code == 1 and out == ""
+    doc = json.loads(err.strip())
+    assert doc["code"] == "contract" and ":3: bad number in '2,x'" in doc["message"]
+
+
+def test_operator_refuses_an_eps_past_the_frequency_route_limit(capsys):
+    # at the default L = 8 pi the fine panels resolve the damping up to eps = 640
+    for cmd, *extra in (("diag", "--A", "1"), ("assemble",), ("spectrum",)):
+        code, out, err = run_cli(capsys, "operator", cmd, "--source", "linear", "--eps", "641", "--order", "4", *extra)
+        assert code == 1 and out == "", cmd
+        doc = json.loads(err.strip())
+        assert doc["code"] == "domain" and "up to eps = 640" in doc["message"], cmd
+
+
 def test_operator_assemble_stdout_and_file_agree(capsys, tmp_path):
     args = ["operator", "assemble", "--source", "integers", "--length", str(2 * math.pi),
             "--eps", "0.1", "--order", "2"]

@@ -279,6 +279,41 @@ def test_frequency_route_refuses_a_source_without_a_tail():
             assemble_frequency_route(bad, I, 0.0, 4)
 
 
+@pytest.mark.parametrize("L", [2.0 * math.pi, 8.0 * math.pi, 40.0 * math.pi])
+def test_frequency_route_refuses_an_eps_past_its_damping_limit(L):
+    """The fine panels resolve e^{-2 eps x / L} up to eps min(0.1, pi/L) = 64
+    (640 at L <= 10 pi, 2,560 at L = 40 pi): just past it both entry points
+    raise a DomainError that names the limit."""
+    limit = 64.0 / min(0.1, math.pi / L)
+    eps = math.nextafter(limit, math.inf)
+    I = IntervalSpec(L)
+    with pytest.raises(DomainError, match=f"up to eps = {limit:g}") as ei:
+        assemble_frequency_route(tr.source_identity(), I, eps, 4)
+    assert ei.value.code == "domain"
+    with pytest.raises(DomainError, match=f"up to eps = {limit:g}"):
+        diagonal_sequence(tr.source_identity(), I, eps, 1.0, 4)
+
+
+@pytest.mark.parametrize("L", [2.0 * math.pi, 8.0 * math.pi, 40.0 * math.pi])
+def test_the_routes_agree_at_the_eps_limit(L):
+    """At the largest eps the frequency route takes, the identity,
+    slow_approach and the integers agree with the kernel route to 1e-13
+    relative (measured: 3.6e-15); at twice it they differed by 1e-11."""
+    eps, I = 64.0 / min(0.1, math.pi / L), IntervalSpec(L)
+    for S in (tr.source_identity(), tr.source_slow_approach(), tr.source_integers()):
+        Wk = assemble_kernel_route(S, I, eps, 8).entries
+        Wf = assemble_frequency_route(S, I, eps, 8).entries
+        assert np.max(np.abs(Wf - Wk)) <= 1e-13 * np.max(np.abs(Wk)), S.label
+
+
+def test_diagonal_sequences_need_one_A_per_source():
+    I = IntervalSpec(8 * math.pi)
+    for A in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]):
+        with pytest.raises(ContractError, match="one A per source") as ei:
+            diagonal_sequences([tr.source_identity(), tr.source_slow_approach()], I, 0.0, A, 4)
+        assert ei.value.code == "contract"
+
+
 def test_frequency_route_refuses_a_tail_that_is_not_g():
     """sqrt_mix stating the tail 1 of the identity, where its g is
     1 + e^{-u/2}: the route compares the tail with g at u_t, u_t + 1 and
@@ -486,6 +521,11 @@ def test_half_line_integrals_hold_little_beside_the_reciprocal_block(big_table, 
         assert peak <= block + 2**20, (xs.size, peak)
 
 
+def _a_end(S, L):
+    """End of the resolved range for S alone: (L/2) min(ln 2e5, u_t)."""
+    return L / 2.0 * min(math.log(operators._STEP_RESOLVE_CAP), S.tail[0])
+
+
 def _grid_edges_per_segment(S, L, N, X):
     """Reference: the grid built one np.linspace call per segment, fine
     panels on [0, a_end] and on [a_end, pi (N + 3)], then the tail loop.
@@ -497,7 +537,7 @@ def _grid_edges_per_segment(S, L, N, X):
 
     edges = [0.0]
     cursor = 0.0
-    for b in (min(half * min(math.log(2e5), S.u_cap), X), lobe_end):
+    for b in (_a_end(S, L), lobe_end):
         if cursor < b <= X:
             k = max(1, int(math.ceil((b - cursor) / fine_w)))
             edges.extend(np.linspace(cursor, b, k + 1)[1:].tolist())
@@ -526,10 +566,10 @@ def test_grid_edges_match_the_per_segment_linspace(case, small_table):
             tr.source_integers(), 8.0 * math.pi, 72, _cutoff(tr.source_integers(), 8.0 * math.pi, 72)
         ),
     }[case]
-    edges = operators._grid_edges(L, N, X, S.u_cap)
+    edges = operators._grid_edges(L, N, X, _a_end(S, L))
     assert np.array_equal(edges, _grid_edges_per_segment(S, L, N, X))
     # the count behind the node cap: exact on the fine panels, a few panels over in the tail
-    assert 0 <= operators._grid_plan(L, N, X, S.u_cap)[-1] - 16 * (edges.size - 1) <= 16 * 32
+    assert 0 <= operators._grid_plan(L, N, X, _a_end(S, L))[-1] - 16 * (edges.size - 1) <= 16 * 32
 
 
 def test_grid_edges_match_the_loop_on_the_battery_and_pnt_grids(big_table):
@@ -543,38 +583,37 @@ def test_grid_edges_match_the_loop_on_the_battery_and_pnt_grids(big_table):
     cases += [(S, L, N) for S, *_ in tauber.battery_members()]
     for S, L, N in cases:
         X = _cutoff(S, L, N)
-        edges = operators._grid_edges(L, N, X, S.u_cap)
+        edges = operators._grid_edges(L, N, X, _a_end(S, L))
         assert np.array_equal(edges, _grid_edges_per_segment(S, L, N, X)), S.label
 
 
-def _route_tail(S, L, eps, N, shift):
+def _route_tail(S, L, eps, N):
     """F and D of the route's exact tail past its X for a source whose tail
-    has no pole term, the shift as a term of its own."""
+    has no pole term."""
     half = L / 2.0
     terms = [(0, c, (lam + eps) / half, None) for c, lam in operators._tail_of(S)[1]]
-    terms.append((0, -shift, 0.0, None))
     F, D = operators._tail_integrals(_cutoff(S, L, N), N, terms, 1)
     return F[:, 0], D[:, 0]
 
 
-def _jump_aligned_moments(S, L, eps, N, shift):
+def _jump_aligned_moments(S, L, eps, N):
     """Reference: F and D on the grid that cuts a panel at every resolved
     jump, 16 Gauss-Legendre nodes on each panel and mt read at the nodes,
     with the route's grid end and exact tail. Past the resolved range the
     panels are the route's own."""
     half = L / 2.0
     X = _cutoff(S, L, N)
-    edges = operators._grid_edges(L, N, X, S.u_cap)
-    a_end = min(half * operators._resolved_u(S.u_cap), X)
+    a_end = _a_end(S, L)
+    edges = operators._grid_edges(L, N, X, a_end)
     if a_end > 0.0:
         knots = half * np.log(S.jumps_upto(math.exp(a_end / half))[0])
         fine = np.concatenate([edges[edges <= a_end], knots[knots < a_end]])
         edges = np.concatenate([np.unique(fine), edges[edges > a_end]])
     xs, ws = operators._gl_nodes_on(edges[:-1], edges[1:])
     u = xs / half
-    vals = S.g_clipped(u) * np.exp(-eps * u) - shift
+    vals = S.fn(u) * np.exp(-eps * u)
     F, D = operators._half_line_integrals(xs, (ws * vals)[:, None], N, want_F=True)
-    F_tail, D_tail = _route_tail(S, L, eps, N, shift)
+    F_tail, D_tail = _route_tail(S, L, eps, N)
     return F[:, 0] + F_tail, D[:, 0] + D_tail
 
 
@@ -585,8 +624,9 @@ def test_step_weights_match_the_jump_aligned_oracle(case, small_table, big_table
     and eps = 0.05 frequency routes, every entry within 1e-13. The
     integers resolve their jumps up to 2e4 here, not 2e5, which keeps the
     oracle at 0.3M nodes; the densest panel still holds about 500 jumps.
-    At L = 40 pi, N = 8 the single jump at x = e lands on the grid end X,
-    so the resolved range holds none."""
+    The resolved range of a source alone ends at its u_t, so the single
+    jump at x = e lands on its end a_end = L/2 and the range holds none;
+    at L = 40 pi, N = 8 a_end is also the grid end X."""
     S, L, N = {
         "wprimes_1e5": (tr.source_primes_weighted(small_table), 8.0 * math.pi, 46),
         "pnt": (tr.source_primes_weighted(big_table), 8.0 * math.pi, 72),
@@ -597,10 +637,10 @@ def test_step_weights_match_the_jump_aligned_oracle(case, small_table, big_table
     if case == "integer_count":
         monkeypatch.setattr(operators, "_STEP_RESOLVE_CAP", 2e4)
     I = IntervalSpec(L)
-    _, D = _jump_aligned_moments(S, L, 0.0, N, 1.0)
-    assert np.max(np.abs(diagonal_sequence(S, I, 0.0, 1.0, N) - D / math.pi)) <= 1e-13
+    _, D = _jump_aligned_moments(S, L, 0.0, N)
+    assert np.max(np.abs(diagonal_sequence(S, I, 0.0, 1.0, N) - (D / math.pi - 1.0))) <= 1e-13
     for eps in (0.0, 0.05):
-        F, D = _jump_aligned_moments(S, L, eps, N, 0.0)
+        F, D = _jump_aligned_moments(S, L, eps, N)
         ref = operators._matrix_from_moments(-F / math.pi, D / math.pi)
         assert np.max(np.abs(assemble_frequency_route(S, I, eps, N).entries - ref)) <= 1e-13, eps
 
@@ -642,8 +682,8 @@ def test_step_values_hold_no_array_of_every_degree():
     (measured: 20.3 MiB; 66.3 MiB with such an array)."""
     S, L, N = tr.source_integers(), 2.0 * math.pi, 8
     X = _cutoff(S, L, N)
-    edges = operators._grid_edges(L, N, X, S.u_cap)
-    n_res = int(np.searchsorted(edges, L / 2.0 * operators._resolved_u(S.u_cap)))
+    edges = operators._grid_edges(L, N, X, _a_end(S, L))
+    n_res = int(np.searchsorted(edges, _a_end(S, L)))
     xs, _ = operators._gl_nodes_on(edges[:n_res], edges[1 : n_res + 1])
     J = S.jumps_upto(math.exp(edges[n_res] / (L / 2.0)))[0].size
     assert J == 200_000
@@ -665,18 +705,21 @@ def test_the_resolved_range_never_reads_the_prime_table(big_table, monkeypatch):
     """The pnt source declares its jumps, so the frequency route reads the
     table only past a_end = 153.4: at N = 72 the eps = 0 diagonals and the
     eps = 0.05 route both read the 4,192 nodes up to X = 235.6 there, and
-    g(u_cap) once for the frozen tail."""
+    fn at u_t, u_t + 1 and u_t + 10 once for the tail check. The source
+    reads g(u_cap) once when it is built, for its stated tail."""
     from tauberlab import tauber
 
     reads = []
     count = big_table.count
     monkeypatch.setattr(big_table, "count", lambda x: reads.append(np.size(x)) or count(x))
     S, I, N = tr.source_primes_weighted(big_table), IntervalSpec(tauber.DEFAULT_LENGTH), tauber.PNT_ORDER
+    assert reads == [1]
+    reads.clear()
     diagonal_sequence(S, I, 0.0, 1.0, N)
-    assert sorted(reads) == [1, 4_192]
+    assert sorted(reads) == [3, 4_192]
     reads.clear()
     assemble_frequency_route(S, I, 0.05, N)
-    assert sorted(reads) == [1, 4_192]
+    assert sorted(reads) == [3, 4_192]
 
 
 _TAIL_SOURCES = {**_CLOSED_FORM_SOURCES, "weighted_primes": None}
@@ -756,18 +799,19 @@ def test_each_tail_term_matches_quadrature(coef, gamma, p):
 @pytest.mark.parametrize("name", list(_TAIL_SOURCES))
 def test_the_tail_terms_are_g(name, small_table):
     """Re sum of the stated tail terms equals g on [u_t, u_t + 50] to 1e-14
-    relative; a table-backed source's tail is g frozen at u_cap."""
+    relative, g read from fn; a table-backed source's tail is g(u_cap),
+    which its fn holds past u_cap."""
     S = _TAIL_SOURCES[name]() if _TAIL_SOURCES[name] else tr.source_primes_weighted(small_table)
-    u_t, terms = S.exact_tail()
+    u_t, terms = S.tail
     u = np.linspace(u_t, u_t + 50.0, 1001)
     tail = sum(c * np.exp(-lam * u) / (u + b[0] if b else 1.0) for c, lam, *b in terms).real
-    g = S.g_clipped(u)
+    g = S.fn(u)
     assert np.max(np.abs(tail - g) / np.abs(g)) <= 1e-14
     assert operators._tail_of(S) == (u_t, terms)  # the route's own check passes
 
 
 def test_the_grid_does_not_depend_on_eps(monkeypatch):
-    """The battery's grid at N = 64 ends at X = 67 pi and holds 10,736 nodes
+    """The battery's grid at N = 64 ends at X = 67 pi and holds 10,720 nodes
     at eps = 0.001, 0.05 and 0."""
     from tauberlab import tauber
 
@@ -776,7 +820,7 @@ def test_the_grid_does_not_depend_on_eps(monkeypatch):
     for eps in (0.0, 0.05, 0.001):
         grids = _route_grids(monkeypatch, lambda: diagonal_sequences(battery, I, eps, np.zeros(6), 64))
         sizes.append(grids[0][0].size)
-    assert sizes == [10_736] * 3
+    assert sizes == [10_720] * 3
 
 
 @pytest.mark.parametrize(
@@ -933,6 +977,13 @@ def test_spectrum_sorted_by_magnitude():
     sw = spectrum(W)
     assert sw.shape == (9,)
     assert np.all(np.abs(sw[:-1]) >= np.abs(sw[1:]) - 1e-15)
+
+
+def test_spectrum_rejects_a_non_square_matrix():
+    for entries in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))):
+        with pytest.raises(ContractError, match="square") as ei:
+            spectrum(entries)
+        assert ei.value.code == "contract"
 
 
 def test_spectrum_rejects_asymmetric_input():

@@ -13,7 +13,7 @@ import pytest
 from tauberlab import transform as tr
 from tauberlab.arith import GrowthFunction, StepFunction
 from tauberlab.errors import DomainError
-from tauberlab.operators import _gl_nodes_on, _resolved_u
+from tauberlab.operators import _STEP_RESOLVE_CAP, _gl_nodes_on
 from tauberlab.special import _prep, _restore, psi_entire
 from tauberlab.transform import (
     transform_integers,
@@ -52,7 +52,7 @@ def transform_quadrature(S: GrowthFunction, s, U: float = 18.0):
     """Brute-force G(s) by integrating S(e^u) e^{-su} over [0, U].
 
     On the jump-resolved range of a source that declares jumps, u up to
-    min(U, _resolved_u(u_cap)), the pieces between consecutive jumps are
+    min(U, ln _STEP_RESOLVE_CAP), the pieces between consecutive jumps are
     integrated exactly, with S(e^u) = a + b u
     read off the source by _sampled_pieces: that is exact for a constant
     piece (a counting function) and for a piece linear in u (a count times
@@ -67,7 +67,7 @@ def transform_quadrature(S: GrowthFunction, s, U: float = 18.0):
     if U > S.u_cap + 1e-12:
         raise DomainError(f"U = {U:g} exceeds u_cap = {S.u_cap:g} of source '{S.label}'")
     out = np.zeros(flat.size, dtype=complex)
-    u_res = min(U, _resolved_u(S.u_cap)) if S.jumps_upto is not None else 0.0
+    u_res = min(U, math.log(_STEP_RESOLVE_CAP)) if S.jumps_upto is not None else 0.0
 
     if u_res > 0.0:
         knots, level, slope = _sampled_pieces(S, u_res)
@@ -230,3 +230,21 @@ def test_quadrature_is_exact_on_pieces_linear_in_u():
     expect = (np.exp(-sl) * (sl + 1.0)) @ _AJ / s**2
     expect -= _AJ.sum() * np.exp(-s * U) * (s * U + 1.0) / s**2
     assert np.max(np.abs(transform_quadrature(S, s, U=U) - expect)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: tr.source_sqrt_mix(-1.0, 1.0),
+        lambda: tr.source_sqrt_mix(0.0, 0.0),
+        lambda: tr.source_log_oscillation(0.8),
+        lambda: tr.source_single_jump(0.0),
+        lambda: tr.source_single_jump(3.0, 0.5),
+    ],
+    ids=["sqrt_mix(-1,1)", "sqrt_mix(0,0)", "log_oscillation(0.8)", "single_jump(0)", "single_jump(3,0.5)"],
+)
+def test_catalog_parameters_outside_their_range_are_refused(build):
+    """Each would make S negative, decreasing or zero: a DomainError."""
+    with pytest.raises(DomainError) as ei:
+        build()
+    assert ei.value.code == "domain"
