@@ -104,19 +104,18 @@ tolerance: the grid depends on L, N, X and a_end alone (_grid_edges). At
 every eps the order-n entries read g near u = 2 pi n / L (the Fejer lobe
 at x = pi n), so an order past N_max = L u_cap / (2 pi) would read the
 constant a table-backed source holds past u_cap; such orders are refused
-(_check_resolvable). A grid of more than _MAX_GRID_NODES nodes (small L:
-the fine panels grow like 1/L; large L: X grows like L u_t), counted from
-its panel widths (_grid_plan), is a ResourceError raised before any array
-is built.
+(_check_resolvable), as is a batch whose a_end lies past (L/2) u_cap,
+where the source's jumps stop: a 1e5 table with the integers. A grid of
+more than _MAX_GRID_NODES nodes (small L: the fine panels grow like 1/L;
+large L: X grows like L u_t), counted from its panel widths (_grid_plan),
+is a ResourceError raised before any array is built.
 
-The fine panels, fine_w = min(0.1, pi/L) L/8 wide at every eps, resolve
-the damping e^{-kappa x}, kappa = 2 eps/L, while kappa fine_w <= 16, that
-is eps min(0.1, pi/L) <= 64 (eps <= 640 for L <= 10 pi); a larger eps is
-a DomainError (_windowed_integrals). At that limit the identity,
-slow_approach and the integers agree with the kernel route to 3.6e-15
-relative (L = 2 pi, 8 pi, 40 pi; N = 8, 32); at twice it they differ by
-1e-11, and at eps = 1e6, L = 2 pi, entry (0, 0) came out 1.96e-61
-against L/(pi eps) = 2.0e-6 before the refusal.
+The fine panels resolve the damping e^{-kappa x}, kappa = 2 eps/L, while
+kappa fine_w <= 16 (_DAMPING_RESOLVED), that is eps min(0.1, pi/L) <= 64
+(eps <= 640 for L <= 10 pi); a larger eps is a DomainError. At that limit
+the identity, slow_approach and the integers agree with the kernel route
+to 3.6e-15 relative (L = 2 pi, 8 pi, 40 pi; N = 8, 32); at twice it they
+differ by 1e-11.
 
 On the resolved range the nodes of a source that declares jumps do not
 sample mt: S jumps inside the panels. Between two jumps S(e^u) = a + b u,
@@ -212,6 +211,7 @@ _MAX_ORDER = 256
 _MAX_GRID_NODES = 4_000_000  # route grids past this are refused (ResourceError)
 _FAR_BIN = 1.0  # bin width of the proxies (module docstring)
 _PROXIES = 16  # Chebyshev proxies that stand for each bin
+_DAMPING_RESOLVED = 16.0  # largest kappa fine_w whose e^{-kappa x} the fine panels resolve
 _TAIL_RTOL = 1e-13  # relative gap a stated tail may leave to g (the catalog leaves 1.1e-16)
 # entries of one reciprocal block over the proxies, whatever the batch width m: the
 # battery's 130 x 3,376 block fits in one. Do not shrink it: at 500,000 the
@@ -702,16 +702,23 @@ def _check_order(N: int) -> None:
         raise ContractError(f"order N must lie in [0, {_MAX_ORDER}]")
 
 
-def _check_resolvable(S: GrowthFunction, L: float, N: int) -> None:
-    """DomainError when the order-N entries would read the frozen tail, at
-    any eps: past u_cap a table-backed source holds g at g(u_cap), so an
-    order above N_max = L u_cap / (2 pi) reads that constant, not the
-    source."""
+def _check_resolvable(S: GrowthFunction, L: float, N: int, a_end: float = 0.0) -> None:
+    """Past u_cap a table-backed source holds g at g(u_cap): a DomainError
+    when an order above N_max = L u_cap / (2 pi) would read that constant,
+    at any eps, and a ContractError when its batch resolves jumps on
+    [0, a_end] past (L/2) u_cap, where its jumps have stopped but its fn
+    has not. Alone (a_end = 0, or its own u_t = u_cap) it never trips."""
     n_max = L * S.u_cap / (2.0 * math.pi)
     if N > n_max:
         raise DomainError(
             f"order N = {N} reads g past u_cap = {S.u_cap:g} of source '{S.label}'; "
             f"at L = {L:g} the largest resolvable order is N_max = {n_max:.4g}"
+        )
+    if S.jumps_upto is not None and (L / 2.0) * S.u_cap < a_end:
+        raise ContractError(
+            f"source '{S.label}' declares its jumps only up to u_cap = {S.u_cap:g}, but its "
+            f"batch resolves jumps up to u = {a_end / (L / 2.0):g}; batch it with sources "
+            f"whose tails start at or below u_cap"
         )
 
 
@@ -721,22 +728,15 @@ def _windowed_integrals(sources: Sequence[GrowthFunction], L: float, eps: float,
 
     Every precondition of the frequency route is checked here: a finite
     eps >= 0 whose damping the fine panels resolve (DomainError; module
-    docstring), N in [0, _MAX_ORDER] and not past N_max of any source
-    (_check_resolvable), a tail for every source (ContractError), and a
+    docstring), N in [0, _MAX_ORDER], a tail for every source
+    (ContractError), N_max and the table edges (_check_resolvable), and a
     grid of at most _MAX_GRID_NODES nodes (ResourceError). The grid runs to
     the batch's _cutoff X, the same at every eps, where _tail_integrals
     takes over. On the resolved range [0, a_end] a source that declares
     jumps takes product-integration weights (_step_values); mt is read at
     the other nodes."""
     _check_eps(eps, "frequency")
-    if eps * min(0.1, math.pi / L) > 64.0:
-        raise DomainError(
-            f"the frequency route resolves the damping at L = {L:g} only up to "
-            f"eps = {64.0 / min(0.1, math.pi / L):.6g}; got eps = {eps!r}"
-        )
     _check_order(N)
-    for S in sources:
-        _check_resolvable(S, L, N)
     if not sources:
         return np.zeros((N + 1, 0)), np.zeros((N + 1, 0))
     tails = [_tail_of(S) for S in sources]
@@ -745,7 +745,13 @@ def _windowed_integrals(sources: Sequence[GrowthFunction], L: float, eps: float,
     # a source's jumps matter only below the u_t from which it states g in
     # closed form, so the resolved range ends at (L/2) min(ln 2e5, max u_t) <= X
     a_end = half * min(math.log(_STEP_RESOLVE_CAP), max(u_t for u_t, _ in tails))
-    _check_nodes(_grid_plan(L, N, X, a_end)[-1], f"frequency-route grid at L = {L:g}, N = {N} to X = {X:.4g}")
+    for S in sources:
+        _check_resolvable(S, L, N, a_end)
+    _, _, base_w, _, nodes = _grid_plan(L, N, X, a_end)
+    eps_max = _DAMPING_RESOLVED * 2.0 * L / base_w  # kappa = 2 eps / L, fine_w = base_w / 4
+    if eps > eps_max:
+        raise DomainError(f"the frequency route resolves the damping at L = {L:g} only up to eps = {eps_max:.6g}; got {eps!r}")
+    _check_nodes(nodes, f"frequency-route grid at L = {L:g}, N = {N} to X = {X:.4g}")
     edges = _grid_edges(L, N, X, a_end)
     xs, ws = _gl_nodes_on(edges[:-1], edges[1:])
     n_res = int(np.searchsorted(edges, a_end))  # resolved panels
