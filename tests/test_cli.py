@@ -382,6 +382,16 @@ def test_contract_errors_exit_1(capsys):
     assert "nosuch" in json.loads(err.strip())["message"]
 
 
+def test_an_unexpected_error_exits_2_as_internal(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("broken on purpose")
+
+    monkeypatch.setattr(operators, "diagonal_sequence", broken)
+    code, out, err = run_cli(capsys, "operator", "diag", "--source", "linear", "--eps", "0.1", "--order", "2")
+    assert code == 2 and out == ""
+    assert json.loads(err.strip()) == {"code": "internal", "message": "ValueError: broken on purpose"}
+
+
 def test_bad_jobs_value(capsys):
     code, _, err = run_cli(capsys, "--jobs", "0", "primes", "--count", "10")
     assert code == 1
@@ -492,6 +502,19 @@ def test_operator_assemble_stdout_and_file_agree(capsys, tmp_path):
     code2, _, _ = run_cli(capsys, *args, "--out", str(out_path))
     assert code2 == 0
     assert out == out_path.read_text()
+
+
+@pytest.mark.parametrize("cmd", ["diag", "spectrum"])
+def test_operator_sequence_out_file_is_the_csv_stdout(capsys, tmp_path, cmd):
+    """--out writes the sequence as CSV whatever --format says: exactly the
+    text that --format csv prints."""
+    args = ["operator", cmd, "--source", "sqrt_mix", "--length", repr(2 * math.pi), "--eps", "0.1", "--order", "4"]
+    code, out, _ = run_cli(capsys, "--format", "csv", *args)
+    assert code == 0
+    out_path = tmp_path / f"{cmd}.csv"
+    code, printed, _ = run_cli(capsys, *args, "--out", str(out_path))
+    assert code == 0 and printed == ""
+    assert out_path.read_text() == out
 
 
 def test_operator_cli_prints_what_the_library_computes(capsys):

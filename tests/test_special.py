@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
-from tauberlab import special
+from tauberlab import special, transform
 from tauberlab.errors import ContractError, DomainError, PrecisionError
 from tauberlab.special import (
     EvalTolerance,
@@ -91,6 +91,38 @@ def test_term_budget_exhaustion_is_a_precision_error():
         zeta(1.5 + 2e6j)
     assert "term budget" in str(ei.value)
     assert ei.value.achieved > special.DEFAULT_TOL.abs_tol
+
+
+def test_choose_N_steps_onto_the_exact_truncation():
+    """At abs_tol = bound(n) the truncation is n, and at the next float
+    below it n + 1, over a grid on which the root in logarithms lands one
+    above the answer (the N - 1 step) and one below it (the N + 1 step)."""
+    steps = {-1: 0, 1: 0}
+    for sigma in (1.001, 1.05, 1.5, 3.0):
+        for t in (0.0, 25.0, 1000.0):
+            s = np.array([complex(sigma, t)])
+
+            def bound(n):
+                return 2.0 * special._remainder_bound(sigma - 0.5, sigma + 0.5, t + 0.5, n)
+
+            for n in range(11, 400, 7):
+                for tol, want in ((bound(n), n), (math.nextafter(bound(n), 0.0), n + 1)):
+                    assert special._choose_N(s, tol) == want, (sigma, t, n, tol)
+                    root = math.exp((math.log(bound(1)) - math.log(tol)) / (sigma + 8.5))
+                    first = max(10, math.ceil(root))
+                    if first != want:
+                        steps[want - first] += 1
+    assert steps[-1] > 0 and steps[1] > 0, steps
+
+
+@pytest.mark.parametrize(
+    "fn", [prime_zeta, prime_zeta_deriv, psi_prime_part, transform.transform_weighted_primes]
+)
+def test_prime_zeta_family_on_an_empty_batch(fn):
+    """An empty array or grid gives an empty complex array of its shape."""
+    for s in (np.empty(0, dtype=complex), np.empty((0, 3), dtype=complex), OuterGrid(np.empty(0), np.empty(0))):
+        out = fn(s)
+        assert out.shape == np.shape(s) and out.dtype == complex
 
 
 def test_reflection_symmetry(rng):
