@@ -377,7 +377,8 @@ class GrowthFunction:
       (x_j, da_j, db_j) over every 0 < x_j <= hi, with
       S(x) = sum over x_j <= x of (da_j + db_j ln x) on [1, hi]: S(e^u) is
       a + b u between consecutive jumps (a count, or a count times ln x),
-      and the integrators integrate each such piece exactly.
+      and the integrators integrate each such piece exactly. A
+      table-backed source raises TableExhaustedError for hi past its table.
     - ``u_cap``: largest u at which g(u) is the source's own (ln of a
       prime table limit): ``g`` raises past it, while ``fn`` and ``tail``
       hold g(u_cap) there.

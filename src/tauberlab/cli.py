@@ -16,12 +16,14 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 from typing import ClassVar, Optional
 
-from . import __version__
+import numpy as np
+
+from . import __version__, arith, operators, special, tauber, transform
 from .errors import ConfigError, ContractError, TauberlabError
 
 @dataclass
@@ -96,23 +98,23 @@ _SPECIAL_FNS = {
     "psip": "psi_prime_part",
 }
 
-# `transform eval --source` name -> G(transform module, s, tol, args)
+# `transform eval --source` name -> G(s, tol, args)
 _TRANSFORMS = {
-    "integers": lambda tr, s, tol, args: tr.transform_integers(s, tol),
-    "primes": lambda tr, s, tol, args: tr.transform_primes(s, tol),
-    "wprimes": lambda tr, s, tol, args: tr.transform_weighted_primes(s, tol),
-    "file": lambda tr, s, tol, args: tr.transform_step_sum(_load_step_file(args.file), s),
+    "integers": lambda s, tol, args: transform.transform_integers(s, tol),
+    "primes": lambda s, tol, args: transform.transform_primes(s, tol),
+    "wprimes": lambda s, tol, args: transform.transform_weighted_primes(s, tol),
+    "file": lambda s, tol, args: transform.transform_step_sum(_load_step_file(args.file), s),
 }
 
-# catalog source name (operator and experiment --source) -> factory(transform module, cfg)
+# catalog source name (operator and experiment --source) -> factory(cfg)
 _SOURCES = {
-    "linear": lambda tr, cfg: tr.source_identity(),
-    "integers": lambda tr, cfg: tr.source_integers(),
-    "wprimes": lambda tr, cfg: tr.source_primes_weighted(_table(cfg)),
-    "sqrt_mix": lambda tr, cfg: tr.source_sqrt_mix(1.0, 1.0),
-    "log_osc": lambda tr, cfg: tr.source_log_oscillation(0.5),
-    "single_jump": lambda tr, cfg: tr.source_single_jump(),
-    "slow": lambda tr, cfg: tr.source_slow_approach(),
+    "linear": lambda cfg: transform.source_identity(),
+    "integers": lambda cfg: transform.source_integers(),
+    "wprimes": lambda cfg: transform.source_primes_weighted(_table(cfg)),
+    "sqrt_mix": lambda cfg: transform.source_sqrt_mix(1.0, 1.0),
+    "log_osc": lambda cfg: transform.source_log_oscillation(0.5),
+    "single_jump": lambda cfg: transform.source_single_jump(),
+    "slow": lambda cfg: transform.source_slow_approach(),
 }
 _SOURCE_HELP = "one of: " + ", ".join(_SOURCES)
 
@@ -137,7 +139,6 @@ def _shared_flags(p: argparse.ArgumentParser, suppress: bool = False) -> None:
     # subcommand name must survive the subparser's own defaulting pass.
     d = {"default": argparse.SUPPRESS} if suppress else {}
     p.add_argument("--config", help="flat key = value config file", **d)
-    p.add_argument("--jobs", type=int, help="cap worker threads (set before numeric libraries load)", **d)
     p.add_argument("--cache-dir", help="prime table cache directory", **d)
     p.add_argument("--prime-limit", type=int, help="sieve/table limit", **d)
     p.add_argument("--format", choices=["json", "csv"], help="stdout format for sequences", **d)
@@ -217,17 +218,13 @@ def _overlay(cfg: RunConfig, args) -> RunConfig:
 
 
 def _table(cfg: RunConfig):
-    from .arith import build_prime_table
-
-    return build_prime_table(cfg.prime_limit, cache_dir=cfg.cache_dir)
+    return arith.build_prime_table(cfg.prime_limit, cache_dir=cfg.cache_dir)
 
 
 def _source(name: str, cfg: RunConfig):
-    from . import transform
-
     if name not in _SOURCES:
         raise ContractError(f"unknown source {name!r}; expected {_SOURCE_HELP}")
-    return _SOURCES[name](transform, cfg)
+    return _SOURCES[name](cfg)
 
 
 def _emit(obj) -> None:
@@ -239,11 +236,7 @@ def _emit_sequence(values, cfg: RunConfig, out: Optional[str], header: str) -> N
         lines = [header] + [f"{i},{v:.17g}" for i, v in enumerate(values)]
         text = "\n".join(lines) + "\n"
         if out:
-            from pathlib import Path
-
-            from .arith import _atomic_write
-
-            _atomic_write(Path(out), text)
+            arith._atomic_write(Path(out), text)
         else:
             sys.stdout.write(text)
     else:
@@ -251,32 +244,22 @@ def _emit_sequence(values, cfg: RunConfig, out: Optional[str], header: str) -> N
 
 
 def _cmd_primes(args, cfg: RunConfig) -> int:
-    from .arith import count_primes
-
-    print(int(count_primes(args.count, _table(cfg))))
+    print(int(arith.count_primes(args.count, _table(cfg))))
     return 0
 
 
 def _emit_value(args, cfg: RunConfig, f) -> int:
-    from .special import EvalTolerance
-
-    tol = EvalTolerance(cfg.abs_tol)
+    tol = special.EvalTolerance(cfg.abs_tol)
     val = complex(f(complex(args.sigma, args.t), tol))
     _emit({"re": val.real, "im": val.imag, "est_error": tol.abs_tol})
     return 0
 
 
 def _cmd_special(args, cfg: RunConfig) -> int:
-    from . import special
-
     return _emit_value(args, cfg, getattr(special, _SPECIAL_FNS[args.fn]))
 
 
 def _load_step_file(path: str):
-    import numpy as np
-
-    from .arith import StepFunction
-
     if not path:
         raise ContractError("--source file needs --file with x_j,a_j lines")
     xs, js = [], []
@@ -293,18 +276,14 @@ def _load_step_file(path: str):
                 js.append(float(parts[1]))
             except ValueError as exc:
                 raise ContractError(f"{path}:{lineno}: bad number in {raw.strip()!r}") from exc
-    return StepFunction(np.asarray(xs), np.asarray(js))
+    return arith.StepFunction(np.asarray(xs), np.asarray(js))
 
 
 def _cmd_transform(args, cfg: RunConfig) -> int:
-    from . import transform
-
-    return _emit_value(args, cfg, lambda s, tol: _TRANSFORMS[args.source](transform, s, tol, args))
+    return _emit_value(args, cfg, lambda s, tol: _TRANSFORMS[args.source](s, tol, args))
 
 
 def _cmd_operator(args, cfg: RunConfig) -> int:
-    from . import operators
-
     S = _source(args.source, cfg)
     I = operators.IntervalSpec(cfg.length)
     N = cfg.order
@@ -330,11 +309,9 @@ def _report_extra(cfg: RunConfig) -> dict:
 
 
 def _cmd_experiment(args, cfg: RunConfig) -> int:
-    from . import tauber as tb
-
     cmd = args.experiment_command
     if cmd == "battery":
-        bat = tb.run_battery(L=cfg.length, N=cfg.order)
+        bat = tauber.run_battery(L=cfg.length, N=cfg.order)
         if args.report:
             bat.save_json(args.report, extra=_report_extra(cfg))
         _emit({"all_equivalent": bat.all_equivalent, "equivalence": bat.equivalence})
@@ -342,13 +319,13 @@ def _cmd_experiment(args, cfg: RunConfig) -> int:
     kw = {} if args.umax is None else {"u_max": args.umax}
     if cmd == "pnt":
         if "order" not in cfg.explicit:  # the report's config records the order that runs
-            cfg.order = tb.PNT_ORDER
-        rep = tb.pnt_pipeline(_table(cfg), L=cfg.length, N=cfg.order, **kw)
+            cfg.order = tauber.PNT_ORDER
+        rep = tauber.pnt_pipeline(_table(cfg), L=cfg.length, N=cfg.order, **kw)
     elif cmd == "forward":
         S = _source(args.source, cfg)
-        rep = tb.forward_experiment(S, S.ratio_limit_A, L=cfg.length, N=cfg.order, **kw)
+        rep = tauber.forward_experiment(S, S.ratio_limit_A, L=cfg.length, N=cfg.order, **kw)
     else:
-        rep = tb.converse_experiment(_source(args.source, cfg), L=cfg.length, N=cfg.order, **kw)
+        rep = tauber.converse_experiment(_source(args.source, cfg), L=cfg.length, N=cfg.order, **kw)
     if args.report:
         rep.save_json(args.report, extra=_report_extra(cfg))
         stem = args.report[:-5] if args.report.endswith(".json") else args.report
@@ -369,12 +346,6 @@ def _cmd_experiment(args, cfg: RunConfig) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.jobs is not None:
-        if args.jobs < 1:
-            print(json.dumps({"code": "config", "message": "--jobs must be >= 1"}), file=sys.stderr)
-            return 1
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.jobs)
     if getattr(args, "run", None) is None:  # no command, or a bare group
         getattr(args, "usage", parser.print_usage)(sys.stderr)
         return 64

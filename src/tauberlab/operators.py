@@ -104,9 +104,9 @@ tolerance: the grid depends on L, N, X and a_end alone (_grid_edges). At
 every eps the order-n entries read g near u = 2 pi n / L (the Fejer lobe
 at x = pi n), so an order past N_max = L u_cap / (2 pi) would read the
 constant a table-backed source holds past u_cap; such orders are refused
-(_check_resolvable), as is a batch whose a_end lies past (L/2) u_cap,
-where the source's jumps stop: a 1e5 table with the integers. A grid of
-more than _MAX_GRID_NODES nodes (small L: the fine panels grow like 1/L;
+(_check_resolvable). A batch whose a_end lies past (L/2) u_cap asks the
+table for jumps it does not hold (a 1e5 table with the integers), which
+the source refuses (TableExhaustedError). A grid of more than _MAX_GRID_NODES nodes (small L: the fine panels grow like 1/L;
 large L: X grows like L u_t), counted from its panel widths (_grid_plan),
 is a ResourceError raised before any array is built.
 
@@ -702,23 +702,15 @@ def _check_order(N: int) -> None:
         raise ContractError(f"order N must lie in [0, {_MAX_ORDER}]")
 
 
-def _check_resolvable(S: GrowthFunction, L: float, N: int, a_end: float = 0.0) -> None:
+def _check_resolvable(S: GrowthFunction, L: float, N: int) -> None:
     """Past u_cap a table-backed source holds g at g(u_cap): a DomainError
     when an order above N_max = L u_cap / (2 pi) would read that constant,
-    at any eps, and a ContractError when its batch resolves jumps on
-    [0, a_end] past (L/2) u_cap, where its jumps have stopped but its fn
-    has not. Alone (a_end = 0, or its own u_t = u_cap) it never trips."""
+    at any eps."""
     n_max = L * S.u_cap / (2.0 * math.pi)
     if N > n_max:
         raise DomainError(
             f"order N = {N} reads g past u_cap = {S.u_cap:g} of source '{S.label}'; "
             f"at L = {L:g} the largest resolvable order is N_max = {n_max:.4g}"
-        )
-    if S.jumps_upto is not None and (L / 2.0) * S.u_cap < a_end:
-        raise ContractError(
-            f"source '{S.label}' declares its jumps only up to u_cap = {S.u_cap:g}, but its "
-            f"batch resolves jumps up to u = {a_end / (L / 2.0):g}; batch it with sources "
-            f"whose tails start at or below u_cap"
         )
 
 
@@ -729,10 +721,9 @@ def _windowed_integrals(sources: Sequence[GrowthFunction], L: float, eps: float,
     Every precondition of the frequency route is checked here: a finite
     eps >= 0 whose damping the fine panels resolve (DomainError; module
     docstring), N in [0, _MAX_ORDER], a tail for every source
-    (ContractError), N_max and the table edges (_check_resolvable), and a
-    grid of at most _MAX_GRID_NODES nodes (ResourceError). The grid runs to
-    the batch's _cutoff X, the same at every eps, where _tail_integrals
-    takes over. On the resolved range [0, a_end] a source that declares
+    (ContractError), N_max (_check_resolvable), and a grid of at most
+    _MAX_GRID_NODES nodes (ResourceError). The grid runs to the batch's
+    _cutoff X, the same at every eps, where _tail_integrals takes over. On the resolved range [0, a_end] a source that declares
     jumps takes product-integration weights (_step_values); mt is read at
     the other nodes."""
     _check_eps(eps, "frequency")
@@ -746,7 +737,7 @@ def _windowed_integrals(sources: Sequence[GrowthFunction], L: float, eps: float,
     # closed form, so the resolved range ends at (L/2) min(ln 2e5, max u_t) <= X
     a_end = half * min(math.log(_STEP_RESOLVE_CAP), max(u_t for u_t, _ in tails))
     for S in sources:
-        _check_resolvable(S, L, N, a_end)
+        _check_resolvable(S, L, N)
     _, _, base_w, _, nodes = _grid_plan(L, N, X, a_end)
     eps_max = _DAMPING_RESOLVED * 2.0 * L / base_w  # kappa = 2 eps / L, fine_w = base_w / 4
     if eps > eps_max:

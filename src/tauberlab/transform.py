@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import GrowthFunction, StepFunction
-from .errors import DomainError
+from .errors import DomainError, TableExhaustedError
 from .special import (
     _POWER_CELLS,
     EvalTolerance,
@@ -161,8 +161,9 @@ def source_integers() -> GrowthFunction:
 def source_primes_weighted(table) -> GrowthFunction:
     """S(x) = pi_P(x) ln x. The prime-number-theorem source; g -> 1 slowly.
 
-    Each prime p adds 1 to the slope of S(e^u) = pi_P u: da = 0, db = 1.
-    From u_cap = ln(limit) on, g reads the table edge x = limit itself,
+    Each prime p adds 1 to the slope of S(e^u) = pi_P u: da = 0, db = 1;
+    jumps asked for up to x >= limit + 1 are a TableExhaustedError, since
+    the table holds none past its limit. From u_cap = ln(limit) on, g reads the table edge x = limit itself,
     whatever e^{u_cap} rounds to, so a prime limit counts; the tail states
     that value, fn's own, from u_cap on."""
     limit, u_cap = float(table.limit), math.log(table.limit)
@@ -172,6 +173,13 @@ def source_primes_weighted(table) -> GrowthFunction:
         return table.count(e) * np.log(e) / e
 
     def jumps_upto(hi):
+        if hi >= table.limit + 1:  # the edge of table.count; primes_in would clip
+            needed = math.floor(hi)
+            raise TableExhaustedError(
+                f"jumps of source 'weighted_primes' up to {needed} exceed table limit {table.limit}; "
+                f"rebuild with limit >= {needed}",
+                required=needed,
+            )
         p = table.primes_in(0.0, hi).astype(float)
         return p, np.zeros_like(p), np.ones_like(p)
 

@@ -392,20 +392,14 @@ def test_an_unexpected_error_exits_2_as_internal(capsys, monkeypatch):
     assert json.loads(err.strip()) == {"code": "internal", "message": "ValueError: broken on purpose"}
 
 
-def test_bad_jobs_value(capsys):
-    code, _, err = run_cli(capsys, "--jobs", "0", "primes", "--count", "10")
-    assert code == 1
-
-
-def test_jobs_caps_every_thread_pool(capsys, monkeypatch, tmp_path):
-    threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-    for var in threads:  # monkeypatch restores each after the test
-        monkeypatch.setenv(var, "7")
-    code, out, _ = run_cli(
-        capsys, "--jobs", "2", "--prime-limit", "1000", "--cache-dir", str(tmp_path), "primes", "--count", "100",
-    )
-    assert code == 0 and out.strip() == "25"
-    assert [os.environ[var] for var in threads] == ["2", "2", "2"]
+def test_jobs_is_an_unknown_flag(capsys):
+    """The thread pools take the standard environment variables
+    (OMP_NUM_THREADS, OPENBLAS_NUM_THREADS, ...): the CLI has no flag for them."""
+    for argv in (["--jobs=2", "primes", "--count", "10"], ["primes", "--count", "10", "--jobs=2"]):
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        assert ei.value.code == 64
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 def test_config_errors_exit_1(capsys, tmp_path):

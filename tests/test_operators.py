@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from tauberlab import operators
 from tauberlab import transform as tr
 from tauberlab.arith import GrowthFunction, build_prime_table
-from tauberlab.errors import ContractError, DomainError, PrecisionError, ResourceError
+from tauberlab.errors import ContractError, DomainError, PrecisionError, ResourceError, TableExhaustedError
 from tauberlab.operators import (
     IntervalSpec,
     assemble_frequency_route,
@@ -280,24 +280,24 @@ def test_frequency_route_refuses_a_source_without_a_tail():
 
 
 def test_a_batch_resolves_no_table_source_past_its_table(small_table, big_table, tmp_path):
-    """Weighted primes on the 1e5 table declare their jumps only up to
-    u_cap = ln 1e5, and past it their fn holds g(u_cap). A batch with the
-    integers (a_end = (L/2) ln 2e5) or with a larger table would resolve
-    those jumps past the table, so it is a ContractError naming the source
-    (unguarded, the 1e5 table's eps = 0 diagonal to N = 46 moved by 0.035,
-    its largest entry being 1.19). A batch whose a_end stays within every table
-    gives each source's diagonal as that source alone does: to 1e-14, or
-    to 1e-9 for the 3e5 table, whose primes past 2e5 the nodes sample
-    (module docstring) on a grid whose end moves with the batch (measured
-    1.8e-10)."""
+    """Weighted primes on the 1e5 table hold jumps only up to the table
+    limit, and past it their fn holds g(u_cap). A batch with the integers
+    (a_end = (L/2) ln 2e5) or with a larger table would resolve those jumps
+    past the table, and the source refuses: a TableExhaustedError asking
+    for a table to 200,000 (unguarded, the 1e5 table's eps = 0 diagonal to
+    N = 46 moved by 0.035, its largest entry being 1.19). A batch whose
+    a_end stays within every table gives each source's diagonal as that
+    source alone does: to 1e-14, or to 1e-9 for the 3e5 table, whose
+    primes past 2e5 the nodes sample (module docstring) on a grid whose end
+    moves with the batch (measured 1.8e-10)."""
     I, eps, A = IntervalSpec(8.0 * math.pi), 0.05, [0.0, 0.0]
     small = tr.source_primes_weighted(small_table)
     mid = tr.source_primes_weighted(build_prime_table(300_000, cache_dir=tmp_path))
     big = tr.source_primes_weighted(big_table)
     for other in (tr.source_integers(), mid):
-        with pytest.raises(ContractError, match=f"'{small.label}' declares its jumps only up to") as ei:
+        with pytest.raises(TableExhaustedError, match="exceed table limit 100000") as ei:
             diagonal_sequences([small, other], I, eps, A, 8)
-        assert ei.value.code == "contract"
+        assert ei.value.code == "table-exhausted" and ei.value.required == 200_000
     for batch in ([small, tr.source_identity()], [mid, tr.source_integers()], [big, mid]):
         both = diagonal_sequences(batch, I, eps, A, 8)
         for row, S in zip(both, batch):
