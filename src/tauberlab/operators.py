@@ -106,9 +106,10 @@ at x = pi n), so an order past N_max = L u_cap / (2 pi) would read the
 constant a table-backed source holds past u_cap; such orders are refused
 (_check_resolvable). A batch whose a_end lies past (L/2) u_cap asks the
 table for jumps it does not hold (a 1e5 table with the integers), which
-the source refuses (TableExhaustedError). A grid of more than _MAX_GRID_NODES nodes (small L: the fine panels grow like 1/L;
-large L: X grows like L u_t), counted from its panel widths (_grid_plan),
-is a ResourceError raised before any array is built.
+the source refuses (TableExhaustedError). A grid of more than
+_MAX_GRID_NODES nodes (small L: the fine panels grow like 1/L; large L: X
+grows like L u_t), counted from its panel widths (_grid_plan), is a
+ResourceError raised before any array is built.
 
 The fine panels resolve the damping e^{-kappa x}, kappa = 2 eps/L, while
 kappa fine_w <= 16 (_DAMPING_RESOLVED), that is eps min(0.1, pi/L) <= 64
@@ -169,10 +170,15 @@ alpha N h <= pi/3) and about 2 for the weight 2 (1 - z/L) of c_n. This
 uniform-M bound is loose.
 Measured against panels eps/2 wide, every matrix entry agrees to 1.0e-14,
 the rounding of the sums (integers, the six battery sources and weighted
-primes on a 1e7 table; eps = 0.05 and 0.01; L = 2 pi, N = 8 and
-L = 8 pi, N = 72). Panels 3 eps and 4 eps wide miss by up to 6.7e-10 and
-1.9e-9 wherever that width binds, so the limit lies between 2 eps and
-3 eps, as the strip predicts.
+primes on a 1e7 table; eps = 0.05 and 0.01; L = 2 pi, N = 8 and L = 8 pi,
+N = 72). That rounding scales with int_0^L |K|, not with the entries: a
+kernel that cancels over [0, L] gives entries far below it, which lose
+relative digits. For source_single_jump(1, 108) at L = 8 pi, N = 8,
+eps = 0.05, max |W| = 8.71e-6 and int |K| = 5.74e-3, and the two routes differ
+by 9.06e-19, 1.04e-13 of max |W| but 1.6e-16 of int |K|; against 30-digit
+mpmath the kernel route errs by 9.1e-19. Panels 3 eps and 4 eps wide miss
+by up to 6.7e-10 and 1.9e-9 wherever that width binds, so the limit lies
+between 2 eps and 3 eps, as the strip predicts.
 """
 
 from __future__ import annotations
@@ -337,9 +343,10 @@ def assemble_kernel_routes(
     source's kernel is contracted against them. At half-width h <= eps the
     kernel's strip of analyticity |Im x| < eps holds every Bernstein ellipse
     with rho < 1 + sqrt 2 of each panel, and the rule errs by at most about
-    1e-10 C per panel, C the growth constant; the measured error is 1.0e-14
-    per entry (module docstring). L/(3N) keeps 3 panels in each period L/N
-    of the fastest basis oscillation."""
+    1e-10 C per panel, C the growth constant. The rounding of the sums then
+    dominates, about 2^-53 int_0^L |K| per entry, so an entry is accurate
+    relative to int |K|, not to itself (module docstring). L/(3N) keeps 3
+    panels in each period L/N of the fastest basis oscillation."""
     _check_eps(eps, "kernel")
     _check_order(N)
     L = I.length
@@ -723,9 +730,10 @@ def _windowed_integrals(sources: Sequence[GrowthFunction], L: float, eps: float,
     docstring), N in [0, _MAX_ORDER], a tail for every source
     (ContractError), N_max (_check_resolvable), and a grid of at most
     _MAX_GRID_NODES nodes (ResourceError). The grid runs to the batch's
-    _cutoff X, the same at every eps, where _tail_integrals takes over. On the resolved range [0, a_end] a source that declares
-    jumps takes product-integration weights (_step_values); mt is read at
-    the other nodes."""
+    _cutoff X, the same at every eps, where _tail_integrals takes over. On
+    the resolved range [0, a_end] a source that declares jumps takes
+    product-integration weights (_step_values); mt is read at the other
+    nodes."""
     _check_eps(eps, "frequency")
     _check_order(N)
     if not sources:
@@ -890,7 +898,11 @@ def weak_limit_diagnostic(
 
     Reports Delta_k = max |M(eps_{k+1}) - M(eps_k)| and verdicts true when
     each Delta shrinks by >= 1.5x per step (the schedule is expected to
-    halve eps each step)."""
+    halve eps each step). The verdict is a heuristic on a finite schedule,
+    not a proof, and it errs both ways: on (0.4, 0.2, 0.1, 0.05) it says
+    true for log_oscillation(0.5), whose g has no limit, at L = 16 pi,
+    N = 8 (ratios 1.71, 1.84), and false for the integers at L = 8 pi,
+    N = 64 (ratios 0.98, 1.00)."""
     sched = [float(e) for e in eps_schedule]
     if len(sched) < 2:
         raise ContractError("eps schedule needs at least two values")

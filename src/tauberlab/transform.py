@@ -161,11 +161,12 @@ def source_integers() -> GrowthFunction:
 def source_primes_weighted(table) -> GrowthFunction:
     """S(x) = pi_P(x) ln x. The prime-number-theorem source; g -> 1 slowly.
 
-    Each prime p adds 1 to the slope of S(e^u) = pi_P u: da = 0, db = 1;
-    jumps asked for up to x >= limit + 1 are a TableExhaustedError, since
-    the table holds none past its limit. From u_cap = ln(limit) on, g reads the table edge x = limit itself,
-    whatever e^{u_cap} rounds to, so a prime limit counts; the tail states
-    that value, fn's own, from u_cap on."""
+    Each prime p adds 1 to the slope of S(e^u) = pi_P u: da = 0, db = 1.
+    The table holds no jump past its limit, so jumps asked for up to
+    hi >= limit + 1 are a TableExhaustedError. From u_cap = ln(limit) on, g
+    reads the table edge x = limit itself, whatever e^{u_cap} rounds to, so
+    a prime limit counts; the tail states that value, fn's own, from u_cap
+    on."""
     limit, u_cap = float(table.limit), math.log(table.limit)
 
     def fn(u):
