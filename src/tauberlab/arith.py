@@ -201,30 +201,30 @@ class PrimeTable:
         np.bitwise_count(words[:-1], out=self.rank[1:])
         np.cumsum(self.rank, out=self.rank)
 
-    def _keys(self, x) -> np.ndarray:
-        """floor(x) clipped to [0, limit] as int64: p <= x exactly when
-        p <= floor(x) for an integer p."""
+    def _keys(self, x, query: str) -> np.ndarray:
+        """floor(x) as int64, with x below 0 read as 0: p <= x exactly when
+        p <= floor(x) for an integer p. The table's one edge: it answers
+        every x < limit + 1, and refuses NaN, +inf (DomainError) and
+        x >= limit + 1 (TableExhaustedError, required = floor(x))."""
         arr = np.asarray(x, dtype=float)
         if np.isnan(arr).any():
             raise DomainError("prime table query must not be NaN")
-        return np.floor(np.clip(arr, 0.0, float(self.limit))).astype(np.int64)
-
-    def count(self, x):
-        """Vectorized count of primes <= x (x scalar or array, any real but
-        NaN and +inf). The table answers every x < limit + 1, since the
-        count only reads floor(x)."""
-        arr = np.asarray(x, dtype=float)
-        keys = self._keys(arr)
         if arr.size and np.any(arr >= self.limit + 1):
             top = float(np.max(arr))
             if top == math.inf:
-                raise DomainError("prime table count query must not be +inf")
+                raise DomainError(f"prime table {query} query must not be +inf")
             needed = math.floor(top)
             raise TableExhaustedError(
-                f"count query up to {needed} exceeds table limit {self.limit}; "
+                f"{query} query up to {needed} exceeds table limit {self.limit}; "
                 f"rebuild with limit >= {needed}",
                 required=needed,
             )
+        return np.floor(np.maximum(arr, 0.0)).astype(np.int64)
+
+    def count(self, x):
+        """Vectorized count of primes <= x (x scalar or array, any real
+        below limit + 1)."""
+        keys = self._keys(x, "count")
         # the odd numbers <= k are the slots below m = (k + 1) // 2
         m = (keys + 1) >> 1
         w = m >> 6
@@ -232,12 +232,12 @@ class PrimeTable:
         out = self.rank[w].astype(np.intp)
         out += np.bitwise_count(self.words[w] & mask)
         out += keys >= 2
-        return int(out) if np.isscalar(x) or arr.ndim == 0 else out
+        return int(out) if np.isscalar(x) or keys.ndim == 0 else out
 
     def primes_in(self, lo: float, hi: float) -> np.ndarray:
-        """Primes p with lo < p <= hi (hi is clipped to the table limit),
-        as a sorted int64 array."""
-        a, b = self._keys([lo, hi]).tolist()
+        """Primes p with lo < p <= hi, as a sorted int64 array; hi is any
+        real below limit + 1, as for count."""
+        a, b = self._keys([lo, hi], "primes_in").tolist()
         # the odd p with a < p <= b are the slots ma <= i < mb
         ma, mb = (a + 1) // 2, (b + 1) // 2
         w0 = ma >> 6
@@ -350,8 +350,6 @@ def count_primes(x, table: PrimeTable) -> int:
     xf = float(x)
     if not math.isfinite(xf) or xf < 0:
         raise DomainError("count_primes requires finite x >= 0")
-    if xf < 2:
-        return 0
     return table.count(xf)
 
 
@@ -377,8 +375,8 @@ class GrowthFunction:
       (x_j, da_j, db_j) over every 0 < x_j <= hi, with
       S(x) = sum over x_j <= x of (da_j + db_j ln x) on [1, hi]: S(e^u) is
       a + b u between consecutive jumps (a count, or a count times ln x),
-      and the integrators integrate each such piece exactly. A
-      table-backed source raises TableExhaustedError for hi past its table.
+      and the integrators integrate each such piece exactly. The table
+      of a table-backed source refuses hi past its edge (TableExhaustedError).
     - ``u_cap``: largest u at which g(u) is the source's own (ln of a
       prime table limit): ``g`` raises past it, while ``fn`` and ``tail``
       hold g(u_cap) there.

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,8 +32,8 @@ class RunConfig:
     explicit: ClassVar[frozenset] = frozenset()  # keys a file or flag set; not a field
     cache_dir: Optional[str] = None
     prime_limit: int = 100_000_000
-    length: float = 8.0 * math.pi
-    order: int = 64
+    length: float = tauber.DEFAULT_LENGTH
+    order: int = tauber.DEFAULT_ORDER
     abs_tol: float = 1e-10
     format: str = "json"
 

@@ -106,7 +106,7 @@ at x = pi n), so an order past N_max = L u_cap / (2 pi) would read the
 constant a table-backed source holds past u_cap; such orders are refused
 (_check_resolvable). A batch whose a_end lies past (L/2) u_cap asks the
 table for jumps it does not hold (a 1e5 table with the integers), which
-the source refuses (TableExhaustedError). A grid of more than
+the table refuses (TableExhaustedError). A grid of more than
 _MAX_GRID_NODES nodes (small L: the fine panels grow like 1/L; large L: X
 grows like L u_t), counted from its panel widths (_grid_plan), is a
 ResourceError raised before any array is built.

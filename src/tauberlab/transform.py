@@ -37,7 +37,7 @@ from typing import Optional
 import numpy as np
 
 from .arith import GrowthFunction, StepFunction
-from .errors import DomainError, TableExhaustedError
+from .errors import DomainError
 from .special import (
     _POWER_CELLS,
     EvalTolerance,
@@ -70,16 +70,12 @@ __all__ = [
 
 def transform_integers(s, tol: Optional[EvalTolerance] = None):
     """G(s) = zeta(s)/s, the transform of the integer count."""
-    grid, scalar, shape = _prep(s)
-    val = np.ravel(zeta(grid, tol)) / grid.points
-    return _restore(val, scalar, shape)
+    return zeta(s, tol) / np.asarray(s, dtype=complex)
 
 
 def transform_primes(s, tol: Optional[EvalTolerance] = None):
     """G(s) = pzeta(s)/s, the transform of the prime count."""
-    grid, scalar, shape = _prep(s)
-    val = np.ravel(prime_zeta(grid, tol)) / grid.points
-    return _restore(val, scalar, shape)
+    return prime_zeta(s, tol) / np.asarray(s, dtype=complex)
 
 
 def transform_weighted_primes(s, tol: Optional[EvalTolerance] = None):
@@ -87,11 +83,9 @@ def transform_weighted_primes(s, tol: Optional[EvalTolerance] = None):
 
     This is -d/ds of the prime transform, since multiplying the source by u
     differentiates the transform."""
-    grid, scalar, shape = _prep(s)
-    flat = grid.points
-    pz, pzd = prime_zeta_pair(grid, tol)
-    val = (np.ravel(pz) - flat * np.ravel(pzd)) / flat**2
-    return _restore(val, scalar, shape)
+    pz, pzd = prime_zeta_pair(s, tol)
+    s = np.asarray(s, dtype=complex)
+    return (pz - s * pzd) / s**2
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +156,8 @@ def source_primes_weighted(table) -> GrowthFunction:
     """S(x) = pi_P(x) ln x. The prime-number-theorem source; g -> 1 slowly.
 
     Each prime p adds 1 to the slope of S(e^u) = pi_P u: da = 0, db = 1.
-    The table holds no jump past its limit, so jumps asked for up to
-    hi >= limit + 1 are a TableExhaustedError. From u_cap = ln(limit) on, g
+    The table holds no jump past its limit: it refuses jumps asked for up
+    to hi >= limit + 1 (TableExhaustedError). From u_cap = ln(limit) on, g
     reads the table edge x = limit itself, whatever e^{u_cap} rounds to, so
     a prime limit counts; the tail states that value, fn's own, from u_cap
     on."""
@@ -174,13 +168,6 @@ def source_primes_weighted(table) -> GrowthFunction:
         return table.count(e) * np.log(e) / e
 
     def jumps_upto(hi):
-        if hi >= table.limit + 1:  # the edge of table.count; primes_in would clip
-            needed = math.floor(hi)
-            raise TableExhaustedError(
-                f"jumps of source 'weighted_primes' up to {needed} exceed table limit {table.limit}; "
-                f"rebuild with limit >= {needed}",
-                required=needed,
-            )
         p = table.primes_in(0.0, hi).astype(float)
         return p, np.zeros_like(p), np.ones_like(p)
 

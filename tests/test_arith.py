@@ -201,7 +201,7 @@ def test_integer_keys_match_the_float_keys(small_table):
     for x in keys:
         assert small_table.count(x) == int(np.searchsorted(primes, np.floor(x), side="right"))
     for lo in keys:
-        for hi in (0.0, -1.0, 30.5, 31.0, 7919.0, limit, np.inf):
+        for hi in (0.0, -1.0, 30.5, 31.0, 7919.0, limit):
             assert np.array_equal(
                 small_table.primes_in(lo, hi), primes[(primes > lo) & (primes <= hi)]
             ), (lo, hi)
@@ -218,6 +218,36 @@ def test_integer_keys_match_the_float_keys(small_table):
         small_table.primes_in(float("nan"), 100.0)
     with pytest.raises(DomainError):
         small_table.primes_in(1.0, float("nan"))
+    with pytest.raises(DomainError, match=r"\+inf"):
+        small_table.primes_in(0.0, np.inf)
+
+
+def test_primes_in_refuses_what_count_refuses(small_table):
+    """The table states its edge once: primes_in answers every hi below
+    limit + 1, as count does, and refuses the rest with count's errors.
+    It never clips, so a staircase read past the edge is an error, not the
+    primes up to the limit; the weighted-prime source passes the refusal
+    on as it stands."""
+    limit = small_table.limit
+    primes = np.flatnonzero(_dense_sieve(limit))
+    top = primes[primes > limit - 1000]
+    for hi in (limit, limit + 0.5):
+        assert np.array_equal(small_table.primes_in(limit - 1000, hi), top), hi
+    errors = []
+    for query in (
+        small_table.count,
+        lambda x: small_table.primes_in(0.0, x),
+        tr.source_primes_weighted(small_table).jumps_upto,
+    ):
+        with pytest.raises(TableExhaustedError) as ei:
+            query(limit + 1)
+        assert ei.value.code == "table-exhausted" and ei.value.required == limit + 1
+        errors.append(str(ei.value))
+        for bad in (np.inf, float("nan")):
+            with pytest.raises(DomainError):
+                query(bad)
+    assert errors[0] == f"count query up to {limit + 1} exceeds table limit {limit}; rebuild with limit >= {limit + 1}"
+    assert errors[1] == errors[2] == errors[0].replace("count", "primes_in")
 
 
 def test_weighted_prime_count_matches_direct_count(small_table):

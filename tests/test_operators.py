@@ -283,7 +283,7 @@ def test_a_batch_resolves_no_table_source_past_its_table(small_table, big_table,
     """Weighted primes on the 1e5 table hold jumps only up to the table
     limit, and past it their fn holds g(u_cap). A batch with the integers
     (a_end = (L/2) ln 2e5) or with a larger table would resolve those jumps
-    past the table, and the source refuses: a TableExhaustedError asking
+    past the table, and the table refuses: a TableExhaustedError asking
     for a table to 200,000 (unguarded, the 1e5 table's eps = 0 diagonal to
     N = 46 moved by 0.035, its largest entry being 1.19). A batch whose
     a_end stays within every table gives each source's diagonal as that
@@ -295,7 +295,7 @@ def test_a_batch_resolves_no_table_source_past_its_table(small_table, big_table,
     mid = tr.source_primes_weighted(build_prime_table(300_000, cache_dir=tmp_path))
     big = tr.source_primes_weighted(big_table)
     for other in (tr.source_integers(), mid):
-        with pytest.raises(TableExhaustedError, match="exceed table limit 100000") as ei:
+        with pytest.raises(TableExhaustedError, match="primes_in query up to 200000 exceeds table limit 100000") as ei:
             diagonal_sequences([small, other], I, eps, A, 8)
         assert ei.value.code == "table-exhausted" and ei.value.required == 200_000
     for batch in ([small, tr.source_identity()], [mid, tr.source_integers()], [big, mid]):

@@ -10,11 +10,12 @@ import math
 import numpy as np
 import pytest
 
+from tauberlab import special
 from tauberlab import transform as tr
 from tauberlab.arith import GrowthFunction, StepFunction
 from tauberlab.errors import DomainError
 from tauberlab.operators import _STEP_RESOLVE_CAP, _gl_nodes_on
-from tauberlab.special import _prep, _restore, psi_entire
+from tauberlab.special import OuterGrid, _prep, _restore, psi_entire
 from tauberlab.transform import (
     transform_integers,
     transform_primes,
@@ -171,6 +172,56 @@ def test_weighted_primes_is_minus_the_derivative():
         fd = -(transform_primes(s0 + h) - transform_primes(s0 - h)) / (2 * h)
         # G_w = (pzeta - s pzeta')/s^2 = -d/ds [pzeta/s]
         assert abs(transform_weighted_primes(s0) - fd) < 1e-6
+
+
+def test_each_closed_form_prepares_s_once(monkeypatch):
+    """The zeta family checks and shapes s; a closed form hands s on as
+    it came, so one call prepares it once, as transform_step_sum, an
+    evaluator itself, does."""
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return _prep(s)
+
+    monkeypatch.setattr(special, "_prep", counted)
+    monkeypatch.setattr(tr, "_prep", counted)
+    step = StepFunction(np.array([2.0, 3.0]), np.array([1.0, 1.0]))
+    for f in (
+        transform_integers,
+        transform_primes,
+        transform_weighted_primes,
+        lambda s: transform_step_sum(step, s),
+    ):
+        calls.clear()
+        f(np.array([2.0 + 1j, 3.0]))
+        assert len(calls) == 1, f
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        1.5 + 2.0j,
+        np.array([[1.01, 2.0 + 5.0j, 3.0 - 40.0j], [1.2, complex(1.3, -0.0), 7.0]]),
+        1.05 + 1j * OuterGrid(np.linspace(-30.0, 30.0, 7), np.linspace(0.0, 1.0, 3)),
+    ],
+    ids=["scalar", "array", "grid"],
+)
+def test_closed_forms_are_the_zeta_family_over_s(s):
+    """Each closed form is its zeta-family value divided by s, bit for bit,
+    in the shape of its input; a scalar gives a complex."""
+    z = np.asarray(s, dtype=complex)
+    pz, pzd = special.prime_zeta_pair(s)
+    for f, want in (
+        (transform_integers, special.zeta(s) / z),
+        (transform_primes, special.prime_zeta(s) / z),
+        (transform_weighted_primes, (pz - z * pzd) / z**2),
+    ):
+        got = f(s)
+        assert np.shape(got) == z.shape, f.__name__
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), f.__name__
+        if z.ndim == 0:
+            assert isinstance(got, complex), f.__name__
 
 
 def test_quadrature_guards(small_table):
