@@ -205,7 +205,8 @@ class PrimeTable:
         """floor(x) as int64, with x below 0 read as 0: p <= x exactly when
         p <= floor(x) for an integer p. The table's one edge: it answers
         every x < limit + 1, and refuses NaN, +inf (DomainError) and
-        x >= limit + 1 (TableExhaustedError, required = floor(x))."""
+        x >= limit + 1 (TableExhaustedError, required = floor(x), whose
+        message says to rebuild, or past _HARD_LIMIT that no table reaches)."""
         arr = np.asarray(x, dtype=float)
         if np.isnan(arr).any():
             raise DomainError("prime table query must not be NaN")
@@ -214,9 +215,13 @@ class PrimeTable:
             if top == math.inf:
                 raise DomainError(f"prime table {query} query must not be +inf")
             needed = math.floor(top)
+            remedy = (
+                f"rebuild with limit >= {needed}"
+                if needed <= _HARD_LIMIT
+                else f"no prime table can be built past the hard cap 2^32 = {_HARD_LIMIT}"
+            )
             raise TableExhaustedError(
-                f"{query} query up to {needed} exceeds table limit {self.limit}; "
-                f"rebuild with limit >= {needed}",
+                f"{query} query up to {needed} exceeds table limit {self.limit}; {remedy}",
                 required=needed,
             )
         return np.floor(np.maximum(arr, 0.0)).astype(np.int64)

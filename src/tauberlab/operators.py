@@ -179,6 +179,18 @@ by 9.06e-19, 1.04e-13 of max |W| but 1.6e-16 of int |K|; against 30-digit
 mpmath the kernel route errs by 9.1e-19. Panels 3 eps and 4 eps wide miss
 by up to 6.7e-10 and 1.9e-9 wherever that width binds, so the limit lies
 between 2 eps and 3 eps, as the strip predicts.
+
+Spectrum: K is even, so W commutes with the reflection t -> -t, which maps
+e_n to e_{-n}. With J the flip of the basis -N..N, JMJ = M on both routes,
+bit for bit: _matrix_from_moments makes the odd moments exactly odd and
+the diagonal exactly even. So M splits into an even block on e_0 and
+(e_k + e_{-k}) / sqrt 2 and an odd block on (e_k - e_{-k}) / sqrt 2,
+k = 1..N (A. Cantoni and P. Butler, Linear Algebra Appl. 13 (1976)
+275-288). With S = (M + M^T) / 2, c = N, A = S[c:, c:] and
+R = S[c:, c::-1], the even block, (N + 1)^2, is A + R with S[c][c] at its
+centre and sqrt 2 S[c][c + k] along its centre row and column, and the
+odd block, N^2, is (A - R)[1:, 1:]; spectrum takes the union of their
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -841,7 +853,8 @@ def diagonal_sequence(
 def split_identity(W: OperatorTruncation, A: float) -> OperatorTruncation:
     """Psi = W - A Id, recording A in the metadata."""
     _check_A(A)
-    ent = W.entries - A * np.eye(W.entries.shape[0])
+    ent = W.entries.copy()
+    ent[np.diag_indices_from(ent)] -= A
     return OperatorTruncation(
         interval=W.interval,
         epsilon=W.epsilon,
@@ -854,8 +867,25 @@ def split_identity(W: OperatorTruncation, A: float) -> OperatorTruncation:
 
 
 def spectrum(M) -> np.ndarray:
-    """Eigenvalues of a symmetric truncation, sorted by |lambda| descending.
-    A non-square, non-finite or non-symmetric matrix is a ContractError."""
+    """Eigenvalues of a truncation of order N, sorted by |lambda| descending.
+
+    The kernel K is even, so W commutes with the reflection t -> -t, which
+    maps e_n to e_{-n}: with J the flip of the basis -N..N, JMJ = M, and
+    M is centrosymmetric, M[-m][-n] = M[m][n]. The even vectors e_0 and
+    (e_k + e_{-k}) / sqrt 2 and the odd vectors (e_k - e_{-k}) / sqrt 2,
+    k = 1..N, then split M into two blocks (A. Cantoni and P. Butler,
+    Linear Algebra Appl. 13 (1976) 275-288). With S = (M + M^T) / 2,
+    c = N, A = S[c:, c:] and R = S[c:, c::-1] (rows and columns k = 0..N),
+    the even block is A + R, (N + 1)^2, with its centre row and column
+    rescaled, S[c][c] at the centre and sqrt 2 S[c][c + k] off it, and the
+    odd block is (A - R)[1:, 1:], N^2. The spectrum of M is the union of
+    theirs, at two half-size eigvalsh calls in place of one full one.
+
+    Both routes build M through _matrix_from_moments, whose odd moments
+    are exactly odd and whose diagonal is exactly even, so JMJ = M holds
+    bit for bit, and split_identity keeps it. A non-square, non-finite or
+    non-symmetric matrix is a ContractError, checked in that order, and so
+    is one of even size (0 x 0 included) or with max |M - JMJ| >= 1e-9."""
     ent = M.entries if isinstance(M, OperatorTruncation) else np.asarray(M, dtype=float)
     if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
         raise ContractError("spectrum needs a square matrix")
@@ -866,7 +896,19 @@ def spectrum(M) -> np.ndarray:
     defect = float(np.max(np.abs(ent - ent.T))) if ent.size else 0.0
     if defect >= 1e-9:
         raise ContractError(f"matrix is not symmetric: max |M - M^T| = {defect:.3e} >= 1.0e-09")
-    eig = np.linalg.eigvalsh(0.5 * (ent + ent.T))
+    n = ent.shape[0]
+    if n % 2 == 0:
+        raise ContractError(f"spectrum needs a truncation of order N, of size 2N + 1; got {n} x {n}")
+    defect = float(np.max(np.abs(ent - ent[::-1, ::-1])))
+    if defect >= 1e-9:
+        raise ContractError(f"matrix does not commute with n -> -n: max |M - JMJ| = {defect:.3e} >= 1.0e-09")
+    c = n // 2
+    S = 0.5 * (ent + ent.T)
+    A, R = S[c:, c:], S[c:, c::-1]
+    even = A + R
+    even[0, 1:] = even[1:, 0] = math.sqrt(2.0) * S[c, c + 1 :]
+    even[0, 0] = S[c, c]
+    eig = np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh((A - R)[1:, 1:])])
     order = np.argsort(-np.abs(eig), kind="stable")
     return eig[order]
 

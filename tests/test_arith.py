@@ -250,6 +250,24 @@ def test_primes_in_refuses_what_count_refuses(small_table):
     assert errors[1] == errors[2] == errors[0].replace("count", "primes_in")
 
 
+def test_a_query_past_the_hard_cap_names_the_cap(small_table):
+    """No table is built past arith._HARD_LIMIT = 2^32 (ResourceError), so
+    a query past it is not told to rebuild: the message names the cap, with
+    the same class and required; up to the cap it keeps its wording."""
+    cap = arith._HARD_LIMIT
+    for x, needed in ((cap + 1, cap + 1), (1e300, math.floor(1e300))):
+        with pytest.raises(TableExhaustedError) as ei:
+            small_table.count(x)
+        assert ei.value.required == needed
+        assert str(ei.value) == (
+            f"count query up to {needed} exceeds table limit {small_table.limit}; "
+            f"no prime table can be built past the hard cap 2^32 = {cap}"
+        )
+    with pytest.raises(TableExhaustedError, match=f"; rebuild with limit >= {cap}$") as ei:
+        small_table.count(cap)
+    assert ei.value.required == cap
+
+
 def test_weighted_prime_count_matches_direct_count(small_table):
     """e^u g(u) of the weighted primes is pi_P(x) ln x at the float x = e^u
     that g reads, which for u = ln p can round below the prime p."""

@@ -149,6 +149,20 @@ def test_primes_count_100(capsys, tmp_path):
     assert out.strip() == "25"
 
 
+def test_primes_count_past_the_hard_cap(capsys, tmp_path):
+    """A count past 2^32, where no table can be built, names the cap in
+    place of a limit to rebuild with; below it the message is unchanged."""
+    code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path), "--prime-limit", "1000", "primes", "--count", "1e300")
+    assert code == 2 and out == ""
+    doc = json.loads(err.strip())
+    assert doc["code"] == "table-exhausted"
+    assert doc["message"].startswith(f"count query up to {math.floor(1e300)} exceeds table limit 1000; ")
+    assert doc["message"].endswith("; no prime table can be built past the hard cap 2^32 = 4294967296")
+    code, _, err = run_cli(capsys, "--cache-dir", str(tmp_path), "--prime-limit", "1000", "primes", "--count", "2000")
+    assert code == 2
+    assert json.loads(err.strip())["message"] == "count query up to 2000 exceeds table limit 1000; rebuild with limit >= 2000"
+
+
 def test_pnt_on_an_insufficient_cache(capsys, tmp_path):
     code, out, err = run_cli(
         capsys,

@@ -991,15 +991,30 @@ def test_split_identity_bookkeeping():
     W = assemble_frequency_route(tr.source_integers(), L2PI, 0.1, 4)
     P = split_identity(W, 1.0)
     assert P.A == 1.0
-    assert np.allclose(P.entries, W.entries - np.eye(9))
+    for a in (1.0, -0.37, 0.0):
+        assert np.array_equal(split_identity(W, a).entries, W.entries - a * np.eye(9))
     assert np.allclose(P.diagonal(), W.diagonal() - 1.0)
     with pytest.raises(ContractError):
         split_identity(W, float("nan"))
 
 
+@pytest.mark.parametrize("N", [0, 1, 8])
+@pytest.mark.parametrize("route, eps", [("kernel", 0.05), ("frequency", 0.0), ("frequency", 0.05)])
+def test_W_commutes_with_the_reflection(route, eps, N, small_table):
+    """The kernel is even, so W commutes with n -> -n: each truncation is
+    centrosymmetric bit for bit, W and W - A Id alike, which spectrum's
+    split into even and odd blocks needs."""
+    assemble = assemble_kernel_route if route == "kernel" else assemble_frequency_route
+    I = IntervalSpec(8.0 * math.pi)
+    for S in [*_BATTERY.values(), tr.source_primes_weighted(small_table)]:
+        W = assemble(S, I, eps, N)
+        for M in (W.entries, split_identity(W, 0.73).entries):
+            assert np.array_equal(M, M[::-1, ::-1]), (S.label, route, N, eps)
+
+
 def test_spectrum_sorted_by_magnitude():
-    vals = spectrum(np.diag([3.0, 1.0, -2.0]))
-    assert np.allclose(vals, [3.0, -2.0, 1.0])
+    vals = spectrum(np.diag([1.0, -2.0, 3.0, -2.0, 1.0]))
+    assert np.allclose(vals, [3.0, -2.0, -2.0, 1.0, 1.0])
     W = assemble_frequency_route(tr.source_identity(), L2PI, 0.1, 4)
     sw = spectrum(W)
     assert sw.shape == (9,)
@@ -1016,6 +1031,17 @@ def test_spectrum_rejects_a_non_square_matrix():
 def test_spectrum_rejects_asymmetric_input():
     with pytest.raises(ContractError):
         spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_spectrum_rejects_a_matrix_that_is_no_truncation():
+    """The even and odd blocks need a matrix of odd size 2N + 1 that
+    commutes with the flip J of the basis -N..N."""
+    with pytest.raises(ContractError, match=r"max \|M - JMJ\| = 5\.000e\+00") as ei:
+        spectrum(np.diag([3.0, 1.0, -2.0]))
+    assert ei.value.code == "contract"
+    for n in (0, 2, 4):
+        with pytest.raises(ContractError, match=f"size 2N \\+ 1; got {n} x {n}"):
+            spectrum(np.eye(n))
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,10 @@
 """Property tests: Schwarz reflection of the zeta family, the closed-form
 Euler-Maclaurin truncation, the outer-grid path against plain point
 arrays, symmetry and positive semi-definiteness of W on both routes across
-the battery, the closed form for A*, the Chebyshev
-proxies of the windowed integrals, the prime count against a dense
-sieve, the declared jumps of the step sources
-against their values, and the two routes on random step sources."""
+the battery, the spectrum from its parity blocks, the closed form for A*,
+the Chebyshev proxies of the windowed integrals, the prime count against a
+dense sieve, the declared jumps of the step sources against their values,
+and the two routes on random step sources."""
 
 import functools
 import math
@@ -201,6 +201,22 @@ def test_W_is_symmetric_positive_semidefinite(member, L, eps, N, route):
     W = assemble(S, I, eps, N)
     assert np.array_equal(W.entries, W.entries.T)
     assert np.linalg.eigvalsh(W.entries).min() >= -1e-8, (S.label, eps, N, route)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 40), st.integers(0, 2**32 - 1), st.floats(-6.0, 6.0))
+def test_spectrum_from_the_parity_blocks_is_the_full_spectrum(N, seed, log_scale):
+    """A symmetric matrix that commutes with the flip J (B + B^T, then
+    M + JMJ, both exact): the eigenvalues of its even and odd blocks are
+    those of the full matrix, to 1e-13 of ||M||_2, sorted by |lambda|."""
+    B = np.random.default_rng(seed).standard_normal((2 * N + 1, 2 * N + 1)) * 10.0**log_scale
+    M = B + B.T
+    M = M + M[::-1, ::-1]
+    full = np.linalg.eigvalsh(M)
+    vals = operators.spectrum(M)
+    norm = np.abs(full).max()
+    assert np.all(np.abs(np.sort(vals) - full) <= 1e-13 * norm)
+    assert np.all(np.abs(vals[:-1]) >= np.abs(vals[1:]))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
