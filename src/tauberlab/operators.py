@@ -181,23 +181,25 @@ by up to 6.7e-10 and 1.9e-9 wherever that width binds, so the limit lies
 between 2 eps and 3 eps, as the strip predicts.
 
 Spectrum: K is even, so W commutes with the reflection t -> -t, which maps
-e_n to e_{-n}. With J the flip of the basis -N..N, JMJ = M on both routes,
-bit for bit: _matrix_from_moments makes the odd moments exactly odd and
-the diagonal exactly even. So M splits into an even block on e_0 and
-(e_k + e_{-k}) / sqrt 2 and an odd block on (e_k - e_{-k}) / sqrt 2,
-k = 1..N (A. Cantoni and P. Butler, Linear Algebra Appl. 13 (1976)
-275-288). With S = (M + M^T) / 2, c = N, A = S[c:, c:] and
-R = S[c:, c::-1], the even block, (N + 1)^2, is A + R with S[c][c] at its
-centre and sqrt 2 S[c][c + k] along its centre row and column, and the
-odd block, N^2, is (A - R)[1:, 1:]; spectrum takes the union of their
-eigenvalues.
+e_n to e_{-n}: M[-m][-n] = M[m][n]. A truncation is held as its moments
+o_k and d_k, k = 0..N (OperatorTruncation), and M splits into an even
+block on e_0 and (e_k + e_{-k}) / sqrt 2 and an odd block on
+(e_k - e_{-k}) / sqrt 2, k = 1..N (A. Cantoni and P. Butler, Linear
+Algebra Appl. 13 (1976) 275-288), whose entries are M[j][k] +- M[j][-k].
+Putting M[j][k] and M[j][-k] from the formula above over the common
+denominator pi (k^2 - j^2), the even block, (N + 1)^2, is
+E[j][k] = (-1)^{j+k} 2 (j o_j - k o_k) / (pi (k^2 - j^2)) and the odd
+block, N^2, O[j][k] = (-1)^{j+k} 2 (k o_j - j o_k) / (pi (k^2 - j^2)) for
+j != k, with E[j][j] = d_j - o_j / (pi j) and O[j][j] = d_j + o_j / (pi j)
+for j >= 1, E[0][0] = d_0, and E's row and column 0 scaled by 1/sqrt 2;
+spectrum takes the union of their eigenvalues and never builds M.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -286,22 +288,40 @@ class IntervalSpec:
 
 @dataclass
 class OperatorTruncation:
-    """A real symmetric matrix truncation of W (or of Psi = W - A Id).
+    """A real symmetric truncation of W (or of Psi = W - A Id), held as the
+    moments odd and diag, k = 0..N, that both routes build it from.
 
-    entries[i][j] is the element for basis indices m = i - N, n = j - N;
-    rows and columns both run m, n = -N..N.
+    entries[i][j] is the element for basis indices m = i - N, n = j - N
+    (_matrix_from_moments); rows and columns both run m, n = -N..N. A is
+    the total multiple of the identity taken off diag (split_identity).
     """
 
     interval: IntervalSpec
     epsilon: float
-    order: int
-    entries: np.ndarray
+    odd: np.ndarray
+    diag: np.ndarray
     source: str
     route: str
     A: float = 0.0
 
+    def __post_init__(self):
+        o, d = self.odd, self.diag
+        if o.ndim != 1 or o.shape != d.shape or not d.size:
+            raise ContractError(f"moments odd and diag must be 1-d, of one length N + 1 >= 1; got {o.shape}, {d.shape}")
+        if not (np.all(np.isfinite(o)) and np.all(np.isfinite(d))):
+            raise ContractError(f"the moments of '{self.source}' are not all finite")
+
+    @property
+    def order(self) -> int:
+        return self.diag.size - 1
+
+    @property
+    def entries(self) -> np.ndarray:
+        return _matrix_from_moments(self.odd, self.diag)
+
     def diagonal(self) -> np.ndarray:
-        return np.diag(self.entries)
+        """M[n][n] = diag[|n|], n = -N..N."""
+        return self.diag[np.abs(np.arange(-self.order, self.order + 1))]
 
     def csv_text(self) -> str:
         lines = [
@@ -386,11 +406,10 @@ def assemble_kernel_routes(
             OperatorTruncation(
                 interval=I,
                 epsilon=eps,
-                order=N,
-                entries=_matrix_from_moments(s, c),
+                odd=s,
+                diag=c,
                 source=S.label,
                 route="kernel_quadrature",
-                A=0.0,
             )
         )
     return out
@@ -800,11 +819,10 @@ def assemble_frequency_route(
     return OperatorTruncation(
         interval=I,
         epsilon=eps,
-        order=N,
-        entries=_matrix_from_moments(-F[:, 0] / math.pi, D[:, 0] / math.pi),
+        odd=-F[:, 0] / math.pi,
+        diag=D[:, 0] / math.pi,
         source=S.label,
         route="frequency_formula",
-        A=0.0,
     )
 
 
@@ -851,66 +869,45 @@ def diagonal_sequence(
 
 
 def split_identity(W: OperatorTruncation, A: float) -> OperatorTruncation:
-    """Psi = W - A Id, recording A in the metadata."""
+    """Psi = W - A Id: A off every diagonal moment, and W.A + A, the total
+    multiple of the identity removed, in the metadata."""
     _check_A(A)
-    ent = W.entries.copy()
-    ent[np.diag_indices_from(ent)] -= A
-    return OperatorTruncation(
-        interval=W.interval,
-        epsilon=W.epsilon,
-        order=W.order,
-        entries=ent,
-        source=W.source,
-        route=W.route,
-        A=A,
-    )
+    return replace(W, diag=W.diag - A, A=W.A + A)
 
 
-def spectrum(M) -> np.ndarray:
+def spectrum(W: OperatorTruncation) -> np.ndarray:
     """Eigenvalues of a truncation of order N, sorted by |lambda| descending.
 
-    The kernel K is even, so W commutes with the reflection t -> -t, which
-    maps e_n to e_{-n}: with J the flip of the basis -N..N, JMJ = M, and
-    M is centrosymmetric, M[-m][-n] = M[m][n]. The even vectors e_0 and
-    (e_k + e_{-k}) / sqrt 2 and the odd vectors (e_k - e_{-k}) / sqrt 2,
-    k = 1..N, then split M into two blocks (A. Cantoni and P. Butler,
-    Linear Algebra Appl. 13 (1976) 275-288). With S = (M + M^T) / 2,
-    c = N, A = S[c:, c:] and R = S[c:, c::-1] (rows and columns k = 0..N),
-    the even block is A + R, (N + 1)^2, with its centre row and column
-    rescaled, S[c][c] at the centre and sqrt 2 S[c][c + k] off it, and the
-    odd block is (A - R)[1:, 1:], N^2. The spectrum of M is the union of
-    theirs, at two half-size eigvalsh calls in place of one full one.
+    K is even, so M[-m][-n] = M[m][n], and the even vectors e_0 and
+    v_k = (e_k + e_{-k}) / sqrt 2 and the odd vectors
+    u_k = (e_k - e_{-k}) / sqrt 2, k = 1..N, split M into two blocks
+    (A. Cantoni and P. Butler, Linear Algebra Appl. 13 (1976) 275-288):
+    v_j^T M v_k = M[j][k] + M[j][-k] and u_j^T M u_k = M[j][k] - M[j][-k].
+    With o = W.odd, M[j][k] = (-1)^{j+k} (o_j - o_k) / (pi (k - j)) and
+    M[j][-k] = -(-1)^{j+k} (o_j + o_k) / (pi (j + k)); over pi (k^2 - j^2),
 
-    Both routes build M through _matrix_from_moments, whose odd moments
-    are exactly odd and whose diagonal is exactly even, so JMJ = M holds
-    bit for bit, and split_identity keeps it. A non-square, non-finite or
-    non-symmetric matrix is a ContractError, checked in that order, and so
-    is one of even size (0 x 0 included) or with max |M - JMJ| >= 1e-9."""
-    ent = M.entries if isinstance(M, OperatorTruncation) else np.asarray(M, dtype=float)
-    if ent.ndim != 2 or ent.shape[0] != ent.shape[1]:
-        raise ContractError("spectrum needs a square matrix")
-    finite = np.isfinite(ent)
-    if not finite.all():
-        i, j = np.argwhere(~finite)[0]
-        raise ContractError(f"matrix entry ({i}, {j}) is not finite: {float(ent[i, j])!r}")
-    defect = float(np.max(np.abs(ent - ent.T))) if ent.size else 0.0
-    if defect >= 1e-9:
-        raise ContractError(f"matrix is not symmetric: max |M - M^T| = {defect:.3e} >= 1.0e-09")
-    n = ent.shape[0]
-    if n % 2 == 0:
-        raise ContractError(f"spectrum needs a truncation of order N, of size 2N + 1; got {n} x {n}")
-    defect = float(np.max(np.abs(ent - ent[::-1, ::-1])))
-    if defect >= 1e-9:
-        raise ContractError(f"matrix does not commute with n -> -n: max |M - JMJ| = {defect:.3e} >= 1.0e-09")
-    c = n // 2
-    S = 0.5 * (ent + ent.T)
-    A, R = S[c:, c:], S[c:, c::-1]
-    even = A + R
-    even[0, 1:] = even[1:, 0] = math.sqrt(2.0) * S[c, c + 1 :]
-    even[0, 0] = S[c, c]
-    eig = np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh((A - R)[1:, 1:])])
-    order = np.argsort(-np.abs(eig), kind="stable")
-    return eig[order]
+        E[j][k] = (-1)^{j+k} 2 (j o_j - k o_k) / (pi (k^2 - j^2)),
+        O[j][k] = (-1)^{j+k} 2 (k o_j - j o_k) / (pi (k^2 - j^2)),   j != k.
+
+    M[j][-j] = -o_j / (pi j) gives E[j][j] = d_j - o_j / (pi j) and
+    O[j][j] = d_j + o_j / (pi j), d = W.diag; e_0^T M v_k = sqrt 2 M[0][k]
+    is E[0][k] / sqrt 2 (o_0 drops out, as from M) and E[0][0] = d_0. The
+    spectrum is the union of those of E, (N + 1)^2, and O, N^2 (j, k >= 1),
+    from two half-size eigvalsh calls; M itself is never built."""
+    o, d = W.odd, W.diag
+    k = np.arange(d.size)
+    sign = np.where(k % 2 == 0, 1.0, -1.0)
+    twice = 2.0 * np.multiply.outer(sign, sign)  # 2 (-1)^{j+k}
+    with np.errstate(divide="ignore", invalid="ignore"):
+        den = math.pi * (k[None, :] ** 2 - k[:, None] ** 2)  # pi (k^2 - j^2), row j
+        even = twice * ((k * o)[:, None] - (k * o)[None, :]) / den
+        odd = twice * (np.multiply.outer(o, k) - np.multiply.outer(k, o)) / den
+    shift = np.r_[0.0, o[1:] / (math.pi * k[1:])]
+    np.fill_diagonal(even, d - shift)
+    np.fill_diagonal(odd, d + shift)
+    even[0, 1:] = even[1:, 0] = even[0, 1:] / math.sqrt(2.0)
+    eig = np.concatenate([np.linalg.eigvalsh(even), np.linalg.eigvalsh(odd[1:, 1:])])
+    return eig[np.argsort(-np.abs(eig), kind="stable")]
 
 
 @dataclass
@@ -950,10 +947,9 @@ def weak_limit_diagnostic(
         raise ContractError("eps schedule needs at least two values")
     if any(e <= 0 for e in sched) or any(b >= a for a, b in zip(sched, sched[1:])):
         raise ContractError("eps schedule must be strictly decreasing and positive")
-    mats = [assemble_frequency_route(S, I, e, N) for e in sched]
-    deltas = np.array(
-        [float(np.max(np.abs(b.entries - a.entries))) for a, b in zip(mats, mats[1:])]
-    )
+    Ws = [assemble_frequency_route(S, I, e, N) for e in sched]
+    mats = [W.entries for W in Ws]  # each built once, though it enters two deltas
+    deltas = np.array([float(np.max(np.abs(b - a))) for a, b in zip(mats, mats[1:])])
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = deltas[:-1] / deltas[1:]
     floor = 1e-14
@@ -968,5 +964,5 @@ def weak_limit_diagnostic(
         deltas=deltas,
         ratios=np.where(np.isfinite(ratios), ratios, np.inf),
         cauchy=bool(cauchy),
-        final_diagonal=mats[-1].diagonal(),
+        final_diagonal=Ws[-1].diagonal(),
     )

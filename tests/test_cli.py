@@ -561,6 +561,23 @@ def test_operator_csv_outputs_are_deterministic(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_battery_report_is_byte_identical_across_runs(tmp_path):
+    """Two identical runs, each in its own process, write the same JSON."""
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for p in paths:
+        assert run_module("experiment", "battery", "--order", "8", "--report", str(p)).returncode == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("route", ["kernel", "frequency"])
+def test_operator_spectrum_csv_is_byte_identical_across_runs(route):
+    args = ["--format", "csv", "operator", "spectrum", "--source", "integers", "--eps", "0.05",
+            "--order", "8", "--route", route]
+    first, second = run_module(*args), run_module(*args)
+    assert first.returncode == 0 and first.stdout.count("\n") == 1 + 17
+    assert first.stdout == second.stdout
+
+
 def test_operator_diag_json(capsys):
     code, out, _ = run_cli(capsys, "operator", "diag", "--source", "linear",
                            "--length", str(2 * math.pi), "--eps", "0.1", "--order", "4")

@@ -994,8 +994,50 @@ def test_split_identity_bookkeeping():
     for a in (1.0, -0.37, 0.0):
         assert np.array_equal(split_identity(W, a).entries, W.entries - a * np.eye(9))
     assert np.allclose(P.diagonal(), W.diagonal() - 1.0)
+    # A records the total multiple of the identity removed, header included
+    PP = split_identity(P, 0.5)
+    assert PP.A == 1.5
+    assert PP.csv_text().splitlines()[0].endswith(", A=1.5")
+    assert np.array_equal(PP.entries, P.entries - 0.5 * np.eye(9))
+    # the split copies: W keeps its moments and its A
+    assert W.A == 0.0 and np.array_equal(W.diag, assemble_frequency_route(tr.source_integers(), L2PI, 0.1, 4).diag)
     with pytest.raises(ContractError):
         split_identity(W, float("nan"))
+
+
+@pytest.mark.parametrize("route", ["kernel", "frequency"])
+def test_diagonal_is_the_diagonal_of_entries(route):
+    """diagonal() reads diag[|n|] off the moments, bit for bit the
+    diagonal that _matrix_from_moments writes."""
+    assemble = assemble_kernel_route if route == "kernel" else assemble_frequency_route
+    for N in (0, 1, 8):
+        W = assemble(tr.source_integers(), L2PI, 0.1, N)
+        for W in (W, split_identity(W, 0.73)):
+            assert np.array_equal(W.diagonal(), np.diag(W.entries)), (route, N)
+
+
+def _truncation(odd, diag):
+    return operators.OperatorTruncation(
+        interval=L2PI, epsilon=0.1, odd=np.asarray(odd, dtype=float), diag=np.asarray(diag, dtype=float),
+        source="test", route="test",
+    )
+
+
+@pytest.mark.parametrize(
+    "odd, diag, match",
+    [
+        ([0.0, 1.0], [1.0, math.nan], "not all finite"),
+        ([0.0, math.inf], [1.0, 2.0], "not all finite"),
+        ([0.0, 1.0], [1.0, 2.0, 3.0], "one length"),
+        ([[0.0, 1.0]], [[1.0, 2.0]], "1-d"),
+        ([], [], r"N \+ 1 >= 1"),
+    ],
+    ids=["nan-diag", "inf-odd", "mismatched", "2-d", "empty"],
+)
+def test_truncation_refuses_bad_moments(odd, diag, match):
+    with pytest.raises(ContractError, match=match) as ei:
+        _truncation(odd, diag)
+    assert ei.value.code == "contract"
 
 
 @pytest.mark.parametrize("N", [0, 1, 8])
@@ -1013,51 +1055,14 @@ def test_W_commutes_with_the_reflection(route, eps, N, small_table):
 
 
 def test_spectrum_sorted_by_magnitude():
-    vals = spectrum(np.diag([1.0, -2.0, 3.0, -2.0, 1.0]))
-    assert np.allclose(vals, [3.0, -2.0, -2.0, 1.0, 1.0])
+    # odd = 0: M is diag(1, -2, 3, -2, 1)
+    T = _truncation([0.0, 0.0, 0.0], [3.0, -2.0, 1.0])
+    assert np.array_equal(T.entries, np.diag([1.0, -2.0, 3.0, -2.0, 1.0]))
+    assert np.allclose(spectrum(T), [3.0, -2.0, -2.0, 1.0, 1.0])
     W = assemble_frequency_route(tr.source_identity(), L2PI, 0.1, 4)
     sw = spectrum(W)
     assert sw.shape == (9,)
     assert np.all(np.abs(sw[:-1]) >= np.abs(sw[1:]) - 1e-15)
-
-
-def test_spectrum_rejects_a_non_square_matrix():
-    for entries in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 2, 2))):
-        with pytest.raises(ContractError, match="square") as ei:
-            spectrum(entries)
-        assert ei.value.code == "contract"
-
-
-def test_spectrum_rejects_asymmetric_input():
-    with pytest.raises(ContractError):
-        spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_spectrum_rejects_a_matrix_that_is_no_truncation():
-    """The even and odd blocks need a matrix of odd size 2N + 1 that
-    commutes with the flip J of the basis -N..N."""
-    with pytest.raises(ContractError, match=r"max \|M - JMJ\| = 5\.000e\+00") as ei:
-        spectrum(np.diag([3.0, 1.0, -2.0]))
-    assert ei.value.code == "contract"
-    for n in (0, 2, 4):
-        with pytest.raises(ContractError, match=f"size 2N \\+ 1; got {n} x {n}"):
-            spectrum(np.eye(n))
-
-
-@pytest.mark.parametrize(
-    "entries, where",
-    [
-        ([[math.nan, 0.0], [0.0, 1.0]], r"\(0, 0\) is not finite: nan"),
-        ([[0.0, math.nan], [math.nan, 1.0]], r"\(0, 1\) is not finite: nan"),
-        ([[1.0, 0.0], [0.0, math.inf]], r"\(1, 1\) is not finite: inf"),
-    ],
-    ids=["nan-diagonal", "nan-off-diagonal", "inf"],
-)
-def test_spectrum_rejects_a_non_finite_entry(entries, where):
-    """Checked before the symmetry test: a NaN compares as symmetric and an
-    inf makes M - M^T NaN, and eigvalsh of either returns no error."""
-    with pytest.raises(ContractError, match=where):
-        spectrum(np.array(entries))
 
 
 def test_weak_limit_diagnostic_structure():

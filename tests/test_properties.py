@@ -206,14 +206,15 @@ def test_W_is_symmetric_positive_semidefinite(member, L, eps, N, route):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(0, 40), st.integers(0, 2**32 - 1), st.floats(-6.0, 6.0))
 def test_spectrum_from_the_parity_blocks_is_the_full_spectrum(N, seed, log_scale):
-    """A symmetric matrix that commutes with the flip J (B + B^T, then
-    M + JMJ, both exact): the eigenvalues of its even and odd blocks are
-    those of the full matrix, to 1e-13 of ||M||_2, sorted by |lambda|."""
-    B = np.random.default_rng(seed).standard_normal((2 * N + 1, 2 * N + 1)) * 10.0**log_scale
-    M = B + B.T
-    M = M + M[::-1, ::-1]
-    full = np.linalg.eigvalsh(M)
-    vals = operators.spectrum(M)
+    """A truncation of random moments: the eigenvalues of the even and odd
+    blocks built from them are those of the full matrix M, to 1e-13 of
+    ||M||_2, sorted by |lambda|."""
+    odd, diag = np.random.default_rng(seed).standard_normal((2, N + 1)) * 10.0**log_scale
+    W = operators.OperatorTruncation(
+        interval=IntervalSpec(8.0 * math.pi), epsilon=0.05, odd=odd, diag=diag, source="random", route="test"
+    )
+    full = np.linalg.eigvalsh(W.entries)
+    vals = operators.spectrum(W)
     norm = np.abs(full).max()
     assert np.all(np.abs(np.sort(vals) - full) <= 1e-13 * norm)
     assert np.all(np.abs(vals[:-1]) >= np.abs(vals[1:]))

@@ -238,6 +238,21 @@ def test_the_battery_runs_as_one_batch(monkeypatch):
     assert calls == {"_half_line_integrals": 1, "_tail_integrals": 1, "_unit_phases": 2}
 
 
+def test_experiments_never_build_the_full_matrix(monkeypatch):
+    """A truncation is its moments: the battery and a converse experiment
+    take their spectral tails from the parity blocks and never build the
+    (2N + 1)^2 matrix."""
+    from tauberlab import operators
+
+    def refuse(*args):
+        raise AssertionError("_matrix_from_moments called")
+
+    monkeypatch.setattr(operators, "_matrix_from_moments", refuse)
+    assert run_battery().all_equivalent
+    rep = converse_experiment(tr.source_sqrt_mix(1.0, 1.0), N=16, u_max=12.0)
+    assert rep.spectral_tail.size == SPECTRAL_TOP
+
+
 def test_each_battery_report_is_its_converse_experiment():
     """The batch changes no report beyond the rounding of its sums: each
     member's diagonal and spectral tail within 1e-14 of converse_experiment
