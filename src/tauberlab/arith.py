@@ -1,9 +1,9 @@
 """Counting functions and their normalized growth ratios.
 
 The objects here are the raw material for everything downstream: prime
-counting, user-supplied step functions, and the `GrowthFunction` wrapper
-that ties a non-decreasing S to its growth constant C (S(x) <= C*x on
-x >= 1) and states it by its normalized ratio in the log variable,
+counting and the `GrowthFunction` wrapper that ties a non-decreasing S to
+its growth constant C (S(x) <= C*x on x >= 1) and states it by its
+normalized ratio in the log variable,
 
     g(u) = S(e^u) / e^u,   u >= 0,
 
@@ -33,7 +33,7 @@ import os
 import struct
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -42,7 +42,6 @@ import numpy as np
 from .errors import ContractError, DomainError, ResourceError, TableExhaustedError
 
 __all__ = [
-    "StepFunction",
     "PrimeTable",
     "GrowthFunction",
     "count_primes",
@@ -69,52 +68,6 @@ def default_cache_dir() -> Path:
     if env:
         return Path(env)
     return Path.home() / ".cache" / "tauberlab"
-
-
-# ---------------------------------------------------------------------------
-# step functions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Non-decreasing pure jump function S(x) = sum of a_j over x_j <= x.
-
-    `breakpoints` must be strictly increasing and >= 1, `jumps` strictly
-    positive and of equal length.
-    """
-
-    breakpoints: np.ndarray
-    jumps: np.ndarray
-    cumulative: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
-        jp = np.asarray(self.jumps, dtype=float)
-        if bp.ndim != 1 or jp.shape != bp.shape:
-            raise ContractError("breakpoints and jumps must be 1-d arrays of equal length")
-        if bp.size == 0:
-            raise ContractError("a step function needs at least one breakpoint")
-        if not np.all(np.isfinite(bp)) or not np.all(np.isfinite(jp)):
-            raise ContractError("breakpoints and jumps must be finite")
-        if bp[0] < 1.0 or np.any(np.diff(bp) <= 0):
-            raise ContractError("breakpoints must be strictly increasing and >= 1")
-        if np.any(jp <= 0):
-            raise ContractError("jumps must be strictly positive")
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "jumps", jp)
-        object.__setattr__(self, "cumulative", np.cumsum(jp))
-
-    def __call__(self, x):
-        arr = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.breakpoints, arr, side="right")
-        vals = np.concatenate(([0.0], self.cumulative))[idx]
-        return float(vals) if np.isscalar(x) or arr.ndim == 0 else vals
-
-    def jumps_upto(self, hi: float):
-        """(x_j, a_j, 0) for the breakpoints x_j <= hi (GrowthFunction)."""
-        j = np.searchsorted(self.breakpoints, hi, side="right")
-        return self.breakpoints[:j], self.jumps[:j], np.zeros(j)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar, Optional
 
-import numpy as np
-
 from . import __version__, arith, operators, special, tauber, transform
 from .errors import ConfigError, ContractError, TauberlabError
 
@@ -102,7 +100,7 @@ _TRANSFORMS = {
     "integers": lambda s, tol, args: transform.transform_integers(s, tol),
     "primes": lambda s, tol, args: transform.transform_primes(s, tol),
     "wprimes": lambda s, tol, args: transform.transform_weighted_primes(s, tol),
-    "file": lambda s, tol, args: transform.transform_step_sum(_load_step_file(args.file), s),
+    "file": lambda s, tol, args: _load_step_file(args.file).laplace(s),
 }
 
 # catalog source name (operator and experiment --source) -> factory(cfg)
@@ -275,7 +273,7 @@ def _load_step_file(path: str):
                 js.append(float(parts[1]))
             except ValueError as exc:
                 raise ContractError(f"{path}:{lineno}: bad number in {raw.strip()!r}") from exc
-    return arith.StepFunction(np.asarray(xs), np.asarray(js))
+    return transform.source_steps(xs, js, path)
 
 
 def _cmd_transform(args, cfg: RunConfig) -> int:

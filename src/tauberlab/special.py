@@ -146,7 +146,8 @@ _PEEL_CAPS = (100, 10_000, 100_000)
 _PEEL_CELLS = 16_384
 
 # cells of one power-matrix build (_em_orders, every Euler-Maclaurin batch),
-# block of _peel or of transform_step_sum: about 4M complex values, 64 MB
+# block of _peel or of a step source's sum (transform.source_steps): about
+# 4M complex values, 64 MB
 _POWER_CELLS = 4_000_000
 
 # hard budget of Euler-Maclaurin terms per evaluation (_choose_N)

@@ -12,13 +12,14 @@ The closed forms take an OuterGrid of points as well as an array and hand
 it whole to the zeta family, which builds its powers from the grid's two
 factors (special module docstring).
 
-transform_step_sum is the exact transform of a pure step source: the
-integrand is piecewise e^{-su}, so each piece integrates in closed form,
-and the sum has no tail. The sources that jump declare their jumps
-(GrowthFunction.jumps_upto), which the operators' frequency route
-integrates piece by piece, and every catalog source states its tail, the
-exponential sum g is past some u_t (GrowthFunction.tail; for weighted
-primes, the constant g(u_cap) at the table edge), which the route
+source_steps builds a finite step source S(x) = sum of a_j over x_j <= x
+from its breakpoints and jumps. Its transform is the exact step sum
+sum a_j x_j^{-s} / s: the integrand is piecewise e^{-su}, so each piece
+integrates in closed form, and the sum has no tail. The sources that jump
+declare their jumps (GrowthFunction.jumps_upto), which the operators'
+frequency route integrates piece by piece, and every catalog source states
+its tail, the exponential sum g is past some u_t (GrowthFunction.tail; for
+weighted primes, the constant g(u_cap) at the table edge), which the route
 integrates in closed form. The closed forms are checked in the tests
 against a brute-force quadrature of the source's own g.
 
@@ -36,8 +37,8 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import GrowthFunction, StepFunction
-from .errors import DomainError
+from .arith import GrowthFunction
+from .errors import ContractError, DomainError
 from .special import (
     _POWER_CELLS,
     EvalTolerance,
@@ -53,7 +54,7 @@ __all__ = [
     "transform_integers",
     "transform_primes",
     "transform_weighted_primes",
-    "transform_step_sum",
+    "source_steps",
     "source_identity",
     "source_integers",
     "source_primes_weighted",
@@ -89,26 +90,65 @@ def transform_weighted_primes(s, tol: Optional[EvalTolerance] = None):
 
 
 # ---------------------------------------------------------------------------
-# exact step summation
+# finite step sources
 # ---------------------------------------------------------------------------
 
 
-def transform_step_sum(S: StepFunction, s):
-    """Exact transform of a finite step function: sum of a_j x_j^{-s} / s.
+def _step_sum(lnx: np.ndarray, jumps: np.ndarray, s):
+    """Exact transform of a finite step function: sum of a_j x_j^{-s} / s,
+    for the jumps a_j at x_j = e^{lnx_j}.
 
     The sum is the complete transform of S itself, so it carries no tail."""
     grid, scalar, shape = _prep(s)
     flat = grid.points
-    lnx = np.log(S.breakpoints)
     out = np.zeros(flat.size, dtype=complex)
     block = max(1, _POWER_CELLS // max(flat.size, 1))
     with np.errstate(under="ignore"):
         for lo in range(0, lnx.size, block):
             chunk = lnx[lo : lo + block]
-            amp = S.jumps[lo : lo + block]
+            amp = jumps[lo : lo + block]
             out += np.exp(-np.multiply.outer(flat, chunk)) @ amp
     out /= flat
     return _restore(out, scalar, shape)
+
+
+def source_steps(breakpoints, jumps, label: str) -> GrowthFunction:
+    """S(x) = sum of a_j over x_j <= x: the finite step source with the
+    jumps a_j at the breakpoints x_j, bounded, so g -> 0.
+
+    `breakpoints` must be strictly increasing and >= 1, `jumps` strictly
+    positive, finite and of equal length (ContractError). g(u) is the level
+    of the last x_j with ln x_j <= u, times e^{-u}: it switches at u = ln x_j,
+    whatever e^{ln x_j} rounds to, so from ln x_last on it is the stated
+    tail (sum a_j) e^{-u}. The transform is the exact step sum."""
+    xj = np.asarray(breakpoints, dtype=float)
+    aj = np.asarray(jumps, dtype=float)
+    if xj.ndim != 1 or aj.shape != xj.shape:
+        raise ContractError("breakpoints and jumps must be 1-d arrays of equal length")
+    if xj.size == 0:
+        raise ContractError("a step function needs at least one breakpoint")
+    if not np.all(np.isfinite(xj)) or not np.all(np.isfinite(aj)):
+        raise ContractError("breakpoints and jumps must be finite")
+    if xj[0] < 1.0 or np.any(np.diff(xj) <= 0):
+        raise ContractError("breakpoints must be strictly increasing and >= 1")
+    if np.any(aj <= 0):
+        raise ContractError("jumps must be strictly positive")
+    lnx = np.log(xj)
+    level = np.concatenate(([0.0], np.cumsum(aj)))
+
+    def jumps_upto(hi):
+        j = np.searchsorted(xj, hi, side="right")
+        return xj[:j], aj[:j], np.zeros(j)
+
+    return GrowthFunction(
+        label=label,
+        fn=lambda u: level[np.searchsorted(lnx, u, side="right")] * np.exp(-u),
+        growth_constant=float(np.max(level[1:] / xj)),
+        laplace=lambda s: _step_sum(lnx, aj, s),
+        jumps_upto=jumps_upto,
+        ratio_limit_A=0.0,
+        tail=(float(lnx[-1]), ((float(level[-1]), 1.0),)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +277,4 @@ def source_single_jump(height: float = 3.0, location: float = math.e) -> GrowthF
     """S = single jump of `height` at `location`: bounded, so g -> 0."""
     if not (height > 0 and location >= 1.0):
         raise DomainError("jump needs height > 0 and location >= 1")
-    step = StepFunction(np.array([location]), np.array([height]))
-    u0 = math.log(location)
-    return GrowthFunction(
-        label=f"single_jump(h={height:g},x0={location:g})",
-        fn=lambda u: np.where(u >= u0, height * np.exp(-u), 0.0),
-        growth_constant=height / location,
-        laplace=lambda s: height
-        * np.exp(-np.asarray(s, dtype=complex) * u0)
-        / np.asarray(s, dtype=complex),
-        jumps_upto=step.jumps_upto,
-        ratio_limit_A=0.0,
-        tail=(u0, ((height, 1.0),)),
-    )
+    return source_steps([location], [height], f"single_jump(h={height:g},x0={location:g})")

@@ -1,4 +1,4 @@
-"""Counting layer: sieve vs trial division, step functions, growth ratios."""
+"""Counting layer: sieve vs trial division, growth ratios."""
 
 import math
 import os
@@ -12,7 +12,6 @@ from tauberlab import arith
 from tauberlab import transform as tr
 from tauberlab.arith import (
     PrimeTable,
-    StepFunction,
     build_prime_table,
     count_primes,
     default_cache_dir,
@@ -411,37 +410,6 @@ def test_table_limit_validation(tmp_path):
 def test_cache_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("TAUBERLAB_CACHE_DIR", str(tmp_path))
     assert default_cache_dir() == tmp_path
-
-
-# ---------------------------------------------------------------------------
-# step functions
-# ---------------------------------------------------------------------------
-
-
-def test_step_function_evaluation():
-    S = StepFunction([1.0, 2.0, 4.0], [1.0, 2.0, 0.5])
-    xs = np.array([0.5, 1.0, 1.5, 2.0, 3.9, 4.0, 100.0])
-    assert np.allclose(S(xs), [0.0, 1.0, 1.0, 3.0, 3.0, 3.5, 3.5])
-    x, da, db = S.jumps_upto(3.9)
-    assert (list(x), list(da), list(db)) == ([1.0, 2.0], [1.0, 2.0], [0.0, 0.0])
-
-
-def test_step_function_contract_errors():
-    with pytest.raises(ContractError):
-        StepFunction([], [])
-    with pytest.raises(ContractError):
-        StepFunction([2.0, 2.0], [1.0, 1.0])  # not strictly increasing
-    with pytest.raises(ContractError):
-        StepFunction([0.5], [1.0])  # breakpoint below 1
-    with pytest.raises(ContractError):
-        StepFunction([2.0], [-1.0])  # negative jump
-    with pytest.raises(ContractError):
-        StepFunction([2.0, 3.0], [1.0])  # length mismatch
-    for bp, jp in (([2.0, np.nan], [1.0, 1.0]), ([2.0, np.inf], [1.0, 1.0]),
-                   ([2.0, 3.0], [1.0, np.nan]), ([2.0, 3.0], [np.inf, 1.0])):
-        with pytest.raises(ContractError, match="finite") as ei:
-            StepFunction(bp, jp)
-        assert ei.value.code == "contract"
 
 
 # ---------------------------------------------------------------------------

@@ -492,6 +492,19 @@ def test_transform_eval_file_edge_cases(capsys, tmp_path):
     assert doc["code"] == "contract" and ":3: bad number in '2,x'" in doc["message"]
 
 
+@pytest.mark.parametrize("lines", ["2,1\n2,1\n", "0.5,1\n3,1\n"], ids=["repeated", "below_1"])
+def test_transform_eval_refuses_a_file_that_is_no_step_source(capsys, tmp_path, lines):
+    """The file is read as a step source, whose breakpoints must be
+    strictly increasing and >= 1."""
+    f = tmp_path / "steps.csv"
+    f.write_text(lines)
+    code, out, err = run_cli(capsys, "transform", "eval", "--source", "file", "--file", str(f), "--sigma", "2")
+    assert code == 1 and out == ""
+    doc = json.loads(err.strip())
+    assert doc["code"] == "contract"
+    assert doc["message"] == "breakpoints must be strictly increasing and >= 1"
+
+
 def test_operator_refuses_an_eps_past_the_frequency_route_limit(capsys):
     # at the default L = 8 pi the fine panels resolve the damping up to eps = 640
     for cmd, *extra in (("diag", "--A", "1"), ("assemble",), ("spectrum",)):

@@ -16,11 +16,11 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tauberlab import arith, operators, special, tauber, transform
+from tauberlab import operators, special, tauber, transform
 from tauberlab.operators import IntervalSpec, assemble_frequency_route, assemble_kernel_route
 from tauberlab.special import OuterGrid, prime_zeta_pair, zeta, zeta_deriv
 from tauberlab.tauber import battery_members
-from test_transform import ratio_of, steps_times_log
+from test_transform import steps_times_log
 
 sigmas = st.floats(1.01, 3.0)
 ts = st.floats(-50.0, 50.0)
@@ -344,13 +344,13 @@ def test_prime_count_matches_a_dense_sieve(small_table, big_table, which, points
 
 @st.composite
 def _step_functions(draw):
-    """A StepFunction with 1 to 40 jumps in [1, 1e5], the first possibly at 1."""
+    """A step source with 1 to 40 jumps in [1, 1e5], the first possibly at 1."""
     xs = draw(st.lists(st.floats(1.0, 1e5), min_size=1, max_size=40, unique=True))
     if draw(st.booleans()):
         xs[0] = 1.0
     xs = np.unique(xs)
     jumps = draw(st.lists(st.floats(1e-3, 1e3), min_size=xs.size, max_size=xs.size))
-    return arith.StepFunction(xs, np.array(jumps))
+    return transform.source_steps(xs, jumps, "steps")
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -370,9 +370,7 @@ def test_declared_jumps_reproduce_the_source(small_table, which, step, xs):
         "weighted_primes": lambda: transform.source_primes_weighted(small_table),
         "single_jump": transform.source_single_jump,
         "single_jump_at_1": lambda: transform.source_single_jump(2.0, 1.0),
-        "step_function": lambda: arith.GrowthFunction(
-            "steps", ratio_of(step), 1.0, jumps_upto=step.jumps_upto
-        ),
+        "step_function": lambda: step,
         "steps_ln": steps_times_log,
     }[which]()
     u = np.log(np.array(xs + [1.0, 1e5]))
@@ -387,27 +385,10 @@ def test_declared_jumps_reproduce_the_source(small_table, which, step, xs):
 
 @st.composite
 def _step_sources(draw):
-    """A step source with 1 to 60 jumps in [1, 1e4] of heights in [0.1, 5]
-    and its exact step sum as transform. It states g = (sum h) e^{-u} from
-    u_t = ln x_last on, and its fn switches to that closed form there, so
-    exp(ln x_last) rounding below x_last cannot set fn against the tail."""
+    """A step source with 1 to 60 jumps in [1, 1e4] of heights in [0.1, 5]."""
     xs = np.unique(draw(st.lists(st.floats(1.0, 1e4), min_size=1, max_size=60)))
-    hs = np.array(draw(st.lists(st.floats(0.1, 5.0), min_size=xs.size, max_size=xs.size)))
-    step = arith.StepFunction(xs, hs)
-    u_t, total = math.log(xs[-1]), float(hs.sum())
-
-    def fn(u):
-        e = np.exp(u)
-        return np.where(u >= u_t, total / e, step(e) / e)
-
-    return arith.GrowthFunction(
-        "random_steps",
-        fn,
-        float(np.max(step.cumulative / xs)),
-        laplace=functools.partial(transform.transform_step_sum, step),
-        jumps_upto=step.jumps_upto,
-        tail=(u_t, ((total, 1.0),)),
-    )
+    hs = draw(st.lists(st.floats(0.1, 5.0), min_size=xs.size, max_size=xs.size))
+    return transform.source_steps(xs, hs, "random_steps")
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

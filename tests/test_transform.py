@@ -12,14 +12,13 @@ import pytest
 
 from tauberlab import special
 from tauberlab import transform as tr
-from tauberlab.arith import GrowthFunction, StepFunction
-from tauberlab.errors import DomainError
-from tauberlab.operators import _STEP_RESOLVE_CAP, _gl_nodes_on
+from tauberlab.arith import GrowthFunction
+from tauberlab.errors import ContractError, DomainError
+from tauberlab.operators import _GL16, _STEP_RESOLVE_CAP, _gl_nodes_on
 from tauberlab.special import OuterGrid, _prep, _restore, psi_entire
 from tauberlab.transform import (
     transform_integers,
     transform_primes,
-    transform_step_sum,
     transform_weighted_primes,
 )
 
@@ -89,11 +88,11 @@ def transform_quadrature(S: GrowthFunction, s, U: float = 18.0):
 
 
 def test_step_sum_is_the_exact_finite_transform(rng):
-    S = StepFunction([2.0, 3.0, 5.0, 7.0], [1.0, 1.0, 1.0, 1.0])
+    S = tr.source_steps([2.0, 3.0, 5.0, 7.0], [1.0, 1.0, 1.0, 1.0], "primes_to_7")
     for _ in range(10):
         s = complex(rng.uniform(1.2, 3.0), rng.uniform(-10, 10))
         expect = sum(x ** (-s) for x in (2.0, 3.0, 5.0, 7.0)) / s
-        assert abs(transform_step_sum(S, s) - expect) < 1e-13
+        assert abs(S.laplace(s) - expect) < 1e-13
 
 
 def test_truncated_integers_bracket_the_closed_form(rng):
@@ -102,10 +101,10 @@ def test_truncated_integers_bracket_the_closed_form(rng):
     integration by parts of the tail integral past the last breakpoint X."""
     X = 2000
     bps = np.arange(1.0, X + 1.0)
-    S = StepFunction(bps, np.ones_like(bps))
+    S = tr.source_steps(bps, np.ones_like(bps), "integers_to_2000")
     for _ in range(20):
         s = complex(rng.uniform(1.5, 3.0), rng.uniform(-10, 10))
-        gap = abs(transform_integers(s) - transform_step_sum(S, s))
+        gap = abs(transform_integers(s) - S.laplace(s))
         tail = X ** (1.0 - s.real) * (1.0 / abs(s) + 1.0 / (s.real - 1.0))
         assert gap <= tail + 1e-12
 
@@ -176,8 +175,8 @@ def test_weighted_primes_is_minus_the_derivative():
 
 def test_each_closed_form_prepares_s_once(monkeypatch):
     """The zeta family checks and shapes s; a closed form hands s on as
-    it came, so one call prepares it once, as transform_step_sum, an
-    evaluator itself, does."""
+    it came, so one call prepares it once, as a step source's exact sum,
+    an evaluator itself, does."""
     calls = []
 
     def counted(s):
@@ -186,12 +185,12 @@ def test_each_closed_form_prepares_s_once(monkeypatch):
 
     monkeypatch.setattr(special, "_prep", counted)
     monkeypatch.setattr(tr, "_prep", counted)
-    step = StepFunction(np.array([2.0, 3.0]), np.array([1.0, 1.0]))
+    step = tr.source_steps(np.array([2.0, 3.0]), np.array([1.0, 1.0]), "steps")
     for f in (
         transform_integers,
         transform_primes,
         transform_weighted_primes,
-        lambda s: transform_step_sum(step, s),
+        step.laplace,
     ):
         calls.clear()
         f(np.array([2.0 + 1j, 3.0]))
@@ -237,26 +236,16 @@ _XJ = np.array([1.5, 2.0, 7.0, 40.0, 1000.0, 20000.0])
 _AJ = np.array([0.5, 1.0, 2.0, 0.25, 3.0, 1.0])
 
 
-def ratio_of(S):
-    """g(u) = S(e^u)/e^u of a source S stated in x."""
-
-    def g(u):
-        x = np.exp(u)
-        return S(x) / x
-
-    return g
-
-
 def steps_times_log() -> GrowthFunction:
     """S(x) = step(x) ln x for the step a_j at x_j: linear in u = ln x
     between jumps, each adding a_j to the slope (da = 0, db = a_j)."""
-    step = StepFunction(_XJ, _AJ)
+    step = tr.source_steps(_XJ, _AJ, "steps")
 
     def jumps_upto(hi):
         x, a, zero = step.jumps_upto(hi)
         return x, zero, a
 
-    return GrowthFunction("steps_ln", ratio_of(lambda x: step(x) * np.log(x)), 8.0, jumps_upto=jumps_upto)
+    return GrowthFunction("steps_ln", lambda u: step.fn(u) * u, 8.0, jumps_upto=jumps_upto)
 
 _S_PTS = np.array([1.5 + 0.3j, 2.0 + 5.0j, 1.2 - 3.0j, 3.0 + 0.0j, 1.05 + 12.0j])
 
@@ -264,10 +253,9 @@ _S_PTS = np.array([1.5 + 0.3j, 2.0 + 5.0j, 1.2 - 3.0j, 3.0 + 0.0j, 1.05 + 12.0j]
 def test_quadrature_is_exact_on_constant_pieces():
     """A step source: the oracle on [0, 10] against the exact step sum minus
     its part past U = 10, S_tot e^{-sU}/s."""
-    step = StepFunction(_XJ, _AJ)
-    S = GrowthFunction("steps", ratio_of(step), 1.0, jumps_upto=step.jumps_upto)
+    S = tr.source_steps(_XJ, _AJ, "steps")
     U, s = 10.0, _S_PTS
-    expect = transform_step_sum(step, s) - _AJ.sum() * np.exp(-s * U) / s
+    expect = S.laplace(s) - _AJ.sum() * np.exp(-s * U) / s
     assert np.max(np.abs(transform_quadrature(S, s, U=U) - expect)) < 1e-12
 
 
@@ -299,3 +287,66 @@ def test_catalog_parameters_outside_their_range_are_refused(build):
     with pytest.raises(DomainError) as ei:
         build()
     assert ei.value.code == "domain"
+
+
+# ---------------------------------------------------------------------------
+# step sources
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bp, jp, message",
+    [
+        ([], [], "at least one breakpoint"),
+        ([2.0, 2.0], [1.0, 1.0], "strictly increasing and >= 1"),
+        ([0.5], [1.0], "strictly increasing and >= 1"),
+        ([2.0], [-1.0], "strictly positive"),
+        ([2.0], [0.0], "strictly positive"),
+        ([2.0, 3.0], [1.0], "1-d arrays of equal length"),
+        ([[2.0]], [[1.0]], "1-d arrays of equal length"),
+        ([2.0, np.nan], [1.0, 1.0], "finite"),
+        ([2.0, np.inf], [1.0, 1.0], "finite"),
+        ([2.0, 3.0], [1.0, np.nan], "finite"),
+        ([2.0, 3.0], [np.inf, 1.0], "finite"),
+    ],
+    ids=["empty", "repeated", "below_1", "negative_jump", "zero_jump", "length_mismatch",
+         "not_1d", "nan_x", "inf_x", "nan_jump", "inf_jump"],
+)
+def test_step_source_contract_errors(bp, jp, message):
+    with pytest.raises(ContractError, match=message) as ei:
+        tr.source_steps(bp, jp, "steps")
+    assert ei.value.code == "contract"
+
+
+def test_step_source_declares_its_jumps_up_to_hi():
+    S = tr.source_steps([1.0, 2.0, 4.0], [1.0, 2.0, 0.5], "steps")
+    x, da, db = S.jumps_upto(3.9)
+    assert (list(x), list(da), list(db)) == ([1.0, 2.0], [1.0, 2.0], [0.0, 0.0])
+    x, da, db = S.jumps_upto(4.0)
+    assert (list(x), list(da), list(db)) == ([1.0, 2.0, 4.0], [1.0, 2.0, 0.5], [0.0, 0.0, 0.0])
+    assert S.jumps_upto(0.5)[0].size == 0
+
+
+@pytest.mark.parametrize("h, x0", [(3.0, math.e), (2.0, 1.0), (1.0, 108.0), (1.0, 7.0)])
+def test_single_jump_is_its_closed_form_bit_for_bit(h, x0):
+    """The single jump is a step source that keeps the closed forms it had
+    when it was written out by hand: g = h e^{-u} from u0 = ln x0 on and 0
+    below, at u0 itself too (e^{ln 7} rounds below 7, so a switch on
+    e^u >= x0 would read 0 there), and G(s) = h e^{-s u0} / s, on an array
+    and on the kernel route's grid, 1 + eps + i x for the 4,032 nodes x at
+    L = 8 pi, eps = 0.05, N = 8."""
+    S = tr.source_single_jump(h, x0)
+    u0 = math.log(x0)
+    u = np.concatenate((np.linspace(0.0, 2.0 * u0 + 1.0, 41), [u0, np.nextafter(u0, 0.0), u0 + 1e-15]))
+    assert S.g(u).tobytes() == np.where(u >= u0, h * np.exp(-u), 0.0).tobytes()
+    assert S.g(u0) == h * math.exp(-u0)
+    P, L = 252, 8.0 * math.pi
+    half = L / (2 * P)
+    grid = 1.0 + 0.05 + 1j * OuterGrid((2 * np.arange(P) + 1) * half, half * _GL16[0])
+    z = np.asarray(grid, dtype=complex)
+    assert S.laplace(grid).tobytes() == (h * np.exp(-z * u0) / z).tobytes()
+    s = _S_PTS
+    assert S.laplace(s).tobytes() == (h * np.exp(-s * u0) / s).tobytes()
+    assert S.tail == (u0, ((h, 1.0),))
+    assert S.growth_constant == h / x0
+    assert S.ratio_limit_A == 0.0
