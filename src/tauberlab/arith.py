@@ -9,9 +9,9 @@ normalized ratio in the log variable,
 
 whose limit behaviour the operator experiments probe; S(x) = x g(ln x).
 
-Primes come from a segmented, odd-only sieve of Eratosthenes with a small
-binary disk cache of its odd bitset, so the 1e8 table is built once per
-machine. The segments are sized to the L2 cache (C. Bays and R. H. Hudson,
+Primes come from a segmented, odd-only sieve of Eratosthenes, with an
+opt-in binary disk cache of its odd bitset in a directory the caller
+names. The segments are sized to the L2 cache (C. Bays and R. H. Hudson,
 BIT 17 (1977) 121-127) and start from a copy of a wheel pattern that has
 the multiples of 3, 5, 7, 11 and 13 struck out (P. Pritchard, Acta Inform.
 17 (1982) 477-485). The table is the packed odd bitset itself, one bit per
@@ -46,12 +46,10 @@ __all__ = [
     "GrowthFunction",
     "count_primes",
     "build_prime_table",
-    "default_cache_dir",
 ]
 
 logger = logging.getLogger(__name__)
 
-CACHE_ENV_VAR = "TAUBERLAB_CACHE_DIR"
 _CACHE_MAGIC = b"PTBL"
 _CACHE_FORMAT = 1
 _HARD_LIMIT = 2**32
@@ -60,14 +58,6 @@ _SIEVE_SEGMENT = 2**20
 # the primes of the sieve's wheel: their multiples repeat every
 # 3*5*7*11*13 = 15,015 odd slots
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
-
-
-def default_cache_dir() -> Path:
-    """Cache directory: $TAUBERLAB_CACHE_DIR, else ~/.cache/tauberlab."""
-    env = os.environ.get(CACHE_ENV_VAR)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "tauberlab"
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +265,22 @@ def _cached_words(path: Path, limit: int) -> np.ndarray:
 def build_prime_table(limit: int, cache_dir: Optional[os.PathLike] = None) -> PrimeTable:
     """Sieve (or reload from cache) all primes up to `limit`.
 
-    The cache file is `primes_<limit>.ptbl` under `cache_dir` (defaulting to
-    $TAUBERLAB_CACHE_DIR or ~/.cache/tauberlab): a 16-byte header, then
-    the odd bitset packed little-endian, which are the table's words. A
-    sieve writes it in one write after the last segment, and a load reads
-    it in one read. A corrupt cache is rebuilt with a logged warning, never
-    trusted; a cache that cannot be written is a logged warning too.
+    Without `cache_dir` the table is sieved in memory and no file is read
+    or written. With it, the cache file is `primes_<limit>.ptbl` there: a
+    16-byte header, then the odd bitset packed little-endian, which are the
+    table's words. A sieve writes it in one write after the last segment,
+    and a load reads it in one read. A corrupt cache is rebuilt with a
+    logged warning, never trusted; a cache that cannot be written is a
+    logged warning too.
     """
     limit = int(limit)
     if limit < 2:
         raise DomainError("prime table limit must be >= 2")
     if limit > _HARD_LIMIT:
         raise ResourceError(f"prime table limit {limit} exceeds hard cap {_HARD_LIMIT}")
-    cdir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    cache_path = cdir / f"primes_{limit}.ptbl"
+    if cache_dir is None:
+        return PrimeTable(limit, _sieved_words(limit))
+    cache_path = Path(cache_dir) / f"primes_{limit}.ptbl"
     if cache_path.exists():
         try:
             return PrimeTable(limit, _cached_words(cache_path, limit))
@@ -335,6 +327,12 @@ class GrowthFunction:
       a + b u between consecutive jumps (a count, or a count times ln x),
       and the integrators integrate each such piece exactly. The table
       of a table-backed source refuses hi past its edge (TableExhaustedError).
+      Where u lies within one rounding of ln x_j, the sources differ on
+      the side of the jump they take: ``source_steps`` counts it from
+      u = ln x_j, so its fn meets its stated tail at u_t = ln x_last; the
+      integer and prime counts read e^u, which may round below x_j
+      (e^{ln 7} = 6.999999999999999 counts 6 integers); and the frequency
+      route places every jump at (L/2) ln x_j.
     - ``u_cap``: largest u at which g(u) is the source's own (ln of a
       prime table limit): ``g`` raises past it, while ``fn`` and ``tail``
       hold g(u_cap) there.

@@ -136,7 +136,7 @@ def _shared_flags(p: argparse.ArgumentParser, suppress: bool = False) -> None:
     # subcommand name must survive the subparser's own defaulting pass.
     d = {"default": argparse.SUPPRESS} if suppress else {}
     p.add_argument("--config", help="flat key = value config file", **d)
-    p.add_argument("--cache-dir", help="prime table cache directory", **d)
+    p.add_argument("--cache-dir", help="prime table cache directory; without one the table is sieved in memory", **d)
     p.add_argument("--prime-limit", type=int, help="sieve/table limit", **d)
     p.add_argument("--format", choices=["json", "csv"], help="stdout format for sequences", **d)
 
@@ -163,7 +163,7 @@ def _build_parser() -> _Parser:
         lp.set_defaults(run=run)
         return lp
 
-    sp = leaf(sub, "primes", _cmd_primes, help="prime counting against the cached table")
+    sp = leaf(sub, "primes", _cmd_primes, help="prime counting against the prime table")
     sp.add_argument("--count", type=float, required=True, metavar="X", help="count primes <= X")
 
     ssub = group("special", "zeta-family special functions")
@@ -340,8 +340,28 @@ def _cmd_experiment(args, cfg: RunConfig) -> int:
     return 0
 
 
+def _check_leading_options(parser: _Parser, argv: list) -> None:
+    """Refuse an unknown option before the command name as argparse refuses
+    one after it (exit 64): argparse itself would take the option's value
+    for the command name. Each known option's value is skipped, and an
+    option may be abbreviated, as argparse allows; at an ambiguous one the
+    check stops and argparse names the candidates."""
+    takes_value = {o: a.nargs != 0 for a in parser._actions for o in a.option_strings}
+    i = 0
+    while i < len(argv) and argv[i].startswith("-"):
+        name, eq, _ = argv[i].partition("=")
+        known = [name] if name in takes_value else [o for o in takes_value if o.startswith(name)]
+        if not known:
+            parser.error(f"unrecognized arguments: {argv[i]}")
+        if len(known) > 1:
+            return
+        i += 1 if eq or not takes_value[known[0]] else 2
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
+    _check_leading_options(parser, argv)
     args = parser.parse_args(argv)
     if getattr(args, "run", None) is None:  # no command, or a bare group
         getattr(args, "usage", parser.print_usage)(sys.stderr)

@@ -1,8 +1,8 @@
 """Shared fixtures: prime tables and the acceptance summary hook.
 
-Both tables are built in per-session temp directories, so the suite never
-reads or writes the user's cache; the big (10^8) table costs about 0.15 s
-to sieve once per session.
+Both tables are built once per session. The small one is sieved in
+memory; the big (10^8) one, about 0.15 s to sieve, is cached in a
+per-session temp directory, from which the README examples reload it.
 """
 
 import numpy as np
@@ -27,9 +27,8 @@ _acceptance_results = {}
 
 
 @pytest.fixture(scope="session")
-def small_table(tmp_path_factory):
-    cache = tmp_path_factory.mktemp("ptbl")
-    return build_prime_table(100_000, cache_dir=cache)
+def small_table():
+    return build_prime_table(100_000)
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,6 @@ from tauberlab.arith import (
     PrimeTable,
     build_prime_table,
     count_primes,
-    default_cache_dir,
 )
 from tauberlab.errors import ContractError, DomainError, ResourceError, TableExhaustedError
 
@@ -405,11 +404,6 @@ def test_table_limit_validation(tmp_path):
         build_prime_table(1, cache_dir=tmp_path)
     with pytest.raises(ResourceError):
         build_prime_table(10**13, cache_dir=tmp_path)
-
-
-def test_cache_dir_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("TAUBERLAB_CACHE_DIR", str(tmp_path))
-    assert default_cache_dir() == tmp_path
 
 
 # ---------------------------------------------------------------------------

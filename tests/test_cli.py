@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import tauberlab
-from tauberlab import cli, operators, tauber
+from tauberlab import arith, cli, operators, tauber
 from tauberlab import transform as tr
 from tauberlab.cli import RunConfig, load_config, main
 from tauberlab.errors import ConfigError
@@ -147,6 +147,31 @@ def test_primes_count_100(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "--prime-limit", "10000", "primes", "--count", "100")
     assert code == 0
     assert out.strip() == "25"
+
+
+def test_no_cache_dir_means_no_file(capsys, tmp_path, monkeypatch):
+    """Without a cache directory the table is sieved in memory: a build and
+    a CLI run write nothing to the home or the working directory."""
+    home, cwd = tmp_path / "home", tmp_path / "cwd"
+    home.mkdir()
+    cwd.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.chdir(cwd)
+    assert arith.build_prime_table(1000).count(1000) == 168
+    assert run_cli(capsys, "--prime-limit", "1000", "primes", "--count", "100")[:2] == (0, "25\n")
+    assert list(home.iterdir()) == list(cwd.iterdir()) == []
+
+
+def test_cache_dir_is_written_then_loaded(capsys, tmp_path, monkeypatch):
+    argv = ("--cache-dir", str(tmp_path), "--prime-limit", "1000", "primes", "--count", "100")
+    assert run_cli(capsys, *argv)[:2] == (0, "25\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["primes_1000.ptbl"]
+
+    def refuse(limit):
+        raise AssertionError("a cached table is loaded, not sieved")
+
+    monkeypatch.setattr(arith, "_sieved_words", refuse)
+    assert run_cli(capsys, *argv) == (0, "25\n", "")
 
 
 def test_primes_count_past_the_hard_cap(capsys, tmp_path):
@@ -414,6 +439,35 @@ def test_jobs_is_an_unknown_flag(capsys):
             main(argv)
         assert ei.value.code == 64
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bogus", [["--bogus", "2"], ["--bogus"]], ids=["with_value", "bare"])
+def test_an_unknown_option_before_the_command_is_unrecognized(capsys, bogus):
+    """Refused as after the command: argparse alone took the 2 of
+    `--bogus 2` for the command name, an invalid choice."""
+    with pytest.raises(SystemExit) as ei:
+        main([*bogus, "primes", "--count", "10"])
+    assert ei.value.code == 64
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --bogus" in err and "invalid choice" not in err
+
+
+def test_known_options_before_the_command_keep_working(capsys, tmp_path):
+    conf = tmp_path / "t.conf"
+    conf.write_text("prime_limit = 5000\n")
+    for lead in (
+        ["--prime-limit", "1000"],
+        ["--prime-limit=1000"],
+        ["--prime", "1000"],  # argparse's abbreviation
+        ["--config", str(conf), "--cache-dir", str(tmp_path), "--format", "csv"],
+    ):
+        assert run_cli(capsys, *lead, "primes", "--count", "100") == (0, "25\n", ""), lead
+    assert (tmp_path / "primes_5000.ptbl").exists()
+    code, _, err = run_cli(capsys, "--prime-limit", "-5", "primes", "--count", "10")
+    assert code == 1 and json.loads(err)["code"] == "config"
+    with pytest.raises(SystemExit) as ei:
+        main(["--version"])
+    assert ei.value.code == 0 and capsys.readouterr().out == f"tauberlab {tauberlab.__version__}\n"
 
 
 def test_config_errors_exit_1(capsys, tmp_path):

@@ -327,7 +327,25 @@ def test_step_source_declares_its_jumps_up_to_hi():
     assert S.jumps_upto(0.5)[0].size == 0
 
 
-@pytest.mark.parametrize("h, x0", [(3.0, math.e), (2.0, 1.0), (1.0, 108.0), (1.0, 7.0)])
+def test_each_source_takes_its_side_of_a_jump_at_u_ln_x(small_table):
+    """The side of a jump each source takes where e^{ln x_j} rounds below
+    x_j (GrowthFunction, jumps_upto): at x_j = 7 the step source counts its
+    jump from u = ln 7, while the integer and prime counts read e^u and
+    stay below it."""
+    u = math.log(7.0)
+    x = math.exp(u)
+    assert x == 6.999999999999999
+    steps = tr.source_steps([7.0], [1.0], "seven")
+    assert steps.g(u) * x == pytest.approx(1.0, rel=1e-14)
+    assert steps.jumps_upto(x)[0].size == 0
+    assert list(steps.jumps_upto(7.0)[0]) == [7.0]
+    assert tr.source_integers().g(u) * x == pytest.approx(6.0, rel=1e-14)
+    wprimes = tr.source_primes_weighted(small_table)
+    assert wprimes.g(u) * x / math.log(x) == pytest.approx(3.0, rel=1e-14)
+    assert list(wprimes.jumps_upto(x)[0]) == [2.0, 3.0, 5.0]
+
+
+@pytest.mark.parametrize("h, x0",[(3.0, math.e), (2.0, 1.0), (1.0, 108.0), (1.0, 7.0)])
 def test_single_jump_is_its_closed_form_bit_for_bit(h, x0):
     """The single jump is a step source that keeps the closed forms it had
     when it was written out by hand: g = h e^{-u} from u0 = ln x0 on and 0
