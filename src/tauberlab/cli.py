@@ -5,9 +5,10 @@ errors, 64 usage errors. All failures print a single-line JSON object
 {"code": ..., "message": ...} to standard error. Outputs carry no
 timestamps, so identical invocations produce byte-identical files.
 
-Configuration is a flat `key = value` file ('#' starts a comment); file
-values overlay the defaults and command-line flags overlay both. The
-effective configuration and tool version are embedded in every report.
+Configuration is a flat `key = value` file ('#' starts a comment).
+Precedence: defaults < the command's own defaults (`pnt`: order 72) <
+config file < flags. The effective configuration and tool version are
+embedded in every report.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar, Optional
+from typing import Optional
 
 from . import __version__, arith, operators, special, tauber, transform
 from .errors import ConfigError, ContractError, TauberlabError
@@ -27,19 +29,18 @@ from .errors import ConfigError, ContractError, TauberlabError
 class RunConfig:
     """Tool-wide knobs; field names double as the config-file keys."""
 
-    explicit: ClassVar[frozenset] = frozenset()  # keys a file or flag set; not a field
     cache_dir: Optional[str] = None
     prime_limit: int = 100_000_000
     length: float = tauber.DEFAULT_LENGTH
     order: int = tauber.DEFAULT_ORDER
-    abs_tol: float = 1e-10
+    abs_tol: float = special.DEFAULT_TOL.abs_tol
     format: str = "json"
 
     def validate(self) -> "RunConfig":
         if self.prime_limit < 2:
             raise ConfigError(f"prime_limit must be >= 2, got {self.prime_limit}")
-        if not (self.length > 0):
-            raise ConfigError(f"length must be positive, got {self.length}")
+        if not (0 < self.length < math.inf):
+            raise ConfigError(f"length must be positive and finite, got {self.length}")
         if self.order < 0:
             raise ConfigError(f"order must be >= 0, got {self.order}")
         if not (0 < self.abs_tol <= 1e-4):
@@ -52,26 +53,33 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-def load_config(path: Optional[str]) -> RunConfig:
-    """Defaults overlaid by the flat key-value file (if given).
-
-    The keys are RunConfig's fields; each value is converted with the type of
-    the field's default, and a field whose default is None keeps the string."""
-    cfg = RunConfig()
-    if path is None:
-        return cfg.validate()
-    defaults = cfg.as_dict()
+def _lines(path: str, what: str, error: type):
+    """(lineno, stripped line, its text before any '#') for each line of the
+    file with text left; an unreadable file raises error, naming what."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise error(f"cannot read {what} {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if line:
+            yield lineno, raw.strip(), line
+
+
+def load_config(path: Optional[str], **own) -> RunConfig:
+    """RunConfig(**own), a command's own defaults over the tool's, overlaid
+    by the flat key-value file (if given).
+
+    The keys are RunConfig's fields; each value is converted with the type of
+    the field's default, and a field whose default is None keeps the string."""
+    cfg = RunConfig(**own)
+    if path is None:
+        return cfg.validate()
+    defaults = cfg.as_dict()
+    for lineno, raw, line in _lines(path, "config", ConfigError):
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in defaults:
@@ -79,7 +87,6 @@ def load_config(path: Optional[str]) -> RunConfig:
         default = defaults[key]
         try:
             setattr(cfg, key, value if default is None else type(default)(value))
-            cfg.explicit |= {key}
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return cfg.validate()
@@ -143,8 +150,9 @@ def _shared_flags(p: argparse.ArgumentParser, suppress: bool = False) -> None:
 
 def _build_parser() -> _Parser:
     """The command tree; each leaf names its handler in args.run, which a
-    bare group or an empty command line leaves unset, and each group its
-    usage printer in args.usage."""
+    bare group or an empty command line leaves unset, its own RunConfig
+    defaults in args.defaults, and each group its usage printer in
+    args.usage."""
     shared = argparse.ArgumentParser(add_help=False)
     _shared_flags(shared, suppress=True)
     p = _Parser(prog="tauberlab", description="Numerical laboratory for ratio limits, transforms, and truncated convolution operators.")
@@ -160,7 +168,7 @@ def _build_parser() -> _Parser:
 
     def leaf(parent, name, run, **kw):
         lp = parent.add_parser(name, parents=[shared], **kw)
-        lp.set_defaults(run=run)
+        lp.set_defaults(run=run, defaults={})
         return lp
 
     sp = leaf(sub, "primes", _cmd_primes, help="prime counting against the prime table")
@@ -195,6 +203,8 @@ def _build_parser() -> _Parser:
     esub = group("experiment", "theorem-level experiments")
     for name in ("forward", "converse", "pnt", "battery"):
         ep = leaf(esub, name, _cmd_experiment)
+        if name == "pnt":
+            ep.set_defaults(defaults={"order": tauber.PNT_ORDER})
         if name in ("forward", "converse"):
             ep.add_argument("--source", required=True, help=_SOURCE_HELP)
         ep.add_argument("--length", type=float)
@@ -210,7 +220,6 @@ def _overlay(cfg: RunConfig, args) -> RunConfig:
     for key in cfg.as_dict():
         if getattr(args, key, None) is not None:
             setattr(cfg, key, getattr(args, key))
-            cfg.explicit |= {key}
     return cfg.validate()
 
 
@@ -260,19 +269,15 @@ def _load_step_file(path: str):
     if not path:
         raise ContractError("--source file needs --file with x_j,a_j lines")
     xs, js = [], []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ContractError(f"{path}:{lineno}: expected 'x,jump', got {raw.strip()!r}")
-            try:
-                xs.append(float(parts[0]))
-                js.append(float(parts[1]))
-            except ValueError as exc:
-                raise ContractError(f"{path}:{lineno}: bad number in {raw.strip()!r}") from exc
+    for lineno, raw, line in _lines(path, "step file", ContractError):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ContractError(f"{path}:{lineno}: expected 'x,jump', got {raw!r}")
+        try:
+            xs.append(float(parts[0]))
+            js.append(float(parts[1]))
+        except ValueError as exc:
+            raise ContractError(f"{path}:{lineno}: bad number in {raw!r}") from exc
     return transform.source_steps(xs, js, path)
 
 
@@ -315,12 +320,10 @@ def _cmd_experiment(args, cfg: RunConfig) -> int:
         return 0
     kw = {} if args.umax is None else {"u_max": args.umax}
     if cmd == "pnt":
-        if "order" not in cfg.explicit:  # the report's config records the order that runs
-            cfg.order = tauber.PNT_ORDER
         rep = tauber.pnt_pipeline(_table(cfg), L=cfg.length, N=cfg.order, **kw)
     elif cmd == "forward":
         S = _source(args.source, cfg)
-        rep = tauber.forward_experiment(S, S.ratio_limit_A, L=cfg.length, N=cfg.order, **kw)
+        rep = tauber.forward_experiment(S, None, L=cfg.length, N=cfg.order, **kw)
     else:
         rep = tauber.converse_experiment(_source(args.source, cfg), L=cfg.length, N=cfg.order, **kw)
     if args.report:
@@ -367,7 +370,7 @@ def main(argv=None) -> int:
         getattr(args, "usage", parser.print_usage)(sys.stderr)
         return 64
     try:
-        return args.run(args, _overlay(load_config(args.config), args))
+        return args.run(args, _overlay(load_config(args.config, **args.defaults), args))
     except TauberlabError as exc:
         print(json.dumps({"code": exc.code, "message": str(exc)}), file=sys.stderr)
         return exc.exit_code

@@ -3,7 +3,8 @@
 Two families matter for the command line: contract-style failures (bad
 arguments, violated preconditions, malformed inputs) map to exit code 1,
 resource-style failures (prime table too small, precision targets that
-cannot be met within the term budget) map to exit code 2.
+cannot be met within the term budget) map to exit code 2. Only the two
+family bases set `exit_code`; every other class inherits its family's.
 """
 
 __all__ = [
@@ -28,21 +29,18 @@ class DomainError(TauberlabError):
     """Argument outside the mathematical domain (e.g. Re s <= 1, x < 0)."""
 
     code = "domain"
-    exit_code = 1
 
 
 class ContractError(TauberlabError):
     """Structural precondition violated (non-symmetric matrix, bad step data...)."""
 
     code = "contract"
-    exit_code = 1
 
 
 class ConfigError(ContractError):
     """Malformed or invalid configuration input."""
 
     code = "config"
-    exit_code = 1
 
 
 class ResourceError(TauberlabError):
@@ -59,7 +57,6 @@ class PrecisionError(ResourceError):
     """
 
     code = "precision"
-    exit_code = 2
 
     def __init__(self, message, achieved=None):
         super().__init__(message)
@@ -70,7 +67,6 @@ class TableExhaustedError(ResourceError):
     """A query needs primes beyond the cached limit; `required` names it."""
 
     code = "table-exhausted"
-    exit_code = 2
 
     def __init__(self, message, required=None):
         super().__init__(message)

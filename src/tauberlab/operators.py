@@ -680,15 +680,12 @@ def _tail_integrals(X: float, N: int, terms: Sequence[tuple], m: int):
     cen = np.arange(d.size) - np.repeat(starts[:-1], np.diff(starts)) < 2 * K
     gam = np.repeat([complex(t[2]) for t in terms], np.diff(starts))
     z = X - d
-    # E[0..2] = exp_e1 at beta = gamma, gamma - 2i, gamma + 2i; a real gamma
-    # mirrors the second from the third
+    # E[0..2] = exp_e1 at beta = gamma, gamma - 2i, gamma + 2i, one call on
+    # the nonzero w
     w = np.stack([gam, gam - 2j, gam + 2j]) * z
     zero = w == 0.0
-    mirror = np.zeros_like(zero)
-    mirror[1] = gam.imag == 0.0
     E = np.empty_like(w)
-    E[~zero & ~mirror] = exp_e1(w[~zero & ~mirror])
-    E[1, mirror[1]] = E[2, mirror[1]].conj()
+    E[~zero] = exp_e1(w[~zero])
     E[zero] = np.broadcast_to(-np.log1p(-d / X), w.shape)[zero]
     # sin and e^{2ix} at x = X, read through z at a centre, where
     # sin^2 (z -+ pi k) = sin^2 z
@@ -936,15 +933,15 @@ def weak_limit_diagnostic(
     """Assemble W across the eps schedule and test Cauchy-like decay.
 
     Reports Delta_k = max |M(eps_{k+1}) - M(eps_k)| and verdicts true when
-    each Delta shrinks by >= 1.5x per step (the schedule is expected to
-    halve eps each step). The verdict is a heuristic on a finite schedule,
-    not a proof, and it errs both ways: on (0.4, 0.2, 0.1, 0.05) it says
-    true for log_oscillation(0.5), whose g has no limit, at L = 16 pi,
-    N = 8 (ratios 1.71, 1.84), and false for the integers at L = 8 pi,
-    N = 64 (ratios 0.98, 1.00)."""
+    each Delta shrinks by >= 1.5x per step (the schedule, of at least three
+    eps, is expected to halve eps each step). The verdict is a heuristic on
+    a finite schedule, not a proof, and it errs both ways: on
+    (0.4, 0.2, 0.1, 0.05) it says true for log_oscillation(0.5), whose g
+    has no limit, at L = 16 pi, N = 8 (ratios 1.71, 1.84), and false for
+    the integers at L = 8 pi, N = 64 (ratios 0.98, 1.00)."""
     sched = [float(e) for e in eps_schedule]
-    if len(sched) < 2:
-        raise ContractError("eps schedule needs at least two values")
+    if len(sched) < 3:  # two eps give one delta and no ratio to judge it by
+        raise ContractError("eps schedule needs at least three values")
     if any(e <= 0 for e in sched) or any(b >= a for a, b in zip(sched, sched[1:])):
         raise ContractError("eps schedule must be strictly decreasing and positive")
     Ws = [assemble_frequency_route(S, I, e, N) for e in sched]

@@ -174,11 +174,11 @@ def _minimax_a(diag_W: np.ndarray, lo: int, hi: int, hi_a: float) -> float:
 
 def _reports(members, L: float, N: int, diag, W, A=None) -> list:
     """The reports of members (S, u_max, diag_threshold, ratio_threshold),
-    given each one's eps = 0 diagonal and its kernel-route W at
-    SPECTRAL_EPS. With A the declared limits (forward), each diagonal is
-    already that of W - A Id; with A None (converse), A* is the clipped band
-    midrange of the diagonal of W, and it is subtracted here. Each report
-    carries the top |eigenvalues| of W - A Id, the ratio table, its window
+    given each one's eps = 0 diagonal of W and its kernel-route W at
+    SPECTRAL_EPS. A is the declared limits (forward), or None (converse),
+    where each A* is the clipped band midrange of the diagonal; either way
+    A is taken off the diagonal here. Each report carries the top
+    |eigenvalues| of W - A Id, the ratio table, its window
     [0.8 u_max, u_max], the eps schedule actually used, [0, SPECTRAL_EPS],
     and the verdicts."""
     lo, hi = N - N // 2, N
@@ -188,7 +188,6 @@ def _reports(members, L: float, N: int, diag, W, A=None) -> list:
         method = "declared" if a is not None else "minimax"
         if a is None:
             a = _minimax_a(d, lo, hi, 2.0 * S.growth_constant)
-            d = d - a
         grid = _ratio_grid(S, u_max)
         report = ExperimentReport(
             source=S.label,
@@ -197,7 +196,7 @@ def _reports(members, L: float, N: int, diag, W, A=None) -> list:
             eps_schedule=[0.0, SPECTRAL_EPS],
             A_estimate=float(a),
             A_method=method,
-            diagonal=d,
+            diagonal=d - a,
             band=(lo, hi),
             spectral_tail=np.abs(spectrum(split_identity(WS, a))[:SPECTRAL_TOP]),
             eps_spectral=SPECTRAL_EPS,
@@ -240,13 +239,13 @@ def forward_experiment(
     I = IntervalSpec(L)
     _check_order(N)  # an order the routes refuse wins over an inconsistent A
     _check_resolvable(S, I.length, N)
-    if abs(g_end - A) >= 0.1:
+    if not abs(g_end - A) < 0.1:  # a NaN A fails it too, before operator work
         raise ContractError(
             f"declared A = {A:g} inconsistent with data: g({u_max:g}) = {g_end:.4f}"
         )
-    diag = diagonal_sequence(S, I, 0.0, A, N)
+    diag_W = diagonal_sequence(S, I, 0.0, 0.0, N)
     W = assemble_kernel_route(S, I, SPECTRAL_EPS, N)
-    return _reports([(S, u_max, DIAG_THRESHOLD, RATIO_THRESHOLD)], L, N, [diag], [W], [A])[0]
+    return _reports([(S, u_max, DIAG_THRESHOLD, RATIO_THRESHOLD)], L, N, [diag_W], [W], [A])[0]
 
 
 def converse_experiment(

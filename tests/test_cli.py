@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import tauberlab
-from tauberlab import arith, cli, operators, tauber
+from tauberlab import arith, cli, errors, operators, tauber
 from tauberlab import transform as tr
 from tauberlab.cli import RunConfig, load_config, main
 from tauberlab.errors import ConfigError
@@ -78,7 +78,6 @@ def test_config_file_sets_every_key(tmp_path):
     cfg = load_config(str(p))
     assert cfg.as_dict() == expect
     assert {k: type(v) for k, v in cfg.as_dict().items()} == {k: type(v) for k, v in expect.items()}
-    assert cfg.explicit == set(expect)
 
 
 @pytest.mark.parametrize(
@@ -110,6 +109,21 @@ def test_runconfig_validate_bounds():
         RunConfig(order=-1).validate()
     with pytest.raises(ConfigError):
         RunConfig(length=0.0).validate()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_a_length_that_is_no_finite_number_is_a_config_error(capsys, tmp_path, value):
+    """From a config file or from --length, a NaN or infinite length is
+    refused by the configuration (exit 1, code config), before any
+    operator work."""
+    conf = tmp_path / "len.conf"
+    conf.write_text(f"length = {value}\n")
+    cmd = ("operator", "diag", "--source", "linear", "--eps", "0", "--order", "2")
+    for argv in (("--config", str(conf), *cmd), (*cmd, "--length", value)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "", argv
+        doc = json.loads(err.strip())
+        assert doc["code"] == "config" and "length must be positive and finite" in doc["message"], argv
 
 
 # ---------------------------------------------------------------------------
@@ -293,23 +307,39 @@ def test_pnt_takes_length_and_order_from_the_config_file(capsys, tmp_path):
 
 
 def test_pnt_report_records_the_order_it_ran_at(capsys, tmp_path):
-    # with no order set, pnt runs at PNT_ORDER = 72; a 3e4 table resolves
-    # orders up to N_max = L ln(3e4)/(2 pi) = 82.5 at L = 16 pi
+    # the configuration chain: with no order set, pnt runs at its own
+    # PNT_ORDER = 72, over the tool's 64; a config file's order wins over
+    # that, and --order over the file. A 3e4 table resolves orders up to
+    # N_max = L ln(3e4)/(2 pi) = 82.5 at L = 16 pi
+    conf = tmp_path / "pnt.conf"
     report = tmp_path / "pnt.json"
-    code, _, _ = run_cli(
-        capsys,
-        "--cache-dir", str(tmp_path), "--prime-limit", "30000",
-        "experiment", "pnt", "--length", repr(16 * math.pi), "--umax", "10", "--report", str(report),
-    )
-    assert code == 0
-    doc = json.loads(report.read_text())
-    assert doc["report"]["order"] == 72
-    assert doc["config"]["order"] == doc["report"]["order"]
+    for text, flags, order in (("", (), 72), ("order = 50\n", (), 50), ("order = 50\n", ("--order", "40"), 40)):
+        conf.write_text(text)
+        code, _, err = run_cli(
+            capsys,
+            "--cache-dir", str(tmp_path), "--prime-limit", "30000", "--config", str(conf),
+            "experiment", "pnt", "--length", repr(16 * math.pi), "--umax", "10", *flags, "--report", str(report),
+        )
+        assert code == 0, err
+        doc = json.loads(report.read_text())
+        assert doc["report"]["order"] == order, (text, flags)
+        assert doc["config"]["order"] == doc["report"]["order"]
 
 
 # ---------------------------------------------------------------------------
 # exit-code taxonomy
 # ---------------------------------------------------------------------------
+
+
+def test_each_error_family_sets_its_exit_code_once():
+    """Contract-style errors exit 1 and resource-style ones 2; the
+    subclasses inherit the code from their family's base."""
+    classes = [getattr(errors, name) for name in errors.__all__]
+    assert {c.__name__: c.exit_code for c in classes} == {
+        "TauberlabError": 1, "DomainError": 1, "ContractError": 1, "ConfigError": 1,
+        "ResourceError": 2, "PrecisionError": 2, "TableExhaustedError": 2,
+    }
+    assert [c.__name__ for c in classes if "exit_code" in vars(c)] == ["TauberlabError", "ResourceError"]
 
 
 def test_no_arguments_is_a_usage_error(capsys):
@@ -479,7 +509,7 @@ def test_config_errors_exit_1(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# precedence: defaults < file < flags
+# precedence: defaults < the command's own defaults < file < flags
 # ---------------------------------------------------------------------------
 
 
@@ -526,12 +556,20 @@ def test_transform_eval_bad_file(capsys, tmp_path):
 
 
 def test_transform_eval_file_edge_cases(capsys, tmp_path):
-    """--source file without --file, a file whose blank and comment-only
-    lines are skipped, and a line whose jump is no number."""
+    """--source file without --file, a missing file and a directory (each
+    exits 1 with code contract, as a malformed file does), a file whose
+    blank and comment-only lines are skipped, and a line whose jump is no
+    number."""
     code, out, err = run_cli(capsys, "transform", "eval", "--source", "file", "--sigma", "2")
     assert code == 1 and out == ""
     doc = json.loads(err.strip())
     assert doc["code"] == "contract" and "needs --file" in doc["message"]
+
+    for f in (tmp_path / "no_such.csv", tmp_path):
+        code, out, err = run_cli(capsys, "transform", "eval", "--source", "file", "--file", str(f), "--sigma", "2")
+        assert code == 1 and out == "", f
+        doc = json.loads(err.strip())
+        assert doc["code"] == "contract" and doc["message"].startswith(f"cannot read step file {f}: "), f
 
     f = tmp_path / "steps.csv"
     f.write_text("# primes\n\n2,1\n   \n3,1  # the second\n# done\n")

@@ -1076,6 +1076,10 @@ def test_weak_limit_diagnostic_structure():
         weak_limit_diagnostic(tr.source_identity(), L2PI, 4, (0.1,))
     with pytest.raises(ContractError):
         weak_limit_diagnostic(tr.source_identity(), L2PI, 4, (0.1, 0.2))
+    # two eps give one delta and no ratio: no verdict, even for a source
+    # whose g has no limit
+    with pytest.raises(ContractError, match="at least three"):
+        weak_limit_diagnostic(tr.source_log_oscillation(0.5), IntervalSpec(8 * math.pi), 8, (0.2, 0.1))
 
 
 def test_weak_limit_diagnostic_reaches_small_eps():

@@ -101,15 +101,16 @@ def test_orders_past_the_frozen_tail_are_refused(small_table):
 
 
 def test_forward_refuses_an_inconsistent_A_before_operator_work(monkeypatch):
-    # the identity source has g = 1, so a declared A = 5 is refused before the
-    # eps = 0 diagonal or the kernel route runs
+    # the identity source has g = 1, so a declared A = 5, NaN or inf is
+    # refused before the eps = 0 diagonal or the kernel route runs
     def no_operator_work(*args):
         raise AssertionError("operator work ran before the A check")
 
     for name in ("diagonal_sequence", "assemble_kernel_route"):
         monkeypatch.setattr(tauber, name, no_operator_work)
-    with pytest.raises(ContractError, match="inconsistent with data"):
-        forward_experiment(tr.source_identity(), 5.0, N=8)
+    for A in (5.0, math.nan, math.inf):
+        with pytest.raises(ContractError, match="inconsistent with data"):
+            forward_experiment(tr.source_identity(), A, N=8)
 
 
 # ---------------------------------------------------------------------------
