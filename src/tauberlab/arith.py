@@ -164,7 +164,7 @@ class PrimeTable:
                 else f"no prime table can be built past the hard cap 2^32 = {_HARD_LIMIT}"
             )
             raise TableExhaustedError(
-                f"{query} query up to {needed} exceeds table limit {self.limit}; {remedy}",
+                f"{query} query up to {needed:.17g} exceeds table limit {self.limit}; {remedy}",
                 required=needed,
             )
         return np.floor(np.maximum(arr, 0.0)).astype(np.int64)

@@ -37,6 +37,8 @@ class RunConfig:
     format: str = "json"
 
     def validate(self) -> "RunConfig":
+        if self.cache_dir == "":
+            raise ConfigError("cache_dir must not be empty; leave it out to sieve in memory")
         if self.prime_limit < 2:
             raise ConfigError(f"prime_limit must be >= 2, got {self.prime_limit}")
         if not (0 < self.length < math.inf):
@@ -122,7 +124,7 @@ _SOURCES = {
 }
 _SOURCE_HELP = "one of: " + ", ".join(_SOURCES)
 
-# `operator assemble|spectrum --route` name -> assembly function of tauberlab.operators
+# `operator assemble|spectrum --route` name -> batched assembly function of tauberlab.operators
 _ROUTES = {
     "kernel": "assemble_kernel_route",
     "frequency": "assemble_frequency_route",
@@ -237,12 +239,21 @@ def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
+def _save(save, path, *args, **kw) -> None:
+    """save(path, *args, **kw); an OSError from writing the file is a
+    ContractError that names it, as an unreadable input file is (_lines)."""
+    try:
+        save(path, *args, **kw)
+    except OSError as exc:
+        raise ContractError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _emit_sequence(values, cfg: RunConfig, out: Optional[str], header: str) -> None:
     if out or cfg.format == "csv":
         lines = [header] + [f"{i},{v:.17g}" for i, v in enumerate(values)]
         text = "\n".join(lines) + "\n"
         if out:
-            arith._atomic_write(Path(out), text)
+            _save(arith._atomic_write, Path(out), text)
         else:
             sys.stdout.write(text)
     else:
@@ -291,13 +302,14 @@ def _cmd_operator(args, cfg: RunConfig) -> int:
     N = cfg.order
     cmd = args.operator_command
     if cmd == "diag":
-        vals = operators.diagonal_sequence(S, I, args.eps, args.A, N)
+        operators._check_A(args.A)
+        vals = operators.diagonal_sequence([S], I, args.eps, N)[0] - args.A
         _emit_sequence(vals, cfg, args.out, f"# tauberlab-diag v1, L={cfg.length!r}, eps={args.eps!r}, N={N}, source={S.label}, A={args.A!r}")
         return 0
-    W = getattr(operators, _ROUTES[args.route])(S, I, args.eps, N)
+    W = getattr(operators, _ROUTES[args.route])([S], I, args.eps, N)[0]
     if cmd == "assemble":
         if args.out:
-            W.to_csv(args.out)
+            _save(W.to_csv, args.out)
         else:
             sys.stdout.write(W.csv_text())
         return 0
@@ -315,7 +327,7 @@ def _cmd_experiment(args, cfg: RunConfig) -> int:
     if cmd == "battery":
         bat = tauber.run_battery(L=cfg.length, N=cfg.order)
         if args.report:
-            bat.save_json(args.report, extra=_report_extra(cfg))
+            _save(bat.save_json, args.report, extra=_report_extra(cfg))
         _emit({"all_equivalent": bat.all_equivalent, "equivalence": bat.equivalence})
         return 0
     kw = {} if args.umax is None else {"u_max": args.umax}
@@ -327,9 +339,9 @@ def _cmd_experiment(args, cfg: RunConfig) -> int:
     else:
         rep = tauber.converse_experiment(_source(args.source, cfg), L=cfg.length, N=cfg.order, **kw)
     if args.report:
-        rep.save_json(args.report, extra=_report_extra(cfg))
+        _save(rep.save_json, args.report, extra=_report_extra(cfg))
         stem = args.report[:-5] if args.report.endswith(".json") else args.report
-        rep.save_ratio_csv(stem + ".ratio.csv")
+        _save(rep.save_ratio_csv, stem + ".ratio.csv")
     _emit(
         {
             "source": rep.source,

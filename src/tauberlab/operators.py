@@ -7,7 +7,10 @@ I = [-L/2, L/2], by
 
 and this module builds its matrix truncation in the orthonormal exponential
 basis e_n(t) = L^{-1/2} exp(2 pi i n t / L), n = -N..N, by two independent
-routes.
+routes. Each route entry takes a sequence of sources and serves them all
+from one grid: assemble_kernel_route and assemble_frequency_route return
+one truncation per source, and diagonal_sequence, the frequency route's
+diagonal of W alone, one row per source.
 
 Kernel route: the kernel K is even, so the double integral over I^2
 collapses to one-dimensional moments on [0, L]. With alpha = 2 pi / L,
@@ -215,10 +218,8 @@ __all__ = [
     "WeakLimitReport",
     "kernel",
     "assemble_kernel_route",
-    "assemble_kernel_routes",
     "assemble_frequency_route",
     "diagonal_sequence",
-    "diagonal_sequences",
     "split_identity",
     "spectrum",
     "weak_limit_diagnostic",
@@ -359,7 +360,9 @@ def kernel(S: GrowthFunction, eps: float, x):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def assemble_kernel_routes(
+# The three route entries take a batch yet keep their singular names:
+# perfbench/workloads.py wraps them by name (ROADMAP item 13 may rename them).
+def assemble_kernel_route(
     sources: Sequence[GrowthFunction],
     I: IntervalSpec,
     eps: float,
@@ -413,17 +416,6 @@ def assemble_kernel_routes(
             )
         )
     return out
-
-
-def assemble_kernel_route(
-    S: GrowthFunction,
-    I: IntervalSpec,
-    eps: float,
-    N: int,
-) -> OperatorTruncation:
-    """Matrix truncation from the 1-D kernel moments s_n, c_n:
-    assemble_kernel_routes on the one source S."""
-    return assemble_kernel_routes([S], I, eps, N)[0]
 
 
 def _unit_phases(theta: np.ndarray) -> np.ndarray:
@@ -802,62 +794,48 @@ def _windowed_integrals(sources: Sequence[GrowthFunction], L: float, eps: float,
 
 
 def assemble_frequency_route(
-    S: GrowthFunction,
-    I: IntervalSpec,
-    eps: float,
-    N: int,
-) -> OperatorTruncation:
-    """Matrix truncation from the frequency-side integrals F(k), D(n).
-
-    eps = 0 is allowed here (bounded g keeps every entry absolutely
-    convergent through the Fejer window). _windowed_integrals lays the grid
-    to X and adds the source's exact tail past it, at every eps."""
-    F, D = _windowed_integrals([S], I.length, eps, N, want_F=True)
-    return OperatorTruncation(
-        interval=I,
-        epsilon=eps,
-        odd=-F[:, 0] / math.pi,
-        diag=D[:, 0] / math.pi,
-        source=S.label,
-        route="frequency_formula",
-    )
-
-
-def diagonal_sequences(
     sources: Sequence[GrowthFunction],
     I: IntervalSpec,
     eps: float,
-    A: Sequence[float],
-    n_max: int,
-) -> np.ndarray:
-    """<Psi e_n, e_n> for n = 0..n_max, Psi = W - A Id, by the 1-D integral,
-    for m sources on one shared grid: row j of the (m, n_max + 1) result
-    is the diagonal of sources[j] at A[j].
+    N: int,
+) -> list:
+    """Matrix truncations from the frequency-side integrals F(k), D(n), one
+    per source, on one shared grid.
 
-    The diagonal of W is D/pi at every eps, and A Id takes A off it.
-    Diagonals are even in n. The grid, its end X and its
-    checks are those of assemble_frequency_route at order n_max
-    (_windowed_integrals); a non-finite A and an A per source missing are
-    ContractErrors too. No sources give a (0, n_max + 1) array."""
-    A = np.asarray(A, dtype=float)
-    if A.shape != (len(sources),):
-        raise ContractError("diagonal_sequences needs one A per source")
-    for a in A:
-        _check_A(a)
-    _, D = _windowed_integrals(sources, I.length, eps, n_max, want_F=False)
-    return (D / math.pi).T - A[:, None]
+    eps = 0 is allowed here (bounded g keeps every entry absolutely
+    convergent through the Fejer window). _windowed_integrals lays the grid
+    to X and adds each source's exact tail past it, at every eps, and
+    makes every check."""
+    F, D = _windowed_integrals(sources, I.length, eps, N, want_F=True)
+    return [
+        OperatorTruncation(
+            interval=I,
+            epsilon=eps,
+            odd=-F[:, j] / math.pi,
+            diag=D[:, j] / math.pi,
+            source=S.label,
+            route="frequency_formula",
+        )
+        for j, S in enumerate(sources)
+    ]
 
 
 def diagonal_sequence(
-    S: GrowthFunction,
+    sources: Sequence[GrowthFunction],
     I: IntervalSpec,
     eps: float,
-    A: float,
     n_max: int,
 ) -> np.ndarray:
-    """<Psi e_n, e_n> for n = 0..n_max: diagonal_sequences on the one
-    source S, whose checks and errors it shares."""
-    return diagonal_sequences([S], I, eps, [A], n_max)[0]
+    """<W e_n, e_n> for n = 0..n_max by the 1-D integral D/pi, for m sources
+    on one shared grid: row j of the (m, n_max + 1) result is the diagonal
+    of sources[j].
+
+    Diagonals are even in n; a caller takes A Id off by subtracting A. The
+    grid, its end X and its checks are those of assemble_frequency_route at
+    order n_max (_windowed_integrals). No sources give a (0, n_max + 1)
+    array."""
+    _, D = _windowed_integrals(sources, I.length, eps, n_max, want_F=False)
+    return (D / math.pi).T
 
 
 # ---------------------------------------------------------------------------
@@ -944,7 +922,7 @@ def weak_limit_diagnostic(
         raise ContractError("eps schedule needs at least three values")
     if any(e <= 0 for e in sched) or any(b >= a for a, b in zip(sched, sched[1:])):
         raise ContractError("eps schedule must be strictly decreasing and positive")
-    Ws = [assemble_frequency_route(S, I, e, N) for e in sched]
+    Ws = [assemble_frequency_route([S], I, e, N)[0] for e in sched]
     mats = [W.entries for W in Ws]  # each built once, though it enters two deltas
     deltas = np.array([float(np.max(np.abs(b - a))) for a, b in zip(mats, mats[1:])])
     with np.errstate(divide="ignore", invalid="ignore"):

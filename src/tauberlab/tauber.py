@@ -21,10 +21,13 @@ diagonal band, as the a in [0, 2C] that minimizes the worst
 the band values b, V-shaped in a, so its minimizer is the band midrange
 (max b + min b)/2 clipped into [0, 2C].
 
-Every driver reads S.g(u_max) before any operator work. That is the one
+Every experiment runs through the one driver, _reports, which reads
+S.g(u_max) for every member before any operator work. That is the one
 range guard: a table-backed source refuses a u_max past its table with
 TableExhaustedError, and any source refuses a NaN or negative u_max with
-DomainError. Every driver ends in the one report builder, _reports.
+DomainError. It then takes every member's diagonal in one
+diagonal_sequence call and its truncation in one assemble_kernel_route
+call, and builds the reports.
 """
 
 from __future__ import annotations
@@ -45,9 +48,7 @@ from .operators import (
     _check_resolvable,
     assemble_frequency_route,  # not called here; perfbench/workloads.py wraps this name
     assemble_kernel_route,
-    assemble_kernel_routes,
     diagonal_sequence,
-    diagonal_sequences,
     spectrum,
     split_identity,
 )
@@ -172,15 +173,25 @@ def _minimax_a(diag_W: np.ndarray, lo: int, hi: int, hi_a: float) -> float:
     return min(max(0.5 * (float(band.max()) + float(band.min())), 0.0), hi_a)
 
 
-def _reports(members, L: float, N: int, diag, W, A=None) -> list:
-    """The reports of members (S, u_max, diag_threshold, ratio_threshold),
-    given each one's eps = 0 diagonal of W and its kernel-route W at
-    SPECTRAL_EPS. A is the declared limits (forward), or None (converse),
-    where each A* is the clipped band midrange of the diagonal; either way
-    A is taken off the diagonal here. Each report carries the top
-    |eigenvalues| of W - A Id, the ratio table, its window
-    [0.8 u_max, u_max], the eps schedule actually used, [0, SPECTRAL_EPS],
-    and the verdicts."""
+def _reports(members, L: float, N: int, A=None) -> list:
+    """The one experiment driver: the reports of members (S, u_max,
+    diag_threshold, ratio_threshold), in order.
+
+    It runs every member's range guard S.g(u_max), builds the interval,
+    then takes the eps = 0 diagonals of W in one diagonal_sequence call and
+    the kernel-route truncations at SPECTRAL_EPS in one
+    assemble_kernel_route call, so the members share each grid. A is the
+    declared limits (forward), or None (converse), where each A* is the
+    clipped band midrange of the diagonal; either way A is taken off the
+    diagonal here. Each report carries the top |eigenvalues| of W - A Id,
+    the ratio table, its window [0.8 u_max, u_max], the eps schedule
+    actually used, [0, SPECTRAL_EPS], and the verdicts."""
+    for S, u_max, *_ in members:
+        S.g(u_max)
+    sources = [S for S, *_ in members]
+    I = IntervalSpec(L)
+    diag = diagonal_sequence(sources, I, 0.0, N)
+    W = assemble_kernel_route(sources, I, SPECTRAL_EPS, N)
     lo, hi = N - N // 2, N
     declared = [None] * len(members) if A is None else A
     reports = []
@@ -243,9 +254,7 @@ def forward_experiment(
         raise ContractError(
             f"declared A = {A:g} inconsistent with data: g({u_max:g}) = {g_end:.4f}"
         )
-    diag_W = diagonal_sequence(S, I, 0.0, 0.0, N)
-    W = assemble_kernel_route(S, I, SPECTRAL_EPS, N)
-    return _reports([(S, u_max, DIAG_THRESHOLD, RATIO_THRESHOLD)], L, N, [diag_W], [W], [A])[0]
+    return _reports([(S, u_max, DIAG_THRESHOLD, RATIO_THRESHOLD)], L, N, [A])[0]
 
 
 def converse_experiment(
@@ -265,11 +274,7 @@ def converse_experiment(
     RATIO_THRESHOLD. The spectral tail is taken at SPECTRAL_EPS on the
     kernel route, and the report's eps schedule records the two eps in
     use, [0, SPECTRAL_EPS]."""
-    S.g(u_max)
-    I = IntervalSpec(L)
-    diag_W = diagonal_sequence(S, I, 0.0, 0.0, N)
-    W = assemble_kernel_route(S, I, SPECTRAL_EPS, N)
-    return _reports([(S, u_max, DIAG_THRESHOLD, RATIO_THRESHOLD)], L, N, [diag_W], [W])[0]
+    return _reports([(S, u_max, DIAG_THRESHOLD, RATIO_THRESHOLD)], L, N)[0]
 
 
 @dataclass(frozen=True)
@@ -374,21 +379,13 @@ def run_battery(L: float = DEFAULT_LENGTH, N: int = DEFAULT_ORDER) -> BatteryRep
     """Converse experiment across the battery; both verdicts must agree
     (both true for genuine limits, both false for the oscillator).
 
-    The members run as one batch: the closed-form sources share the
-    frequency-route grid at eps = 0 (one diagonal_sequences call) and the
-    kernel-route grid and phases at SPECTRAL_EPS (one assemble_kernel_routes
-    call). Each report is converse_experiment's on its member, at the
-    member's own thresholds, up to the rounding of the batched sums: the
-    A_method is the same, and the diagonal and spectral tail agree to
-    about 1e-15."""
-    members = battery_members()
-    for S, u_max, *_ in members:
-        S.g(u_max)
-    sources = [S for S, *_ in members]
-    I = IntervalSpec(L)
-    diag_W = diagonal_sequences(sources, I, 0.0, np.zeros(len(sources)), N)
-    W = assemble_kernel_routes(sources, I, SPECTRAL_EPS, N)
-    reports = _reports(members, L, N, diag_W, W)
+    The members run as one batch through _reports: the closed-form sources
+    share the frequency-route grid at eps = 0 and the kernel-route grid and
+    phases at SPECTRAL_EPS. Each report is converse_experiment's on its
+    member, at the member's own thresholds, up to the rounding of the
+    batched sums: the A_method is the same, and the diagonal and spectral
+    tail agree to about 1e-15."""
+    reports = _reports(battery_members(), L, N)
     equivalence = {rep.source: rep.diag_decay == rep.ratio_limit for rep in reports}
     return BatteryReport(
         reports={rep.source: rep for rep in reports},

@@ -58,8 +58,8 @@ def _build_c3(outdir):
     outdir.mkdir(parents=True, exist_ok=True)
     S = tr.source_integers()
     I = IntervalSpec(2 * math.pi)
-    Wk = assemble_kernel_route(S, I, 0.1, 8)
-    Wf = assemble_frequency_route(S, I, 0.1, 8)
+    Wk = assemble_kernel_route([S], I, 0.1, 8)[0]
+    Wf = assemble_frequency_route([S], I, 0.1, 8)[0]
     paths = [outdir / "route_kernel.csv", outdir / "route_frequency.csv"]
     Wk.to_csv(paths[0])
     Wf.to_csv(paths[1])
@@ -68,7 +68,7 @@ def _build_c3(outdir):
 
 def _build_c4(outdir):
     outdir.mkdir(parents=True, exist_ok=True)
-    diag = diagonal_sequence(tr.source_identity(), IntervalSpec(2 * math.pi), 0.0, 0.0, 64)
+    diag = diagonal_sequence([tr.source_identity()], IntervalSpec(2 * math.pi), 0.0, 64)[0]
     p = outdir / "plancherel_diag.csv"
     _write_series(p, "# tauberlab-diag v1, source=identity, eps=0, N=64", diag)
     return [p], diag
@@ -232,7 +232,7 @@ def test_c08_positivity_symmetry_suite(small_table):
     with _clock() as c:
         I = IntervalSpec(L8PI)
         for S, _, _, _ in battery_members():
-            W = assemble_frequency_route(S, I, 0.05, 64)
+            W = assemble_frequency_route([S], I, 0.05, 64)[0]
             assert np.array_equal(W.entries, W.entries.T), S.label
             eig_min = float(np.linalg.eigvalsh(W.entries).min())
             assert eig_min >= -1e-8, f"{S.label}: min eigenvalue {eig_min:.3g}"

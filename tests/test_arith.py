@@ -251,14 +251,15 @@ def test_primes_in_refuses_what_count_refuses(small_table):
 def test_a_query_past_the_hard_cap_names_the_cap(small_table):
     """No table is built past arith._HARD_LIMIT = 2^32 (ResourceError), so
     a query past it is not told to rebuild: the message names the cap, with
-    the same class and required; up to the cap it keeps its wording."""
+    the same class and required, and the query shows at most 17
+    significant digits; up to the cap it keeps its wording."""
     cap = arith._HARD_LIMIT
-    for x, needed in ((cap + 1, cap + 1), (1e300, math.floor(1e300))):
+    for x, needed, shown in ((cap + 1, cap + 1, "4294967297"), (1e300, math.floor(1e300), "1.0000000000000001e+300")):
         with pytest.raises(TableExhaustedError) as ei:
             small_table.count(x)
         assert ei.value.required == needed
         assert str(ei.value) == (
-            f"count query up to {needed} exceeds table limit {small_table.limit}; "
+            f"count query up to {shown} exceeds table limit {small_table.limit}; "
             f"no prime table can be built past the hard cap 2^32 = {cap}"
         )
     with pytest.raises(TableExhaustedError, match=f"; rebuild with limit >= {cap}$") as ei:

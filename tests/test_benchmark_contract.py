@@ -4,7 +4,8 @@ that removes one of them breaks the traced run; and every op the run
 times is checked by its workload's own `check`, so an output that fails
 it is a failed op there. One unit of `battery`, and of `pnt` on the
 session's 10^8 table, runs through those checks here. A traced `pnt` op
-must also reach every layer its per-layer metrics name."""
+must also reach every layer its per-layer metrics name, and a traced
+`battery` op both operator routes it times."""
 
 from pathlib import Path
 
@@ -62,4 +63,18 @@ def test_a_traced_pnt_op_reaches_every_layer(big_table, perfbench, monkeypatch):
     for layer in ("tauber.converse_experiment", "operators.diagonal_sequence",
                   "operators.assemble_kernel_route", "special.prime_zeta_pair",
                   "arith.count", "arith.primes_in"):
+        assert layer in names, layer
+
+
+def test_a_traced_battery_op_reaches_the_route_spans(perfbench, monkeypatch):
+    """run_battery reaches the routes through _reports, which looks up
+    diagonal_sequence and assemble_kernel_route in tauber's globals, where
+    the wrappers sit."""
+    spans, workloads = perfbench
+    tracer = spans.Tracer()
+    for obj, attr, wrapper in workloads.instrumentation(tracer):
+        monkeypatch.setattr(obj, attr, wrapper)
+    tauber.run_battery()
+    names = {name for name, *_ in tracer.spans}
+    for layer in ("operators.diagonal_sequence", "operators.assemble_kernel_route"):
         assert layer in names, layer

@@ -188,6 +188,21 @@ def test_cache_dir_is_written_then_loaded(capsys, tmp_path, monkeypatch):
     assert run_cli(capsys, *argv) == (0, "25\n", "")
 
 
+def test_an_empty_cache_dir_is_a_config_error(capsys, tmp_path, monkeypatch):
+    """An empty cache_dir, from a config line or from the flag, is refused
+    (exit 1) before any table is built: taken as a path, it would put the
+    table file in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / "c.conf"
+    conf.write_text("cache_dir =\n")
+    for argv in (["--config", str(conf)], ["--cache-dir", ""]):
+        code, out, err = run_cli(capsys, *argv, "--prime-limit", "1000", "primes", "--count", "100")
+        assert code == 1 and out == "", argv
+        doc = json.loads(err.strip())
+        assert doc == {"code": "config", "message": "cache_dir must not be empty; leave it out to sieve in memory"}, argv
+    assert [p.name for p in tmp_path.iterdir()] == ["c.conf"]
+
+
 def test_primes_count_past_the_hard_cap(capsys, tmp_path):
     """A count past 2^32, where no table can be built, names the cap in
     place of a limit to rebuild with; below it the message is unchanged."""
@@ -195,7 +210,7 @@ def test_primes_count_past_the_hard_cap(capsys, tmp_path):
     assert code == 2 and out == ""
     doc = json.loads(err.strip())
     assert doc["code"] == "table-exhausted"
-    assert doc["message"].startswith(f"count query up to {math.floor(1e300)} exceeds table limit 1000; ")
+    assert doc["message"].startswith("count query up to 1.0000000000000001e+300 exceeds table limit 1000; ")
     assert doc["message"].endswith("; no prime table can be built past the hard cap 2^32 = 4294967296")
     code, _, err = run_cli(capsys, "--cache-dir", str(tmp_path), "--prime-limit", "1000", "primes", "--count", "2000")
     assert code == 2
@@ -414,7 +429,7 @@ def test_operator_refuses_a_non_finite_eps(capsys):
 
 
 def test_operator_diag_refuses_a_non_finite_A(capsys, monkeypatch):
-    # split_identity's check, run before any grid is built
+    # the command's own check of --A, run before any grid is built
     def no_grid(*args):
         raise AssertionError("grid built")
 
@@ -426,6 +441,37 @@ def test_operator_diag_refuses_a_non_finite_A(capsys, monkeypatch):
         assert code == 1 and out == "", A
         doc = json.loads(err.strip())
         assert doc["code"] == "contract" and doc["message"] == "A must be finite", A
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "converse", "--source", "linear", "--order", "4", "--report"],
+        ["experiment", "battery", "--order", "4", "--report"],
+        ["operator", "diag", "--source", "linear", "--eps", "0", "--order", "4", "--out"],
+        ["operator", "assemble", "--source", "linear", "--eps", "0.05", "--order", "4", "--out"],
+        ["operator", "spectrum", "--source", "linear", "--eps", "0.05", "--order", "4", "--out"],
+    ],
+    ids=["converse", "battery", "diag", "assemble", "spectrum"],
+)
+def test_an_unwritable_output_is_a_contract_error(capsys, tmp_path, argv):
+    """A directory given as --report or --out cannot be written: a contract
+    error (exit 1) that names the path, as an unreadable input is."""
+    code, out, err = run_cli(capsys, *argv, str(tmp_path))
+    assert code == 1 and out == "", argv
+    doc = json.loads(err.strip())
+    assert doc["code"] == "contract" and doc["message"].startswith(f"cannot write {tmp_path}: "), doc
+
+
+def test_an_unwritable_ratio_table_is_a_contract_error(capsys, tmp_path):
+    """The report's .ratio.csv companion is written like the report itself."""
+    (tmp_path / "r.ratio.csv").mkdir()
+    code, out, err = run_cli(
+        capsys, "experiment", "converse", "--source", "linear", "--order", "4", "--report", str(tmp_path / "r.json"),
+    )
+    assert code == 1 and out == ""
+    doc = json.loads(err.strip())
+    assert doc["code"] == "contract" and doc["message"].startswith(f"cannot write {tmp_path / 'r.ratio.csv'}: "), doc
 
 
 def test_unknown_choice_exits_64():
@@ -636,12 +682,12 @@ def test_operator_cli_prints_what_the_library_computes(capsys):
     code, out, _ = run_cli(capsys, "operator", "assemble", "--source", "integers",
                            "--length", repr(2 * math.pi), "--eps", "0.1", "--order", "8")
     assert code == 0
-    W = operators.assemble_frequency_route(tr.source_integers(), operators.IntervalSpec(2 * math.pi), 0.1, 8)
+    W = operators.assemble_frequency_route([tr.source_integers()], operators.IntervalSpec(2 * math.pi), 0.1, 8)[0]
     assert out == W.csv_text()
     code, out, _ = run_cli(capsys, "operator", "diag", "--source", "sqrt_mix",
                            "--eps", "0.05", "--order", "16", "--A", "1")
     assert code == 0
-    diag = operators.diagonal_sequence(tr.source_sqrt_mix(1.0, 1.0), operators.IntervalSpec(8 * math.pi), 0.05, 1.0, 16)
+    diag = operators.diagonal_sequence([tr.source_sqrt_mix(1.0, 1.0)], operators.IntervalSpec(8 * math.pi), 0.05, 16)[0] - 1.0
     assert json.loads(out) == diag.tolist()
 
 
@@ -650,7 +696,7 @@ def test_operator_kernel_route_through_the_cli(capsys):
             "--route", "kernel"]
     code, out, _ = run_cli(capsys, "operator", "assemble", *args)
     assert code == 0
-    W = operators.assemble_kernel_route(tr.source_integers(), operators.IntervalSpec(2 * math.pi), 0.1, 4)
+    W = operators.assemble_kernel_route([tr.source_integers()], operators.IntervalSpec(2 * math.pi), 0.1, 4)[0]
     assert out == W.csv_text()
     code, out, _ = run_cli(capsys, "--format", "csv", "operator", "spectrum", *args)
     assert code == 0

@@ -18,7 +18,6 @@ from tauberlab.operators import (
     assemble_frequency_route,
     assemble_kernel_route,
     diagonal_sequence,
-    diagonal_sequences,
     kernel,
     spectrum,
     split_identity,
@@ -56,7 +55,7 @@ def test_kernel_needs_positive_eps(monkeypatch):
 
     monkeypatch.setattr(operators, "OuterGrid", no_panels)
     with pytest.raises(DomainError, match="kernel route"):
-        assemble_kernel_route(tr.source_identity(), L2PI, 5e-4, 4)
+        assemble_kernel_route([tr.source_identity()], L2PI, 5e-4, 4)
 
 
 def test_kernel_needs_a_closed_form_transform():
@@ -79,7 +78,7 @@ def _m00_oracle(S, L, eps):
 def test_single_entry_against_direct_quadrature():
     for S in (tr.source_identity(), tr.source_integers()):
         for route in (assemble_kernel_route, assemble_frequency_route):
-            W = route(S, L2PI, 0.1, 0)
+            W = route([S], L2PI, 0.1, 0)[0]
             assert W.entries.shape == (1, 1)
             assert W.entries[0, 0] == pytest.approx(_m00_oracle(S, L2PI.length, 0.1), abs=5e-8)
 
@@ -89,7 +88,7 @@ def test_identity_center_entry_closed_form():
     L, eps = L2PI.length, 0.1
     expect = (2.0 / (math.pi * L)) * (L * math.atan(L / eps) - (eps / 2.0) * math.log(1.0 + (L / eps) ** 2))
     for route in (assemble_kernel_route, assemble_frequency_route):
-        W = route(tr.source_identity(), L2PI, eps, 0)
+        W = route([tr.source_identity()], L2PI, eps, 0)[0]
         assert W.entries[0, 0] == pytest.approx(expect, abs=1e-10)
 
 
@@ -108,8 +107,8 @@ def test_identity_center_entry_closed_form():
 )
 def test_route_equivalence(factory, eps, N):
     S = factory()
-    Wk = assemble_kernel_route(S, L2PI, eps, N)
-    Wf = assemble_frequency_route(S, L2PI, eps, N)
+    Wk = assemble_kernel_route([S], L2PI, eps, N)[0]
+    Wf = assemble_frequency_route([S], L2PI, eps, N)[0]
     assert np.max(np.abs(Wk.entries - Wf.entries)) < 1e-5
     assert Wk.route == "kernel_quadrature" and Wf.route == "frequency_formula"
 
@@ -137,8 +136,8 @@ def test_integer_count_routes_agree_to_1e9(name, L, eps, N):
     on the grid to X and by its exact tail past it, and meets its kernel
     route within 1e-13 (measured: 2.2e-14 at most, at eps = 0.001)."""
     S, I = _CLOSED_FORM_SOURCES[name](), IntervalSpec(L)
-    Wk = assemble_kernel_route(S, I, eps, N)
-    Wf = assemble_frequency_route(S, I, eps, N)
+    Wk = assemble_kernel_route([S], I, eps, N)[0]
+    Wf = assemble_frequency_route([S], I, eps, N)[0]
     assert np.max(np.abs(Wk.entries - Wf.entries)) <= (1e-9 if name == "integers" else 1e-13)
 
 
@@ -177,7 +176,7 @@ def test_kernel_route_matches_tensor_oracle(case, small_table):
         "integers": (tr.source_integers(), 0.1, 8),
         "weighted_primes": (tr.source_primes_weighted(small_table), 0.1, 8),
     }[case]
-    W = assemble_kernel_route(S, L2PI, eps, N)
+    W = assemble_kernel_route([S], L2PI, eps, N)[0]
     assert np.max(np.abs(W.entries - _tensor_oracle(S, L2PI.length, eps, N))) <= 1e-12
 
 
@@ -215,7 +214,7 @@ def test_kernel_route_panels_match_a_fine_panel_reference(name, L, N, eps, small
         S = tr.source_primes_weighted(small_table)
     else:
         S = {"integers": tr.source_integers(), **_BATTERY}[name]
-    W = assemble_kernel_route(S, IntervalSpec(L), eps, N)
+    W = assemble_kernel_route([S], IntervalSpec(L), eps, N)[0]
     assert np.max(np.abs(W.entries - _fine_panel_reference(S, L, eps, N))) <= 1e-13
 
 
@@ -229,7 +228,7 @@ def test_kernel_route_evaluates_the_kernel_once_per_node(monkeypatch):
     monkeypatch.setattr(operators, "kernel", counting_kernel)
     for L, eps, N in ((L2PI.length, 0.05, 4), (8 * math.pi, 0.05, 72), (L2PI.length, 0.1, 0)):
         calls.clear()
-        assemble_kernel_route(tr.source_identity(), IntervalSpec(L), eps, N)
+        assemble_kernel_route([tr.source_identity()], IntervalSpec(L), eps, N)
         assert calls == [16 * _panels(L, eps, N)]
 
 
@@ -241,7 +240,7 @@ def test_kernel_route_rejects_a_non_finite_kernel():
         laplace=lambda s: np.full(np.shape(s), np.nan, dtype=complex),
     )
     with pytest.raises(PrecisionError, match="x = "):
-        assemble_kernel_route(S, L2PI, 0.1, 2)
+        assemble_kernel_route([S], L2PI, 0.1, 2)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -258,9 +257,9 @@ def test_frequency_route_rejects_a_non_finite_g(bad):
     match = r"'bad_past_20' is not finite at u = 20\.\d"
     for eps in (0.0, 0.01):
         with pytest.raises(PrecisionError, match=match):
-            assemble_frequency_route(S, I, eps, 8)
+            assemble_frequency_route([S], I, eps, 8)
         with pytest.raises(PrecisionError, match=match):
-            diagonal_sequence(S, I, eps, 1.0, 8)
+            diagonal_sequence([S], I, eps, 8)
 
 
 def test_frequency_route_refuses_a_source_without_a_tail():
@@ -270,13 +269,13 @@ def test_frequency_route_refuses_a_source_without_a_tail():
     I = IntervalSpec(8 * math.pi)
     for eps in (0.0, 0.05):
         with pytest.raises(ContractError, match="'no_tail' states no tail"):
-            assemble_frequency_route(bare, I, eps, 4)
+            assemble_frequency_route([bare], I, eps, 4)
         with pytest.raises(ContractError, match="'no_tail' states no tail"):
-            diagonal_sequences([tr.source_identity(), bare], I, eps, [1.0, 1.0], 4)
+            diagonal_sequence([tr.source_identity(), bare], I, eps, 4)
     for tail in ((0.0, ((1.0, -0.5),)), (0.0, ((1.0, 0.0, 0.0),)), (-1.0, ((1.0, 0.0),))):
         bad = dataclasses.replace(tr.source_identity(), label="bad_tail", tail=tail)
         with pytest.raises(ContractError, match="'bad_tail' needs"):
-            assemble_frequency_route(bad, I, 0.0, 4)
+            assemble_frequency_route([bad], I, 0.0, 4)
 
 
 def test_a_batch_resolves_no_table_source_past_its_table(small_table, big_table, tmp_path):
@@ -290,18 +289,18 @@ def test_a_batch_resolves_no_table_source_past_its_table(small_table, big_table,
     source alone does: to 1e-14, or to 1e-9 for the 3e5 table, whose
     primes past 2e5 the nodes sample (module docstring) on a grid whose end
     moves with the batch (measured 1.8e-10)."""
-    I, eps, A = IntervalSpec(8.0 * math.pi), 0.05, [0.0, 0.0]
+    I, eps = IntervalSpec(8.0 * math.pi), 0.05
     small = tr.source_primes_weighted(small_table)
     mid = tr.source_primes_weighted(build_prime_table(300_000, cache_dir=tmp_path))
     big = tr.source_primes_weighted(big_table)
     for other in (tr.source_integers(), mid):
         with pytest.raises(TableExhaustedError, match="primes_in query up to 200000 exceeds table limit 100000") as ei:
-            diagonal_sequences([small, other], I, eps, A, 8)
+            diagonal_sequence([small, other], I, eps, 8)
         assert ei.value.code == "table-exhausted" and ei.value.required == 200_000
     for batch in ([small, tr.source_identity()], [mid, tr.source_integers()], [big, mid]):
-        both = diagonal_sequences(batch, I, eps, A, 8)
+        both = diagonal_sequence(batch, I, eps, 8)
         for row, S in zip(both, batch):
-            alone = diagonal_sequence(S, I, eps, 0.0, 8)
+            alone = diagonal_sequence([S], I, eps, 8)[0]
             tol = 1e-9 if S is mid else 1e-14
             assert np.max(np.abs(row - alone)) <= tol * np.max(np.abs(alone)), S.label
 
@@ -315,10 +314,10 @@ def test_frequency_route_refuses_an_eps_past_its_damping_limit(L):
     eps = math.nextafter(limit, math.inf)
     I = IntervalSpec(L)
     with pytest.raises(DomainError, match=f"up to eps = {limit:g}") as ei:
-        assemble_frequency_route(tr.source_identity(), I, eps, 4)
+        assemble_frequency_route([tr.source_identity()], I, eps, 4)
     assert ei.value.code == "domain"
     with pytest.raises(DomainError, match=f"up to eps = {limit:g}"):
-        diagonal_sequence(tr.source_identity(), I, eps, 1.0, 4)
+        diagonal_sequence([tr.source_identity()], I, eps, 4)
 
 
 @pytest.mark.parametrize("L", [2.0 * math.pi, 8.0 * math.pi, 40.0 * math.pi])
@@ -328,17 +327,9 @@ def test_the_routes_agree_at_the_eps_limit(L):
     relative (measured: 3.6e-15); at twice it they differed by 1e-11."""
     eps, I = 64.0 / min(0.1, math.pi / L), IntervalSpec(L)
     for S in (tr.source_identity(), tr.source_slow_approach(), tr.source_integers()):
-        Wk = assemble_kernel_route(S, I, eps, 8).entries
-        Wf = assemble_frequency_route(S, I, eps, 8).entries
+        Wk = assemble_kernel_route([S], I, eps, 8)[0].entries
+        Wf = assemble_frequency_route([S], I, eps, 8)[0].entries
         assert np.max(np.abs(Wf - Wk)) <= 1e-13 * np.max(np.abs(Wk)), S.label
-
-
-def test_diagonal_sequences_need_one_A_per_source():
-    I = IntervalSpec(8 * math.pi)
-    for A in ([1.0], [1.0, 1.0, 1.0], [[1.0, 1.0]]):
-        with pytest.raises(ContractError, match="one A per source") as ei:
-            diagonal_sequences([tr.source_identity(), tr.source_slow_approach()], I, 0.0, A, 4)
-        assert ei.value.code == "contract"
 
 
 def test_frequency_route_refuses_a_tail_that_is_not_g():
@@ -350,9 +341,9 @@ def test_frequency_route_refuses_a_tail_that_is_not_g():
     I = IntervalSpec(8 * math.pi)
     for eps in (0.0, 0.05):
         with pytest.raises(ContractError, match="'wrong_tail' is not its g"):
-            assemble_frequency_route(wrong, I, eps, 4)
+            assemble_frequency_route([wrong], I, eps, 4)
         with pytest.raises(ContractError, match="'wrong_tail' is not its g"):
-            diagonal_sequences([tr.source_identity(), wrong], I, eps, [1.0, 1.0], 4)
+            diagonal_sequence([tr.source_identity(), wrong], I, eps, 4)
 
 
 def test_half_line_integrals_match_the_sinc_form():
@@ -488,13 +479,13 @@ def test_proxy_sums_match_the_dense_sums_on_the_route_grids(big_table, monkeypat
     battery = [S for S, *_ in tauber.battery_members()]
 
     def run():
-        diagonal_sequence(pnt, IntervalSpec(L), 0.0, 1.0, tauber.PNT_ORDER)
+        diagonal_sequence([pnt], IntervalSpec(L), 0.0, tauber.PNT_ORDER)
         for S in battery:
-            diagonal_sequence(S, IntervalSpec(L), 0.0, 1.0, tauber.DEFAULT_ORDER)
-        diagonal_sequences(battery, IntervalSpec(L), 0.0, np.ones(6), tauber.DEFAULT_ORDER)
-        assemble_frequency_route(tr.source_sqrt_mix(1.0, 1.0), IntervalSpec(L), 0.05, 32)
-        assemble_frequency_route(tr.source_integers(), IntervalSpec(8.0 * math.pi), 0.0, 16)
-        assemble_frequency_route(tr.source_integers(), IntervalSpec(40.0 * math.pi), 0.0, 8)
+            diagonal_sequence([S], IntervalSpec(L), 0.0, tauber.DEFAULT_ORDER)
+        diagonal_sequence(battery, IntervalSpec(L), 0.0, tauber.DEFAULT_ORDER)
+        assemble_frequency_route([tr.source_sqrt_mix(1.0, 1.0)], IntervalSpec(L), 0.05, 32)
+        assemble_frequency_route([tr.source_integers()], IntervalSpec(8.0 * math.pi), 0.0, 16)
+        assemble_frequency_route([tr.source_integers()], IntervalSpec(40.0 * math.pi), 0.0, 8)
 
     grids = _route_grids(monkeypatch, run)
     assert [wv.shape[1] for _, wv, _ in grids] == [1] * 7 + [6, 1, 1, 1]
@@ -513,7 +504,7 @@ def test_pnt_grid_compresses_to_under_10000_far_sources(big_table, monkeypatch):
     from tauberlab import tauber
 
     S, I = tr.source_primes_weighted(big_table), IntervalSpec(tauber.DEFAULT_LENGTH)
-    ((xs, wv, _),) = _route_grids(monkeypatch, lambda: diagonal_sequence(S, I, 0.0, 1.0, tauber.PNT_ORDER))
+    ((xs, wv, _),) = _route_grids(monkeypatch, lambda: diagonal_sequence([S], I, 0.0, tauber.PNT_ORDER))
     sx, pw = operators._proxies(xs, wv)
     assert (xs.size, sx.size, pw.shape) == (12_016, 3_776, (3_776, 1))
     assert np.all(np.diff(sx) > 0.0)
@@ -533,8 +524,8 @@ def test_half_line_integrals_hold_little_beside_the_reciprocal_block(big_table, 
     grids = _route_grids(
         monkeypatch,
         lambda: (
-            diagonal_sequences(battery, IntervalSpec(L), 0.0, np.ones(6), tauber.DEFAULT_ORDER),
-            diagonal_sequence(tr.source_primes_weighted(big_table), IntervalSpec(L), 0.0, 1.0, tauber.PNT_ORDER),
+            diagonal_sequence(battery, IntervalSpec(L), 0.0, tauber.DEFAULT_ORDER),
+            diagonal_sequence([tr.source_primes_weighted(big_table)], IntervalSpec(L), 0.0, tauber.PNT_ORDER),
         ),
     )
     for (xs, wv, k_max), n_proxies in zip(grids, (3_376, 3_776)):
@@ -665,11 +656,11 @@ def test_step_weights_match_the_jump_aligned_oracle(case, small_table, big_table
         monkeypatch.setattr(operators, "_STEP_RESOLVE_CAP", 2e4)
     I = IntervalSpec(L)
     _, D = _jump_aligned_moments(S, L, 0.0, N)
-    assert np.max(np.abs(diagonal_sequence(S, I, 0.0, 1.0, N) - (D / math.pi - 1.0))) <= 1e-13
+    assert np.max(np.abs(diagonal_sequence([S], I, 0.0, N)[0] - D / math.pi)) <= 1e-13
     for eps in (0.0, 0.05):
         F, D = _jump_aligned_moments(S, L, eps, N)
         ref = operators._matrix_from_moments(-F / math.pi, D / math.pi)
-        assert np.max(np.abs(assemble_frequency_route(S, I, eps, N).entries - ref)) <= 1e-13, eps
+        assert np.max(np.abs(assemble_frequency_route([S], I, eps, N)[0].entries - ref)) <= 1e-13, eps
 
 
 @pytest.mark.parametrize("basis", ["_LAMBDA", "_ANTERP"])
@@ -720,7 +711,7 @@ def test_step_values_hold_no_array_of_every_degree():
         step_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        assemble_frequency_route(S, IntervalSpec(L), 0.1, N)
+        assemble_frequency_route([S], IntervalSpec(L), 0.1, N)
         route_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -742,10 +733,10 @@ def test_the_resolved_range_never_reads_the_prime_table(big_table, monkeypatch):
     S, I, N = tr.source_primes_weighted(big_table), IntervalSpec(tauber.DEFAULT_LENGTH), tauber.PNT_ORDER
     assert reads == [1]
     reads.clear()
-    diagonal_sequence(S, I, 0.0, 1.0, N)
+    diagonal_sequence([S], I, 0.0, N)
     assert sorted(reads) == [3, 4_192]
     reads.clear()
-    assemble_frequency_route(S, I, 0.05, N)
+    assemble_frequency_route([S], I, 0.05, N)
     assert sorted(reads) == [3, 4_192]
 
 
@@ -765,10 +756,10 @@ def test_moving_the_grid_end_changes_no_entry(name, small_table, monkeypatch):
         I, N = IntervalSpec(L), (8 if L < 7.0 else 32)
         for eps in (0.0, 0.001, 0.05):
             monkeypatch.setattr(operators, "_cutoff", cutoff)
-            W, d = assemble_frequency_route(S, I, eps, N).entries, diagonal_sequence(S, I, eps, 1.0, N)
+            W, d = assemble_frequency_route([S], I, eps, N)[0].entries, diagonal_sequence([S], I, eps, N)[0]
             monkeypatch.setattr(operators, "_cutoff", lambda *args: cutoff(*args) + 300.0)
-            assert np.max(np.abs(assemble_frequency_route(S, I, eps, N).entries - W)) <= 1e-14, (L, eps)
-            assert np.max(np.abs(diagonal_sequence(S, I, eps, 1.0, N) - d)) <= 1e-14, (L, eps)
+            assert np.max(np.abs(assemble_frequency_route([S], I, eps, N)[0].entries - W)) <= 1e-14, (L, eps)
+            assert np.max(np.abs(diagonal_sequence([S], I, eps, N)[0] - d)) <= 1e-14, (L, eps)
 
 
 def test_the_pnt_diagonals_end_where_the_source_freezes(big_table, monkeypatch):
@@ -779,9 +770,9 @@ def test_the_pnt_diagonals_end_where_the_source_freezes(big_table, monkeypatch):
 
     S, I, N = tr.source_primes_weighted(big_table), IntervalSpec(tauber.DEFAULT_LENGTH), tauber.PNT_ORDER
     assert _cutoff(S, I.length, N) == math.pi * (N + 3)
-    diag = diagonal_sequence(S, I, 0.0, 1.0, N)
+    diag = diagonal_sequence([S], I, 0.0, N)[0]
     monkeypatch.setattr(operators, "_cutoff", lambda tails, L, N: math.pi * N + 500.0)
-    assert np.max(np.abs(diagonal_sequence(S, I, 0.0, 1.0, N) - diag)) <= 1e-14
+    assert np.max(np.abs(diagonal_sequence([S], I, 0.0, N)[0] - diag)) <= 1e-14
 
 
 def _tail_by_quadrature(X, N, coef, gamma, p, span=400.0):
@@ -845,7 +836,7 @@ def test_the_grid_does_not_depend_on_eps(monkeypatch):
     battery, I = [S for S, *_ in tauber.battery_members()], IntervalSpec(8 * math.pi)
     sizes = []
     for eps in (0.0, 0.05, 0.001):
-        grids = _route_grids(monkeypatch, lambda: diagonal_sequences(battery, I, eps, np.zeros(6), 64))
+        grids = _route_grids(monkeypatch, lambda: diagonal_sequence(battery, I, eps, 64))
         sizes.append(grids[0][0].size)
     assert sizes == [10_720] * 3
 
@@ -871,18 +862,18 @@ def test_a_grid_past_the_node_cap_is_refused_before_it_is_built(route, L, N, eps
         monkeypatch.setattr(operators, name, no_grid)
     run = {"frequency": assemble_frequency_route, "kernel": assemble_kernel_route}[route]
     with pytest.raises(ResourceError, match="past the cap of 4,000,000"):
-        run(source(), IntervalSpec(L), eps, N)
+        run([source()], IntervalSpec(L), eps, N)
     if route == "frequency":
         with pytest.raises(ResourceError, match="past the cap of 4,000,000"):
-            diagonal_sequence(source(), IntervalSpec(L), eps, 1.0, N)
+            diagonal_sequence([source()], IntervalSpec(L), eps, N)
 
 
 def test_grids_under_the_node_cap_run_at_extreme_lengths():
     """The kernel route at L = 1e-9 lays 3N panels, and the frequency route
     at L = 1e6 lays pi/8-wide panels to X = 5 pi for the identity: both run."""
     S = tr.source_identity()
-    assert np.all(np.isfinite(assemble_kernel_route(S, IntervalSpec(1e-9), 0.05, 2).entries))
-    assert np.all(np.isfinite(assemble_frequency_route(S, IntervalSpec(1e6), 0.0, 2).entries))
+    assert np.all(np.isfinite(assemble_kernel_route([S], IntervalSpec(1e-9), 0.05, 2)[0].entries))
+    assert np.all(np.isfinite(assemble_frequency_route([S], IntervalSpec(1e6), 0.0, 2)[0].entries))
 
 
 # ---------------------------------------------------------------------------
@@ -892,9 +883,9 @@ def test_grids_under_the_node_cap_run_at_extreme_lengths():
 
 def test_symmetry_realness_positivity():
     cases = [
-        assemble_frequency_route(tr.source_integers(), L2PI, 0.1, 8),
-        assemble_kernel_route(tr.source_sqrt_mix(1.0, 1.0), L2PI, 0.05, 4),
-        assemble_frequency_route(tr.source_slow_approach(), IntervalSpec(8 * math.pi), 0.05, 8),
+        assemble_frequency_route([tr.source_integers()], L2PI, 0.1, 8)[0],
+        assemble_kernel_route([tr.source_sqrt_mix(1.0, 1.0)], L2PI, 0.05, 4)[0],
+        assemble_frequency_route([tr.source_slow_approach()], IntervalSpec(8 * math.pi), 0.05, 8)[0],
     ]
     for W in cases:
         assert W.entries.dtype == np.float64
@@ -904,7 +895,7 @@ def test_symmetry_realness_positivity():
 
 
 def test_plancherel_normalization():
-    W = assemble_frequency_route(tr.source_identity(), L2PI, 0.0, 16)
+    W = assemble_frequency_route([tr.source_identity()], L2PI, 0.0, 16)[0]
     assert np.max(np.abs(W.diagonal() - 1.0)) < 1e-8
 
 
@@ -918,9 +909,9 @@ def test_poisson_split_at_matrix_level():
         laplace=lambda s: psi_entire(s),
     )
     eps, N = 0.1, 3
-    Wn = assemble_kernel_route(tr.source_integers(), L2PI, eps, N)
-    Wx = assemble_kernel_route(tr.source_identity(), L2PI, eps, N)
-    Wp = assemble_kernel_route(psi_src, L2PI, eps, N)
+    Wn = assemble_kernel_route([tr.source_integers()], L2PI, eps, N)[0]
+    Wx = assemble_kernel_route([tr.source_identity()], L2PI, eps, N)[0]
+    Wp = assemble_kernel_route([psi_src], L2PI, eps, N)[0]
     assert np.max(np.abs((Wn.entries - Wx.entries) - Wp.entries)) < 1e-6
 
 
@@ -936,8 +927,8 @@ def test_diagonal_sequence_matches_assembly():
 
     for S in [tr.source_integers()] + [m[0] for m in battery_members()]:
         for eps in (0.0, 0.1):
-            ds = diagonal_sequence(S, L2PI, eps, 0.0, 8)
-            W = assemble_frequency_route(S, L2PI, eps, 8)
+            ds = diagonal_sequence([S], L2PI, eps, 8)[0]
+            W = assemble_frequency_route([S], L2PI, eps, 8)[0]
             assert np.array_equal(ds, W.diagonal()[8:]), (S.label, eps)
 
 
@@ -945,7 +936,7 @@ def test_diagonal_limit_against_direct_quadrature():
     """eps = 0 diagonals of the split operator, oracle = adaptive quadrature
     of the damped window integral (h(u) = e^{-u/2} for the sqrt mix)."""
     I8 = IntervalSpec(8 * math.pi)
-    got = diagonal_sequence(tr.source_sqrt_mix(1.0, 1.0), I8, 0.0, 1.0, 8)
+    got = diagonal_sequence([tr.source_sqrt_mix(1.0, 1.0)], I8, 0.0, 8)[0] - 1.0
     L = I8.length
 
     def integrand(x, n):
@@ -960,26 +951,26 @@ def test_diagonal_limit_against_direct_quadrature():
 
 
 def test_an_empty_batch_gives_an_empty_array():
-    """No sources: a (0, n_max + 1) array, as assemble_kernel_routes([])
+    """No sources: a (0, n_max + 1) array, as assemble_kernel_route([])
     gives []; the eps and order checks still run."""
     for eps in (0.0, 0.05):
-        out = diagonal_sequences([], L2PI, eps, [], 6)
+        out = diagonal_sequence([], L2PI, eps, 6)
         assert out.shape == (0, 7) and out.dtype == np.float64
-    assert operators.assemble_kernel_routes([], L2PI, 0.05, 6) == []
+    assert assemble_kernel_route([], L2PI, 0.05, 6) == []
     with pytest.raises(DomainError):
-        diagonal_sequences([], L2PI, -1.0, [], 6)
+        diagonal_sequence([], L2PI, -1.0, 6)
     with pytest.raises(ContractError):
-        diagonal_sequences([], L2PI, 0.0, [], 257)
+        diagonal_sequence([], L2PI, 0.0, 257)
 
 
 def test_diagonal_sequence_guards():
     S = tr.source_identity()
     with pytest.raises(DomainError):
-        diagonal_sequence(S, L2PI, -0.1, 0.0, 4)
+        diagonal_sequence([S], L2PI, -0.1, 4)
     with pytest.raises(DomainError):
-        assemble_frequency_route(S, L2PI, -0.1, 4)
+        assemble_frequency_route([S], L2PI, -0.1, 4)
     with pytest.raises(ContractError):
-        diagonal_sequence(S, L2PI, 0.1, 0.0, -1)
+        diagonal_sequence([S], L2PI, 0.1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +979,7 @@ def test_diagonal_sequence_guards():
 
 
 def test_split_identity_bookkeeping():
-    W = assemble_frequency_route(tr.source_integers(), L2PI, 0.1, 4)
+    W = assemble_frequency_route([tr.source_integers()], L2PI, 0.1, 4)[0]
     P = split_identity(W, 1.0)
     assert P.A == 1.0
     for a in (1.0, -0.37, 0.0):
@@ -1000,7 +991,7 @@ def test_split_identity_bookkeeping():
     assert PP.csv_text().splitlines()[0].endswith(", A=1.5")
     assert np.array_equal(PP.entries, P.entries - 0.5 * np.eye(9))
     # the split copies: W keeps its moments and its A
-    assert W.A == 0.0 and np.array_equal(W.diag, assemble_frequency_route(tr.source_integers(), L2PI, 0.1, 4).diag)
+    assert W.A == 0.0 and np.array_equal(W.diag, assemble_frequency_route([tr.source_integers()], L2PI, 0.1, 4)[0].diag)
     with pytest.raises(ContractError):
         split_identity(W, float("nan"))
 
@@ -1011,7 +1002,7 @@ def test_diagonal_is_the_diagonal_of_entries(route):
     diagonal that _matrix_from_moments writes."""
     assemble = assemble_kernel_route if route == "kernel" else assemble_frequency_route
     for N in (0, 1, 8):
-        W = assemble(tr.source_integers(), L2PI, 0.1, N)
+        W = assemble([tr.source_integers()], L2PI, 0.1, N)[0]
         for W in (W, split_identity(W, 0.73)):
             assert np.array_equal(W.diagonal(), np.diag(W.entries)), (route, N)
 
@@ -1049,7 +1040,7 @@ def test_W_commutes_with_the_reflection(route, eps, N, small_table):
     assemble = assemble_kernel_route if route == "kernel" else assemble_frequency_route
     I = IntervalSpec(8.0 * math.pi)
     for S in [*_BATTERY.values(), tr.source_primes_weighted(small_table)]:
-        W = assemble(S, I, eps, N)
+        W = assemble([S], I, eps, N)[0]
         for M in (W.entries, split_identity(W, 0.73).entries):
             assert np.array_equal(M, M[::-1, ::-1]), (S.label, route, N, eps)
 
@@ -1059,7 +1050,7 @@ def test_spectrum_sorted_by_magnitude():
     T = _truncation([0.0, 0.0, 0.0], [3.0, -2.0, 1.0])
     assert np.array_equal(T.entries, np.diag([1.0, -2.0, 3.0, -2.0, 1.0]))
     assert np.allclose(spectrum(T), [3.0, -2.0, -2.0, 1.0, 1.0])
-    W = assemble_frequency_route(tr.source_identity(), L2PI, 0.1, 4)
+    W = assemble_frequency_route([tr.source_identity()], L2PI, 0.1, 4)[0]
     sw = spectrum(W)
     assert sw.shape == (9,)
     assert np.all(np.abs(sw[:-1]) >= np.abs(sw[1:]) - 1e-15)
@@ -1080,6 +1071,9 @@ def test_weak_limit_diagnostic_structure():
     # whose g has no limit
     with pytest.raises(ContractError, match="at least three"):
         weak_limit_diagnostic(tr.source_log_oscillation(0.5), IntervalSpec(8 * math.pi), 8, (0.2, 0.1))
+    for sched in ((0.1, 0.2, 0.05), (0.2, 0.1, 0.0)):
+        with pytest.raises(ContractError, match="strictly decreasing and positive"):
+            weak_limit_diagnostic(tr.source_identity(), L2PI, 4, sched)
 
 
 def test_weak_limit_diagnostic_reaches_small_eps():
@@ -1102,7 +1096,7 @@ def test_weak_limit_diagnostic_runs_to_eps_1e_3(monkeypatch):
     assert len({xs.size for xs, _, _ in grids}) == 1 and len(grids) == len(sched)
     rep = weak_limit_diagnostic(S, I, 16, sched)
     assert np.all((rep.ratios > 1.9) & (rep.ratios < 2.0)) and rep.cauchy, rep.ratios
-    W0 = assemble_frequency_route(S, I, 0.0, 16).diagonal()
+    W0 = assemble_frequency_route([S], I, 0.0, 16)[0].diagonal()
     assert np.max(np.abs(rep.final_diagonal - W0)) <= 1.1 * rep.deltas[-1]
 
 
@@ -1130,12 +1124,12 @@ def test_order_cap_enforced():
     """Both routes and the diagonals refuse N past _MAX_ORDER = 256, at any eps."""
     S = tr.source_identity()
     with pytest.raises(ContractError):
-        assemble_frequency_route(S, L2PI, 0.1, 257)
+        assemble_frequency_route([S], L2PI, 0.1, 257)
     with pytest.raises(ContractError):
-        assemble_kernel_route(S, L2PI, 0.1, 257)
+        assemble_kernel_route([S], L2PI, 0.1, 257)
     for eps in (0.0, 0.1):
         with pytest.raises(ContractError, match=r"\[0, 256\]"):
-            diagonal_sequence(S, L2PI, eps, 1.0, 257)
+            diagonal_sequence([S], L2PI, eps, 257)
 
 
 def test_a_non_integer_order_is_refused():
@@ -1144,9 +1138,9 @@ def test_a_non_integer_order_is_refused():
     with a TypeError deep inside); a numpy integer passes."""
     S = tr.source_identity()
     for run in (
-        lambda N: assemble_kernel_route(S, L2PI, 0.05, N).entries,
-        lambda N: assemble_frequency_route(S, L2PI, 0.05, N).entries,
-        lambda N: diagonal_sequence(S, L2PI, 0.0, 1.0, N),
+        lambda N: assemble_kernel_route([S], L2PI, 0.05, N)[0].entries,
+        lambda N: assemble_frequency_route([S], L2PI, 0.05, N)[0].entries,
+        lambda N: diagonal_sequence([S], L2PI, 0.0, N)[0],
     ):
         with pytest.raises(ContractError, match="must be an integer, got 3.5"):
             run(3.5)
@@ -1154,7 +1148,7 @@ def test_a_non_integer_order_is_refused():
 
 
 def test_csv_round_trip(tmp_path):
-    W = assemble_frequency_route(tr.source_integers(), L2PI, 0.1, 3)
+    W = assemble_frequency_route([tr.source_integers()], L2PI, 0.1, 3)[0]
     path = tmp_path / "w.csv"
     W.to_csv(path)
     R = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
@@ -1172,7 +1166,7 @@ def test_csv_round_trip(tmp_path):
 )
 def test_csv_round_trip_keeps_multi_parameter_labels(factory, tmp_path):
     """Labels such as sqrt_mix(a=1,b=1) carry commas; the header must keep them whole."""
-    W = split_identity(assemble_frequency_route(factory(), L2PI, 0.1, 2), 0.5)
+    W = split_identity(assemble_frequency_route([factory()], L2PI, 0.1, 2)[0], 0.5)
     path = tmp_path / "w.csv"
     W.to_csv(path)
     R = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)

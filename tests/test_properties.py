@@ -198,7 +198,7 @@ def test_W_is_symmetric_positive_semidefinite(member, L, eps, N, route):
     W is positive semi-definite on either route."""
     S, I = _MEMBERS[member], IntervalSpec(L)
     assemble = assemble_kernel_route if route == "kernel" else assemble_frequency_route
-    W = assemble(S, I, eps, N)
+    W = assemble([S], I, eps, N)[0]
     assert np.array_equal(W.entries, W.entries.T)
     assert np.linalg.eigvalsh(W.entries).min() >= -1e-8, (S.label, eps, N, route)
 
@@ -404,8 +404,8 @@ def test_the_routes_agree_on_random_step_sources(S, L, N):
     against 30-digit mpmath the kernel route errs by 9.1e-19, the
     frequency route by 2.6e-20."""
     I = IntervalSpec(L)
-    Wk = assemble_kernel_route(S, I, 0.05, N).entries
-    Wf = assemble_frequency_route(S, I, 0.05, N).entries
+    Wk = assemble_kernel_route([S], I, 0.05, N)[0].entries
+    Wf = assemble_frequency_route([S], I, 0.05, N)[0].entries
     edges = np.linspace(0.0, L, 65)
     xs, ws = operators._gl_nodes_on(edges[:-1], edges[1:])
     mass = np.sum(np.abs(operators.kernel(S, 0.05, xs)) * ws)

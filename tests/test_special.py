@@ -676,8 +676,8 @@ def test_the_package_runs_without_scipy():
         "from tauberlab import transform\n"
         "from tauberlab.operators import IntervalSpec, assemble_kernel_route, diagonal_sequence\n"
         "S, I = transform.source_slow_approach(), IntervalSpec(8.0 * 3.141592653589793)\n"
-        "assemble_kernel_route(S, I, 0.05, 8)\n"
-        "diagonal_sequence(S, I, 0.0, 1.0, 8)\n"
+        "assemble_kernel_route([S], I, 0.05, 8)\n"
+        "diagonal_sequence([S], I, 0.0, 8)\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     package = Path(tauberlab.__file__).resolve().parent

@@ -146,7 +146,7 @@ def test_spectral_tail_comes_from_the_kernel_route(small_table):
         (Si, 4, converse_experiment(Si, N=4, u_max=10.0)),
     ]
     for S, N, rep in runs:
-        W = assemble_kernel_route(S, I8, SPECTRAL_EPS, N)
+        W = assemble_kernel_route([S], I8, SPECTRAL_EPS, N)[0]
         want = np.abs(spectrum(split_identity(W, rep.A_estimate))[:SPECTRAL_TOP])
         assert np.array_equal(rep.spectral_tail, want), (S.label, rep.A_method)
         assert rep.eps_schedule == [0.0, SPECTRAL_EPS]
@@ -162,8 +162,8 @@ def test_psi_diagonal_scales_linearly(eps):
     """Linearity is exact for the integral; numerically each evaluation
     carries its own <= 1e-10 certified cutoff, hence the tolerance."""
     c = 2.5
-    base = diagonal_sequence(tr.source_sqrt_mix(1.0, 1.0), I8, eps, 1.0, 8)
-    scaled = diagonal_sequence(tr.source_sqrt_mix(c, c), I8, eps, c * 1.0, 8)
+    base = diagonal_sequence([tr.source_sqrt_mix(1.0, 1.0)], I8, eps, 8)[0] - 1.0
+    scaled = diagonal_sequence([tr.source_sqrt_mix(c, c)], I8, eps, 8)[0] - c * 1.0
     assert np.max(np.abs(scaled - c * base)) < 1e-9
 
 
