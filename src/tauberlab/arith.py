@@ -215,10 +215,14 @@ def _fields_dict(report) -> dict:
 
 def _atomic_write(path: Path, *parts) -> None:
     """Write parts, all str or all bytes-like, to path through a temp file
-    in the same directory."""
+    in the same directory. The file gets the mode of a plain open(), 0o666
+    less the umask, not mkstemp's 0o600."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     try:
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w" if isinstance(parts[0], str) else "wb") as fh:
             for part in parts:
                 fh.write(part)

@@ -339,9 +339,10 @@ def _cmd_experiment(args, cfg: RunConfig) -> int:
     else:
         rep = tauber.converse_experiment(_source(args.source, cfg), L=cfg.length, N=cfg.order, **kw)
     if args.report:
-        _save(rep.save_json, args.report, extra=_report_extra(cfg))
+        # the ratio table first: a report JSON never stands without it
         stem = args.report[:-5] if args.report.endswith(".json") else args.report
         _save(rep.save_ratio_csv, stem + ".ratio.csv")
+        _save(rep.save_json, args.report, extra=_report_extra(cfg))
     _emit(
         {
             "source": rep.source,

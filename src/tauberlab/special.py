@@ -18,11 +18,14 @@ of a batch are certified. The power sums use that n^{-s} is completely
 multiplicative: one complex exp per prime n < N, then each composite as
 spf(n)^{-s} * (n/spf(n))^{-s} (spf the smallest prime factor), one
 vectorized gather-multiply per layer of equal Omega(n) (prime factors with
-multiplicity), so at most log2 N of them. The tail and Bernoulli terms
-all come from the one power N^{-s}, taken per point. The
-smallest-prime-factor sieve behind this plan is cached per power of two,
-each N taking a prefix of the next one up, and also supplies the Moebius
-function and the small primes used below.
+multiplicity), so at most log2 N of them. The integral tail, half term
+and Bernoulli terms together are N^{-s} (N/(s-1) + p_N(s)), with p_N the
+degree-7 polynomial 1/2 + sum_k B_2k/(2k)! N^{1-2k} s(s+1)...(s+2k-2):
+its coefficients and those of p_N' are built once per batch
+(_em_tail_poly), and each point takes the one power N^{-s} and two Horner
+evaluations. The smallest-prime-factor sieve behind this plan is cached
+per power of two, each N taking a prefix of the next one up, and also
+supplies the Moebius function and the small primes used below.
 
 Every batch is an outer sum: the P x Q points s = a_j + b_i of an
 OuterGrid, a plain array being the degenerate grid a = its points,
@@ -53,27 +56,31 @@ prod_{p<=M} (1 - p^{-w}), whose log is sum_{p>M} -log(1 - p^{-w}),
             + sum_{k<=K} mu(k) [zeta'/zeta(ks) + sum_{p<=M} ln p p^{-ks}/(1 - p^{-ks})].
 
 One block of p^{-s} = p^{-a} p^{-b} serves every k: p^{-ks} = (p^{-s})^k.
-M is the smallest of 100, 10^4, 10^5 that certifies the k = 1 logarithm:
-|Im log zeta_{>M}(s)| <= log zeta_{>M}(sigma) = log zeta(sigma) +
-sum_{p<=M} log(1 - p^{-sigma}), and below pi the principal log of
-zeta_{>M}(s) is the branch that is real on (1, oo). Closer to 1 than
-sigma ~ 1.0027 not even M = 10^5 certifies, and the principal branch is
-used best-effort with a logged warning. For k >= 2 the same bound is below
-0.02, so the principal log is the branch. The tail: for Re w >= sigma_w,
-with a = M + 1 and x0 = a^{-sigma_w},
+M is the smallest of 13, 100, 10^4, 10^5 that certifies the k = 1
+logarithm: |Im log zeta_{>M}(s)| <= log zeta_{>M}(sigma) = log zeta(sigma)
++ sum_{p<=M} log(1 - p^{-sigma}), and below pi the principal log of
+zeta_{>M}(s) is the branch that is real on (1, oo). M = 13 certifies from
+sigma ~ 1.0105 on; closer to 1 than sigma ~ 1.0027 not even M = 10^5
+does, and the principal branch is used best-effort with a logged warning.
+For k >= 2 the same bound is at most log zeta_{>13}(2) = 0.0166, so the
+principal log is the branch. The tail: for Re w >= sigma_w, with
+a = M + 1 and x0 = a^{-sigma_w},
 
     |log zeta_{>M}(w)|, |(log zeta_{>M})'(w)|
         <= x0 (ln a + a (ln a/(sigma_w - 1) + 1/(sigma_w - 1)^2)) / (1 - x0),
 
 of order (M+1)^{1-k sigma} at w = ks, and each term at most (M+1)^{-sigma}
 times the one before. K is the smallest order whose dropped terms sum
-below abs_tol/2. At sigma = 1.05 and abs_tol 1e-10, M = 100 leaves
-k = 1, 2, 3, 5, where the unpeeled 2^{-k sigma} tails needed 22 Moebius
-terms. Every call computes P and P' together (prime_zeta, prime_zeta_deriv
-and psi_prime_part each take their part of prime_zeta_pair): the log and
-zeta'/zeta at each k share one zeta batch, and at k = 1 it is truncated
-where the zeta'/zeta tolerance needs, which also meets the tolerance of
-the log (_k1_tolerance).
+below abs_tol/2. At sigma = 1.05 and abs_tol 1e-10, M = 13 leaves K = 9,
+so the squarefree k = 1, 2, 3, 5, 6, 7, where the unpeeled 2^{-k sigma}
+tails needed 22 Moebius terms. A larger M takes fewer orders but peels
+more primes; on the 4,032 points of the pnt kernel route (sigma = 1.05)
+M = 13, with 36 (prime, order) pairs and six zeta batches, costs least
+of the caps from 5 to 100. Every call computes P and P' together
+(prime_zeta, prime_zeta_deriv and psi_prime_part each take their part of
+prime_zeta_pair): the log and zeta'/zeta at each k share one zeta batch,
+and at k = 1 it is truncated where the zeta'/zeta tolerance needs, which
+also meets the tolerance of the log (_k1_tolerance).
 
 Near s = 1, psi switches to its Taylor form from the Stieltjes expansion
 of zeta; the constants below were computed once by a float128
@@ -140,7 +147,7 @@ _B10_OVER_FACT = 5.0 / 66.0 / 3628800.0
 _PSI_SERIES_RADIUS = 1e-3
 
 # peel caps M for the prime-zeta Moebius sum, smallest first (_peel_cap)
-_PEEL_CAPS = (100, 10_000, 100_000)
+_PEEL_CAPS = (13, 100, 10_000, 100_000)
 
 # cells (primes x points) per block of _peel: 16,384 complex values, 256 KB
 _PEEL_CELLS = 16_384
@@ -373,39 +380,52 @@ def _powers(z: np.ndarray, N: int) -> np.ndarray:
     return pw[1:]
 
 
+@functools.lru_cache(maxsize=256)
+def _em_tail_poly(N: int) -> tuple:
+    """Coefficients, lowest power first, of the Euler-Maclaurin tail
+    polynomial p_N(s) = 1/2 + sum_{k<=4} B_{2k}/(2k)! N^{1-2k} s(s+1)...(s+2k-2)
+    (degree 7) and of its derivative p_N'(s), as two tuples."""
+    poly = np.zeros(8)
+    poly[0] = 0.5
+    rising = np.array([0.0, 1.0])  # s(s+1)...(s+2k-2), rising powers
+    for k, c in enumerate(_BERN, start=1):
+        poly[: rising.size] += c * float(N) ** (1 - 2 * k) * rising
+        rising = np.convolve(np.convolve(rising, [2 * k - 1, 1.0]), [2 * k, 1.0])
+    return tuple(poly.tolist()), tuple((poly[1:] * np.arange(1, 8)).tolist())
+
+
+def _horner(coef: tuple, s: np.ndarray) -> np.ndarray:
+    """sum_j coef[j] s^j at every point of s, by Horner's rule."""
+    acc = np.full(s.shape, coef[-1], dtype=complex)
+    for c in coef[-2::-1]:
+        acc *= s
+        acc += c
+    return acc
+
+
 def _em_eval(grid: OuterGrid, N: int, A: np.ndarray, B: np.ndarray):
     """Euler-Maclaurin evaluation of (zeta, zeta') at fixed N on a grid,
     given the power matrices A of n^{-a} and B of n^{-b}, N - 1 rows each
     (_em_orders builds them). One product A^T [B | -ln n B] gives both power
-    sums; the tail and Bernoulli terms are taken per point, from
-    N^{-s} = N^{-a} N^{-b}, P + Q exps.
+    sums. The tail, integral plus half-term plus Bernoulli corrections, is
+    N^{-s} (N/(s-1) + p_N(s)), p_N of _em_tail_poly, and its derivative
+    N^{-s} (p_N'(s) - N/(s-1)^2 - ln N (N/(s-1) + p_N(s))): N^{-s} =
+    N^{-a} N^{-b} from P + Q exps, p_N and p_N' by Horner's rule per point.
     """
     ln_all = np.log(np.arange(1, N, dtype=float))
     lnN = math.log(N)
     a, b = grid.a, grid.b
+    poly, dpoly = _em_tail_poly(N)
     with np.errstate(under="ignore"):
         sums = A.T @ np.concatenate([B, -ln_all[:, None] * B], axis=1)
         val = sums[:, : b.size].ravel()
         der = sums[:, b.size :].ravel()
-        # integral tail, half-term and Bernoulli corrections, all from N^{-s}
         s = grid.points
         NmS = np.multiply.outer(np.exp(-a * lnN), np.exp(-b * lnN)).ravel()
-        N1mS = N * NmS
-        tailA = N1mS / (s - 1.0)
-        val += tailA + 0.5 * NmS
-        der += tailA * (-lnN) - N1mS / (s - 1.0) ** 2
-        der += -lnN * 0.5 * NmS
-        P = s.copy()  # running product s(s+1)...(s+2k-2)
-        H = 1.0 / s  # running sum of reciprocals of those factors
-        for k, c in enumerate(_BERN, start=1):
-            Npow = NmS * float(N) ** -(2 * k - 1)  # N^{-s-(2k-1)}
-            val += c * P * Npow
-            der += c * Npow * (P * H - lnN * P)
-            if k < len(_BERN):
-                f1 = s + (2 * k - 1)
-                f2 = s + (2 * k)
-                P = P * f1 * f2
-                H = H + 1.0 / f1 + 1.0 / f2
+        pole = N / (s - 1.0)
+        tail = pole + _horner(poly, s)
+        val += NmS * tail
+        der += NmS * (_horner(dpoly, s) - pole / (s - 1.0) - lnN * tail)
     return val, der
 
 
@@ -495,7 +515,7 @@ def _peeled_tail_bound(M: int, sigma: float) -> float:
     sigma ln a > 1), and 1/(1-x) <= 1/(1-x0) for x <= x0. The same argument
     with t^{-sigma} and -log(1-x) <= x/(1-x0) gives |log zeta_{>M}(w)| <=
     x0 (1 + a/(sigma-1)) / (1 - x0), which this bound exceeds term by term
-    because ln a > 1 for a = M + 1 >= 101; so it bounds both."""
+    because ln a > 1 for a = M + 1 >= 14; so it bounds both."""
     a = M + 1.0
     x0 = a ** -sigma
     la = math.log(a)
@@ -574,7 +594,8 @@ def _prime_zeta_core(s: OuterGrid, abs_tol: float):
     zvs, zds = _em_orders(s, ks, Ns)
     for i, (k, zv, zd) in enumerate(zip(ks, zvs, zds)):
         # zeta_{>M}(ks) = zeta(ks) prod_{p<=M} (1 - p^{-ks}); its principal
-        # log is the analytic branch (certified at k = 1, |log| < 0.02 at k >= 2)
+        # log is the analytic branch (certified at k = 1; at k >= 2 and
+        # every M >= 13, |log| <= log zeta_{>13}(2) = 0.0166)
         val += (mu[k] / k) * _log(zv * prod[i])
         der += mu[k] * (zd / zv + dlog[i])
     return val, der

@@ -464,7 +464,9 @@ def test_an_unwritable_output_is_a_contract_error(capsys, tmp_path, argv):
 
 
 def test_an_unwritable_ratio_table_is_a_contract_error(capsys, tmp_path):
-    """The report's .ratio.csv companion is written like the report itself."""
+    """The report's .ratio.csv companion is written like the report itself,
+    and before it: when the companion cannot be written, no report JSON is
+    left without it."""
     (tmp_path / "r.ratio.csv").mkdir()
     code, out, err = run_cli(
         capsys, "experiment", "converse", "--source", "linear", "--order", "4", "--report", str(tmp_path / "r.json"),
@@ -472,6 +474,23 @@ def test_an_unwritable_ratio_table_is_a_contract_error(capsys, tmp_path):
     assert code == 1 and out == ""
     doc = json.loads(err.strip())
     assert doc["code"] == "contract" and doc["message"].startswith(f"cannot write {tmp_path / 'r.ratio.csv'}: "), doc
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_written_files_take_the_umask_mode(capsys, tmp_path):
+    """A report JSON, its .ratio.csv and a prime cache in a named directory
+    come out 0644 under umask 022, as a plain open() would make them."""
+    old = os.umask(0o022)
+    try:
+        report = tmp_path / "r.json"
+        argv = ("experiment", "converse", "--source", "linear", "--order", "4", "--report", str(report))
+        assert run_cli(capsys, *argv)[0] == 0
+        cache = tmp_path / "cache"
+        assert run_cli(capsys, "--cache-dir", str(cache), "--prime-limit", "1000", "primes", "--count", "100")[0] == 0
+    finally:
+        os.umask(old)
+    for path in (report, tmp_path / "r.ratio.csv", cache / "primes_1000.ptbl"):
+        assert path.stat().st_mode & 0o777 == 0o644, path
 
 
 def test_unknown_choice_exits_64():

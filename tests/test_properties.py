@@ -110,10 +110,35 @@ _GRID_FUNCTIONS = {
 }
 
 
+# the largest Moebius order _term_sums models
+_MAX_ORDER = 7
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.floats(1.02, 3.0))
+def test_term_sums_cover_every_moebius_order(sigma):
+    """Every order of a prime_zeta_pair batch with sigma_min in [1.02, 3],
+    the real parts of test_outer_grid_matches_its_points, is at most
+    _MAX_ORDER."""
+    orders = []
+    em_orders = special._em_orders
+
+    def recorded(s, ks, Ns):
+        orders.extend(ks)
+        return em_orders(s, ks, Ns)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(special, "_em_orders", recorded)
+        prime_zeta_pair(np.array([complex(sigma, 3.0), complex(sigma + 0.5, -20.0)]))
+    assert 1 in orders and max(orders) <= _MAX_ORDER
+
+
 def _term_sums(s):
     """Per function of _GRID_FUNCTIONS, a bound at the points s on the sum
-    of |term| * k over the terms that the powers n^{-ks} feed, k <= 6 (at
-    the default tolerance sigma >= 1.02 needs at most six Moebius orders).
+    of |term| * k over the terms that the powers n^{-ks} feed, k <= 7 (at
+    the default tolerance every sigma >= 1.02 peels the primes p <= 13 and
+    takes the Moebius orders k = 1, 2, 3, 5, 6, 7 at most;
+    test_term_sums_cover_every_moebius_order).
     With sigma = Re s, Z_k = zeta(k sigma) and D_k = -zeta'(k sigma):
 
     - zeta sums n^{-s}, to Z_1, and zeta' sums ln n n^{-s}, to D_1; psi
@@ -128,7 +153,7 @@ def _term_sums(s):
       <= 4 d D_k.
     - (P - s P')/s^2 adds the two, the second times |s|, over |s|^2."""
     sig, m = s.real, np.abs(s)
-    k = np.arange(1, 7).reshape(-1, *[1] * s.ndim)
+    k = np.arange(1, _MAX_ORDER + 1).reshape(-1, *[1] * s.ndim)
     Z, D = zeta(k * sig).real, -zeta_deriv(k * sig).real
     z_ks, zd_ks = np.abs(zeta(k * s)), np.abs(zeta_deriv(k * s))
     pz, pzd = (v.real for v in prime_zeta_pair(sig))

@@ -308,6 +308,70 @@ def test_em_eval_on_kth_power_matrices_matches_the_direct_powers(k, rng):
     assert np.max(np.abs(der - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
 
 
+def _em_eval_recurrence(grid, N, A, B):
+    """_em_eval with the tail's Bernoulli terms from the running product
+    s(s+1)...(s+2k-2) and the running sum of its factors' reciprocals, in
+    place of the Horner polynomials: the form _em_eval replaced."""
+    ln_all = np.log(np.arange(1, N, dtype=float))
+    lnN = math.log(N)
+    with np.errstate(under="ignore"):
+        sums = A.T @ np.concatenate([B, -ln_all[:, None] * B], axis=1)
+        val = sums[:, : grid.b.size].ravel()
+        der = sums[:, grid.b.size :].ravel()
+        s = grid.points
+        NmS = np.multiply.outer(np.exp(-grid.a * lnN), np.exp(-grid.b * lnN)).ravel()
+        tail = N * NmS / (s - 1.0)
+        val += tail + 0.5 * NmS
+        der += -lnN * tail - N * NmS / (s - 1.0) ** 2 - lnN * 0.5 * NmS
+        P, H = s.copy(), 1.0 / s
+        for k, c in enumerate(special._BERN, start=1):
+            Npow = NmS * float(N) ** -(2 * k - 1)
+            val += c * P * Npow
+            der += c * Npow * (P * H - lnN * P)
+            f1, f2 = s + (2 * k - 1), s + 2 * k
+            P, H = P * f1 * f2, H + 1.0 / f1 + 1.0 / f2
+    return val, der
+
+
+def _em_tail_magnitudes(s, N):
+    """|N^{-s}| times the sum of the magnitudes of the tail's terms, for
+    zeta and for zeta': N/|s-1| + 1/2 + sum_k |B_{2k}/(2k)!| N^{1-2k} r_k(|s|)
+    with r_k(x) = x(x+1)...(x+2k-2), which bounds both |s(s+1)...(s+2k-2)|
+    and the sum of the magnitudes of its monomials, and for zeta' the same
+    with N/|s-1|^2 and r_k'(|s|), plus ln N times the first."""
+    m, lnN = np.abs(s), math.log(N)
+    val, der = N / np.abs(s - 1.0) + 0.5, N / np.abs(s - 1.0) ** 2
+    r, dr = m, np.ones_like(m)
+    for k, c in enumerate(special._BERN, start=1):
+        val, der = val + abs(c) * N ** (1.0 - 2 * k) * r, der + abs(c) * N ** (1.0 - 2 * k) * dr
+        for j in (2 * k - 1, 2 * k):
+            r, dr = r * (m + j), dr * (m + j) + r
+    scale = np.exp(-s.real * lnN)
+    return scale * val, scale * (der + lnN * val)
+
+
+@pytest.mark.parametrize("t_max", [1.0, 40.0, 2000.0])
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+@pytest.mark.parametrize("N", [10, 43, 154, 4096])
+def test_em_eval_horner_tail_matches_the_recurrence(N, k, t_max, rng):
+    """On random grids up to |t| = 2000 (the Bernoulli terms far past
+    convergence there), and on the k-th power matrices of the Moebius
+    orders, the Horner tail of _em_eval and the running-product recurrence
+    share the power sums and differ by the rounding of the tail alone: at
+    most 8 ulps of its term magnitudes plus the sum's own (2.4 seen)."""
+    a = rng.uniform(1.01, 3.0, size=20) + 1j * rng.uniform(-t_max, t_max, size=20)
+    b = rng.uniform(0.0, 0.5, size=4) + 1j * rng.uniform(-2.0, 2.0, size=4)
+    A = special._powers(a, max(N, 154))[: N - 1] ** k
+    B = special._powers(b, max(N, 154))[: N - 1] ** k
+    grid = OuterGrid(k * a, k * b)
+    val, der = special._em_eval(grid, N, A, B)
+    ref_v, ref_d = _em_eval_recurrence(grid, N, A, B)
+    mag_v, mag_d = _em_tail_magnitudes(grid.points, N)
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(val - ref_v) <= 8.0 * eps * (mag_v + np.abs(ref_v)))
+    assert np.all(np.abs(der - ref_d) <= 8.0 * eps * (mag_d + np.abs(ref_d)))
+
+
 def test_real_arithmetic_log_is_numpys_principal_log(rng):
     edge = np.array([-1.0, -2.5, -1e-300, -1e300])
     unit = np.exp(1j * rng.uniform(-np.pi, np.pi, size=64))
@@ -346,7 +410,7 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_builds_its_powers_once(monkeyp
     """Every Moebius order of one prime_zeta_pair call takes its power
     matrices from one build of n^{-a} and one of n^{-b}, at the largest N
     (154); the other two builds are the 2-point real zeta batch that sets
-    the peel cap. The batch Ns stay 154, 83, 78 and 57."""
+    the peel cap. The batch Ns are 154, 87, 82, 60, 50 and 43."""
     s = _pnt_kernel_points()
     builds, batches = [], []
     powers, em_eval = special._powers, special._em_eval
@@ -366,7 +430,7 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_builds_its_powers_once(monkeyp
     assert sum(np.array_equal(z, s.b) for z, _ in builds) == 1
     assert len(builds) == 4
     assert [N for z, N in builds if z.size > 2] == [154, 154]
-    assert [N for size, N in batches if size == s.size] == [154, 83, 78, 57]
+    assert [N for size, N in batches if size == s.size] == [154, 87, 82, 60, 50, 43]
 
 
 def test_prime_zeta_pair_in_power_blocks_matches_one_block(monkeypatch, rng):
@@ -499,15 +563,11 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_runs_few_zeta_batches(monkeypa
     L = 8 pi, N = 72: 252 panel midpoints, panels min(2 eps, 0.1, L/(3N))
     wide, plus 16 Gauss-Legendre offsets) take at most six Euler-Maclaurin
     batches on the point grid: the k = 1 batch and a few squarefree k >= 2.
-    Without the peel the 2^{-k sigma} tails need 22 Moebius terms. The
-    k = 1, 2, 3, 5 batches stop at the smallest certified N, 154, 83, 78
-    and 57; the doubling search from max(10, ceil|t| + 10) for k = 1, and
-    from 10 for k >= 2, took 288, 160, 80 and 80."""
-    L, eps, N = 8.0 * math.pi, 0.05, 72
-    P = int(math.ceil(L / min(2 * eps, 0.1, L / (3 * N))))
-    h = L / (2 * P)
-    xi = np.polynomial.legendre.leggauss(16)[0]
-    s = 1.05 + 1j * OuterGrid((2 * np.arange(P) + 1) * h, h * xi)
+    Without the peel the 2^{-k sigma} tails need 22 Moebius terms. The six
+    primes p <= 13 certify the k = 1 log branch at sigma = 1.05, and leave
+    k = 1, 2, 3, 5, 6, 7, whose batches stop at the smallest certified N:
+    154, 87, 82, 60, 50 and 43."""
+    s = _pnt_kernel_points()
     assert s.size == 4032
     batches = []
     em_eval = special._em_eval
@@ -520,7 +580,33 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_runs_few_zeta_batches(monkeypa
     prime_zeta_pair(s)
     on_grid = [N for size, N in batches if size == s.size]
     assert 2 <= len(on_grid) <= 6
-    assert on_grid == [154, 83, 78, 57]
+    assert on_grid == [154, 87, 82, 60, 50, 43]
+
+
+def test_prime_zeta_pair_on_the_pnt_kernel_points_against_mpmath():
+    """P and P' at 16 of the 4,032 pnt kernel-route points, spread over the
+    panels and the Gauss-Legendre offsets, against 30-digit mpmath at the
+    default abs_tol 1e-10. The whole grid is one batch, so the sampled
+    points take the peel cap, orders and truncations of the pnt run; each
+    takes another panel and another of the 16 offsets. P' is
+    sum_k mu(k) zeta'(ks)/zeta(ks), stopped once 2^{-k sigma} < 1e-16."""
+    mpmath = pytest.importorskip("mpmath")
+    grid = _pnt_kernel_points()
+    p, pd = (v.ravel() for v in prime_zeta_pair(grid))
+    P, Q = grid.shape
+    for i in np.linspace(0, P - 1, 16).astype(int) * Q + np.arange(Q):  # panel row, offset
+        s = grid.points[i]
+        with mpmath.workdps(30):
+            z = mpmath.mpc(s.real, s.imag)
+            ref_p = complex(mpmath.primezeta(z))
+            ref_pd = mpmath.mpf(0)
+            k = 1
+            while 2.0 ** (-k * s.real) >= 1e-16:
+                if _mobius(k):
+                    ref_pd += _mobius(k) * mpmath.zeta(k * z, derivative=1) / mpmath.zeta(k * z)
+                k += 1
+        assert abs(p[i] - ref_p) <= 1e-10, s
+        assert abs(pd[i] - complex(ref_pd)) <= 1e-10, s
 
 
 @pytest.mark.parametrize("abs_tol", [1e-10, 1e-12])
