@@ -331,12 +331,11 @@ class GrowthFunction:
       a + b u between consecutive jumps (a count, or a count times ln x),
       and the integrators integrate each such piece exactly. The table
       of a table-backed source refuses hi past its edge (TableExhaustedError).
-      Where u lies within one rounding of ln x_j, the sources differ on
-      the side of the jump they take: ``source_steps`` counts it from
-      u = ln x_j, so its fn meets its stated tail at u_t = ln x_last; the
-      integer and prime counts read e^u, which may round below x_j
-      (e^{ln 7} = 6.999999999999999 counts 6 integers); and the frequency
-      route places every jump at (L/2) ln x_j.
+      One rule sets the side of a jump where u lies within one rounding of
+      ln x_j: below the stated tail's u_t, fn reads S at x = e^u, which may
+      round below x_j (e^{ln 7} = 6.999999999999999 counts 6 integers);
+      from u_t on, fn is the tail, which counts the edge itself. The
+      frequency route places every jump at (L/2) ln x_j.
     - ``u_cap``: largest u at which g(u) is the source's own (ln of a
       prime table limit): ``g`` raises past it, while ``fn`` and ``tail``
       hold g(u_cap) there.

@@ -479,8 +479,10 @@ def zeta_deriv(s, tol: Optional[EvalTolerance] = None):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
 def _real_zeta_triple(sigma: float) -> tuple:
-    """zeta(sigma), zeta(2 sigma) and zeta'(sigma), to 1e-9, from one batch."""
+    """zeta(sigma), zeta(2 sigma) and zeta'(sigma), to 1e-9, from one batch,
+    kept per sigma: every pnt op asks for the same sigma_min."""
     v, d = _zeta_core(OuterGrid(np.array([sigma, 2.0 * sigma], dtype=complex)), 1e-9)
     return float(v[0].real), float(v[1].real), float(d[0].real)
 

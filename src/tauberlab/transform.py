@@ -18,10 +18,15 @@ sum a_j x_j^{-s} / s: the integrand is piecewise e^{-su}, so each piece
 integrates in closed form, and the sum has no tail. The sources that jump
 declare their jumps (GrowthFunction.jumps_upto), which the operators'
 frequency route integrates piece by piece, and every catalog source states
-its tail, the exponential sum g is past some u_t (GrowthFunction.tail; for
-weighted primes, the constant g(u_cap) at the table edge), which the route
-integrates in closed form. The closed forms are checked in the tests
-against a brute-force quadrature of the source's own g.
+its tail, the exponential sum g is past some u_t (GrowthFunction.tail),
+which the route integrates in closed form. The closed forms are checked in
+the tests against a brute-force quadrature of the source's own g.
+
+The three jump sources (integers, weighted primes, steps) are each one
+call to _jump_source, which states their g by one rule: below the edge
+u_t = ln x_edge, g(u) reads S at x = e^u, as jumps_upto(e^u) does, so a
+jump x_j that e^{ln x_j} rounds below is not yet counted there; from u_t
+on, g is the stated tail, which counts the edge x_edge itself.
 
 The module also carries the catalog of named growth-function instances the
 experiment battery runs on. The synthetic ones have elementary transforms
@@ -112,15 +117,33 @@ def _step_sum(lnx: np.ndarray, jumps: np.ndarray, s):
     return _restore(out, scalar, shape)
 
 
+def _jump_source(label, count, x_edge, jumps_upto, laplace, *, C, A, lam, capped=False):
+    """The GrowthFunction of a source that jumps, with growth constant C and
+    ratio limit A, from its vectorized count S(x) on [1, x_edge]: fn(u) =
+    S(e^u)/e^u below u_edge = ln x_edge, and from u_edge on the tail
+    c e^{-lam u}, c = S(x_edge)/x_edge^{1-lam}, which is also the stated
+    tail. lam = 1 holds S at S(x_edge) (a finite source), lam = 0 holds g at
+    g(u_edge). `capped`: S is unknown past x_edge (a table's limit), so
+    u_cap = u_edge."""
+    u_edge = math.log(x_edge)
+    c = float(count(np.array(x_edge))) / x_edge ** (1.0 - lam)
+
+    def fn(u):
+        e = np.exp(np.minimum(u, u_edge))
+        return np.where(u < u_edge, count(e) / e, c * np.exp(-lam * u))
+
+    cap = u_edge if capped else math.inf
+    return GrowthFunction(label, fn, C, laplace, jumps_upto, cap, A, (u_edge, ((c, lam),)))
+
+
 def source_steps(breakpoints, jumps, label: str) -> GrowthFunction:
     """S(x) = sum of a_j over x_j <= x: the finite step source with the
     jumps a_j at the breakpoints x_j, bounded, so g -> 0.
 
     `breakpoints` must be strictly increasing and >= 1, `jumps` strictly
-    positive, finite and of equal length (ContractError). g(u) is the level
-    of the last x_j with ln x_j <= u, times e^{-u}: it switches at u = ln x_j,
-    whatever e^{ln x_j} rounds to, so from ln x_last on it is the stated
-    tail (sum a_j) e^{-u}. The transform is the exact step sum."""
+    positive, finite and of equal length (ContractError). From ln x_last on
+    g is the stated tail (sum a_j) e^{-u}. The transform is the exact step
+    sum."""
     xj = np.asarray(breakpoints, dtype=float)
     aj = np.asarray(jumps, dtype=float)
     if xj.ndim != 1 or aj.shape != xj.shape:
@@ -140,15 +163,8 @@ def source_steps(breakpoints, jumps, label: str) -> GrowthFunction:
         j = np.searchsorted(xj, hi, side="right")
         return xj[:j], aj[:j], np.zeros(j)
 
-    return GrowthFunction(
-        label=label,
-        fn=lambda u: level[np.searchsorted(lnx, u, side="right")] * np.exp(-u),
-        growth_constant=float(np.max(level[1:] / xj)),
-        laplace=lambda s: _step_sum(lnx, aj, s),
-        jumps_upto=jumps_upto,
-        ratio_limit_A=0.0,
-        tail=(float(lnx[-1]), ((float(level[-1]), 1.0),)),
-    )
+    return _jump_source(label, lambda x: level[np.searchsorted(xj, x, side="right")], float(xj[-1]), jumps_upto,
+                        lambda s: _step_sum(lnx, aj, s), C=float(np.max(level[1:] / xj)), A=0.0, lam=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,27 +185,14 @@ def source_identity() -> GrowthFunction:
 
 
 def source_integers() -> GrowthFunction:
-    """S = integer count (floor). Jumps at every integer; g -> 1."""
-
-    def fn(u):
-        # every float past 2^52 = e^36.04 is an integer, so g is exactly 1
-        # there (the tail) and e^u need not be formed past u = 40
-        e = np.exp(np.minimum(u, 40.0))
-        return np.floor(e) / e
+    """S = integer count (floor). Jumps at every integer; g -> 1, and is 1
+    from 2^52 on, where every float is an integer."""
 
     def jumps_upto(hi):
         x = np.arange(1.0, math.floor(hi) + 1.0)
         return x, np.ones_like(x), np.zeros_like(x)
 
-    return GrowthFunction(
-        label="integer_count",
-        fn=fn,
-        growth_constant=1.0,
-        laplace=transform_integers,
-        jumps_upto=jumps_upto,
-        ratio_limit_A=1.0,
-        tail=(52.0 * math.log(2.0), ((1.0, 0.0),)),
-    )
+    return _jump_source("integer_count", np.floor, 2.0**52, jumps_upto, transform_integers, C=1.0, A=1.0, lam=0.0)
 
 
 def source_primes_weighted(table) -> GrowthFunction:
@@ -198,29 +201,14 @@ def source_primes_weighted(table) -> GrowthFunction:
     Each prime p adds 1 to the slope of S(e^u) = pi_P u: da = 0, db = 1.
     The table holds no jump past its limit: it refuses jumps asked for up
     to hi >= limit + 1 (TableExhaustedError). From u_cap = ln(limit) on, g
-    reads the table edge x = limit itself, whatever e^{u_cap} rounds to, so
-    a prime limit counts; the tail states that value, fn's own, from u_cap
-    on."""
-    limit, u_cap = float(table.limit), math.log(table.limit)
-
-    def fn(u):
-        e = np.where(u >= u_cap, limit, np.exp(u))
-        return table.count(e) * np.log(e) / e
+    is held at the table edge x = limit itself, so a prime limit counts."""
 
     def jumps_upto(hi):
         p = table.primes_in(0.0, hi).astype(float)
         return p, np.zeros_like(p), np.ones_like(p)
 
-    return GrowthFunction(
-        label="weighted_primes",
-        fn=fn,
-        growth_constant=1.3,
-        laplace=transform_weighted_primes,
-        jumps_upto=jumps_upto,
-        u_cap=u_cap,
-        ratio_limit_A=1.0,
-        tail=(u_cap, ((float(fn(np.array(u_cap))), 0.0),)),
-    )
+    return _jump_source("weighted_primes", lambda x: table.count(x) * np.log(x), float(table.limit), jumps_upto,
+                        transform_weighted_primes, C=1.3, A=1.0, lam=0.0, capped=True)
 
 
 def source_sqrt_mix(a: float = 1.0, b: float = 1.0) -> GrowthFunction:

@@ -410,7 +410,9 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_builds_its_powers_once(monkeyp
     """Every Moebius order of one prime_zeta_pair call takes its power
     matrices from one build of n^{-a} and one of n^{-b}, at the largest N
     (154); the other two builds are the 2-point real zeta batch that sets
-    the peel cap. The batch Ns are 154, 87, 82, 60, 50 and 43."""
+    the peel cap, which a second call at the same sigma_min takes from its
+    memo. The batch Ns are 154, 87, 82, 60, 50 and 43."""
+    special._real_zeta_triple.cache_clear()
     s = _pnt_kernel_points()
     builds, batches = [], []
     powers, em_eval = special._powers, special._em_eval
@@ -431,6 +433,9 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_builds_its_powers_once(monkeyp
     assert len(builds) == 4
     assert [N for z, N in builds if z.size > 2] == [154, 154]
     assert [N for size, N in batches if size == s.size] == [154, 87, 82, 60, 50, 43]
+    builds.clear()
+    prime_zeta_pair(s)
+    assert len(builds) == 2
 
 
 def test_prime_zeta_pair_in_power_blocks_matches_one_block(monkeypatch, rng):

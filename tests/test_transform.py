@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from tauberlab import special
+from tauberlab import operators, special
 from tauberlab import transform as tr
 from tauberlab.arith import GrowthFunction
 from tauberlab.errors import ContractError, DomainError
@@ -328,35 +328,57 @@ def test_step_source_declares_its_jumps_up_to_hi():
 
 
 def test_each_source_takes_its_side_of_a_jump_at_u_ln_x(small_table):
-    """The side of a jump each source takes where e^{ln x_j} rounds below
-    x_j (GrowthFunction, jumps_upto): at x_j = 7 the step source counts its
-    jump from u = ln 7, while the integer and prime counts read e^u and
-    stay below it."""
+    """One side rule for every jump source (GrowthFunction, jumps_upto):
+    below its edge g reads S at x = e^u, so at u = ln 7, where e^u rounds
+    below 7, the step source with breakpoints [7, 11] reads 0, as
+    jumps_upto(e^u), the integer and the prime counts do; a source whose
+    last breakpoint is 7 counts the jump there, through its edge rule."""
     u = math.log(7.0)
     x = math.exp(u)
     assert x == 6.999999999999999
-    steps = tr.source_steps([7.0], [1.0], "seven")
-    assert steps.g(u) * x == pytest.approx(1.0, rel=1e-14)
+    steps = tr.source_steps([7.0, 11.0], [1.0, 1.0], "seven_eleven")
+    assert steps.g(u) == 0.0
     assert steps.jumps_upto(x)[0].size == 0
     assert list(steps.jumps_upto(7.0)[0]) == [7.0]
     assert tr.source_integers().g(u) * x == pytest.approx(6.0, rel=1e-14)
     wprimes = tr.source_primes_weighted(small_table)
     assert wprimes.g(u) * x / math.log(x) == pytest.approx(3.0, rel=1e-14)
     assert list(wprimes.jumps_upto(x)[0]) == [2.0, 3.0, 5.0]
+    edge = tr.source_steps([7.0], [1.0], "seven")
+    assert edge.tail[0] == u
+    assert edge.g(u) == math.exp(-u)
+
+
+@pytest.mark.parametrize("which", ["integers", "weighted_primes", "steps"])
+def test_past_the_edge_fn_is_its_stated_tail_bit_for_bit(which, small_table):
+    """Each jump source's fn on [u_t, u_t + 40] is its one stated tail term
+    c e^{-lam u}, bit for bit, and the frequency route's tail check
+    (operators._tail_of) accepts it."""
+    S = {
+        "integers": tr.source_integers,
+        "weighted_primes": lambda: tr.source_primes_weighted(small_table),
+        "steps": lambda: tr.source_steps([2.0, 7.0, 11.0], [1.0, 0.5, 3.0], "steps"),
+    }[which]()
+    u_t, ((c, lam),) = S.tail
+    u = np.linspace(u_t, u_t + 40.0, 801)
+    assert S.fn(u).tobytes() == (c * np.exp(-lam * u)).tobytes()
+    assert operators._tail_of(S) == S.tail
 
 
 @pytest.mark.parametrize("h, x0",[(3.0, math.e), (2.0, 1.0), (1.0, 108.0), (1.0, 7.0)])
 def test_single_jump_is_its_closed_form_bit_for_bit(h, x0):
     """The single jump is a step source that keeps the closed forms it had
-    when it was written out by hand: g = h e^{-u} from u0 = ln x0 on and 0
-    below, at u0 itself too (e^{ln 7} rounds below 7, so a switch on
-    e^u >= x0 would read 0 there), and G(s) = h e^{-s u0} / s, on an array
-    and on the kernel route's grid, 1 + eps + i x for the 4,032 nodes x at
-    L = 8 pi, eps = 0.05, N = 8."""
+    when it was written out by hand: g = h e^{-u} from u0 = ln x0 on, at u0
+    itself too (e^{ln 7} rounds below 7, so a switch on e^u >= x0 would read
+    0 there), and below u0 the count at e^u over e^u: 0, or h/e^u where e^u
+    rounds up to x0 (x0 = e at the u just below u0). G(s) = h e^{-s u0} / s,
+    on an array and on the kernel route's grid, 1 + eps + i x for the 4,032
+    nodes x at L = 8 pi, eps = 0.05, N = 8."""
     S = tr.source_single_jump(h, x0)
     u0 = math.log(x0)
     u = np.concatenate((np.linspace(0.0, 2.0 * u0 + 1.0, 41), [u0, np.nextafter(u0, 0.0), u0 + 1e-15]))
-    assert S.g(u).tobytes() == np.where(u >= u0, h * np.exp(-u), 0.0).tobytes()
+    below = np.where(np.exp(u) >= x0, h / np.exp(u), 0.0)
+    assert S.g(u).tobytes() == np.where(u >= u0, h * np.exp(-u), below).tobytes()
     assert S.g(u0) == h * math.exp(-u0)
     P, L = 252, 8.0 * math.pi
     half = L / (2 * P)
