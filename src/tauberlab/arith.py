@@ -10,18 +10,18 @@ normalized ratio in the log variable,
 whose limit behaviour the operator experiments probe; S(x) = x g(ln x).
 
 Primes come from a segmented, odd-only sieve of Eratosthenes, with an
-opt-in binary disk cache of its odd bitset in a directory the caller
-names. The segments are sized to the L2 cache (C. Bays and R. H. Hudson,
-BIT 17 (1977) 121-127) and start from a copy of a wheel pattern that has
-the multiples of 3, 5, 7, 11 and 13 struck out (P. Pritchard, Acta Inform.
-17 (1982) 477-485). The table is the packed odd bitset itself, one bit per
+opt-in disk cache of its odd bitset in a directory the caller names (the
+command-line tool never names one; the benchmark harness does). The
+segments are sized to the L2 cache (C. Bays and R. H. Hudson, BIT 17
+(1977) 121-127) and start from a copy of a wheel pattern that has the
+multiples of 3, 5, 7, 11 and 13 struck out (P. Pritchard, Acta Inform. 17
+(1982) 477-485). The table is the packed odd bitset itself, one bit per
 odd number, with a uint32 rank per 64-bit word beside it: 9.4 MB at 1e8
 against 44 MB for the primes as int64. A cold build packs each segment
 into the bitset as it comes, so it holds the bitset and one segment's
-buffers (about 2 MB); a warm one reads the cache file into the bitset in
-one read. On a 2-vCPU machine a cold 1e8 table takes about 0.15 s and
-peaks at 37 MB of RSS (32 MB of it interpreter and numpy), and its load
-from the cache about 0.01 s.
+buffers (about 2 MB); a warm one reads the cache file in one read. A cold
+1e8 table takes about 0.15 s on a 2-vCPU machine and peaks at 37 MB of
+RSS (32 MB of it interpreter and numpy); a load takes about 0.01 s.
 """
 
 from __future__ import annotations
@@ -269,13 +269,14 @@ def _cached_words(path: Path, limit: int) -> np.ndarray:
 def build_prime_table(limit: int, cache_dir: Optional[os.PathLike] = None) -> PrimeTable:
     """Sieve (or reload from cache) all primes up to `limit`.
 
-    Without `cache_dir` the table is sieved in memory and no file is read
-    or written. With it, the cache file is `primes_<limit>.ptbl` there: a
-    16-byte header, then the odd bitset packed little-endian, which are the
-    table's words. A sieve writes it in one write after the last segment,
-    and a load reads it in one read. A corrupt cache is rebuilt with a
-    logged warning, never trusted; a cache that cannot be written is a
-    logged warning too.
+    Without `cache_dir` the table is sieved in memory and no file is read or
+    written; the command-line tool always builds it so, and only the
+    benchmark harness names a directory. With it, the cache file is
+    `primes_<limit>.ptbl` there: a 16-byte header, then the odd bitset
+    packed little-endian, which are the table's words. A sieve writes it in
+    one write after the last segment, and a load reads it in one read. A
+    corrupt cache is rebuilt, never trusted, and a cache that cannot be
+    written is skipped, each with a logged warning.
     """
     limit = int(limit)
     if limit < 2:
@@ -332,10 +333,11 @@ class GrowthFunction:
       and the integrators integrate each such piece exactly. The table
       of a table-backed source refuses hi past its edge (TableExhaustedError).
       One rule sets the side of a jump where u lies within one rounding of
-      ln x_j: below the stated tail's u_t, fn reads S at x = e^u, which may
-      round below x_j (e^{ln 7} = 6.999999999999999 counts 6 integers);
-      from u_t on, fn is the tail, which counts the edge itself. The
-      frequency route places every jump at (L/2) ln x_j.
+      ln x_j: below the stated tail's u_t, fn and jumps_upto read S at e^u,
+      which may round below x_j (e^{ln 7} = 6.999999999999999 counts 6
+      integers); a jump source's u_t is the least u with e^u >= x_edge, so
+      its tail counts the edge. The frequency route places every jump at
+      (L/2) ln x_j.
     - ``u_cap``: largest u at which g(u) is the source's own (ln of a
       prime table limit): ``g`` raises past it, while ``fn`` and ``tail``
       hold g(u_cap) there.

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 domain/contract errors, 2 resource/precision
 errors, 64 usage errors. All failures print a single-line JSON object
 {"code": ..., "message": ...} to standard error. Outputs carry no
-timestamps, so identical invocations produce byte-identical files.
+timestamps, so identical invocations produce byte-identical files, and a
+run writes no file but its --out or --report (and the report's .ratio.csv).
 
 Configuration is a flat `key = value` file ('#' starts a comment).
 Precedence: defaults < the command's own defaults (`pnt`: order 72) <
@@ -29,7 +30,6 @@ from .errors import ConfigError, ContractError, TauberlabError
 class RunConfig:
     """Tool-wide knobs; field names double as the config-file keys."""
 
-    cache_dir: Optional[str] = None
     prime_limit: int = 100_000_000
     length: float = tauber.DEFAULT_LENGTH
     order: int = tauber.DEFAULT_ORDER
@@ -37,8 +37,6 @@ class RunConfig:
     format: str = "json"
 
     def validate(self) -> "RunConfig":
-        if self.cache_dir == "":
-            raise ConfigError("cache_dir must not be empty; leave it out to sieve in memory")
         if self.prime_limit < 2:
             raise ConfigError(f"prime_limit must be >= 2, got {self.prime_limit}")
         if not (0 < self.length < math.inf):
@@ -74,7 +72,7 @@ def load_config(path: Optional[str], **own) -> RunConfig:
     by the flat key-value file (if given).
 
     The keys are RunConfig's fields; each value is converted with the type of
-    the field's default, and a field whose default is None keeps the string."""
+    the field's default."""
     cfg = RunConfig(**own)
     if path is None:
         return cfg.validate()
@@ -86,9 +84,8 @@ def load_config(path: Optional[str], **own) -> RunConfig:
         key, value = key.strip(), value.strip()
         if key not in defaults:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        default = defaults[key]
         try:
-            setattr(cfg, key, value if default is None else type(default)(value))
+            setattr(cfg, key, type(defaults[key])(value))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return cfg.validate()
@@ -145,7 +142,6 @@ def _shared_flags(p: argparse.ArgumentParser, suppress: bool = False) -> None:
     # subcommand name must survive the subparser's own defaulting pass.
     d = {"default": argparse.SUPPRESS} if suppress else {}
     p.add_argument("--config", help="flat key = value config file", **d)
-    p.add_argument("--cache-dir", help="prime table cache directory; without one the table is sieved in memory", **d)
     p.add_argument("--prime-limit", type=int, help="sieve/table limit", **d)
     p.add_argument("--format", choices=["json", "csv"], help="stdout format for sequences", **d)
 
@@ -226,7 +222,7 @@ def _overlay(cfg: RunConfig, args) -> RunConfig:
 
 
 def _table(cfg: RunConfig):
-    return arith.build_prime_table(cfg.prime_limit, cache_dir=cfg.cache_dir)
+    return arith.build_prime_table(cfg.prime_limit)
 
 
 def _source(name: str, cfg: RunConfig):

@@ -120,12 +120,14 @@ def _step_sum(lnx: np.ndarray, jumps: np.ndarray, s):
 def _jump_source(label, count, x_edge, jumps_upto, laplace, *, C, A, lam, capped=False):
     """The GrowthFunction of a source that jumps, with growth constant C and
     ratio limit A, from its vectorized count S(x) on [1, x_edge]: fn(u) =
-    S(e^u)/e^u below u_edge = ln x_edge, and from u_edge on the tail
-    c e^{-lam u}, c = S(x_edge)/x_edge^{1-lam}, which is also the stated
-    tail. lam = 1 holds S at S(x_edge) (a finite source), lam = 0 holds g at
-    g(u_edge). `capped`: S is unknown past x_edge (a table's limit), so
-    u_cap = u_edge."""
+    S(e^u)/e^u below u_edge, the least u >= ln x_edge with e^u >= x_edge
+    (e^{ln 7} = 6.999999999999999), and from there on the tail c e^{-lam u},
+    c = S(x_edge)/x_edge^{1-lam}, also the stated tail. lam = 1 holds S at
+    S(x_edge) (a finite source), lam = 0 holds g at g(u_edge). `capped`: S
+    is unknown past x_edge (a table's limit), so u_cap = u_edge."""
     u_edge = math.log(x_edge)
+    while np.exp(u_edge) < x_edge:  # fn's exp
+        u_edge = math.nextafter(u_edge, math.inf)
     c = float(count(np.array(x_edge))) / x_edge ** (1.0 - lam)
 
     def fn(u):

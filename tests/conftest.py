@@ -1,8 +1,7 @@
 """Shared fixtures: prime tables and the acceptance summary hook.
 
-Both tables are built once per session. The small one is sieved in
-memory; the big (10^8) one, about 0.15 s to sieve, is cached in a
-per-session temp directory, from which the README examples reload it.
+Both tables are built once per session and sieved in memory; the big
+(10^8) one takes about 0.15 s.
 """
 
 import numpy as np
@@ -32,14 +31,8 @@ def small_table():
 
 
 @pytest.fixture(scope="session")
-def big_table_cache(tmp_path_factory):
-    """The cache directory that holds the session's 10^8 table."""
-    return tmp_path_factory.mktemp("ptbl_big")
-
-
-@pytest.fixture(scope="session")
-def big_table(big_table_cache):
-    return build_prime_table(100_000_000, cache_dir=big_table_cache)
+def big_table():
+    return build_prime_table(100_000_000)
 
 
 @pytest.fixture

@@ -455,16 +455,21 @@ def test_normalized_ratio_and_clipping(small_table):
 
 
 @pytest.mark.parametrize("limit", [2, 3, 100_003, 999_983])
-def test_frozen_tail_reads_a_prime_table_edge(limit, tmp_path):
+def test_frozen_tail_reads_a_prime_table_edge(limit):
     """A table whose limit is prime freezes g at the edge itself,
     pi(limit) ln(limit) / limit, fn holds it past u_cap and the stated
     tail is that value, bit for bit; a margin below the edge, or e^{u_cap}
     rounding below it, would miss the last prime (g = 0.0 and 0.3662 for
-    limits 2 and 3, not 0.3466 and 0.7324)."""
-    table = build_prime_table(limit, cache_dir=tmp_path)
+    limits 2 and 3, not 0.3466 and 0.7324). u_cap is ln(limit), raised
+    one float at a time while e^{u_cap} < limit (at 100,003 by one ulp)."""
+    table = build_prime_table(limit)
     S = tr.source_primes_weighted(table)
     edge = table.count(limit) * math.log(limit) / limit
-    assert S.tail == (math.log(limit), ((edge, 0.0),))
+    u_t = S.tail[0]
+    assert np.exp(u_t) >= limit  # the tail counts the edge
+    assert u_t == math.log(limit) or np.exp(np.nextafter(u_t, 0.0)) < limit  # and starts no later
+    assert (u_t > math.log(limit)) == (limit == 100_003)
+    assert S.tail == (u_t, ((edge, 0.0),)) and S.u_cap == u_t
     assert S.fn(np.array([S.u_cap + 1.0]))[0] == S.g(S.u_cap) == edge
 
 

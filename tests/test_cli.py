@@ -65,7 +65,6 @@ def test_config_file_overlay(tmp_path):
 def test_config_file_sets_every_key(tmp_path):
     """Each RunConfig field is a config key, read with its default's type."""
     expect = {
-        "cache_dir": str(tmp_path / "cache"),
         "prime_limit": 5000,
         "length": 6.5,
         "order": 12,
@@ -158,14 +157,15 @@ def test_prime_zeta_family_needs_no_sieve(capsys, monkeypatch):
 
 
 def test_primes_count_100(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "--cache-dir", str(tmp_path), "--prime-limit", "10000", "primes", "--count", "100")
+    code, out, _ = run_cli(capsys, "--prime-limit", "10000", "primes", "--count", "100")
     assert code == 0
     assert out.strip() == "25"
 
 
-def test_no_cache_dir_means_no_file(capsys, tmp_path, monkeypatch):
-    """Without a cache directory the table is sieved in memory: a build and
-    a CLI run write nothing to the home or the working directory."""
+def test_a_run_writes_only_the_files_it_names(capsys, tmp_path, monkeypatch):
+    """The prime table is sieved in memory: a build and the CLI commands
+    leave a fresh home and working directory holding exactly the --out and
+    --report files they name, and each report's .ratio.csv."""
     home, cwd = tmp_path / "home", tmp_path / "cwd"
     home.mkdir()
     cwd.mkdir()
@@ -173,91 +173,84 @@ def test_no_cache_dir_means_no_file(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(cwd)
     assert arith.build_prime_table(1000).count(1000) == 168
     assert run_cli(capsys, "--prime-limit", "1000", "primes", "--count", "100")[:2] == (0, "25\n")
-    assert list(home.iterdir()) == list(cwd.iterdir()) == []
+    for argv in (
+        ("special", "eval", "--fn", "pzeta", "--sigma", "2"),
+        ("transform", "eval", "--source", "integers", "--sigma", "2"),
+        ("operator", "diag", "--source", "linear", "--eps", "0", "--order", "2"),
+        ("operator", "assemble", "--source", "linear", "--eps", "0", "--order", "2", "--out", "w.csv"),
+        ("experiment", "converse", "--source", "linear", "--order", "4", "--report", "c.json"),
+        ("experiment", "pnt", "--prime-limit", "100000", "--order", "8", "--umax", "11", "--report", "r.json"),
+    ):
+        assert run_cli(capsys, *argv)[0] == 0, argv
+    assert list(home.iterdir()) == []
+    assert sorted(p.name for p in cwd.iterdir()) == ["c.json", "c.ratio.csv", "r.json", "r.ratio.csv", "w.csv"]
 
 
-def test_cache_dir_is_written_then_loaded(capsys, tmp_path, monkeypatch):
-    argv = ("--cache-dir", str(tmp_path), "--prime-limit", "1000", "primes", "--count", "100")
-    assert run_cli(capsys, *argv)[:2] == (0, "25\n")
-    assert [p.name for p in tmp_path.iterdir()] == ["primes_1000.ptbl"]
-
-    def refuse(limit):
-        raise AssertionError("a cached table is loaded, not sieved")
-
-    monkeypatch.setattr(arith, "_sieved_words", refuse)
-    assert run_cli(capsys, *argv) == (0, "25\n", "")
-
-
-def test_an_empty_cache_dir_is_a_config_error(capsys, tmp_path, monkeypatch):
-    """An empty cache_dir, from a config line or from the flag, is refused
-    (exit 1) before any table is built: taken as a path, it would put the
-    table file in the working directory."""
+def test_the_cache_dir_flag_and_key_are_refused(capsys, tmp_path, monkeypatch):
+    """The CLI has no prime table cache: --cache-dir, before or after the
+    command, is a usage error (exit 64), and a cache_dir config line an
+    unknown key (exit 1), and neither writes a file."""
     monkeypatch.chdir(tmp_path)
-    conf = tmp_path / "c.conf"
-    conf.write_text("cache_dir =\n")
-    for argv in (["--config", str(conf)], ["--cache-dir", ""]):
-        code, out, err = run_cli(capsys, *argv, "--prime-limit", "1000", "primes", "--count", "100")
-        assert code == 1 and out == "", argv
-        doc = json.loads(err.strip())
-        assert doc == {"code": "config", "message": "cache_dir must not be empty; leave it out to sieve in memory"}, argv
+    cmd = ("--prime-limit", "1000", "primes", "--count", "100")
+    for argv in (("--cache-dir", "d", *cmd), (*cmd, "--cache-dir", "d")):
+        with pytest.raises(SystemExit) as ei:
+            main(list(argv))
+        assert ei.value.code == 64, argv
+        assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err, argv
+    (tmp_path / "c.conf").write_text("cache_dir = d\n")
+    code, out, err = run_cli(capsys, "--config", "c.conf", *cmd)
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"code": "config", "message": "c.conf:1: unknown config key 'cache_dir'"}
     assert [p.name for p in tmp_path.iterdir()] == ["c.conf"]
 
 
-def test_primes_count_past_the_hard_cap(capsys, tmp_path):
+def test_primes_count_past_the_hard_cap(capsys):
     """A count past 2^32, where no table can be built, names the cap in
     place of a limit to rebuild with; below it the message is unchanged."""
-    code, out, err = run_cli(capsys, "--cache-dir", str(tmp_path), "--prime-limit", "1000", "primes", "--count", "1e300")
+    code, out, err = run_cli(capsys, "--prime-limit", "1000", "primes", "--count", "1e300")
     assert code == 2 and out == ""
     doc = json.loads(err.strip())
     assert doc["code"] == "table-exhausted"
     assert doc["message"].startswith("count query up to 1.0000000000000001e+300 exceeds table limit 1000; ")
     assert doc["message"].endswith("; no prime table can be built past the hard cap 2^32 = 4294967296")
-    code, _, err = run_cli(capsys, "--cache-dir", str(tmp_path), "--prime-limit", "1000", "primes", "--count", "2000")
+    code, _, err = run_cli(capsys, "--prime-limit", "1000", "primes", "--count", "2000")
     assert code == 2
     assert json.loads(err.strip())["message"] == "count query up to 2000 exceeds table limit 1000; rebuild with limit >= 2000"
 
 
-def test_pnt_on_an_insufficient_cache(capsys, tmp_path):
-    code, out, err = run_cli(
-        capsys,
-        "--cache-dir", str(tmp_path), "--prime-limit", "200000",
-        "experiment", "pnt", "--umax", "14",
-    )
+def test_pnt_on_an_insufficient_table(capsys):
+    code, out, err = run_cli(capsys, "--prime-limit", "200000", "experiment", "pnt", "--umax", "14")
     assert code == 2
     doc = json.loads(err.strip())  # single-line JSON on stderr
     assert doc["code"] == "table-exhausted"
 
 
-def test_converse_refuses_an_order_past_the_frozen_tail(capsys, tmp_path):
+def test_converse_refuses_an_order_past_the_frozen_tail(capsys):
     # at L = 8 pi a 1e5 table resolves orders up to N_max = 46.05; the default is 64
     code, _, err = run_cli(
-        capsys,
-        "--cache-dir", str(tmp_path), "--prime-limit", "100000",
-        "experiment", "converse", "--source", "wprimes", "--umax", "11",
+        capsys, "--prime-limit", "100000", "experiment", "converse", "--source", "wprimes", "--umax", "11",
     )
     assert code == 1
     doc = json.loads(err.strip())
     assert doc["code"] == "domain" and "N_max = 46.05" in doc["message"]
 
 
-def test_converse_past_the_table_is_table_exhausted(capsys, tmp_path):
+def test_converse_past_the_table_is_table_exhausted(capsys):
     # ln 1e5 = 11.5 < 14: the range guard refuses before the N_max check
     code, _, err = run_cli(
-        capsys,
-        "--cache-dir", str(tmp_path), "--prime-limit", "100000",
-        "experiment", "converse", "--source", "wprimes", "--umax", "14",
+        capsys, "--prime-limit", "100000", "experiment", "converse", "--source", "wprimes", "--umax", "14",
     )
     assert code == 2
     assert json.loads(err.strip())["code"] == "table-exhausted"
 
 
-def test_operator_diag_refuses_an_order_past_the_frozen_tail(capsys, tmp_path):
+def test_operator_diag_refuses_an_order_past_the_frozen_tail(capsys):
     # the diagonals past N_max = 46.05 would read the frozen g(ln 1e5), with
     # or without damping
     for eps in ("0", "0.05"):
         code, out, err = run_cli(
             capsys,
-            "--cache-dir", str(tmp_path), "--prime-limit", "100000",
+            "--prime-limit", "100000",
             "operator", "diag", "--source", "wprimes", "--eps", eps, "--order", "64", "--A", "1",
         )
         assert code == 1 and out == "", eps
@@ -311,7 +304,7 @@ def test_pnt_takes_length_and_order_from_the_config_file(capsys, tmp_path):
     report = tmp_path / "pnt.json"
     code, _, _ = run_cli(
         capsys,
-        "--cache-dir", str(tmp_path), "--prime-limit", "30000", "--config", str(conf),
+        "--prime-limit", "30000", "--config", str(conf),
         "experiment", "pnt", "--umax", "10", "--report", str(report),
     )
     assert code == 0
@@ -332,7 +325,7 @@ def test_pnt_report_records_the_order_it_ran_at(capsys, tmp_path):
         conf.write_text(text)
         code, _, err = run_cli(
             capsys,
-            "--cache-dir", str(tmp_path), "--prime-limit", "30000", "--config", str(conf),
+            "--prime-limit", "30000", "--config", str(conf),
             "experiment", "pnt", "--length", repr(16 * math.pi), "--umax", "10", *flags, "--report", str(report),
         )
         assert code == 0, err
@@ -478,18 +471,18 @@ def test_an_unwritable_ratio_table_is_a_contract_error(capsys, tmp_path):
 
 
 def test_written_files_take_the_umask_mode(capsys, tmp_path):
-    """A report JSON, its .ratio.csv and a prime cache in a named directory
-    come out 0644 under umask 022, as a plain open() would make them."""
+    """A report JSON, its .ratio.csv and an --out CSV come out 0644 under
+    umask 022, as a plain open() would make them."""
     old = os.umask(0o022)
     try:
-        report = tmp_path / "r.json"
+        report, out = tmp_path / "r.json", tmp_path / "d.csv"
         argv = ("experiment", "converse", "--source", "linear", "--order", "4", "--report", str(report))
         assert run_cli(capsys, *argv)[0] == 0
-        cache = tmp_path / "cache"
-        assert run_cli(capsys, "--cache-dir", str(cache), "--prime-limit", "1000", "primes", "--count", "100")[0] == 0
+        argv = ("operator", "diag", "--source", "linear", "--eps", "0", "--order", "2", "--out", str(out))
+        assert run_cli(capsys, *argv)[0] == 0
     finally:
         os.umask(old)
-    for path in (report, tmp_path / "r.ratio.csv", cache / "primes_1000.ptbl"):
+    for path in (report, tmp_path / "r.ratio.csv", out):
         assert path.stat().st_mode & 0o777 == 0o644, path
 
 
@@ -554,10 +547,12 @@ def test_known_options_before_the_command_keep_working(capsys, tmp_path):
         ["--prime-limit", "1000"],
         ["--prime-limit=1000"],
         ["--prime", "1000"],  # argparse's abbreviation
-        ["--config", str(conf), "--cache-dir", str(tmp_path), "--format", "csv"],
+        ["--config", str(conf), "--format", "csv"],
     ):
         assert run_cli(capsys, *lead, "primes", "--count", "100") == (0, "25\n", ""), lead
-    assert (tmp_path / "primes_5000.ptbl").exists()
+    # the config file before the command set the table limit
+    code, _, err = run_cli(capsys, "--config", str(conf), "primes", "--count", "6000")
+    assert code == 2 and "exceeds table limit 5000" in json.loads(err)["message"]
     code, _, err = run_cli(capsys, "--prime-limit", "-5", "primes", "--count", "10")
     assert code == 1 and json.loads(err)["code"] == "config"
     with pytest.raises(SystemExit) as ei:
@@ -582,20 +577,23 @@ def test_flag_beats_file_beats_default(capsys, tmp_path):
     p = tmp_path / "t.conf"
     p.write_text("prime_limit = 200000\n")
     # file value: count inside 2e5 succeeds
-    code, out, _ = run_cli(capsys, "--config", str(p), "--cache-dir", str(tmp_path), "primes", "--count", "150000")
+    code, out, _ = run_cli(capsys, "--config", str(p), "primes", "--count", "150000")
     assert code == 0 and int(out.strip()) == 13848
     # flag tightens the limit below the query: must exhaust
     code, _, err = run_cli(
-        capsys, "--config", str(p), "--cache-dir", str(tmp_path), "--prime-limit", "1000",
-        "primes", "--count", "150000",
+        capsys, "--config", str(p), "--prime-limit", "1000", "primes", "--count", "150000",
     )
     assert code == 2
     assert json.loads(err.strip())["code"] == "table-exhausted"
 
 
 def test_shared_flags_accepted_after_the_subcommand(capsys, tmp_path):
-    code, out, _ = run_cli(capsys, "primes", "--count", "100", "--prime-limit", "5000", "--cache-dir", str(tmp_path))
+    conf = tmp_path / "t.conf"
+    conf.write_text("prime_limit = 1000\n")
+    code, out, _ = run_cli(capsys, "primes", "--count", "100", "--prime-limit", "5000", "--format", "csv")
     assert code == 0 and out.strip() == "25"
+    code, _, err = run_cli(capsys, "primes", "--count", "2000", "--config", str(conf))
+    assert code == 2 and "exceeds table limit 1000" in json.loads(err)["message"]
 
 
 # ---------------------------------------------------------------------------
@@ -815,9 +813,9 @@ def test_every_transform_source_evaluates(capsys, tmp_path, source):
 
 
 @pytest.mark.parametrize("source", list(cli._SOURCES))
-def test_every_catalog_source_runs_diag(capsys, tmp_path, source):
+def test_every_catalog_source_runs_diag(capsys, source):
     code, out, _ = run_cli(
-        capsys, "--prime-limit", "30000", "--cache-dir", str(tmp_path),
+        capsys, "--prime-limit", "30000",
         "operator", "diag", "--source", source, "--eps", "0.1", "--order", "2",
     )
     assert code == 0

@@ -278,7 +278,7 @@ def test_frequency_route_refuses_a_source_without_a_tail():
             assemble_frequency_route([bad], I, 0.0, 4)
 
 
-def test_a_batch_resolves_no_table_source_past_its_table(small_table, big_table, tmp_path):
+def test_a_batch_resolves_no_table_source_past_its_table(small_table, big_table):
     """Weighted primes on the 1e5 table hold jumps only up to the table
     limit, and past it their fn holds g(u_cap). A batch with the integers
     (a_end = (L/2) ln 2e5) or with a larger table would resolve those jumps
@@ -291,7 +291,7 @@ def test_a_batch_resolves_no_table_source_past_its_table(small_table, big_table,
     moves with the batch (measured 1.8e-10)."""
     I, eps = IntervalSpec(8.0 * math.pi), 0.05
     small = tr.source_primes_weighted(small_table)
-    mid = tr.source_primes_weighted(build_prime_table(300_000, cache_dir=tmp_path))
+    mid = tr.source_primes_weighted(build_prime_table(300_000))
     big = tr.source_primes_weighted(big_table)
     for other in (tr.source_integers(), mid):
         with pytest.raises(TableExhaustedError, match="primes_in query up to 200000 exceeds table limit 100000") as ei:

@@ -385,8 +385,10 @@ def _step_functions(draw):
     _step_functions(),
     st.lists(st.floats(1.0, 1e5), min_size=1, max_size=20),
 )
-# an interior breakpoint that e^{ln 7} rounds below: g reads S at e^u there
+# a breakpoint that e^{ln 7} rounds below, inside and at the edge: g reads S
+# at e^u there, and the tail starts past ln 7
 @example("step_function", transform.source_steps([7.0, 11.0], [1.0, 1.0], "steps"), [7.0])
+@example("step_function", transform.source_steps([7.0], [1.0], "s"), [7.0])
 def test_declared_jumps_reproduce_the_source(small_table, which, step, xs):
     """The GrowthFunction contract the product-integration weights rely on:
     S(x) = sum over x_j <= x of (da_j + db_j ln x) on [1, hi] for the jumps

@@ -1,6 +1,6 @@
 """The README's command-line examples: each `$ tauberlab ...` line that the
-README follows with an output line runs through cli.main, with only
-`--cache-dir` appended, and must print exactly that line."""
+README follows with an output line runs through cli.main exactly as
+shown, and must print exactly that line."""
 
 import shlex
 from pathlib import Path
@@ -29,8 +29,7 @@ def test_readme_shows_examples():
 
 
 @pytest.mark.parametrize("argv, shown", EXAMPLES, ids=[cmd for cmd, _ in EXAMPLES])
-def test_readme_example_prints_what_the_readme_shows(argv, shown, capsys, big_table, big_table_cache):
-    # big_table fills the cache, so `primes` reloads the 10^8 table instead of sieving it
-    code = main(shlex.split(argv) + ["--cache-dir", str(big_table_cache)])
+def test_readme_example_prints_what_the_readme_shows(argv, shown, capsys):
+    code = main(shlex.split(argv))
     assert code == 0
     assert capsys.readouterr().out == shown + "\n"

@@ -231,23 +231,46 @@ def _mobius(k):
     return -mu if k > 1 else mu
 
 
+def _mp_prime_zeta_deriv(mpmath, z):
+    """P'(z) = sum_k mu(k) zeta'(kz)/zeta(kz) in mpmath, at its working
+    precision, stopped once 2^{-k sigma} < 1e-16; each dropped term is below
+    3 * 2^{-k sigma}, so the dropped tail is below 1e-15."""
+    ref, k = mpmath.mpf(0), 1
+    while 2.0 ** (-k * float(z.real)) >= 1e-16:
+        if _mobius(k):
+            ref += _mobius(k) * mpmath.zeta(k * z, derivative=1) / mpmath.zeta(k * z)
+        k += 1
+    return ref
+
+
 @pytest.mark.parametrize("sigma", [1.01, 1.03, 1.1, 1.3])
 def test_prime_zeta_deriv_against_mpmath(sigma):
-    """P'(s) = sum_k mu(k) zeta'(ks)/zeta(ks) at 30 digits, within the default
-    abs_tol 1e-10. The reference stops once 2^{-k sigma} < 1e-16; each dropped
-    term is below 3 * 2^{-k sigma}, so its tail is below 1e-15."""
+    """P'(s) against 30-digit mpmath, within the default abs_tol 1e-10."""
     mpmath = pytest.importorskip("mpmath")
     for t in (0.0, 5.0, 20.0):
         with mpmath.workdps(30):
+            ref = complex(_mp_prime_zeta_deriv(mpmath, mpmath.mpc(sigma, t)))
+        assert abs(prime_zeta_deriv(complex(sigma, t)) - ref) <= 1e-10, t
+
+
+@pytest.mark.parametrize("sigma", [1.02, 1.05, 1.3])
+def test_prime_zeta_deriv_and_weighted_primes_transform_at_1e13(sigma):
+    """The point path of P' and of G(s) = (P(s) - s P'(s))/s^2, the weighted
+    primes' transform, at EvalTolerance(1e-13) against 30-digit mpmath:
+    within 1e-13 plus 4 ulp of |ref|, so a 1e-12 relative error fails
+    (|P'| is about 1/(sigma - 1) near s = 1). Measured worst: 2.1e-14
+    absolute, 1.7e-14 relative."""
+    mpmath = pytest.importorskip("mpmath")
+    tol = EvalTolerance(1e-13)
+    for t in (0.0, 5.0, 20.0, -13.0):
+        s = complex(sigma, t)
+        with mpmath.workdps(30):
             z = mpmath.mpc(sigma, t)
-            ref = mpmath.mpf(0)
-            k = 1
-            while 2.0 ** (-k * sigma) >= 1e-16:
-                mu = _mobius(k)
-                if mu:
-                    ref += mu * mpmath.zeta(k * z, derivative=1) / mpmath.zeta(k * z)
-                k += 1
-        assert abs(prime_zeta_deriv(complex(sigma, t)) - complex(ref)) <= 1e-10, t
+            ref_pd = _mp_prime_zeta_deriv(mpmath, z)
+            ref_g = complex((mpmath.primezeta(z) - z * ref_pd) / z**2)
+            ref_pd = complex(ref_pd)
+        for got, ref in ((prime_zeta_deriv(s, tol), ref_pd), (transform.transform_weighted_primes(s, tol), ref_g)):
+            assert abs(got - ref) <= 1e-13 + 4 * np.finfo(float).eps * abs(ref), (t, got, ref)
 
 
 def _em_direct(s, N):
@@ -520,21 +543,14 @@ _ORACLE_POINTS = [
 @pytest.mark.parametrize("s", _ORACLE_POINTS)
 def test_zeta_family_against_mpmath(s):
     """zeta, zeta', P and P' (alone and from prime_zeta_pair) against 30-digit
-    mpmath at abs 1e-10. P' is sum_k mu(k) zeta'(ks)/zeta(ks), stopped once
-    2^{-k sigma} < 1e-16 (each dropped term is below 3 2^{-k sigma})."""
+    mpmath at abs 1e-10 (P' from _mp_prime_zeta_deriv)."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         z = mpmath.mpc(s.real, s.imag)
         ref_z = complex(mpmath.zeta(z))
         ref_zd = complex(mpmath.zeta(z, derivative=1))
         ref_p = complex(mpmath.primezeta(z))
-        ref_pd = mpmath.mpf(0)
-        k = 1
-        while 2.0 ** (-k * s.real) >= 1e-16:
-            if _mobius(k):
-                ref_pd += _mobius(k) * mpmath.zeta(k * z, derivative=1) / mpmath.zeta(k * z)
-            k += 1
-        ref_pd = complex(ref_pd)
+        ref_pd = complex(_mp_prime_zeta_deriv(mpmath, z))
     p, pd = prime_zeta_pair(s)
     assert abs(zeta(s) - ref_z) <= 1e-10
     assert abs(zeta_deriv(s) - ref_zd) <= 1e-10
@@ -593,8 +609,8 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_against_mpmath():
     panels and the Gauss-Legendre offsets, against 30-digit mpmath at the
     default abs_tol 1e-10. The whole grid is one batch, so the sampled
     points take the peel cap, orders and truncations of the pnt run; each
-    takes another panel and another of the 16 offsets. P' is
-    sum_k mu(k) zeta'(ks)/zeta(ks), stopped once 2^{-k sigma} < 1e-16."""
+    takes another panel and another of the 16 offsets (P' from
+    _mp_prime_zeta_deriv)."""
     mpmath = pytest.importorskip("mpmath")
     grid = _pnt_kernel_points()
     p, pd = (v.ravel() for v in prime_zeta_pair(grid))
@@ -604,14 +620,9 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_against_mpmath():
         with mpmath.workdps(30):
             z = mpmath.mpc(s.real, s.imag)
             ref_p = complex(mpmath.primezeta(z))
-            ref_pd = mpmath.mpf(0)
-            k = 1
-            while 2.0 ** (-k * s.real) >= 1e-16:
-                if _mobius(k):
-                    ref_pd += _mobius(k) * mpmath.zeta(k * z, derivative=1) / mpmath.zeta(k * z)
-                k += 1
+            ref_pd = complex(_mp_prime_zeta_deriv(mpmath, z))
         assert abs(p[i] - ref_p) <= 1e-10, s
-        assert abs(pd[i] - complex(ref_pd)) <= 1e-10, s
+        assert abs(pd[i] - ref_pd) <= 1e-10, s
 
 
 @pytest.mark.parametrize("abs_tol", [1e-10, 1e-12])

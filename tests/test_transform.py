@@ -12,7 +12,7 @@ import pytest
 
 from tauberlab import operators, special
 from tauberlab import transform as tr
-from tauberlab.arith import GrowthFunction
+from tauberlab.arith import GrowthFunction, build_prime_table
 from tauberlab.errors import ContractError, DomainError
 from tauberlab.operators import _GL16, _STEP_RESOLVE_CAP, _gl_nodes_on
 from tauberlab.special import OuterGrid, _prep, _restore, psi_entire
@@ -331,8 +331,9 @@ def test_each_source_takes_its_side_of_a_jump_at_u_ln_x(small_table):
     """One side rule for every jump source (GrowthFunction, jumps_upto):
     below its edge g reads S at x = e^u, so at u = ln 7, where e^u rounds
     below 7, the step source with breakpoints [7, 11] reads 0, as
-    jumps_upto(e^u), the integer and the prime counts do; a source whose
-    last breakpoint is 7 counts the jump there, through its edge rule."""
+    jumps_upto(e^u), the integer and the prime counts do. So does a source
+    whose last breakpoint is 7: its tail, which counts the jump, starts one
+    float past ln 7, where e^u reaches 7."""
     u = math.log(7.0)
     x = math.exp(u)
     assert x == 6.999999999999999
@@ -345,8 +346,25 @@ def test_each_source_takes_its_side_of_a_jump_at_u_ln_x(small_table):
     assert wprimes.g(u) * x / math.log(x) == pytest.approx(3.0, rel=1e-14)
     assert list(wprimes.jumps_upto(x)[0]) == [2.0, 3.0, 5.0]
     edge = tr.source_steps([7.0], [1.0], "seven")
-    assert edge.tail[0] == u
-    assert edge.g(u) == math.exp(-u)
+    u_t = math.nextafter(u, math.inf)
+    assert edge.tail[0] == u_t and np.exp(u_t) >= 7.0
+    assert edge.g(u) == 0.0 and edge.jumps_upto(x)[0].size == 0
+    assert edge.g(u_t) == np.exp(-u_t)
+
+
+@pytest.mark.parametrize("which", ["integers", "steps", "weighted_primes_1e6"])
+def test_the_tail_starts_where_e_u_reaches_the_edge(which):
+    """A jump source's tail counts its edge x_edge, so it starts at the
+    least u with e^u >= x_edge (numpy's exp, which fn takes): past ln x_edge
+    where e^{ln x_edge} rounds below x_edge, as at 2^52, 7 and 10^6."""
+    S, x_edge = {
+        "integers": lambda: (tr.source_integers(), 2.0**52),
+        "steps": lambda: (tr.source_steps([7.0], [1.0], "seven"), 7.0),
+        "weighted_primes_1e6": lambda: (tr.source_primes_weighted(build_prime_table(10**6)), 1e6),
+    }[which]()
+    u_t = S.tail[0]
+    assert u_t > math.log(x_edge)
+    assert np.exp(u_t) >= x_edge > np.exp(np.nextafter(u_t, 0.0))
 
 
 @pytest.mark.parametrize("which", ["integers", "weighted_primes", "steps"])
@@ -368,18 +386,20 @@ def test_past_the_edge_fn_is_its_stated_tail_bit_for_bit(which, small_table):
 @pytest.mark.parametrize("h, x0",[(3.0, math.e), (2.0, 1.0), (1.0, 108.0), (1.0, 7.0)])
 def test_single_jump_is_its_closed_form_bit_for_bit(h, x0):
     """The single jump is a step source that keeps the closed forms it had
-    when it was written out by hand: g = h e^{-u} from u0 = ln x0 on, at u0
-    itself too (e^{ln 7} rounds below 7, so a switch on e^u >= x0 would read
-    0 there), and below u0 the count at e^u over e^u: 0, or h/e^u where e^u
-    rounds up to x0 (x0 = e at the u just below u0). G(s) = h e^{-s u0} / s,
+    when it was written out by hand: g = h e^{-u} from u_t on, the least
+    u >= u0 = ln x0 with e^u >= x0 (one float past u0 at x0 = 7, where
+    e^{ln 7} rounds below 7), and below u_t the count at e^u over e^u: 0,
+    or h/e^u where e^u rounds up to x0 (x0 = e at the u just below u0), as
+    jumps_upto(e^u) counts. G(s) = h e^{-s u0} / s,
     on an array and on the kernel route's grid, 1 + eps + i x for the 4,032
     nodes x at L = 8 pi, eps = 0.05, N = 8."""
     S = tr.source_single_jump(h, x0)
     u0 = math.log(x0)
-    u = np.concatenate((np.linspace(0.0, 2.0 * u0 + 1.0, 41), [u0, np.nextafter(u0, 0.0), u0 + 1e-15]))
+    u_t = np.nextafter(u0, math.inf) if x0 == 7.0 else u0
+    u = np.concatenate((np.linspace(0.0, 2.0 * u0 + 1.0, 41), [u0, u_t, np.nextafter(u0, 0.0), u0 + 1e-15]))
     below = np.where(np.exp(u) >= x0, h / np.exp(u), 0.0)
-    assert S.g(u).tobytes() == np.where(u >= u0, h * np.exp(-u), below).tobytes()
-    assert S.g(u0) == h * math.exp(-u0)
+    assert S.g(u).tobytes() == np.where(u >= u_t, h * np.exp(-u), below).tobytes()
+    assert S.g(u_t) == h * np.exp(-u_t)
     P, L = 252, 8.0 * math.pi
     half = L / (2 * P)
     grid = 1.0 + 0.05 + 1j * OuterGrid((2 * np.arange(P) + 1) * half, half * _GL16[0])
@@ -387,6 +407,6 @@ def test_single_jump_is_its_closed_form_bit_for_bit(h, x0):
     assert S.laplace(grid).tobytes() == (h * np.exp(-z * u0) / z).tobytes()
     s = _S_PTS
     assert S.laplace(s).tobytes() == (h * np.exp(-s * u0) / s).tobytes()
-    assert S.tail == (u0, ((h, 1.0),))
+    assert S.tail == (u_t, ((h, 1.0),))
     assert S.growth_constant == h / x0
     assert S.ratio_limit_A == 0.0
