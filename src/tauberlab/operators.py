@@ -155,7 +155,9 @@ Past a_end the jumps are not resolved: the 16-node panels sample a
 staircase there. On the pnt grid the primes between 2e5 and 1e8 set a
 floor. Halving every panel past a_end = 153.4 moves the eps = 0
 diagonals by 9.0e-6, and quartering them by a further 2.0e-6, so those
-diagonals hold to about 1e-5, not to the 1e-14 of the rule above.
+diagonals hold to about 1e-5, not to the 1e-14 of the rule above. A step
+source's jumps past 2e5 are sampled too: jumps at 1e6 and 1e7 miss the
+kernel route by 2.1e-3 of max |W| (L = 8 pi, N = 8, eps = 0.05).
 
 The kernel route keeps 16 nodes on every panel, and its panels are at
 most 2 eps wide. G is analytic on sigma > 1, so the kernel
@@ -361,7 +363,7 @@ def kernel(S: GrowthFunction, eps: float, x):
 
 
 # The three route entries take a batch yet keep their singular names:
-# perfbench/workloads.py wraps them by name (ROADMAP item 13 may rename them).
+# perfbench/workloads.py wraps them by name (ROADMAP item 15 may rename them).
 def assemble_kernel_route(
     sources: Sequence[GrowthFunction],
     I: IntervalSpec,

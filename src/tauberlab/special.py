@@ -702,10 +702,10 @@ def exp_e1(w):
     min(_E1_CF_DEPTH_CAP, 6 + ceil(200/r)). It converges slowest on
     the imaginary axis, where 30-digit mpmath puts the depth that reaches
     3e-16 relative near 3 + 180/r (92 at r = 2, 11 at r = 6 pi). A
-    DomainError for Re w < 0."""
+    DomainError for Re w < 0 or w = 0, the pole of E1."""
     w = np.asarray(w, dtype=complex)
-    if np.any(w.real < 0.0):
-        raise DomainError("exp_e1 requires Re(w) >= 0")
+    if np.any((w.real < 0.0) | (w == 0.0)):
+        raise DomainError("exp_e1 requires Re(w) >= 0 and w != 0")
     flat = w.ravel()
     r = np.abs(flat)
     seam = (r > _E1_SEAM_RADIUS) & (np.abs(np.angle(flat)) < _E1_SEAM_ARG)

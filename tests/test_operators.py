@@ -721,9 +721,11 @@ def test_step_values_hold_no_array_of_every_degree():
 
 def test_the_resolved_range_never_reads_the_prime_table(big_table, monkeypatch):
     """The pnt source declares its jumps, so the frequency route reads the
-    table only past a_end = 153.4: at N = 72 the eps = 0 diagonals and the
-    eps = 0.05 route both read the 4,192 nodes up to X = 235.6 there, and
-    fn at u_t, u_t + 1 and u_t + 10 once for the tail check. The source
+    table only past a_end = 153.4, and fn reads it only below u_cap: at
+    N = 72 the eps = 0 diagonals and the eps = 0.05 route both read the
+    3,980 of the 4,192 nodes up to X = 235.6 that lie below
+    (L/2) u_cap = 231.5; the tail check's u_t, u_t + 1 and u_t + 10 lie
+    past u_cap, where fn is the stated tail and reads no table. The source
     reads g(u_cap) once when it is built, for its stated tail."""
     from tauberlab import tauber
 
@@ -734,10 +736,10 @@ def test_the_resolved_range_never_reads_the_prime_table(big_table, monkeypatch):
     assert reads == [1]
     reads.clear()
     diagonal_sequence([S], I, 0.0, N)
-    assert sorted(reads) == [3, 4_192]
+    assert sorted(reads) == [0, 3_980]
     reads.clear()
     assemble_frequency_route([S], I, 0.05, N)
-    assert sorted(reads) == [3, 4_192]
+    assert sorted(reads) == [0, 3_980]
 
 
 _TAIL_SOURCES = {**_CLOSED_FORM_SOURCES, "weighted_primes": None}

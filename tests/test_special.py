@@ -730,6 +730,14 @@ def test_exp_e1_keeps_the_shape_and_refuses_the_left_half_plane():
         special.exp_e1(np.array([1.0 + 0j, -1e-9 + 1j]))
 
 
+@pytest.mark.parametrize("w", [0.0, 0j, np.array([1.0 + 0j, 0.0, 2j])])
+def test_exp_e1_refuses_the_pole_at_zero(w):
+    """E1 has its log pole at w = 0: a zero, alone or in a batch, is a
+    DomainError, not an inf or a NaN from log(0)."""
+    with pytest.raises(DomainError, match="w != 0"):
+        special.exp_e1(w)
+
+
 def test_sine_and_cosine_integrals_from_exp_e1_against_scipy():
     """E1(ix) = -Ci(x) + i (Si(x) - pi/2) on x in [1e-3, 1e4] against
     scipy.special.sici, absolute 1e-15 (Ci near its log singularity,

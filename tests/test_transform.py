@@ -383,6 +383,36 @@ def test_past_the_edge_fn_is_its_stated_tail_bit_for_bit(which, small_table):
     assert operators._tail_of(S) == S.tail
 
 
+@pytest.mark.parametrize("which", ["integers", "weighted_primes_1e5", "weighted_primes_1e8", "steps", "single_jump"])
+def test_jump_fn_reads_each_side_only_where_it_holds(which, small_table, big_table):
+    """A jump source's fn forms S(e^u)/e^u only below u_edge and the tail
+    c e^{-lam u} only from u_edge on, and equals, bit for bit, the form that
+    computes both at every u and picks one: on [0, u_edge + 5], at u_edge
+    and its two float neighbours, and on 0-d input there."""
+    xj, aj = np.array([2.0, 7.0, 11.0]), np.array([1.0, 0.5, 3.0])
+    level = np.concatenate(([0.0], np.cumsum(aj)))
+    S, count = {
+        "integers": lambda: (tr.source_integers(), np.floor),
+        "weighted_primes_1e5": lambda: (tr.source_primes_weighted(small_table),
+                                        lambda x: small_table.count(x) * np.log(x)),
+        "weighted_primes_1e8": lambda: (tr.source_primes_weighted(big_table), lambda x: big_table.count(x) * np.log(x)),
+        "steps": lambda: (tr.source_steps(xj, aj, "steps"), lambda x: level[np.searchsorted(xj, x, side="right")]),
+        "single_jump": lambda: (tr.source_single_jump(), lambda x: np.where(x >= math.e, 3.0, 0.0)),
+    }[which]()
+    u_edge, ((c, lam),) = S.tail
+
+    def both(u):
+        e = np.exp(np.minimum(u, u_edge))
+        return np.where(u < u_edge, count(e) / e, c * np.exp(-lam * u))
+
+    edge = [np.nextafter(u_edge, 0.0), u_edge, np.nextafter(u_edge, np.inf)]
+    u = np.concatenate((np.linspace(0.0, u_edge + 5.0, 2001), edge))
+    assert S.fn(u).tobytes() == both(u).tobytes()
+    for v in edge:
+        assert np.ndim(S.fn(np.array(v))) == 0
+        assert S.fn(np.array(v)).tobytes() == both(np.array(v)).tobytes()
+
+
 @pytest.mark.parametrize("h, x0",[(3.0, math.e), (2.0, 1.0), (1.0, 108.0), (1.0, 7.0)])
 def test_single_jump_is_its_closed_form_bit_for_bit(h, x0):
     """The single jump is a step source that keeps the closed forms it had
