@@ -195,28 +195,38 @@ class PrimeTable:
 
 
 # ---------------------------------------------------------------------------
-# report dicts, atomic writes and the prime cache file
+# report dicts, CSV text, atomic writes and the prime cache file
 # ---------------------------------------------------------------------------
 
 
+def _plain(v):
+    """v as a JSON-ready value: a tuple or list as a list of plain values, a
+    numpy array or scalar as Python numbers (tolist), anything else as is."""
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    return v.tolist() if isinstance(v, (np.ndarray, np.generic)) else v
+
+
 def _fields_dict(report) -> dict:
-    """A dataclass report as JSON-ready values, one key per field: arrays
-    and tuples become lists, everything else is kept as it is."""
-    out = {}
-    for f in dataclasses.fields(report):
-        v = getattr(report, f.name)
-        if isinstance(v, np.ndarray):
-            v = v.tolist()
-        elif isinstance(v, (list, tuple)):
-            v = list(v)
-        out[f.name] = v
-    return out
+    """A dataclass report as JSON-ready values, one key per field (_plain)."""
+    return {f.name: _plain(getattr(report, f.name)) for f in dataclasses.fields(report)}
 
 
-def _atomic_write(path: Path, *parts) -> None:
-    """Write parts, all str or all bytes-like, to path through a temp file
-    in the same directory. The file gets the mode of a plain open(), 0o666
-    less the umask, not mkstemp's 0o600."""
+def _csv_text(kind: str, meta: dict, rows, head=()) -> str:
+    """A tauberlab CSV: `# tauberlab-<kind> v1, key=value, ...` (a float,
+    numpy's too, as repr(float(v)), anything else as str(v)), the head
+    lines, then a line per row, each number as %.17g (lossless for float64)."""
+    fields = ", ".join(f"{k}={repr(float(v)) if isinstance(v, (float, np.floating)) else v}" for k, v in meta.items())
+    lines = [f"# tauberlab-{kind} v1, {fields}", *head]
+    lines += [",".join("%.17g" % v for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _atomic_write(path, *parts) -> None:
+    """Write parts, all str or all bytes-like, to path (any path-like)
+    through a temp file in the same directory. The file gets the mode of a
+    plain open(), 0o666 less the umask, not mkstemp's 0o600."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     umask = os.umask(0)
     os.umask(umask)

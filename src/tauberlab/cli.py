@@ -18,9 +18,9 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 from . import __version__, arith, operators, special, tauber, transform
@@ -129,7 +129,13 @@ _ROUTES = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with the usage exit code the tool's taxonomy wants (64)."""
+    """argparse with the usage exit code the tool's taxonomy wants (64), that
+    reads -1e3, -.5 and -inf as values, as stock argparse reads only -1 and
+    -1.5: it takes --t -1e3 or --eps -inf for a missing value."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self._negative_number_matcher = re.compile(r"-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|-(inf(inity)?|nan)$", re.I)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -244,16 +250,12 @@ def _save(save, path, *args, **kw) -> None:
         raise ContractError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _emit_sequence(values, cfg: RunConfig, out: Optional[str], header: str) -> None:
-    if out or cfg.format == "csv":
-        lines = [header] + [f"{i},{v:.17g}" for i, v in enumerate(values)]
-        text = "\n".join(lines) + "\n"
-        if out:
-            _save(arith._atomic_write, Path(out), text)
-        else:
-            sys.stdout.write(text)
+def _write(text: str, out: Optional[str]) -> None:
+    """text to the file out, atomically, or to stdout without one."""
+    if out:
+        _save(arith._atomic_write, out, text)
     else:
-        _emit([float(v) for v in values])
+        sys.stdout.write(text)
 
 
 def _cmd_primes(args, cfg: RunConfig) -> int:
@@ -297,20 +299,22 @@ def _cmd_operator(args, cfg: RunConfig) -> int:
     I = operators.IntervalSpec(cfg.length)
     N = cfg.order
     cmd = args.operator_command
+    meta = {"L": cfg.length, "eps": args.eps, "N": N, "source": S.label}
     if cmd == "diag":
         operators._check_A(args.A)
         vals = operators.diagonal_sequence([S], I, args.eps, N)[0] - args.A
-        _emit_sequence(vals, cfg, args.out, f"# tauberlab-diag v1, L={cfg.length!r}, eps={args.eps!r}, N={N}, source={S.label}, A={args.A!r}")
-        return 0
-    W = getattr(operators, _ROUTES[args.route])([S], I, args.eps, N)[0]
-    if cmd == "assemble":
-        if args.out:
-            _save(W.to_csv, args.out)
-        else:
-            sys.stdout.write(W.csv_text())
-        return 0
-    vals = operators.spectrum(W)
-    _emit_sequence(vals, cfg, args.out, f"# tauberlab-spectrum v1, L={cfg.length!r}, eps={args.eps!r}, N={N}, source={S.label}, route={W.route}")
+        meta["A"] = args.A
+    else:
+        W = getattr(operators, _ROUTES[args.route])([S], I, args.eps, N)[0]
+        if cmd == "assemble":
+            _write(W.csv_text(), args.out)
+            return 0
+        vals = operators.spectrum(W)
+        meta["route"] = W.route
+    if args.out or cfg.format == "csv":
+        _write(arith._csv_text(cmd, meta, enumerate(vals)), args.out)
+    else:
+        _emit([float(v) for v in vals])
     return 0
 
 

@@ -205,12 +205,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .arith import GrowthFunction, _atomic_write, _fields_dict
+from .arith import GrowthFunction, _atomic_write, _csv_text, _fields_dict
 from .errors import ContractError, DomainError, PrecisionError, ResourceError
 from .special import OuterGrid, exp_e1
 
@@ -327,18 +326,13 @@ class OperatorTruncation:
         return self.diag[np.abs(np.arange(-self.order, self.order + 1))]
 
     def csv_text(self) -> str:
-        lines = [
-            f"# tauberlab-matrix v1, L={self.interval.length!r}, eps={self.epsilon!r}, "
-            f"N={self.order}, source={self.source}, route={self.route}, A={self.A!r}",
-            "# rows m = -N..N, cols n = -N..N",
-        ]
-        for row in self.entries:
-            lines.append(",".join(f"{v:.17g}" for v in row))
-        return "\n".join(lines) + "\n"
+        meta = {"L": self.interval.length, "eps": self.epsilon, "N": self.order,
+                "source": self.source, "route": self.route, "A": self.A}
+        return _csv_text("matrix", meta, self.entries, head=("# rows m = -N..N, cols n = -N..N",))
 
     def to_csv(self, path) -> None:
         """Write the matrix with its metadata header, atomically."""
-        _atomic_write(Path(path), self.csv_text())
+        _atomic_write(path, self.csv_text())
 
 
 # ---------------------------------------------------------------------------

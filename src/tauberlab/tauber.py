@@ -35,12 +35,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .arith import GrowthFunction, PrimeTable, _atomic_write, _fields_dict
+from .arith import GrowthFunction, PrimeTable, _atomic_write, _csv_text, _fields_dict
 from .errors import ContractError
 from .operators import (
     IntervalSpec,
@@ -94,7 +93,7 @@ _VERDICTS = ("diag_decay", "ratio_limit", "consistent")
 def _save_doc(path, key: str, body: dict, extra: Optional[dict]) -> None:
     """Write {"schema": "tauberlab/1", **extra, key: body} as sorted JSON."""
     doc = {"schema": "tauberlab/1", **(extra or {}), key: body}
-    _atomic_write(Path(path), json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 @dataclass
@@ -147,13 +146,8 @@ class ExperimentReport:
         _save_doc(path, "report", self.to_dict(), extra)
 
     def save_ratio_csv(self, path) -> None:
-        lines = [
-            f"# tauberlab-ratio v1, source={self.source}, L={self.length!r}, "
-            f"A={self.A_estimate!r}",
-            "u,g",
-        ]
-        lines += [f"{u:.17g},{g:.17g}" for u, g in zip(self.ratio_u, self.ratio_g)]
-        _atomic_write(Path(path), "\n".join(lines) + "\n")
+        meta = {"source": self.source, "L": self.length, "A": self.A_estimate}
+        _atomic_write(path, _csv_text("ratio", meta, zip(self.ratio_u, self.ratio_g), head=("u,g",)))
 
 
 def _ratio_grid(S: GrowthFunction, u_max: float) -> np.ndarray:

@@ -1,11 +1,13 @@
-"""30-digit moments of the operator W for the closed-form battery sources.
+"""30-digit moments of the operator W for the closed-form battery sources
+and the integer count.
 
     python tests/oracle_w.py           # write tests/data/oracle_w.json
     python tests/oracle_w.py --check   # regenerate it and fail on any drift
 
 For each source the script takes K(x) = (1/pi) Re G(1 + eps + i x) from
-mpmath's own transform G (mpmath.e1 for slow_approach), independent of
-tauberlab, and integrates the kernel-route moments of the operators module
+mpmath's own transform G (mpmath.e1 for slow_approach, mpmath.zeta for
+the integer count), independent of tauberlab, and integrates the
+kernel-route moments of the operators module
 
     s_n = int_0^L K(x) sin(alpha n x) dx,
     c_n = int_0^L 2 K(x) (1 - x/L) cos(alpha n x) dx,   alpha = 2 pi / L,
@@ -37,8 +39,9 @@ DRIFT_RTOL = 1e-25
 
 _HALF = mpmath.mpf(0.5)
 # mpmath's G for each closed-form battery member, by its label
-# (tauber.battery_members)
+# (tauber.battery_members), and for the integer count
 TRANSFORMS = {
+    "integer_count": lambda s: mpmath.zeta(s) / s,
     "identity": lambda s: 1 / (s - 1),
     "sqrt_mix(a=2,b=1)": lambda s: 2 / (s - 1) + 1 / (s - _HALF),
     "sqrt_mix(a=1,b=1)": lambda s: 1 / (s - 1) + 1 / (s - _HALF),

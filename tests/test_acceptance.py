@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tauberlab import transform as tr
-from tauberlab.arith import count_primes
+from tauberlab.arith import _csv_text, count_primes
 from tauberlab.operators import (
     IntervalSpec,
     assemble_frequency_route,
@@ -49,11 +49,6 @@ class _clock:
 # ---------------------------------------------------------------------------
 
 
-def _write_series(path, header, values):
-    lines = [header] + [f"{i},{v:.17g}" for i, v in enumerate(values)]
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _build_c3(outdir):
     outdir.mkdir(parents=True, exist_ok=True)
     S = tr.source_integers()
@@ -70,7 +65,7 @@ def _build_c4(outdir):
     outdir.mkdir(parents=True, exist_ok=True)
     diag = diagonal_sequence([tr.source_identity()], IntervalSpec(2 * math.pi), 0.0, 64)[0]
     p = outdir / "plancherel_diag.csv"
-    _write_series(p, "# tauberlab-diag v1, source=identity, eps=0, N=64", diag)
+    p.write_text(_csv_text("diag", {"source": "identity", "eps": 0, "N": 64}, enumerate(diag)))
     return [p], diag
 
 

@@ -421,6 +421,23 @@ def test_operator_refuses_a_non_finite_eps(capsys):
             assert doc["code"] == "domain" and "finite eps" in doc["message"], argv
 
 
+def test_a_negative_value_in_exponent_form_is_a_value(capsys):
+    """Stock argparse reads only -1 and -1.5 as values and took --t -1e3 or
+    --eps -inf for a missing value (exit 64): exponent forms and -inf are
+    values too."""
+    base = ("special", "eval", "--fn", "zeta", "--sigma", "2")
+    spaced = run_cli(capsys, *base, "--t", "-1e3")
+    assert spaced == run_cli(capsys, *base, "--t=-1e3") and spaced[0] == 0
+    for eps in ("-1e-3", "-inf", "-Infinity"):
+        code, out, err = run_cli(capsys, "operator", "diag", "--source", "linear", "--eps", eps, "--order", "2")
+        assert code == 1 and out == "", eps
+        assert json.loads(err)["code"] == "domain", eps
+    code, out, _ = run_cli(
+        capsys, "operator", "diag", "--source", "linear", "--eps", "0", "--order", "2", "--A", "-2.5e-1", "--format", "csv",
+    )
+    assert code == 0 and out.splitlines()[0].endswith(", A=-0.25")
+
+
 def test_operator_diag_refuses_a_non_finite_A(capsys, monkeypatch):
     # the command's own check of --A, run before any grid is built
     def no_grid(*args):

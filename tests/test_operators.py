@@ -901,6 +901,51 @@ def test_plancherel_normalization():
     assert np.max(np.abs(W.diagonal() - 1.0)) < 1e-8
 
 
+def _dense_form(L, eps, N, u0, va, vb=math.inf):
+    """(1/pi) int w phi_m phi_n dx over the real line for the even weight
+    w = e^{u0 - v} e^{-eps v} on va <= v = 2|x|/L <= vb (0 elsewhere),
+    phi_n(x) = sin(x - pi n)/(x - pi n), m, n = -N..N: 16-point
+    Gauss-Legendre on panels of width pi/8. A weight on all of v >= va is
+    cut off where it has fallen by e^-52."""
+    rate = 2.0 * (1.0 + eps) / L  # w = e^{u0 - (1 + eps) v}, v = rate x / (1 + eps)
+    xa = L * va / 2.0
+    xb = L * vb / 2.0 if vb < math.inf else xa + 52.0 / rate
+    h = math.pi / 8.0
+    P = math.ceil((xb - xa) / h)
+    h = (xb - xa) / P
+    t, wt = np.polynomial.legendre.leggauss(16)
+    x = (xa + h * (np.arange(P)[:, None] + (t + 1.0) / 2.0)).ravel()
+    wq = np.tile(wt * h / 2.0, P) * np.exp(u0 - rate * x)
+    M = np.zeros((2 * N + 1, 2 * N + 1))
+    for side in (x, -x):
+        phi = np.sinc(side[:, None] / math.pi - np.arange(-N, N + 1))
+        M += phi.T @ (wq[:, None] * phi)
+    return M / math.pi
+
+
+@pytest.mark.parametrize("N,u0", [(72, 8.0), (72, 11.0), (8, 14.0)])
+def test_the_forms_of_exponential_weights_are_single_jump_truncations(N, u0):
+    """The form of e^{u0 - v} e^{-eps v} on v >= u0 (B+ of ROADMAP item 6)
+    is the frequency-route truncation of source_single_jump(e^u0, e^u0),
+    whose g is that weight over e^{-eps v}; on [u0 - 3, u0] (B-) it is the
+    difference of two such jumps. So the forms need no weight entry of
+    their own. At L = 8 pi, eps = 0.05, with each jump resolved by the
+    route or at its grid end X, they meet a dense quadrature within 1e-14
+    max(1, max|M|) (measured: 2.6e-15 for B+, where max|M| <= 0.48, and
+    1.4e-14 for B-, where max|M| = 11.2)."""
+    L, eps = 8.0 * math.pi, 0.05
+    I = IntervalSpec(L)
+
+    def jump(at):
+        return assemble_frequency_route([tr.source_single_jump(math.exp(u0), math.exp(at))], I, eps, N)[0].entries
+
+    for got, want in (
+        (jump(u0), _dense_form(L, eps, N, u0, u0)),
+        (jump(u0 - 3.0) - jump(u0), _dense_form(L, eps, N, u0, u0 - 3.0, u0)),
+    ):
+        assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+
+
 def test_poisson_split_at_matrix_level():
     """W(integer count) - W(linear) equals the operator built from the
     entire remainder alone, entry by entry."""
@@ -1161,6 +1206,20 @@ def test_csv_round_trip(tmp_path):
         "source=integer_count, route=frequency_formula, A=0.0"
     )
     assert W.csv_text() == W.csv_text()
+
+
+def test_csv_text_from_numpy_scalars_is_the_text_from_python_scalars():
+    """L, eps and A as numpy floats and N as a numpy integer write the
+    bytes Python scalars do: header floats as repr(float(v)), never as
+    np.float64(...)."""
+
+    def text(L, eps, N, A):
+        W = assemble_frequency_route([tr.source_integers()], IntervalSpec(L), eps, N)[0]
+        return split_identity(W, A).csv_text()
+
+    want = text(2.0 * math.pi, 0.1, 3, 0.5)
+    assert text(np.float64(2.0 * math.pi), np.float64(0.1), np.int64(3), np.float64(0.5)) == want
+    assert want.splitlines()[0].endswith(", A=0.5")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
-"""The operator W and the transforms G of the closed-form battery sources
-against 30-digit mpmath (tests/oracle_w.py, which writes the fixture
-tests/data/oracle_w.json and checks it for drift).
+"""The operator W of the closed-form battery sources and the integer
+count, and the transforms G of the former, against 30-digit mpmath
+(tests/oracle_w.py, which writes the fixture tests/data/oracle_w.json and
+checks it for drift).
 
 The two routes share _matrix_from_moments, the Gauss-Legendre tables and
 the closed forms of G, so an error common to both would pass the route
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from tauberlab import tauber
+from tauberlab.transform import source_integers
 from tauberlab.operators import (
     _GL16,
     IntervalSpec,
@@ -33,10 +35,13 @@ _spec.loader.exec_module(oracle)
 FIXTURE = json.loads(oracle.FIXTURE.read_text())
 SOURCES = {S.label: S for S, *_ in tauber.battery_members()}
 CLOSED_FORM = [label for label, S in SOURCES.items() if S.jumps_upto is None]
+SOURCES["integer_count"] = source_integers()
+ORACLE = CLOSED_FORM + ["integer_count"]
 
 
 def test_the_fixture_covers_every_closed_form_battery_member():
-    assert sorted(FIXTURE["moments"]) == sorted(CLOSED_FORM) == sorted(oracle.TRANSFORMS)
+    """and the integer count, whose G is zeta(s)/s."""
+    assert sorted(FIXTURE["moments"]) == sorted(ORACLE) == sorted(oracle.TRANSFORMS)
     assert (FIXTURE["dps"], FIXTURE["pieces"], FIXTURE["N"]) == (oracle.DPS, oracle.PIECES, oracle.ORDER)
     assert (FIXTURE["L"], FIXTURE["eps"]) == (oracle.LENGTH, oracle.EPS)
 
@@ -52,19 +57,24 @@ def _abs_kernel_integral(S) -> float:
     return float(np.sum(np.abs(kernel(S, FIXTURE["eps"], x)) * (h * wi)))
 
 
-@pytest.mark.parametrize("label", CLOSED_FORM)
+@pytest.mark.parametrize("label", ORACLE)
 def test_both_routes_lie_within_the_rounding_bound_of_the_oracle(label):
     """Each moment s_n, c_n and each entry of W, on the kernel and the
     frequency route, lies within 1e-14 max|W| plus 64 ulp of int_0^L |K| of
     the 30-digit oracle (L = 8 pi, eps = 0.05, N = 8): the kernel route's
-    stated rounding, until a derived bound replaces it."""
+    stated rounding, until a derived bound replaces it. The frequency
+    route samples the integer count's staircase past x = 2e5 (ROADMAP item
+    11) and is held to the integers' route tolerance, 1e-9 (measured:
+    4.4e-10); its kernel route meets the bound (measured: 3.5e-15)."""
     S = SOURCES[label]
     ref = FIXTURE["moments"][label]
     s, c = (np.array([float(v) for v in ref[k]]) for k in ("s", "c"))
     W = _matrix_from_moments(s, c)
-    bound = 1e-14 * np.max(np.abs(W)) + 64 * np.spacing(_abs_kernel_integral(S))
+    rounding = 1e-14 * np.max(np.abs(W)) + 64 * np.spacing(_abs_kernel_integral(S))
     I = IntervalSpec(FIXTURE["L"])
     for route in (assemble_kernel_route, assemble_frequency_route):
+        sampled = label == "integer_count" and route is assemble_frequency_route
+        bound = 1e-9 if sampled else rounding
         (T,) = route([S], I, FIXTURE["eps"], FIXTURE["N"])
         assert np.max(np.abs(T.odd - s)) <= bound, route.__name__
         assert np.max(np.abs(T.diag - c)) <= bound, route.__name__

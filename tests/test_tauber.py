@@ -306,6 +306,24 @@ def test_report_dict_is_plain_json():
     assert set(d) | set(d["verdicts"]) == fields | {"verdicts"}
 
 
+def test_numpy_scalar_arguments_write_the_bytes_python_scalars_do(tmp_path):
+    """Orders are accepted as numpy integers, and L, A and u_max as numpy
+    floats: the JSON reports (order, band, ratio_window) and the ratio
+    table (its L and A header fields) come out byte for byte as from
+    Python scalars, not as np.int64(8) or a TypeError."""
+    S = tr.source_identity()
+    runs = {
+        "converse.json": lambda L, N, a: converse_experiment(S, N=N).save_json,
+        "battery.json": lambda L, N, a: run_battery(N=N).save_json,
+        "forward.json": lambda L, N, a: forward_experiment(S, a, L=L, N=N, u_max=a * 12.0).save_json,
+        "forward.ratio.csv": lambda L, N, a: forward_experiment(S, a, L=L, N=N, u_max=a * 12.0).save_ratio_csv,
+    }
+    for name, save in runs.items():
+        save(8 * math.pi, 8, 1.0)(tmp_path / "py")
+        save(np.float64(8 * math.pi), np.int64(8), np.float64(1.0))(tmp_path / "np")
+        assert (tmp_path / "np").read_bytes() == (tmp_path / "py").read_bytes(), name
+
+
 def test_recompute_verdicts_tracks_thresholds():
     rep = converse_experiment(tr.source_log_oscillation(0.5), N=8, u_max=12.0)
     assert not rep.recompute_verdicts()["ratio_limit"]
