@@ -9,28 +9,24 @@ normalized ratio in the log variable,
 
 whose limit behaviour the operator experiments probe; S(x) = x g(ln x).
 
-Primes come from a segmented, odd-only sieve of Eratosthenes, with an
-opt-in disk cache of its odd bitset in a directory the caller names (the
-command-line tool never names one; the benchmark harness does). The
-segments are sized to the L2 cache (C. Bays and R. H. Hudson, BIT 17
-(1977) 121-127) and start from a copy of a wheel pattern that has the
-multiples of 3, 5, 7, 11 and 13 struck out (P. Pritchard, Acta Inform. 17
-(1982) 477-485). The table is the packed odd bitset itself, one bit per
-odd number, with a uint32 rank per 64-bit word beside it: 9.4 MB at 1e8
-against 44 MB for the primes as int64. A cold build packs each segment
-into the bitset as it comes, so it holds the bitset and one segment's
-buffers (about 2 MB); a warm one reads the cache file in one read. A cold
-1e8 table takes about 0.15 s on a 2-vCPU machine and peaks at 37 MB of
-RSS (32 MB of it interpreter and numpy); a load takes about 0.01 s.
+Primes come from a segmented, odd-only sieve of Eratosthenes, run in
+memory on every build. The segments are sized to the L2 cache (C. Bays and
+R. H. Hudson, BIT 17 (1977) 121-127) and start from a copy of a wheel
+pattern that has the multiples of 3, 5, 7, 11 and 13 struck out (P.
+Pritchard, Acta Inform. 17 (1982) 477-485). The table is the packed odd
+bitset itself, one bit per odd number, with a uint32 rank per 64-bit word
+beside it: 9.4 MB at 1e8 against 44 MB for the primes as int64. A build
+packs each segment into the bitset as it comes, so it holds the bitset and
+one segment's buffers (about 2 MB). A 1e8 table takes about 0.15 s on a
+2-vCPU machine and peaks at 37 MB of RSS (32 MB of it interpreter and
+numpy).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import logging
 import math
 import os
-import struct
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -39,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ContractError, DomainError, ResourceError, TableExhaustedError
+from .errors import DomainError, ResourceError, TableExhaustedError
 
 __all__ = [
     "PrimeTable",
@@ -48,10 +44,6 @@ __all__ = [
     "build_prime_table",
 ]
 
-logger = logging.getLogger(__name__)
-
-_CACHE_MAGIC = b"PTBL"
-_CACHE_FORMAT = 1
 _HARD_LIMIT = 2**32
 # odd slots per sieve segment: 1 MB of bools, half of a 2 MB L2
 _SIEVE_SEGMENT = 2**20
@@ -112,11 +104,6 @@ def _sieve_segments(limit: int):
         yield lo, view
 
 
-def _body_size(limit: int) -> int:
-    """Bytes of the cache file's body: the (limit + 1) // 2 odd slots, packed."""
-    return ((limit + 1) // 2 + 7) // 8
-
-
 def _word_count(limit: int) -> int:
     """uint64 words of the odd bitset up to limit: its (limit + 1) // 2
     slots, then the zero bits up to and including the word of slot
@@ -129,11 +116,10 @@ class PrimeTable:
     rank directory over it (G. Jacobson, FOCS 1989).
 
     `words` is the odd bitset as little-endian uint64: bit i of word w says
-    whether 2*(64w + i) + 1 is prime, so its bytes are the cache file's
-    body. `rank[w]` is the number of odd primes below word w, as uint32
-    (pi(2^32) = 203,280,221). A count is one rank lookup and one masked
-    popcount per point; `primes_in` unpacks only the words of its range.
-    At 1e8 the two arrays take 6.25 and 3.1 MB.
+    whether 2*(64w + i) + 1 is prime. `rank[w]` is the number of odd
+    primes below word w, as uint32 (pi(2^32) = 203,280,221). A count is
+    one rank lookup and one masked popcount per point; `primes_in` unpacks
+    only the words of its range. At 1e8 the two arrays take 6.25 and 3.1 MB.
     """
 
     def __init__(self, limit: int, words: np.ndarray):
@@ -195,7 +181,7 @@ class PrimeTable:
 
 
 # ---------------------------------------------------------------------------
-# report dicts, CSV text, atomic writes and the prime cache file
+# report dicts, CSV text and atomic writes
 # ---------------------------------------------------------------------------
 
 
@@ -222,10 +208,10 @@ def _csv_text(kind: str, meta: dict, rows, head=()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _atomic_write(path, *parts) -> None:
-    """Write parts, all str or all bytes-like, to path (any path-like)
-    through a temp file in the same directory. The file gets the mode of a
-    plain open(), 0o666 less the umask, not mkstemp's 0o600."""
+def _atomic_write(path, text: str) -> None:
+    """Write text to path (any path-like) through a temp file in the same
+    directory. The file gets the mode of a plain open(), 0o666 less the
+    umask, not mkstemp's 0o600."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     umask = os.umask(0)
@@ -233,9 +219,8 @@ def _atomic_write(path, *parts) -> None:
     fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
     try:
         os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "w" if isinstance(parts[0], str) else "wb") as fh:
-            for part in parts:
-                fh.write(part)
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -254,60 +239,18 @@ def _sieved_words(limit: int) -> np.ndarray:
     return words
 
 
-def _cached_words(path: Path, limit: int) -> np.ndarray:
-    """The table's words read from limit's cache file in one read, after
-    its header and size are checked: ContractError if the file is not
-    limit's cache."""
-    size = _body_size(limit)
-    with open(path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) < 16 or head[:4] != _CACHE_MAGIC:
-            raise ContractError(f"not a prime table cache: {path}")
-        version, cached = struct.unpack("<IQ", head[4:])
-        if version != _CACHE_FORMAT:
-            raise ContractError(f"unsupported prime cache version {version}")
-        if cached != limit:
-            raise ContractError(f"prime cache {path} holds limit {cached}, not {limit}")
-        if os.fstat(fh.fileno()).st_size != 16 + size:
-            raise ContractError(f"prime table cache of the wrong size: {path}")
-        words = np.zeros(_word_count(limit), dtype="<u8")
-        if fh.readinto(words.view(np.uint8)[:size]) != size:
-            raise ContractError(f"prime table cache shrank while read: {path}")
-    return words
-
-
 def build_prime_table(limit: int, cache_dir: Optional[os.PathLike] = None) -> PrimeTable:
-    """Sieve (or reload from cache) all primes up to `limit`.
+    """Sieve all primes up to `limit` in memory.
 
-    Without `cache_dir` the table is sieved in memory and no file is read or
-    written; the command-line tool always builds it so, and only the
-    benchmark harness names a directory. With it, the cache file is
-    `primes_<limit>.ptbl` there: a 16-byte header, then the odd bitset
-    packed little-endian, which are the table's words. A sieve writes it in
-    one write after the last segment, and a load reads it in one read. A
-    corrupt cache is rebuilt, never trusted, and a cache that cannot be
-    written is skipped, each with a logged warning.
+    `cache_dir` is ignored, and no file is read or written whatever it
+    names; the keyword stays only because the benchmark harness passes it.
     """
     limit = int(limit)
     if limit < 2:
         raise DomainError("prime table limit must be >= 2")
     if limit > _HARD_LIMIT:
         raise ResourceError(f"prime table limit {limit} exceeds hard cap {_HARD_LIMIT}")
-    if cache_dir is None:
-        return PrimeTable(limit, _sieved_words(limit))
-    cache_path = Path(cache_dir) / f"primes_{limit}.ptbl"
-    if cache_path.exists():
-        try:
-            return PrimeTable(limit, _cached_words(cache_path, limit))
-        except ContractError as exc:
-            logger.warning("corrupt prime cache (%s); rebuilding", exc)
-    table = PrimeTable(limit, _sieved_words(limit))
-    header = _CACHE_MAGIC + struct.pack("<IQ", _CACHE_FORMAT, limit)
-    try:
-        _atomic_write(cache_path, header, table.words.view(np.uint8)[: _body_size(limit)])
-    except OSError as exc:
-        logger.warning("could not write prime cache %s: %s", cache_path, exc)
-    return table
+    return PrimeTable(limit, _sieved_words(limit))
 
 
 def count_primes(x, table: PrimeTable) -> int:

@@ -64,7 +64,7 @@ class PrecisionError(ResourceError):
 
 
 class TableExhaustedError(ResourceError):
-    """A query needs primes beyond the cached limit; `required` names it."""
+    """A query needs primes beyond the table's limit; `required` names it."""
 
     code = "table-exhausted"
 

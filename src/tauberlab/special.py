@@ -24,8 +24,8 @@ degree-7 polynomial 1/2 + sum_k B_2k/(2k)! N^{1-2k} s(s+1)...(s+2k-2):
 its coefficients and those of p_N' are built once per batch
 (_em_tail_poly), and each point takes the one power N^{-s} and two Horner
 evaluations. The smallest-prime-factor sieve behind this plan is cached
-per power of two, each N taking a prefix of the next one up, and also
-supplies the Moebius function and the small primes used below.
+per N (a pnt op asks for the same three every time), and also supplies
+the Moebius function and the small primes used below.
 
 Every batch is an outer sum: the P x Q points s = a_j + b_i of an
 OuterGrid, a plain array being the degenerate grid a = its points,
@@ -322,11 +322,10 @@ class _FactorPlan(NamedTuple):
         return self.layers[0][0]
 
 
-@functools.lru_cache(maxsize=32)
-def _sieve_plan(bits: int) -> _FactorPlan:
-    """The plan of 0..2^bits from one sieve of smallest prime factors:
+@functools.lru_cache(maxsize=16)
+def _factor_plan(n_max: int) -> _FactorPlan:
+    """The plan of 0..n_max from one sieve of smallest prime factors:
     mu(n) = 0 when spf(n) divides n/spf(n), else mu(n) = -mu(n/spf(n))."""
-    n_max = 1 << bits
     n = np.arange(n_max + 1)
     spf = n.copy()  # stays n where no smaller prime marks it
     for p in range(2, math.isqrt(n_max) + 1):
@@ -347,23 +346,6 @@ def _sieve_plan(bits: int) -> _FactorPlan:
         in_layer[rows] = True
         rows = np.flatnonzero(in_layer[cof])
     return _FactorPlan(mu, tuple(layers))
-
-
-@functools.lru_cache(maxsize=256)
-def _factor_plan(n_max: int) -> _FactorPlan:
-    """The plan of 0..n_max, cut from the cached plan of the next power of
-    two, so a sweep over many N builds only a few sieves; the cut holds
-    views, so caching it costs no copy. Each layer's rows increase, so the
-    rows <= n_max are a prefix, and their cofactors, being smaller, stay in
-    the cut layer below."""
-    full = _sieve_plan(max(int(n_max), 1).bit_length())
-    layers = []
-    for rows, p, c in full.layers:
-        j = int(np.searchsorted(rows, n_max, side="right"))
-        if j == 0:
-            break
-        layers.append((rows[:j], p[:j], c[:j]))
-    return _FactorPlan(full.mu[: n_max + 1], tuple(layers))
 
 
 def _powers(z: np.ndarray, N: int) -> np.ndarray:

@@ -2,7 +2,6 @@
 
 import math
 import os
-import struct
 import tracemalloc
 
 import numpy as np
@@ -15,7 +14,7 @@ from tauberlab.arith import (
     build_prime_table,
     count_primes,
 )
-from tauberlab.errors import ContractError, DomainError, ResourceError, TableExhaustedError
+from tauberlab.errors import DomainError, ResourceError, TableExhaustedError
 
 
 def _trial_division_primes(limit):
@@ -94,9 +93,9 @@ def test_sieve_matches_a_dense_sieve():
 
 
 def test_words_are_the_packed_odd_bitset():
-    """The table's words are the odd bitset packed little-endian, the
-    cache file's body, then zero bits up to one word past the last whole
-    word; the rank counts the primes below each word."""
+    """The table's words are the odd bitset packed little-endian, then zero
+    bits up to one word past the last whole word; the rank counts the
+    primes below each word."""
     for limit in (2, 3, 127, 128, 129, 255, 256, 1000, 2 * arith._SIEVE_SEGMENT + 1):
         words = arith._sieved_words(limit)
         assert words.dtype == np.dtype("<u8") and words.size == (limit + 1) // 2 // 64 + 1
@@ -110,8 +109,8 @@ def test_words_are_the_packed_odd_bitset():
         assert np.array_equal(table.rank, rank), limit
 
 
-def test_count_matches_a_dense_sieve_at_every_prime_and_its_neighbours(tmp_path):
-    table = build_prime_table(10**6, cache_dir=tmp_path)
+def test_count_matches_a_dense_sieve_at_every_prime_and_its_neighbours():
+    table = build_prime_table(10**6)
     is_prime = _dense_sieve(10**6)
     primes = np.flatnonzero(is_prime)
     keys = np.concatenate((primes - 1, primes, primes + 1))
@@ -151,22 +150,20 @@ def test_table_is_built_in_one_allocation():
     assert peak <= table.rank.nbytes + 2**14  # numpy's ufunc buffers
 
 
-def test_build_holds_the_table_and_one_segment(tmp_path):
-    """A cold and a warm build_prime_table(1e7) trace at most the words,
-    the rank and one segment's buffers: the segment, the wheel tile and
-    one packed segment, with 64 KiB for the base primes and small objects."""
+def test_build_holds_the_table_and_one_segment():
+    """build_prime_table(1e7) traces at most the words, the rank and one
+    segment's buffers: the segment, the wheel tile and one packed segment,
+    with 64 KiB for the base primes and small objects."""
     seg = arith._SIEVE_SEGMENT
     buffers = seg + (seg + math.prod(arith._WHEEL_PRIMES)) + seg // 8
-    for _ in ("cold", "warm"):
-        tracemalloc.start()
-        try:
-            table = build_prime_table(10**7, cache_dir=tmp_path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert table.count(1e7) == 664_579
-        assert peak <= table.words.nbytes + table.rank.nbytes + buffers + 2**16
-    assert [f.name for f in tmp_path.iterdir()] == ["primes_10000000.ptbl"]
+    tracemalloc.start()
+    try:
+        table = build_prime_table(10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.count(1e7) == 664_579
+    assert peak <= table.words.nbytes + table.rank.nbytes + buffers + 2**16
 
 
 def test_prime_count_landmarks(small_table):
@@ -287,98 +284,39 @@ def test_primes_in_window(small_table):
 
 
 # ---------------------------------------------------------------------------
-# prime table persistence
+# table builds and atomic writes
 # ---------------------------------------------------------------------------
 
 
-def test_table_cache_round_trip(tmp_path):
-    t1 = build_prime_table(10_000, cache_dir=tmp_path)
-    files = list(tmp_path.glob("*.ptbl"))
-    assert len(files) == 1
-    t2 = build_prime_table(10_000, cache_dir=tmp_path)
-    assert t2.limit == t1.limit
-    assert count_primes(10_000, t2) == 1229
-
-
-def _cache_bytes(is_prime):
-    """The cache file of the dense sieve `is_prime`: the header, then its
-    odd bitset packed."""
-    header = b"PTBL" + struct.pack("<IQ", 1, is_prime.size - 1)
-    return header + np.packbits(is_prime[1::2], bitorder="little").tobytes()
-
-
-def test_cache_is_the_packed_bitset_and_counts_agree(tmp_path):
-    """At every sieve limit the cache file is the header and the packed odd
-    bitset, and the cold and the warm table count pi(x) at every x within
-    4096 of a segment's first number or of the limit."""
+def test_counts_agree_with_a_dense_sieve_at_every_segment_start():
+    """At every sieve limit the table counts pi(x) at every x within 4096
+    of a segment's first number or of the limit."""
     for limit in _sieve_limits():
         is_prime = _dense_sieve(limit)
-        cold = build_prime_table(limit, cache_dir=tmp_path)
-        path = tmp_path / f"primes_{limit}.ptbl"
-        assert path.read_bytes() == _cache_bytes(is_prime), limit
-        warm = build_prime_table(limit, cache_dir=tmp_path)
+        table = build_prime_table(limit)
         keys = np.arange(limit + 1)
         if limit > 8192:
             edges = [*range(0, limit + 1, 2 * arith._SIEVE_SEGMENT), limit]
             keys = np.clip(np.add.outer(edges, np.arange(-4096, 4097)), 0, limit).ravel()
-        pi = np.cumsum(is_prime)[keys]
-        for table in (cold, warm):
-            assert np.array_equal(table.count(keys.astype(float)), pi), limit
-        path.unlink()
+        assert np.array_equal(table.count(keys.astype(float)), np.cumsum(is_prime)[keys]), limit
+
+
+def test_a_cache_dir_is_ignored(tmp_path):
+    """build_prime_table writes nothing where cache_dir points, and sieves
+    the table it sieves without one."""
+    table = build_prime_table(10_000, cache_dir=tmp_path / "cache")
     assert not list(tmp_path.iterdir())
+    assert np.array_equal(table.words, build_prime_table(10_000).words)
 
 
-def test_corrupt_cache_is_rebuilt_not_trusted(tmp_path):
-    build_prime_table(10_000, cache_dir=tmp_path)
-    victim = next(tmp_path.glob("*.ptbl"))
-    good = victim.read_bytes()
-    for bad in (b"not a prime table", good[:-1], good + b"\0"):
-        victim.write_bytes(bad)
-        # refused on its header or size, before the bitset is read
-        with pytest.raises(ContractError):
-            arith._cached_words(victim, 10_000)
-        t = build_prime_table(10_000, cache_dir=tmp_path)
-        assert count_primes(10_000, t) == 1229
-        assert victim.read_bytes() == good
-
-
-@pytest.mark.parametrize(
-    "version,limit,why",
-    [(2, 10_000, "unsupported prime cache version 2"), (1, 10_001, "holds limit 10001, not 10000")],
-)
-def test_a_cache_of_another_version_or_limit_is_rebuilt_with_a_warning(tmp_path, caplog, version, limit, why):
-    build_prime_table(10_000, cache_dir=tmp_path)
-    victim = next(tmp_path.glob("*.ptbl"))
-    good = victim.read_bytes()
-    victim.write_bytes(good[:4] + struct.pack("<IQ", version, limit) + good[16:])
-    with pytest.raises(ContractError, match=why):
-        arith._cached_words(victim, 10_000)
-    with caplog.at_level("WARNING", logger="tauberlab.arith"):
-        t = build_prime_table(10_000, cache_dir=tmp_path)
-    assert "corrupt prime cache" in caplog.text and why in caplog.text
-    assert count_primes(10_000, t) == 1229
-    assert victim.read_bytes() == good
-
-
-def test_cache_dir_that_is_a_file_only_warns(tmp_path, caplog):
-    blocker = tmp_path / "not-a-dir"
-    blocker.write_bytes(b"")
-    with caplog.at_level("WARNING", logger="tauberlab.arith"):
-        t = build_prime_table(10_000, cache_dir=blocker)
-    assert count_primes(10_000, t) == 1229
-    assert "could not write prime cache" in caplog.text
-    assert [f.name for f in tmp_path.iterdir()] == ["not-a-dir"]
-
-
-def test_cache_write_failing_mid_stream_only_warns(tmp_path, monkeypatch, caplog):
-    """A write that fails on the bitset, after the header went through,
-    leaves no temp file and no cache, and the table is still whole."""
-    limit = 6 * arith._SIEVE_SEGMENT + 1  # three segments
+def test_atomic_write_failing_mid_write_leaves_nothing(tmp_path, monkeypatch):
+    """A write that raises OSError leaves no temp file and no target, and
+    the error reaches the caller."""
     fdopen = os.fdopen
 
     class FailingFile:
         def __init__(self, fh):
-            self.fh, self.writes = fh, 0
+            self.fh = fh
 
         def __enter__(self):
             return self
@@ -387,24 +325,20 @@ def test_cache_write_failing_mid_stream_only_warns(tmp_path, monkeypatch, caplog
             self.fh.close()
 
         def write(self, data):
-            self.writes += 1
-            if self.writes > 1:  # the header goes through
-                raise OSError("disk full")
-            return self.fh.write(data)
+            self.fh.write(data[:10])
+            raise OSError("disk full")
 
     monkeypatch.setattr(arith.os, "fdopen", lambda fd, mode: FailingFile(fdopen(fd, mode)))
-    with caplog.at_level("WARNING", logger="tauberlab.arith"):
-        t = build_prime_table(limit, cache_dir=tmp_path)
-    assert "disk full" in caplog.text
-    assert np.array_equal(t.primes_in(0, limit), np.flatnonzero(_dense_sieve(limit)))
-    assert not list(tmp_path.iterdir())
+    with pytest.raises(OSError, match="disk full"):
+        arith._atomic_write(tmp_path / "sub" / "r.json", "x" * 1000)
+    assert [p.name for p in tmp_path.rglob("*")] == ["sub"]
 
 
-def test_table_limit_validation(tmp_path):
+def test_table_limit_validation():
     with pytest.raises(DomainError):
-        build_prime_table(1, cache_dir=tmp_path)
+        build_prime_table(1)
     with pytest.raises(ResourceError):
-        build_prime_table(10**13, cache_dir=tmp_path)
+        build_prime_table(10**13)
 
 
 # ---------------------------------------------------------------------------

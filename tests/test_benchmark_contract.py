@@ -40,7 +40,7 @@ def test_one_unit_passes_its_workload_check(name, request, tmp_path, perfbench):
     _, workloads = perfbench
     workload = workloads.WORKLOADS[name](0, tmp_path)
     if workload.table_limit:
-        # the session's table in place of prepare(), which sieves into a cache
+        # the session's table in place of prepare(), which sieves its own
         workload.table = request.getfixturevalue("big_table")
         assert workload.table.limit == workload.table_limit
     else:
