@@ -335,7 +335,7 @@ def _factor_plan(n_max: int) -> _FactorPlan:
     cof = np.ones_like(n)
     cof[2:] = n[2:] // spf[2:]
     mu = np.zeros(n_max + 1, dtype=np.int8)
-    mu[1] = 1
+    mu[1:2] = 1  # no entry 1 when n_max = 0
     layers = []
     rows = np.flatnonzero(spf == n)[2:]  # the primes
     while rows.size:

@@ -518,13 +518,29 @@ def test_factor_plan_against_trial_division():
     assert plan.mu[0] == 0
     primes = [n for n in range(2, 10_001) if all(n % d for d in range(2, math.isqrt(n) + 1))]
     assert plan.primes.tolist() == primes
-    # the plan is cut from the 2^14 sieve: its layers still cover 2..10^4
-    # once each, and every row is spf * cofactor with the cofactor one layer down
+    # the layers cover 2..10^4 once each, and every row is spf * cofactor
+    # with the cofactor one layer down
     rows = np.concatenate([r for r, _, _ in plan.layers])
     assert np.array_equal(np.sort(rows), np.arange(2, 10_001))
     for j, (r, p, c) in enumerate(plan.layers):
         assert np.array_equal(r, p * c)
         assert np.isin(c, plan.layers[j - 1][0] if j else [1]).all()
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 9, 13, 153, 1024, 1025])
+def test_factor_plan_of_each_n_is_its_own_sieve(n_max):
+    """Every n_max, a power of two or not and the three a pnt op asks for
+    among them, gets the plan of exactly 0..n_max, and a second call returns
+    the cached plan."""
+    plan = special._factor_plan(n_max)
+    assert plan is special._factor_plan(n_max)
+    assert plan.mu.size == n_max + 1 and plan.mu[0] == 0
+    assert plan.mu[1:].tolist() == [_mobius(k) for k in range(1, n_max + 1)]
+    rows = np.concatenate([r for r, _, _ in plan.layers] or [np.empty(0, dtype=int)])
+    assert np.array_equal(np.sort(rows), np.arange(2, n_max + 1))
+    if n_max >= 2:
+        primes = [n for n in range(2, n_max + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
+        assert plan.primes.tolist() == primes
 
 
 # sigma in [1.001, 1.5], |t| <= 40, one point per (sigma, t) stratum
