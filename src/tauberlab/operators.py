@@ -55,49 +55,27 @@ sin^2(x -+ pi k) = sin^2 x one sine per point serves every k. Within 1 of
 a centre, d = x - c, they are evaluated stably as sin(d) sinc(d/pi) and
 sinc^2(d/pi).
 
-Proxies: the sorted nodes fall into bins of width w = 1 on the x axis
-(_FAR_BIN), and every bin (on the pnt grid, all 236 below its end
-X = 235.6) enters through 16 first-kind Chebyshev proxies (_PROXIES)
-weighted by the anterpolation of its node weights (_anterpolate, which
-also integrates the prime staircase below), as in the one-level black-box
-fast multipole method (W. Fong and E. Darve, J. Comput. Phys. 228 (2009)
-8712-8725): the proxies sum wv against the degree-15 interpolant p of f
-on the bin in place of f. A centre meets the nodes only through the
-proxies: one reciprocal block over them, against the proxy weights times
-sin^2 at each proxy, gives every sum, with the proxies within 1 of the
-centre zeroed there and added in the stable forms (2,336 proxy-centre
-pairs on the pnt grid, 2,080 on the battery's). On the pnt grid (N = 72)
-the 12,016 nodes give 3,776 proxies, and the block has 0.55M entries in
-place of 1.75M. One block serves a batch of sources on one grid: the
-weights are an (n, m) matrix, one column per source, so the proxies'
-Chebyshev recurrence and the reciprocal block are built once, the tail
-takes one exp_e1 call, and the sums are one product of the block with the
-m columns. The battery's six sources share their grid at N = 64, at every
-eps: 10,720 nodes, 3,376 proxies and one 130 x 3,376 block.
-
-Bound: map a bin onto [-1, 1] and take the Bernstein ellipse E_rho. In x
-its semi-axes are a = w (rho + 1/rho) / 4 and b = w (rho - 1/rho) / 4, so
-|Im z| <= b on it, and there |sin z|^2 = sin^2 Re z + sinh^2 Im z
-<= cosh^2 b. Both kernels thus stay below cosh^2 b where |z - c| >= 1,
-and below sinh^2 1 < 1.39 where |z - c| < 1 (|sin v| <= sinh |v|). f is
-entire, so ||f - p|| <= 4 cosh^2(b) rho^{-15} / (rho - 1) for every rho
-(Trefethen, Approximation Theory and Approximation Practice, Thm 8.2,
-n = 15; the first-kind interpolant aliases the same Chebyshev tail),
-smallest at rho = 32: 7.5e-18 per unit of sum |wv| over the bin, for F
-and D, on every bin, whatever its node count and however near c. The
-bound falls for a bin whose centre lies delta > a + 1 from c: there
-|z - c| >= delta - a on the ellipse, and cosh^2 b / (delta - a)^j,
-j = 1 for F and 2 for D, bounds the kernel.
+Direct sums: F and D are sums over the sorted nodes themselves. One
+reciprocal block holds 1/(x - c) for the 2(N + 1) centres by the nodes,
+with the nodes within 1 of each centre zeroed by slicing and added in the
+stable forms; F is its product with sin^2 x times the weights, and D that
+of its square. The weights are an (n, m) matrix, one column per source, so
+a batch of m sources builds the block once and takes its sums in one
+product. The pnt grid (N = 72) makes one 146 x 6,016 block, and the
+battery's six sources share their grid at N = 64, at every eps: 5,360
+nodes and one 130 x 5,360 block. Each fits in _BLOCK_ENTRIES; a larger
+grid is summed in chunks of nodes of that size.
 
 The route reads a source through three fields alone: fn, jumps_upto and
 tail (GrowthFunction). Each source states g past some u_t as a short
 exponential sum (tail; a table-backed source states g(u_cap), the value
 its fn holds from u_cap on), and its jumps matter only below u_t. The
-grid lays panels fine_w = base_w / 4 wide (at most pi/8; pi/10 at
-L = 8 pi) on the resolved range x <= a_end = (L/2) min(ln 2e5, the
-batch's largest u_t), for every source whether or not it declares jumps,
-and in the Fejer main lobes |x - pi n| < 3 pi, then panels growing to
-width 2, each with 16 Gauss-Legendre nodes. It ends at
+grid lays panels fine_w = min(0.1, pi/L) L/4 wide (_fine_width: at most
+pi/4; pi/5 at L = 8 pi) on the resolved range
+x <= a_end = (L/2) min(ln 2e5, the batch's largest u_t), for every source
+whether or not it declares jumps, and in the Fejer main lobes
+|x - pi n| < 3 pi, then panels growing to width 2, each with 16
+Gauss-Legendre nodes. It ends at
 X = max((L/2) u_t, pi (N + 3)) at every eps, past the last lobe and past
 every u_t, and the part past X is added in closed form from the stated
 tails (_tail_integrals): moving X out by 300 changes no entry of any
@@ -115,11 +93,11 @@ grows like L u_t), counted from its panel widths (_grid_plan), is a
 ResourceError raised before any array is built.
 
 The fine panels resolve the damping e^{-kappa x}, kappa = 2 eps/L, while
-kappa fine_w <= 16 (_DAMPING_RESOLVED), that is eps min(0.1, pi/L) <= 64
-(eps <= 640 for L <= 10 pi); a larger eps is a DomainError. At that limit
-the identity, slow_approach and the integers agree with the kernel route
-to 3.6e-15 relative (L = 2 pi, 8 pi, 40 pi; N = 8, 32); at twice it they
-differ by 1e-11.
+kappa fine_w <= 16 (_DAMPING_RESOLVED), that is eps min(0.1, pi/L) <= 32
+(eps <= 320 for L <= 10 pi, 1,280 at L = 40 pi); a larger eps is a
+DomainError. At that limit the identity, slow_approach and the integers
+agree with the kernel route to 3.4e-15 relative (L = 2 pi, 8 pi, 40 pi;
+N = 8, 32); at twice it they differ by 1.1e-11.
 
 On the resolved range the nodes of a source that declares jumps do not
 sample mt: S jumps inside the panels. Between two jumps S(e^u) = a + b u,
@@ -133,29 +111,38 @@ Equations of the Second Kind, 1997, ch. 4) replaces phi and u phi by their
 interpolants p at the panel's 16 nodes and integrates the step data a and
 b against them exactly (_step_values). It errs by int a (phi - p[phi]) +
 int b (u phi - p[u phi]) per panel. sin z / (z - pi k) is entire and
-|sin w / w| <= cosh(Im w), so on |Im z| <= 1 both trigonometric factors
-stay below cosh^2 1 < 2.39. Map a panel of width h onto [-1, 1] and take
-the Bernstein ellipse E_rho with rho - 1/rho = 4/h, whose semi-minor axis
-is 1 in x: rho = 12.81 at h = pi/10 and 10.28 at h = pi/8. Chebyshev
-truncation errs by at most 2 M rho^{-15} / (rho - 1) at degree 15
-(Trefethen, Approximation Theory and Approximation Practice, Thm 8.2),
-and interpolation at the 16 Gauss-Legendre nodes by at most 1 + Lambda
-times that, Lambda = 6.911 their Lebesgue constant. So a panel errs by at
-most C h (max |a| Ge + max |b| Gu), Ge and Gu the maxima of
+|sin w / w| <= cosh(Im w), so on |Im z| <= s both trigonometric factors
+stay below cosh^2 s. Map a panel of width h onto [-1, 1] and take the
+Bernstein ellipse E_rho with rho - 1/rho = 4 s/h, whose semi-minor axis is
+s in x. Chebyshev truncation errs by at most 2 M rho^{-15} / (rho - 1) at
+degree 15 (Trefethen, Approximation Theory and Approximation Practice,
+Thm 8.2), and interpolation at the 16 Gauss-Legendre nodes by at most
+1 + Lambda times that, Lambda = 6.911 their Lebesgue constant. So a panel
+errs by at most C h (max |a| Ge + max |b| Gu), Ge and Gu the maxima of
 |e^{-(1+eps) u}| and |u e^{-(1+eps) u}| on the ellipse, and
-C = 2 (1 + Lambda) cosh^2(1) rho^{-15} / (rho - 1): 7.8e-17 at h = pi/10
-and 2.7e-15 at h = pi/8. The ellipse reaches less than 1 past the panel
-ends, so Ge <= e^{(1+eps)(2/L - u_lo)}, u_lo at the panel's left end; on
-the pnt grid (b = pi(x) <= 1.26 x / ln x, a = 0) the 489 resolved panels
-add up to 1.6e-14 per integral. Measured against 16 nodes on every
-panel between two jumps, the entries agree to 1.6e-15, the rounding of
-the sums.
+C = 2 (1 + Lambda) cosh^2(s) rho^{-15} / (rho - 1). The ellipse reaches
+less than s past the panel ends, so Ge <= e^{(1+eps)(2 s/L - u_lo)}, u_lo
+at the panel's left end: on it the damping grows by at most
+e^{2 (1+eps) s/L}. Take s = min(3, L / (2 (1 + eps))), so that it grows by
+less than e. At s = 3, rho = 19.15 at h = pi/5 and 15.34 at h = pi/4, and
+C = 5.2e-18 and 1.8e-16; the semi-minor axis 1 that served the panels
+pi/10 wide would give C = 4.2e-12 at h = pi/5. On the pnt grid
+(b = pi(x) <= 1.26 x / ln x, a = 0) the 245 resolved panels add up to
+1.3e-15 per integral. The cap binds once eps > L/6 - 1 (3.2 at L = 8 pi).
+Near eps_max, where kappa h = 16, it leaves s near h/16 and the bound says
+nothing; even the best ellipse there (rho = 4.3, on which the damping
+grows by e^10.2) leaves C e^10.2 near 6e-5 at h = pi/5. There the
+entries rest on the measurements: against the kernel route (above) and
+against panels half as wide. Against 16 nodes on every panel between two jumps (the integers at
+L = 2 pi, N = 16, jumps resolved to 2e4) the D sums agree to 2.7e-15 when
+that reference is summed exactly (math.fsum); its own sums over its
+326,624 nodes round by up to 1.6e-14.
 
 Past a_end the jumps are not resolved: the 16-node panels sample a
 staircase there. On the pnt grid the primes between 2e5 and 1e8 set a
 floor. Halving every panel past a_end = 153.4 moves the eps = 0
-diagonals by 9.0e-6, and quartering them by a further 2.0e-6, so those
-diagonals hold to about 1e-5, not to the 1e-14 of the rule above. A step
+diagonals by 2.1e-5, and quartering them by a further 9.0e-6, so those
+diagonals hold to about 2e-5, not to the 1e-14 of the rule above. A step
 source's jumps past 2e5 are sampled too: jumps at 1e6 and 1e7 miss the
 kernel route by 2.1e-3 of max |W| (L = 8 pi, N = 8, eps = 0.05).
 
@@ -231,23 +218,15 @@ _GL8_T, _GL8_W = 0.5 * (np.array(np.polynomial.legendre.leggauss(8)) + [[1.0], [
 _STEP_RESOLVE_CAP = 200_000.0  # resolve jumps exactly up to this x
 _MAX_ORDER = 256
 _MAX_GRID_NODES = 4_000_000  # route grids past this are refused (ResourceError)
-_FAR_BIN = 1.0  # bin width of the proxies (module docstring)
-_PROXIES = 16  # Chebyshev proxies that stand for each bin
 _DAMPING_RESOLVED = 16.0  # largest kappa fine_w whose e^{-kappa x} the fine panels resolve
 _TAIL_RTOL = 1e-13  # relative gap a stated tail may leave to g (the catalog leaves 1.1e-16)
-# entries of one reciprocal block over the proxies, whatever the batch width m: the
-# battery's 130 x 3,376 block fits in one. Do not shrink it: at 500,000 the
-# block comes in two chunks, which glibc maps afresh on every op (its heap
-# stays at 8 MB), and a warm battery op took about 2,100 minor faults and
-# 4-6 ms of system time against about 30 and 0.2 ms (resource.getrusage).
-# The chunks also change the order, and so the rounding, of the sums.
+# entries of one reciprocal block over the nodes, whatever the batch width m: the
+# battery's 130 x 5,360 block and pnt's 146 x 6,016 fit in one. Do not shrink it:
+# at 300,000 the battery's block comes in three chunks, which glibc maps afresh
+# on every op, and a warm battery op took about 1,200 minor faults and 2.2 ms of
+# system time against 0 and 0.01 ms (resource.getrusage, 30 ops). The chunks
+# also change the order, and so the rounding, of the sums.
 _BLOCK_ENTRIES = 1_000_000
-_THETA = math.pi * (1.0 - (np.arange(_PROXIES) + 0.5) / _PROXIES)
-_CHEB = np.cos(_THETA)  # first-kind Chebyshev points on [-1, 1], ascending
-# mu_m -> w_j: (2 - [m = 0]) T_m(p_j) / _PROXIES, T_m(p_j) = cos(m theta_j)
-_ANTERP = np.cos(np.outer(np.arange(_PROXIES), _THETA)) * np.where(
-    np.arange(_PROXIES) == 0, 1.0, 2.0
-)[:, None] / _PROXIES
 
 
 def _lagrange_integrals() -> np.ndarray:
@@ -268,11 +247,11 @@ _LAMBDA = _lagrange_integrals()
 
 def _gl_nodes_on(lo: np.ndarray, hi: np.ndarray):
     """Node/weight arrays of the 16-point Gauss-Legendre rule on each panel
-    [lo[i], hi[i]]."""
+    [lo[i], hi[i]], each node at its panel's exact left edge plus an offset,
+    so that the panels tile the grid exactly."""
     nodes, weights = _GL16
     half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    xs = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()
+    xs = (lo[:, None] + half[:, None] * (1.0 + nodes)[None, :]).ravel()
     ws = (half[:, None] * weights[None, :]).ravel()
     return xs, ws
 
@@ -471,21 +450,27 @@ def _tail_of(S: GrowthFunction) -> tuple:
 
 def _grid_plan(L: float, N: int, X: float, a_end: float):
     """(cuts, panels, base_w, n_geo, nodes) of the grid on [0, X], for the
-    resolved range [0, a_end], a_end <= X: panels[i] fine panels between
-    cuts i and i + 1 (a_end and the lobes' end), then n_geo panels growing
-    from base_w past the width cap 2, and 2-wide ones; nodes counts 16 per
-    panel without building any, exact on the fine panels and a few panels
-    over in the tail."""
-    half = L / 2.0
-    base_w = min(0.1, math.pi / L) * half  # at most pi/2, under the tail's width cap 2
+    resolved range [0, a_end], a_end <= X: panels[i] fine panels, at most
+    _fine_width(L) wide, between cuts i and i + 1 (a_end and the lobes'
+    end), then n_geo panels growing from base_w = 2 _fine_width(L) past the
+    width cap 2, and 2-wide ones; nodes counts 16 per panel without building
+    any, exact on the fine panels and a few panels over in the tail."""
+    fine_w = _fine_width(L)
+    base_w = 2.0 * fine_w  # at most pi/2, under the tail's width cap 2
     cuts = [0.0]
     if a_end > 0.0:
         cuts.append(a_end)
     if cuts[-1] < math.pi * (N + 3) <= X:
         cuts.append(math.pi * (N + 3))
-    panels = [max(1.0, np.ceil((b - a) / (base_w / 4.0))) for a, b in zip(cuts, cuts[1:])]
+    panels = [max(1.0, np.ceil((b - a) / fine_w)) for a, b in zip(cuts, cuts[1:])]
     n_geo = int(math.log(2.0 / base_w) / math.log(1.15)) + 3
     return cuts, panels, base_w, n_geo, 16.0 * (sum(panels) + n_geo + (X - cuts[-1]) / 2.0 + 2.0)
+
+
+def _fine_width(L: float) -> float:
+    """Width of the fine panels: min(0.1, pi/L) L/4, at most pi/4 (pi/5 at
+    L = 8 pi)."""
+    return min(0.1, math.pi / L) * (L / 4.0)
 
 
 def _check_nodes(nodes: float, what: str) -> None:
@@ -577,27 +562,11 @@ def _anterpolate(t: np.ndarray, w: np.ndarray, starts: np.ndarray, basis: np.nda
         prev, cur, spare = cur, spare, prev
         mu[d] = np.add.reduceat(cur, starts, axis=1)
     # freed before the outputs are built, which then fill their room on the
-    # heap, not the top that the caller's reciprocal block goes to next
+    # heap, not the top that the reciprocal block of _half_line_integrals
+    # goes to next: without this del, 2 of 7 pnt benchmark runs peaked at
+    # 63.0 MB of RSS against 60.9-61.1 MB
     del t, w, t2, prev, cur, spare
     return (mu.reshape(degrees, m * segs).T @ basis).reshape(m, segs, k)
-
-
-def _proxies(xs: np.ndarray, wv: np.ndarray):
-    """The proxies of the sorted nodes xs: positions, ascending, and weights.
-
-    wv holds one column of weights per source, (n, m), and so do the proxy
-    weights. Every bin becomes its _PROXIES first-kind Chebyshev points p_j
-    with weights w_j = sum_i wv_i l_j(t_i), l_j the Lagrange basis of the
-    p_j and t_i the bin's nodes mapped onto [-1, 1], so that
-    sum_j w_j f(p_j) = sum_i wv_i p(t_i) for the interpolant p of f at the
-    p_j: _anterpolate against _ANTERP."""
-    bins = np.floor(xs / _FAR_BIN)
-    starts = np.flatnonzero(np.diff(bins, prepend=-np.inf))
-    # the recurrence's buffers are passed, not held here, so that
-    # _anterpolate frees them before it builds the weights
-    pw = _anterpolate(2.0 * (xs / _FAR_BIN - bins) - 1.0, wv.T.copy(), starts, _ANTERP)
-    sx = ((bins[starts, None] + 0.5 * (_CHEB + 1.0)) * _FAR_BIN).ravel()
-    return sx, pw.transpose(1, 2, 0).reshape(-1, wv.shape[1])
 
 
 def _half_line_integrals(xs: np.ndarray, wv: np.ndarray, k_max: int, want_F: bool):
@@ -606,24 +575,22 @@ def _half_line_integrals(xs: np.ndarray, wv: np.ndarray, k_max: int, want_F: boo
     wv holds one column of weights per source, (n, m), and F and D one
     column per source, (k_max + 1, m): everything but the weights is built
     once per batch. The nodes must be sorted, as every route grid from
-    _grid_edges and _gl_nodes_on is; they enter through their proxies
-    (module docstring). The proxies within 1 of a centre, one contiguous
-    range of the sorted proxies, are zeroed in the reciprocal block by
-    slicing and added in the stable forms; the block is summed against the
-    m columns in one product."""
+    _grid_edges and _gl_nodes_on is. The nodes within 1 of a centre, one
+    contiguous range of the sorted nodes, are zeroed in the reciprocal
+    block by slicing and added in the stable forms; the block is summed
+    against the m columns in one product."""
     ks = math.pi * np.arange(k_max + 1)
     centres = np.concatenate([ks, -ks])
-    sx, pw = _proxies(xs, wv)
-    sw = np.sin(sx)[:, None] ** 2 * pw
-    lo = np.searchsorted(sx, centres - 1.0, side="right")
-    hi = np.searchsorted(sx, centres + 1.0, side="left")
+    sw = np.sin(xs)[:, None] ** 2 * wv
+    lo = np.searchsorted(xs, centres - 1.0, side="right")
+    hi = np.searchsorted(xs, centres + 1.0, side="left")
     F = np.zeros((centres.size, wv.shape[1]))
     D = np.zeros_like(F)
     block = max(1, _BLOCK_ENTRIES // centres.size)
-    for start in range(0, sx.size, block):
-        stop = min(start + block, sx.size)
-        r = np.subtract(sx[None, start:stop], centres[:, None])
-        with np.errstate(divide="ignore"):  # a proxy on pi k is zeroed below
+    for start in range(0, xs.size, block):
+        stop = min(start + block, xs.size)
+        r = np.subtract(xs[None, start:stop], centres[:, None])
+        with np.errstate(divide="ignore"):  # a node on pi k is zeroed below
             np.reciprocal(r, out=r)
         for c in np.flatnonzero((lo < stop) & (hi > start)):
             r[c, max(lo[c] - start, 0) : hi[c] - start] = 0.0
@@ -632,16 +599,16 @@ def _half_line_integrals(xs: np.ndarray, wv: np.ndarray, k_max: int, want_F: boo
         r *= r
         D += r @ sw[start:stop]
 
-    # each centre's proxies within 1: sin^2 d / d and sin^2 d / d^2 as
-    # sin(d) sinc(d / pi) and sinc^2(d / pi), d = p - c
+    # each centre's nodes within 1: sin^2 d / d and sin^2 d / d^2 as
+    # sin(d) sinc(d / pi) and sinc^2(d / pi), d = x - c
     lens = hi - lo
     near = np.repeat(np.arange(centres.size), lens)
     idx = np.arange(near.size) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
-    d = sx[idx] - centres[near]
+    d = xs[idx] - centres[near]
     sn = np.sinc(d / math.pi)
     if want_F:
-        np.add.at(F, near, (np.sin(d) * sn)[:, None] * pw[idx])
-    np.add.at(D, near, (sn * sn)[:, None] * pw[idx])
+        np.add.at(F, near, (np.sin(d) * sn)[:, None] * wv[idx])
+    np.add.at(D, near, (sn * sn)[:, None] * wv[idx])
     K = k_max + 1
     return (F[:K] - F[K:] if want_F else None), D[:K] + D[K:]
 
@@ -762,8 +729,8 @@ def _windowed_integrals(sources: Sequence[GrowthFunction], L: float, eps: float,
     a_end = half * min(math.log(_STEP_RESOLVE_CAP), max(u_t for u_t, _ in tails))
     for S in sources:
         _check_resolvable(S, L, N)
-    _, _, base_w, _, nodes = _grid_plan(L, N, X, a_end)
-    eps_max = _DAMPING_RESOLVED * 2.0 * L / base_w  # kappa = 2 eps / L, fine_w = base_w / 4
+    nodes = _grid_plan(L, N, X, a_end)[-1]
+    eps_max = _DAMPING_RESOLVED * L / (2.0 * _fine_width(L))  # kappa = 2 eps / L
     if eps > eps_max:
         raise DomainError(f"the frequency route resolves the damping at L = {L:g} only up to eps = {eps_max:.6g}; got {eps!r}")
     _check_nodes(nodes, f"frequency-route grid at L = {L:g}, N = {N} to X = {X:.4g}")

@@ -268,8 +268,8 @@ def test_operator_diag_refuses_an_order_past_the_cap(capsys):
 
 
 def test_operator_refuses_a_frequency_grid_past_the_node_cap(capsys, monkeypatch):
-    # at L = 0.05 the fine panels are 6.25e-4 wide out to X = 67 pi: some
-    # 5.39e6 nodes; L = 1e-9 would ask for terabytes. The refusal comes
+    # at L = 0.03 the fine panels are 7.5e-4 wide out to X = 67 pi: some
+    # 4.49e6 nodes; L = 1e-9 would ask for terabytes. The refusal comes
     # before any grid is built, on both routes (the kernel route's at
     # L = 1e6: 10^7 panels)
     def no_grid(*args):
@@ -278,23 +278,23 @@ def test_operator_refuses_a_frequency_grid_past_the_node_cap(capsys, monkeypatch
     for name in ("_grid_edges", "_gl_nodes_on", "OuterGrid"):
         monkeypatch.setattr(operators, name, no_grid)
     for length, cmd, *extra in (
-        ("0.05", "diag", "--A", "1"),
-        ("0.05", "assemble"),
+        ("0.03", "diag", "--A", "1"),
+        ("0.03", "assemble"),
         ("1e-9", "diag", "--A", "1"),
         ("1e6", "assemble", "--route", "kernel"),
     ):
         code, out, err = run_cli(
             capsys, "operator", cmd, "--source", "linear", "--length", length, "--eps",
-            "0.05" if "kernel" in extra else "0", "--order", "64" if length == "0.05" else "2", *extra,
+            "0.05" if "kernel" in extra else "0", "--order", "64" if length == "0.03" else "2", *extra,
         )
         assert code == 2 and out == "", (length, cmd)
         doc = json.loads(err.strip())
         assert doc["code"] == "resource", (length, cmd)
         assert f"L = {float(length):g}" in doc["message"], (length, cmd)
         assert "past the cap of 4,000,000" in doc["message"], (length, cmd)
-    code, _, err = run_cli(capsys, "operator", "diag", "--source", "linear", "--length", "0.05",
+    code, _, err = run_cli(capsys, "operator", "diag", "--source", "linear", "--length", "0.03",
                            "--eps", "0", "--order", "64", "--A", "1")
-    assert "5.39e+06 nodes" in json.loads(err.strip())["message"]
+    assert "4.49e+06 nodes" in json.loads(err.strip())["message"]
 
 
 def test_pnt_takes_length_and_order_from_the_config_file(capsys, tmp_path):
@@ -678,12 +678,12 @@ def test_transform_eval_refuses_a_file_that_is_no_step_source(capsys, tmp_path, 
 
 
 def test_operator_refuses_an_eps_past_the_frequency_route_limit(capsys):
-    # at the default L = 8 pi the fine panels resolve the damping up to eps = 640
+    # at the default L = 8 pi the fine panels resolve the damping up to eps = 320
     for cmd, *extra in (("diag", "--A", "1"), ("assemble",), ("spectrum",)):
-        code, out, err = run_cli(capsys, "operator", cmd, "--source", "linear", "--eps", "641", "--order", "4", *extra)
+        code, out, err = run_cli(capsys, "operator", cmd, "--source", "linear", "--eps", "321", "--order", "4", *extra)
         assert code == 1 and out == "", cmd
         doc = json.loads(err.strip())
-        assert doc["code"] == "domain" and "up to eps = 640" in doc["message"], cmd
+        assert doc["code"] == "domain" and "up to eps = 320" in doc["message"], cmd
 
 
 def test_operator_assemble_stdout_and_file_agree(capsys, tmp_path):

@@ -307,10 +307,10 @@ def test_a_batch_resolves_no_table_source_past_its_table(small_table, big_table)
 
 @pytest.mark.parametrize("L", [2.0 * math.pi, 8.0 * math.pi, 40.0 * math.pi])
 def test_frequency_route_refuses_an_eps_past_its_damping_limit(L):
-    """The fine panels resolve e^{-2 eps x / L} up to eps min(0.1, pi/L) = 64
-    (640 at L <= 10 pi, 2,560 at L = 40 pi): just past it both entry points
+    """The fine panels resolve e^{-2 eps x / L} up to eps min(0.1, pi/L) = 32
+    (320 at L <= 10 pi, 1,280 at L = 40 pi): just past it both entry points
     raise a DomainError that names the limit."""
-    limit = 64.0 / min(0.1, math.pi / L)
+    limit = 32.0 / min(0.1, math.pi / L)
     eps = math.nextafter(limit, math.inf)
     I = IntervalSpec(L)
     with pytest.raises(DomainError, match=f"up to eps = {limit:g}") as ei:
@@ -324,8 +324,8 @@ def test_frequency_route_refuses_an_eps_past_its_damping_limit(L):
 def test_the_routes_agree_at_the_eps_limit(L):
     """At the largest eps the frequency route takes, the identity,
     slow_approach and the integers agree with the kernel route to 1e-13
-    relative (measured: 3.6e-15); at twice it they differed by 1e-11."""
-    eps, I = 64.0 / min(0.1, math.pi / L), IntervalSpec(L)
+    relative (measured: 3.4e-15); at twice it they differed by 1.1e-11."""
+    eps, I = 32.0 / min(0.1, math.pi / L), IntervalSpec(L)
     for S in (tr.source_identity(), tr.source_slow_approach(), tr.source_integers()):
         Wk = assemble_kernel_route([S], I, eps, 8)[0].entries
         Wf = assemble_frequency_route([S], I, eps, 8)[0].entries
@@ -404,47 +404,21 @@ def dense_half_line_integrals(xs, wv, k_max):
     return F, D, SF, SD
 
 
-def proxy_bound(xs, wv, k_max):
-    """The interpolation bound of the operators module docstring, per k,
-    for F and D: each bin, however many nodes it holds, adds
-    4 M rho^{-15} / (rho - 1) times sum |wv| over its nodes, rho = 32. On
-    the bin's Bernstein ellipse, of semi-axes a = w (rho + 1/rho) / 4 and
-    b = w (rho - 1/rho) / 4, |sin z|^2 <= cosh^2 b, so
-    M = cosh^2 b / max(1, delta - a)^j, delta the distance of the bin's
-    centre from the centre c, j = 1 (F) or 2 (D); within 1 of c both
-    kernels stay below sinh^2 1 < cosh^2 b."""
-    w, rho = operators._FAR_BIN, 32.0
-    bins, inv = np.unique(np.floor(xs / w), return_inverse=True)
-    mass = np.bincount(inv, np.abs(wv))
-    a, b = w * (rho + 1.0 / rho) / 4.0, w * (rho - 1.0 / rho) / 4.0
-    unit = 4.0 * math.cosh(b) ** 2 * rho**-15 / (rho - 1.0)
-    bF, bD = np.zeros(k_max + 1), np.zeros(k_max + 1)
-    for sign in (1.0, -1.0):
-        c = sign * math.pi * np.arange(k_max + 1)
-        gap = np.maximum(1.0, np.abs((bins + 0.5)[None, :] * w - c[:, None]) - a)
-        bF += (mass / gap).sum(axis=1)
-        bD += (mass / gap**2).sum(axis=1)
-    return unit * bF, unit * bD
-
-
-def assert_proxy_sums_match_the_dense_sums(xs, wv, k_max):
+def assert_direct_sums_match_the_dense_sums(xs, wv, k_max):
     """Both outputs of _half_line_integrals on the (n, m) weights wv,
-    column by column, within the interpolation bound plus 64 roundings of
-    sum |term| (the two sums round differently), and within 1e-13, both of
-    the dense reference and of the column's own single-column call;
-    want_F = False gives the same D and no F."""
+    column by column, within 64 roundings of sum |term| (the two sums
+    round differently) and within 1e-13, both of the dense reference and
+    of the column's own single-column call; want_F = False gives the same
+    D and no F."""
     u = 2.0**-53
     F, D = operators._half_line_integrals(xs, wv, k_max, want_F=True)
     for j in range(wv.shape[1]):
         F_ref, D_ref, SF, SD = dense_half_line_integrals(xs, wv[:, j], k_max)
-        bF, bD = proxy_bound(xs, wv[:, j], k_max)
         F1, D1 = operators._half_line_integrals(xs, wv[:, [j]], k_max, want_F=True)
         for got in ((F[:, j], D[:, j]), (F1[:, 0], D1[:, 0])):
-            assert np.all(np.abs(got[0] - F_ref) <= bF + 64.0 * u * SF), j
-            assert np.all(np.abs(got[1] - D_ref) <= bD + 64.0 * u * SD), j
+            assert np.all(np.abs(got[0] - F_ref) <= 64.0 * u * SF), j
+            assert np.all(np.abs(got[1] - D_ref) <= 64.0 * u * SD), j
             assert np.max(np.abs(got[0] - F_ref)) <= 1e-13 and np.max(np.abs(got[1] - D_ref)) <= 1e-13
-        assert np.all(np.abs(F[:, j] - F1[:, 0]) <= bF + 64.0 * u * SF), j
-        assert np.all(np.abs(D[:, j] - D1[:, 0]) <= bD + 64.0 * u * SD), j
     F0, D0 = operators._half_line_integrals(xs, wv, k_max, want_F=False)
     assert F0 is None and np.array_equal(D0, D)
 
@@ -464,14 +438,13 @@ def _route_grids(monkeypatch, run):
     return grids
 
 
-def test_proxy_sums_match_the_dense_sums_on_the_route_grids(big_table, monkeypatch):
+def test_direct_sums_match_the_dense_sums_on_the_route_grids(big_table, monkeypatch):
     """The pnt diagonal grid (weighted primes on the 1e8 table, L = 8 pi,
     N = 72, eps = 0), the eps = 0 diagonal grid of every battery member at
     N = 64, alone and as the one six-column batch that run_battery sums,
     one eps = 0.05 frequency-route grid, and the integers' grids at
-    L = 8 pi, N = 16, whose bins past x = 160 hold 6 to 11 nodes, fewer
-    than their 16 proxies, and at L = 40 pi, N = 8, whose 2-wide tail
-    panels run to X = 2,264, against the dense reference."""
+    L = 8 pi, N = 16 and at L = 40 pi, N = 8, whose 2-wide tail panels run
+    to X = 2,264, against the dense reference."""
     from tauberlab import tauber
 
     L = tauber.DEFAULT_LENGTH
@@ -489,34 +462,18 @@ def test_proxy_sums_match_the_dense_sums_on_the_route_grids(big_table, monkeypat
 
     grids = _route_grids(monkeypatch, run)
     assert [wv.shape[1] for _, wv, _ in grids] == [1] * 7 + [6, 1, 1, 1]
-    assert grids[-1][0].size == 43_248
-    xs = grids[-2][0]
-    assert np.unique(np.floor(xs[xs > 160.0] / operators._FAR_BIN), return_counts=True)[1].max() == 11
+    assert grids[-1][0].size == 27_632
     for xs, wv, k_max in grids:
-        assert_proxy_sums_match_the_dense_sums(xs, wv, k_max)
-
-
-def test_pnt_grid_compresses_to_under_10000_far_sources(big_table, monkeypatch):
-    """The pnt diagonal grid holds 12,016 nodes: 489 panels on the
-    jump-resolved range x <= 153.4 and 262 in the lobes up to the grid end
-    X = pi (N + 3) = 235.6, 16 nodes each. They become 3,776 proxies: 16
-    for each of the 236 bins below x = 236, sorted."""
-    from tauberlab import tauber
-
-    S, I = tr.source_primes_weighted(big_table), IntervalSpec(tauber.DEFAULT_LENGTH)
-    ((xs, wv, _),) = _route_grids(monkeypatch, lambda: diagonal_sequence([S], I, 0.0, tauber.PNT_ORDER))
-    sx, pw = operators._proxies(xs, wv)
-    assert (xs.size, sx.size, pw.shape) == (12_016, 3_776, (3_776, 1))
-    assert np.all(np.diff(sx) > 0.0)
+        assert_direct_sums_match_the_dense_sums(xs, wv, k_max)
 
 
 def test_half_line_integrals_hold_little_beside_the_reciprocal_block(big_table, monkeypatch):
     """One _half_line_integrals call on the battery's six-column grid
-    (N = 64, 10,736 nodes, 3,376 proxies) and on the pnt diagonal grid
-    (N = 72, 12,016 nodes, 3,776 proxies) peaks within 1 MiB of its one
-    reciprocal block, 2 (N + 1) x proxies doubles (3.35 and 4.21 MiB),
-    traced. Measured: 4.04 and 4.45 MiB; a node-level near pass beside the
-    block took 5.19 and 5.37 MiB."""
+    (N = 64, 5,360 nodes) and on the pnt diagonal grid (N = 72, 6,016
+    nodes: 245 panels on the jump-resolved range x <= 153.4 and 131 in the
+    lobes up to the grid end X = pi (N + 3) = 235.6, 16 nodes each) peaks
+    within 1 MiB of its one reciprocal block, 2 (N + 1) x nodes doubles
+    (5.32 and 6.70 MiB), traced. Measured: 6.06 and 6.98 MiB."""
     from tauberlab import tauber
 
     L = tauber.DEFAULT_LENGTH
@@ -528,8 +485,9 @@ def test_half_line_integrals_hold_little_beside_the_reciprocal_block(big_table, 
             diagonal_sequence([tr.source_primes_weighted(big_table)], IntervalSpec(L), 0.0, tauber.PNT_ORDER),
         ),
     )
-    for (xs, wv, k_max), n_proxies in zip(grids, (3_376, 3_776)):
-        block = 8 * 2 * (k_max + 1) * n_proxies
+    assert [xs.size for xs, _, _ in grids] == [5_360, 6_016]
+    for xs, wv, k_max in grids:
+        block = 8 * 2 * (k_max + 1) * xs.size
         tracemalloc.start()
         try:
             operators._half_line_integrals(xs, wv, k_max, want_F=True)
@@ -551,7 +509,7 @@ def _grid_edges_per_segment(S, L, N, X):
     half = L / 2.0
     lobe_end = math.pi * (N + 3)
     base_w = min(0.1, math.pi / L) * half
-    fine_w = base_w / 4.0
+    fine_w = base_w / 2.0
 
     edges = [0.0]
     cursor = 0.0
@@ -606,10 +564,13 @@ def test_grid_edges_match_the_loop_on_the_battery_and_pnt_grids(big_table):
 
 
 def _route_tail(S, L, eps, N):
-    """F and D of the route's exact tail past its X for a source whose tail
-    has no pole term."""
+    """F and D of the route's exact tail past its X: each stated term
+    c e^{-lam u} / (u + b)^[b] at u = x / (L/2)."""
     half = L / 2.0
-    terms = [(0, c, (lam + eps) / half, None) for c, lam in operators._tail_of(S)[1]]
+    terms = [
+        (0, c * half if b else c, complex(lam + eps) / half, b[0] * half if b else None)
+        for c, lam, *b in operators._tail_of(S)[1]
+    ]
     F, D = operators._tail_integrals(_cutoff(S, L, N), N, terms, 1)
     return F[:, 0], D[:, 0]
 
@@ -663,10 +624,50 @@ def test_step_weights_match_the_jump_aligned_oracle(case, small_table, big_table
         assert np.max(np.abs(assemble_frequency_route([S], I, eps, N)[0].entries - ref)) <= 1e-13, eps
 
 
-@pytest.mark.parametrize("basis", ["_LAMBDA", "_ANTERP"])
+def _half_panel_moments(S, L, eps, N):
+    """Reference: F and D on the route's own grid with every panel split in
+    two, the route's weights on each half (product integration on the
+    resolved range for a source that declares jumps, mt read at the nodes
+    elsewhere) and its exact tail past X. A source that declares jumps
+    samples its staircase between a_end and its u_t (module docstring), and
+    those panels stay whole: halving them moves the integers' entries by up
+    to 1.6e-10, the floor of the sampled staircase, not of the panel
+    width."""
+    X, a_end = _cutoff(S, L, N), _a_end(S, L)
+    edges = operators._grid_edges(L, N, X, a_end)
+    lo, hi = edges[:-1], edges[1:]
+    split = (hi <= a_end) | (lo >= L / 2.0 * S.tail[0]) if S.jumps_upto is not None else np.full(lo.size, True)
+    edges = np.insert(edges, np.flatnonzero(split) + 1, 0.5 * (lo + hi)[split])
+    xs, ws = operators._gl_nodes_on(edges[:-1], edges[1:])
+    wv = ws * operators._source_values(S, L, eps, xs)
+    if S.jumps_upto is not None:
+        n_res = int(np.searchsorted(edges, a_end))
+        wv[: 16 * n_res] = operators._step_values(S, L, eps, edges[: n_res + 1], xs[: 16 * n_res])
+    F, D = operators._half_line_integrals(xs, wv[:, None], N, want_F=True)
+    F_tail, D_tail = _route_tail(S, L, eps, N)
+    return F[:, 0] + F_tail, D[:, 0] + D_tail
+
+
+@pytest.mark.parametrize("L", [2.0 * math.pi, 8.0 * math.pi, 40.0 * math.pi])
+@pytest.mark.parametrize("name", list(_CLOSED_FORM_SOURCES) + ["weighted_primes"])
+def test_the_fine_panels_match_panels_half_as_wide(name, L, small_table):
+    """Every catalog source, and weighted primes on the 1e5 table, against
+    the route's own grid with every panel split in two: each truncation
+    entry within 1e-14 max(1, max |M|) at eps = 0, 0.05 and the damping
+    limit eps_max (module docstring)."""
+    S = tr.source_primes_weighted(small_table) if name == "weighted_primes" else _CLOSED_FORM_SOURCES[name]()
+    N = 8 if L < 7.0 else 32
+    eps_max = operators._DAMPING_RESOLVED * L / (2.0 * operators._fine_width(L))
+    for eps in (0.0, 0.05, eps_max):
+        W = assemble_frequency_route([S], IntervalSpec(L), eps, N)[0].entries
+        F, D = _half_panel_moments(S, L, eps, N)
+        ref = operators._matrix_from_moments(-F / math.pi, D / math.pi)
+        assert np.max(np.abs(W - ref)) <= 1e-14 * max(1.0, np.max(np.abs(W))), eps
+
+
 @pytest.mark.parametrize("m", [1, 6])
-def test_anterpolate_matches_the_direct_chebyshev_sums(basis, m, rng):
-    """_anterpolate against sum_i w_i chebval(t_i, basis[:, j]) per segment,
+def test_anterpolate_matches_the_direct_chebyshev_sums(m, rng):
+    """_anterpolate against sum_i w_i chebval(t_i, _LAMBDA[:, j]) per segment,
     segments of 1 to 40 points with t in [-1, 1], its ends included. Each
     |T_d(t)| <= 1, so the recurrence errs by at most 2 d^2 u |w_i| (an
     error made at step k reaches step d times U_{d-k}, |U_n| <= n + 1), a
@@ -674,7 +675,7 @@ def test_anterpolate_matches_the_direct_chebyshev_sums(basis, m, rng):
     the D coefficients by D u more; Clenshaw's chebval and the reference
     sum err by as much again. No segments give an empty result."""
     u = 2.0**-53
-    coef = getattr(operators, basis)
+    coef = operators._LAMBDA
     D, k = coef.shape
     sizes = rng.integers(1, 41, size=12)
     t = rng.uniform(-1.0, 1.0, sizes.sum())
@@ -723,7 +724,7 @@ def test_the_resolved_range_never_reads_the_prime_table(big_table, monkeypatch):
     """The pnt source declares its jumps, so the frequency route reads the
     table only past a_end = 153.4, and fn reads it only below u_cap: at
     N = 72 the eps = 0 diagonals and the eps = 0.05 route both read the
-    3,980 of the 4,192 nodes up to X = 235.6 that lie below
+    1,991 of the 2,096 nodes up to X = 235.6 that lie below
     (L/2) u_cap = 231.5; the tail check's u_t, u_t + 1 and u_t + 10 lie
     past u_cap, where fn is the stated tail and reads no table. The source
     reads g(u_cap) once when it is built, for its stated tail."""
@@ -736,10 +737,10 @@ def test_the_resolved_range_never_reads_the_prime_table(big_table, monkeypatch):
     assert reads == [1]
     reads.clear()
     diagonal_sequence([S], I, 0.0, N)
-    assert sorted(reads) == [0, 3_980]
+    assert sorted(reads) == [0, 1_991]
     reads.clear()
     assemble_frequency_route([S], I, 0.05, N)
-    assert sorted(reads) == [0, 3_980]
+    assert sorted(reads) == [0, 1_991]
 
 
 _TAIL_SOURCES = {**_CLOSED_FORM_SOURCES, "weighted_primes": None}
@@ -831,7 +832,7 @@ def test_the_tail_terms_are_g(name, small_table):
 
 
 def test_the_grid_does_not_depend_on_eps(monkeypatch):
-    """The battery's grid at N = 64 ends at X = 67 pi and holds 10,720 nodes
+    """The battery's grid at N = 64 ends at X = 67 pi and holds 5,360 nodes
     at eps = 0.001, 0.05 and 0."""
     from tauberlab import tauber
 
@@ -840,14 +841,14 @@ def test_the_grid_does_not_depend_on_eps(monkeypatch):
     for eps in (0.0, 0.05, 0.001):
         grids = _route_grids(monkeypatch, lambda: diagonal_sequence(battery, I, eps, 64))
         sizes.append(grids[0][0].size)
-    assert sizes == [10_720] * 3
+    assert sizes == [5_360] * 3
 
 
 @pytest.mark.parametrize(
     "route,L,N,eps,source",
     [
-        ("frequency", 1e-9, 2, 0.0, tr.source_identity),  # fine panels 1.25e-11 wide
-        ("frequency", 0.05, 64, 0.0, tr.source_identity),  # 5,388,480 nodes
+        ("frequency", 1e-9, 2, 0.0, tr.source_identity),  # fine panels 2.5e-11 wide
+        ("frequency", 0.03, 64, 0.0, tr.source_identity),  # 4,491,280 nodes
         ("frequency", 1e6, 2, 0.05, tr.source_integers),  # X = 5e5 u_t = 1.8e7
         ("kernel", 1e6, 2, 0.05, tr.source_identity),  # 10^7 panels
     ],
@@ -872,7 +873,7 @@ def test_a_grid_past_the_node_cap_is_refused_before_it_is_built(route, L, N, eps
 
 def test_grids_under_the_node_cap_run_at_extreme_lengths():
     """The kernel route at L = 1e-9 lays 3N panels, and the frequency route
-    at L = 1e6 lays pi/8-wide panels to X = 5 pi for the identity: both run."""
+    at L = 1e6 lays pi/4-wide panels to X = 5 pi for the identity: both run."""
     S = tr.source_identity()
     assert np.all(np.isfinite(assemble_kernel_route([S], IntervalSpec(1e-9), 0.05, 2)[0].entries))
     assert np.all(np.isfinite(assemble_frequency_route([S], IntervalSpec(1e6), 0.0, 2)[0].entries))
@@ -904,9 +905,9 @@ def test_plancherel_normalization():
 @pytest.mark.parametrize("L,N", [(8 * math.pi, 72), (8 * math.pi, 8), (2 * math.pi, 64)])
 def test_identity_truncation_is_the_identity(L, N):
     """At eps = 0 the frequency route's truncation of w = 1 is Id to
-    rounding, off the diagonal too (measured 6.7e-16 to 8.9e-16), and the
-    parity blocks give every eigenvalue within 4e-15 of 1 (measured at
-    most 2.7e-15)."""
+    rounding, off the diagonal too (measured 6.7e-16 to 9.99e-16), and
+    the parity blocks give every eigenvalue within 4e-15 of 1 (measured at
+    most 2.9e-15)."""
     W = assemble_frequency_route([tr.source_identity()], IntervalSpec(L), 0.0, N)[0]
     assert np.max(np.abs(W.entries - np.eye(2 * N + 1))) <= 1e-15
     assert np.max(np.abs(spectrum(W) - 1.0)) <= 4e-15

@@ -2,7 +2,7 @@
 Euler-Maclaurin truncation, the outer-grid path against plain point
 arrays, symmetry and positive semi-definiteness of W on both routes across
 the battery, the spectrum from its parity blocks, the closed form for A*,
-the Chebyshev proxies of the windowed integrals, the prime count against a
+the direct sums of the windowed integrals, the prime count against a
 dense sieve, the declared jumps of the step sources against their values,
 and the two routes on random step sources."""
 
@@ -276,15 +276,14 @@ def test_a_star_is_the_clipped_band_midrange(diag, lo, hi_a):
     ),
     st.integers(0, 2**32 - 1),
 )
-def test_proxy_split_matches_the_dense_sum(k_max, bins, seed):
-    """Node sets of crowded (more than 16 nodes) and sparse unit bins, plus
-    nodes exactly on bin edges, on pi k, on pi k +- 1 and on the edges of
-    the bins 3 below and 4 above pi k's own, sorted as _half_line_integrals
-    requires, with weights of both signs in two columns, as two sources of
-    one batch: _half_line_integrals against the dense reference, and each
-    column against its single-column call, within the interpolation bound
-    (test_operators)."""
-    from test_operators import assert_proxy_sums_match_the_dense_sums
+def test_direct_sums_match_the_dense_sum(k_max, bins, seed):
+    """Node sets of crowded and sparse unit bins, plus nodes exactly on
+    bin edges, on pi k, on pi k +- 1 and on the edges of the bins 3 below
+    and 4 above pi k's own, sorted as _half_line_integrals requires, with
+    weights of both signs in two columns, as two sources of one batch:
+    _half_line_integrals against the dense reference, and each column
+    against its single-column call, within 64 roundings (test_operators)."""
+    from test_operators import assert_direct_sums_match_the_dense_sums
 
     rng = np.random.default_rng(seed)
     j, n = (np.array(v) for v in zip(*bins))
@@ -304,7 +303,7 @@ def test_proxy_split_matches_the_dense_sum(k_max, bins, seed):
     xs.sort()
     wv = rng.normal(scale=0.05, size=xs.size)
     wv = np.column_stack([wv, rng.normal(scale=0.05, size=xs.size)])
-    assert_proxy_sums_match_the_dense_sums(xs, wv, k_max)
+    assert_direct_sums_match_the_dense_sums(xs, wv, k_max)
 
 
 # pi(10^5) and pi(10^8), from the classical tables: the counts at the edges
