@@ -509,7 +509,7 @@ def _step_values(S: GrowthFunction, L: float, eps: float, edges: np.ndarray, xs:
     A_i = h (a_end w_i - sum_j da_j Lambda_i(t_j)): a_end the level at the
     panel's end, the sum of da over the jumps before it, and t_j in [-1, 1)
     the panel's jumps; a jump at x <= 1 sits at t = -1 of the first panel.
-    B_i likewise from the db_j: one _anterpolate pass against _LAMBDA."""
+    B_i likewise from the db_j: one _anterpolate pass."""
     half = L / 2.0
     x, da, db = S.jumps_upto(math.exp(edges[-1] / half))
     xj = half * np.log(np.maximum(x, 1.0))
@@ -524,7 +524,7 @@ def _step_values(S: GrowthFunction, L: float, eps: float, edges: np.ndarray, xs:
     np.cumsum(w, axis=1, out=level[:, 1:])
     full = np.flatnonzero(bounds[1:] > bounds[:-1])
     Q = np.zeros((2, hw.size, _LAMBDA.shape[1]))
-    Q[:, full] = _anterpolate(t, w, bounds[full], _LAMBDA)
+    Q[:, full] = _anterpolate(t, w, bounds[full])
     A, B = hw[:, None] * (level[:, bounds[1:], None] * _GL16[1] - Q)
     u = xs / half
     return np.exp(-(1.0 + eps) * u) * (A + u.reshape(A.shape) * B).ravel()
@@ -543,14 +543,14 @@ def _source_values(S: GrowthFunction, L: float, eps: float, xs: np.ndarray) -> n
     return g * np.exp(-eps * u) if eps > 0.0 else g
 
 
-def _anterpolate(t: np.ndarray, w: np.ndarray, starts: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Per-segment sums sum_i w[:, i] f_j(t_i), (m, segments, k), of the
-    point masses w, (m, n) and C-contiguous, at t in [-1, 1]; segment s
-    runs from starts[s] to the next start, and f_j = sum_d basis[d, j] T_d.
-    The moments sum_i w_i T_d(t_i), one np.add.reduceat per degree, meet
-    basis in one product. w is one of the recurrence's three buffers: the
-    caller's array is overwritten."""
-    (degrees, k), m, segs = basis.shape, w.shape[0], starts.size
+def _anterpolate(t: np.ndarray, w: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per-segment sums sum_i w[:, i] Lambda_j(t_i), (m, segments, 16), of
+    the point masses w, (m, n) and C-contiguous, at t in [-1, 1]; segment s
+    runs from starts[s] to the next start, and Lambda_j = sum_d
+    _LAMBDA[d, j] T_d. The moments sum_i w_i T_d(t_i), one np.add.reduceat
+    per degree, meet _LAMBDA in one product. w is one of the recurrence's
+    three buffers: the caller's array is overwritten."""
+    (degrees, k), m, segs = _LAMBDA.shape, w.shape[0], starts.size
     mu = np.empty((degrees, m, segs))
     prev, cur = w, t * w  # w T_0, w T_1
     mu[0], mu[1] = np.add.reduceat(prev, starts, axis=1), np.add.reduceat(cur, starts, axis=1)
@@ -566,7 +566,7 @@ def _anterpolate(t: np.ndarray, w: np.ndarray, starts: np.ndarray, basis: np.nda
     # goes to next: without this del, 2 of 7 pnt benchmark runs peaked at
     # 63.0 MB of RSS against 60.9-61.1 MB
     del t, w, t2, prev, cur, spare
-    return (mu.reshape(degrees, m * segs).T @ basis).reshape(m, segs, k)
+    return (mu.reshape(degrees, m * segs).T @ _LAMBDA).reshape(m, segs, k)
 
 
 def _half_line_integrals(xs: np.ndarray, wv: np.ndarray, k_max: int, want_F: bool):

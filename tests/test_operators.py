@@ -419,6 +419,8 @@ def assert_direct_sums_match_the_dense_sums(xs, wv, k_max):
             assert np.all(np.abs(got[0] - F_ref) <= 64.0 * u * SF), j
             assert np.all(np.abs(got[1] - D_ref) <= 64.0 * u * SD), j
             assert np.max(np.abs(got[0] - F_ref)) <= 1e-13 and np.max(np.abs(got[1] - D_ref)) <= 1e-13
+        assert np.all(np.abs(F[:, j] - F1[:, 0]) <= 64.0 * u * SF), j
+        assert np.all(np.abs(D[:, j] - D1[:, 0]) <= 64.0 * u * SD), j
     F0, D0 = operators._half_line_integrals(xs, wv, k_max, want_F=False)
     assert F0 is None and np.array_equal(D0, D)
 
@@ -682,14 +684,14 @@ def test_anterpolate_matches_the_direct_chebyshev_sums(m, rng):
     t[[0, -1]] = -1.0, 1.0
     w = rng.standard_normal((m, t.size))
     starts = np.cumsum(sizes) - sizes
-    got = operators._anterpolate(t, w.copy(), starts, coef)
+    got = operators._anterpolate(t, w.copy(), starts)
     assert got.shape == (m, sizes.size, k)
     basis_at_t = np.polynomial.chebyshev.chebval(t, coef).T  # (n, k)
     for s, (a, n) in enumerate(zip(starts, sizes)):
         ref = w[:, a : a + n] @ basis_at_t[a : a + n]
         mass = np.abs(w[:, a : a + n]).sum(axis=1)[:, None] * np.abs(coef).sum(axis=0)[None, :]
         assert np.all(np.abs(got[:, s] - ref) <= 2.0 * (2 * D**2 + n + D) * u * mass), s
-    empty = operators._anterpolate(np.empty(0), np.empty((2, 0)), np.empty(0, dtype=int), coef)
+    empty = operators._anterpolate(np.empty(0), np.empty((2, 0)), np.empty(0, dtype=int))
     assert empty.shape == (2, 0, k)
 
 
