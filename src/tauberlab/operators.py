@@ -19,19 +19,22 @@ collapses to one-dimensional moments on [0, L]. With alpha = 2 pi / L,
     c_n = int_0^L 2 K(x) (1 - x/L) cos(alpha n x) dx,
 
 and M[m][n] = (-1)^{n-m} (s_m - s_n) / (pi (n - m)) for m != n,
-M[n][n] = c_n. The moments come from P uniform panels of half-width h with
-one shared 16-point Gauss-Legendre rule xi_i, so every node is
-x = m_j + h xi_i with midpoint m_j = (2j + 1) h: a special.OuterGrid, on
-which the kernel is evaluated once per node in one call. The phases factor
-the same way, e^{i alpha n x} = E[j, n] F[i, n] with E = e^{i alpha n m_j}
-(P x (N+1)) and F = e^{i alpha n h xi_i} (16 x (N+1)), so with the weighted
-kernel values wk (P x 16)
+M[n][n] = c_n. The moments come from 16-point Gauss-Legendre panels laid
+by one plan (_kernel_plan, below): a few graded head panels, whose nodes
+form one plain grid, and uniform body panels, each gap between heads one
+special.OuterGrid whose nodes are x = m_j + h xi_i, midpoints m_j plus one
+scaled rule h xi_i. All of them reach the transform as one
+special.GridBatch, and the kernel is evaluated once per node in one call.
+The phases factor the same way, grid by grid, e^{i alpha n x} =
+E[j, n] F[i, n] with E = e^{i alpha n m_j} (P x (N+1)) and
+F = e^{i alpha n h xi_i} (16 x (N+1)), so with the weighted kernel values
+wk (P x 16)
 
     s_n + i (...) = sum_j E[j, n] (wk @ F)[j, n],
 
 and c_n likewise, from (P + 16)(N + 1) cos/sin pairs in place of 16 P (N+1)
-complex exps. This stays a time-side computation, independent of the
-frequency route.
+complex exps (a head node is its own row, with F = 1). This stays a
+time-side computation, independent of the frequency route.
 
 Frequency route: by the Plancherel identity the matrix element is a single
 frequency integral against the windowed sine factors
@@ -146,31 +149,61 @@ diagonals hold to about 2e-5, not to the 1e-14 of the rule above. A step
 source's jumps past 2e5 are sampled too: jumps at 1e6 and 1e7 miss the
 kernel route by 2.1e-3 of max |W| (L = 8 pi, N = 8, eps = 0.05).
 
-The kernel route keeps 16 nodes on every panel, and its panels are at
-most 2 eps wide. G is analytic on sigma > 1, so the kernel
-K(z) = (G(1 + eps + iz) + G(1 + eps - iz)) / (2 pi) is analytic on the
-strip |Im z| < eps for every source. A panel of half-width h = eps maps
-the strip onto |Im t| < 1, which holds every Bernstein ellipse E_rho with
-rho < 1 + sqrt 2. On the ellipse of semi-minor axis b < 1 both real parts
-1 + eps -+ Im z stay above 1 + (1 - b) eps, and since S >= 0 and
-S(x) <= C x, |G(sigma + it)| <= G(sigma) <= C / (sigma - 1); hence
-|K| <= M = C / (pi (1 - b) eps). The 16-point rule then errs on one panel
-by at most h (64/15) M rho^{-32} / (rho^2 - 1) (Trefethen, Thm 19.3),
-smallest near b = 0.96 (rho = 2.35): 1.1e-11 C per panel, times at most
-e^{pi/3} for the phases e^{i alpha n z} (h <= L/(6N), so
-alpha N h <= pi/3) and about 2 for the weight 2 (1 - z/L) of c_n. This
-uniform-M bound is loose.
-Measured against panels eps/2 wide, every matrix entry agrees to 1.0e-14,
-the rounding of the sums (integers, the six battery sources and weighted
-primes on a 1e7 table; eps = 0.05 and 0.01; L = 2 pi, N = 8 and L = 8 pi,
-N = 72). That rounding scales with int_0^L |K|, not with the entries: a
-kernel that cancels over [0, L] gives entries far below it, which lose
-relative digits. For source_single_jump(1, 108) at L = 8 pi, N = 8,
-eps = 0.05, max |W| = 8.71e-6 and int |K| = 5.74e-3, and the two routes differ
-by 9.06e-19, 1.04e-13 of max |W| but 1.6e-16 of int |K|; against 30-digit
-mpmath the kernel route errs by 9.1e-19. Panels 3 eps and 4 eps wide miss
-by up to 6.7e-10 and 1.9e-9 wherever that width binds, so the limit lies
-between 2 eps and 3 eps, as the strip predicts.
+The kernel route's panels grade toward the singular points of G alone.
+K(x) = (1/pi) Re G(1 + eps + i x) is singular only where G is: a stated
+tail term c e^{-lam u} gives G a singularity at s = 1 - lam, a distance
+Re lam + eps from the line, at x = -Im lam, and elsewhere K is smooth on
+a scale of about 1/2 (for the zeta family, G continues across sigma = 1
+off s = 1, and the nearest zero of zeta lies 0.55 from sigma = 1.05;
+J. Korevaar, Tauberian Theory, ch. III). So _kernel_plan builds its
+panels from eps, L, N and the batch's stated tails alone. The body width
+is w_b = min(0.5, L/N), one period of the fastest phase at most. Each
+term with Re lam + eps < w_b puts a head at x = +-|Im lam| (x = 0 for
+every A = 1 source, the integers and weighted primes included, and
+x = 1 for log_oscillation): on each side, panels eps, 2 eps, 4 eps, ...
+wide while under w_b. A source that states no tail gets the head at
+x = 0 that the pole of a ratio limit needs. The heads are clipped to
+[0, L] and merged where they overlap, and each gap between them is one
+uniform body grid of ceil(gap / w_b) panels. A panel at distance d from
+a singular point is at most about d + eps wide, so the largest
+Bernstein ellipse of each panel that the singularity leaves free has
+rho >= 3.7, and the 16-point rule's factor rho^{-32} (Trefethen,
+Approximation Theory and Approximation Practice, Thm 19.3) is below
+1e-18; the maximum of |K| on that ellipse has no closed bound (below).
+On pnt (L = 8 pi, N = 72, eps = 0.05) that is 3
+head panels and 71 body panels: 1,184 nodes, where uniform panels
+min(2 eps, 0.1, L/(3N)) wide laid 4,032; at eps = 0.001 it is 1,280
+nodes against 201,072.
+
+The whole mesh reaches special as one batch, so every node shares each
+Euler-Maclaurin order's N, and that N is the one the body's largest |t|
+needs. The head alone would choose its own: N = 10 for zeta at pnt's
+head, against 46 for the batch. The transforms are accurate to their
+abs_tol, 1e-10, and the extra terms the body's |t| brings are what make
+the head's values good to rounding: summed at N = 10, zeta misses
+30-digit mpmath by 8.2e-13 at the head nodes (7.3e-15 at N = 46), and
+the integers' moments miss the 30-digit oracle below by 3.5e-13, 21
+times its bound.
+
+This accuracy is measured, not certified. The strip bound of the
+earlier uniform panels (at most 2 eps wide, each Bernstein ellipse
+inside |Im x| < eps, where sigma > 1 and |G| <= C / (sigma - 1)) does not
+cover a body panel, whose ellipse crosses sigma = 1; there no closed
+bound of |G| exists for prime zeta. The evidence: against panels eps/2
+wide every entry agrees to 3.8e-15 (integers, the six battery sources
+and weighted primes; eps = 0.05 and 0.01; L = 2 pi, N = 8 and L = 8 pi,
+N = 72; tested to 1e-13); against the 30-digit oracle of
+tests/oracle_w.py (L = 8 pi, eps = 0.05, N = 8) the closed-form battery
+sources err by at most 2.0e-15 and the integers by 3.6e-15, against a
+bound of 1.6e-14; and against the uniform 2 eps panels every matrix of
+those sources agrees within 6.5e-15 max(1, max |W|) (L = 8 pi, N = 72
+and 64, L = 2 pi, N = 8; eps = 0.05 and 0.01). The rounding of the sums
+scales with int_0^L |K|, not with the entries: a kernel that cancels
+over [0, L] gives entries far below it, which lose relative digits. For
+source_single_jump(1, 108) at L = 8 pi, N = 8, eps = 0.05,
+max |W| = 8.71e-6 and int |K| = 5.74e-3, and against 30-digit mpmath
+the kernel route errs by 1.9e-18, 2.1e-13 of max |W| but 3.3e-16 of
+int |K|; the frequency route errs by 2.6e-20.
 
 Spectrum: K is even, so W commutes with the reflection t -> -t, which maps
 e_n to e_{-n}: M[-m][-n] = M[m][n]. A truncation is held as its moments
@@ -198,7 +231,7 @@ import numpy as np
 
 from .arith import GrowthFunction, _atomic_write, _csv_text, _fields_dict
 from .errors import ContractError, DomainError, PrecisionError, ResourceError
-from .special import OuterGrid, exp_e1
+from .special import GridBatch, OuterGrid, exp_e1
 
 __all__ = [
     "IntervalSpec",
@@ -324,12 +357,13 @@ def kernel(S: GrowthFunction, eps: float, x):
 
     Needs the source's closed-form transform (every catalog source declares
     one) and a finite eps >= 1e-3: the kernel route never takes the
-    eps -> 0 limit pointwise. x may be an OuterGrid, which reaches the
-    transform as the grid 1 + eps + i x, and the result has its (P, Q) shape."""
+    eps -> 0 limit pointwise. x may be an OuterGrid or a GridBatch, which
+    reaches the transform as the grid or batch 1 + eps + i x, and the
+    result has its shape: (P, Q) for a grid, flat for a batch."""
     _check_eps(eps, "kernel")
     if S.laplace is None:
         raise ContractError(f"source '{S.label}' declares no closed-form transform for the kernel")
-    if not isinstance(x, OuterGrid):
+    if not isinstance(x, (OuterGrid, GridBatch)):
         x = np.asarray(x, dtype=float)
     out = np.real(S.laplace(1.0 + eps + 1j * x)) / math.pi
     return float(out) if np.ndim(out) == 0 else out
@@ -346,40 +380,41 @@ def assemble_kernel_route(
     """Matrix truncations from the 1-D kernel moments s_n, c_n (module
     docstring), one per source, on one grid and one set of phases.
 
-    P uniform panels of width at most min(2 eps, 0.1, L/(3N)) with 16
-    Gauss-Legendre nodes each, at most _MAX_GRID_NODES nodes in all
-    (ResourceError); the width depends on eps, L and N alone, so
-    the grid and the phase matrices E and F are built once and every
-    source's kernel is contracted against them. At half-width h <= eps the
-    kernel's strip of analyticity |Im x| < eps holds every Bernstein ellipse
-    with rho < 1 + sqrt 2 of each panel, and the rule errs by at most about
-    1e-10 C per panel, C the growth constant. The rounding of the sums then
-    dominates, about 2^-53 int_0^L |K| per entry, so an entry is accurate
-    relative to int |K|, not to itself (module docstring). L/(3N) keeps 3
-    panels in each period L/N of the fastest basis oscillation."""
+    The panels come from _kernel_plan: graded heads at the singular points
+    of the batch's G near the line, a uniform body of panels at most
+    min(0.5, L/N) wide past them, 16 Gauss-Legendre nodes each and at most
+    _MAX_GRID_NODES nodes in all (ResourceError). The plan depends on eps,
+    L, N and the stated tails alone, so the nodes and the phase matrices
+    are built once, every node reaches the transform in one GridBatch (one
+    Euler-Maclaurin N per order over head and body alike), and every
+    source's kernel is contracted against them. The accuracy is measured,
+    not certified (module docstring)."""
     _check_eps(eps, "kernel")
     _check_order(N)
     L = I.length
-    panels = L / min(2.0 * eps, 0.1, L / (3 * N) if N > 0 else math.inf)
-    _check_nodes(16.0 * math.ceil(min(panels, 1e300)), f"kernel-route grid at L = {L:g}, eps = {eps:g}")
-    P = int(math.ceil(panels))
-    h = L / (2 * P)  # panel half-width
-    xi, wi = _GL16
-    x = OuterGrid((2 * np.arange(P) + 1) * h, h * xi)
+    head, body, nodes = _kernel_plan(L, N, eps, [S.tail for S in sources])
+    _check_nodes(nodes, f"kernel-route grid at L = {L:g}, eps = {eps:g}")
+    x, w = _kernel_grid(head, body)
     alpha_n = (2.0 * math.pi / L) * np.arange(N + 1)
-    E = _unit_phases(np.multiply.outer(x.a, alpha_n))
-    F = _unit_phases(np.multiply.outer(x.b, alpha_n))
-    taper = 1.0 - np.asarray(x) / L
+    E = _unit_phases(np.multiply.outer(np.concatenate([g.a for g in x.grids]), alpha_n))
+    F = _unit_phases(np.multiply.outer(np.concatenate([g.b for g in x.grids]), alpha_n))
+    F = np.split(F, np.cumsum([g.b.size for g in x.grids])[:-1])
+
+    def phase_rows(v):
+        # row j of grid g: sum_i v[j, i] e^{i alpha n b_i}; times E and
+        # summed over the rows, sum over the nodes of v e^{i alpha n x}
+        return np.concatenate([v[c0 : c0 + g.size].reshape(g.shape) @ Fg for g, c0, Fg in zip(x.grids, x.offsets, F)])
+
+    taper = 1.0 - x.points / L
     out = []
     for S in sources:
         kv = np.asarray(kernel(S, eps, x))
         if not np.all(np.isfinite(kv)):
             x_bad = float(x.points[np.flatnonzero(~np.isfinite(kv))[0]])
             raise PrecisionError(f"kernel quadrature produced a non-finite value at x = {x_bad!r}")
-        wk = kv * (h * wi)
-        wc = 2.0 * wk * taper
-        s = np.sum(E * (wk @ F), axis=0).imag
-        c = np.sum(E * (wc @ F), axis=0).real
+        wk = kv * w
+        s = np.sum(E * phase_rows(wk), axis=0).imag
+        c = np.sum(E * phase_rows(2.0 * wk * taper), axis=0).real
         out.append(
             OperatorTruncation(
                 interval=I,
@@ -391,6 +426,72 @@ def assemble_kernel_route(
             )
         )
     return out
+
+
+def _kernel_plan(L: float, N: int, eps: float, tails: Sequence):
+    """(head, body, nodes): the kernel route's panels on [0, L] for a batch
+    whose sources state these tails (None for a source that states none),
+    counted before any node is built.
+
+    The body width is w_b = min(0.5, L/N) (0.5 at N = 0). A tail term
+    c e^{-lam u} makes G singular at s = 1 - lam, a distance Re lam + eps
+    from the line s = 1 + eps + i x, at x = -Im lam; each term with
+    Re lam + eps < w_b, and a source without a tail (for the pole at s = 1
+    of a ratio limit), puts a head at x = +-|Im lam|: on each side, panels
+    eps, 2 eps, 4 eps, ... wide while under w_b. The heads, clipped to
+    [0, L] and merged where they overlap, take the union of their panel
+    edges: head is the (lo, hi) edge arrays of those panels. Each gap
+    between heads is one uniform body grid of ceil(gap / w_b) panels:
+    body lists (lo, hi, P). nodes counts 16 per panel."""
+    w_b = min(0.5, L / N) if N > 0 else 0.5
+    widths = []
+    while eps * 2.0 ** len(widths) < w_b:
+        widths.append(eps * 2.0 ** len(widths))
+    steps = np.cumsum([0.0] + widths)  # edge offsets from a singular point
+    centres = set()
+    for tail in tails:
+        terms = ((1.0, 0.0),) if tail is None else tail[1]
+        for lam in (complex(t[1]) for t in terms):
+            if lam.real + eps < w_b:
+                centres |= {abs(lam.imag), -abs(lam.imag)}
+    spans = []  # merged heads, clipped to [0, L]
+    for c in sorted(centres):
+        lo, hi = max(c - steps[-1], 0.0), min(c + steps[-1], L)
+        if lo >= hi:
+            continue
+        if spans and lo <= spans[-1][1]:
+            spans[-1][1] = max(spans[-1][1], hi)
+        else:
+            spans.append([lo, hi])
+    cuts = np.concatenate([c + sign * steps for c in centres for sign in (-1.0, 1.0)] or [np.empty(0)])
+    edges = []
+    for lo, hi in spans:
+        # where two heads' edges (nearly) meet, one serves: an edge within
+        # eps/4 of the one before it is dropped, the last moved onto hi
+        e = np.unique(np.concatenate([[lo, hi], cuts[(cuts > lo) & (cuts < hi)]]))
+        e = e[np.concatenate([[True], np.diff(e) > eps / 4.0])]
+        e[-1] = hi
+        edges.append(e)
+    head = (np.concatenate([e[:-1] for e in edges] or [np.empty(0)]),
+            np.concatenate([e[1:] for e in edges] or [np.empty(0)]))
+    ends = [0.0] + [v for span in spans for v in span] + [L]
+    body = [(lo, hi, int(math.ceil(min((hi - lo) / w_b, 1e300))))
+            for lo, hi in zip(ends[::2], ends[1::2]) if hi > lo]
+    return head, body, 16.0 * (head[0].size + sum(P for *_, P in body))
+
+
+def _kernel_grid(head, body):
+    """The nodes of a _kernel_plan as one GridBatch, the head's nodes as one
+    plain grid and each body gap as an OuterGrid of panel midpoints plus one
+    scaled Gauss-Legendre rule, and the flat quadrature weights."""
+    xi, wi = _GL16
+    hx, hw = _gl_nodes_on(*head)
+    grids, weights = ([OuterGrid(hx)], [hw]) if hx.size else ([], [])
+    for lo, hi, P in body:
+        h = (hi - lo) / (2 * P)  # panel half-width
+        grids.append(OuterGrid(lo + (2 * np.arange(P) + 1) * h, h * xi))
+        weights.append(np.tile(h * wi, P))
+    return GridBatch(grids), np.concatenate(weights)
 
 
 def _unit_phases(theta: np.ndarray) -> np.ndarray:

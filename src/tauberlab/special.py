@@ -27,21 +27,25 @@ evaluations. The smallest-prime-factor sieve behind this plan is cached
 per N (a pnt op asks for the same three every time), and also supplies
 the Moebius function and the small primes used below.
 
-Every batch is an outer sum: the P x Q points s = a_j + b_i of an
-OuterGrid, a plain array being the degenerate grid a = its points,
-b = [0]. Since n^{-s} = n^{-a_j} n^{-b_i}, the multiplicative plan builds
-the power matrices A of n^{-a} (P columns) and B of n^{-b} (Q columns),
-and one matrix product A^T [B | -ln n B] gives both power sums,
-sum n^{-s} and -sum ln n n^{-s}, at every point: (P + Q) N powers in
-place of P Q N, and N^{-s} per point likewise from N^{-a} and N^{-b}.
-The quadrature nodes of the kernel route are such a grid (panel
-midpoints plus one scaled Gauss-Legendre rule), and the transforms hand
-it through unchanged. The truncation N still comes from the P Q points
-themselves, so the grid changes no N and no certificate. Every batch
-builds A and B in _em_orders, once, at the largest N of its orders k
-(plain zeta is the one order k = 1, prime_zeta_pair takes its Moebius
-orders, below), and gives order k the elementwise k-th powers of their
-first N_k - 1 rows: n^{-ka} = (n^{-a})^k, and k s is the grid (k a, k b).
+Every batch is a union of outer sums (GridBatch): each grid holds the
+P x Q points s = a_j + b_i of an OuterGrid, a plain array being the
+degenerate grid a = its points, b = [0]. Since n^{-s} = n^{-a_j} n^{-b_i},
+the multiplicative plan builds, per grid, the power matrices A of n^{-a}
+(P columns) and B of n^{-b} (Q columns), and one matrix product
+A^T [B | -ln n B] gives both power sums, sum n^{-s} and
+-sum ln n n^{-s}, at every point: (P + Q) N powers in place of P Q N,
+and N^{-s} per point likewise from N^{-a} and N^{-b}. The quadrature
+nodes of the kernel route are such a batch (a plain grid of graded head
+nodes, and per body gap panel midpoints plus one scaled Gauss-Legendre
+rule), and the transforms hand it through unchanged. Everything else is
+chosen once for the whole batch from all its points: the truncation N
+of each order, the peel cap M and the Moebius orders. So a batch's N is
+the one its largest |t| needs, for every grid in it, and the grids
+change no N and no certificate. Every batch builds A and B in
+_em_orders, once per grid, at the largest N of its orders k (plain zeta
+is the one order k = 1, prime_zeta_pair takes its Moebius orders,
+below), and gives order k the elementwise k-th powers of their first
+N_k - 1 rows: n^{-ka} = (n^{-a})^k, and k s is the grid (k a, k b).
 The logs of prime zeta and of psi_P are taken in real arithmetic,
 log|w| + i atan2(Im w, Re w) (_log): the principal branch at a tenth of
 the cost of numpy's complex log.
@@ -74,9 +78,14 @@ times the one before. K is the smallest order whose dropped terms sum
 below abs_tol/2. At sigma = 1.05 and abs_tol 1e-10, M = 13 leaves K = 9,
 so the squarefree k = 1, 2, 3, 5, 6, 7, where the unpeeled 2^{-k sigma}
 tails needed 22 Moebius terms. A larger M takes fewer orders but peels
-more primes; on the 4,032 points of the pnt kernel route (sigma = 1.05)
-M = 13, with 36 (prime, order) pairs and six zeta batches, costs least
-of the caps from 5 to 100. Every call computes P and P' together
+more primes. On the 1,184 points of the pnt kernel route (sigma = 1.05)
+M = 11 and 13 cost least of the caps from 5 to 100, with the same six
+zeta batches (medians of 12 alternating rounds on a 2-CPU host, one BLAS
+thread: 2.60 and 2.66 ms per prime_zeta_pair, against 3.51 at M = 5,
+2.71 at 17 and 3.42 at 100). Over 20 alternating pairs of whole kernel
+routes 11 led 13 by 0.03 of 3.07 ms in 15 pairs, within the spread, and
+it certifies only from sigma ~ 1.0115, so the cap stays 13, with 36
+(prime, order) pairs. Every call computes P and P' together
 (prime_zeta, prime_zeta_deriv and psi_prime_part each take their part of
 prime_zeta_pair): the log and zeta'/zeta at each k share one zeta batch,
 and at k = 1 it is truncated where the zeta'/zeta tolerance needs, which
@@ -87,9 +96,9 @@ of zeta; the constants below were computed once by a float128
 Euler-Maclaurin limit at N = 10^7 (sum of log^n k / k minus
 log^{n+1} N/(n+1), with tail corrections), not copied from memory.
 
-All evaluators accept a complex scalar, an ndarray or an OuterGrid (whose
-result has the grid's (P, Q) shape) and respect the Schwarz reflection
-F(conj s) = conj F(s).
+All evaluators accept a complex scalar, an ndarray, an OuterGrid (whose
+result has the grid's (P, Q) shape) or a GridBatch (a flat result), and
+respect the Schwarz reflection F(conj s) = conj F(s).
 
 The other one: exp_e1 gives e^w E1(w) on Re w >= 0, w != 0, vectorized,
 for the slow_approach transform and for the operators' exact tail,
@@ -108,6 +117,7 @@ near |w| = 1.25).
 from __future__ import annotations
 
 import functools
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -119,6 +129,7 @@ from .errors import ContractError, DomainError, PrecisionError
 
 __all__ = [
     "OuterGrid",
+    "GridBatch",
     "EvalTolerance",
     "DEFAULT_TOL",
     "zeta",
@@ -213,13 +224,6 @@ class OuterGrid:
     def __array__(self, dtype=None, copy=None):
         return self.points.reshape(self.shape).astype(dtype or self.points.dtype)
 
-    def rows(self, r0: int, r1: int) -> "OuterGrid":
-        """Rows r0 to r1 - 1 as a grid that shares this grid's points."""
-        out = OuterGrid.__new__(OuterGrid)
-        out.a, out.b = self.a[r0:r1], self.b
-        out.points = self.points[r0 * self.b.size : r1 * self.b.size]
-        return out
-
     def __add__(self, c):
         return OuterGrid(self.a + c, self.b)
 
@@ -230,23 +234,63 @@ class OuterGrid:
     __rmul__ = __mul__
 
 
+class GridBatch:
+    """Several OuterGrids taken as one batch: their points, grid after grid,
+    share every choice the batch makes (the Euler-Maclaurin N of each order,
+    the peel cap and the Moebius orders), while each grid keeps its own a/b
+    power factoring (module docstring).
+
+    np.asarray gives the flat points, so a closed form written for arrays
+    takes a batch unchanged; adding or multiplying by a scalar acts on every
+    grid. `offsets[g]` is where grid g's points start in `points`."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, grids):
+        self.grids = tuple(grids)
+        self.offsets = tuple(itertools.accumulate((g.size for g in self.grids[:-1]), initial=0))
+        self.points = np.concatenate([g.points for g in self.grids]) if self.grids else np.empty(0)
+
+    @property
+    def shape(self) -> tuple:
+        return (self.points.size,)
+
+    @property
+    def size(self) -> int:
+        return self.points.size
+
+    def __array__(self, dtype=None, copy=None):
+        return self.points.astype(dtype or self.points.dtype)
+
+    def __add__(self, c):
+        return GridBatch(g + c for g in self.grids)
+
+    def __mul__(self, c):
+        return GridBatch(g * c for g in self.grids)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+
 def _prep(s):
-    """The points of s as a complex OuterGrid (an array as the degenerate
-    grid of its flattened points), whether s is a scalar, and the shape to
-    restore; enforces the finite, sigma > 1 domain."""
-    if isinstance(s, OuterGrid):
-        grid = OuterGrid(s.a.astype(complex), s.b.astype(complex))
+    """The points of s as a complex GridBatch (an OuterGrid as a batch of
+    one, an array as the degenerate grid of its flattened points), whether
+    s is a scalar, and the shape to restore; enforces the finite,
+    sigma > 1 domain."""
+    if isinstance(s, (OuterGrid, GridBatch)):
+        grids = s.grids if isinstance(s, GridBatch) else (s,)
+        batch = GridBatch(OuterGrid(g.a.astype(complex), g.b.astype(complex)) for g in grids)
         scalar, shape = False, s.shape
     else:
         arr = np.asarray(s, dtype=complex)
-        grid, scalar, shape = OuterGrid(arr), arr.ndim == 0, arr.shape
-    flat = grid.points
+        batch, scalar, shape = GridBatch([OuterGrid(arr)]), arr.ndim == 0, arr.shape
+    flat = batch.points
     if flat.size:
         if not (np.all(np.isfinite(flat.real)) and np.all(np.isfinite(flat.imag))):
             raise DomainError("s must be finite")
         if np.any(flat.real <= 1.0):
             raise DomainError("evaluation requires Re(s) > 1")
-    return grid, scalar, shape
+    return batch, scalar, shape
 
 
 def _restore(vals, scalar, shape):
@@ -385,57 +429,62 @@ def _horner(coef: tuple, s: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _em_eval(grid: OuterGrid, N: int, A: np.ndarray, B: np.ndarray):
-    """Euler-Maclaurin evaluation of (zeta, zeta') at fixed N on a grid,
-    given the power matrices A of n^{-a} and B of n^{-b}, N - 1 rows each
-    (_em_orders builds them). One product A^T [B | -ln n B] gives both power
-    sums. The tail, integral plus half-term plus Bernoulli corrections, is
-    N^{-s} (N/(s-1) + p_N(s)), p_N of _em_tail_poly, and its derivative
-    N^{-s} (p_N'(s) - N/(s-1)^2 - ln N (N/(s-1) + p_N(s))): N^{-s} =
-    N^{-a} N^{-b} from P + Q exps, p_N and p_N' by Horner's rule per point.
-    """
-    ln_all = np.log(np.arange(1, N, dtype=float))
+def _em_sums(A: np.ndarray, B: np.ndarray):
+    """The power sums sum n^{-s} and -sum ln n n^{-s}, n < N, at the points
+    of one grid block, row by row, from its power matrices A of n^{-a} and
+    B of n^{-b} (N - 1 rows each): one product A^T [B | -ln n B]."""
+    Q = B.shape[1]
+    ln_all = np.log(np.arange(1, B.shape[0] + 1, dtype=float))
+    sums = A.T @ np.concatenate([B, -ln_all[:, None] * B], axis=1)
+    return sums[:, :Q].ravel(), sums[:, Q:].ravel()
+
+
+def _em_tail(s: GridBatch, N: int):
+    """The Euler-Maclaurin tail of (zeta, zeta') at N on a batch, integral
+    plus half-term plus Bernoulli corrections: N^{-s} (N/(s-1) + p_N(s)),
+    p_N of _em_tail_poly, and its derivative N^{-s} (p_N'(s) - N/(s-1)^2 -
+    ln N (N/(s-1) + p_N(s))). N^{-s} = N^{-a} N^{-b} from P + Q exps per
+    grid, p_N and p_N' by Horner's rule per point."""
     lnN = math.log(N)
-    a, b = grid.a, grid.b
     poly, dpoly = _em_tail_poly(N)
-    with np.errstate(under="ignore"):
-        sums = A.T @ np.concatenate([B, -ln_all[:, None] * B], axis=1)
-        val = sums[:, : b.size].ravel()
-        der = sums[:, b.size :].ravel()
-        s = grid.points
-        NmS = np.multiply.outer(np.exp(-a * lnN), np.exp(-b * lnN)).ravel()
-        pole = N / (s - 1.0)
-        tail = pole + _horner(poly, s)
-        val += NmS * tail
-        der += NmS * (_horner(dpoly, s) - pole / (s - 1.0) - lnN * tail)
-    return val, der
+    z = s.points
+    NmS = np.concatenate([np.multiply.outer(np.exp(-g.a * lnN), np.exp(-g.b * lnN)).ravel() for g in s.grids])
+    pole = N / (z - 1.0)
+    tail = pole + _horner(poly, z)
+    return NmS * tail, NmS * (_horner(dpoly, z) - pole / (z - 1.0) - lnN * tail)
 
 
-def _em_orders(s: OuterGrid, ks: list, Ns: list):
+def _em_orders(s: GridBatch, ks: list, Ns: list):
     """zeta(ks) and zeta'(ks) on a batch for each order k of ks (rising
     from 1), summed at the N of Ns: out[0, i] and out[1, i].
 
-    The one place the power matrices are built: n^{-a} and n^{-b} once, at
-    the largest N, and each order takes the elementwise k-th powers of
-    their first N_k - 1 rows (_kth_powers): n^{-ka} = (n^{-a})^k, and k s
-    is the grid (k a, k b), built once per order (k = 1 is s itself). a
-    runs in blocks of about _POWER_CELLS cells, each order's block a slice
-    of its grid."""
-    Q, n_max, rows = s.b.size, max(Ns), [N - 1 for N in Ns]
+    The one place the power matrices are built: per grid of the batch,
+    n^{-a} and n^{-b} once, at the largest N, and each order takes the
+    elementwise k-th powers of their first N_k - 1 rows (_kth_powers):
+    n^{-ka} = (n^{-a})^k, and k s is the grid (k a, k b). a runs in blocks
+    of about _POWER_CELLS cells, each block's power sums written in place
+    (_em_sums); then each order adds its tail over the whole batch at once
+    (_em_tail)."""
+    n_max, rows = max(Ns), [N - 1 for N in Ns]
     out = np.empty((2, len(ks), s.size), dtype=complex)
     block = max(1, _POWER_CELLS // n_max)
-    grids = [s if k == 1 else k * s for k in ks]
     with np.errstate(under="ignore"):
-        Bk = list(_kth_powers(_powers(s.b, n_max), ks, rows))
-        for r0 in range(0, s.a.size, block):
-            r1 = r0 + block
-            Ak = _kth_powers(_powers(s.a[r0:r1], n_max), ks, rows)
-            for i, (g, N, A, B) in enumerate(zip(grids, Ns, Ak, Bk)):
-                out[:, i, r0 * Q : r1 * Q] = _em_eval(g.rows(r0, r1), N, A, B)
+        for g, c0 in zip(s.grids, s.offsets):
+            P, Q = g.shape
+            Bk = list(_kth_powers(_powers(g.b, n_max), ks, rows))
+            for r0 in range(0, P, block):
+                cells = slice(c0 + r0 * Q, c0 + min(r0 + block, P) * Q)
+                Ak = _kth_powers(_powers(g.a[r0 : r0 + block], n_max), ks, rows)
+                for i, (A, B) in enumerate(zip(Ak, Bk)):
+                    out[0, i, cells], out[1, i, cells] = _em_sums(A, B)
+        for i, (k, N) in enumerate(zip(ks, Ns)):
+            val, der = _em_tail(s if k == 1 else k * s, N)
+            out[0, i] += val
+            out[1, i] += der
     return out
 
 
-def _zeta_core(s: OuterGrid, abs_tol: float):
+def _zeta_core(s: GridBatch, abs_tol: float):
     """(zeta, zeta') on a batch, both to abs_tol: the one order k = 1 of
     _em_orders, summed at the N that _choose_N picks for its points."""
     if s.size == 0:
@@ -465,7 +514,7 @@ def zeta_deriv(s, tol: Optional[EvalTolerance] = None):
 def _real_zeta_triple(sigma: float) -> tuple:
     """zeta(sigma), zeta(2 sigma) and zeta'(sigma), to 1e-9, from one batch,
     kept per sigma: every pnt op asks for the same sigma_min."""
-    v, d = _zeta_core(OuterGrid(np.array([sigma, 2.0 * sigma], dtype=complex)), 1e-9)
+    v, d = _zeta_core(GridBatch([OuterGrid(np.array([sigma, 2.0 * sigma], dtype=complex))]), 1e-9)
     return float(v[0].real), float(v[1].real), float(d[0].real)
 
 
@@ -506,12 +555,12 @@ def _peeled_tail_bound(M: int, sigma: float) -> float:
     return x0 * (la + a * (la / (sigma - 1.0) + 1.0 / (sigma - 1.0) ** 2)) / (1.0 - x0)
 
 
-def _peel(s: OuterGrid, primes: np.ndarray, ks: list):
-    """Sums over the peeled primes p <= M, from one block x = p^{-s}, formed
-    as p^{-a} p^{-b}, and its powers x^k = p^{-ks}: sum_p x and
-    sum_p ln p x, then per k in ks the product prod_p (1 - x^k) and
+def _peel(s: GridBatch, primes: np.ndarray, ks: list):
+    """Sums over the peeled primes p <= M, from one block x = p^{-s} per
+    grid, formed as p^{-a} p^{-b}, and its powers x^k = p^{-ks}: sum_p x
+    and sum_p ln p x, then per k in ks the product prod_p (1 - x^k) and
     sum_p ln p x^k/(1 - x^k)."""
-    npts, Q = s.size, s.b.size
+    npts = s.size
     head = np.zeros(npts, dtype=complex)
     head_d = np.zeros(npts, dtype=complex)
     prod = np.ones((len(ks), npts), dtype=complex)
@@ -521,20 +570,22 @@ def _peel(s: OuterGrid, primes: np.ndarray, ks: list):
     with np.errstate(under="ignore"):
         for lo in range(0, lnp_all.size, block):
             lnp = lnp_all[lo : lo + block]
-            xb = np.exp(-np.multiply.outer(lnp, s.b))
-            # rows of the grid in blocks of about _PEEL_CELLS cells, whose
-            # arrays stay in cache through the passes over x and its powers
-            rows = max(1, _PEEL_CELLS // (lnp.size * Q))
-            for r0 in range(0, s.a.size, rows):
-                c = slice(r0 * Q, (r0 + rows) * Q)
-                xa = np.exp(-np.multiply.outer(lnp, s.a[r0 : r0 + rows]))
-                x = (xa[:, :, None] * xb[:, None, :]).reshape(lnp.size, -1)
-                head[c] += x.sum(axis=0)
-                head_d[c] += lnp @ x
-                for i, xk in enumerate(_kth_powers(x, ks, [lnp.size] * len(ks))):
-                    one_minus = 1.0 - xk
-                    prod[i, c] *= one_minus.prod(axis=0)
-                    dlog[i, c] += lnp @ (xk / one_minus)
+            for g, c0 in zip(s.grids, s.offsets):
+                P, Q = g.shape
+                xb = np.exp(-np.multiply.outer(lnp, g.b))
+                # rows of the grid in blocks of about _PEEL_CELLS cells, whose
+                # arrays stay in cache through the passes over x and its powers
+                rows = max(1, _PEEL_CELLS // (lnp.size * Q))
+                for r0 in range(0, P, rows):
+                    c = slice(c0 + r0 * Q, c0 + min(r0 + rows, P) * Q)
+                    xa = np.exp(-np.multiply.outer(lnp, g.a[r0 : r0 + rows]))
+                    x = (xa[:, :, None] * xb[:, None, :]).reshape(lnp.size, -1)
+                    head[c] += x.sum(axis=0)
+                    head_d[c] += lnp @ x
+                    for i, xk in enumerate(_kth_powers(x, ks, [lnp.size] * len(ks))):
+                        one_minus = 1.0 - xk
+                        prod[i, c] *= one_minus.prod(axis=0)
+                        dlog[i, c] += lnp @ (xk / one_minus)
     return head, head_d, prod, dlog
 
 
@@ -550,7 +601,7 @@ def _k1_tolerance(abs_tol: float, zeta_sig: float, zeta_2sig: float, zeta_d_sig:
     return max(min(abs_tol * zmag_low / (3.0 * (1.0 + zd_mag / zmag_low)), 1e-5), 1e-15)
 
 
-def _prime_zeta_core(s: OuterGrid, abs_tol: float):
+def _prime_zeta_core(s: GridBatch, abs_tol: float):
     """(P, P') on a batch (module docstring)."""
     if s.size == 0:
         empty = np.empty(0, dtype=complex)
@@ -574,7 +625,7 @@ def _prime_zeta_core(s: OuterGrid, abs_tol: float):
 
     tol_1 = _k1_tolerance(abs_tol, zeta_sig, zeta_2sig, zeta_d_sig)
     inner = max(abs_tol / (8.0 * K), 1e-15)
-    Ns = [_choose_N((k * s).points, tol_1 if k == 1 else inner) for k in ks]
+    Ns = [_choose_N(k * s.points, tol_1 if k == 1 else inner) for k in ks]
     zvs, zds = _em_orders(s, ks, Ns)
     for i, (k, zv, zd) in enumerate(zip(ks, zvs, zds)):
         # zeta_{>M}(ks) = zeta(ks) prod_{p<=M} (1 - p^{-ks}); its principal
@@ -651,7 +702,7 @@ def psi_entire(s, tol: Optional[EvalTolerance] = None):
     wn, sf = w[near], flat[~near]
     series = GAMMA_0 - 1.0 - GAMMA_1 * wn + (GAMMA_2 / 2.0) * wn**2 - (GAMMA_3 / 6.0) * wn**3
     out[near] = series / (1.0 + wn)
-    out[~near] = _zeta_core(OuterGrid(sf), (tol or DEFAULT_TOL).abs_tol)[0] / sf - 1.0 / (sf - 1.0)
+    out[~near] = _zeta_core(GridBatch([OuterGrid(sf)]), (tol or DEFAULT_TOL).abs_tol)[0] / sf - 1.0 / (sf - 1.0)
     return _restore(out, scalar, shape)
 
 

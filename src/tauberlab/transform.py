@@ -8,9 +8,9 @@ are provided for the classical sources:
     weighted primes     G(s) = (pzeta(s) - s pzeta'(s))/s^2
                              = -d/ds [pzeta(s)/s]          (S = pi_P ln)
 
-The closed forms take an OuterGrid of points as well as an array and hand
-it whole to the zeta family, which builds its powers from the grid's two
-factors (special module docstring).
+The closed forms take an OuterGrid or a GridBatch of points as well as an
+array and hand it whole to the zeta family, which builds its powers from
+each grid's two factors (special module docstring).
 
 source_steps builds a finite step source S(x) = sum of a_j over x_j <= x
 from its breakpoints and jumps. Its transform is the exact step sum

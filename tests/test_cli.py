@@ -271,7 +271,7 @@ def test_operator_refuses_a_frequency_grid_past_the_node_cap(capsys, monkeypatch
     # at L = 0.03 the fine panels are 7.5e-4 wide out to X = 67 pi: some
     # 4.49e6 nodes; L = 1e-9 would ask for terabytes. The refusal comes
     # before any grid is built, on both routes (the kernel route's at
-    # L = 1e6: 10^7 panels)
+    # L = 1e6: 2 x 10^6 body panels)
     def no_grid(*args):
         raise AssertionError("grid built")
 

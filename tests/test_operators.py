@@ -146,16 +146,13 @@ def test_integer_count_routes_agree_to_1e9(name, L, eps, N):
 # ---------------------------------------------------------------------------
 
 
-def _panels(L, eps, N):
-    return math.ceil(L / min(2 * eps, 0.1, L / (3 * N) if N > 0 else math.inf))
-
-
 def _tensor_oracle(S, L, eps, N):
     """Brute-force tensor Gauss-Legendre quadrature of the double integral
     M[m][n] = (1/L) int_I int_I K(t - tau) e^{-i a m t} e^{i a n tau}, a = 2 pi/L,
-    on the route's uniform panels. Kernel blocks per panel offset d >= 0;
-    negative offsets follow from K being even."""
-    P = _panels(L, eps, N)
+    on uniform panels of its own, min(2 eps, 0.1, L/(3N)) wide, 16 nodes
+    each. Kernel blocks per panel offset d >= 0; negative offsets follow
+    from K being even."""
+    P = math.ceil(L / min(2 * eps, 0.1, L / (3 * N)))
     h = L / P
     x, w = np.polynomial.legendre.leggauss(16)
     xi, wi = 0.5 * h * (x + 1.0), 0.5 * h * w
@@ -181,9 +178,9 @@ def test_kernel_route_matches_tensor_oracle(case, small_table):
 
 
 def _fine_panel_reference(S, L, eps, N):
-    """The kernel-route matrix from panels eps/2 wide (a quarter of the
-    route's 2 eps when that width binds), 16 Gauss-Legendre nodes each:
-    s_n and c_n summed node by node, then M from the moments."""
+    """The kernel-route matrix from uniform panels eps/2 wide, 16
+    Gauss-Legendre nodes each: s_n and c_n summed node by node, then M from
+    the moments."""
     P = math.ceil(L / (eps / 2))
     h = L / (2 * P)
     xi, wi = np.polynomial.legendre.leggauss(16)
@@ -206,10 +203,12 @@ _BATTERY = {S.label: S for S, *_ in battery_members()}
     + [("weighted_primes", 2 * math.pi, 8)],
 )
 def test_kernel_route_panels_match_a_fine_panel_reference(name, L, N, eps, small_table):
-    """The route's panels, up to 2 eps wide, against panels eps/2 wide:
-    every entry within 1e-13 (operators module docstring: K_eps is analytic
-    on |Im x| < eps, so the 16-point rule converges on panels of half-width
-    eps). The tensor oracle shares the route's panels and cannot see this."""
+    """The route's plan, graded panels from eps wide at the singular points
+    and body panels up to min(0.5, L/N) wide, against uniform panels eps/2
+    wide: every entry within 1e-13 (3.8e-15 seen). This is the a-posteriori
+    evidence the operators module docstring cites for the plan; the tensor
+    oracle, on uniform panels up to 2 eps wide, checks the moment collapse,
+    not the plan."""
     if name == "weighted_primes":
         S = tr.source_primes_weighted(small_table)
     else:
@@ -219,6 +218,7 @@ def test_kernel_route_panels_match_a_fine_panel_reference(name, L, N, eps, small
 
 
 def test_kernel_route_evaluates_the_kernel_once_per_node(monkeypatch):
+    """One kernel call per source, over every node of the batch's plan."""
     calls = []
 
     def counting_kernel(S, eps, x):
@@ -226,10 +226,53 @@ def test_kernel_route_evaluates_the_kernel_once_per_node(monkeypatch):
         return kernel(S, eps, x)
 
     monkeypatch.setattr(operators, "kernel", counting_kernel)
+    sources = [tr.source_identity(), tr.source_log_oscillation(0.5), tr.source_single_jump()]
     for L, eps, N in ((L2PI.length, 0.05, 4), (8 * math.pi, 0.05, 72), (L2PI.length, 0.1, 0)):
         calls.clear()
-        assemble_kernel_route([tr.source_identity()], IntervalSpec(L), eps, N)
-        assert calls == [16 * _panels(L, eps, N)]
+        assemble_kernel_route(sources, IntervalSpec(L), eps, N)
+        nodes = operators._kernel_plan(L, N, eps, [S.tail for S in sources])[2]
+        assert calls == [nodes] * len(sources)
+
+
+@pytest.mark.parametrize(
+    "eps, N, nodes",
+    [(0.05, 72, 1_184), (0.01, 72, 1_232), (0.001, 72, 1_280), (0.05, 64, 1_072), (0.05, 0, 848)],
+)
+def test_the_kernel_plan_grades_its_head_and_leaves_the_body_uniform(eps, N, nodes):
+    """The pnt plan (L = 8 pi, a weighted-primes tail with lam = 0): a head at
+    x = 0 of panels eps, 2 eps, 4 eps, ... while under the body width
+    min(0.5, L/N), then ceil((L - head)/width) body panels of one width,
+    16 nodes each. At N = 72 that is 1,184 nodes at eps = 0.05 and 1,280 at
+    eps = 0.001, where uniform panels min(2 eps, 0.1, L/(3N)) wide laid
+    4,032 and 201,072."""
+    L = 8.0 * math.pi
+    (lo, hi), body, count = operators._kernel_plan(L, N, eps, [(math.log(1e8), ((1.0, 0.0),))])
+    width = min(0.5, L / N) if N else 0.5
+    assert count == nodes
+    assert count <= 1_300 if eps >= 0.01 else count < 2_000
+    assert lo[0] == 0.0 and np.array_equal(lo[1:], hi[:-1])
+    assert np.allclose(hi - lo, eps * 2.0 ** np.arange(lo.size)) and (hi - lo)[-1] < width <= 2 * (hi - lo)[-1]
+    ((b_lo, b_hi, P),) = body
+    assert (b_lo, b_hi) == (hi[-1], L) and (b_hi - b_lo) / P <= width < (b_hi - b_lo) / (P - 1)
+
+
+def test_the_kernel_plan_puts_a_head_at_every_singular_point_near_the_line():
+    """A tail term c e^{-lam u} puts a head at x = |Im lam| when
+    Re lam + eps is under the body width: x = 0 for lam = 0 and x = 1 for
+    log_oscillation's lam = -i (its x = -1 lies off [0, L]); the sqrt mix's
+    lam = 1/2 and a single jump's lam = 1 put none. Heads that overlap merge,
+    and each gap between heads is one uniform body grid."""
+    L, N, eps = 8.0 * math.pi, 64, 0.05
+    plan = operators._kernel_plan
+    assert plan(L, N, eps, [(0.0, ((1.0, 0.5),)), tr.source_single_jump().tail])[0][0].size == 0
+    (lo, hi), body, count = plan(L, N, eps, [tr.source_log_oscillation(0.5).tail])
+    assert np.allclose(lo, [0.0, 0.05, 0.15, 0.65, 0.85, 0.95, 1.0, 1.05, 1.15])
+    assert np.allclose(hi, [0.05, 0.15, 0.35, 0.85, 0.95, 1.0, 1.05, 1.15, 1.35])
+    assert [P for *_, P in body] == [1, 61] and count == 1_136
+    (lo, hi), body, _ = plan(L, N, eps, [(0.0, ((1.0, 0.0), (1.0, -0.4j)))])  # heads at 0 and 0.4 overlap
+    assert np.allclose(lo, [0.0, 0.05, 0.15, 0.25, 0.35, 0.4, 0.45, 0.55]) and hi[-1] == 0.75
+    assert lo[0] == 0.0 and np.array_equal(lo[1:], hi[:-1])
+    assert len(body) == 1 and body[0][:2] == (0.75, L)
 
 
 def test_kernel_route_rejects_a_non_finite_kernel():
@@ -852,7 +895,7 @@ def test_the_grid_does_not_depend_on_eps(monkeypatch):
         ("frequency", 1e-9, 2, 0.0, tr.source_identity),  # fine panels 2.5e-11 wide
         ("frequency", 0.03, 64, 0.0, tr.source_identity),  # 4,491,280 nodes
         ("frequency", 1e6, 2, 0.05, tr.source_integers),  # X = 5e5 u_t = 1.8e7
-        ("kernel", 1e6, 2, 0.05, tr.source_identity),  # 10^7 panels
+        ("kernel", 1e6, 2, 0.05, tr.source_identity),  # 2 x 10^6 body panels 0.5 wide
     ],
 )
 def test_a_grid_past_the_node_cap_is_refused_before_it_is_built(route, L, N, eps, source, monkeypatch):
@@ -874,8 +917,9 @@ def test_a_grid_past_the_node_cap_is_refused_before_it_is_built(route, L, N, eps
 
 
 def test_grids_under_the_node_cap_run_at_extreme_lengths():
-    """The kernel route at L = 1e-9 lays 3N panels, and the frequency route
-    at L = 1e6 lays pi/4-wide panels to X = 5 pi for the identity: both run."""
+    """The kernel route at L = 1e-9 lays N body panels L/N wide and no head
+    (eps is past that width), and the frequency route at L = 1e6 lays
+    pi/4-wide panels to X = 5 pi for the identity: both run."""
     S = tr.source_identity()
     assert np.all(np.isfinite(assemble_kernel_route([S], IntervalSpec(1e-9), 0.05, 2)[0].entries))
     assert np.all(np.isfinite(assemble_frequency_route([S], IntervalSpec(1e6), 0.0, 2)[0].entries))

@@ -10,6 +10,7 @@ from tauberlab import special, transform
 from tauberlab.errors import ContractError, DomainError, PrecisionError
 from tauberlab.special import (
     EvalTolerance,
+    GridBatch,
     OuterGrid,
     prime_zeta,
     prime_zeta_deriv,
@@ -296,8 +297,7 @@ def _em_direct(s, N):
 @pytest.mark.parametrize("N, npts", [(10, 64), (72, 64), (288, 64), (4096, 64), (100_000, 1)])
 def test_em_eval_matches_the_direct_powers(N, npts, rng):
     s = rng.uniform(1.05, 3.0, size=npts) + 1j * rng.uniform(-40.0, 40.0, size=npts)
-    grid = OuterGrid(s)
-    val, der = special._em_eval(grid, N, special._powers(grid.a, N), special._powers(grid.b, N))
+    val, der = special._em_orders(GridBatch([OuterGrid(s)]), [1], [N])[:, 0]
     ref_v, ref_d = _em_direct(s, N)
     assert np.max(np.abs(val - ref_v)) <= 1e-13 * np.max(np.abs(ref_v))
     assert np.max(np.abs(der - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
@@ -309,7 +309,7 @@ def test_em_eval_on_an_outer_grid_matches_the_direct_powers(N, P, Q, rng):
     exp at every point a_j + b_i."""
     a = rng.uniform(1.05, 3.0, size=P) + 1j * rng.uniform(-30.0, 30.0, size=P)
     b = 1j * rng.uniform(-2.0, 2.0, size=Q)
-    val, der = special._em_eval(OuterGrid(a, b), N, special._powers(a, N), special._powers(b, N))
+    val, der = special._em_orders(GridBatch([OuterGrid(a, b)]), [1], [N])[:, 0]
     ref_v, ref_d = _em_direct(np.add.outer(a, b).ravel(), N)
     assert np.max(np.abs(val - ref_v)) <= 1e-13 * np.max(np.abs(ref_v))
     assert np.max(np.abs(der - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
@@ -319,22 +319,22 @@ def test_em_eval_on_an_outer_grid_matches_the_direct_powers(N, P, Q, rng):
 def test_em_eval_on_kth_power_matrices_matches_the_direct_powers(k, rng):
     """The k >= 2 batches of prime_zeta_pair: the elementwise k-th powers of
     n^{-a} and n^{-b}, built once at a larger N and cut to N - 1 rows, are
-    the power matrices of the grid k s = (k a, k b)."""
+    the power matrices of the grid k s = (k a, k b): order k of one
+    _em_orders call beside order 1 at N_build."""
     N, N_build = 83, 154
     a = rng.uniform(1.05, 3.0, size=40) + 1j * rng.uniform(-30.0, 30.0, size=40)
     b = 1j * rng.uniform(-2.0, 2.0, size=8)
-    A = special._powers(a, N_build)[: N - 1] ** k
-    B = special._powers(b, N_build)[: N - 1] ** k
-    val, der = special._em_eval(OuterGrid(k * a, k * b), N, A, B)
+    val, der = special._em_orders(GridBatch([OuterGrid(a, b)]), [1, k], [N_build, N])[:, 1]
     ref_v, ref_d = _em_direct(k * np.add.outer(a, b).ravel(), N)
     assert np.max(np.abs(val - ref_v)) <= 1e-13 * np.max(np.abs(ref_v))
     assert np.max(np.abs(der - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
 
 
 def _em_eval_recurrence(grid, N, A, B):
-    """_em_eval with the tail's Bernoulli terms from the running product
+    """The Euler-Maclaurin evaluation at N, its power sums as _em_sums forms
+    them, with the tail's Bernoulli terms from the running product
     s(s+1)...(s+2k-2) and the running sum of its factors' reciprocals, in
-    place of the Horner polynomials: the form _em_eval replaced."""
+    place of the Horner polynomials of _em_tail: the form they replaced."""
     ln_all = np.log(np.arange(1, N, dtype=float))
     lnN = math.log(N)
     with np.errstate(under="ignore"):
@@ -379,7 +379,7 @@ def _em_tail_magnitudes(s, N):
 def test_em_eval_horner_tail_matches_the_recurrence(N, k, t_max, rng):
     """On random grids up to |t| = 2000 (the Bernoulli terms far past
     convergence there), and on the k-th power matrices of the Moebius
-    orders, the Horner tail of _em_eval and the running-product recurrence
+    orders, the Horner tail of _em_tail and the running-product recurrence
     share the power sums and differ by the rounding of the tail alone: at
     most 8 ulps of its term magnitudes plus the sum's own (2.4 seen)."""
     a = rng.uniform(1.01, 3.0, size=20) + 1j * rng.uniform(-t_max, t_max, size=20)
@@ -387,7 +387,7 @@ def test_em_eval_horner_tail_matches_the_recurrence(N, k, t_max, rng):
     A = special._powers(a, max(N, 154))[: N - 1] ** k
     B = special._powers(b, max(N, 154))[: N - 1] ** k
     grid = OuterGrid(k * a, k * b)
-    val, der = special._em_eval(grid, N, A, B)
+    val, der = (s + t for s, t in zip(special._em_sums(A, B), special._em_tail(GridBatch([grid]), N)))
     ref_v, ref_d = _em_eval_recurrence(grid, N, A, B)
     mag_v, mag_d = _em_tail_magnitudes(grid.points, N)
     eps = np.finfo(float).eps
@@ -420,8 +420,11 @@ def test_real_arithmetic_log_is_numpys_principal_log(rng):
 
 
 def _pnt_kernel_points():
-    """The 4,032 kernel-route points 1 + eps + i x of the pnt run (eps = 0.05,
-    L = 8 pi, N = 72): 252 panel midpoints times 16 Gauss-Legendre offsets."""
+    """4,032 points 1 + eps + i x on uniform panels (eps = 0.05, L = 8 pi,
+    N = 72, panels min(2 eps, 0.1, L/(3N)) wide): 252 panel midpoints times
+    16 Gauss-Legendre offsets. The kernel route laid these panels before
+    it graded them; the grid stays as a large outer-sum batch at the pnt
+    sigma and height."""
     L, eps, N = 8.0 * math.pi, 0.05, 72
     P = int(math.ceil(L / min(2 * eps, 0.1, L / (3 * N))))
     h = L / (2 * P)
@@ -438,18 +441,18 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_builds_its_powers_once(monkeyp
     special._real_zeta_triple.cache_clear()
     s = _pnt_kernel_points()
     builds, batches = [], []
-    powers, em_eval = special._powers, special._em_eval
+    powers, em_tail = special._powers, special._em_tail
 
     def counted_powers(z, N):
         builds.append((z.copy(), N))
         return powers(z, N)
 
-    def counted_em_eval(grid, N, A, B):
+    def counted_em_tail(grid, N):
         batches.append((grid.size, N))
-        return em_eval(grid, N, A, B)
+        return em_tail(grid, N)
 
     monkeypatch.setattr(special, "_powers", counted_powers)
-    monkeypatch.setattr(special, "_em_eval", counted_em_eval)
+    monkeypatch.setattr(special, "_em_tail", counted_em_tail)
     prime_zeta_pair(s)
     assert sum(np.array_equal(z, s.a) for z, _ in builds) == 1
     assert sum(np.array_equal(z, s.b) for z, _ in builds) == 1
@@ -483,13 +486,13 @@ def test_zeta_in_power_blocks_matches_one_block(monkeypatch, rng):
     whole = zeta(grid), zeta_deriv(grid)
     monkeypatch.setattr(special, "_POWER_CELLS", 1000)  # blocks of 1000 // N rows
     blocks = []
-    em_eval = special._em_eval
+    em_sums = special._em_sums
 
-    def counted(grid, N, A, B):
-        blocks.append(grid.a.size)
-        return em_eval(grid, N, A, B)
+    def counted(A, B):
+        blocks.append(A.shape[1])
+        return em_sums(A, B)
 
-    monkeypatch.setattr(special, "_em_eval", counted)
+    monkeypatch.setattr(special, "_em_sums", counted)
     for f, ref in zip((zeta, zeta_deriv), whole):
         got = f(grid)
         assert got.shape == (30, 4)
@@ -501,13 +504,13 @@ def test_prime_zeta_pair_runs_one_k1_zeta_batch(monkeypatch):
     """The log branch and zeta'/zeta share the k = 1 Euler-Maclaurin batch."""
     s = np.array([1.05 + 0.5j, 1.05 + 3.0j, 1.2 - 7.0j])
     batches = []
-    em_eval = special._em_eval
+    em_tail = special._em_tail
 
-    def counted(grid, N, A, B):
+    def counted(grid, N):
         batches.append(grid.points)
-        return em_eval(grid, N, A, B)
+        return em_tail(grid, N)
 
-    monkeypatch.setattr(special, "_em_eval", counted)
+    monkeypatch.setattr(special, "_em_tail", counted)
     prime_zeta_pair(s)
     assert sum(np.array_equal(pts, s) for pts in batches) == 1
 
@@ -596,10 +599,11 @@ def test_prime_zeta_deriv_is_the_pair_derivative():
 
 def test_prime_zeta_pair_on_the_pnt_kernel_points_runs_few_zeta_batches(monkeypatch):
     """With the primes p <= M peeled from the Moebius sum, P and P' on the
-    4,032 kernel-route points of the pnt run (sigma = 1.05, eps = 0.05,
-    L = 8 pi, N = 72: 252 panel midpoints, panels min(2 eps, 0.1, L/(3N))
-    wide, plus 16 Gauss-Legendre offsets) take at most six Euler-Maclaurin
-    batches on the point grid: the k = 1 batch and a few squarefree k >= 2.
+    4,032 uniform-panel points of _pnt_kernel_points (sigma = 1.05,
+    eps = 0.05, L = 8 pi, N = 72: 252 panel midpoints, panels
+    min(2 eps, 0.1, L/(3N)) wide, plus 16 Gauss-Legendre offsets) take at
+    most six Euler-Maclaurin batches on the point grid: the k = 1 batch
+    and a few squarefree k >= 2.
     Without the peel the 2^{-k sigma} tails need 22 Moebius terms. The six
     primes p <= 13 certify the k = 1 log branch at sigma = 1.05, and leave
     k = 1, 2, 3, 5, 6, 7, whose batches stop at the smallest certified N:
@@ -607,13 +611,13 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_runs_few_zeta_batches(monkeypa
     s = _pnt_kernel_points()
     assert s.size == 4032
     batches = []
-    em_eval = special._em_eval
+    em_tail = special._em_tail
 
-    def counted(grid, N, A, B):
+    def counted(grid, N):
         batches.append((grid.size, N))
-        return em_eval(grid, N, A, B)
+        return em_tail(grid, N)
 
-    monkeypatch.setattr(special, "_em_eval", counted)
+    monkeypatch.setattr(special, "_em_tail", counted)
     prime_zeta_pair(s)
     on_grid = [N for size, N in batches if size == s.size]
     assert 2 <= len(on_grid) <= 6
@@ -621,12 +625,12 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_runs_few_zeta_batches(monkeypa
 
 
 def test_prime_zeta_pair_on_the_pnt_kernel_points_against_mpmath():
-    """P and P' at 16 of the 4,032 pnt kernel-route points, spread over the
-    panels and the Gauss-Legendre offsets, against 30-digit mpmath at the
-    default abs_tol 1e-10. The whole grid is one batch, so the sampled
-    points take the peel cap, orders and truncations of the pnt run; each
-    takes another panel and another of the 16 offsets (P' from
-    _mp_prime_zeta_deriv)."""
+    """P and P' at 16 of the 4,032 uniform-panel points of
+    _pnt_kernel_points, spread over the panels and the Gauss-Legendre
+    offsets, against 30-digit mpmath at the default abs_tol 1e-10. The
+    whole grid is one batch, so the sampled points take the peel cap,
+    orders and truncations of the whole grid; each takes another panel and
+    another of the 16 offsets (P' from _mp_prime_zeta_deriv)."""
     mpmath = pytest.importorskip("mpmath")
     grid = _pnt_kernel_points()
     p, pd = (v.ravel() for v in prime_zeta_pair(grid))
@@ -639,6 +643,53 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_against_mpmath():
             ref_pd = complex(_mp_prime_zeta_deriv(mpmath, z))
         assert abs(p[i] - ref_p) <= 1e-10, s
         assert abs(pd[i] - ref_pd) <= 1e-10, s
+
+
+def test_a_batch_of_two_grids_sums_each_order_at_the_n_its_largest_t_needs(monkeypatch):
+    """The pnt kernel-route plan (L = 8 pi, N = 72, eps = 0.05) reaches
+    special as one GridBatch of two grids: the head, 48 nodes on graded
+    panels 0.05, 0.1 and 0.2 wide at x = 0, and the body, 71 uniform panels
+    out to 8 pi. Every order of zeta and of prime_zeta_pair sums both grids
+    at one N, the N that the body's |t| up to 8 pi needs (zeta: 46), not the
+    head's own (10). At the head nodes zeta then meets 30-digit mpmath
+    within 1e-14 and P within 3e-14 (7.3e-15 and 1.6e-14 seen); the head
+    alone as its batch misses by 8.2e-13 and 4.5e-14. P' sums its orders
+    k >= 2 to the inner tolerance abs_tol/(8K) whatever the batch, and
+    meets mpmath within 1e-12 (4.5e-13 seen; P' from _mp_prime_zeta_deriv)."""
+    mpmath = pytest.importorskip("mpmath")
+    from tauberlab import operators
+
+    eps = 0.05
+    head_body = operators._kernel_plan(8.0 * math.pi, 72, eps, [(math.log(1e8), ((1.0, 0.0),))])[:2]
+    s = 1.0 + eps + 1j * operators._kernel_grid(*head_body)[0]
+    head, body = s.grids
+    assert head.shape == (48, 1) and body.shape == (71, 16)
+    batches = []
+    em_tail = special._em_tail
+
+    def counted(grid, N):
+        batches.append((grid.size, N))
+        return em_tail(grid, N)
+
+    def orders(f, batch):
+        batches.clear()
+        out = f(batch)
+        return out, [N for size, N in batches if size == batch.size]
+
+    monkeypatch.setattr(special, "_em_tail", counted)
+    z, zeta_N = orders(zeta, s)
+    pair, pair_N = orders(prime_zeta_pair, s)
+    assert zeta_N == orders(zeta, GridBatch([body]))[1] == [46]
+    assert orders(zeta, GridBatch([head]))[1] == [10]
+    assert pair_N == orders(prime_zeta_pair, GridBatch([body]))[1]
+    assert all(n > m for n, m in zip(pair_N, orders(prime_zeta_pair, GridBatch([head]))[1]))
+    with mpmath.workdps(30):
+        for i, x in enumerate(head.points):
+            assert abs(z[i] - complex(mpmath.zeta(mpmath.mpc(x.real, x.imag)))) <= 1e-14, x
+        for i in range(0, head.size, 6):  # eight nodes over the three panels
+            w = mpmath.mpc(head.points[i].real, head.points[i].imag)
+            assert abs(pair[0][i] - complex(mpmath.primezeta(w))) <= 3e-14, w
+            assert abs(pair[1][i] - complex(_mp_prime_zeta_deriv(mpmath, w))) <= 1e-12, w
 
 
 @pytest.mark.parametrize("abs_tol", [1e-10, 1e-12])

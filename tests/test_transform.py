@@ -421,8 +421,8 @@ def test_single_jump_is_its_closed_form_bit_for_bit(h, x0):
     e^{ln 7} rounds below 7), and below u_t the count at e^u over e^u: 0,
     or h/e^u where e^u rounds up to x0 (x0 = e at the u just below u0), as
     jumps_upto(e^u) counts. G(s) = h e^{-s u0} / s,
-    on an array and on the kernel route's grid, 1 + eps + i x for the 4,032
-    nodes x at L = 8 pi, eps = 0.05, N = 8."""
+    on an array and on an outer grid 1 + eps + i x of 4,032 nodes x, 252
+    uniform panels on [0, 8 pi] at eps = 0.05."""
     S = tr.source_single_jump(h, x0)
     u0 = math.log(x0)
     u_t = np.nextafter(u0, math.inf) if x0 == 7.0 else u0
