@@ -167,10 +167,10 @@ x = 0 that the pole of a ratio limit needs. The heads are clipped to
 uniform body grid of ceil(gap / w_b) panels. A panel at distance d from
 a singular point is at most about d + eps wide, so the largest
 Bernstein ellipse of each panel that the singularity leaves free has
-rho >= 3.7, and the 16-point rule's factor rho^{-32} (Trefethen,
-Approximation Theory and Approximation Practice, Thm 19.3) is below
-1e-18; the maximum of |K| on that ellipse has no closed bound (below).
-On pnt (L = 8 pi, N = 72, eps = 0.05) that is 3
+rho of about 3.7 or more, and the 16-point rule's factor rho^{-32}
+(Trefethen, Approximation Theory and Approximation Practice, Thm 19.3)
+is near 1e-18 or below; the maximum of |K| on that ellipse has no
+closed bound (below). On pnt (L = 8 pi, N = 72, eps = 0.05) that is 3
 head panels and 71 body panels: 1,184 nodes, where uniform panels
 min(2 eps, 0.1, L/(3N)) wide laid 4,032; at eps = 0.001 it is 1,280
 nodes against 201,072.
