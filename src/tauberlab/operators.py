@@ -21,11 +21,11 @@ collapses to one-dimensional moments on [0, L]. With alpha = 2 pi / L,
 and M[m][n] = (-1)^{n-m} (s_m - s_n) / (pi (n - m)) for m != n,
 M[n][n] = c_n. The moments come from 16-point Gauss-Legendre panels laid
 by one plan (_kernel_plan, below): a few graded head panels, whose nodes
-form one plain grid, and uniform body panels, each gap between heads one
-special.OuterGrid whose nodes are x = m_j + h xi_i, midpoints m_j plus one
-scaled rule h xi_i. All of them reach the transform as one
-special.GridBatch, and the kernel is evaluated once per node in one call.
-The phases factor the same way, grid by grid, e^{i alpha n x} =
+form one plain block, and uniform body panels, each gap between heads one
+block of nodes x = m_j + h xi_i, midpoints m_j plus one scaled rule
+h xi_i. The blocks form one special.OuterGrid, which reaches the transform
+whole, and the kernel is evaluated once per node in one call. The phases
+factor the same way, block by block, e^{i alpha n x} =
 E[j, n] F[i, n] with E = e^{i alpha n m_j} (P x (N+1)) and
 F = e^{i alpha n h xi_i} (16 x (N+1)), so with the weighted kernel values
 wk (P x 16)
@@ -231,7 +231,7 @@ import numpy as np
 
 from .arith import GrowthFunction, _atomic_write, _csv_text, _fields_dict
 from .errors import ContractError, DomainError, PrecisionError, ResourceError
-from .special import GridBatch, OuterGrid, exp_e1
+from .special import OuterGrid, exp_e1
 
 __all__ = [
     "IntervalSpec",
@@ -357,13 +357,12 @@ def kernel(S: GrowthFunction, eps: float, x):
 
     Needs the source's closed-form transform (every catalog source declares
     one) and a finite eps >= 1e-3: the kernel route never takes the
-    eps -> 0 limit pointwise. x may be an OuterGrid or a GridBatch, which
-    reaches the transform as the grid or batch 1 + eps + i x, and the
-    result has its shape: (P, Q) for a grid, flat for a batch."""
+    eps -> 0 limit pointwise. x may be an OuterGrid, which reaches the
+    transform as the grid 1 + eps + i x, and gives a flat result."""
     _check_eps(eps, "kernel")
     if S.laplace is None:
         raise ContractError(f"source '{S.label}' declares no closed-form transform for the kernel")
-    if not isinstance(x, (OuterGrid, GridBatch)):
+    if not isinstance(x, OuterGrid):
         x = np.asarray(x, dtype=float)
     out = np.real(S.laplace(1.0 + eps + 1j * x)) / math.pi
     return float(out) if np.ndim(out) == 0 else out
@@ -385,7 +384,7 @@ def assemble_kernel_route(
     min(0.5, L/N) wide past them, 16 Gauss-Legendre nodes each and at most
     _MAX_GRID_NODES nodes in all (ResourceError). The plan depends on eps,
     L, N and the stated tails alone, so the nodes and the phase matrices
-    are built once, every node reaches the transform in one GridBatch (one
+    are built once, every node reaches the transform in one OuterGrid (one
     Euler-Maclaurin N per order over head and body alike), and every
     source's kernel is contracted against them. The accuracy is measured,
     not certified (module docstring)."""
@@ -396,14 +395,16 @@ def assemble_kernel_route(
     _check_nodes(nodes, f"kernel-route grid at L = {L:g}, eps = {eps:g}")
     x, w = _kernel_grid(head, body)
     alpha_n = (2.0 * math.pi / L) * np.arange(N + 1)
-    E = _unit_phases(np.multiply.outer(np.concatenate([g.a for g in x.grids]), alpha_n))
-    F = _unit_phases(np.multiply.outer(np.concatenate([g.b for g in x.grids]), alpha_n))
-    F = np.split(F, np.cumsum([g.b.size for g in x.grids])[:-1])
+    E = _unit_phases(np.multiply.outer(np.concatenate([a for a, _ in x.blocks]), alpha_n))
+    F = _unit_phases(np.multiply.outer(np.concatenate([b for _, b in x.blocks]), alpha_n))
+    F = np.split(F, np.cumsum([b.size for _, b in x.blocks])[:-1])
 
     def phase_rows(v):
-        # row j of grid g: sum_i v[j, i] e^{i alpha n b_i}; times E and
+        # row j of block g: sum_i v[j, i] e^{i alpha n b_i}; times E and
         # summed over the rows, sum over the nodes of v e^{i alpha n x}
-        return np.concatenate([v[c0 : c0 + g.size].reshape(g.shape) @ Fg for g, c0, Fg in zip(x.grids, x.offsets, F)])
+        return np.concatenate(
+            [v[c0 : c0 + a.size * b.size].reshape(a.size, b.size) @ Fg for (a, b), c0, Fg in zip(x.blocks, x.offsets, F)]
+        )
 
     taper = 1.0 - x.points / L
     out = []
@@ -481,17 +482,17 @@ def _kernel_plan(L: float, N: int, eps: float, tails: Sequence):
 
 
 def _kernel_grid(head, body):
-    """The nodes of a _kernel_plan as one GridBatch, the head's nodes as one
-    plain grid and each body gap as an OuterGrid of panel midpoints plus one
+    """The nodes of a _kernel_plan as one OuterGrid, the head's nodes as one
+    plain block and each body gap as a block of panel midpoints plus one
     scaled Gauss-Legendre rule, and the flat quadrature weights."""
     xi, wi = _GL16
     hx, hw = _gl_nodes_on(*head)
-    grids, weights = ([OuterGrid(hx)], [hw]) if hx.size else ([], [])
+    blocks, weights = [(hx, [0.0])], [hw]
     for lo, hi, P in body:
         h = (hi - lo) / (2 * P)  # panel half-width
-        grids.append(OuterGrid(lo + (2 * np.arange(P) + 1) * h, h * xi))
+        blocks.append((lo + (2 * np.arange(P) + 1) * h, h * xi))
         weights.append(np.tile(h * wi, P))
-    return GridBatch(grids), np.concatenate(weights)
+    return OuterGrid(blocks), np.concatenate(weights)
 
 
 def _unit_phases(theta: np.ndarray) -> np.ndarray:

@@ -27,23 +27,23 @@ evaluations. The smallest-prime-factor sieve behind this plan is cached
 per N (a pnt op asks for the same three every time), and also supplies
 the Moebius function and the small primes used below.
 
-Every batch is a union of outer sums (GridBatch): each grid holds the
-P x Q points s = a_j + b_i of an OuterGrid, a plain array being the
-degenerate grid a = its points, b = [0]. Since n^{-s} = n^{-a_j} n^{-b_i},
-the multiplicative plan builds, per grid, the power matrices A of n^{-a}
+Every batch is an OuterGrid, a list of outer-sum blocks: block g holds
+the P x Q points s = a_j + b_i, and a plain array is the one block
+a = its points, b = [0]. Since n^{-s} = n^{-a_j} n^{-b_i}, the
+multiplicative plan builds, per block, the power matrices A of n^{-a}
 (P columns) and B of n^{-b} (Q columns), and one matrix product
 A^T [B | -ln n B] gives both power sums, sum n^{-s} and
 -sum ln n n^{-s}, at every point: (P + Q) N powers in place of P Q N,
 and N^{-s} per point likewise from N^{-a} and N^{-b}. The quadrature
-nodes of the kernel route are such a batch (a plain grid of graded head
-nodes, and per body gap panel midpoints plus one scaled Gauss-Legendre
-rule), and the transforms hand it through unchanged. Everything else is
-chosen once for the whole batch from all its points: the truncation N
-of each order, the peel cap M and the Moebius orders. So a batch's N is
-the one its largest |t| needs, for every grid in it, and the grids
-change no N and no certificate. Every batch builds A and B in
-_em_orders, once per grid, at the largest N of its orders k (plain zeta
-is the one order k = 1, prime_zeta_pair takes its Moebius orders,
+nodes of the kernel route are one such grid (a plain block of graded
+head nodes, and per body gap a block of panel midpoints plus one scaled
+Gauss-Legendre rule), and the transforms hand it through unchanged.
+Everything else is chosen once for the whole grid from all its points:
+the truncation N of each order, the peel cap M and the Moebius orders.
+So a grid's N is the one its largest |t| needs, for every block in it,
+and the blocks change no N and no certificate. Every batch builds A and
+B in _em_orders, once per block, at the largest N of its orders k (plain
+zeta is the one order k = 1, prime_zeta_pair takes its Moebius orders,
 below), and gives order k the elementwise k-th powers of their first
 N_k - 1 rows: n^{-ka} = (n^{-a})^k, and k s is the grid (k a, k b).
 The logs of prime zeta and of psi_P are taken in real arithmetic,
@@ -59,7 +59,7 @@ prod_{p<=M} (1 - p^{-w}), whose log is sum_{p>M} -log(1 - p^{-w}),
     P'(s) = -sum_{p<=M} ln p p^{-s}
             + sum_{k<=K} mu(k) [zeta'/zeta(ks) + sum_{p<=M} ln p p^{-ks}/(1 - p^{-ks})].
 
-One block of p^{-s} = p^{-a} p^{-b} serves every k: p^{-ks} = (p^{-s})^k.
+One matrix of p^{-s} = p^{-a} p^{-b} serves every k: p^{-ks} = (p^{-s})^k.
 M is the smallest of 13, 100, 10^4, 10^5 that certifies the k = 1
 logarithm: |Im log zeta_{>M}(s)| <= log zeta_{>M}(sigma) = log zeta(sigma)
 + sum_{p<=M} log(1 - p^{-sigma}), and below pi the principal log of
@@ -89,16 +89,19 @@ it certifies only from sigma ~ 1.0115, so the cap stays 13, with 36
 (prime_zeta, prime_zeta_deriv and psi_prime_part each take their part of
 prime_zeta_pair): the log and zeta'/zeta at each k share one zeta batch,
 and at k = 1 it is truncated where the zeta'/zeta tolerance needs, which
-also meets the tolerance of the log (_k1_tolerance).
+also meets the tolerance of the log (_k1_tolerance). Each order k >= 2 is
+summed to abs_tol/(8K), so P' is good to abs_tol, not to rounding: at the
+48 head nodes of the pnt kernel route (sigma = 1.05, |t| <= 0.35,
+|P'| <= 19) it errs by 4.5e-13 against 30-digit mpmath, and P by 1.6e-14.
 
 Near s = 1, psi switches to its Taylor form from the Stieltjes expansion
 of zeta; the constants below were computed once by a float128
 Euler-Maclaurin limit at N = 10^7 (sum of log^n k / k minus
 log^{n+1} N/(n+1), with tail corrections), not copied from memory.
 
-All evaluators accept a complex scalar, an ndarray, an OuterGrid (whose
-result has the grid's (P, Q) shape) or a GridBatch (a flat result), and
-respect the Schwarz reflection F(conj s) = conj F(s).
+All evaluators accept a complex scalar, an ndarray (a result of its
+shape) or an OuterGrid (a flat result, one value per point), and respect
+the Schwarz reflection F(conj s) = conj F(s).
 
 The other one: exp_e1 gives e^w E1(w) on Re w >= 0, w != 0, vectorized,
 for the slow_approach transform and for the operators' exact tail,
@@ -129,7 +132,6 @@ from .errors import ContractError, DomainError, PrecisionError
 
 __all__ = [
     "OuterGrid",
-    "GridBatch",
     "EvalTolerance",
     "DEFAULT_TOL",
     "zeta",
@@ -199,61 +201,29 @@ DEFAULT_TOL = EvalTolerance()
 
 
 class OuterGrid:
-    """The P x Q points a[j] + b[i] of an outer sum, row j holding a[j] + b.
+    """Points given as blocks of outer sums: block g holds the P x Q points
+    a[j] + b[i] of its pair (a, b), row j holding a[j] + b, and `points`
+    holds every block's points, block after block, flat; a plain array of
+    points is the one block (points, [0]). `offsets[g]` is where block g's
+    points start in `points`.
 
-    np.asarray gives the (P, Q) points, so a closed form written for arrays
-    takes a grid unchanged, while the zeta family builds its powers from a
-    and b (module docstring). Adding a scalar shifts a; multiplying by one
-    scales a and b. `points` holds the P Q points, row by row."""
+    np.asarray gives the flat points, so a closed form written for arrays
+    takes a grid unchanged, while the zeta family builds its powers from
+    each block's a and b and makes every other choice once over all the
+    points (module docstring). Adding a scalar shifts every a; multiplying
+    by one scales every a and b."""
 
     __array_ufunc__ = None  # numpy defers scalar arithmetic to the methods below
 
-    def __init__(self, a, b=(0.0,)):
-        self.a = np.ravel(a)
-        self.b = np.ravel(b)
-        self.points = np.add.outer(self.a, self.b).ravel()
+    def __init__(self, blocks):
+        self.blocks = tuple((np.ravel(a), np.ravel(b)) for a, b in blocks)
+        sizes = [a.size * b.size for a, b in self.blocks]
+        self.offsets = tuple(itertools.accumulate(sizes[:-1], initial=0))
+        self.points = np.concatenate([np.add.outer(a, b).ravel() for a, b in self.blocks] or [np.empty(0)])
 
     @property
     def shape(self) -> tuple:
-        return (self.a.size, self.b.size)
-
-    @property
-    def size(self) -> int:
-        return self.points.size
-
-    def __array__(self, dtype=None, copy=None):
-        return self.points.reshape(self.shape).astype(dtype or self.points.dtype)
-
-    def __add__(self, c):
-        return OuterGrid(self.a + c, self.b)
-
-    def __mul__(self, c):
-        return OuterGrid(self.a * c, self.b * c)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-
-class GridBatch:
-    """Several OuterGrids taken as one batch: their points, grid after grid,
-    share every choice the batch makes (the Euler-Maclaurin N of each order,
-    the peel cap and the Moebius orders), while each grid keeps its own a/b
-    power factoring (module docstring).
-
-    np.asarray gives the flat points, so a closed form written for arrays
-    takes a batch unchanged; adding or multiplying by a scalar acts on every
-    grid. `offsets[g]` is where grid g's points start in `points`."""
-
-    __array_ufunc__ = None
-
-    def __init__(self, grids):
-        self.grids = tuple(grids)
-        self.offsets = tuple(itertools.accumulate((g.size for g in self.grids[:-1]), initial=0))
-        self.points = np.concatenate([g.points for g in self.grids]) if self.grids else np.empty(0)
-
-    @property
-    def shape(self) -> tuple:
-        return (self.points.size,)
+        return self.points.shape
 
     @property
     def size(self) -> int:
@@ -263,40 +233,35 @@ class GridBatch:
         return self.points.astype(dtype or self.points.dtype)
 
     def __add__(self, c):
-        return GridBatch(g + c for g in self.grids)
+        return OuterGrid((a + c, b) for a, b in self.blocks)
 
     def __mul__(self, c):
-        return GridBatch(g * c for g in self.grids)
+        return OuterGrid((a * c, b * c) for a, b in self.blocks)
 
     __radd__ = __add__
     __rmul__ = __mul__
 
 
 def _prep(s):
-    """The points of s as a complex GridBatch (an OuterGrid as a batch of
-    one, an array as the degenerate grid of its flattened points), whether
-    s is a scalar, and the shape to restore; enforces the finite,
-    sigma > 1 domain."""
-    if isinstance(s, (OuterGrid, GridBatch)):
-        grids = s.grids if isinstance(s, GridBatch) else (s,)
-        batch = GridBatch(OuterGrid(g.a.astype(complex), g.b.astype(complex)) for g in grids)
-        scalar, shape = False, s.shape
+    """The points of s as a complex OuterGrid (an array as the one block of
+    its flattened points) and the shape to restore, () for a scalar;
+    enforces the finite, sigma > 1 domain."""
+    if isinstance(s, OuterGrid):
+        grid, shape = OuterGrid((a.astype(complex), b.astype(complex)) for a, b in s.blocks), s.shape
     else:
         arr = np.asarray(s, dtype=complex)
-        batch, scalar, shape = GridBatch([OuterGrid(arr)]), arr.ndim == 0, arr.shape
-    flat = batch.points
+        grid, shape = OuterGrid([(arr, [0.0])]), arr.shape
+    flat = grid.points
     if flat.size:
         if not (np.all(np.isfinite(flat.real)) and np.all(np.isfinite(flat.imag))):
             raise DomainError("s must be finite")
         if np.any(flat.real <= 1.0):
             raise DomainError("evaluation requires Re(s) > 1")
-    return batch, scalar, shape
+    return grid, shape
 
 
-def _restore(vals, scalar, shape):
-    if scalar:
-        return complex(vals[0])
-    return vals.reshape(shape)
+def _restore(vals, shape):
+    return complex(vals[0]) if shape == () else vals.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +396,7 @@ def _horner(coef: tuple, s: np.ndarray) -> np.ndarray:
 
 def _em_sums(A: np.ndarray, B: np.ndarray):
     """The power sums sum n^{-s} and -sum ln n n^{-s}, n < N, at the points
-    of one grid block, row by row, from its power matrices A of n^{-a} and
+    of one block's rows, row by row, from their power matrices A of n^{-a} and
     B of n^{-b} (N - 1 rows each): one product A^T [B | -ln n B]."""
     Q = B.shape[1]
     ln_all = np.log(np.arange(1, B.shape[0] + 1, dtype=float))
@@ -439,42 +404,42 @@ def _em_sums(A: np.ndarray, B: np.ndarray):
     return sums[:, :Q].ravel(), sums[:, Q:].ravel()
 
 
-def _em_tail(s: GridBatch, N: int):
-    """The Euler-Maclaurin tail of (zeta, zeta') at N on a batch, integral
+def _em_tail(s: OuterGrid, N: int):
+    """The Euler-Maclaurin tail of (zeta, zeta') at N on a grid, integral
     plus half-term plus Bernoulli corrections: N^{-s} (N/(s-1) + p_N(s)),
     p_N of _em_tail_poly, and its derivative N^{-s} (p_N'(s) - N/(s-1)^2 -
     ln N (N/(s-1) + p_N(s))). N^{-s} = N^{-a} N^{-b} from P + Q exps per
-    grid, p_N and p_N' by Horner's rule per point."""
+    block, p_N and p_N' by Horner's rule per point."""
     lnN = math.log(N)
     poly, dpoly = _em_tail_poly(N)
     z = s.points
-    NmS = np.concatenate([np.multiply.outer(np.exp(-g.a * lnN), np.exp(-g.b * lnN)).ravel() for g in s.grids])
+    NmS = np.concatenate([np.multiply.outer(np.exp(-a * lnN), np.exp(-b * lnN)).ravel() for a, b in s.blocks])
     pole = N / (z - 1.0)
     tail = pole + _horner(poly, z)
     return NmS * tail, NmS * (_horner(dpoly, z) - pole / (z - 1.0) - lnN * tail)
 
 
-def _em_orders(s: GridBatch, ks: list, Ns: list):
-    """zeta(ks) and zeta'(ks) on a batch for each order k of ks (rising
+def _em_orders(s: OuterGrid, ks: list, Ns: list):
+    """zeta(ks) and zeta'(ks) on a grid for each order k of ks (rising
     from 1), summed at the N of Ns: out[0, i] and out[1, i].
 
-    The one place the power matrices are built: per grid of the batch,
+    The one place the power matrices are built: per block of the grid,
     n^{-a} and n^{-b} once, at the largest N, and each order takes the
     elementwise k-th powers of their first N_k - 1 rows (_kth_powers):
-    n^{-ka} = (n^{-a})^k, and k s is the grid (k a, k b). a runs in blocks
-    of about _POWER_CELLS cells, each block's power sums written in place
-    (_em_sums); then each order adds its tail over the whole batch at once
-    (_em_tail)."""
+    n^{-ka} = (n^{-a})^k, and k s is the grid (k a, k b). A block's a runs
+    in chunks of about _POWER_CELLS cells, each chunk's power sums written
+    in place (_em_sums); then each order adds its tail over the whole grid
+    at once (_em_tail)."""
     n_max, rows = max(Ns), [N - 1 for N in Ns]
     out = np.empty((2, len(ks), s.size), dtype=complex)
     block = max(1, _POWER_CELLS // n_max)
     with np.errstate(under="ignore"):
-        for g, c0 in zip(s.grids, s.offsets):
-            P, Q = g.shape
-            Bk = list(_kth_powers(_powers(g.b, n_max), ks, rows))
+        for (a, b), c0 in zip(s.blocks, s.offsets):
+            P, Q = a.size, b.size
+            Bk = list(_kth_powers(_powers(b, n_max), ks, rows))
             for r0 in range(0, P, block):
                 cells = slice(c0 + r0 * Q, c0 + min(r0 + block, P) * Q)
-                Ak = _kth_powers(_powers(g.a[r0 : r0 + block], n_max), ks, rows)
+                Ak = _kth_powers(_powers(a[r0 : r0 + block], n_max), ks, rows)
                 for i, (A, B) in enumerate(zip(Ak, Bk)):
                     out[0, i, cells], out[1, i, cells] = _em_sums(A, B)
         for i, (k, N) in enumerate(zip(ks, Ns)):
@@ -484,8 +449,8 @@ def _em_orders(s: GridBatch, ks: list, Ns: list):
     return out
 
 
-def _zeta_core(s: GridBatch, abs_tol: float):
-    """(zeta, zeta') on a batch, both to abs_tol: the one order k = 1 of
+def _zeta_core(s: OuterGrid, abs_tol: float):
+    """(zeta, zeta') on a grid, both to abs_tol: the one order k = 1 of
     _em_orders, summed at the N that _choose_N picks for its points."""
     if s.size == 0:
         empty = np.empty(0, dtype=complex)
@@ -495,14 +460,14 @@ def _zeta_core(s: GridBatch, abs_tol: float):
 
 def zeta(s, tol: Optional[EvalTolerance] = None):
     """Riemann zeta on Re(s) > 1, accurate to tol.abs_tol (absolute)."""
-    grid, scalar, shape = _prep(s)
-    return _restore(_zeta_core(grid, (tol or DEFAULT_TOL).abs_tol)[0], scalar, shape)
+    grid, shape = _prep(s)
+    return _restore(_zeta_core(grid, (tol or DEFAULT_TOL).abs_tol)[0], shape)
 
 
 def zeta_deriv(s, tol: Optional[EvalTolerance] = None):
     """zeta'(s) on Re(s) > 1 via the term-differentiated summation."""
-    grid, scalar, shape = _prep(s)
-    return _restore(_zeta_core(grid, (tol or DEFAULT_TOL).abs_tol)[1], scalar, shape)
+    grid, shape = _prep(s)
+    return _restore(_zeta_core(grid, (tol or DEFAULT_TOL).abs_tol)[1], shape)
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +479,7 @@ def zeta_deriv(s, tol: Optional[EvalTolerance] = None):
 def _real_zeta_triple(sigma: float) -> tuple:
     """zeta(sigma), zeta(2 sigma) and zeta'(sigma), to 1e-9, from one batch,
     kept per sigma: every pnt op asks for the same sigma_min."""
-    v, d = _zeta_core(GridBatch([OuterGrid(np.array([sigma, 2.0 * sigma], dtype=complex))]), 1e-9)
+    v, d = _zeta_core(OuterGrid([(np.array([sigma, 2.0 * sigma], dtype=complex), [0.0])]), 1e-9)
     return float(v[0].real), float(v[1].real), float(d[0].real)
 
 
@@ -555,9 +520,9 @@ def _peeled_tail_bound(M: int, sigma: float) -> float:
     return x0 * (la + a * (la / (sigma - 1.0) + 1.0 / (sigma - 1.0) ** 2)) / (1.0 - x0)
 
 
-def _peel(s: GridBatch, primes: np.ndarray, ks: list):
-    """Sums over the peeled primes p <= M, from one block x = p^{-s} per
-    grid, formed as p^{-a} p^{-b}, and its powers x^k = p^{-ks}: sum_p x
+def _peel(s: OuterGrid, primes: np.ndarray, ks: list):
+    """Sums over the peeled primes p <= M, from one matrix x = p^{-s} per
+    block of the grid, formed as p^{-a} p^{-b}, and its powers x^k = p^{-ks}: sum_p x
     and sum_p ln p x, then per k in ks the product prod_p (1 - x^k) and
     sum_p ln p x^k/(1 - x^k)."""
     npts = s.size
@@ -570,15 +535,15 @@ def _peel(s: GridBatch, primes: np.ndarray, ks: list):
     with np.errstate(under="ignore"):
         for lo in range(0, lnp_all.size, block):
             lnp = lnp_all[lo : lo + block]
-            for g, c0 in zip(s.grids, s.offsets):
-                P, Q = g.shape
-                xb = np.exp(-np.multiply.outer(lnp, g.b))
-                # rows of the grid in blocks of about _PEEL_CELLS cells, whose
+            for (a, b), c0 in zip(s.blocks, s.offsets):
+                P, Q = a.size, b.size
+                xb = np.exp(-np.multiply.outer(lnp, b))
+                # rows of the block in runs of about _PEEL_CELLS cells, whose
                 # arrays stay in cache through the passes over x and its powers
                 rows = max(1, _PEEL_CELLS // (lnp.size * Q))
                 for r0 in range(0, P, rows):
                     c = slice(c0 + r0 * Q, c0 + min(r0 + rows, P) * Q)
-                    xa = np.exp(-np.multiply.outer(lnp, g.a[r0 : r0 + rows]))
+                    xa = np.exp(-np.multiply.outer(lnp, a[r0 : r0 + rows]))
                     x = (xa[:, :, None] * xb[:, None, :]).reshape(lnp.size, -1)
                     head[c] += x.sum(axis=0)
                     head_d[c] += lnp @ x
@@ -601,8 +566,8 @@ def _k1_tolerance(abs_tol: float, zeta_sig: float, zeta_2sig: float, zeta_d_sig:
     return max(min(abs_tol * zmag_low / (3.0 * (1.0 + zd_mag / zmag_low)), 1e-5), 1e-15)
 
 
-def _prime_zeta_core(s: GridBatch, abs_tol: float):
-    """(P, P') on a batch (module docstring)."""
+def _prime_zeta_core(s: OuterGrid, abs_tol: float):
+    """(P, P') on a grid (module docstring)."""
     if s.size == 0:
         empty = np.empty(0, dtype=complex)
         return empty, empty
@@ -677,9 +642,9 @@ def prime_zeta_deriv(s, tol: Optional[EvalTolerance] = None):
 
 def prime_zeta_pair(s, tol: Optional[EvalTolerance] = None):
     """(P(s), P'(s)) sharing the zeta evaluations between the two sums."""
-    grid, scalar, shape = _prep(s)
+    grid, shape = _prep(s)
     val, der = _prime_zeta_core(grid, (tol or DEFAULT_TOL).abs_tol)
-    return _restore(val, scalar, shape), _restore(der, scalar, shape)
+    return _restore(val, shape), _restore(der, shape)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +659,7 @@ def psi_entire(s, tol: Optional[EvalTolerance] = None):
     psi(s) = (gamma_0 - 1 - gamma_1 w + gamma_2 w^2/2 - gamma_3 w^3/6)/(1+w)
     with w = s-1, avoiding the ~|s-1|^{-1} cancellation; zeta takes the
     other points as one flat batch."""
-    grid, scalar, shape = _prep(s)
+    grid, shape = _prep(s)
     flat = grid.points
     out = np.empty(flat.size, dtype=complex)
     w = flat - 1.0
@@ -702,16 +667,16 @@ def psi_entire(s, tol: Optional[EvalTolerance] = None):
     wn, sf = w[near], flat[~near]
     series = GAMMA_0 - 1.0 - GAMMA_1 * wn + (GAMMA_2 / 2.0) * wn**2 - (GAMMA_3 / 6.0) * wn**3
     out[near] = series / (1.0 + wn)
-    out[~near] = _zeta_core(GridBatch([OuterGrid(sf)]), (tol or DEFAULT_TOL).abs_tol)[0] / sf - 1.0 / (sf - 1.0)
-    return _restore(out, scalar, shape)
+    out[~near] = _zeta_core(OuterGrid([(sf, [0.0])]), (tol or DEFAULT_TOL).abs_tol)[0] / sf - 1.0 / (sf - 1.0)
+    return _restore(out, shape)
 
 
 def psi_prime_part(s, tol: Optional[EvalTolerance] = None):
     """psi_P(s) = P(s)/s + log(s-1), principal log (Re(s-1) > 0)."""
-    grid, scalar, shape = _prep(s)
+    grid, shape = _prep(s)
     flat = grid.points
     out = _prime_zeta_core(grid, (tol or DEFAULT_TOL).abs_tol)[0] / flat + _log(flat - 1.0)
-    return _restore(out, scalar, shape)
+    return _restore(out, shape)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@ are provided for the classical sources:
     weighted primes     G(s) = (pzeta(s) - s pzeta'(s))/s^2
                              = -d/ds [pzeta(s)/s]          (S = pi_P ln)
 
-The closed forms take an OuterGrid or a GridBatch of points as well as an
-array and hand it whole to the zeta family, which builds its powers from
-each grid's two factors (special module docstring).
+The closed forms take an OuterGrid of points as well as an array and
+hand it whole to the zeta family, which builds its powers from each
+block's two factors (special module docstring).
 
 source_steps builds a finite step source S(x) = sum of a_j over x_j <= x
 from its breakpoints and jumps. Its transform is the exact step sum
@@ -107,7 +107,7 @@ def _step_sum(lnx: np.ndarray, jumps: np.ndarray, s):
     for the jumps a_j at x_j = e^{lnx_j}.
 
     The sum is the complete transform of S itself, so it carries no tail."""
-    grid, scalar, shape = _prep(s)
+    grid, shape = _prep(s)
     flat = grid.points
     out = np.zeros(flat.size, dtype=complex)
     block = max(1, _POWER_CELLS // max(flat.size, 1))
@@ -117,7 +117,7 @@ def _step_sum(lnx: np.ndarray, jumps: np.ndarray, s):
             amp = jumps[lo : lo + block]
             out += np.exp(-np.multiply.outer(flat, chunk)) @ amp
     out /= flat
-    return _restore(out, scalar, shape)
+    return _restore(out, shape)
 
 
 def _jump_source(label, count, x_edge, jumps_upto, laplace, *, C, A, lam, capped=False):

@@ -172,13 +172,23 @@ def _term_sums(s):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
-    st.lists(st.tuples(st.floats(1.02, 2.5), st.floats(-38.0, 38.0)), min_size=1, max_size=5),
-    st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(-2.0, 2.0)), min_size=1, max_size=4),
+    st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.floats(1.02, 2.5), st.floats(-38.0, 38.0)), min_size=1, max_size=5),
+            st.one_of(
+                st.just([(0.0, 0.0)]),  # a plain block, as the kernel route's head
+                st.lists(st.tuples(st.floats(0.0, 0.5), st.floats(-2.0, 2.0)), min_size=1, max_size=4),
+            ),
+        ),
+        min_size=1,
+        max_size=3,
+    )
 )
-def test_outer_grid_matches_its_points(a, b):
-    """On s = a_j + b_i (sigma in [1.02, 3], |t| <= 40) the grid path, which
-    forms n^{-s} as n^{-a} n^{-b}, agrees with the same functions on the
-    (P, Q) point array to within the rounding of the two orders, plus 1e-13.
+def test_outer_grid_matches_its_points(blocks):
+    """On one to three blocks s = a_j + b_i (sigma in [1.02, 3], |t| <= 40)
+    the grid path, which forms n^{-s} as n^{-a} n^{-b} per block, agrees
+    with the same functions on the flat point array to within the rounding
+    of the two orders, plus 1e-13.
 
     The two paths share everything but the powers. The points form a prime
     power as exp(-s ln p), the grid as exp(-a ln p) exp(-b ln p), from the
@@ -194,12 +204,11 @@ def test_outer_grid_matches_its_points(a, b):
 
     its k-th power by k rho, and the function by at most rho times the sum
     of |term| * k over what the powers feed (_term_sums), to first order."""
-    grid = OuterGrid([complex(*z) for z in a], [complex(*z) for z in b])
+    grid = OuterGrid([([complex(*z) for z in a], [complex(*z) for z in b]) for a, b in blocks])
     pts = np.asarray(grid)
-    absa = np.abs(grid.a)[:, None]
-    absb = np.abs(grid.b)[None, :]
+    absab = np.concatenate([np.add.outer(np.abs(a), np.abs(b)).ravel() for a, b in grid.blocks])
     eps = np.finfo(float).eps
-    rho = eps * (math.log(special._MAX_TERMS) * (2.0 * (absa + absb) + 24.0) + 3.0)
+    rho = eps * (math.log(special._MAX_TERMS) * (2.0 * absab + 24.0) + 3.0)
     sums = _term_sums(pts)
     for name, f in _GRID_FUNCTIONS.items():
         on_grid = f(grid)

@@ -10,7 +10,6 @@ from tauberlab import special, transform
 from tauberlab.errors import ContractError, DomainError, PrecisionError
 from tauberlab.special import (
     EvalTolerance,
-    GridBatch,
     OuterGrid,
     prime_zeta,
     prime_zeta_deriv,
@@ -121,7 +120,8 @@ def test_choose_N_steps_onto_the_exact_truncation():
 )
 def test_prime_zeta_family_on_an_empty_batch(fn):
     """An empty array or grid gives an empty complex array of its shape."""
-    for s in (np.empty(0, dtype=complex), np.empty((0, 3), dtype=complex), OuterGrid(np.empty(0), np.empty(0))):
+    empty_grid = OuterGrid([(np.empty(0), np.empty(0))])
+    for s in (np.empty(0, dtype=complex), np.empty((0, 3), dtype=complex), empty_grid):
         out = fn(s)
         assert out.shape == np.shape(s) and out.dtype == complex
 
@@ -207,7 +207,7 @@ def test_psi_on_an_outer_grid_is_psi_on_its_points(near_pole, rng):
     a = rng.uniform(1.02, 2.5, size=6) + 1j * rng.uniform(-30.0, 30.0, size=6)
     if near_pole:
         a[0] = 1.0 + 2e-4
-    grid = OuterGrid(a, np.array([0.0, 1e-4j, -0.5j]))
+    grid = OuterGrid([(a, np.array([0.0, 1e-4j, -0.5j]))])
     assert np.array_equal(psi_entire(grid), psi_entire(np.asarray(grid)))
 
 
@@ -297,7 +297,7 @@ def _em_direct(s, N):
 @pytest.mark.parametrize("N, npts", [(10, 64), (72, 64), (288, 64), (4096, 64), (100_000, 1)])
 def test_em_eval_matches_the_direct_powers(N, npts, rng):
     s = rng.uniform(1.05, 3.0, size=npts) + 1j * rng.uniform(-40.0, 40.0, size=npts)
-    val, der = special._em_orders(GridBatch([OuterGrid(s)]), [1], [N])[:, 0]
+    val, der = special._em_orders(OuterGrid([(s, [0.0])]), [1], [N])[:, 0]
     ref_v, ref_d = _em_direct(s, N)
     assert np.max(np.abs(val - ref_v)) <= 1e-13 * np.max(np.abs(ref_v))
     assert np.max(np.abs(der - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
@@ -309,7 +309,7 @@ def test_em_eval_on_an_outer_grid_matches_the_direct_powers(N, P, Q, rng):
     exp at every point a_j + b_i."""
     a = rng.uniform(1.05, 3.0, size=P) + 1j * rng.uniform(-30.0, 30.0, size=P)
     b = 1j * rng.uniform(-2.0, 2.0, size=Q)
-    val, der = special._em_orders(GridBatch([OuterGrid(a, b)]), [1], [N])[:, 0]
+    val, der = special._em_orders(OuterGrid([(a, b)]), [1], [N])[:, 0]
     ref_v, ref_d = _em_direct(np.add.outer(a, b).ravel(), N)
     assert np.max(np.abs(val - ref_v)) <= 1e-13 * np.max(np.abs(ref_v))
     assert np.max(np.abs(der - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
@@ -324,25 +324,26 @@ def test_em_eval_on_kth_power_matrices_matches_the_direct_powers(k, rng):
     N, N_build = 83, 154
     a = rng.uniform(1.05, 3.0, size=40) + 1j * rng.uniform(-30.0, 30.0, size=40)
     b = 1j * rng.uniform(-2.0, 2.0, size=8)
-    val, der = special._em_orders(GridBatch([OuterGrid(a, b)]), [1, k], [N_build, N])[:, 1]
+    val, der = special._em_orders(OuterGrid([(a, b)]), [1, k], [N_build, N])[:, 1]
     ref_v, ref_d = _em_direct(k * np.add.outer(a, b).ravel(), N)
     assert np.max(np.abs(val - ref_v)) <= 1e-13 * np.max(np.abs(ref_v))
     assert np.max(np.abs(der - ref_d)) <= 1e-13 * np.max(np.abs(ref_d))
 
 
-def _em_eval_recurrence(grid, N, A, B):
-    """The Euler-Maclaurin evaluation at N, its power sums as _em_sums forms
-    them, with the tail's Bernoulli terms from the running product
-    s(s+1)...(s+2k-2) and the running sum of its factors' reciprocals, in
-    place of the Horner polynomials of _em_tail: the form they replaced."""
+def _em_eval_recurrence(a, b, N, A, B):
+    """The Euler-Maclaurin evaluation at N on the block s = a_j + b_i, its
+    power sums as _em_sums forms them, with the tail's Bernoulli terms from
+    the running product s(s+1)...(s+2k-2) and the running sum of its
+    factors' reciprocals, in place of the Horner polynomials of _em_tail:
+    the form they replaced."""
     ln_all = np.log(np.arange(1, N, dtype=float))
     lnN = math.log(N)
     with np.errstate(under="ignore"):
         sums = A.T @ np.concatenate([B, -ln_all[:, None] * B], axis=1)
-        val = sums[:, : grid.b.size].ravel()
-        der = sums[:, grid.b.size :].ravel()
-        s = grid.points
-        NmS = np.multiply.outer(np.exp(-grid.a * lnN), np.exp(-grid.b * lnN)).ravel()
+        val = sums[:, : b.size].ravel()
+        der = sums[:, b.size :].ravel()
+        s = np.add.outer(a, b).ravel()
+        NmS = np.multiply.outer(np.exp(-a * lnN), np.exp(-b * lnN)).ravel()
         tail = N * NmS / (s - 1.0)
         val += tail + 0.5 * NmS
         der += -lnN * tail - N * NmS / (s - 1.0) ** 2 - lnN * 0.5 * NmS
@@ -386,9 +387,9 @@ def test_em_eval_horner_tail_matches_the_recurrence(N, k, t_max, rng):
     b = rng.uniform(0.0, 0.5, size=4) + 1j * rng.uniform(-2.0, 2.0, size=4)
     A = special._powers(a, max(N, 154))[: N - 1] ** k
     B = special._powers(b, max(N, 154))[: N - 1] ** k
-    grid = OuterGrid(k * a, k * b)
-    val, der = (s + t for s, t in zip(special._em_sums(A, B), special._em_tail(GridBatch([grid]), N)))
-    ref_v, ref_d = _em_eval_recurrence(grid, N, A, B)
+    grid = OuterGrid([(k * a, k * b)])
+    val, der = (s + t for s, t in zip(special._em_sums(A, B), special._em_tail(grid, N)))
+    ref_v, ref_d = _em_eval_recurrence(k * a, k * b, N, A, B)
     mag_v, mag_d = _em_tail_magnitudes(grid.points, N)
     eps = np.finfo(float).eps
     assert np.all(np.abs(val - ref_v) <= 8.0 * eps * (mag_v + np.abs(ref_v)))
@@ -420,24 +421,21 @@ def test_real_arithmetic_log_is_numpys_principal_log(rng):
 
 
 def _pnt_kernel_points():
-    """4,032 points 1 + eps + i x on uniform panels (eps = 0.05, L = 8 pi,
-    N = 72, panels min(2 eps, 0.1, L/(3N)) wide): 252 panel midpoints times
-    16 Gauss-Legendre offsets. The kernel route laid these panels before
-    it graded them; the grid stays as a large outer-sum batch at the pnt
-    sigma and height."""
-    L, eps, N = 8.0 * math.pi, 0.05, 72
-    P = int(math.ceil(L / min(2 * eps, 0.1, L / (3 * N))))
-    h = L / (2 * P)
-    xi = np.polynomial.legendre.leggauss(16)[0]
-    return 1.05 + 1j * OuterGrid((2 * np.arange(P) + 1) * h, h * xi)
+    """The 1,184 points 1 + eps + i x that the pnt op's kernel route sends
+    (eps = 0.05, L = 8 pi, N = 72): a plain head block of 48 nodes on
+    graded panels at x = 0, and a body block of 71 panel midpoints plus 16
+    Gauss-Legendre offsets out to 8 pi."""
+    from tauberlab.operators import _kernel_grid, _kernel_plan
+
+    return 1.05 + 1j * _kernel_grid(*_kernel_plan(8 * math.pi, 72, 0.05, [(0.0, ((1.0, 0.0),))])[:2])[0]
 
 
 def test_prime_zeta_pair_on_the_pnt_kernel_points_builds_its_powers_once(monkeypatch):
     """Every Moebius order of one prime_zeta_pair call takes its power
-    matrices from one build of n^{-a} and one of n^{-b}, at the largest N
-    (154); the other two builds are the 2-point real zeta batch that sets
-    the peel cap, which a second call at the same sigma_min takes from its
-    memo. The batch Ns are 154, 87, 82, 60, 50 and 43."""
+    matrices from one build of n^{-a} and one of n^{-b} per block, at the
+    largest N (154); the other two builds are the 2-point real zeta batch
+    that sets the peel cap, which a second call at the same sigma_min takes
+    from its memo. The batch Ns are 154, 87, 82, 60, 50 and 43."""
     special._real_zeta_triple.cache_clear()
     s = _pnt_kernel_points()
     builds, batches = [], []
@@ -454,14 +452,13 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_builds_its_powers_once(monkeyp
     monkeypatch.setattr(special, "_powers", counted_powers)
     monkeypatch.setattr(special, "_em_tail", counted_em_tail)
     prime_zeta_pair(s)
-    assert sum(np.array_equal(z, s.a) for z, _ in builds) == 1
-    assert sum(np.array_equal(z, s.b) for z, _ in builds) == 1
-    assert len(builds) == 4
-    assert [N for z, N in builds if z.size > 2] == [154, 154]
+    assert len(builds) == 2 * len(s.blocks) + 2
     assert [N for size, N in batches if size == s.size] == [154, 87, 82, 60, 50, 43]
     builds.clear()
     prime_zeta_pair(s)
-    assert len(builds) == 2
+    # per block, n^{-b} and then n^{-a}
+    assert [N for _, N in builds] == [154] * 2 * len(s.blocks)
+    assert all(np.array_equal(z, v) for (z, _), v in zip(builds, [v for a, b in s.blocks for v in (b, a)]))
 
 
 def test_prime_zeta_pair_in_power_blocks_matches_one_block(monkeypatch, rng):
@@ -470,7 +467,7 @@ def test_prime_zeta_pair_in_power_blocks_matches_one_block(monkeypatch, rng):
     the power sums (|zeta| ~ 20 here), whose summation order the block
     shape may change."""
     a = rng.uniform(1.05, 2.0, size=30) + 1j * rng.uniform(-30.0, 30.0, size=30)
-    grid = OuterGrid(a, 1j * rng.uniform(-0.5, 0.5, size=4))
+    grid = OuterGrid([(a, 1j * rng.uniform(-0.5, 0.5, size=4))])
     whole = prime_zeta_pair(grid)
     monkeypatch.setattr(special, "_POWER_CELLS", 1000)  # blocks of 1000 // N rows
     for got, ref in zip(prime_zeta_pair(grid), whole):
@@ -482,7 +479,7 @@ def test_zeta_in_power_blocks_matches_one_block(monkeypatch, rng):
     blocks past _POWER_CELLS cells; the values match the one-block call up
     to the rounding of the power sums."""
     a = rng.uniform(1.05, 2.0, size=30) + 1j * rng.uniform(-30.0, 30.0, size=30)
-    grid = OuterGrid(a, 1j * rng.uniform(-0.5, 0.5, size=4))
+    grid = OuterGrid([(a, 1j * rng.uniform(-0.5, 0.5, size=4))])
     whole = zeta(grid), zeta_deriv(grid)
     monkeypatch.setattr(special, "_POWER_CELLS", 1000)  # blocks of 1000 // N rows
     blocks = []
@@ -495,7 +492,7 @@ def test_zeta_in_power_blocks_matches_one_block(monkeypatch, rng):
     monkeypatch.setattr(special, "_em_sums", counted)
     for f, ref in zip((zeta, zeta_deriv), whole):
         got = f(grid)
-        assert got.shape == (30, 4)
+        assert got.shape == (120,)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
     assert len(blocks) > 2 and sum(blocks) == 2 * a.size  # several blocks per call
 
@@ -579,16 +576,17 @@ def test_zeta_family_against_mpmath(s):
 
 
 def test_zeta_and_prime_zeta_on_an_outer_grid_against_mpmath():
-    """One 3 x 4 grid s = a_j + b_i against 30-digit mpmath at abs 1e-10."""
+    """One 3 x 4 grid s = a_j + b_i against 30-digit mpmath at abs 1e-10,
+    one value per point, in the flat order of its points."""
     mpmath = pytest.importorskip("mpmath")
-    grid = OuterGrid([1.03 + 2.0j, 1.2 - 15.0j, 1.6 + 30.0j], [0.0, 0.01 + 0.3j, 0.02 - 0.7j, 0.5j])
+    grid = OuterGrid([([1.03 + 2.0j, 1.2 - 15.0j, 1.6 + 30.0j], [0.0, 0.01 + 0.3j, 0.02 - 0.7j, 0.5j])])
     z, (p, _) = zeta(grid), prime_zeta_pair(grid)
-    assert z.shape == p.shape == (3, 4)
+    assert z.shape == p.shape == (12,)
     with mpmath.workdps(30):
-        for (j, i), s in np.ndenumerate(np.asarray(grid)):
+        for i, s in enumerate(grid.points):
             w = mpmath.mpc(s.real, s.imag)
-            assert abs(z[j, i] - complex(mpmath.zeta(w))) <= 1e-10
-            assert abs(p[j, i] - complex(mpmath.primezeta(w))) <= 1e-10
+            assert abs(z[i] - complex(mpmath.zeta(w))) <= 1e-10
+            assert abs(p[i] - complex(mpmath.primezeta(w))) <= 1e-10
 
 
 def test_prime_zeta_deriv_is_the_pair_derivative():
@@ -599,17 +597,16 @@ def test_prime_zeta_deriv_is_the_pair_derivative():
 
 def test_prime_zeta_pair_on_the_pnt_kernel_points_runs_few_zeta_batches(monkeypatch):
     """With the primes p <= M peeled from the Moebius sum, P and P' on the
-    4,032 uniform-panel points of _pnt_kernel_points (sigma = 1.05,
-    eps = 0.05, L = 8 pi, N = 72: 252 panel midpoints, panels
-    min(2 eps, 0.1, L/(3N)) wide, plus 16 Gauss-Legendre offsets) take at
-    most six Euler-Maclaurin batches on the point grid: the k = 1 batch
-    and a few squarefree k >= 2.
+    1,184 points of _pnt_kernel_points (sigma = 1.05, eps = 0.05,
+    L = 8 pi, N = 72: a graded head block and a body block) take at most
+    six Euler-Maclaurin batches over the whole grid: the k = 1 batch and a
+    few squarefree k >= 2.
     Without the peel the 2^{-k sigma} tails need 22 Moebius terms. The six
     primes p <= 13 certify the k = 1 log branch at sigma = 1.05, and leave
     k = 1, 2, 3, 5, 6, 7, whose batches stop at the smallest certified N:
     154, 87, 82, 60, 50 and 43."""
     s = _pnt_kernel_points()
-    assert s.size == 4032
+    assert s.size == 1184
     batches = []
     em_tail = special._em_tail
 
@@ -625,17 +622,18 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_runs_few_zeta_batches(monkeypa
 
 
 def test_prime_zeta_pair_on_the_pnt_kernel_points_against_mpmath():
-    """P and P' at 16 of the 4,032 uniform-panel points of
-    _pnt_kernel_points, spread over the panels and the Gauss-Legendre
-    offsets, against 30-digit mpmath at the default abs_tol 1e-10. The
-    whole grid is one batch, so the sampled points take the peel cap,
-    orders and truncations of the whole grid; each takes another panel and
+    """P and P' at 16 of the 1,184 points of _pnt_kernel_points, spread
+    over the body panels and the Gauss-Legendre offsets, and at 4 head
+    nodes, against 30-digit mpmath at the default abs_tol 1e-10. The whole
+    grid is one batch, so the sampled points take the peel cap, orders and
+    truncations of the whole grid; each body point takes another panel and
     another of the 16 offsets (P' from _mp_prime_zeta_deriv)."""
     mpmath = pytest.importorskip("mpmath")
     grid = _pnt_kernel_points()
-    p, pd = (v.ravel() for v in prime_zeta_pair(grid))
-    P, Q = grid.shape
-    for i in np.linspace(0, P - 1, 16).astype(int) * Q + np.arange(Q):  # panel row, offset
+    p, pd = prime_zeta_pair(grid)
+    (head, _), (a, b) = grid.blocks
+    body = grid.offsets[1] + np.linspace(0, a.size - 1, 16).astype(int) * b.size + np.arange(b.size)  # row, offset
+    for i in [*np.linspace(0, head.size - 1, 4).astype(int), *body]:
         s = grid.points[i]
         with mpmath.workdps(30):
             z = mpmath.mpc(s.real, s.imag)
@@ -647,23 +645,20 @@ def test_prime_zeta_pair_on_the_pnt_kernel_points_against_mpmath():
 
 def test_a_batch_of_two_grids_sums_each_order_at_the_n_its_largest_t_needs(monkeypatch):
     """The pnt kernel-route plan (L = 8 pi, N = 72, eps = 0.05) reaches
-    special as one GridBatch of two grids: the head, 48 nodes on graded
-    panels 0.05, 0.1 and 0.2 wide at x = 0, and the body, 71 uniform panels
-    out to 8 pi. Every order of zeta and of prime_zeta_pair sums both grids
-    at one N, the N that the body's |t| up to 8 pi needs (zeta: 46), not the
-    head's own (10). At the head nodes zeta then meets 30-digit mpmath
-    within 1e-14 and P within 3e-14 (7.3e-15 and 1.6e-14 seen); the head
-    alone as its batch misses by 8.2e-13 and 4.5e-14. P' sums its orders
-    k >= 2 to the inner tolerance abs_tol/(8K) whatever the batch, and
-    meets mpmath within 1e-12 (4.5e-13 seen; P' from _mp_prime_zeta_deriv)."""
+    special as one OuterGrid of two blocks (_pnt_kernel_points): the head,
+    48 nodes on graded panels 0.05, 0.1 and 0.2 wide at x = 0, and the
+    body, 71 uniform panels out to 8 pi. Every order of zeta and of
+    prime_zeta_pair sums both blocks at one N, the N that the body's |t| up
+    to 8 pi needs (zeta: 46), not the head's own (10). At the head nodes
+    zeta then meets 30-digit mpmath within 1e-14 and P within 3e-14 (7.3e-15
+    and 1.6e-14 seen); the head alone as its batch misses by 8.2e-13 and
+    4.5e-14. P' sums its orders k >= 2 to the inner tolerance abs_tol/(8K)
+    whatever the batch, and meets mpmath within 1e-12 (4.5e-13 seen; P'
+    from _mp_prime_zeta_deriv)."""
     mpmath = pytest.importorskip("mpmath")
-    from tauberlab import operators
-
-    eps = 0.05
-    head_body = operators._kernel_plan(8.0 * math.pi, 72, eps, [(math.log(1e8), ((1.0, 0.0),))])[:2]
-    s = 1.0 + eps + 1j * operators._kernel_grid(*head_body)[0]
-    head, body = s.grids
-    assert head.shape == (48, 1) and body.shape == (71, 16)
+    s = _pnt_kernel_points()
+    assert [(a.size, b.size) for a, b in s.blocks] == [(48, 1), (71, 16)]
+    head, body = (OuterGrid([block]) for block in s.blocks)
     batches = []
     em_tail = special._em_tail
 
@@ -679,10 +674,10 @@ def test_a_batch_of_two_grids_sums_each_order_at_the_n_its_largest_t_needs(monke
     monkeypatch.setattr(special, "_em_tail", counted)
     z, zeta_N = orders(zeta, s)
     pair, pair_N = orders(prime_zeta_pair, s)
-    assert zeta_N == orders(zeta, GridBatch([body]))[1] == [46]
-    assert orders(zeta, GridBatch([head]))[1] == [10]
-    assert pair_N == orders(prime_zeta_pair, GridBatch([body]))[1]
-    assert all(n > m for n, m in zip(pair_N, orders(prime_zeta_pair, GridBatch([head]))[1]))
+    assert zeta_N == orders(zeta, body)[1] == [46]
+    assert orders(zeta, head)[1] == [10]
+    assert pair_N == orders(prime_zeta_pair, body)[1]
+    assert all(n > m for n, m in zip(pair_N, orders(prime_zeta_pair, head)[1]))
     with mpmath.workdps(30):
         for i, x in enumerate(head.points):
             assert abs(z[i] - complex(mpmath.zeta(mpmath.mpc(x.real, x.imag)))) <= 1e-14, x

@@ -27,10 +27,10 @@ def quadrature_tail_bound(S: GrowthFunction, s, U: float):
     """Certified bound on the integral dropped beyond u = U.
 
     S(e^u) <= C e^u gives tail <= C e^{-(sigma-1)U} (U + 1/(sigma-1))."""
-    grid, scalar, shape = _prep(s)
+    grid, shape = _prep(s)
     a = grid.points.real - 1.0
     bound = S.growth_constant * np.exp(-a * U) * (U + 1.0 / a)
-    return float(bound[0]) if scalar else bound.reshape(shape)
+    return float(bound[0]) if shape == () else bound.reshape(shape)
 
 
 def _sampled_pieces(S: GrowthFunction, u_hi: float):
@@ -60,7 +60,7 @@ def transform_quadrature(S: GrowthFunction, s, U: float = 18.0):
     0.25 handles the rest.
     The dropped tail beyond U is NOT added to the result; its certified
     bound comes from quadrature_tail_bound."""
-    grid, scalar, shape = _prep(s)
+    grid, shape = _prep(s)
     flat = grid.points
     if not (U > 0) or not math.isfinite(U):
         raise DomainError("quadrature cutoff U must be positive and finite")
@@ -84,7 +84,7 @@ def transform_quadrature(S: GrowthFunction, s, U: float = 18.0):
         us, ws = _gl_nodes_on(edges[:-1], edges[1:])
         with np.errstate(under="ignore"):
             out += np.exp(-np.multiply.outer(flat, us)) @ (np.exp(us) * S.g(us) * ws)
-    return _restore(out, scalar, shape)
+    return _restore(out, shape)
 
 
 def test_step_sum_is_the_exact_finite_transform(rng):
@@ -202,13 +202,15 @@ def test_each_closed_form_prepares_s_once(monkeypatch):
     [
         1.5 + 2.0j,
         np.array([[1.01, 2.0 + 5.0j, 3.0 - 40.0j], [1.2, complex(1.3, -0.0), 7.0]]),
-        1.05 + 1j * OuterGrid(np.linspace(-30.0, 30.0, 7), np.linspace(0.0, 1.0, 3)),
+        1.05 + 1j * OuterGrid([(np.linspace(-30.0, 30.0, 7), np.linspace(0.0, 1.0, 3))]),
+        1.05 + 1j * OuterGrid([(np.linspace(0.0, 0.3, 5), [0.0]), (np.linspace(1.0, 30.0, 4), np.linspace(0.0, 1.0, 3))]),
     ],
-    ids=["scalar", "array", "grid"],
+    ids=["scalar", "array", "grid", "batch"],
 )
 def test_closed_forms_are_the_zeta_family_over_s(s):
     """Each closed form is its zeta-family value divided by s, bit for bit,
-    in the shape of its input; a scalar gives a complex."""
+    in the shape of its input, flat for a grid of one block or several; a
+    scalar gives a complex."""
     z = np.asarray(s, dtype=complex)
     pz, pzd = special.prime_zeta_pair(s)
     for f, want in (
@@ -432,7 +434,7 @@ def test_single_jump_is_its_closed_form_bit_for_bit(h, x0):
     assert S.g(u_t) == h * np.exp(-u_t)
     P, L = 252, 8.0 * math.pi
     half = L / (2 * P)
-    grid = 1.0 + 0.05 + 1j * OuterGrid((2 * np.arange(P) + 1) * half, half * _GL16[0])
+    grid = 1.0 + 0.05 + 1j * OuterGrid([((2 * np.arange(P) + 1) * half, half * _GL16[0])])
     z = np.asarray(grid, dtype=complex)
     assert S.laplace(grid).tobytes() == (h * np.exp(-z * u0) / z).tobytes()
     s = _S_PTS
