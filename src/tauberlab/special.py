@@ -14,30 +14,23 @@ Cauchy-circle bound on the derivative's remainder is one power of the
 truncation point, c N^{-q}, so its smallest N >= 10 below the requested
 tolerance has a closed form (_choose_N; PrecisionError past the term
 budget). At equal N that bound is at least the value's, so both numbers
-of a batch are certified. The power sums use that n^{-s} is completely
-multiplicative: one complex exp per prime n < N, then each composite as
-spf(n)^{-s} * (n/spf(n))^{-s} (spf the smallest prime factor), one
-vectorized gather-multiply per layer of equal Omega(n) (prime factors with
-multiplicity), so at most log2 N of them. The integral tail, half term
-and Bernoulli terms together are N^{-s} (N/(s-1) + p_N(s)), with p_N the
-degree-7 polynomial 1/2 + sum_k B_2k/(2k)! N^{1-2k} s(s+1)...(s+2k-2):
-its coefficients and those of p_N' are built once per batch
-(_em_tail_poly), and each point takes the one power N^{-s} and two Horner
-evaluations. The smallest-prime-factor sieve behind this plan is cached
-per N (a pnt op asks for the same three every time), and also supplies
-the Moebius function and the small primes used below.
+of a batch are certified. The integral tail, half term and Bernoulli
+terms together are N^{-s} (N/(s-1) + p_N(s)), with p_N the degree-7
+polynomial 1/2 + sum_k B_2k/(2k)! N^{1-2k} s(s+1)...(s+2k-2): its
+coefficients and those of p_N' are built once per batch (_em_tail_poly),
+and each point takes the one power N^{-s} and two Horner evaluations.
 
 Every batch is an OuterGrid, a list of outer-sum blocks: block g holds
 the P x Q points s = a_j + b_i, and a plain array is the one block
-a = its points, b = [0]. Since n^{-s} = n^{-a_j} n^{-b_i}, the
-multiplicative plan builds, per block, the power matrices A of n^{-a}
-(P columns) and B of n^{-b} (Q columns), and one matrix product
-A^T [B | -ln n B] gives both power sums, sum n^{-s} and
--sum ln n n^{-s}, at every point: (P + Q) N powers in place of P Q N,
-and N^{-s} per point likewise from N^{-a} and N^{-b}. The quadrature
-nodes of the kernel route are one such grid (a plain block of graded
-head nodes, and per body gap a block of panel midpoints plus one scaled
-Gauss-Legendre rule), and the transforms hand it through unchanged.
+a = its points, b = [0]. Since n^{-s} = n^{-a_j} n^{-b_i}, each block
+takes the power matrices A of n^{-a} = e^{-a ln n} (P columns) and B of
+n^{-b} = e^{-b ln n} (Q columns), which is P + Q exps per n, and one
+matrix product A^T [B | -ln n B] gives both power sums, sum n^{-s} and
+-sum ln n n^{-s}, at every point; N^{-s} per point likewise comes from
+N^{-a} and N^{-b}. The quadrature nodes of the kernel route are one such
+grid (a plain block of graded head nodes, and per body gap a block of
+panel midpoints plus one scaled Gauss-Legendre rule), and the transforms
+hand it through unchanged.
 Everything else is chosen once for the whole grid from all its points:
 the truncation N of each order, the peel cap M and the Moebius orders.
 So a grid's N is the one its largest |t| needs, for every block in it,
@@ -60,6 +53,7 @@ prod_{p<=M} (1 - p^{-w}), whose log is sum_{p>M} -log(1 - p^{-w}),
             + sum_{k<=K} mu(k) [zeta'/zeta(ks) + sum_{p<=M} ln p p^{-ks}/(1 - p^{-ks})].
 
 One matrix of p^{-s} = p^{-a} p^{-b} serves every k: p^{-ks} = (p^{-s})^k.
+The primes and mu come from a cached sieve of Eratosthenes (_sieve).
 M is the smallest of 13, 100, 10^4, 10^5 that certifies the k = 1
 logarithm: |Im log zeta_{>M}(s)| <= log zeta_{>M}(sigma) = log zeta(sigma)
 + sum_{p<=M} log(1 - p^{-sigma}), and below pi the principal log of
@@ -80,19 +74,19 @@ so the squarefree k = 1, 2, 3, 5, 6, 7, where the unpeeled 2^{-k sigma}
 tails needed 22 Moebius terms. A larger M takes fewer orders but peels
 more primes. On the 1,184 points of the pnt kernel route (sigma = 1.05)
 M = 11 and 13 cost least of the caps from 5 to 100, with the same six
-zeta batches (medians of 12 alternating rounds on a 2-CPU host, one BLAS
-thread: 2.60 and 2.66 ms per prime_zeta_pair, against 3.51 at M = 5,
-2.71 at 17 and 3.42 at 100). Over 20 alternating pairs of whole kernel
-routes 11 led 13 by 0.03 of 3.07 ms in 15 pairs, within the spread, and
-it certifies only from sigma ~ 1.0115, so the cap stays 13, with 36
-(prime, order) pairs. Every call computes P and P' together
-(prime_zeta, prime_zeta_deriv and psi_prime_part each take their part of
-prime_zeta_pair): the log and zeta'/zeta at each k share one zeta batch,
-and at k = 1 it is truncated where the zeta'/zeta tolerance needs, which
-also meets the tolerance of the log (_k1_tolerance). Each order k >= 2 is
-summed to abs_tol/(8K), so P' is good to abs_tol, not to rounding: at the
-48 head nodes of the pnt kernel route (sigma = 1.05, |t| <= 0.35,
-|P'| <= 19) it errs by 4.5e-13 against 30-digit mpmath, and P by 1.6e-14.
+zeta batches (medians over 12 alternating rounds of the best of 5 calls,
+on a 2-CPU host, one BLAS thread: 2.27 and 2.30 ms per prime_zeta_pair,
+against 3.34 at M = 5, 2.36 at 17 and 3.06 at 100). 11 leads 13 by less
+than the spread, and it certifies only from sigma ~ 1.0115, so the cap
+stays 13, with 36 (prime, order) pairs. Every call computes P and P'
+together (prime_zeta, prime_zeta_deriv and psi_prime_part each take
+their part of prime_zeta_pair): the log and zeta'/zeta at each k share
+one zeta batch, and at k = 1 it is truncated where the zeta'/zeta
+tolerance needs, which also meets the tolerance of the log
+(_k1_tolerance). Each order k >= 2 is summed to abs_tol/(8K), so P' is
+good to abs_tol, not to rounding: at the 48 head nodes of the pnt kernel
+route (sigma = 1.05, |t| <= 0.35, |P'| <= 19) it errs by 4.5e-13 against
+30-digit mpmath, and P by 1.6e-14.
 
 Near s = 1, psi switches to its Taylor form from the Stieltjes expansion
 of zeta; the constants below were computed once by a float128
@@ -317,58 +311,38 @@ def _choose_N(flat: np.ndarray, abs_tol: float) -> int:
     return N
 
 
-class _FactorPlan(NamedTuple):
-    """mu[n] for n <= n_max, and layers[j] = (rows, spf, cof): the n <= n_max
-    with Omega(n) = j + 1 prime factors (with multiplicity) in increasing
-    order, their smallest prime factors and their cofactors n/spf(n). The
-    cofactors of layer j lie in layer j - 1, and layer 0 is the primes."""
+class _Sieve(NamedTuple):
+    """The primes up to n, rising, and mu[m] for m = 0..n."""
 
+    primes: np.ndarray
     mu: np.ndarray
-    layers: tuple
-
-    @property
-    def primes(self) -> np.ndarray:
-        return self.layers[0][0]
 
 
 @functools.lru_cache(maxsize=16)
-def _factor_plan(n_max: int) -> _FactorPlan:
-    """The plan of 0..n_max from one sieve of smallest prime factors:
-    mu(n) = 0 when spf(n) divides n/spf(n), else mu(n) = -mu(n/spf(n))."""
-    n = np.arange(n_max + 1)
-    spf = n.copy()  # stays n where no smaller prime marks it
-    for p in range(2, math.isqrt(n_max) + 1):
-        if spf[p] == p:
-            multiples = spf[p * p :: p]
-            multiples[multiples == n[p * p :: p]] = p
-    cof = np.ones_like(n)
-    cof[2:] = n[2:] // spf[2:]
-    mu = np.zeros(n_max + 1, dtype=np.int8)
-    mu[1:2] = 1  # no entry 1 when n_max = 0
-    layers = []
-    rows = np.flatnonzero(spf == n)[2:]  # the primes
-    while rows.size:
-        p, c = spf[rows], cof[rows]
-        mu[rows] = np.where(c % p == 0, 0, -mu[c])
-        layers.append((rows, p, c))
-        in_layer = np.zeros(n_max + 1, dtype=bool)
-        in_layer[rows] = True
-        rows = np.flatnonzero(in_layer[cof])
-    return _FactorPlan(mu, tuple(layers))
+def _sieve(n: int) -> _Sieve:
+    """The sieve of Eratosthenes to n, with mu from the primes p <= sqrt(n)
+    alone: each of them flips the sign of its multiples and zeroes those of
+    p^2, and an m whose product of such p falls short of m has exactly one
+    prime factor above sqrt(n), which flips its sign once more."""
+    m = np.arange(n + 1)
+    is_prime = m >= 2
+    mu = np.ones(n + 1, dtype=np.int8)
+    prod = np.ones(n + 1, dtype=np.int64)
+    for p in range(2, math.isqrt(n) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+            mu[p::p] *= -1
+            mu[p * p :: p * p] = 0
+            prod[p::p] *= p
+    mu[prod < m] *= -1
+    mu[0] = 0
+    return _Sieve(np.flatnonzero(is_prime), mu)
 
 
 def _powers(z: np.ndarray, N: int) -> np.ndarray:
-    """The (N - 1) x z.size matrix whose row n - 1 is n^{-z}, n = 1..N-1, by
-    complete multiplicativity: one complex exp per prime n < N, then one
-    gather-multiply n^{-z} = spf(n)^{-z} (n/spf(n))^{-z} per Omega layer of
-    composites."""
-    plan = _factor_plan(N - 1)
-    pw = np.empty((N, z.size), dtype=complex)  # row 0 unused
-    pw[1] = 1.0
-    pw[plan.primes] = np.exp(-np.multiply.outer(np.log(plan.primes.astype(float)), z))
-    for rows, p, c in plan.layers[1:]:
-        pw[rows] = pw[p] * pw[c]
-    return pw[1:]
+    """The (N - 1) x z.size matrix whose row n - 1 is n^{-z} = e^{-z ln n},
+    n = 1..N-1, one exp per entry."""
+    return np.exp(-np.multiply.outer(np.log(np.arange(1.0, N)), z))
 
 
 @functools.lru_cache(maxsize=256)
@@ -490,7 +464,7 @@ def _peel_cap(sig_min: float, log_zeta_sig: float) -> int:
     sum_{p<=M} log(1 - p^{-sigma}), and under pi the principal log of
     zeta_{>M}(s) is the branch that is real on (1, oo)."""
     for M in _PEEL_CAPS:
-        primes = _factor_plan(M).primes.astype(float)
+        primes = _sieve(M).primes.astype(float)
         if log_zeta_sig + float(np.sum(np.log1p(-np.power(primes, -sig_min)))) < math.pi - 0.2:
             return M
     logger.warning(
@@ -583,9 +557,9 @@ def _prime_zeta_core(s: OuterGrid, abs_tol: float):
     K = 1
     while _peeled_tail_bound(M, (K + 1) * sig_min) / geometric >= abs_tol / 2.0 and K < 512:
         K += 1
-    mu = _factor_plan(K).mu
+    mu = _sieve(K).mu
     ks = [k for k in range(1, K + 1) if mu[k] != 0]
-    val, head_d, prod, dlog = _peel(s, _factor_plan(M).primes, ks)
+    val, head_d, prod, dlog = _peel(s, _sieve(M).primes, ks)
     der = -head_d
 
     tol_1 = _k1_tolerance(abs_tol, zeta_sig, zeta_2sig, zeta_d_sig)

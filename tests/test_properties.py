@@ -190,15 +190,13 @@ def test_outer_grid_matches_its_points(blocks):
     with the same functions on the flat point array to within the rounding
     of the two orders, plus 1e-13.
 
-    The two paths share everything but the powers. The points form a prime
-    power as exp(-s ln p), the grid as exp(-a ln p) exp(-b ln p), from the
-    same ln p, and both form a composite by products of its Omega(n) <=
-    ln n/ln 2 prime factors' powers. Rounding the exponents' products moves
-    them by at most eps ln p (|s| + |a| + |b|) together; the three complex
-    exps (3 eps each) and the three products per factor (sqrt 5 eps each)
-    add at most 16 eps per factor, and the grid's last product a few eps.
-    So a power n^{-s} with n below the term budget _MAX_TERMS differs
-    between the paths by a relative
+    The two paths share everything but the powers. The points form a power
+    as exp(-s ln n), the grid as exp(-a ln n) exp(-b ln n), from the same
+    ln n. Rounding the exponents' products moves them by at most
+    eps ln n (|s| + |a| + |b|) <= 2 eps ln n (|a| + |b|) together, and the
+    three complex exps (3 eps each) and the grid's product (sqrt 5 eps) add
+    under 12 eps. So a power n^{-s} with n below the term budget _MAX_TERMS
+    differs between the paths by a relative
 
         rho <= eps (ln _MAX_TERMS (2 (|a| + |b|) + 24) + 3),
 

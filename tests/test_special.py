@@ -276,7 +276,7 @@ def test_prime_zeta_deriv_and_weighted_primes_transform_at_1e13(sigma):
 
 def _em_direct(s, N):
     """Euler-Maclaurin zeta and zeta' at truncation N, every power n^{-s}
-    from its own exp: the form the multiplicative build must reproduce."""
+    from its own exp, with the tail terms written out per point."""
     ln = np.log(np.arange(1, N, dtype=float))
     pw = np.exp(-np.multiply.outer(s, ln))
     lnN = math.log(N)
@@ -512,41 +512,27 @@ def test_prime_zeta_pair_runs_one_k1_zeta_batch(monkeypatch):
     assert sum(np.array_equal(pts, s) for pts in batches) == 1
 
 
-def test_factor_plan_against_trial_division():
-    plan = special._factor_plan(10_000)
-    assert [_mobius(k) for k in range(1, 10_001)] == plan.mu[1:].tolist()
-    assert plan.mu[0] == 0
-    primes = [n for n in range(2, 10_001) if all(n % d for d in range(2, math.isqrt(n) + 1))]
-    assert plan.primes.tolist() == primes
-    # the layers cover 2..10^4 once each, and every row is spf * cofactor
-    # with the cofactor one layer down
-    rows = np.concatenate([r for r, _, _ in plan.layers])
-    assert np.array_equal(np.sort(rows), np.arange(2, 10_001))
-    for j, (r, p, c) in enumerate(plan.layers):
-        assert np.array_equal(r, p * c)
-        assert np.isin(c, plan.layers[j - 1][0] if j else [1]).all()
+@pytest.mark.parametrize("n", [0, 1, 2, 9, 13, 153, 1024, 1025, 10_000, 100_000])
+def test_sieve_against_trial_division(n):
+    """Every n, a power of two or not, the peel caps 13, 10^4 and 10^5
+    among them, gets the primes up to n (none below 2, the 9,592 of
+    pi(10^5) at the top) and mu(0..n) against trial division, and a second
+    call returns the cached sieve."""
+    sieve = special._sieve(n)
+    assert sieve is special._sieve(n)
+    primes = [m for m in range(2, n + 1) if all(m % d for d in range(2, math.isqrt(m) + 1))]
+    assert sieve.primes.tolist() == primes
+    assert sieve.mu.size == n + 1 and sieve.mu[0] == 0
+    assert sieve.mu[1:].tolist() == [_mobius(k) for k in range(1, n + 1)]
 
 
-@pytest.mark.parametrize("n_max", [0, 1, 2, 9, 13, 153, 1024, 1025])
-def test_factor_plan_of_each_n_is_its_own_sieve(n_max):
-    """Every n_max, a power of two or not and the three a pnt op asks for
-    among them, gets the plan of exactly 0..n_max, and a second call returns
-    the cached plan."""
-    plan = special._factor_plan(n_max)
-    assert plan is special._factor_plan(n_max)
-    assert plan.mu.size == n_max + 1 and plan.mu[0] == 0
-    assert plan.mu[1:].tolist() == [_mobius(k) for k in range(1, n_max + 1)]
-    rows = np.concatenate([r for r, _, _ in plan.layers] or [np.empty(0, dtype=int)])
-    assert np.array_equal(np.sort(rows), np.arange(2, n_max + 1))
-    if n_max >= 2:
-        primes = [n for n in range(2, n_max + 1) if all(n % d for d in range(2, math.isqrt(n) + 1))]
-        assert plan.primes.tolist() == primes
-
-
-# sigma in [1.001, 1.5], |t| <= 40, one point per (sigma, t) stratum
+# sigma in [1.001, 1.5], |t| <= 40, one point per (sigma, t) stratum;
+# 1.003 + 7.5i and 1.0045 - 19i take the certified peel caps 10^5 and 10^4
 _ORACLE_POINTS = [
     complex(1.001, 0.5),
     complex(1.001, -37.0),
+    complex(1.003, 7.5),
+    complex(1.0045, -19.0),
     complex(1.01, 12.3),
     complex(1.05, -25.0),
     complex(1.1, 40.0),
