@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 domain/contract errors, 2 resource/precision
 errors, 64 usage errors. All failures print a single-line JSON object
-{"code": ..., "message": ...} to standard error. Outputs carry no
-timestamps, so identical invocations produce byte-identical files, and a
-run writes no file but its --out or --report (and the report's .ratio.csv).
+{"code": ..., "message": ...} to standard error, and so does each warning
+the package logs while a command runs, with code "warning". Outputs
+carry no timestamps, so identical invocations produce byte-identical
+files, and a run writes no file but its --out or --report (and the
+report's .ratio.csv).
 
 Configuration is a flat `key = value` file ('#' starts a comment).
 Precedence: defaults < the command's own defaults (`pnt`: order 72) <
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import math
 import re
 import sys
@@ -374,6 +377,14 @@ def _check_leading_options(parser: _Parser, argv: list) -> None:
         i += 1 if eq or not takes_value[known[0]] else 2
 
 
+class _JsonWarnings(logging.Handler):
+    """Each tauberlab log record as one JSON line on stderr, the form of
+    the errors: {"code": "warning", "message": ...}."""
+
+    def emit(self, record):
+        print(json.dumps({"code": "warning", "message": record.getMessage()}), file=sys.stderr)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _build_parser()
@@ -382,6 +393,8 @@ def main(argv=None) -> int:
     if getattr(args, "run", None) is None:  # no command, or a bare group
         getattr(args, "usage", parser.print_usage)(sys.stderr)
         return 64
+    log, handler = logging.getLogger("tauberlab"), _JsonWarnings()
+    log.addHandler(handler)  # removed below, so repeated calls do not stack
     try:
         return args.run(args, _overlay(load_config(args.config, **args.defaults), args))
     except TauberlabError as exc:
@@ -390,6 +403,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # keep the taxonomy: unexpected -> resource-class
         print(json.dumps({"code": "internal", "message": f"{type(exc).__name__}: {exc}"}), file=sys.stderr)
         return 2
+    finally:
+        log.removeHandler(handler)
 
 
 def console_main() -> None:

@@ -92,7 +92,7 @@ constant a table-backed source holds past u_cap; such orders are refused
 table for jumps it does not hold (a 1e5 table with the integers), which
 the table refuses (TableExhaustedError). A grid of more than
 _MAX_GRID_NODES nodes (small L: the fine panels grow like 1/L; large L: X
-grows like L u_t), counted from its panel widths (_grid_plan), is a
+grows like L u_t), counted from its panel widths (_grid_edges), is a
 ResourceError raised before any array is built.
 
 The fine panels resolve the damping e^{-kappa x}, kappa = 2 eps/L, while
@@ -128,17 +128,16 @@ less than s past the panel ends, so Ge <= e^{(1+eps)(2 s/L - u_lo)}, u_lo
 at the panel's left end: on it the damping grows by at most
 e^{2 (1+eps) s/L}. Take s = min(3, L / (2 (1 + eps))), so that it grows by
 less than e. At s = 3, rho = 19.15 at h = pi/5 and 15.34 at h = pi/4, and
-C = 5.2e-18 and 1.8e-16; the semi-minor axis 1 that served the panels
-pi/10 wide would give C = 4.2e-12 at h = pi/5. On the pnt grid
-(b = pi(x) <= 1.26 x / ln x, a = 0) the 245 resolved panels add up to
-1.3e-15 per integral. The cap binds once eps > L/6 - 1 (3.2 at L = 8 pi).
-Near eps_max, where kappa h = 16, it leaves s near h/16 and the bound says
-nothing; even the best ellipse there (rho = 4.3, on which the damping
-grows by e^10.2) leaves C e^10.2 near 6e-5 at h = pi/5. There the
-entries rest on the measurements: against the kernel route (above) and
-against panels half as wide. Against 16 nodes on every panel between two jumps (the integers at
-L = 2 pi, N = 16, jumps resolved to 2e4) the D sums agree to 2.7e-15 when
-that reference is summed exactly (math.fsum); its own sums over its
+C = 5.2e-18 and 1.8e-16. On the pnt grid (b = pi(x) <= 1.26 x / ln x,
+a = 0) the 245 resolved panels add up to 1.3e-15 per integral. The cap
+binds once eps > L/6 - 1 (3.2 at L = 8 pi). Near eps_max, where
+kappa h = 16, it leaves s near h/16 and the bound says nothing; even the
+best ellipse there (rho = 4.3, on which the damping grows by e^10.2)
+leaves C e^10.2 near 6e-5 at h = pi/5. There the entries rest on the
+measurements: against the kernel route (above) and against panels half
+as wide. Against 16 nodes on every panel between two jumps (the integers
+at L = 2 pi, N = 16, jumps resolved to 2e4) the D sums agree to 2.7e-15
+when that reference is summed exactly (math.fsum); its own sums over its
 326,624 nodes round by up to 1.6e-14.
 
 Past a_end the jumps are not resolved: the 16-node panels sample a
@@ -171,9 +170,8 @@ rho of about 3.7 or more, and the 16-point rule's factor rho^{-32}
 (Trefethen, Approximation Theory and Approximation Practice, Thm 19.3)
 is near 1e-18 or below; the maximum of |K| on that ellipse has no
 closed bound (below). On pnt (L = 8 pi, N = 72, eps = 0.05) that is 3
-head panels and 71 body panels: 1,184 nodes, where uniform panels
-min(2 eps, 0.1, L/(3N)) wide laid 4,032; at eps = 0.001 it is 1,280
-nodes against 201,072.
+head panels and 71 body panels, 1,184 nodes; at eps = 0.001 it is 1,280
+nodes.
 
 The whole mesh reaches special as one batch, so every node shares each
 Euler-Maclaurin order's N, and that N is the one the body's largest |t|
@@ -381,19 +379,18 @@ def assemble_kernel_route(
 
     The panels come from _kernel_plan: graded heads at the singular points
     of the batch's G near the line, a uniform body of panels at most
-    min(0.5, L/N) wide past them, 16 Gauss-Legendre nodes each and at most
-    _MAX_GRID_NODES nodes in all (ResourceError). The plan depends on eps,
-    L, N and the stated tails alone, so the nodes and the phase matrices
-    are built once, every node reaches the transform in one OuterGrid (one
+    min(0.5, L/N) wide past them, 16 Gauss-Legendre nodes each.
+    _kernel_grid counts them and refuses more than _MAX_GRID_NODES nodes
+    (ResourceError) before it builds any. The plan depends on eps, L, N
+    and the stated tails alone, so the nodes and the phase matrices are
+    built once, every node reaches the transform in one OuterGrid (one
     Euler-Maclaurin N per order over head and body alike), and every
     source's kernel is contracted against them. The accuracy is measured,
     not certified (module docstring)."""
     _check_eps(eps, "kernel")
     _check_order(N)
     L = I.length
-    head, body, nodes = _kernel_plan(L, N, eps, [S.tail for S in sources])
-    _check_nodes(nodes, f"kernel-route grid at L = {L:g}, eps = {eps:g}")
-    x, w = _kernel_grid(head, body)
+    x, w = _kernel_grid(L, N, eps, [S.tail for S in sources])
     alpha_n = (2.0 * math.pi / L) * np.arange(N + 1)
     E = _unit_phases(np.multiply.outer(np.concatenate([a for a, _ in x.blocks]), alpha_n))
     F = _unit_phases(np.multiply.outer(np.concatenate([b for _, b in x.blocks]), alpha_n))
@@ -407,26 +404,24 @@ def assemble_kernel_route(
         )
 
     taper = 1.0 - x.points / L
-    out = []
-    for S in sources:
+    s, c = np.empty((2, N + 1, len(sources)))
+    for j, S in enumerate(sources):
         kv = np.asarray(kernel(S, eps, x))
         if not np.all(np.isfinite(kv)):
             x_bad = float(x.points[np.flatnonzero(~np.isfinite(kv))[0]])
             raise PrecisionError(f"kernel quadrature produced a non-finite value at x = {x_bad!r}")
         wk = kv * w
-        s = np.sum(E * phase_rows(wk), axis=0).imag
-        c = np.sum(E * phase_rows(2.0 * wk * taper), axis=0).real
-        out.append(
-            OperatorTruncation(
-                interval=I,
-                epsilon=eps,
-                odd=s,
-                diag=c,
-                source=S.label,
-                route="kernel_quadrature",
-            )
-        )
-    return out
+        s[:, j] = np.sum(E * phase_rows(wk), axis=0).imag
+        c[:, j] = np.sum(E * phase_rows(2.0 * wk * taper), axis=0).real
+    return _truncations(sources, I, eps, s, c, "kernel_quadrature")
+
+
+def _truncations(sources: Sequence[GrowthFunction], I: IntervalSpec, eps: float,
+                 odd: np.ndarray, diag: np.ndarray, route: str) -> list:
+    """One OperatorTruncation per source from the moments odd and diag,
+    (N + 1, m) arrays whose column j belongs to sources[j]."""
+    return [OperatorTruncation(interval=I, epsilon=eps, odd=odd[:, j], diag=diag[:, j], source=S.label, route=route)
+            for j, S in enumerate(sources)]
 
 
 def _kernel_plan(L: float, N: int, eps: float, tails: Sequence):
@@ -481,10 +476,14 @@ def _kernel_plan(L: float, N: int, eps: float, tails: Sequence):
     return head, body, 16.0 * (head[0].size + sum(P for *_, P in body))
 
 
-def _kernel_grid(head, body):
-    """The nodes of a _kernel_plan as one OuterGrid, the head's nodes as one
-    plain block and each body gap as a block of panel midpoints plus one
-    scaled Gauss-Legendre rule, and the flat quadrature weights."""
+def _kernel_grid(L: float, N: int, eps: float, tails: Sequence):
+    """The nodes of the _kernel_plan of these arguments as one OuterGrid,
+    the head's nodes as one plain block and each body gap as a block of
+    panel midpoints plus one scaled Gauss-Legendre rule, and the flat
+    quadrature weights. A plan of more than _MAX_GRID_NODES nodes is a
+    ResourceError here, raised from its count before any node is built."""
+    head, body, nodes = _kernel_plan(L, N, eps, tails)
+    _check_nodes(nodes, f"kernel-route grid at L = {L:g}, eps = {eps:g}")
     xi, wi = _GL16
     hx, hw = _gl_nodes_on(*head)
     blocks, weights = [(hx, [0.0])], [hw]
@@ -550,25 +549,6 @@ def _tail_of(S: GrowthFunction) -> tuple:
     return S.tail
 
 
-def _grid_plan(L: float, N: int, X: float, a_end: float):
-    """(cuts, panels, base_w, n_geo, nodes) of the grid on [0, X], for the
-    resolved range [0, a_end], a_end <= X: panels[i] fine panels, at most
-    _fine_width(L) wide, between cuts i and i + 1 (a_end and the lobes'
-    end), then n_geo panels growing from base_w = 2 _fine_width(L) past the
-    width cap 2, and 2-wide ones; nodes counts 16 per panel without building
-    any, exact on the fine panels and a few panels over in the tail."""
-    fine_w = _fine_width(L)
-    base_w = 2.0 * fine_w  # at most pi/2, under the tail's width cap 2
-    cuts = [0.0]
-    if a_end > 0.0:
-        cuts.append(a_end)
-    if cuts[-1] < math.pi * (N + 3) <= X:
-        cuts.append(math.pi * (N + 3))
-    panels = [max(1.0, np.ceil((b - a) / fine_w)) for a, b in zip(cuts, cuts[1:])]
-    n_geo = int(math.log(2.0 / base_w) / math.log(1.15)) + 3
-    return cuts, panels, base_w, n_geo, 16.0 * (sum(panels) + n_geo + (X - cuts[-1]) / 2.0 + 2.0)
-
-
 def _fine_width(L: float) -> float:
     """Width of the fine panels: min(0.1, pi/L) L/4, at most pi/4 (pi/5 at
     L = 8 pi)."""
@@ -582,15 +562,32 @@ def _check_nodes(nodes: float, what: str) -> None:
 
 
 def _grid_edges(L: float, N: int, X: float, a_end: float):
-    """Panel edges on [0, X] (_grid_plan): a function of L, N, X and a_end
-    alone, so sources that agree on those share the grid."""
-    cuts, panels, base_w, n_geo, _ = _grid_plan(L, N, X, a_end)
+    """Panel edges on [0, X] for the resolved range [0, a_end], a_end <= X:
+    a function of L, N, X and a_end alone, so sources that agree on those
+    share the grid. Fine panels, at most _fine_width(L) wide, fill each gap
+    between the cuts 0, a_end and the lobes' end pi (N + 3); then n_geo
+    panels grow from base_w = 2 _fine_width(L) past the width cap 2, and
+    2-wide ones run to X. The nodes, 16 per panel, are counted from these
+    widths, exact on the fine panels and a few panels over in the tail, and
+    more than _MAX_GRID_NODES is a ResourceError raised before any edge is
+    laid."""
+    fine_w = _fine_width(L)
+    base_w = 2.0 * fine_w  # at most pi/2, under the tail's width cap 2
+    cuts = [0.0]
+    if a_end > 0.0:
+        cuts.append(a_end)
+    if cuts[-1] < math.pi * (N + 3) <= X:
+        cuts.append(math.pi * (N + 3))
+    panels = [max(1.0, np.ceil((b - a) / fine_w)) for a, b in zip(cuts, cuts[1:])]
+    n_geo = int(math.log(2.0 / base_w) / math.log(1.15)) + 3
+    pos = cuts[-1]
+    _check_nodes(16.0 * (sum(panels) + n_geo + (X - pos) / 2.0 + 2.0),
+                 f"frequency-route grid at L = {L:g}, N = {N} to X = {X:.4g}")
     edges = [np.zeros(1)] + [np.linspace(a, b, int(k) + 1)[1:] for a, b, k in zip(cuts, cuts[1:], panels)]
     # geometric growth out to X: widths base_w 1.15^j capped at 2 (the
     # n_geo-th is past the cap), ends the running sums from cuts[-1] below
     # X, then X itself. Both accumulates run in order, so the ends are bit
     # for bit those of the loop pos = min(pos + w, X), w = min(1.15 w, 2)
-    pos = cuts[-1]
     if pos < X:
         w = np.full(n_geo + int((X - pos) / 2.0) + 1, 2.0)
         w[:n_geo] = np.minimum(np.multiply.accumulate([base_w] + [1.15] * (n_geo - 1)), 2.0)
@@ -813,12 +810,12 @@ def _windowed_integrals(sources: Sequence[GrowthFunction], L: float, eps: float,
     Every precondition of the frequency route is checked here: a finite
     eps >= 0 whose damping the fine panels resolve (DomainError; module
     docstring), N in [0, _MAX_ORDER], a tail for every source
-    (ContractError), N_max (_check_resolvable), and a grid of at most
-    _MAX_GRID_NODES nodes (ResourceError). The grid runs to the batch's
-    _cutoff X, the same at every eps, where _tail_integrals takes over. On
-    the resolved range [0, a_end] a source that declares jumps takes
-    product-integration weights (_step_values); mt is read at the other
-    nodes."""
+    (ContractError), N_max (_check_resolvable), and, in _grid_edges, a
+    grid of at most _MAX_GRID_NODES nodes (ResourceError). The grid runs
+    to the batch's _cutoff X, the same at every eps, where _tail_integrals
+    takes over. On the resolved range [0, a_end] a source that declares
+    jumps takes product-integration weights (_step_values); mt is read at
+    the other nodes."""
     _check_eps(eps, "frequency")
     _check_order(N)
     if not sources:
@@ -831,11 +828,9 @@ def _windowed_integrals(sources: Sequence[GrowthFunction], L: float, eps: float,
     a_end = half * min(math.log(_STEP_RESOLVE_CAP), max(u_t for u_t, _ in tails))
     for S in sources:
         _check_resolvable(S, L, N)
-    nodes = _grid_plan(L, N, X, a_end)[-1]
     eps_max = _DAMPING_RESOLVED * L / (2.0 * _fine_width(L))  # kappa = 2 eps / L
     if eps > eps_max:
         raise DomainError(f"the frequency route resolves the damping at L = {L:g} only up to eps = {eps_max:.6g}; got {eps!r}")
-    _check_nodes(nodes, f"frequency-route grid at L = {L:g}, N = {N} to X = {X:.4g}")
     edges = _grid_edges(L, N, X, a_end)
     xs, ws = _gl_nodes_on(edges[:-1], edges[1:])
     n_res = int(np.searchsorted(edges, a_end))  # resolved panels
@@ -872,17 +867,7 @@ def assemble_frequency_route(
     to X and adds each source's exact tail past it, at every eps, and
     makes every check."""
     F, D = _windowed_integrals(sources, I.length, eps, N, want_F=True)
-    return [
-        OperatorTruncation(
-            interval=I,
-            epsilon=eps,
-            odd=-F[:, j] / math.pi,
-            diag=D[:, j] / math.pi,
-            source=S.label,
-            route="frequency_formula",
-        )
-        for j, S in enumerate(sources)
-    ]
+    return _truncations(sources, I, eps, -F / math.pi, D / math.pi, "frequency_formula")
 
 
 def diagonal_sequence(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import logging
 import math
 import os
 import subprocess
@@ -269,13 +270,13 @@ def test_operator_diag_refuses_an_order_past_the_cap(capsys):
 
 def test_operator_refuses_a_frequency_grid_past_the_node_cap(capsys, monkeypatch):
     # at L = 0.03 the fine panels are 7.5e-4 wide out to X = 67 pi: some
-    # 4.49e6 nodes; L = 1e-9 would ask for terabytes. The refusal comes
-    # before any grid is built, on both routes (the kernel route's at
+    # 4.49e6 nodes; L = 1e-9 would ask for terabytes of edges. The refusal
+    # comes before any grid is built, on both routes (the kernel route's at
     # L = 1e6: 2 x 10^6 body panels)
     def no_grid(*args):
         raise AssertionError("grid built")
 
-    for name in ("_grid_edges", "_gl_nodes_on", "OuterGrid"):
+    for name in ("_gl_nodes_on", "OuterGrid"):
         monkeypatch.setattr(operators, name, no_grid)
     for length, cmd, *extra in (
         ("0.03", "diag", "--A", "1"),
@@ -534,6 +535,30 @@ def test_an_unexpected_error_exits_2_as_internal(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "operator", "diag", "--source", "linear", "--eps", "0.1", "--order", "2")
     assert code == 2 and out == ""
     assert json.loads(err.strip()) == {"code": "internal", "message": "ValueError: broken on purpose"}
+
+
+def test_warnings_reach_stderr_as_json_lines(capsys):
+    """Prime zeta below sigma = 1.0027 warns that it cannot certify the log
+    branch. In a child process, where logging has no other handler, every
+    stderr line is JSON: the warning, then, at sigma = 1.001, t = 1e8, the
+    precision error. In process, repeated calls print one warning each and
+    leave the logger's handlers as they found them."""
+    pzeta = ("special", "eval", "--fn", "pzeta", "--sigma")
+    for argv, status, codes in (
+        ((*pzeta, "1.001", "--t", "1e8"), 2, ["warning", "precision"]),
+        ((*pzeta, "1.002", "--t", "5"), 0, ["warning"]),
+    ):
+        r = run_module(*argv)
+        lines = [json.loads(line) for line in r.stderr.splitlines()]
+        assert r.returncode == status and [doc["code"] for doc in lines] == codes, argv
+        assert "too close to 1 to certify the logarithm branch" in lines[0]["message"], argv
+    log = logging.getLogger("tauberlab")
+    handlers = list(log.handlers)
+    for _ in range(2):
+        code, out, err = run_cli(capsys, *pzeta, "1.002", "--t", "5")
+        assert code == 0 and json.loads(out)["re"] == pytest.approx(-0.30778793225)
+        assert [json.loads(line)["code"] for line in err.splitlines()] == ["warning"]
+    assert log.handlers == handlers
 
 
 def test_jobs_is_an_unknown_flag(capsys):

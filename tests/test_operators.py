@@ -576,7 +576,7 @@ def _cutoff(S, L, N):
 
 
 @pytest.mark.parametrize("case", ["integer_count", "weighted_primes", "integer_tail"])
-def test_grid_edges_match_the_per_segment_linspace(case, small_table):
+def test_grid_edges_match_the_per_segment_linspace(case, small_table, monkeypatch):
     S, L, N, X = {
         "integer_count": (tr.source_integers(), 2.0 * math.pi, 16, 300.0),
         "weighted_primes": (
@@ -587,10 +587,17 @@ def test_grid_edges_match_the_per_segment_linspace(case, small_table):
             tr.source_integers(), 8.0 * math.pi, 72, _cutoff(tr.source_integers(), 8.0 * math.pi, 72)
         ),
     }[case]
+    counts, check_nodes = [], operators._check_nodes
+
+    def recording_check(nodes, what):
+        counts.append(nodes)
+        return check_nodes(nodes, what)
+
+    monkeypatch.setattr(operators, "_check_nodes", recording_check)
     edges = operators._grid_edges(L, N, X, _a_end(S, L))
     assert np.array_equal(edges, _grid_edges_per_segment(S, L, N, X))
     # the count behind the node cap: exact on the fine panels, a few panels over in the tail
-    assert 0 <= operators._grid_plan(L, N, X, _a_end(S, L))[-1] - 16 * (edges.size - 1) <= 16 * 32
+    assert len(counts) == 1 and 0 <= counts[0] - 16 * (edges.size - 1) <= 16 * 32
 
 
 def test_grid_edges_match_the_loop_on_the_battery_and_pnt_grids(big_table):
@@ -901,12 +908,14 @@ def test_the_grid_does_not_depend_on_eps(monkeypatch):
 def test_a_grid_past_the_node_cap_is_refused_before_it_is_built(route, L, N, eps, source, monkeypatch):
     """Each route counts its nodes from the panel widths it would lay and
     refuses more than 4,000,000 with a ResourceError before any grid array
-    exists."""
+    exists: in _grid_edges before any edge is laid (at L = 1e-9 the edge
+    array would hold about 6e11 entries), and in _kernel_grid before any
+    node."""
 
     def no_grid(*args):
         raise AssertionError("grid built")
 
-    for name in ("_grid_edges", "_gl_nodes_on", "OuterGrid"):
+    for name in ("_gl_nodes_on", "OuterGrid"):
         monkeypatch.setattr(operators, name, no_grid)
     run = {"frequency": assemble_frequency_route, "kernel": assemble_kernel_route}[route]
     with pytest.raises(ResourceError, match="past the cap of 4,000,000"):

@@ -425,9 +425,9 @@ def _pnt_kernel_points():
     (eps = 0.05, L = 8 pi, N = 72): a plain head block of 48 nodes on
     graded panels at x = 0, and a body block of 71 panel midpoints plus 16
     Gauss-Legendre offsets out to 8 pi."""
-    from tauberlab.operators import _kernel_grid, _kernel_plan
+    from tauberlab.operators import _kernel_grid
 
-    return 1.05 + 1j * _kernel_grid(*_kernel_plan(8 * math.pi, 72, 0.05, [(0.0, ((1.0, 0.0),))])[:2])[0]
+    return 1.05 + 1j * _kernel_grid(8 * math.pi, 72, 0.05, [(0.0, ((1.0, 0.0),))])[0]
 
 
 def test_prime_zeta_pair_on_the_pnt_kernel_points_builds_its_powers_once(monkeypatch):
