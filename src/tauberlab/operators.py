@@ -65,9 +65,9 @@ stable forms; F is its product with sin^2 x times the weights, and D that
 of its square. The weights are an (n, m) matrix, one column per source, so
 a batch of m sources builds the block once and takes its sums in one
 product. The pnt grid (N = 72) makes one 146 x 6,016 block, and the
-battery's six sources share their grid at N = 64, at every eps: 5,360
-nodes and one 130 x 5,360 block. Each fits in _BLOCK_ENTRIES; a larger
-grid is summed in chunks of nodes of that size.
+battery's six sources share their grid at N = 64, at every eps they run
+at: 1,920 nodes and one 130 x 1,920 block. Each fits in _BLOCK_ENTRIES;
+a larger grid is summed in chunks of nodes of that size.
 
 The route reads a source through three fields alone: fn, jumps_upto and
 tail (GrowthFunction). Each source states g past some u_t as a short
@@ -76,24 +76,32 @@ its fn holds from u_cap on), and its jumps matter only below u_t. The
 grid lays panels fine_w = min(0.1, pi/L) L/4 wide (_fine_width: at most
 pi/4; pi/5 at L = 8 pi) on the resolved range
 x <= a_end = (L/2) min(ln 2e5, the batch's largest u_t), for every source
-whether or not it declares jumps, and in the Fejer main lobes
-|x - pi n| < 3 pi, then panels growing to width 2, each with 16
-Gauss-Legendre nodes. It ends at
+whether or not it declares jumps. Past a_end it keeps them in the Fejer
+main lobes |x - pi n| < 3 pi only while some source is still sampled
+there, that is while x_smooth = (L/2) max u_t > a_end: a source that
+jumps past 2e5, such as the integers or weighted primes on a 1e8 table,
+whose staircase the panels sample (below). Where every source is its
+stated tail past a_end, mt is there a sum of terms e^{-gamma x}, some over
+x + p, and the kernels are entire, so the lobes need no panel of their
+own. From the last cut the panels grow by 1.15 to the width cap (below),
+each with 16 Gauss-Legendre nodes. The grid ends at
 X = max((L/2) u_t, pi (N + 3)) at every eps, past the last lobe and past
 every u_t, and the part past X is added in closed form from the stated
 tails (_tail_integrals): moving X out by 300 changes no entry of any
 catalog source, or of weighted primes on a 1e5 table, by more than 1e-15
 (eps = 0, 0.001, 0.05; L = 2 pi, 8 pi, 8 pi + 0.37). The route takes no
-tolerance: the grid depends on L, N, X and a_end alone (_grid_edges). At
+tolerance: the grid depends on L, N, eps and the tails alone
+(_grid_edges), and on eps only through the cap. At
 every eps the order-n entries read g near u = 2 pi n / L (the Fejer lobe
 at x = pi n), so an order past N_max = L u_cap / (2 pi) would read the
 constant a table-backed source holds past u_cap; such orders are refused
 (_check_resolvable). A batch whose a_end lies past (L/2) u_cap asks the
 table for jumps it does not hold (a 1e5 table with the integers), which
 the table refuses (TableExhaustedError). A grid of more than
-_MAX_GRID_NODES nodes (small L: the fine panels grow like 1/L; large L: X
-grows like L u_t), counted from its panel widths (_grid_edges), is a
-ResourceError raised before any array is built.
+_MAX_GRID_NODES nodes (small L: the fine lobe panels of a sampled batch,
+and a cap of 8/r, grow in number like 1/L; large L: X grows like L u_t),
+counted from its panel widths (_grid_edges), is a ResourceError raised
+before any array is built.
 
 The fine panels resolve the damping e^{-kappa x}, kappa = 2 eps/L, while
 kappa fine_w <= 16 (_DAMPING_RESOLVED), that is eps min(0.1, pi/L) <= 32
@@ -101,6 +109,32 @@ kappa fine_w <= 16 (_DAMPING_RESOLVED), that is eps min(0.1, pi/L) <= 32
 DomainError. At that limit the identity, slow_approach and the integers
 agree with the kernel route to 3.4e-15 relative (L = 2 pi, 8 pi, 40 pi;
 N = 8, 32); at twice it they differ by 1.1e-11.
+
+The width cap rests on a Bernstein-ellipse bound, as the fine panels'
+accuracy does (below), here on the analytic weight. Past x_t = (L/2) u_t a
+stated term is c e^{-gamma x}, gamma = 2 (lam + eps) / L, over x + p for a
+term with b; r = max |gamma| over the batch's terms is the fastest decay
+or oscillation on the grid. Map a panel of width h onto [-1, 1] and take
+the Bernstein ellipse E_rho, semi-axes (rho +- 1/rho)/2 there: on it the
+real part of x strays at most (h/4)(rho + 1/rho) from the panel's middle
+and the imaginary part at most (h/4)(rho - 1/rho), so e^{-gamma x} grows
+by at most e^{r h (rho + 1/rho)/4} over its size at the middle and the
+trigonometric factors by at most e^{h (rho - 1/rho)/2}. The 16-point rule
+errs by at most (64/15) M rho^{-32} / (rho^2 - 1), M the maximum on E_rho
+(Trefethen, Approximation Theory and Approximation Practice, Thm 19.3).
+With h <= 2 and r h <= 8, ln M <= 3 rho + 1/rho, and rho = 10 leaves
+5e-21 of the weight's size at the middle. So the panels past the fine
+ones grow to cap = max(fine_w, min(2, 8/r)), from min(2 fine_w, cap): the
+floor fine_w is the width whose damping eps <= eps_max covers (above). A
+term's pole x = -p = -b L/2 lies left of 0, at least 10 widths of the
+first panel away for the catalog's b = 1. lam = 0 for the integers and
+weighted primes, so their cap is 2 at every eps <= 2 L; at L = 8 pi the
+battery's largest rate, single_jump's lam = 1, gives r = 0.08 at
+eps = 0. Without the cap log_oscillation at L = 0.03 (e^{i u},
+r = 66.7) gives a diagonal of 1.001371 against 1.004775 on 0.12-wide
+panels. Against panels half as wide every catalog source, and weighted
+primes on a 1e5 table, agree to 1.7e-15 max(1, max |W|) at eps = 0,
+0.05, 1, 0.1 eps_max and eps_max (L = 2 pi, 8 pi, 40 pi).
 
 On the resolved range the nodes of a source that declares jumps do not
 sample mt: S jumps inside the panels. Between two jumps S(e^u) = a + b u,
@@ -129,8 +163,8 @@ at the panel's left end: on it the damping grows by at most
 e^{2 (1+eps) s/L}. Take s = min(3, L / (2 (1 + eps))), so that it grows by
 less than e. At s = 3, rho = 19.15 at h = pi/5 and 15.34 at h = pi/4, and
 C = 5.2e-18 and 1.8e-16. On the pnt grid (b = pi(x) <= 1.26 x / ln x,
-a = 0) the 245 resolved panels add up to 1.3e-15 per integral. The cap
-binds once eps > L/6 - 1 (3.2 at L = 8 pi). Near eps_max, where
+a = 0) the 245 resolved panels add up to 1.3e-15 per integral. The 3
+in s binds until eps > L/6 - 1 (3.2 at L = 8 pi). Near eps_max, where
 kappa h = 16, it leaves s near h/16 and the bound says nothing; even the
 best ellipse there (rho = 4.3, on which the damping grows by e^10.2)
 leaves C e^10.2 near 6e-5 at h = pi/5. There the entries rest on the
@@ -140,8 +174,10 @@ at L = 2 pi, N = 16, jumps resolved to 2e4) the D sums agree to 2.7e-15
 when that reference is summed exactly (math.fsum); its own sums over its
 326,624 nodes round by up to 1.6e-14.
 
-Past a_end the jumps are not resolved: the 16-node panels sample a
-staircase there. On the pnt grid the primes between 2e5 and 1e8 set a
+Past a_end the jumps are not resolved: where a source still jumps there
+(x_smooth > a_end), the 16-node panels sample its staircase, fine ones
+to the lobes' end and growing ones past it. On the pnt grid the primes
+between 2e5 and 1e8 set a
 floor. Halving every panel past a_end = 153.4 moves the eps = 0
 diagonals by 2.1e-5, and quartering them by a further 9.0e-6, so those
 diagonals hold to about 2e-5, not to the 1e-14 of the rule above. A step
@@ -252,11 +288,12 @@ _MAX_GRID_NODES = 4_000_000  # route grids past this are refused (ResourceError)
 _DAMPING_RESOLVED = 16.0  # largest kappa fine_w whose e^{-kappa x} the fine panels resolve
 _TAIL_RTOL = 1e-13  # relative gap a stated tail may leave to g (the catalog leaves 1.1e-16)
 # entries of one reciprocal block over the nodes, whatever the batch width m: the
-# battery's 130 x 5,360 block and pnt's 146 x 6,016 fit in one. Do not shrink it:
-# at 300,000 the battery's block comes in three chunks, which glibc maps afresh
-# on every op, and a warm battery op took about 1,200 minor faults and 2.2 ms of
-# system time against 0 and 0.01 ms (resource.getrusage, 30 ops). The chunks
-# also change the order, and so the rounding, of the sums.
+# battery's 130 x 1,920 block and pnt's 146 x 6,016 fit in one. Do not shrink it:
+# at 300,000 the battery's block of 130 x 5,360 on its earlier grid came in three
+# chunks, which glibc maps afresh on every op, and a warm battery op took about
+# 1,200 minor faults and 2.2 ms of system time against 0 and 0.01 ms
+# (resource.getrusage, 30 ops); pnt's block would come in three chunks at that
+# size. The chunks also change the order, and so the rounding, of the sums.
 _BLOCK_ENTRIES = 1_000_000
 
 
@@ -561,39 +598,52 @@ def _check_nodes(nodes: float, what: str) -> None:
         raise ResourceError(f"the {what} would hold {nodes:.3g} nodes, past the cap of {_MAX_GRID_NODES:,}")
 
 
-def _grid_edges(L: float, N: int, X: float, a_end: float):
-    """Panel edges on [0, X] for the resolved range [0, a_end], a_end <= X:
-    a function of L, N, X and a_end alone, so sources that agree on those
-    share the grid. Fine panels, at most _fine_width(L) wide, fill each gap
-    between the cuts 0, a_end and the lobes' end pi (N + 3); then n_geo
-    panels grow from base_w = 2 _fine_width(L) past the width cap 2, and
-    2-wide ones run to X. The nodes, 16 per panel, are counted from these
-    widths, exact on the fine panels and a few panels over in the tail, and
-    more than _MAX_GRID_NODES is a ResourceError raised before any edge is
-    laid."""
+def _grid_edges(L: float, N: int, eps: float, tails: Sequence[tuple]):
+    """(edges, a_end): panel edges on [0, X], X the batch's _cutoff, and
+    the end a_end = (L/2) min(ln 2e5, max u_t) of the resolved range: a
+    function of L, N, eps and the tails (_tail_of) alone, so sources that
+    agree on those share the grid. Fine panels, fine_w = _fine_width(L)
+    wide at most, fill [0, a_end], and while a source is still sampled
+    past a_end (max u_t > ln 2e5) also the gap from a_end to the lobes'
+    end pi (N + 3). From the last cut n_geo panels grow by 1.15 from
+    base_w = min(2 fine_w, cap) past the width cap
+    cap = max(fine_w, min(2, 8/r)), and cap-wide ones run to X;
+    r = max |lam + eps| / (L/2) over the tail terms is the fastest decay
+    or oscillation of any e^{-gamma x} on the grid (module docstring). The
+    nodes, 16 per panel, are counted from these widths, exact on the fine
+    panels and a few panels over past them, and more than _MAX_GRID_NODES
+    is a ResourceError raised before any edge is laid."""
+    half = L / 2.0
+    X = _cutoff(tails, L, N)
+    # a source's jumps matter only below the u_t from which it states g in
+    # closed form, so the resolved range ends at (L/2) min(ln 2e5, max u_t) <= X
+    u_top, u_res = max(u_t for u_t, _ in tails), math.log(_STEP_RESOLVE_CAP)
+    a_end = half * min(u_res, u_top)
     fine_w = _fine_width(L)
-    base_w = 2.0 * fine_w  # at most pi/2, under the tail's width cap 2
+    r = max((abs(complex(t[1]) + eps) for _, terms in tails for t in terms), default=0.0) / half
+    cap = 2.0 if r <= 4.0 else max(fine_w, 8.0 / r)
+    base_w = min(2.0 * fine_w, cap)
     cuts = [0.0]
     if a_end > 0.0:
         cuts.append(a_end)
-    if cuts[-1] < math.pi * (N + 3) <= X:
+    if u_top > u_res and cuts[-1] < math.pi * (N + 3) <= X:
         cuts.append(math.pi * (N + 3))
     panels = [max(1.0, np.ceil((b - a) / fine_w)) for a, b in zip(cuts, cuts[1:])]
-    n_geo = int(math.log(2.0 / base_w) / math.log(1.15)) + 3
+    n_geo = int(math.log(cap / base_w) / math.log(1.15)) + 3
     pos = cuts[-1]
-    _check_nodes(16.0 * (sum(panels) + n_geo + (X - pos) / 2.0 + 2.0),
+    _check_nodes(16.0 * (sum(panels) + n_geo + (X - pos) / cap + 2.0),
                  f"frequency-route grid at L = {L:g}, N = {N} to X = {X:.4g}")
     edges = [np.zeros(1)] + [np.linspace(a, b, int(k) + 1)[1:] for a, b, k in zip(cuts, cuts[1:], panels)]
-    # geometric growth out to X: widths base_w 1.15^j capped at 2 (the
+    # geometric growth out to X: widths base_w 1.15^j capped at cap (the
     # n_geo-th is past the cap), ends the running sums from cuts[-1] below
     # X, then X itself. Both accumulates run in order, so the ends are bit
-    # for bit those of the loop pos = min(pos + w, X), w = min(1.15 w, 2)
+    # for bit those of the loop pos = min(pos + w, X), w = min(1.15 w, cap)
     if pos < X:
-        w = np.full(n_geo + int((X - pos) / 2.0) + 1, 2.0)
-        w[:n_geo] = np.minimum(np.multiply.accumulate([base_w] + [1.15] * (n_geo - 1)), 2.0)
+        w = np.full(n_geo + int((X - pos) / cap) + 1, cap)
+        w[:n_geo] = np.minimum(np.multiply.accumulate([base_w] + [1.15] * (n_geo - 1)), cap)
         ends = np.add.accumulate(np.concatenate([[pos], w]))[1:]
         edges += [ends[ends < X], [X]]
-    return np.concatenate(edges)
+    return np.concatenate(edges), a_end
 
 
 def _step_values(S: GrowthFunction, L: float, eps: float, edges: np.ndarray, xs: np.ndarray):
@@ -724,15 +774,17 @@ def _tail_integrals(X: float, N: int, terms: Sequence[tuple], m: int):
     its ln is taken as -ln((X - d)/X). A pole term takes partial fractions
     over -p and the centre c, or where |c + p| < 1 the divided differences
     int_0^1 J2(d(t)) dt and int_0^1 2 t J3(d(t)) dt, d(t) = -p + t (c + p),
-    by 8-node Gauss-Legendre. One exp_e1 call serves every piece."""
+    by 8-node Gauss-Legendre. The terms that share (gamma, p) share these
+    integrals, and one exp_e1 call serves every piece of every such key."""
     K = N + 1
     cs = np.concatenate([math.pi * np.arange(K), -math.pi * np.arange(K)])
-    # each term reads J at the centres, then a pole's -p and its 8 nodes per near centre
+    keys = list(dict.fromkeys((complex(g), p) for *_, g, p in terms))
+    # each key reads J at the centres, then a pole's -p and its 8 nodes per near centre
     ds = [cs if p is None else np.r_[cs, -p, (np.outer(cs[np.abs(cs + p) < 1.0] + p, _GL8_T) - p).ravel()]
-          for *_, p in terms]
+          for _, p in keys]
     d, starts = np.concatenate([cs[:0], *ds]), np.cumsum([0] + [x.size for x in ds])
     cen = np.arange(d.size) - np.repeat(starts[:-1], np.diff(starts)) < 2 * K
-    gam = np.repeat([complex(t[2]) for t in terms], np.diff(starts))
+    gam = np.repeat([g for g, _ in keys], np.diff(starts))
     z = X - d
     # E[0..2] = exp_e1 at beta = gamma, gamma - 2i, gamma + 2i, one call on
     # the nonzero w
@@ -751,8 +803,8 @@ def _tail_integrals(X: float, N: int, terms: Sequence[tuple], m: int):
     J2 = eX * s2 / z + S1 - gam * J1
     J3 = 0.5 * (eX * s2 / z**2 + eX * sn2 / z + (Qm + Qp) - gam * S1 - gam * J2)
 
-    F, D = np.zeros((K, m)), np.zeros((K, m))
-    for (j, coef, _, p), i in zip(terms, starts + 2 * K):
+    odd_even = {}  # per key, the k = 0..N differences and sums of J over +-pi k
+    for (g, p), i in zip(keys, starts + 2 * K):
         P1, P2 = J1[i - 2 * K : i], J2[i - 2 * K : i]
         if p is not None:
             q = cs + p
@@ -762,8 +814,12 @@ def _tail_integrals(X: float, N: int, terms: Sequence[tuple], m: int):
                 P1, P2 = (P1 - jp) / q, (jp - P1) / q**2 + P2 / q
             P1[near] = J2[gl].reshape(-1, 8) @ _GL8_W
             P2[near] = J3[gl].reshape(-1, 8) @ (2.0 * _GL8_T * _GL8_W)
-        F[:, j] += (coef * (P1[:K] - P1[K:])).real
-        D[:, j] += (coef * (P2[:K] + P2[K:])).real
+        odd_even[g, p] = P1[:K] - P1[K:], P2[:K] + P2[K:]
+    F, D = np.zeros((K, m)), np.zeros((K, m))
+    for j, coef, g, p in terms:
+        P1, P2 = odd_even[complex(g), p]
+        F[:, j] += (coef * P1).real
+        D[:, j] += (coef * P2).real
     return F, D
 
 
@@ -811,27 +867,23 @@ def _windowed_integrals(sources: Sequence[GrowthFunction], L: float, eps: float,
     eps >= 0 whose damping the fine panels resolve (DomainError; module
     docstring), N in [0, _MAX_ORDER], a tail for every source
     (ContractError), N_max (_check_resolvable), and, in _grid_edges, a
-    grid of at most _MAX_GRID_NODES nodes (ResourceError). The grid runs
-    to the batch's _cutoff X, the same at every eps, where _tail_integrals
-    takes over. On the resolved range [0, a_end] a source that declares
-    jumps takes product-integration weights (_step_values); mt is read at
-    the other nodes."""
+    grid of at most _MAX_GRID_NODES nodes (ResourceError). The grid, laid
+    from L, N, eps and the tails, runs to the batch's _cutoff X, the same
+    at every eps, where _tail_integrals takes over. On the resolved range
+    [0, a_end] a source that declares jumps takes product-integration
+    weights (_step_values); mt is read at the other nodes."""
     _check_eps(eps, "frequency")
     _check_order(N)
     if not sources:
         return np.zeros((N + 1, 0)), np.zeros((N + 1, 0))
     tails = [_tail_of(S) for S in sources]
-    X = _cutoff(tails, L, N)
     half = L / 2.0
-    # a source's jumps matter only below the u_t from which it states g in
-    # closed form, so the resolved range ends at (L/2) min(ln 2e5, max u_t) <= X
-    a_end = half * min(math.log(_STEP_RESOLVE_CAP), max(u_t for u_t, _ in tails))
     for S in sources:
         _check_resolvable(S, L, N)
     eps_max = _DAMPING_RESOLVED * L / (2.0 * _fine_width(L))  # kappa = 2 eps / L
     if eps > eps_max:
         raise DomainError(f"the frequency route resolves the damping at L = {L:g} only up to eps = {eps_max:.6g}; got {eps!r}")
-    edges = _grid_edges(L, N, X, a_end)
+    edges, a_end = _grid_edges(L, N, eps, tails)
     xs, ws = _gl_nodes_on(edges[:-1], edges[1:])
     n_res = int(np.searchsorted(edges, a_end))  # resolved panels
     wv = np.empty((xs.size, len(sources)))
@@ -847,7 +899,7 @@ def _windowed_integrals(sources: Sequence[GrowthFunction], L: float, eps: float,
         for j, (_, tail) in enumerate(tails)
         for c, lam, *b in tail
     ]
-    F_t, D_t = _tail_integrals(X, N, rows, len(sources))
+    F_t, D_t = _tail_integrals(edges[-1], N, rows, len(sources))
     if want_F:
         F += F_t
     return F, D + D_t

@@ -269,23 +269,24 @@ def test_operator_diag_refuses_an_order_past_the_cap(capsys):
 
 
 def test_operator_refuses_a_frequency_grid_past_the_node_cap(capsys, monkeypatch):
-    # at L = 0.03 the fine panels are 7.5e-4 wide out to X = 67 pi: some
-    # 4.49e6 nodes; L = 1e-9 would ask for terabytes of edges. The refusal
-    # comes before any grid is built, on both routes (the kernel route's at
-    # L = 1e6: 2 x 10^6 body panels)
+    # the integers sample their staircase past the resolved range, so at
+    # L = 0.03 their fine panels are 7.5e-4 wide out to the lobes' end
+    # X = 67 pi: some 4.49e6 nodes; L = 1e-9 would ask for terabytes of
+    # edges. The refusal comes before any grid is built, on both routes
+    # (the kernel route's at L = 1e6: 2 x 10^6 body panels)
     def no_grid(*args):
         raise AssertionError("grid built")
 
     for name in ("_gl_nodes_on", "OuterGrid"):
         monkeypatch.setattr(operators, name, no_grid)
-    for length, cmd, *extra in (
-        ("0.03", "diag", "--A", "1"),
-        ("0.03", "assemble"),
-        ("1e-9", "diag", "--A", "1"),
-        ("1e6", "assemble", "--route", "kernel"),
+    for length, cmd, source, *extra in (
+        ("0.03", "diag", "integers", "--A", "1"),
+        ("0.03", "assemble", "integers"),
+        ("1e-9", "diag", "integers", "--A", "1"),
+        ("1e6", "assemble", "linear", "--route", "kernel"),
     ):
         code, out, err = run_cli(
-            capsys, "operator", cmd, "--source", "linear", "--length", length, "--eps",
+            capsys, "operator", cmd, "--source", source, "--length", length, "--eps",
             "0.05" if "kernel" in extra else "0", "--order", "64" if length == "0.03" else "2", *extra,
         )
         assert code == 2 and out == "", (length, cmd)
@@ -293,9 +294,21 @@ def test_operator_refuses_a_frequency_grid_past_the_node_cap(capsys, monkeypatch
         assert doc["code"] == "resource", (length, cmd)
         assert f"L = {float(length):g}" in doc["message"], (length, cmd)
         assert "past the cap of 4,000,000" in doc["message"], (length, cmd)
-    code, _, err = run_cli(capsys, "operator", "diag", "--source", "linear", "--length", "0.03",
+    code, _, err = run_cli(capsys, "operator", "diag", "--source", "integers", "--length", "0.03",
                            "--eps", "0", "--order", "64", "--A", "1")
     assert "4.49e+06 nodes" in json.loads(err.strip())["message"]
+
+
+def test_operator_diag_runs_a_closed_form_source_at_a_small_length(capsys):
+    # g = 1 is analytic past the resolved range, so no fine lobe panels are
+    # laid: at L = 0.03, N = 64 the grid holds 2,416 nodes, not the
+    # integers' 4.49e6, and Psi = W - Id has every diagonal within 1e-13
+    # of 0 (measured 1.1e-15)
+    code, out, err = run_cli(capsys, "operator", "diag", "--source", "linear", "--length", "0.03",
+                             "--eps", "0", "--order", "64", "--A", "1")
+    assert code == 0 and err == ""
+    vals = json.loads(out)
+    assert len(vals) == 65 and max(abs(v) for v in vals) < 1e-13
 
 
 def test_pnt_takes_length_and_order_from_the_config_file(capsys, tmp_path):

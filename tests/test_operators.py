@@ -514,11 +514,11 @@ def test_direct_sums_match_the_dense_sums_on_the_route_grids(big_table, monkeypa
 
 def test_half_line_integrals_hold_little_beside_the_reciprocal_block(big_table, monkeypatch):
     """One _half_line_integrals call on the battery's six-column grid
-    (N = 64, 5,360 nodes) and on the pnt diagonal grid (N = 72, 6,016
+    (N = 64, 1,920 nodes) and on the pnt diagonal grid (N = 72, 6,016
     nodes: 245 panels on the jump-resolved range x <= 153.4 and 131 in the
     lobes up to the grid end X = pi (N + 3) = 235.6, 16 nodes each) peaks
     within 1 MiB of its one reciprocal block, 2 (N + 1) x nodes doubles
-    (5.32 and 6.70 MiB), traced. Measured: 6.06 and 6.98 MiB."""
+    (1.90 and 6.70 MiB), traced. Measured: 2.22 and 6.98 MiB."""
     from tauberlab import tauber
 
     L = tauber.DEFAULT_LENGTH
@@ -530,7 +530,7 @@ def test_half_line_integrals_hold_little_beside_the_reciprocal_block(big_table, 
             diagonal_sequence([tr.source_primes_weighted(big_table)], IntervalSpec(L), 0.0, tauber.PNT_ORDER),
         ),
     )
-    assert [xs.size for xs, _, _ in grids] == [5_360, 6_016]
+    assert [xs.size for xs, _, _ in grids] == [1_920, 6_016]
     for xs, wv, k_max in grids:
         block = 8 * 2 * (k_max + 1) * xs.size
         tracemalloc.start()
@@ -547,27 +547,32 @@ def _a_end(S, L):
     return L / 2.0 * min(math.log(operators._STEP_RESOLVE_CAP), S.tail[0])
 
 
-def _grid_edges_per_segment(S, L, N, X):
+def _grid_edges_per_segment(S, L, N, X, eps=0.0):
     """Reference: the grid built one np.linspace call per segment, fine
-    panels on [0, a_end] and on [a_end, pi (N + 3)], then the tail loop.
-    Every source takes the cut at a_end, whether or not it declares jumps."""
+    panels on [0, a_end], and on [a_end, pi (N + 3)] while S samples its
+    staircase past a_end (u_t > ln 2e5), then the tail loop, whose widths
+    grow from min(2 fine_w, cap) to the cap max(fine_w, min(2, 8/r)),
+    r = max |lam + eps| / (L/2) over the stated tail. Every source takes
+    the cut at a_end, whether or not it declares jumps."""
     half = L / 2.0
     lobe_end = math.pi * (N + 3)
-    base_w = min(0.1, math.pi / L) * half
-    fine_w = base_w / 2.0
+    fine_w = min(0.1, math.pi / L) * half / 2.0
+    r = max(abs(complex(t[1]) + eps) for t in S.tail[1]) / half
+    cap = max(fine_w, min(2.0, 8.0 / r)) if r > 0.0 else 2.0
+    sampled = S.tail[0] > math.log(operators._STEP_RESOLVE_CAP)
 
     edges = [0.0]
     cursor = 0.0
-    for b in (_a_end(S, L), lobe_end):
+    for b in (_a_end(S, L), lobe_end) if sampled else (_a_end(S, L),):
         if cursor < b <= X:
             k = max(1, int(math.ceil((b - cursor) / fine_w)))
             edges.extend(np.linspace(cursor, b, k + 1)[1:].tolist())
             cursor = b
-    wcur = base_w
+    wcur = min(2.0 * fine_w, cap)
     while cursor < X:
         cursor = min(cursor + wcur, X)
         edges.append(cursor)
-        wcur = min(wcur * 1.15, 2.0)
+        wcur = min(wcur * 1.15, cap)
     return np.asarray(edges)
 
 
@@ -575,18 +580,28 @@ def _cutoff(S, L, N):
     return operators._cutoff([operators._tail_of(S)], L, N)
 
 
-@pytest.mark.parametrize("case", ["integer_count", "weighted_primes", "integer_tail"])
+@pytest.mark.parametrize(
+    "case", ["integer_count", "weighted_primes", "integer_tail", "oscillation_cap", "damping_cap", "fine_cap"]
+)
 def test_grid_edges_match_the_per_segment_linspace(case, small_table, monkeypatch):
-    S, L, N, X = {
-        "integer_count": (tr.source_integers(), 2.0 * math.pi, 16, 300.0),
+    S, L, N, X, eps = {
+        "integer_count": (tr.source_integers(), 2.0 * math.pi, 16, 300.0, 0.0),
+        # the 1e5 table's u_t = 11.5 is under ln 2e5: no fine lobe panels
         "weighted_primes": (
-            tr.source_primes_weighted(small_table), 8.0 * math.pi, 72, 72 * math.pi + 500.0
+            tr.source_primes_weighted(small_table), 8.0 * math.pi, 72, 72 * math.pi + 500.0, 0.0
         ),
         # the integers' tail starts at u_t = 36.04, far past the lobes
         "integer_tail": (
-            tr.source_integers(), 8.0 * math.pi, 72, _cutoff(tr.source_integers(), 8.0 * math.pi, 72)
+            tr.source_integers(), 8.0 * math.pi, 72, _cutoff(tr.source_integers(), 8.0 * math.pi, 72), 0.0
         ),
+        # e^{i u} at L = 0.3: r = |eps - i| / 0.15, cap 8/r = 1.2
+        "oscillation_cap": (tr.source_log_oscillation(0.5), 0.3, 8, 11.0 * math.pi, 0.05),
+        # e^{-eps u} at L = 2 pi, eps = 100: cap 8/r = 0.25 over fine_w = 0.157
+        "damping_cap": (tr.source_identity(), 2.0 * math.pi, 8, 11.0 * math.pi, 100.0),
+        # eps = 300: 8/r = 0.084, and the cap stops at fine_w
+        "fine_cap": (tr.source_integers(), 2.0 * math.pi, 8, 300.0, 300.0),
     }[case]
+    monkeypatch.setattr(operators, "_cutoff", lambda tails, L, N: X)
     counts, check_nodes = [], operators._check_nodes
 
     def recording_check(nodes, what):
@@ -594,8 +609,9 @@ def test_grid_edges_match_the_per_segment_linspace(case, small_table, monkeypatc
         return check_nodes(nodes, what)
 
     monkeypatch.setattr(operators, "_check_nodes", recording_check)
-    edges = operators._grid_edges(L, N, X, _a_end(S, L))
-    assert np.array_equal(edges, _grid_edges_per_segment(S, L, N, X))
+    edges, a_end = operators._grid_edges(L, N, eps, [S.tail])
+    assert a_end == _a_end(S, L)
+    assert np.array_equal(edges, _grid_edges_per_segment(S, L, N, X, eps))
     # the count behind the node cap: exact on the fine panels, a few panels over in the tail
     assert len(counts) == 1 and 0 <= counts[0] - 16 * (edges.size - 1) <= 16 * 32
 
@@ -603,7 +619,8 @@ def test_grid_edges_match_the_per_segment_linspace(case, small_table, monkeypatc
 def test_grid_edges_match_the_loop_on_the_battery_and_pnt_grids(big_table):
     """Every battery member at its grid end, and the pnt diagonal grid
     (weighted primes on the 1e8 table, L = 8 pi, N = 72), edge for edge
-    against the per-segment reference and its tail loop."""
+    against the per-segment reference and its tail loop, at eps = 0 and
+    0.05."""
     from tauberlab import tauber
 
     L, N = tauber.DEFAULT_LENGTH, tauber.DEFAULT_ORDER
@@ -611,8 +628,9 @@ def test_grid_edges_match_the_loop_on_the_battery_and_pnt_grids(big_table):
     cases += [(S, L, N) for S, *_ in tauber.battery_members()]
     for S, L, N in cases:
         X = _cutoff(S, L, N)
-        edges = operators._grid_edges(L, N, X, _a_end(S, L))
-        assert np.array_equal(edges, _grid_edges_per_segment(S, L, N, X)), S.label
+        for eps in (0.0, 0.05):
+            edges, _ = operators._grid_edges(L, N, eps, [S.tail])
+            assert np.array_equal(edges, _grid_edges_per_segment(S, L, N, X, eps)), (S.label, eps)
 
 
 def _route_tail(S, L, eps, N):
@@ -633,9 +651,7 @@ def _jump_aligned_moments(S, L, eps, N):
     with the route's grid end and exact tail. Past the resolved range the
     panels are the route's own."""
     half = L / 2.0
-    X = _cutoff(S, L, N)
-    a_end = _a_end(S, L)
-    edges = operators._grid_edges(L, N, X, a_end)
+    edges, a_end = operators._grid_edges(L, N, eps, [S.tail])
     if a_end > 0.0:
         knots = half * np.log(S.jumps_upto(math.exp(a_end / half))[0])
         fine = np.concatenate([edges[edges <= a_end], knots[knots < a_end]])
@@ -685,8 +701,7 @@ def _half_panel_moments(S, L, eps, N):
     those panels stay whole: halving them moves the integers' entries by up
     to 1.6e-10, the floor of the sampled staircase, not of the panel
     width."""
-    X, a_end = _cutoff(S, L, N), _a_end(S, L)
-    edges = operators._grid_edges(L, N, X, a_end)
+    edges, a_end = operators._grid_edges(L, N, eps, [S.tail])
     lo, hi = edges[:-1], edges[1:]
     split = (hi <= a_end) | (lo >= L / 2.0 * S.tail[0]) if S.jumps_upto is not None else np.full(lo.size, True)
     edges = np.insert(edges, np.flatnonzero(split) + 1, 0.5 * (lo + hi)[split])
@@ -705,16 +720,34 @@ def _half_panel_moments(S, L, eps, N):
 def test_the_fine_panels_match_panels_half_as_wide(name, L, small_table):
     """Every catalog source, and weighted primes on the 1e5 table, against
     the route's own grid with every panel split in two: each truncation
-    entry within 1e-14 max(1, max |M|) at eps = 0, 0.05 and the damping
-    limit eps_max (module docstring)."""
+    entry within 1e-14 max(1, max |M|) at eps = 0, 0.05, 1, 0.1 eps_max
+    and the damping limit eps_max (module docstring); at 0.1 eps_max and
+    eps_max the rate caps the tail panels under 2."""
     S = tr.source_primes_weighted(small_table) if name == "weighted_primes" else _CLOSED_FORM_SOURCES[name]()
     N = 8 if L < 7.0 else 32
     eps_max = operators._DAMPING_RESOLVED * L / (2.0 * operators._fine_width(L))
-    for eps in (0.0, 0.05, eps_max):
+    for eps in (0.0, 0.05, 1.0, 0.1 * eps_max, eps_max):
         W = assemble_frequency_route([S], IntervalSpec(L), eps, N)[0].entries
         F, D = _half_panel_moments(S, L, eps, N)
         ref = operators._matrix_from_moments(-F / math.pi, D / math.pi)
         assert np.max(np.abs(W - ref)) <= 1e-14 * max(1.0, np.max(np.abs(W))), eps
+
+
+@pytest.mark.parametrize("L", [0.03, 0.3])
+def test_the_width_cap_resolves_a_fast_oscillation(L):
+    """log_oscillation's e^{i u} oscillates at rate 2 / L in x: at L = 0.03
+    the tail panels are capped at 8/r = 0.12 wide, r = |lam + eps| / (L/2),
+    not 2 (module docstring). The frequency route then meets the kernel
+    route within 1e-13 max |W| at eps = 0.05 (measured 1.0e-15), and the
+    eps = 0 diagonals meet panels half as wide within 1e-14 (2.7e-15).
+    2-wide panels give a route gap of 2.1e-11 and a diagonal of 1.00137
+    against 1.00478."""
+    S, I, N = tr.source_log_oscillation(0.5), IntervalSpec(L), 8
+    Wf = assemble_frequency_route([S], I, 0.05, N)[0].entries
+    Wk = assemble_kernel_route([S], I, 0.05, N)[0].entries
+    assert np.max(np.abs(Wf - Wk)) <= 1e-13 * np.max(np.abs(Wk))
+    _, D = _half_panel_moments(S, L, 0.0, N)
+    assert np.max(np.abs(diagonal_sequence([S], I, 0.0, N)[0] - D / math.pi)) <= 1e-14
 
 
 @pytest.mark.parametrize("m", [1, 6])
@@ -752,9 +785,8 @@ def test_step_values_hold_no_array_of_every_degree():
     15.2 J). The whole route at eps = 0.1, N = 8 peaks under 30 MiB
     (measured: 20.3 MiB; 66.3 MiB with such an array)."""
     S, L, N = tr.source_integers(), 2.0 * math.pi, 8
-    X = _cutoff(S, L, N)
-    edges = operators._grid_edges(L, N, X, _a_end(S, L))
-    n_res = int(np.searchsorted(edges, _a_end(S, L)))
+    edges, a_end = operators._grid_edges(L, N, 0.1, [S.tail])
+    n_res = int(np.searchsorted(edges, a_end))
     xs, _ = operators._gl_nodes_on(edges[:n_res], edges[1 : n_res + 1])
     J = S.jumps_upto(math.exp(edges[n_res] / (L / 2.0)))[0].size
     assert J == 200_000
@@ -883,9 +915,12 @@ def test_the_tail_terms_are_g(name, small_table):
     assert operators._tail_of(S) == (u_t, terms)  # the route's own check passes
 
 
-def test_the_grid_does_not_depend_on_eps(monkeypatch):
-    """The battery's grid at N = 64 ends at X = 67 pi and holds 5,360 nodes
-    at eps = 0.001, 0.05 and 0."""
+def test_the_battery_grid_does_not_depend_on_eps(monkeypatch):
+    """The battery's grid at N = 64 ends at X = 67 pi and holds 1,920 nodes
+    at eps = 0.001, 0.05 and 0: 20 fine panels up to a_end = 4 pi, where
+    the single jump's tail starts, then panels growing to width 2, for no
+    rate |lam + eps| / (L/2) of its tails reaches 4, where the width cap
+    would fall under 2."""
     from tauberlab import tauber
 
     battery, I = [S for S, *_ in tauber.battery_members()], IntervalSpec(8 * math.pi)
@@ -893,14 +928,14 @@ def test_the_grid_does_not_depend_on_eps(monkeypatch):
     for eps in (0.0, 0.05, 0.001):
         grids = _route_grids(monkeypatch, lambda: diagonal_sequence(battery, I, eps, 64))
         sizes.append(grids[0][0].size)
-    assert sizes == [5_360] * 3
+    assert sizes == [1_920] * 3
 
 
 @pytest.mark.parametrize(
     "route,L,N,eps,source",
     [
-        ("frequency", 1e-9, 2, 0.0, tr.source_identity),  # fine panels 2.5e-11 wide
-        ("frequency", 0.03, 64, 0.0, tr.source_identity),  # 4,491,280 nodes
+        ("frequency", 1e-9, 2, 0.0, tr.source_integers),  # fine panels 2.5e-11 wide
+        ("frequency", 0.03, 64, 0.0, tr.source_integers),  # 4,491,296 nodes
         ("frequency", 1e6, 2, 0.05, tr.source_integers),  # X = 5e5 u_t = 1.8e7
         ("kernel", 1e6, 2, 0.05, tr.source_identity),  # 2 x 10^6 body panels 0.5 wide
     ],
@@ -928,10 +963,13 @@ def test_a_grid_past_the_node_cap_is_refused_before_it_is_built(route, L, N, eps
 def test_grids_under_the_node_cap_run_at_extreme_lengths():
     """The kernel route at L = 1e-9 lays N body panels L/N wide and no head
     (eps is past that width), and the frequency route at L = 1e6 lays
-    pi/4-wide panels to X = 5 pi for the identity: both run."""
+    panels growing from pi/2 to 2 wide to X = 5 pi for the identity, and
+    at L = 0.03, N = 64, where the integers' fine lobe panels pass the
+    cap, panels growing from 1.5e-3 to 2 wide: all run."""
     S = tr.source_identity()
     assert np.all(np.isfinite(assemble_kernel_route([S], IntervalSpec(1e-9), 0.05, 2)[0].entries))
     assert np.all(np.isfinite(assemble_frequency_route([S], IntervalSpec(1e6), 0.0, 2)[0].entries))
+    assert np.max(np.abs(diagonal_sequence([S], IntervalSpec(0.03), 0.0, 64)[0] - 1.0)) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
