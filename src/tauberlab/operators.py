@@ -32,8 +32,8 @@ wk (P x 16)
 
     s_n + i (...) = sum_j E[j, n] (wk @ F)[j, n],
 
-and c_n likewise, from (P + 16)(N + 1) cos/sin pairs in place of 16 P (N+1)
-complex exps (a head node is its own row, with F = 1). This stays a
+and c_n likewise, from (P + 16)(N + 1) complex exps in place of
+16 P (N + 1) (a head node is its own row, with F = 1). This stays a
 time-side computation, independent of the frequency route.
 
 Frequency route: by the Plancherel identity the matrix element is a single
@@ -89,9 +89,13 @@ X = max((L/2) u_t, pi (N + 3)) at every eps, past the last lobe and past
 every u_t, and the part past X is added in closed form from the stated
 tails (_tail_integrals): moving X out by 300 changes no entry of any
 catalog source, or of weighted primes on a 1e5 table, by more than 1e-15
-(eps = 0, 0.001, 0.05; L = 2 pi, 8 pi, 8 pi + 0.37). The route takes no
+(eps = 0, 0.001, 0.05; L = 2 pi, 8 pi, 8 pi + 0.37). At eps > 0 the
+damping e^{-2 eps x/L} is 0.0 in floating point past
+x = 746 (L/2) / eps (it underflows below e^{-745.13}): where that lies
+before X, the lobe and cap runs stop there, and one panel, each of
+whose nodes weighs 0, closes the grid to X. The route takes no
 tolerance: the grid depends on L, N, eps and the tails alone
-(_grid_edges), and on eps only through the cap. At
+(_grid_edges), and on eps only through the cap and that stop. At
 every eps the order-n entries read g near u = 2 pi n / L (the Fejer lobe
 at x = pi n), so an order past N_max = L u_cap / (2 pi) would read the
 constant a table-backed source holds past u_cap; such orders are refused
@@ -99,9 +103,11 @@ constant a table-backed source holds past u_cap; such orders are refused
 table for jumps it does not hold (a 1e5 table with the integers), which
 the table refuses (TableExhaustedError). A grid of more than
 _MAX_GRID_NODES nodes (small L: the fine lobe panels of a sampled batch,
-and a cap of 8/r, grow in number like 1/L; large L: X grows like L u_t),
-counted from its panel widths (_grid_edges), is a ResourceError raised
-before any array is built.
+and at eps = 0 a cap of 8/r, grow in number like 1/L, while at eps > 0
+the runs end at the underflow stop, at most about 93 r L / (2 eps)
+cap-wide panels on; large L: X grows like L u_t), counted from its panel
+widths (_grid_edges), is a ResourceError raised before any array is
+built.
 
 The fine panels resolve the damping e^{-kappa x}, kappa = 2 eps/L, while
 kappa fine_w <= 16 (_DAMPING_RESOLVED), that is eps min(0.1, pi/L) <= 32
@@ -263,7 +269,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .arith import GrowthFunction, _atomic_write, _csv_text, _fields_dict
+from .arith import GrowthFunction, _csv_text, _fields_dict
 from .errors import ContractError, DomainError, PrecisionError, ResourceError
 from .special import OuterGrid, exp_e1
 
@@ -377,10 +383,6 @@ class OperatorTruncation:
                 "source": self.source, "route": self.route, "A": self.A}
         return _csv_text("matrix", meta, self.entries, head=("# rows m = -N..N, cols n = -N..N",))
 
-    def to_csv(self, path) -> None:
-        """Write the matrix with its metadata header, atomically."""
-        _atomic_write(path, self.csv_text())
-
 
 # ---------------------------------------------------------------------------
 # kernel route
@@ -393,13 +395,16 @@ def kernel(S: GrowthFunction, eps: float, x):
     Needs the source's closed-form transform (every catalog source declares
     one) and a finite eps >= 1e-3: the kernel route never takes the
     eps -> 0 limit pointwise. x may be an OuterGrid, which reaches the
-    transform as the grid 1 + eps + i x, and gives a flat result."""
+    transform as the grid of blocks (1 + eps + i a, i b), and gives a flat
+    result."""
     _check_eps(eps, "kernel")
     if S.laplace is None:
         raise ContractError(f"source '{S.label}' declares no closed-form transform for the kernel")
-    if not isinstance(x, OuterGrid):
-        x = np.asarray(x, dtype=float)
-    out = np.real(S.laplace(1.0 + eps + 1j * x)) / math.pi
+    if isinstance(x, OuterGrid):
+        s = OuterGrid((1.0 + eps + 1j * a, 1j * b) for a, b in x.blocks)
+    else:
+        s = 1.0 + eps + 1j * np.asarray(x, dtype=float)
+    out = np.real(S.laplace(s)) / math.pi
     return float(out) if np.ndim(out) == 0 else out
 
 
@@ -429,9 +434,8 @@ def assemble_kernel_route(
     L = I.length
     x, w = _kernel_grid(L, N, eps, [S.tail for S in sources])
     alpha_n = (2.0 * math.pi / L) * np.arange(N + 1)
-    E = _unit_phases(np.multiply.outer(np.concatenate([a for a, _ in x.blocks]), alpha_n))
-    F = _unit_phases(np.multiply.outer(np.concatenate([b for _, b in x.blocks]), alpha_n))
-    F = np.split(F, np.cumsum([b.size for _, b in x.blocks])[:-1])
+    E = np.exp(1j * np.multiply.outer(np.concatenate([a for a, _ in x.blocks]), alpha_n))
+    F = [np.exp(1j * np.multiply.outer(b, alpha_n)) for _, b in x.blocks]
 
     def phase_rows(v):
         # row j of block g: sum_i v[j, i] e^{i alpha n b_i}; times E and
@@ -531,16 +535,6 @@ def _kernel_grid(L: float, N: int, eps: float, tails: Sequence):
     return OuterGrid(blocks), np.concatenate(weights)
 
 
-def _unit_phases(theta: np.ndarray) -> np.ndarray:
-    """e^{i theta} for real theta, its real and imaginary parts written from
-    cos and sin at about two thirds of the cost of np.exp(1j * theta); on
-    the pnt phases and on 10^5 random arguments the two agree bit for bit."""
-    out = np.empty(theta.shape, dtype=complex)
-    out.real = np.cos(theta)
-    out.imag = np.sin(theta)
-    return out
-
-
 def _matrix_from_moments(odd: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """The order-N matrix from moments given for k = 0..N.
 
@@ -609,10 +603,14 @@ def _grid_edges(L: float, N: int, eps: float, tails: Sequence[tuple]):
     base_w = min(2 fine_w, cap) past the width cap
     cap = max(fine_w, min(2, 8/r)), and cap-wide ones run to X;
     r = max |lam + eps| / (L/2) over the tail terms is the fastest decay
-    or oscillation of any e^{-gamma x} on the grid (module docstring). The
-    nodes, 16 per panel, are counted from these widths, exact on the fine
-    panels and a few panels over past them, and more than _MAX_GRID_NODES
-    is a ResourceError raised before any edge is laid."""
+    or oscillation of any e^{-gamma x} on the grid (module docstring). At
+    eps > 0 the lobe and cap runs stop at
+    stop = min(X, max(a_end, 746 (L/2) / eps)) and one panel closes the
+    grid from stop to X: past stop the damping e^{-eps u} is 0.0 in
+    floating point (it underflows below e^{-745.13}), so every node there
+    weighs 0. The nodes, 16 per panel, are counted from these widths,
+    exact on the fine panels and a few panels over past them, and more than
+    _MAX_GRID_NODES is a ResourceError raised before any edge is laid."""
     half = L / 2.0
     X = _cutoff(tails, L, N)
     # a source's jumps matter only below the u_t from which it states g in
@@ -623,26 +621,30 @@ def _grid_edges(L: float, N: int, eps: float, tails: Sequence[tuple]):
     r = max((abs(complex(t[1]) + eps) for _, terms in tails for t in terms), default=0.0) / half
     cap = 2.0 if r <= 4.0 else max(fine_w, 8.0 / r)
     base_w = min(2.0 * fine_w, cap)
+    stop = min(X, max(a_end, 746.0 * half / eps)) if eps > 0.0 else X
     cuts = [0.0]
     if a_end > 0.0:
         cuts.append(a_end)
-    if u_top > u_res and cuts[-1] < math.pi * (N + 3) <= X:
-        cuts.append(math.pi * (N + 3))
+    lobe_end = min(math.pi * (N + 3), stop)
+    if u_top > u_res and cuts[-1] < lobe_end:
+        cuts.append(lobe_end)
     panels = [max(1.0, np.ceil((b - a) / fine_w)) for a, b in zip(cuts, cuts[1:])]
     n_geo = int(math.log(cap / base_w) / math.log(1.15)) + 3
     pos = cuts[-1]
-    _check_nodes(16.0 * (sum(panels) + n_geo + (X - pos) / cap + 2.0),
+    _check_nodes(16.0 * (sum(panels) + n_geo + (stop - pos) / cap + 2.0 + (stop < X)),
                  f"frequency-route grid at L = {L:g}, N = {N} to X = {X:.4g}")
     edges = [np.zeros(1)] + [np.linspace(a, b, int(k) + 1)[1:] for a, b, k in zip(cuts, cuts[1:], panels)]
-    # geometric growth out to X: widths base_w 1.15^j capped at cap (the
+    # geometric growth out to stop: widths base_w 1.15^j capped at cap (the
     # n_geo-th is past the cap), ends the running sums from cuts[-1] below
-    # X, then X itself. Both accumulates run in order, so the ends are bit
-    # for bit those of the loop pos = min(pos + w, X), w = min(1.15 w, cap)
-    if pos < X:
-        w = np.full(n_geo + int((X - pos) / cap) + 1, cap)
+    # stop, then stop itself. Both accumulates run in order, so the ends are
+    # bit for bit those of the loop pos = min(pos + w, stop), w = min(1.15 w, cap)
+    if pos < stop:
+        w = np.full(n_geo + int((stop - pos) / cap) + 1, cap)
         w[:n_geo] = np.minimum(np.multiply.accumulate([base_w] + [1.15] * (n_geo - 1)), cap)
         ends = np.add.accumulate(np.concatenate([[pos], w]))[1:]
-        edges += [ends[ends < X], [X]]
+        edges += [ends[ends < stop], [stop]]
+    if stop < X:
+        edges.append([X])
     return np.concatenate(edges), a_end
 
 

@@ -38,7 +38,8 @@ and the blocks change no N and no certificate. Every batch builds A and
 B in _em_orders, once per block, at the largest N of its orders k (plain
 zeta is the one order k = 1, prime_zeta_pair takes its Moebius orders,
 below), and gives order k the elementwise k-th powers of their first
-N_k - 1 rows: n^{-ka} = (n^{-a})^k, and k s is the grid (k a, k b).
+N_k - 1 rows: n^{-ka} = (n^{-a})^k, and the grid k s is built from the
+blocks (k a, k b): a grid does no arithmetic of its own.
 The logs of prime zeta and of psi_P are taken in real arithmetic,
 log|w| + i atan2(Im w, Re w) (_log): the principal branch at a tenth of
 the cost of numpy's complex log.
@@ -204,10 +205,8 @@ class OuterGrid:
     np.asarray gives the flat points, so a closed form written for arrays
     takes a grid unchanged, while the zeta family builds its powers from
     each block's a and b and makes every other choice once over all the
-    points (module docstring). Adding a scalar shifts every a; multiplying
-    by one scales every a and b."""
-
-    __array_ufunc__ = None  # numpy defers scalar arithmetic to the methods below
+    points (module docstring). A grid does no arithmetic: a shifted or
+    scaled grid is built from the shifted or scaled blocks."""
 
     def __init__(self, blocks):
         self.blocks = tuple((np.ravel(a), np.ravel(b)) for a, b in blocks)
@@ -225,15 +224,6 @@ class OuterGrid:
 
     def __array__(self, dtype=None, copy=None):
         return self.points.astype(dtype or self.points.dtype)
-
-    def __add__(self, c):
-        return OuterGrid((a + c, b) for a, b in self.blocks)
-
-    def __mul__(self, c):
-        return OuterGrid((a * c, b * c) for a, b in self.blocks)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
 
 
 def _prep(s):
@@ -417,7 +407,7 @@ def _em_orders(s: OuterGrid, ks: list, Ns: list):
                 for i, (A, B) in enumerate(zip(Ak, Bk)):
                     out[0, i, cells], out[1, i, cells] = _em_sums(A, B)
         for i, (k, N) in enumerate(zip(ks, Ns)):
-            val, der = _em_tail(s if k == 1 else k * s, N)
+            val, der = _em_tail(s if k == 1 else OuterGrid((k * a, k * b) for a, b in s.blocks), N)
             out[0, i] += val
             out[1, i] += der
     return out

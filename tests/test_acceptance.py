@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tauberlab import transform as tr
-from tauberlab.arith import _csv_text, count_primes
+from tauberlab.arith import _atomic_write, _csv_text, count_primes
 from tauberlab.operators import (
     IntervalSpec,
     assemble_frequency_route,
@@ -56,8 +56,8 @@ def _build_c3(outdir):
     Wk = assemble_kernel_route([S], I, 0.1, 8)[0]
     Wf = assemble_frequency_route([S], I, 0.1, 8)[0]
     paths = [outdir / "route_kernel.csv", outdir / "route_frequency.csv"]
-    Wk.to_csv(paths[0])
-    Wf.to_csv(paths[1])
+    _atomic_write(paths[0], Wk.csv_text())
+    _atomic_write(paths[1], Wf.csv_text())
     return paths, (Wk, Wf)
 
 

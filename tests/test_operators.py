@@ -11,7 +11,7 @@ from scipy.integrate import quad
 
 from tauberlab import operators
 from tauberlab import transform as tr
-from tauberlab.arith import GrowthFunction, build_prime_table
+from tauberlab.arith import GrowthFunction, _atomic_write, build_prime_table
 from tauberlab.errors import ContractError, DomainError, PrecisionError, ResourceError, TableExhaustedError
 from tauberlab.operators import (
     IntervalSpec,
@@ -553,9 +553,13 @@ def _grid_edges_per_segment(S, L, N, X, eps=0.0):
     staircase past a_end (u_t > ln 2e5), then the tail loop, whose widths
     grow from min(2 fine_w, cap) to the cap max(fine_w, min(2, 8/r)),
     r = max |lam + eps| / (L/2) over the stated tail. Every source takes
-    the cut at a_end, whether or not it declares jumps."""
+    the cut at a_end, whether or not it declares jumps. At eps > 0 the
+    lobe and tail runs stop at min(X, max(a_end, 746 (L/2) / eps)), where
+    e^{-eps u} is 0.0, and one panel runs from there to X."""
     half = L / 2.0
-    lobe_end = math.pi * (N + 3)
+    a_end = _a_end(S, L)
+    stop = min(X, max(a_end, 746.0 * half / eps)) if eps > 0.0 else X
+    lobe_end = min(math.pi * (N + 3), stop)
     fine_w = min(0.1, math.pi / L) * half / 2.0
     r = max(abs(complex(t[1]) + eps) for t in S.tail[1]) / half
     cap = max(fine_w, min(2.0, 8.0 / r)) if r > 0.0 else 2.0
@@ -563,16 +567,18 @@ def _grid_edges_per_segment(S, L, N, X, eps=0.0):
 
     edges = [0.0]
     cursor = 0.0
-    for b in (_a_end(S, L), lobe_end) if sampled else (_a_end(S, L),):
+    for b in (a_end, lobe_end) if sampled else (a_end,):
         if cursor < b <= X:
             k = max(1, int(math.ceil((b - cursor) / fine_w)))
             edges.extend(np.linspace(cursor, b, k + 1)[1:].tolist())
             cursor = b
     wcur = min(2.0 * fine_w, cap)
-    while cursor < X:
-        cursor = min(cursor + wcur, X)
+    while cursor < stop:
+        cursor = min(cursor + wcur, stop)
         edges.append(cursor)
         wcur = min(wcur * 1.15, cap)
+    if cursor < X:
+        edges.append(X)
     return np.asarray(edges)
 
 
@@ -581,7 +587,9 @@ def _cutoff(S, L, N):
 
 
 @pytest.mark.parametrize(
-    "case", ["integer_count", "weighted_primes", "integer_tail", "oscillation_cap", "damping_cap", "fine_cap"]
+    "case",
+    ["integer_count", "weighted_primes", "integer_tail", "oscillation_cap", "damping_cap", "fine_cap",
+     "lobe_stop", "resolved_stop"],
 )
 def test_grid_edges_match_the_per_segment_linspace(case, small_table, monkeypatch):
     S, L, N, X, eps = {
@@ -600,6 +608,12 @@ def test_grid_edges_match_the_per_segment_linspace(case, small_table, monkeypatc
         "damping_cap": (tr.source_identity(), 2.0 * math.pi, 8, 11.0 * math.pi, 100.0),
         # eps = 300: 8/r = 0.084, and the cap stops at fine_w
         "fine_cap": (tr.source_integers(), 2.0 * math.pi, 8, 300.0, 300.0),
+        # eps = 50: e^{-eps u} underflows past 746 pi / 50 = 46.9, inside
+        # the integers' lobe run (a_end = 38.3 to 19 pi), which stops there
+        "lobe_stop": (tr.source_integers(), 2.0 * math.pi, 16, 300.0, 50.0),
+        # eps = 100: it underflows past 23.4, inside the resolved range, so
+        # one panel runs from a_end to X
+        "resolved_stop": (tr.source_integers(), 2.0 * math.pi, 16, 300.0, 100.0),
     }[case]
     monkeypatch.setattr(operators, "_cutoff", lambda tails, L, N: X)
     counts, check_nodes = [], operators._check_nodes
@@ -972,6 +986,22 @@ def test_grids_under_the_node_cap_run_at_extreme_lengths():
     assert np.max(np.abs(diagonal_sequence([S], IntervalSpec(0.03), 0.0, 64)[0] - 1.0)) <= 1e-13
 
 
+@pytest.mark.parametrize("L", [1e-9, 1e-6])
+def test_the_frequency_grid_stops_where_the_damping_underflows(L):
+    """At eps = 0.05 the cap-wide run ends at 746 (L/2) / eps, where
+    e^{-eps u} is 0.0, and one panel closes the grid to X = 11 pi: the
+    identity runs on 2,256 nodes, where the run to X asked for 6.91e9
+    (L = 1e-9) and 6.91e6 (L = 1e-6) and was refused. Every entry agrees
+    with the kernel route within 1e-13 max |W|."""
+    S, I = tr.source_identity(), IntervalSpec(L)
+    edges, _ = operators._grid_edges(L, 8, 0.05, [S.tail])
+    assert edges[-2] == 746.0 * (L / 2.0) / 0.05 and edges[-1] == 11.0 * math.pi
+    assert 16 * (edges.size - 1) == 2_256
+    Wf = assemble_frequency_route([S], I, 0.05, 8)[0].entries
+    Wk = assemble_kernel_route([S], I, 0.05, 8)[0].entries
+    assert np.max(np.abs(Wf - Wk)) <= 1e-13 * np.max(np.abs(Wk))
+
+
 # ---------------------------------------------------------------------------
 # structural invariants
 # ---------------------------------------------------------------------------
@@ -1302,7 +1332,7 @@ def test_a_non_integer_order_is_refused():
 def test_csv_round_trip(tmp_path):
     W = assemble_frequency_route([tr.source_integers()], L2PI, 0.1, 3)[0]
     path = tmp_path / "w.csv"
-    W.to_csv(path)
+    _atomic_write(path, W.csv_text())
     R = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     assert np.array_equal(R, W.entries)  # %.17g is lossless for float64
     header = path.read_text().splitlines()[0]
@@ -1334,7 +1364,7 @@ def test_csv_round_trip_keeps_multi_parameter_labels(factory, tmp_path):
     """Labels such as sqrt_mix(a=1,b=1) carry commas; the header must keep them whole."""
     W = split_identity(assemble_frequency_route([factory()], L2PI, 0.1, 2)[0], 0.5)
     path = tmp_path / "w.csv"
-    W.to_csv(path)
+    _atomic_write(path, W.csv_text())
     R = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
     header = path.read_text().splitlines()[0]
     assert "," in W.source

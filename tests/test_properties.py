@@ -4,7 +4,8 @@ arrays, symmetry and positive semi-definiteness of W on both routes across
 the battery, the spectrum from its parity blocks, the closed form for A*,
 the direct sums of the windowed integrals, the prime count against a
 dense sieve, the declared jumps of the step sources against their values,
-and the two routes on random step sources."""
+the two routes on random step sources, and the Loewner order of W on a
+step source and that source plus one jump."""
 
 import functools
 import math
@@ -17,7 +18,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tauberlab import operators, special, tauber, transform
-from tauberlab.operators import IntervalSpec, assemble_frequency_route, assemble_kernel_route
+from tauberlab.operators import (
+    IntervalSpec,
+    OperatorTruncation,
+    assemble_frequency_route,
+    assemble_kernel_route,
+    spectrum,
+)
 from tauberlab.special import OuterGrid, prime_zeta_pair, zeta, zeta_deriv
 from tauberlab.tauber import battery_members
 from test_transform import steps_times_log
@@ -441,7 +448,47 @@ def test_the_routes_agree_on_random_step_sources(S, L, N):
     I = IntervalSpec(L)
     Wk = assemble_kernel_route([S], I, 0.05, N)[0].entries
     Wf = assemble_frequency_route([S], I, 0.05, N)[0].entries
+    assert np.max(np.abs(Wf - Wk)) <= 1e-13 * np.max(np.abs(Wk)) + 64 * 2.0**-53 * _kernel_mass(S, L, 0.05)
+
+
+def _kernel_mass(S, L, eps):
+    """int_0^L |K|, by 16 Gauss-Legendre nodes on each of 64 panels: the
+    scale of the kernel route's rounding."""
     edges = np.linspace(0.0, L, 65)
     xs, ws = operators._gl_nodes_on(edges[:-1], edges[1:])
-    mass = np.sum(np.abs(operators.kernel(S, 0.05, xs)) * ws)
-    assert np.max(np.abs(Wf - Wk)) <= 1e-13 * np.max(np.abs(Wk)) + 64 * 2.0**-53 * mass
+    return np.sum(np.abs(operators.kernel(S, eps, xs)) * ws)
+
+
+def _plus_one_jump(S, x, h):
+    """The step source S plus a jump of h at x."""
+    xj, aj, _ = S.jumps_upto(math.inf)
+    jumps = dict(zip(xj.tolist(), aj.tolist()))
+    jumps[x] = jumps.get(x, 0.0) + h
+    xs = sorted(jumps)
+    return transform.source_steps(xs, [jumps[v] for v in xs], "random_steps_plus_one")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_step_sources(), st.one_of(st.floats(2e5, 1e6), st.floats(1.0, 1e4)), st.floats(0.1, 5.0))
+def test_a_larger_source_gives_a_larger_operator(S1, x, h):
+    """W is linear in g against a nonnegative weight, so S1 <= S2 gives
+    W(S1) <= W(S2) in the Loewner order on either route, up to quadrature
+    and rounding. S2 is S1 plus one jump, some past 2e5, where the
+    frequency route samples the staircase; the two run as one batch, on
+    one grid, at L = 8 pi, N = 16. The smallest eigenvalue of
+    W(S2) - W(S1), from the parity blocks of the moment difference, is at
+    least -1e-13 max |W(S2)| on the frequency route at eps = 0 and 0.05,
+    and on the kernel route at eps = 0.05 less also 64 ulp of the int |K|
+    of each source (test_the_routes_agree_on_random_step_sources)."""
+    S2 = _plus_one_jump(S1, x, h)
+    L, N = 8.0 * math.pi, 16
+    I = IntervalSpec(L)
+    for assemble, eps in ((assemble_frequency_route, 0.0), (assemble_frequency_route, 0.05),
+                          (assemble_kernel_route, 0.05)):
+        W1, W2 = assemble([S1, S2], I, eps, N)
+        diff = OperatorTruncation(interval=I, epsilon=eps, odd=W2.odd - W1.odd, diag=W2.diag - W1.diag,
+                                  source="difference", route=W2.route)
+        tol = 1e-13 * np.max(np.abs(W2.entries))
+        if assemble is assemble_kernel_route:
+            tol += 64 * 2.0**-53 * (_kernel_mass(S1, L, eps) + _kernel_mass(S2, L, eps))
+        assert spectrum(diff).min() >= -tol, (W2.route, eps)

@@ -427,7 +427,8 @@ def _pnt_kernel_points():
     Gauss-Legendre offsets out to 8 pi."""
     from tauberlab.operators import _kernel_grid
 
-    return 1.05 + 1j * _kernel_grid(8 * math.pi, 72, 0.05, [(0.0, ((1.0, 0.0),))])[0]
+    x = _kernel_grid(8 * math.pi, 72, 0.05, [(0.0, ((1.0, 0.0),))])[0]
+    return OuterGrid((1.05 + 1j * a, 1j * b) for a, b in x.blocks)
 
 
 def test_prime_zeta_pair_on_the_pnt_kernel_points_builds_its_powers_once(monkeypatch):

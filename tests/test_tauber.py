@@ -223,11 +223,11 @@ def test_battery_equivalence_at_full_size():
 
 def test_the_battery_runs_as_one_batch(monkeypatch):
     """One run_battery() sums one frequency-route grid, adds one exact tail
-    and builds one pair of kernel-route phase matrices for all six members
-    (one converse experiment per member makes 6, 6 and 12)."""
+    and lays one kernel-route grid for all six members (one converse
+    experiment per member makes 6 of each)."""
     from tauberlab import operators
 
-    calls = dict.fromkeys(("_half_line_integrals", "_tail_integrals", "_unit_phases"), 0)
+    calls = dict.fromkeys(("_half_line_integrals", "_tail_integrals", "_kernel_grid"), 0)
     for name in calls:
 
         def counting(*args, _name=name, _original=getattr(operators, name)):
@@ -236,7 +236,7 @@ def test_the_battery_runs_as_one_batch(monkeypatch):
 
         monkeypatch.setattr(operators, name, counting)
     run_battery()
-    assert calls == {"_half_line_integrals": 1, "_tail_integrals": 1, "_unit_phases": 2}
+    assert calls == {"_half_line_integrals": 1, "_tail_integrals": 1, "_kernel_grid": 1}
 
 
 def test_experiments_never_build_the_full_matrix(monkeypatch):

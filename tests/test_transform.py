@@ -202,8 +202,9 @@ def test_each_closed_form_prepares_s_once(monkeypatch):
     [
         1.5 + 2.0j,
         np.array([[1.01, 2.0 + 5.0j, 3.0 - 40.0j], [1.2, complex(1.3, -0.0), 7.0]]),
-        1.05 + 1j * OuterGrid([(np.linspace(-30.0, 30.0, 7), np.linspace(0.0, 1.0, 3))]),
-        1.05 + 1j * OuterGrid([(np.linspace(0.0, 0.3, 5), [0.0]), (np.linspace(1.0, 30.0, 4), np.linspace(0.0, 1.0, 3))]),
+        OuterGrid([(1.05 + 1j * np.linspace(-30.0, 30.0, 7), 1j * np.linspace(0.0, 1.0, 3))]),
+        OuterGrid([(1.05 + 1j * np.linspace(0.0, 0.3, 5), [0.0]),
+                   (1.05 + 1j * np.linspace(1.0, 30.0, 4), 1j * np.linspace(0.0, 1.0, 3))]),
     ],
     ids=["scalar", "array", "grid", "batch"],
 )
@@ -434,7 +435,7 @@ def test_single_jump_is_its_closed_form_bit_for_bit(h, x0):
     assert S.g(u_t) == h * np.exp(-u_t)
     P, L = 252, 8.0 * math.pi
     half = L / (2 * P)
-    grid = 1.0 + 0.05 + 1j * OuterGrid([((2 * np.arange(P) + 1) * half, half * _GL16[0])])
+    grid = OuterGrid([(1.0 + 0.05 + 1j * ((2 * np.arange(P) + 1) * half), 1j * (half * _GL16[0]))])
     z = np.asarray(grid, dtype=complex)
     assert S.laplace(grid).tobytes() == (h * np.exp(-z * u0) / z).tobytes()
     s = _S_PTS
